@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke examples figures clean
+.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke suite-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -103,6 +103,14 @@ fuzz-smoke:
 serve-smoke:
 	timeout -k 5 20 $(PYTHON) -m repro serve --port 0 --time-limit 2
 	timeout -k 10 55 $(PYTHON) -m repro drive --quick --seed 0
+
+# Benchmark-suite smoke (~90s): every workload once at smoke size with
+# its output checks, the traced pass (the tracer patches
+# ServiceCluster/ClusterMetrics/Network class attributes, so a rename
+# or a moved method fails here), then the suite's own unit tests.
+suite-smoke:
+	$(PYTHON) benchmarks/suite/run.py --smoke --trace 1
+	$(PYTHON) -m pytest benchmarks/suite/test_suite.py -q
 
 examples:
 	$(PYTHON) examples/quickstart.py

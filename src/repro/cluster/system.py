@@ -16,6 +16,13 @@ paper's request lifecycle:
 The cluster object is also the *context* passed to policies
 (:meth:`available_servers`, :meth:`dispatch`, :meth:`poll_server`,
 :attr:`servers`, :meth:`rng`, ...).
+
+The client side of that lifecycle lives once, in
+:class:`RequestLifecycle`, written against the
+:class:`~repro.sim.clock.Clock` protocol. :class:`ServiceCluster` (the
+simulated ``net/`` transport) and :class:`repro.live.client.LiveCluster`
+(real UDP datagrams) are its two transports and supply only the hooks
+the base class names.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from repro.cluster.availability import (
 from repro.cluster.client import ClientNode
 from repro.cluster.request import Request
 from repro.cluster.server import ServerNode
+from repro.core.base import NoCandidatesError
 from repro.net.latency import ConstantLatency, PAPER_NET, PaperNetworkConstants
 from repro.net.message import Message, MessageKind
 from repro.net.transport import Network
 from repro.sim.calendar import make_simulator
-from repro.sim.engine import EventHandle, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.rng import RngHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,11 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.overload import OverloadPolicy
     from repro.cluster.reliability import ReliabilityPolicy
     from repro.core.base import LoadBalancer
+    from repro.sim.clock import ClockHandle
 
-__all__ = ["ServiceCluster", "ClusterMetrics"]
+__all__ = ["ServiceCluster", "RequestLifecycle", "ClusterMetrics", "DEFAULT_SERVICE"]
 
 #: service name used when the availability subsystem is enabled with the
-#: default single fully-replicated service
+#: default single fully-replicated service (simulated and live alike)
 DEFAULT_SERVICE = "service"
 
 
@@ -125,8 +134,440 @@ class ClusterMetrics:
         return np.bincount(self.server_id[mask], minlength=n_servers)
 
 
-class ServiceCluster:
-    """A simulated cluster running one policy over one workload.
+class RequestLifecycle:
+    """The client-side request lifecycle and policy context, once.
+
+    Arrival → select → dispatch → response / reject / timeout → retry →
+    terminal record, with every stale-delivery guard, written against
+    the :class:`~repro.sim.clock.Clock` protocol (``self.sim``). A
+    transport subclass builds the nodes (``servers``, ``clients``,
+    ``network``, ``mapping_tables``, the ``dispatchers`` /
+    ``autoscaler`` / ``overload`` slots), calls :meth:`_init_lifecycle`
+    last in its constructor, unpacks inbound messages before handing
+    them to :meth:`_on_response` / :meth:`_on_reject`, and supplies:
+
+    - :meth:`poll_server` — how a POLL leaves and its reply returns;
+    - :meth:`_send_request` — how a REQUEST leaves;
+    - :meth:`_all_resolved` — how "every request is terminal" ends the run;
+    - ``_t0`` — the clock reading arrival offsets are measured from.
+    """
+
+    #: arrival origin: 0 on a simulated clock; a wall-clock transport
+    #: sets it to the reading at run start
+    _t0 = 0.0
+
+    def _init_lifecycle(
+        self,
+        policy: "LoadBalancer",
+        request_timeout: Optional[float],
+        max_retries: int,
+        reselect_delay: Optional[float],
+        reliability: Optional["ReliabilityPolicy"],
+    ) -> None:
+        """Lifecycle configuration, workload slots, resilience counters
+        and the None-when-off subsystem slots; binds ``policy`` last (it
+        reads the finished context)."""
+        self.request_timeout = request_timeout
+        self.max_retries = max_retries
+        if reselect_delay is not None and reselect_delay <= 0:
+            raise ValueError(f"reselect_delay must be > 0, got {reselect_delay}")
+        self._reselect_delay = reselect_delay
+        #: fallback for the derived re-select delay until load_workload
+        #: computes one from the workload's mean service time
+        self._derived_reselect_delay = 0.1
+
+        # Workload slots.
+        self.n_requests = 0
+        self._service_times: Optional[np.ndarray] = None
+        self._arrival_times: Optional[np.ndarray] = None
+        self.metrics: Optional[ClusterMetrics] = None
+        self._completed = 0
+        self._timeout_handles: dict[int, ClockHandle] = {}
+
+        # Resilience accounting (chaos campaigns read these).
+        #: client-side request timeouts that actually triggered a retry
+        self.request_timeouts_fired = 0
+        #: retries triggered by a server crash/drain (distinct from
+        #: timeout-driven retries, so chaos reports can attribute them)
+        self.server_loss_retries = 0
+        #: duplicated/stale REQUEST deliveries discarded (a copy of the
+        #: request was already queued somewhere, or it already finished)
+        self.duplicate_deliveries_ignored = 0
+        #: RESPONSE deliveries discarded because the request had already
+        #: completed or terminally failed (duplication / timeout races)
+        self.stale_responses_ignored = 0
+        #: fast-reject NACKs sent by overloaded servers
+        self.rejects_sent = 0
+        #: REJECT deliveries discarded because the request had already
+        #: moved on (retry raced the NACK, or duplication)
+        self.stale_rejects_ignored = 0
+        #: request currently inside policy.select (candidate-set
+        #: filtering excludes the server that just rejected it)
+        self._selecting_request: Optional[Request] = None
+        #: optional :class:`repro.cluster.failures.ChaosInjector`
+        #: installed by the experiment runner for chaos configs
+        self.chaos = None
+        #: optional :class:`repro.telemetry.TelemetryCollector` installed
+        #: by the experiment runner for telemetry-enabled configs; every
+        #: touch point guards with ``is not None`` (zero overhead off,
+        #: same pattern as ``Simulator.trace``)
+        self.telemetry = None
+        #: optional :class:`repro.verify.InvariantOracle` installed by the
+        #: experiment runner for verify-enabled configs; every touch
+        #: point guards with ``is not None`` (zero overhead off, same
+        #: pattern as telemetry)
+        self.oracle = None
+        #: optional :class:`repro.cluster.reliability.ReliabilityEngine`
+        #: — installed only when a policy with at least one mechanism
+        #: enabled is passed, so naive runs take identical code paths
+        self.reliability = None
+        if reliability is not None and reliability.enabled:
+            from repro.cluster.reliability import ReliabilityEngine
+
+            self.reliability = ReliabilityEngine(self, reliability)
+
+        self.policy = policy
+        policy.bind(self)
+
+    def poll_server(
+        self,
+        client: ClientNode,
+        server_id: int,
+        on_reply: Callable[[int, int, float], None],
+    ) -> None:
+        """Transport hook: send a load inquiry; the transport calls
+        ``on_reply(server_id, queue_length, observed_at)``."""
+        raise NotImplementedError
+
+    def _send_request(self, client: ClientNode, request: Request, server_id: int) -> None:
+        """Transport hook: put one REQUEST on the wire."""
+        raise NotImplementedError
+
+    def _all_resolved(self) -> None:
+        """Transport hook: the last request just became terminal."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # policy context API
+    # ------------------------------------------------------------------
+    def rng(self, name: str) -> np.random.Generator:
+        """Named deterministic substream (see :class:`RngHub`)."""
+        return self.rng_hub.stream(name)
+
+    def available_servers(self, client: ClientNode) -> list[int]:
+        """Candidate server ids for this client's next access.
+
+        Soft-state membership first (when the availability subsystem is
+        on), then rejection exclusion, then circuit-breaker filtering
+        (when the reliability layer has breakers): a breaker reacts to
+        consecutive failures within milliseconds while soft-state
+        expiry needs a full TTL.
+
+        Rejection exclusion: while re-selecting a request that was just
+        rejected, the rejecting server is dropped from the candidate
+        set (when alternatives exist) — a saturated server must not be
+        re-picked for the immediate retry it just bounced.
+        """
+        if not self.availability_enabled:
+            members = self._static_members
+        else:
+            members = self.mapping_tables[client.node_id].available(DEFAULT_SERVICE, 0)
+        selecting = self._selecting_request
+        if selecting is not None and selecting.last_rejected_by >= 0:
+            filtered = [s for s in members if s != selecting.last_rejected_by]
+            if filtered:
+                members = filtered
+        if self.dispatchers is not None:
+            members = self.dispatchers.filter_view(client.node_id, members)
+        if self.reliability is not None:
+            return list(self.reliability.filter_candidates(members))
+        return members
+
+    def client_for(self, request: Request) -> ClientNode:
+        """The client node that originated ``request`` (client node ids
+        are consecutive, continuing after the server ids)."""
+        return self.clients[(request.client_id - self.clients[0].node_id) % self.n_clients]
+
+    @property
+    def selector_agents(self) -> list[ClientNode]:
+        """The nodes that run ``policy.select`` and hold per-selector
+        policy state: the dispatcher agents when the tier is on, the
+        clients themselves otherwise. Policies that keep local state
+        (broadcast tables, JIQ idle queues, least-connections counters)
+        set up and address state through this list, never
+        ``self.clients`` directly."""
+        if self.dispatchers is not None:
+            return [d.agent for d in self.dispatchers.dispatchers]
+        return self.clients
+
+    def selector_for(self, request: Request) -> ClientNode:
+        """The selector node whose policy state should absorb a
+        lifecycle notification for ``request``: the handling dispatcher
+        agent when the tier routed it, else the originating client."""
+        if self.dispatchers is not None:
+            agent = self.dispatchers.selector_agent(request)
+            if agent is not None:
+                return agent
+        return self.client_for(request)
+
+    @property
+    def reselect_delay(self) -> float:
+        """Delay before re-selecting after an empty candidate set."""
+        if self._reselect_delay is not None:
+            return self._reselect_delay
+        if self.request_timeout is not None:
+            return self.request_timeout
+        return self._derived_reselect_delay
+
+    def dispatch(self, client: ClientNode, request: Request, server_id: int) -> None:
+        """Send ``request`` to ``server_id`` (policies call this once
+        they have decided)."""
+        if request.done:
+            # A stale poll round decided after the request already
+            # finished through another path (timeout retry + chaos).
+            return
+        if self.oracle is not None:
+            self.oracle.on_dispatch(request, server_id)
+        # The rejection exclusion only covers the selection that just
+        # committed; later retries see the full candidate set again.
+        request.last_rejected_by = -1
+        request.dispatch_time = self.sim.now
+        self.policy.notify_dispatch(client, request, server_id)
+        self._send_request(client, request, server_id)
+        # Replace (never stack) the attempt timeout: the deadline is
+        # measured from this dispatch, superseding any select-phase
+        # timeout armed by _safe_select.
+        self._arm_attempt_timeout(request)
+        if self.reliability is not None:
+            self.reliability.on_dispatch(client, request, server_id)
+
+    def _arm_attempt_timeout(self, request: Request) -> None:
+        """(Re-)arm the per-attempt timeout: the flat ``request_timeout``
+        when the reliability layer is off, the deadline-budget share
+        otherwise. No-op when neither is configured."""
+        timeout = (
+            self.request_timeout
+            if self.reliability is None
+            else self.reliability.attempt_timeout(request)
+        )
+        if timeout is None:
+            return
+        old = self._timeout_handles.pop(request.index, None)
+        if old is not None:
+            self.sim.cancel(old)
+        self._timeout_handles[request.index] = self.sim.after(
+            timeout, self._on_request_timeout, request
+        )
+
+    # ------------------------------------------------------------------
+    # lifecycle internals
+    # ------------------------------------------------------------------
+    def load_workload(self, interarrival: np.ndarray, service: np.ndarray) -> None:
+        """Install the request stream (aligned gap/service arrays)."""
+        gaps = np.ascontiguousarray(interarrival, dtype=np.float64)
+        service_times = np.ascontiguousarray(service, dtype=np.float64)
+        if gaps.shape != service_times.shape or gaps.ndim != 1 or gaps.size == 0:
+            raise ValueError("interarrival and service must be equal-length non-empty 1-D")
+        self.n_requests = int(gaps.shape[0])
+        self._arrival_times = np.cumsum(gaps)
+        extra = 0.0 if self.overhead is None else self.overhead.request_cpu_overhead
+        self._service_times = service_times + extra
+        # Default NoCandidates re-select delay, used only when neither
+        # reselect_delay nor request_timeout is configured: a few mean
+        # service times, not a flat 100 ms (which is ~20x the mean
+        # service time of a fine-grain request).
+        mean_service = float(self._service_times.mean())
+        if mean_service > 0.0:
+            self._derived_reselect_delay = 5.0 * mean_service
+        self.metrics = ClusterMetrics(self.n_requests)
+        self._completed = 0
+
+    def _on_arrival(self, index: int) -> None:
+        assert self._arrival_times is not None and self._service_times is not None
+        if index + 1 < self.n_requests:
+            self.sim.at(
+                self._t0 + float(self._arrival_times[index + 1]), self._on_arrival, index + 1
+            )
+        client = self.clients[index % self.n_clients]
+        request = Request(
+            index=index,
+            client_id=client.node_id,
+            service_time=float(self._service_times[index]),
+            arrival_time=self.sim.now,
+        )
+        if self.oracle is not None:
+            self.oracle.on_arrival(request)
+        self._safe_select(client, request)
+
+    def _safe_select(self, client: ClientNode, request: Request) -> None:
+        """Run the policy; an empty candidate set becomes a delayed retry
+        (e.g. every server's soft state expired after a mass failure).
+
+        When ``request_timeout`` is set it covers the *whole* attempt,
+        select phase included: a poll round whose replies are all lost
+        to faults would otherwise stall the request forever. The handle
+        armed here is superseded by :meth:`dispatch` (same deadline
+        semantics as before for requests that do get dispatched).
+        """
+        self._arm_attempt_timeout(request)
+        if self.dispatchers is not None:
+            # Dispatcher tier: the selection happens at the assigned
+            # dispatcher, one FORWARD hop away; the timeout armed above
+            # covers the hop + remote selection + dispatch.
+            self.dispatchers.route(client, request)
+            return
+        self._selecting_request = request
+        try:
+            self.policy.select(client, request)
+        except NoCandidatesError:
+            handle = self._timeout_handles.pop(request.index, None)
+            if handle is not None:
+                self.sim.cancel(handle)
+            self.sim.after(self.reselect_delay, self._retry, request)
+        finally:
+            self._selecting_request = None
+
+    def _on_response(self, winner: Request) -> None:
+        """A RESPONSE for ``winner`` reached the client (the transport
+        has already unpacked it): record the outcome exactly once."""
+        # Hedge copies resolve to their primary: the outcome is recorded
+        # exactly once against the canonical object, whichever copy's
+        # response arrived first.
+        request = winner if self.reliability is None else self.reliability.primary_of(winner)
+        if winner.done or request.done:
+            # Duplicated RESPONSE, or a late response for a request that
+            # already completed/failed via a retry path (possibly via a
+            # sibling hedge copy): never record a second outcome.
+            self.stale_responses_ignored += 1
+            return
+        winner.done = True
+        request.done = True
+        handle = self._timeout_handles.pop(request.index, None)
+        if handle is not None:
+            self.sim.cancel(handle)
+        winner.response_time = self.sim.now - winner.arrival_time
+        if winner is not request:
+            # Fold the winning copy's outcome into the primary record.
+            request.response_time = winner.response_time
+            request.enqueue_time = winner.enqueue_time
+            request.start_time = winner.start_time
+            request.completion_time = winner.completion_time
+            request.server_id = winner.server_id
+        assert self.metrics is not None
+        self.metrics.record(request)
+        if self.telemetry is not None:
+            self.telemetry.on_request_complete(request)
+        if self.oracle is not None:
+            self.oracle.on_terminal(request, failed=False)
+        self._completed += 1
+        if self.dispatchers is not None:
+            self.dispatchers.release(request)
+        if self.autoscaler is not None:
+            self.autoscaler.on_complete(request)
+        # Completion notifications go to the selector that dispatched —
+        # the dispatcher agent under the tier, the client otherwise —
+        # so per-selector policy state (least-connections counters, ...)
+        # is decremented where it was incremented.
+        self.policy.notify_complete(self.selector_for(request), request)
+        if self.reliability is not None:
+            self.reliability.on_complete(request, winner)
+        if self._completed >= self.n_requests:
+            self._all_resolved()
+
+    def _on_reject(self, request: Request, attempt: int, server_id: int) -> None:
+        """A fast-reject NACK from ``server_id`` for attempt number
+        ``attempt`` reached the client: retry elsewhere.
+
+        Stale guards mirror ``_on_response``: the request may have
+        moved on before the NACK landed — its attempt timeout fired and
+        the retry already queued somewhere (``queued_at``), a later
+        attempt is underway (``retries`` mismatch), it finished through
+        a sibling copy (``done``) — or the NACK was duplicated.
+        """
+        if request.done or request.queued_at >= 0 or request.retries != attempt:
+            self.stale_rejects_ignored += 1
+            return
+        handle = self._timeout_handles.pop(request.index, None)
+        if handle is not None:
+            self.sim.cancel(handle)
+        if self.dispatchers is not None:
+            self.dispatchers.on_server_reject(request, server_id)
+        if self.reliability is not None:
+            self.reliability.on_reject(request, server_id)
+        self._retry(request)
+
+    def _on_request_timeout(self, request: Request) -> None:
+        self._timeout_handles.pop(request.index, None)
+        if request.done:
+            return
+        self.request_timeouts_fired += 1
+        if self.dispatchers is not None:
+            self.dispatchers.on_attempt_timeout(request)
+        if self.reliability is not None:
+            self.reliability.on_attempt_failure(request)
+        self._retry(request)
+
+    def _retry(self, request: Request) -> None:
+        if request.done:
+            return
+        if self.reliability is not None and self.reliability.is_clone(request):
+            # Admission-control rejection of a hedge copy: drop the
+            # copy, never spawn a parallel retry lifecycle for it.
+            self.reliability.on_clone_lost(request)
+            return
+        request.retries += 1
+        client = self.client_for(request)
+        if request.retries > self.max_retries or (
+            self.reliability is not None
+            and self.reliability.should_fail_fast(request)
+        ):
+            request.done = True
+            request.failed = True
+            request.response_time = math.nan
+            assert self.metrics is not None
+            self.metrics.record(request)
+            if self.telemetry is not None:
+                self.telemetry.on_request_complete(request)
+            if self.dispatchers is not None:
+                self.dispatchers.release(request)
+            if self.autoscaler is not None:
+                self.autoscaler.on_failure(request)
+            # Terminal failures release per-selector policy state too
+            # (least-connections charges, manager counts) — a failed
+            # request is no longer outstanding anywhere.
+            self.policy.notify_complete(self.selector_for(request), request)
+            if self.reliability is not None:
+                self.reliability.on_terminal(request)
+            if self.oracle is not None:
+                self.oracle.on_terminal(request, failed=True)
+            self._completed += 1
+            if self._completed >= self.n_requests:
+                self._all_resolved()
+            return
+        if self.reliability is not None:
+            self.reliability.on_retry(request)
+            delay = self.reliability.backoff_delay(request)
+            if delay > 0.0:
+                self.sim.after(delay, self._reselect, request)
+                return
+        self._safe_select(client, request)
+
+    def _reselect(self, request: Request) -> None:
+        """Run the deferred (post-backoff) re-selection for a retry."""
+        if request.done:
+            return
+        self._safe_select(self.client_for(request), request)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<{type(self).__name__} servers={self.n_servers} clients={self.n_clients} "
+            f"policy={self.policy.describe()} completed={self._completed}/{self.n_requests}>"
+        )
+
+
+class ServiceCluster(RequestLifecycle):
+    """A simulated cluster running one policy over one workload: the
+    :class:`RequestLifecycle` over the discrete-event ``net/`` transport.
 
     Parameters
     ----------
@@ -222,14 +663,6 @@ class ServiceCluster:
         self.overhead = overhead
         self.n_servers = n_servers
         self.n_clients = n_clients
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        if reselect_delay is not None and reselect_delay <= 0:
-            raise ValueError(f"reselect_delay must be > 0, got {reselect_delay}")
-        self._reselect_delay = reselect_delay
-        #: fallback for the derived re-select delay until load_workload
-        #: computes one from the workload's mean service time
-        self._derived_reselect_delay = 0.1
 
         self.network = Network(
             self.sim, self.rng_hub.stream("net.latency"),
@@ -387,95 +820,8 @@ class ServiceCluster:
                     controller.on_withdraw = publisher.stop
                     controller.on_rejoin = self._make_rejoin(server, publisher)
 
-        # Workload slots.
-        self.n_requests = 0
-        self._service_times: Optional[np.ndarray] = None
-        self._arrival_times: Optional[np.ndarray] = None
-        self.metrics: Optional[ClusterMetrics] = None
-        self._completed = 0
         self._runner_active = False
-        self._timeout_handles: dict[int, EventHandle] = {}
-
-        # Resilience accounting (chaos campaigns read these).
-        #: client-side request timeouts that actually triggered a retry
-        self.request_timeouts_fired = 0
-        #: retries triggered by a server crash/drain (distinct from
-        #: timeout-driven retries, so chaos reports can attribute them)
-        self.server_loss_retries = 0
-        #: duplicated/stale REQUEST deliveries discarded (a copy of the
-        #: request was already queued somewhere, or it already finished)
-        self.duplicate_deliveries_ignored = 0
-        #: RESPONSE deliveries discarded because the request had already
-        #: completed or terminally failed (duplication / timeout races)
-        self.stale_responses_ignored = 0
-        #: fast-reject NACKs sent by overloaded servers
-        self.rejects_sent = 0
-        #: REJECT deliveries discarded because the request had already
-        #: moved on (retry raced the NACK, or duplication)
-        self.stale_rejects_ignored = 0
-        #: request currently inside policy.select (candidate-set
-        #: filtering excludes the server that just rejected it)
-        self._selecting_request: Optional[Request] = None
-        #: optional :class:`repro.cluster.failures.ChaosInjector`
-        #: installed by the experiment runner for chaos configs
-        self.chaos = None
-        #: optional :class:`repro.telemetry.TelemetryCollector` installed
-        #: by the experiment runner for telemetry-enabled configs; every
-        #: touch point guards with ``is not None`` (zero overhead off,
-        #: same pattern as ``Simulator.trace``)
-        self.telemetry = None
-        #: optional :class:`repro.verify.InvariantOracle` installed by the
-        #: experiment runner for verify-enabled configs; every touch
-        #: point guards with ``is not None`` (zero overhead off, same
-        #: pattern as telemetry)
-        self.oracle = None
-        #: optional :class:`repro.cluster.reliability.ReliabilityEngine`
-        #: — installed only when a policy with at least one mechanism
-        #: enabled is passed, so naive runs take identical code paths
-        self.reliability = None
-        if reliability is not None and reliability.enabled:
-            from repro.cluster.reliability import ReliabilityEngine
-
-            self.reliability = ReliabilityEngine(self, reliability)
-
-        self.policy = policy
-        policy.bind(self)
-
-    # ------------------------------------------------------------------
-    # policy context API
-    # ------------------------------------------------------------------
-    def rng(self, name: str) -> np.random.Generator:
-        """Named deterministic substream (see :class:`RngHub`)."""
-        return self.rng_hub.stream(name)
-
-    def available_servers(self, client: ClientNode) -> list[int]:
-        """Candidate server ids for this client's next access.
-
-        Soft-state membership first (when the availability subsystem is
-        on), then rejection exclusion, then circuit-breaker filtering
-        (when the reliability layer has breakers): a breaker reacts to
-        consecutive failures within milliseconds while soft-state
-        expiry needs a full TTL.
-
-        Rejection exclusion: while re-selecting a request that was just
-        rejected, the rejecting server is dropped from the candidate
-        set (when alternatives exist) — a saturated server must not be
-        re-picked for the immediate retry it just bounced.
-        """
-        if not self.availability_enabled:
-            members = self._static_members
-        else:
-            members = self.mapping_tables[client.node_id].available(DEFAULT_SERVICE, 0)
-        selecting = self._selecting_request
-        if selecting is not None and selecting.last_rejected_by >= 0:
-            filtered = [s for s in members if s != selecting.last_rejected_by]
-            if filtered:
-                members = filtered
-        if self.dispatchers is not None:
-            members = self.dispatchers.filter_view(client.node_id, members)
-        if self.reliability is not None:
-            return list(self.reliability.filter_candidates(members))
-        return members
+        self._init_lifecycle(policy, request_timeout, max_retries, reselect_delay, reliability)
 
     def should_publish(self, node_id: int) -> bool:
         """Whether server ``node_id`` may (re)start its availability
@@ -509,42 +855,9 @@ class ServiceCluster:
 
         return rejoin
 
-    def client_for(self, request: Request) -> ClientNode:
-        """The client node that originated ``request`` (node ids for
-        clients continue after server ids)."""
-        return self.clients[(request.client_id - self.n_servers) % self.n_clients]
-
-    @property
-    def selector_agents(self) -> list[ClientNode]:
-        """The nodes that run ``policy.select`` and hold per-selector
-        policy state: the dispatcher agents when the tier is on, the
-        clients themselves otherwise. Policies that keep local state
-        (broadcast tables, JIQ idle queues, least-connections counters)
-        set up and address state through this list, never
-        ``self.clients`` directly."""
-        if self.dispatchers is not None:
-            return [d.agent for d in self.dispatchers.dispatchers]
-        return self.clients
-
-    def selector_for(self, request: Request) -> ClientNode:
-        """The selector node whose policy state should absorb a
-        lifecycle notification for ``request``: the handling dispatcher
-        agent when the tier routed it, else the originating client."""
-        if self.dispatchers is not None:
-            agent = self.dispatchers.selector_agent(request)
-            if agent is not None:
-                return agent
-        return self.client_for(request)
-
-    @property
-    def reselect_delay(self) -> float:
-        """Delay before re-selecting after an empty candidate set."""
-        if self._reselect_delay is not None:
-            return self._reselect_delay
-        if self.request_timeout is not None:
-            return self.request_timeout
-        return self._derived_reselect_delay
-
+    # ------------------------------------------------------------------
+    # transport: the simulated network
+    # ------------------------------------------------------------------
     def poll_server(
         self,
         client: ClientNode,
@@ -612,20 +925,10 @@ class ServiceCluster:
             extra_delay=send_delay,
         )
 
-    def dispatch(self, client: ClientNode, request: Request, server_id: int) -> None:
-        """Send ``request`` to ``server_id`` (policies call this once
-        they have decided)."""
-        if request.done:
-            # A stale poll round decided after the request already
-            # finished through another path (timeout retry + chaos).
-            return
-        if self.oracle is not None:
-            self.oracle.on_dispatch(request, server_id)
-        # The rejection exclusion only covers the selection that just
-        # committed; later retries see the full candidate set again.
-        request.last_rejected_by = -1
-        request.dispatch_time = self.sim.now
-        self.policy.notify_dispatch(client, request, server_id)
+    # The benchmark's tracer patches ``ServiceCluster.__dict__["dispatch"]``.
+    dispatch = RequestLifecycle.dispatch
+
+    def _send_request(self, client: ClientNode, request: Request, server_id: int) -> None:
         self.network.send(
             MessageKind.REQUEST,
             client.node_id,
@@ -633,53 +936,6 @@ class ServiceCluster:
             request,
             self._deliver_request,
         )
-        # Replace (never stack) the attempt timeout: the deadline is
-        # measured from this dispatch, superseding any select-phase
-        # timeout armed by _safe_select.
-        self._arm_attempt_timeout(request)
-        if self.reliability is not None:
-            self.reliability.on_dispatch(client, request, server_id)
-
-    def _arm_attempt_timeout(self, request: Request) -> None:
-        """(Re-)arm the per-attempt timeout: the flat ``request_timeout``
-        when the reliability layer is off, the deadline-budget share
-        otherwise. No-op when neither is configured."""
-        timeout = (
-            self.request_timeout
-            if self.reliability is None
-            else self.reliability.attempt_timeout(request)
-        )
-        if timeout is None:
-            return
-        old = self._timeout_handles.pop(request.index, None)
-        if old is not None:
-            self.sim.cancel(old)
-        self._timeout_handles[request.index] = self.sim.after(
-            timeout, self._on_request_timeout, request
-        )
-
-    # ------------------------------------------------------------------
-    # lifecycle internals
-    # ------------------------------------------------------------------
-    def load_workload(self, interarrival: np.ndarray, service: np.ndarray) -> None:
-        """Install the request stream (aligned gap/service arrays)."""
-        gaps = np.ascontiguousarray(interarrival, dtype=np.float64)
-        service_times = np.ascontiguousarray(service, dtype=np.float64)
-        if gaps.shape != service_times.shape or gaps.ndim != 1 or gaps.size == 0:
-            raise ValueError("interarrival and service must be equal-length non-empty 1-D")
-        self.n_requests = int(gaps.shape[0])
-        self._arrival_times = np.cumsum(gaps)
-        extra = 0.0 if self.overhead is None else self.overhead.request_cpu_overhead
-        self._service_times = service_times + extra
-        # Default NoCandidates re-select delay, used only when neither
-        # reselect_delay nor request_timeout is configured: a few mean
-        # service times, not a flat 100 ms (which is ~20x the mean
-        # service time of a fine-grain request).
-        mean_service = float(self._service_times.mean())
-        if mean_service > 0.0:
-            self._derived_reselect_delay = 5.0 * mean_service
-        self.metrics = ClusterMetrics(self.n_requests)
-        self._completed = 0
 
     def run(self, max_events_per_chunk: int = 200_000) -> ClusterMetrics:
         """Run until every request has completed (or failed terminally)."""
@@ -706,50 +962,9 @@ class ServiceCluster:
             self.oracle.on_run_end()
         return self.metrics
 
-    def _on_arrival(self, index: int) -> None:
-        assert self._arrival_times is not None and self._service_times is not None
-        if index + 1 < self.n_requests:
-            self.sim.at(float(self._arrival_times[index + 1]), self._on_arrival, index + 1)
-        client = self.clients[index % self.n_clients]
-        request = Request(
-            index=index,
-            client_id=client.node_id,
-            service_time=float(self._service_times[index]),
-            arrival_time=self.sim.now,
-        )
-        if self.oracle is not None:
-            self.oracle.on_arrival(request)
-        self._safe_select(client, request)
-
-    def _safe_select(self, client: ClientNode, request: Request) -> None:
-        """Run the policy; an empty candidate set becomes a delayed retry
-        (e.g. every server's soft state expired after a mass failure).
-
-        When ``request_timeout`` is set it covers the *whole* attempt,
-        select phase included: a poll round whose replies are all lost
-        to faults would otherwise stall the request forever. The handle
-        armed here is superseded by :meth:`dispatch` (same deadline
-        semantics as before for requests that do get dispatched).
-        """
-        from repro.core.base import NoCandidatesError
-
-        self._arm_attempt_timeout(request)
-        if self.dispatchers is not None:
-            # Dispatcher tier: the selection happens at the assigned
-            # dispatcher, one FORWARD hop away; the timeout armed above
-            # covers the hop + remote selection + dispatch.
-            self.dispatchers.route(client, request)
-            return
-        self._selecting_request = request
-        try:
-            self.policy.select(client, request)
-        except NoCandidatesError:
-            handle = self._timeout_handles.pop(request.index, None)
-            if handle is not None:
-                self.sim.cancel(handle)
-            self.sim.after(self.reselect_delay, self._retry, request)
-        finally:
-            self._selecting_request = None
+    def _all_resolved(self) -> None:
+        if self._runner_active:
+            raise _RunComplete
 
     def _deliver_request(self, message: Message) -> None:
         server = self.servers[message.dst]
@@ -809,26 +1024,8 @@ class ServiceCluster:
             self._retry(request)
 
     def _deliver_reject(self, message: Message) -> None:
-        """A fast-reject NACK reached the client: retry elsewhere.
-
-        Stale guards mirror ``_deliver_response``: the request may have
-        moved on before the NACK landed — its attempt timeout fired and
-        the retry already queued somewhere (``queued_at``), a later
-        attempt is underway (``retries`` mismatch), it finished through
-        a sibling copy (``done``) — or chaos duplicated the NACK.
-        """
         request, attempt = message.payload
-        if request.done or request.queued_at >= 0 or request.retries != attempt:
-            self.stale_rejects_ignored += 1
-            return
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.sim.cancel(handle)
-        if self.dispatchers is not None:
-            self.dispatchers.on_server_reject(request, message.src)
-        if self.reliability is not None:
-            self.reliability.on_reject(request, message.src)
-        self._retry(request)
+        self._on_reject(request, attempt, message.src)
 
     def _on_server_complete(self, server: ServerNode, request: Request) -> None:
         if self.dispatchers is not None:
@@ -856,61 +1053,7 @@ class ServiceCluster:
         )
 
     def _deliver_response(self, message: Message) -> None:
-        winner: Request = message.payload
-        # Hedge copies resolve to their primary: the outcome is recorded
-        # exactly once against the canonical object, whichever copy's
-        # response arrived first.
-        request = winner if self.reliability is None else self.reliability.primary_of(winner)
-        if winner.done or request.done:
-            # Duplicated RESPONSE, or a late response for a request that
-            # already completed/failed via a retry path (possibly via a
-            # sibling hedge copy): never record a second outcome.
-            self.stale_responses_ignored += 1
-            return
-        winner.done = True
-        request.done = True
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.sim.cancel(handle)
-        winner.response_time = self.sim.now - winner.arrival_time
-        if winner is not request:
-            # Fold the winning copy's outcome into the primary record.
-            request.response_time = winner.response_time
-            request.enqueue_time = winner.enqueue_time
-            request.start_time = winner.start_time
-            request.completion_time = winner.completion_time
-            request.server_id = winner.server_id
-        assert self.metrics is not None
-        self.metrics.record(request)
-        if self.telemetry is not None:
-            self.telemetry.on_request_complete(request)
-        if self.oracle is not None:
-            self.oracle.on_terminal(request, failed=False)
-        self._completed += 1
-        if self.dispatchers is not None:
-            self.dispatchers.release(request)
-        if self.autoscaler is not None:
-            self.autoscaler.on_complete(request)
-        # Completion notifications go to the selector that dispatched —
-        # the dispatcher agent under the tier, the client otherwise —
-        # so per-selector policy state (least-connections counters, ...)
-        # is decremented where it was incremented.
-        self.policy.notify_complete(self.selector_for(request), request)
-        if self.reliability is not None:
-            self.reliability.on_complete(request, winner)
-        if self._completed >= self.n_requests and self._runner_active:
-            raise _RunComplete
-
-    def _on_request_timeout(self, request: Request) -> None:
-        self._timeout_handles.pop(request.index, None)
-        if request.done:
-            return
-        self.request_timeouts_fired += 1
-        if self.dispatchers is not None:
-            self.dispatchers.on_attempt_timeout(request)
-        if self.reliability is not None:
-            self.reliability.on_attempt_failure(request)
-        self._retry(request)
+        self._on_response(message.payload)
 
     def handle_server_loss(self, request: Request) -> None:
         """A server crashed with this request queued/in flight."""
@@ -928,57 +1071,6 @@ class ServiceCluster:
         if self.reliability is not None:
             self.reliability.on_attempt_failure(request)
         self._retry(request)
-
-    def _retry(self, request: Request) -> None:
-        if request.done:
-            return
-        if self.reliability is not None and self.reliability.is_clone(request):
-            # Admission-control rejection of a hedge copy: drop the
-            # copy, never spawn a parallel retry lifecycle for it.
-            self.reliability.on_clone_lost(request)
-            return
-        request.retries += 1
-        client = self.client_for(request)
-        if request.retries > self.max_retries or (
-            self.reliability is not None
-            and self.reliability.should_fail_fast(request)
-        ):
-            request.done = True
-            request.failed = True
-            request.response_time = math.nan
-            assert self.metrics is not None
-            self.metrics.record(request)
-            if self.telemetry is not None:
-                self.telemetry.on_request_complete(request)
-            if self.dispatchers is not None:
-                self.dispatchers.release(request)
-            if self.autoscaler is not None:
-                self.autoscaler.on_failure(request)
-            # Terminal failures release per-selector policy state too
-            # (least-connections charges, manager counts) — a failed
-            # request is no longer outstanding anywhere.
-            self.policy.notify_complete(self.selector_for(request), request)
-            if self.reliability is not None:
-                self.reliability.on_terminal(request)
-            if self.oracle is not None:
-                self.oracle.on_terminal(request, failed=True)
-            self._completed += 1
-            if self._completed >= self.n_requests and self._runner_active:
-                raise _RunComplete
-            return
-        if self.reliability is not None:
-            self.reliability.on_retry(request)
-            delay = self.reliability.backoff_delay(request)
-            if delay > 0.0:
-                self.sim.after(delay, self._reselect, request)
-                return
-        self._safe_select(client, request)
-
-    def _reselect(self, request: Request) -> None:
-        """Run the deferred (post-backoff) re-selection for a retry."""
-        if request.done:
-            return
-        self._safe_select(self.client_for(request), request)
 
     # ------------------------------------------------------------------
     def overload_counters(self) -> dict[str, float]:
@@ -1015,9 +1107,3 @@ class ServiceCluster:
     def total_stolen_cpu(self) -> float:
         """CPU seconds stolen from services by poll handling (all servers)."""
         return sum(server.stolen_cpu_total for server in self.servers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ServiceCluster servers={self.n_servers} clients={self.n_clients} "
-            f"policy={self.policy.describe()} completed={self._completed}/{self.n_requests}>"
-        )

@@ -1,29 +1,27 @@
 """``LiveCluster`` — the client/drive agent of the live runtime.
 
-This is the wall-clock counterpart of
-:class:`~repro.cluster.system.ServiceCluster`: it exposes the *same*
-policy-context surface (``rng`` / ``available_servers`` /
-``poll_server`` / ``dispatch`` / ``sim`` / ``constants`` / ``servers``
-/ ``telemetry``) so registry policies, the
+This is the wall-clock transport of
+:class:`~repro.cluster.system.RequestLifecycle` — the very request
+lifecycle and policy-context surface
+:class:`~repro.cluster.system.ServiceCluster` runs (arrival → select →
+dispatch → response / reject / timeout → retry → terminal record,
+every stale-delivery guard included), so registry policies, the
 :class:`~repro.cluster.reliability.ReliabilityEngine`, the
 :class:`~repro.cluster.availability.ServiceMappingTable`,
 :class:`~repro.cluster.system.ClusterMetrics`, and the
 :class:`~repro.telemetry.collector.TelemetryCollector` all run
-**unmodified** — time comes from a
-:class:`~repro.live.clock.WallClock` and messages travel over real
-UDP datagrams instead of simulated deliveries.
-
-The request lifecycle (arrival → select → dispatch → response /
-reject / timeout → retry → terminal record) mirrors
-``ServiceCluster`` line for line, including every stale-delivery
-guard; the race-parity tests assert the same exactly-once invariants
-under injected loss/delay/duplication.
+**unmodified**. What lives here is only what differs: construction,
+time from a :class:`~repro.live.clock.WallClock`, REQUEST/POLL leaving
+and RESPONSE/REJECT/PUBLISH/POLL_REPLY arriving as real UDP datagrams
+(unpacked before the shared handlers run), and an ``asyncio.Event``
+ending the run. The race-parity tests assert the sim's exactly-once
+invariants under injected loss/delay/duplication.
 
 Deliberate divergences from the sim (documented in DESIGN.md §15):
 
 - hedged requests are not supported live (the hedge path reaches into
   simulated delivery internals); constructing with a hedge-enabled
-  reliability policy raises;
+  reliability policy raises; there is no dispatcher tier or autoscaler;
 - overload/admission state lives in the *server* process; the client
   sees only REJECT NACKs (so ``overload`` stays ``None`` here and
   rejection counters are per-server);
@@ -34,19 +32,15 @@ Deliberate divergences from the sim (documented in DESIGN.md §15):
 from __future__ import annotations
 
 import asyncio
-import math
 from typing import Any, Callable, Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.cluster.availability import ServiceMappingTable
 from repro.cluster.client import ClientNode
 from repro.cluster.request import Request
-from repro.cluster.system import ClusterMetrics
-from repro.core.base import LoadBalancer, NoCandidatesError
+from repro.cluster.system import ClusterMetrics, RequestLifecycle
+from repro.core.base import LoadBalancer
 from repro.live.clock import WallClock
 from repro.live.faults import LoopbackFaults
-from repro.live.server import DEFAULT_SERVICE_NAME
 from repro.live.wire import WireError, decode_message, encode_message
 from repro.net.latency import PAPER_NET, PaperNetworkConstants
 from repro.net.message import MessageKind
@@ -116,8 +110,9 @@ class _PublishShim:
         self.payload = payload
 
 
-class LiveCluster(asyncio.DatagramProtocol):
-    """Drives a workload against live UDP servers with shared policy code."""
+class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
+    """Drives a workload against live UDP servers: the shared
+    :class:`~repro.cluster.system.RequestLifecycle` over real datagrams."""
 
     def __init__(
         self,
@@ -141,20 +136,23 @@ class LiveCluster(asyncio.DatagramProtocol):
             raise ValueError("server_addrs must not be empty")
         if n_clients < 1:
             raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-        # The Clock seam: ``sim`` IS the wall clock. Policy, reliability,
-        # and soft-state code consult ``ctx.sim.now``/``after`` exactly
-        # as they do in simulation.
+        if (
+            reliability is not None
+            and reliability.enabled
+            and reliability.hedge_quantile is not None
+        ):
+            raise ValueError(
+                "hedged requests are not supported by the live runtime "
+                "(set hedge_quantile=None for repro drive)"
+            )
+        # The Clock seam: ``sim`` IS the wall clock. The lifecycle,
+        # policy, reliability, and soft-state code consult
+        # ``ctx.sim.now``/``after`` exactly as they do in simulation.
         self.sim = clock
         self.clock = clock
         self.rng_hub = RngHub(seed)
         self.constants = constants
         self.overhead = None
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        if reselect_delay is not None and reselect_delay <= 0:
-            raise ValueError(f"reselect_delay must be > 0, got {reselect_delay}")
-        self._reselect_delay = reselect_delay
-        self._derived_reselect_delay = 0.1
         self.faults = faults
 
         ids = sorted(server_addrs)
@@ -183,51 +181,23 @@ class LiveCluster(asyncio.DatagramProtocol):
             for client in self.clients:
                 self.mapping_tables[client.node_id] = table
 
+        # Overload/admission state lives in the server processes; the
+        # live runtime has no dispatcher tier or autoscaler, so the
+        # clients themselves are the selector agents.
         self.overload = None
-        self.telemetry = None
-        self.chaos = None
-        self.reliability = None
-        # The live runtime has no dispatcher tier or autoscaler; the
-        # clients themselves are the selector agents (policies address
-        # per-selector state through this attribute).
         self.dispatchers = None
         self.autoscaler = None
-        if reliability is not None and reliability.enabled:
-            if reliability.hedge_quantile is not None:
-                raise ValueError(
-                    "hedged requests are not supported by the live runtime "
-                    "(set hedge_quantile=None for repro drive)"
-                )
-            from repro.cluster.reliability import ReliabilityEngine
 
-            self.reliability = ReliabilityEngine(self, reliability)
-
-        # Workload slots + lifecycle state (mirrors ServiceCluster).
-        self.n_requests = 0
-        self._arrival_times: Optional[np.ndarray] = None
-        self._service_times: Optional[np.ndarray] = None
-        self.metrics: Optional[ClusterMetrics] = None
-        self._completed = 0
-        self._t0 = 0.0
+        # Transport state: dispatched requests by wire id, outstanding
+        # polls by poll id, the run-complete signal, wire-level counters.
         self._requests: Dict[int, Request] = {}
-        self._timeout_handles: Dict[int, Any] = {}
-        self._selecting_request: Optional[Request] = None
         self._polls: Dict[int, Tuple[int, Callable[[int, int, float], None], float]] = {}
         self._next_poll_id = 0
         self._done_event = asyncio.Event()
-
-        # Resilience counters (same names as ServiceCluster).
-        self.request_timeouts_fired = 0
-        self.server_loss_retries = 0
-        self.duplicate_deliveries_ignored = 0
-        self.stale_responses_ignored = 0
-        self.rejects_sent = 0
-        self.stale_rejects_ignored = 0
         self.stale_poll_replies_ignored = 0
         self.wire_errors = 0
 
-        self.policy = policy
-        policy.bind(self)
+        self._init_lifecycle(policy, request_timeout, max_retries, reselect_delay, reliability)
 
     # ------------------------------------------------------------------
     # asyncio protocol plumbing
@@ -265,43 +235,8 @@ class LiveCluster(asyncio.DatagramProtocol):
             self.transport.sendto(*item)
 
     # ------------------------------------------------------------------
-    # policy context API (same surface as ServiceCluster)
+    # transport hooks: outbound
     # ------------------------------------------------------------------
-    def rng(self, name: str) -> np.random.Generator:
-        return self.rng_hub.stream(name)
-
-    def available_servers(self, client: ClientNode) -> list[int]:
-        if not self.availability_enabled:
-            members = self._static_members
-        else:
-            members = self.mapping_tables[client.node_id].available(DEFAULT_SERVICE_NAME, 0)
-        selecting = self._selecting_request
-        if selecting is not None and selecting.last_rejected_by >= 0:
-            filtered = [s for s in members if s != selecting.last_rejected_by]
-            if filtered:
-                members = filtered
-        if self.reliability is not None:
-            return list(self.reliability.filter_candidates(members))
-        return list(members)
-
-    def client_for(self, request: Request) -> ClientNode:
-        base = self.clients[0].node_id
-        return self.clients[(request.client_id - base) % self.n_clients]
-
-    @property
-    def selector_agents(self) -> list:
-        """Policy-state owners (sim convention): no dispatcher tier in
-        the live runtime, so the clients select for themselves."""
-        return self.clients
-
-    @property
-    def reselect_delay(self) -> float:
-        if self._reselect_delay is not None:
-            return self._reselect_delay
-        if self.request_timeout is not None:
-            return self.request_timeout
-        return self._derived_reselect_delay
-
     def poll_server(
         self,
         client: ClientNode,
@@ -315,14 +250,7 @@ class LiveCluster(asyncio.DatagramProtocol):
         self._polls[pid] = (server_id, on_reply, self.clock.now)
         self._send("poll", encode_message("poll", pid=pid), self._addr_by_id[server_id])
 
-    def dispatch(self, client: ClientNode, request: Request, server_id: int) -> None:
-        if request.done:
-            # A stale poll round decided after the request already
-            # finished through another path (timeout retry + loss).
-            return
-        request.last_rejected_by = -1
-        request.dispatch_time = self.clock.now
-        self.policy.notify_dispatch(client, request, server_id)
+    def _send_request(self, client: ClientNode, request: Request, server_id: int) -> None:
         self._requests[request.index] = request
         data = encode_message(
             "request",
@@ -332,43 +260,10 @@ class LiveCluster(asyncio.DatagramProtocol):
             service=request.service_time,
         )
         self._send("request", data, self._addr_by_id[server_id])
-        self._arm_attempt_timeout(request)
-        if self.reliability is not None:
-            self.reliability.on_dispatch(client, request, server_id)
-
-    def _arm_attempt_timeout(self, request: Request) -> None:
-        timeout = (
-            self.request_timeout
-            if self.reliability is None
-            else self.reliability.attempt_timeout(request)
-        )
-        if timeout is None:
-            return
-        old = self._timeout_handles.pop(request.index, None)
-        if old is not None:
-            self.clock.cancel(old)
-        self._timeout_handles[request.index] = self.clock.after(
-            timeout, self._on_request_timeout, request
-        )
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # run control
     # ------------------------------------------------------------------
-    def load_workload(self, interarrival: np.ndarray, service: np.ndarray) -> None:
-        gaps = np.ascontiguousarray(interarrival, dtype=np.float64)
-        service_times = np.ascontiguousarray(service, dtype=np.float64)
-        if gaps.shape != service_times.shape or gaps.ndim != 1 or gaps.size == 0:
-            raise ValueError("interarrival and service must be equal-length non-empty 1-D")
-        self.n_requests = int(gaps.shape[0])
-        self._arrival_times = np.cumsum(gaps)
-        self._service_times = service_times
-        mean_service = float(service_times.mean())
-        if mean_service > 0.0:
-            self._derived_reselect_delay = 5.0 * mean_service
-        self.metrics = ClusterMetrics(self.n_requests)
-        self._completed = 0
-        self._done_event = asyncio.Event()
-
     async def run(self) -> ClusterMetrics:
         """Drive the loaded workload to completion; returns the metrics.
 
@@ -377,43 +272,17 @@ class LiveCluster(asyncio.DatagramProtocol):
         """
         if self._arrival_times is None or self.metrics is None:
             raise RuntimeError("load_workload() must be called before run()")
+        self._done_event.clear()
         self._t0 = self.clock.now
         self.clock.at(self._t0 + float(self._arrival_times[0]), self._on_arrival, 0)
         await self._done_event.wait()
         return self.metrics
 
-    def _on_arrival(self, index: int) -> None:
-        assert self._arrival_times is not None and self._service_times is not None
-        if index + 1 < self.n_requests:
-            self.clock.at(
-                self._t0 + float(self._arrival_times[index + 1]),
-                self._on_arrival,
-                index + 1,
-            )
-        client = self.clients[index % self.n_clients]
-        request = Request(
-            index=index,
-            client_id=client.node_id,
-            service_time=float(self._service_times[index]),
-            arrival_time=self.clock.now,
-        )
-        self._safe_select(client, request)
-
-    def _safe_select(self, client: ClientNode, request: Request) -> None:
-        self._arm_attempt_timeout(request)
-        self._selecting_request = request
-        try:
-            self.policy.select(client, request)
-        except NoCandidatesError:
-            handle = self._timeout_handles.pop(request.index, None)
-            if handle is not None:
-                self.clock.cancel(handle)
-            self.clock.after(self.reselect_delay, self._retry, request)
-        finally:
-            self._selecting_request = None
+    def _all_resolved(self) -> None:
+        self._done_event.set()
 
     # ------------------------------------------------------------------
-    # datagram handling
+    # transport hooks: inbound (unpack, then the shared handler)
     # ------------------------------------------------------------------
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:  # type: ignore[override]
         try:
@@ -425,15 +294,15 @@ class LiveCluster(asyncio.DatagramProtocol):
         if kind != "request":  # client never *receives* requests
             self.network.count(kind, len(data))
         if kind == "poll_reply":
-            self._on_poll_reply(msg)
+            self._recv_poll_reply(msg)
         elif kind == "response":
-            self._on_response(msg)
+            self._recv_response(msg)
         elif kind == "reject":
-            self._on_reject(msg)
+            self._recv_reject(msg)
         elif kind == "publish":
-            self._on_publish(msg)
+            self._recv_publish(msg)
 
-    def _on_poll_reply(self, msg: Dict[str, Any]) -> None:
+    def _recv_poll_reply(self, msg: Dict[str, Any]) -> None:
         entry = self._polls.pop(msg["pid"], None)
         if entry is None:
             # Duplicated or late reply for a poll already consumed.
@@ -462,104 +331,40 @@ class LiveCluster(asyncio.DatagramProtocol):
                 return i
         raise KeyError(f"unknown server id {server_id}")
 
-    def _on_response(self, msg: Dict[str, Any]) -> None:
+    def _recv_response(self, msg: Dict[str, Any]) -> None:
         request = self._requests.get(msg["id"])
         if request is None or request.done:
-            # Duplicated RESPONSE, or a late response for a request that
-            # already completed/failed via a retry path.
+            # Unknown id, or a duplicated/late RESPONSE for a request
+            # already terminal: its recorded stamps must not be rewritten.
             self.stale_responses_ignored += 1
             return
-        request.done = True
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.clock.cancel(handle)
+        # The sim's server stamps the shared Request object; over UDP
+        # the stamps travel in the datagram.
         request.server_id = int(msg["server"])
         request.enqueue_time = float(msg["enq"])
         request.start_time = float(msg["start"])
         request.completion_time = float(msg["done"])
-        request.response_time = self.clock.now - request.arrival_time
-        assert self.metrics is not None
-        self.metrics.record(request)
-        if self.telemetry is not None:
-            self.telemetry.on_request_complete(request)
-        self._completed += 1
-        client = self.client_for(request)
-        self.policy.notify_complete(client, request)
-        if self.reliability is not None:
-            self.reliability.on_complete(request, request)
-        self._maybe_finish()
+        self._on_response(request)
 
-    def _on_reject(self, msg: Dict[str, Any]) -> None:
+    def _recv_reject(self, msg: Dict[str, Any]) -> None:
         request = self._requests.get(msg["id"])
-        if request is None or request.done or request.queued_at >= 0 \
-                or request.retries != msg["attempt"]:
+        if request is None:
             self.stale_rejects_ignored += 1
             return
-        request.rejects += 1
-        request.last_rejected_by = int(msg["server"])
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.clock.cancel(handle)
-        if self.reliability is not None:
-            self.reliability.on_reject(request, int(msg["server"]))
-        self._retry(request)
+        attempt, server_id = msg["attempt"], int(msg["server"])
+        if not request.done and request.retries == attempt:
+            # The sim's server marks the shared Request object when it
+            # rejects; over UDP the mark lands with the (live) NACK.
+            request.rejects += 1
+            request.last_rejected_by = server_id
+        self._on_reject(request, attempt, server_id)
 
-    def _on_publish(self, msg: Dict[str, Any]) -> None:
+    def _recv_publish(self, msg: Dict[str, Any]) -> None:
         if self._shared_table is None:
             return
         entries = tuple((str(s), int(p)) for s, p in msg["entries"])
         payload = (int(msg["server"]), entries, float(msg["at"]))
         self._shared_table._on_publish(_PublishShim(payload))  # noqa: SLF001
-
-    # ------------------------------------------------------------------
-    # timeout / retry path (mirrors ServiceCluster)
-    # ------------------------------------------------------------------
-    def _on_request_timeout(self, request: Request) -> None:
-        self._timeout_handles.pop(request.index, None)
-        if request.done:
-            return
-        self.request_timeouts_fired += 1
-        if self.reliability is not None:
-            self.reliability.on_attempt_failure(request)
-        self._retry(request)
-
-    def _retry(self, request: Request) -> None:
-        if request.done:
-            return
-        request.retries += 1
-        client = self.client_for(request)
-        if request.retries > self.max_retries or (
-            self.reliability is not None
-            and self.reliability.should_fail_fast(request)
-        ):
-            request.done = True
-            request.failed = True
-            request.response_time = math.nan
-            assert self.metrics is not None
-            self.metrics.record(request)
-            if self.telemetry is not None:
-                self.telemetry.on_request_complete(request)
-            if self.reliability is not None:
-                self.reliability.on_terminal(request)
-            self._completed += 1
-            self._maybe_finish()
-            return
-        if self.reliability is not None:
-            self.reliability.on_retry(request)
-            delay = self.reliability.backoff_delay(request)
-            if delay > 0.0:
-                self.clock.after(delay, self._reselect, request)
-                return
-        self._safe_select(client, request)
-
-    def _reselect(self, request: Request) -> None:
-        if request.done:
-            return
-        self._safe_select(self.client_for(request), request)
-
-    def _maybe_finish(self) -> None:
-        if self._completed >= self.n_requests:
-            self._done_event.set()
 
     def resilience_counters(self) -> Dict[str, float]:
         out = {
@@ -574,9 +379,3 @@ class LiveCluster(asyncio.DatagramProtocol):
                 {k: float(v) for k, v in self.reliability.counters().items()}
             )
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<LiveCluster servers={self.n_servers} clients={self.n_clients} "
-            f"policy={self.policy.describe()} completed={self._completed}/{self.n_requests}>"
-        )

@@ -29,14 +29,13 @@ import numpy as np
 
 from repro.cluster.availability import ServicePublisher
 from repro.cluster.overload import OverloadController, OverloadPolicy
+from repro.cluster.system import DEFAULT_SERVICE
 from repro.live.clock import WallClock
 from repro.live.faults import LoopbackFaults
 from repro.live.wire import WireError, decode_message, encode_message
 from repro.prototype.microbench import SpinCalibration, calibrate_spin, spin_for
 
-__all__ = ["LiveServer", "DEFAULT_SERVICE_NAME"]
-
-DEFAULT_SERVICE_NAME = "svc"
+__all__ = ["LiveServer"]
 
 
 class _ServiceStamp:
@@ -84,7 +83,7 @@ class LiveServer(asyncio.DatagramProtocol):
         max_queue: Optional[int] = None,
         overload: Optional[OverloadPolicy] = None,
         publish_interval: Optional[float] = None,
-        entries: Iterable[Tuple[str, int]] = ((DEFAULT_SERVICE_NAME, 0),),
+        entries: Iterable[Tuple[str, int]] = ((DEFAULT_SERVICE, 0),),
         rng: Optional[np.random.Generator] = None,
         faults: Optional[LoopbackFaults] = None,
     ) -> None:

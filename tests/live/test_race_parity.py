@@ -35,7 +35,7 @@ class CountingMetrics(ClusterMetrics):
 
 
 async def _loopback(n_servers, clock_holder, server_kwargs=None, cluster_kwargs=None,
-                    n_requests=8, gap=0.005, service=0.001):
+                    n_requests=8, gap=0.005, service=0.001, policy="random"):
     """Start servers + cluster, return (servers, cluster, transports)."""
     loop = asyncio.get_running_loop()
     clock = WallClock(loop)
@@ -50,7 +50,7 @@ async def _loopback(n_servers, clock_holder, server_kwargs=None, cluster_kwargs=
         transports.append(transport)
     cluster = LiveCluster(
         {s.node_id: s.address for s in servers},
-        make_policy("random"),
+        make_policy(policy),
         clock,
         n_clients=2,
         **(cluster_kwargs or {}),
@@ -64,19 +64,20 @@ async def _loopback(n_servers, clock_holder, server_kwargs=None, cluster_kwargs=
     return servers, cluster, transports
 
 
-def test_late_response_after_terminal_failure_is_ignored():
-    """Attempt times out and fails terminally; the response then lands
-    late (injected delay) and must not be double-recorded."""
+def _late_response_after_terminal_failure(policy, n_servers=1):
+    """Every attempt times out and fails terminally; the responses then
+    land late (injected delay) and must not be double-recorded. Returns
+    the finished cluster."""
 
     async def scenario():
         clocks = []
         rng = np.random.default_rng(1)
         servers, cluster, transports = await _loopback(
-            1, clocks,
+            n_servers, clocks,
             server_kwargs={"faults": LoopbackFaults(rng, delay_min=0.08,
                                                     delay_max=0.1)},
             cluster_kwargs={"request_timeout": 0.01, "max_retries": 0},
-            n_requests=5,
+            n_requests=5, policy=policy,
         )
         try:
             metrics = await asyncio.wait_for(cluster.run(), timeout=20)
@@ -88,13 +89,30 @@ def test_late_response_after_terminal_failure_is_ignored():
             assert cluster.stale_responses_ignored >= 1
             # Exactly-once accounting: one record per request, ever.
             assert cluster.metrics.record_counts == {i: 1 for i in range(5)}
+            return cluster
         finally:
             for server in servers:
                 server.close()
             for transport in transports:
                 transport.close()
 
-    asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+def test_late_response_after_terminal_failure_is_ignored():
+    _late_response_after_terminal_failure("random")
+
+
+def test_terminal_failure_releases_least_connections_charges():
+    """Terminal failure releases per-selector policy state live as in
+    the sim: once every request is terminal no charge is outstanding."""
+    cluster = _late_response_after_terminal_failure("least_connections", n_servers=2)
+    policy = cluster.policy
+    assert policy._charges == {}
+    assert {node: int(t.sum()) for node, t in policy._tables.items()} == {
+        client.node_id: 0 for client in cluster.clients
+    }
+    assert policy.verify_scan() is None
 
 
 def test_duplicate_requests_are_served_at_most_once():
