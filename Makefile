@@ -43,42 +43,31 @@ scale-smoke:
 		--check-against benchmarks/baselines/BENCH_scale.json
 	$(PYTHON) -m repro validate-bench --bench-file BENCH_scale.json
 
-# Tiny fixed-seed chaos campaign; the second invocation must be served
-# entirely from the result cache with bit-identical output.
-chaos-smoke:
-	$(PYTHON) -m repro chaos --quick --seed 0
-	$(PYTHON) -m repro chaos --quick --seed 0
-
 # Tiny telemetry-on run; the exported spans.jsonl/series.csv are
 # re-read and validated against the schema by the trace command itself.
 telemetry-smoke:
 	$(PYTHON) -m repro trace --quick --seed 0 --export-dir .telemetry-smoke
 
-# Tiny naive-vs-hardened reliability comparison under identical fault
-# schedules; the second invocation must be served from the result cache.
-resilience-smoke:
-	$(PYTHON) -m repro resilience --quick --seed 0
-	$(PYTHON) -m repro resilience --quick --seed 0
+# Tiny fixed-seed campaigns, one target per builtin spec: chaos (fault
+# intensity sweep), resilience (naive vs hardened under identical fault
+# schedules), overload (static vs adaptive admission under identical
+# arrival schedules), autoscale (static vs autoscaled pool behind the
+# dispatcher tier, incl. a dispatcher crash-storm fault axis). Each
+# `repro <name>` is an alias of `repro scenario --spec <name>`; the
+# second invocation must be served entirely from the result cache with
+# bit-identical output.
+chaos-smoke resilience-smoke overload-smoke autoscale-smoke: %-smoke:
+	$(PYTHON) -m repro $* --quick --seed 0
+	$(PYTHON) -m repro $* --quick --seed 0
 
-# Tiny static-vs-adaptive overload campaign under identical arrival
-# schedules; the second invocation must be served from the result cache.
-overload-smoke:
-	$(PYTHON) -m repro overload --quick --seed 0
-	$(PYTHON) -m repro overload --quick --seed 0
-
-# Tiny static-vs-autoscaled campaign behind the dispatcher tier (incl.
-# a dispatcher crash-storm fault axis); the second invocation must be
-# served from the result cache.
-autoscale-smoke:
-	$(PYTHON) -m repro autoscale --quick --seed 0
-	$(PYTHON) -m repro autoscale --quick --seed 0
-
-# Quick composed scenario (<60s): validates the builtin spec, then runs
-# the trimmed grid — chaos + hardened reliability + overload control +
-# one trace-replay workload across two cluster scales; the second
-# invocation must be served entirely from the result cache.
+# Quick composed scenario (<60s): validates every builtin spec, then
+# runs the trimmed composed grid — chaos + hardened reliability +
+# overload control + one trace-replay workload across two cluster
+# scales; the second invocation must be served entirely from the result
+# cache.
 scenario-smoke:
-	$(PYTHON) -m repro scenario --quick --validate
+	for spec in composed chaos resilience overload autoscale; do \
+		$(PYTHON) -m repro scenario --spec $$spec --quick --validate || exit 1; done
 	$(PYTHON) -m repro scenario --quick --seed 0
 	$(PYTHON) -m repro scenario --quick --seed 0
 

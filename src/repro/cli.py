@@ -16,6 +16,7 @@ Usage::
     python -m repro overload --quick
     python -m repro autoscale --quick
     python -m repro scenario --quick
+    python -m repro scenario --spec overload --oracle --export-dir runs.json
     python -m repro scenario --spec grid.yaml --validate
     python -m repro trace --policy broadcast --policy-param mean_interval=0.1
     python -m repro drive --quick
@@ -25,6 +26,12 @@ Usage::
 Figures print the same series the paper plots; ``--requests`` trades
 precision for speed (defaults are publication-sized), ``--quick`` picks
 a small smoke-test size per command.
+
+Every campaign is one code path: ``chaos``, ``resilience``,
+``overload`` and ``autoscale`` are aliases of ``scenario --spec <name>``
+(builtin specs in :data:`repro.experiments.scenario.BUILTIN_SCENARIOS`),
+so ``--oracle``, ``--export-dir``, ``--validate``, ``--engine`` and the
+result cache behave identically for all of them and for spec files.
 
 Sweep commands memoize results in a persistent on-disk cache (default
 ``.repro-cache/``, or ``$REPRO_CACHE_DIR``; see
@@ -198,73 +205,29 @@ def _compare(args) -> str:
     return "\n".join(lines)
 
 
-def _chaos(args) -> str:
-    """Chaos campaign: resilience report under scaled fault intensity."""
-    data = figures.chaos_resilience(
-        n_requests=args.requests or 6_000, seed=args.seed,
-        parallel=not args.serial, verify=args.oracle, **_sweep_kwargs(args),
-    )
-    return data.render()
-
-
-def _resilience(args) -> str:
-    """Naive vs hardened reliability under identical fault schedules."""
-    data = figures.resilience_comparison(
-        n_requests=args.requests or 6_000, seed=args.seed,
-        parallel=not args.serial, verify=args.oracle, **_sweep_kwargs(args),
-    )
-    out = data.render()
-    comparison = data.extras["comparison"]
-    if comparison:
-        out += "\n\n== per-cell deltas (identical fault schedules) ==\n"
-        out += "\n".join(comparison)
-    return out
-
-
-def _overload(args) -> str:
-    """Static vs adaptive admission across the offered-load grid."""
-    data = figures.overload_goodput(
-        n_requests=args.requests or 4_000, seed=args.seed,
-        parallel=not args.serial, verify=args.oracle, **_sweep_kwargs(args),
-    )
-    out = data.render()
-    comparison = data.extras["comparison"]
-    if comparison:
-        out += "\n\n== per-cell deltas (identical arrival schedules) ==\n"
-        out += "\n".join(comparison)
-    return out
-
-
-def _autoscale(args) -> str:
-    """Static pool vs closed-loop autoscaler behind the dispatcher tier."""
-    data = figures.autoscale_efficiency(
-        n_requests=args.requests or 4_000, seed=args.seed,
-        quick=args.quick, parallel=not args.serial, verify=args.oracle, **_sweep_kwargs(args),
-    )
-    out = data.render()
-    comparison = data.extras["comparison"]
-    if comparison:
-        out += "\n\n== per-cell deltas (identical arrival schedules) ==\n"
-        out += "\n".join(comparison)
-    return out
-
-
 def _scenario(args) -> str:
-    """Composed scenario: expand a declarative spec, run it, report."""
+    """Every campaign: resolve a spec (builtin name or file), expand
+    it, run it, print its report.
+
+    ``repro chaos|resilience|overload|autoscale`` are aliases of
+    ``repro scenario --spec <command>``; bare ``repro scenario`` runs
+    the ``composed`` builtin.
+    """
     from repro.experiments.scenario import (
         BUILTIN_SCENARIOS,
         ScenarioError,
+        builtin_spec,
         load_spec,
     )
 
-    ref = args.spec or "composed"
+    alias = args.command if args.command in BUILTIN_SCENARIOS else "composed"
+    ref = args.spec or alias
     try:
         if ref in BUILTIN_SCENARIOS:
-            spec = BUILTIN_SCENARIOS[ref](
-                n_requests=args.requests or 4_000,
-                seed=args.seed,
-                quick=args.quick,
-            )
+            # No --requests (and no --quick preset): the builder's own
+            # default is the publication size.
+            sizing = {} if args.requests is None else {"n_requests": args.requests}
+            spec = builtin_spec(ref, seed=args.seed, quick=args.quick, **sizing)
         else:
             spec = load_spec(ref)
         # Expansion validates every axis; --validate stops here.
@@ -285,6 +248,7 @@ def _scenario(args) -> str:
     report = spec.run(
         parallel=not args.serial,
         archive=args.export_dir,
+        verify=args.oracle,
         **_sweep_kwargs(args),
     )
     return report.render()
@@ -619,10 +583,10 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
     "messages": (_messages, "§2.4 message scaling ablation"),
     "compare": (_compare, "policy comparison with confidence intervals"),
     "parity": (_parity, "heap vs calendar engine determinism check"),
-    "chaos": (_chaos, "chaos campaign: resilience under injected faults"),
-    "resilience": (_resilience, "naive vs hardened reliability layer under chaos"),
-    "overload": (_overload, "overload campaign: goodput past saturation"),
-    "autoscale": (_autoscale, "autoscale campaign: goodput vs provisioning cost"),
+    "chaos": (_scenario, "chaos campaign: resilience under injected faults"),
+    "resilience": (_scenario, "naive vs hardened reliability layer under chaos"),
+    "overload": (_scenario, "overload campaign: goodput past saturation"),
+    "autoscale": (_scenario, "autoscale campaign: goodput vs provisioning cost"),
     "scenario": (_scenario, "declarative scenario composition (spec file or builtin)"),
     "fuzz": (_fuzz, "deterministic chaos fuzzer under the invariant oracle"),
     "trace": (_trace, "request-lifecycle telemetry + staleness report"),
@@ -676,10 +640,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--export-dir", default=None,
                         help="export `trace` telemetry (spans.jsonl, "
                              "series.csv, accounting.json) to this directory; "
-                             "for `scenario`, archive all results to this path")
+                             "for `scenario` and its aliases `chaos`/"
+                             "`resilience`/`overload`/`autoscale`, archive "
+                             "every cell's result to this path")
     parser.add_argument("--spec", default=None, metavar="NAME_OR_PATH",
-                        help="for `scenario`: a builtin name (default: "
-                             "'composed') or a .json/.yaml spec file")
+                        help="for `scenario`: a builtin name (composed, "
+                             "chaos, resilience, overload, autoscale; "
+                             "default: 'composed') or a .json/.yaml spec file")
     parser.add_argument("--validate", action="store_true",
                         help="for `scenario`: expand and validate the spec "
                              "without running it (exits nonzero naming the "
@@ -687,7 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "validate reproducer specs (--replay PATH or "
                              "the committed corpus) without running them")
     parser.add_argument("--oracle", action="store_true",
-                        help="for `chaos`/`resilience`/`overload`/`autoscale`: "
+                        help="for `scenario` (builtin or spec file) and its "
+                             "aliases `chaos`/`resilience`/`overload`/"
+                             "`autoscale`: "
                              "run every cell under the inline invariant oracle "
                              "(exits nonzero on the first violation; results "
                              "are bit-identical to oracle-off runs)")

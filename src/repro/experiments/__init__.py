@@ -12,6 +12,16 @@ figure of the paper's evaluation:
 - :func:`~repro.experiments.figures.table2_discard`
 - :func:`~repro.experiments.figures.poll_profile_section32`
 - :func:`~repro.experiments.figures.message_scaling_section24`
+
+Everything past the paper — chaos, resilience, overload, autoscale, the
+composed grid, spec files — is a :class:`ScenarioSpec`: a builder
+(:func:`chaos_scenario_spec`, :func:`resilience_scenario_spec`,
+:func:`overload_scenario_spec`,
+:func:`~repro.experiments.autoscale.autoscale_scenario_spec`,
+:func:`composed_spec`, or :func:`load_spec`) returns the grid plus its
+:class:`ReportLayout`, and ``spec.run(...)`` is the one way to execute
+it and get the one :class:`ScenarioReport`. :func:`builtin_spec`
+resolves the names ``repro scenario --spec`` accepts.
 """
 
 from repro.experiments.config import SimulationConfig
@@ -42,30 +52,31 @@ from repro.experiments.executor import SweepExecutor, SweepStats
 from repro.experiments.parity import EngineParityReport, engine_parity, parity_suite
 from repro.experiments.chaos import (
     NAIVE_VS_HARDENED,
-    ResilienceReport,
-    chaos_campaign,
     chaos_cluster_params,
     chaos_params_for,
+    chaos_scenario_spec,
     hardened_reliability_params,
+    resilience_scenario_spec,
 )
 from repro.experiments.overload import (
     STATIC_VS_ADAPTIVE,
-    OverloadReport,
-    overload_campaign,
     overload_cluster_params,
     overload_control_params,
+    overload_scenario_spec,
 )
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     FaultAxis,
     ModeAxis,
     PolicyAxis,
+    ReportLayout,
     ScaleAxis,
     ScenarioCell,
     ScenarioError,
     ScenarioReport,
     ScenarioSpec,
     WorkloadAxis,
+    builtin_spec,
     composed_spec,
     load_spec,
     spec_from_dict,
@@ -78,10 +89,9 @@ __all__ = [
     "FaultAxis",
     "ModeAxis",
     "NAIVE_VS_HARDENED",
-    "OverloadReport",
     "PolicyAxis",
     "ReplicatedResult",
-    "ResilienceReport",
+    "ReportLayout",
     "STATIC_VS_ADAPTIVE",
     "ResultCache",
     "ResultTable",
@@ -96,9 +106,10 @@ __all__ = [
     "SweepStats",
     "WorkloadAxis",
     "build_cluster",
-    "chaos_campaign",
+    "builtin_spec",
     "chaos_cluster_params",
     "chaos_params_for",
+    "chaos_scenario_spec",
     "compare_policies",
     "composed_spec",
     "config_key",
@@ -111,13 +122,14 @@ __all__ = [
     "load_attempts_jsonl",
     "load_results",
     "load_spans_jsonl",
-    "overload_campaign",
     "overload_cluster_params",
     "overload_control_params",
+    "overload_scenario_spec",
     "parallel_sweep",
     "parity_suite",
     "regression",
     "replicate",
+    "resilience_scenario_spec",
     "run_simulation",
     "run_with_telemetry",
     "save_results",

@@ -30,39 +30,40 @@ completed requests divided by the time-mean number of *active* servers
 efficiency axis whenever it tracks demand with a smaller mean pool
 without giving up the goodput the static leg achieves.
 
-Like every campaign, this is a thin skin over the scenario engine:
-configs are ordinary :class:`SimulationConfig` objects (tier knobs in
+Like every campaign, this is a builtin scenario:
+:func:`autoscale_scenario_spec` returns the grid with
+:data:`AUTOSCALE_LAYOUT` attached and ``spec.run(...)`` runs it.
+Configs are ordinary :class:`SimulationConfig` objects (tier knobs in
 ``dispatcher_params``, scaling knobs in ``autoscaler_params``), so
-cells hit the content-addressed result cache, archive via
-:func:`~repro.experiments.io.save_results`, and run bit-identically
-under either exact event engine.
+cells hit the content-addressed result cache, archive in the standard
+format, and run bit-identically under either exact event engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.experiments.io import save_results
 from repro.experiments.overload import overload_control_params
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import SimulationResult
 from repro.experiments.scenario import (
     FaultAxis,
     ModeAxis,
     PolicyAxis,
+    ReportLayout,
     ScenarioSpec,
     WorkloadAxis,
-    run_cells,
+    axis,
+    counter,
+    failed,
+    goodput_pct,
+    p95_ms,
 )
 
 __all__ = [
+    "AUTOSCALE_LAYOUT",
     "DEFAULT_AUTOSCALE_LOADS",
     "DEFAULT_AUTOSCALE_POLICIES",
     "DISPATCHER_FAULTS",
     "STATIC_VS_AUTOSCALED",
-    "AutoscaleReport",
-    "autoscale_campaign",
     "autoscale_cluster_params",
     "autoscale_dispatcher_params",
     "autoscale_scaling_params",
@@ -182,53 +183,54 @@ def autoscale_cluster_params(
     }
 
 
-@dataclass
-class AutoscaleReport:
-    """The campaign's output: one row per (mode, policy, load, fault)."""
+def _mean_active(cell, result, base) -> float:
+    """Time-mean published pool size (the full pool for a static leg)."""
+    return float(
+        result.chaos_counters.get("autoscale_mean_active", result.config.n_servers)
+    )
 
-    table: ResultTable
-    results: list[SimulationResult] = field(default_factory=list)
 
-    def mode_comparison(self) -> list[str]:
-        """Per-cell deltas of every non-static mode against ``static``."""
-        by_mode: dict[str, dict[tuple, dict]] = {}
-        for row in self.table.rows:
-            mode = row.get("mode", "static")
-            key = (row["policy"], row["load"], row["fault"])
-            by_mode.setdefault(mode, {})[key] = row
-        static = by_mode.get("static")
-        if static is None or len(by_mode) < 2:
-            return []
-        lines = []
-        for mode, cells in by_mode.items():
-            if mode == "static":
-                continue
-            for key, row in cells.items():
-                base = static.get(key)
-                if base is None:
-                    continue
-                policy, load, fault = key
-                lines.append(
-                    f"{mode} vs static | {policy} load={load:g}x {fault}: "
-                    f"goodput {base['goodput_pct']:.1f}% -> "
-                    f"{row['goodput_pct']:.1f}%, "
-                    f"servers {base['mean_active']:.1f} -> "
-                    f"{row['mean_active']:.1f}, "
-                    f"goodput/server {base['goodput_per_server']:.1f} -> "
-                    f"{row['goodput_per_server']:.1f}"
-                )
-        return lines
+def _goodput_per_server(cell, result, base) -> float:
+    """Completed requests per time-mean active server: the static leg
+    is charged its full pool, the autoscaled leg only what the
+    controller actually kept published."""
+    completed = result.config.n_requests - result.n_failed
+    return completed / max(_mean_active(cell, result, base), 1e-12)
 
-    def render(self) -> str:
-        out = (
-            "== Autoscale campaign: goodput vs provisioning cost ==\n"
-            + self.table.render()
-        )
-        comparison = self.mode_comparison()
-        if comparison:
-            out += "\n\n== Autoscaling (identical arrival schedules) ==\n"
-            out += "\n".join(comparison)
-        return out
+
+def _comparison_line(baseline, cell, base, row) -> str:
+    return (
+        f"{cell.mode} vs {baseline} | {cell.policy} load={cell.load:g}x {cell.fault}: "
+        f"goodput {base['goodput_pct']:.1f}% -> "
+        f"{row['goodput_pct']:.1f}%, "
+        f"servers {base['mean_active']:.1f} -> "
+        f"{row['mean_active']:.1f}, "
+        f"goodput/server {base['goodput_per_server']:.1f} -> "
+        f"{row['goodput_per_server']:.1f}"
+    )
+
+
+#: the provisioning report: one row per (mode, policy, load, fault) cell
+AUTOSCALE_LAYOUT = ReportLayout(
+    title="Autoscale campaign: goodput vs provisioning cost",
+    columns=(
+        ("mode", axis("mode")),
+        ("policy", axis("policy")),
+        ("load", axis("load")),
+        ("fault", axis("fault")),
+        ("goodput_pct", goodput_pct),
+        ("p95_ms", p95_ms),
+        ("mean_active", _mean_active),
+        ("goodput_per_server", _goodput_per_server),
+        ("failed", failed),
+        ("timeouts", counter("request_timeouts_fired")),
+        ("failovers", counter("dispatcher_failovers")),
+        ("ups", counter("autoscale_ups")),
+        ("downs", counter("autoscale_downs")),
+    ),
+    comparison_heading="Autoscaling (identical arrival schedules)",
+    comparison_line=_comparison_line,
+)
 
 
 def autoscale_scenario_spec(
@@ -305,98 +307,5 @@ def autoscale_scenario_spec(
         seed=seed,
         cluster_params=dict(params),
         label_format="autoscale {policy} L={load:g}x {mode} {fault}",
+        layout=AUTOSCALE_LAYOUT,
     )
-
-
-def autoscale_campaign(
-    policies: Sequence[tuple[str, str, dict]] = DEFAULT_AUTOSCALE_POLICIES,
-    offered_loads: Sequence[float] = DEFAULT_AUTOSCALE_LOADS,
-    workload: str = "mmpp_exp",
-    workload_params: Optional[dict[str, Any]] = None,
-    n_servers: int = 16,
-    n_requests: int = 4_000,
-    seed: int = 0,
-    cluster_params: Optional[dict[str, Any]] = None,
-    scaling_modes: Optional[Sequence[tuple[str, dict]]] = None,
-    dispatcher_params: Optional[dict[str, Any]] = None,
-    faults: Sequence[tuple[str, dict, float]] = DISPATCHER_FAULTS,
-    quick: bool = False,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-    archive: Optional[str] = None,
-    verify: bool = False,
-) -> AutoscaleReport:
-    """Run the mode × policy × load × dispatcher-fault grid and report.
-
-    ``goodput_per_server`` divides completed requests by the time-mean
-    active pool size — the static leg is charged its full pool, the
-    autoscaled leg only what the controller actually kept published.
-    ``archive`` (a path) additionally saves every result in the
-    standard archive format.
-    """
-    spec = autoscale_scenario_spec(
-        policies=policies,
-        offered_loads=offered_loads,
-        workload=workload,
-        workload_params=workload_params,
-        n_servers=n_servers,
-        n_requests=n_requests,
-        seed=seed,
-        cluster_params=cluster_params,
-        scaling_modes=scaling_modes,
-        dispatcher_params=dispatcher_params,
-        faults=faults,
-        quick=quick,
-    )
-    cells = spec.expand()
-    if verify:
-        from repro.experiments.scenario import verify_cells
-
-        cells = verify_cells(cells)
-    results = run_cells(
-        cells, parallel=parallel, max_workers=max_workers, cache=cache, engine=engine
-    )
-    table = ResultTable(
-        [
-            "mode",
-            "policy",
-            "load",
-            "fault",
-            "goodput_pct",
-            "p95_ms",
-            "mean_active",
-            "goodput_per_server",
-            "failed",
-            "timeouts",
-            "failovers",
-            "ups",
-            "downs",
-        ]
-    )
-    for cell, result in zip(cells, results):
-        counters = result.chaos_counters
-        offered = result.config.n_requests
-        completed = offered - result.n_failed
-        mean_active = float(
-            counters.get("autoscale_mean_active", result.config.n_servers)
-        )
-        table.add(
-            mode=cell.mode,
-            policy=cell.policy,
-            load=cell.load,
-            fault=cell.fault,
-            goodput_pct=100.0 * completed / offered,
-            p95_ms=result.p95_response_time * 1e3,
-            mean_active=mean_active,
-            goodput_per_server=completed / max(mean_active, 1e-12),
-            failed=result.n_failed,
-            timeouts=int(counters.get("request_timeouts_fired", 0)),
-            failovers=int(counters.get("dispatcher_failovers", 0)),
-            ups=int(counters.get("autoscale_ups", 0)),
-            downs=int(counters.get("autoscale_downs", 0)),
-        )
-    if archive is not None:
-        save_results(results, archive)
-    return AutoscaleReport(table=table, results=list(results))

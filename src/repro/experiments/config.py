@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["SimulationConfig"]
+__all__ = ["SimulationConfig", "param_keys"]
 
 _MODELS = ("simulation", "prototype")
 _ENGINES = ("heap", "calendar", "fast")
@@ -25,109 +28,35 @@ _CLUSTER_PARAM_KEYS = frozenset(
     }
 )
 
-#: literal mirror of :class:`repro.cluster.failures.ChaosSpec` field names
-#: (kept as a literal so this module stays import-light; a unit test
-#: cross-checks it against the dataclass)
-_CHAOS_PARAM_KEYS = frozenset(
-    {
-        "loss",
-        "duplicate",
-        "jitter_mean",
-        "stragglers",
-        "straggle_factor",
-        "straggle_frac",
-        "partitions",
-        "partition_frac",
-        "partition_servers",
-        "storms",
-        "storm_size",
-        "storm_frac",
-        "dispatcher_storms",
-        "dispatcher_storm_size",
-        "dispatcher_storm_frac",
-        "dispatcher_partitions",
-        "dispatcher_partition_frac",
-    }
-)
+#: config field -> (module, class) owning that field's knob names; a
+#: dataclass answers through ``field_names()``, a plain class through its
+#: constructor signature (minus the ``cluster`` it is attached to)
+_PARAM_OWNERS = {
+    "chaos_params": ("repro.cluster.failures", "ChaosSpec"),
+    "telemetry": ("repro.telemetry.collector", "TelemetryCollector"),
+    "reliability_params": ("repro.cluster.reliability", "ReliabilityPolicy"),
+    "overload_params": ("repro.cluster.overload", "OverloadPolicy"),
+    "dispatcher_params": ("repro.cluster.dispatcher", "DispatcherPolicy"),
+    "autoscaler_params": ("repro.cluster.autoscaler", "AutoscalerPolicy"),
+    "verify_params": ("repro.verify.oracle", "InvariantOracle"),
+}
 
-#: literal mirror of :class:`repro.telemetry.TelemetryCollector` knobs
-#: (cross-checked against the constructor by a unit test)
-_TELEMETRY_PARAM_KEYS = frozenset({"spans", "sample_interval", "max_spans"})
 
-#: literal mirror of :class:`repro.cluster.reliability.ReliabilityPolicy`
-#: field names (cross-checked against the dataclass by a unit test)
-_RELIABILITY_PARAM_KEYS = frozenset(
-    {
-        "deadline",
-        "backoff_base",
-        "backoff_mult",
-        "backoff_cap",
-        "backoff_jitter",
-        "retry_budget",
-        "retry_budget_refill",
-        "hedge_quantile",
-        "hedge_min_samples",
-        "hedge_window",
-        "breaker_threshold",
-        "breaker_cooldown",
-    }
-)
+@functools.cache
+def param_keys(field_name: str) -> frozenset:
+    """The knob names a :class:`SimulationConfig` dict field accepts.
 
-#: literal mirror of :class:`repro.cluster.overload.OverloadPolicy`
-#: field names (cross-checked against the dataclass by a unit test)
-_OVERLOAD_PARAM_KEYS = frozenset(
-    {
-        "sojourn_target",
-        "interval",
-        "ewma_alpha",
-        "shed_jitter",
-        "fast_reject",
-        "withdraw_after",
-    }
-)
-
-#: literal mirror of :class:`repro.cluster.dispatcher.DispatcherPolicy`
-#: field names (cross-checked against the dataclass by a unit test)
-_DISPATCHER_PARAM_KEYS = frozenset(
-    {
-        "count",
-        "assignment",
-        "suspect_cooldown",
-        "view_lag",
-        "admit_sojourn_target",
-        "admit_interval",
-        "admit_ewma_alpha",
-        "breaker_threshold",
-        "breaker_cooldown",
-    }
-)
-
-#: literal mirror of :class:`repro.cluster.autoscaler.AutoscalerPolicy`
-#: field names (cross-checked against the dataclass by a unit test)
-_AUTOSCALER_PARAM_KEYS = frozenset(
-    {
-        "interval",
-        "min_servers",
-        "max_servers",
-        "initial_servers",
-        "shed_high",
-        "p95_high",
-        "util_low",
-        "ewma_alpha",
-        "step_up",
-        "step_down",
-        "cooldown",
-    }
-)
-
-#: literal mirror of :class:`repro.verify.InvariantOracle` constructor
-#: knobs (cross-checked against the signature by a unit test)
-_VERIFY_PARAM_KEYS = frozenset(
-    {
-        "enabled",
-        "check_interval",
-    }
-)
+    Derived from the owning class on first use and cached. Callers ask
+    only for a non-empty dict, so an all-off config imports none of the
+    subsystem modules.
+    """
+    if field_name == "cluster_params":
+        return _CLUSTER_PARAM_KEYS
+    module, name = _PARAM_OWNERS[field_name]
+    owner = getattr(importlib.import_module(module), name)
+    if hasattr(owner, "field_names"):
+        return owner.field_names()
+    return frozenset(inspect.signature(owner).parameters) - {"cluster"}
 
 
 @dataclass(frozen=True)
@@ -236,54 +165,16 @@ class SimulationConfig:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        unknown = set(self.cluster_params) - _CLUSTER_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown cluster_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_CLUSTER_PARAM_KEYS)})"
-            )
-        unknown = set(self.chaos_params) - _CHAOS_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown chaos_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_CHAOS_PARAM_KEYS)})"
-            )
-        unknown = set(self.telemetry) - _TELEMETRY_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown telemetry key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_TELEMETRY_PARAM_KEYS)})"
-            )
-        unknown = set(self.reliability_params) - _RELIABILITY_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown reliability_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_RELIABILITY_PARAM_KEYS)})"
-            )
-        unknown = set(self.overload_params) - _OVERLOAD_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown overload_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_OVERLOAD_PARAM_KEYS)})"
-            )
-        unknown = set(self.dispatcher_params) - _DISPATCHER_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown dispatcher_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_DISPATCHER_PARAM_KEYS)})"
-            )
-        unknown = set(self.autoscaler_params) - _AUTOSCALER_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown autoscaler_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_AUTOSCALER_PARAM_KEYS)})"
-            )
-        unknown = set(self.verify_params) - _VERIFY_PARAM_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown verify_params key(s): {sorted(unknown)} "
-                f"(allowed: {sorted(_VERIFY_PARAM_KEYS)})"
-            )
+        for name in ("cluster_params", *_PARAM_OWNERS):
+            params = getattr(self, name)
+            if not params:
+                continue
+            unknown = set(params) - param_keys(name)
+            if unknown:
+                raise ValueError(
+                    f"unknown {name} key(s): {sorted(unknown)} "
+                    f"(allowed: {sorted(param_keys(name))})"
+                )
         if not 0 < self.load:
             raise ValueError(f"load must be > 0, got {self.load}")
         if self.n_requests < 10:

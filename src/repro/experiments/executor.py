@@ -1,10 +1,10 @@
-"""Warm, reusable worker pool for running many sweeps in one process.
+"""The one sweep loop, on a warm, reusable worker pool.
 
-``parallel_sweep`` spins up a fresh ``ProcessPoolExecutor`` per call —
-fine for one sweep, wasteful for a driver that runs many (``make
-figures``, replication studies, parameter searches): every call pays
-worker spawn + module import, and every worker rediscovers the
-full-load calibrations the parent already computed.
+``parallel_sweep`` is a one-shot executor: it opens a
+:class:`SweepExecutor`, runs one sweep, and closes it — fine for one
+sweep, wasteful for a driver that runs many (``make figures``,
+replication studies, parameter searches): every call pays worker spawn
++ module import.
 
 :class:`SweepExecutor` keeps one pool alive across sweeps:
 
@@ -80,8 +80,8 @@ class SweepExecutor:
         Optional :class:`ResultCache` consulted before simulating and
         written back after; per-sweep ``cache=`` overrides this.
     engine:
-        Optional event-queue engine override applied to every config
-        (``"heap"``/``"calendar"``).
+        Optional execution-engine override applied to every config
+        (``"heap"``/``"calendar"``/``"fast"``).
 
     Use as a context manager, or call :meth:`close` when done. The pool
     is created lazily on the first sweep, so constructing an executor
@@ -143,11 +143,15 @@ class SweepExecutor:
         configs: Sequence[SimulationConfig],
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressFn] = None,
+        parallel: bool = True,
     ) -> list[SimulationResult]:
         """Run ``configs`` on the warm pool; results in input order.
 
         ``progress(done, total, result)`` fires once per config as its
         result lands (cache hits first, then fresh results in order).
+        ``parallel=False`` (or a single config left to simulate) runs
+        in this process and never spawns the pool — bit-identical
+        either way.
         """
         started = time.perf_counter()
         cache = cache if cache is not None else self.cache
@@ -157,6 +161,10 @@ class SweepExecutor:
                 c if c.engine == self.engine else c.with_updates(engine=self.engine)
                 for c in configs
             ]
+        # Canonicalize before the cache lookup so the cache key, the config
+        # the worker runs, and the config stored inside the result are all
+        # the same object-value (a prototype config with full_load_rho=None
+        # would otherwise store under its resolved form and never hit).
         configs = prepare_configs(configs)
         total = len(configs)
         done = 0
@@ -178,8 +186,8 @@ class SweepExecutor:
 
         todo = [configs[i] for i in todo_indices]
         if todo:
-            if len(todo) == 1:
-                fresh = iter([run_simulation(todo[0])])
+            if not parallel or len(todo) == 1:
+                fresh = map(run_simulation, todo)
             else:
                 pool = self._ensure_pool()
                 fresh = pool.map(

@@ -39,15 +39,12 @@ from repro.workload.workloads import make_workload
 __all__ = [
     "FigureData",
     "PAPER_WORKLOADS",
-    "chaos_resilience",
     "figure2_inaccuracy",
     "figure3_broadcast",
     "figure4_pollsize",
     "figure6_pollsize",
     "message_scaling_section24",
-    "overload_goodput",
     "poll_profile_section32",
-    "resilience_comparison",
     "table1_traces",
     "table2_discard",
 ]
@@ -424,183 +421,6 @@ def poll_profile_section32(
         events_executed=cluster.sim.events_executed,
     )
     return tap.profile(), result
-
-
-def chaos_resilience(
-    n_requests: int = 6_000,
-    n_servers: int = 16,
-    seed: int = 0,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-    archive: Optional[str] = None,
-    verify: bool = False,
-) -> FigureData:
-    """Chaos campaign: policy resilience under scaled fault intensity.
-
-    Not a paper figure — this quantifies the §3.1 robustness claim by
-    degrading each policy with message loss/duplication/jitter,
-    stragglers, a partition, and a crash storm (see
-    :func:`repro.experiments.chaos.chaos_campaign`).
-    """
-    from repro.experiments.chaos import chaos_campaign
-
-    report = chaos_campaign(
-        n_requests=n_requests,
-        n_servers=n_servers,
-        seed=seed,
-        parallel=parallel,
-        max_workers=max_workers,
-        cache=cache,
-        engine=engine,
-        archive=archive,
-        verify=verify,
-    )
-    return FigureData(
-        "Chaos campaign: resilience under scaled fault intensity",
-        report.table,
-        extras={"report": report},
-    )
-
-
-def resilience_comparison(
-    n_requests: int = 6_000,
-    n_servers: int = 16,
-    seed: int = 0,
-    intensities: Sequence[float] = (0.0, 1.0),
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-    archive: Optional[str] = None,
-    verify: bool = False,
-) -> FigureData:
-    """Naive vs hardened: the reliability layer under identical faults.
-
-    Runs the chaos grid twice — once with the naive timeout/retry
-    lifecycle, once with :func:`repro.experiments.chaos.
-    hardened_reliability_params` (hedging + circuit breakers) — under
-    the exact same fault schedules, and reports the per-cell deltas
-    (DESIGN.md §11, EXPERIMENTS.md naive-vs-hardened section).
-    """
-    from repro.experiments.chaos import NAIVE_VS_HARDENED, chaos_campaign
-
-    report = chaos_campaign(
-        intensities=intensities,
-        n_requests=n_requests,
-        n_servers=n_servers,
-        seed=seed,
-        reliability_modes=NAIVE_VS_HARDENED,
-        parallel=parallel,
-        max_workers=max_workers,
-        cache=cache,
-        engine=engine,
-        archive=archive,
-        verify=verify,
-    )
-    return FigureData(
-        "Reliability layer: naive vs hardened under identical fault schedules",
-        report.table,
-        extras={"report": report, "comparison": report.mode_comparison()},
-    )
-
-
-def overload_goodput(
-    n_requests: int = 4_000,
-    n_servers: int = 16,
-    seed: int = 0,
-    offered_loads: Optional[Sequence[float]] = None,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-    archive: Optional[str] = None,
-    verify: bool = False,
-) -> FigureData:
-    """Overload campaign: goodput past saturation, static vs adaptive.
-
-    Not a paper figure — the paper puts admission control out of scope
-    (§2), but its fine-grain services face exactly the bursty overload
-    this quantifies. Runs the policy × offered-load grid twice — the
-    naive static-bound cluster and the overload-control subsystem
-    (:mod:`repro.cluster.overload`) — under identical MMPP arrival
-    schedules, and reports goodput, p95-of-successes, and shed fraction
-    per cell (DESIGN.md §12, EXPERIMENTS.md goodput-under-overload
-    section).
-    """
-    from repro.experiments.overload import DEFAULT_OFFERED_LOADS, overload_campaign
-
-    report = overload_campaign(
-        offered_loads=(
-            DEFAULT_OFFERED_LOADS if offered_loads is None else offered_loads
-        ),
-        n_requests=n_requests,
-        n_servers=n_servers,
-        seed=seed,
-        parallel=parallel,
-        max_workers=max_workers,
-        cache=cache,
-        engine=engine,
-        archive=archive,
-        verify=verify,
-    )
-    return FigureData(
-        "Overload control: goodput past saturation, static vs adaptive",
-        report.table,
-        extras={"report": report, "comparison": report.mode_comparison()},
-    )
-
-
-def autoscale_efficiency(
-    n_requests: int = 4_000,
-    n_servers: int = 16,
-    seed: int = 0,
-    offered_loads: Optional[Sequence[float]] = None,
-    quick: bool = False,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-    archive: Optional[str] = None,
-    verify: bool = False,
-) -> FigureData:
-    """Autoscale campaign: goodput vs provisioning cost behind a
-    fault-tolerant dispatcher tier.
-
-    Runs the policy × offered-load × dispatcher-fault grid twice — a
-    statically provisioned worst-case pool and the closed-loop
-    autoscaler (:mod:`repro.cluster.autoscaler`), both behind the
-    failover dispatcher tier (:mod:`repro.cluster.dispatcher`) — under
-    identical MMPP arrival schedules, and reports goodput, mean active
-    pool size, and goodput-per-provisioned-server per cell (DESIGN.md
-    §16, EXPERIMENTS.md goodput-vs-provisioning-cost section).
-    """
-    from repro.experiments.autoscale import (
-        DEFAULT_AUTOSCALE_LOADS,
-        autoscale_campaign,
-    )
-
-    report = autoscale_campaign(
-        offered_loads=(
-            DEFAULT_AUTOSCALE_LOADS if offered_loads is None else offered_loads
-        ),
-        n_requests=n_requests,
-        n_servers=n_servers,
-        seed=seed,
-        quick=quick,
-        parallel=parallel,
-        max_workers=max_workers,
-        cache=cache,
-        engine=engine,
-        archive=archive,
-        verify=verify,
-    )
-    return FigureData(
-        "Autoscaling: goodput vs provisioning cost, static vs closed-loop",
-        report.table,
-        extras={"report": report, "comparison": report.mode_comparison()},
-    )
 
 
 def message_scaling_section24(

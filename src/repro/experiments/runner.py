@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -390,49 +389,11 @@ def parallel_sweep(
     (``"heap"``/``"calendar"``/``"fast"``); ``None`` leaves configs
     as-is.
     """
-    configs = list(configs)
-    if engine is not None:
-        configs = [
-            c if c.engine == engine else c.with_updates(engine=engine)
-            for c in configs
-        ]
-    if not configs:
-        return []
-    # Canonicalize before the cache lookup so the cache key, the config
-    # the worker runs, and the config stored inside the result are all
-    # the same object-value (a prototype config with full_load_rho=None
-    # would otherwise store under its resolved form and never hit).
-    configs = prepare_configs(configs)
+    # executor imports this module, hence the call-time import
+    from repro.experiments.executor import SweepExecutor
 
-    slots: list[Optional[SimulationResult]] = [None] * len(configs)
-    todo_indices = list(range(len(configs)))
-    if cache is not None:
-        todo_indices = []
-        for i, config in enumerate(configs):
-            hit = cache.get(config)
-            if hit is not None:
-                slots[i] = hit
-            else:
-                todo_indices.append(i)
-
-    todo = [configs[i] for i in todo_indices]
-    if todo:
-        if not parallel or len(todo) == 1:
-            fresh = [run_simulation(config) for config in todo]
-        else:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                fresh = list(
-                    pool.map(
-                        run_simulation,
-                        todo,
-                        chunksize=auto_chunksize(len(todo), max_workers),
-                    )
-                )
-        for i, result in zip(todo_indices, fresh):
-            slots[i] = result
-            if cache is not None:
-                cache.put(result)
-    return slots  # type: ignore[return-value]  # every slot is filled
+    with SweepExecutor(max_workers=max_workers, cache=cache, engine=engine) as pool:
+        return pool.sweep(configs, parallel=parallel)
 
 
 def normalized_to_baseline(

@@ -15,15 +15,18 @@ report. This module factors that shape out once:
   carrying an ordinary :class:`SimulationConfig` — so every cell flows
   through the existing executor, content-addressed result cache, and
   archive machinery unchanged;
-- :meth:`ScenarioSpec.run` executes the cells and renders a unified
-  :class:`ScenarioReport`.
+- :meth:`ScenarioSpec.run` executes the cells (optionally under the
+  invariant oracle) and returns the one :class:`ScenarioReport`, laid
+  out by the spec's :class:`ReportLayout` — title, table columns,
+  comparison lines.
 
-The legacy campaigns (:mod:`repro.experiments.chaos`,
-:mod:`repro.experiments.overload`) are now thin specs on top of this
-engine; the golden-equivalence suite
-(``tests/experiments/test_scenario_golden.py``) proves the re-plumbing
-is invisible — bit-identical results and reports at fixed seeds on
-both exact engines.
+The named campaigns (:mod:`repro.experiments.chaos`,
+:mod:`repro.experiments.overload`, :mod:`repro.experiments.autoscale`)
+are spec builders plus a layout, registered in
+:data:`BUILTIN_SCENARIOS` beside :func:`composed_spec`; there is no
+other way to run a campaign. The golden-equivalence suite
+(``tests/experiments/test_scenario_golden.py``) pins their results and
+rendered reports bit-for-bit at fixed seeds on both exact engines.
 
 Validation is eager and *names the offending axis*: unknown policy or
 workload names, bad subsystem knobs, colliding cell labels, and knob
@@ -40,22 +43,14 @@ the bespoke campaigns could not express.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from repro.experiments.config import (
-    _AUTOSCALER_PARAM_KEYS,
-    _CHAOS_PARAM_KEYS,
-    _CLUSTER_PARAM_KEYS,
-    _DISPATCHER_PARAM_KEYS,
-    _OVERLOAD_PARAM_KEYS,
-    _RELIABILITY_PARAM_KEYS,
-    _TELEMETRY_PARAM_KEYS,
-    SimulationConfig,
-)
-from repro.experiments.executor import SweepExecutor
+from repro.experiments.config import SimulationConfig, param_keys
 from repro.experiments.io import save_results
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import SimulationResult, parallel_sweep
@@ -65,6 +60,7 @@ __all__ = [
     "FaultAxis",
     "ModeAxis",
     "PolicyAxis",
+    "ReportLayout",
     "ScaleAxis",
     "ScenarioCell",
     "ScenarioError",
@@ -72,8 +68,15 @@ __all__ = [
     "ScenarioSpec",
     "SpeedAxis",
     "WorkloadAxis",
+    "axis",
+    "builtin_spec",
     "composed_spec",
+    "counter",
+    "failed",
+    "goodput_pct",
     "load_spec",
+    "mean_ms",
+    "p95_ms",
     "run_cells",
     "spec_from_dict",
 ]
@@ -146,6 +149,16 @@ class ModeAxis:
     telemetry: dict[str, Any] = field(default_factory=dict)
     dispatcher: dict[str, Any] = field(default_factory=dict)
     autoscaler: dict[str, Any] = field(default_factory=dict)
+
+
+#: :class:`ModeAxis` knob set -> the :class:`SimulationConfig` field it fills
+_MODE_FIELDS = {
+    "reliability": "reliability_params",
+    "overload": "overload_params",
+    "telemetry": "telemetry",
+    "dispatcher": "dispatcher_params",
+    "autoscaler": "autoscaler_params",
+}
 
 
 @dataclass(frozen=True)
@@ -226,6 +239,13 @@ def _coerce(axis: str, entries: Sequence, factory: Callable, kind: type) -> tupl
 
 
 def _check_keys(axis: str, entry: str, kind: str, params: dict, allowed) -> None:
+    """``allowed`` is a key set, or the :class:`SimulationConfig` field
+    whose knob names (:func:`param_keys`) apply — looked up only for a
+    non-empty dict, like the config's own validation."""
+    if not params:
+        return
+    if isinstance(allowed, str):
+        allowed = param_keys(allowed)
     unknown = set(params) - set(allowed)
     if unknown:
         raise ScenarioError(
@@ -242,6 +262,103 @@ def _unique_labels(axis: str, labels: Sequence[str]) -> None:
         if label in seen:
             raise ScenarioError(axis, f"duplicate label {label!r}")
         seen.add(label)
+
+
+# ----------------------------------------------------------------------
+# report layout: what a campaign's table and comparison lines contain
+# ----------------------------------------------------------------------
+
+#: axis-label attributes of a cell, in expansion (and display) order
+_AXIS_COLUMNS = ("mode", "workload", "policy", "load", "fault", "scale", "speed")
+
+#: a column extractor: ``(cell, result, base) -> value``, where ``base``
+#: is the result of the same cell at the spec's *first* fault entry (the
+#: fault-free row of a chaos grid; the cell's own result on a
+#: single-fault grid)
+Extractor = Callable[["ScenarioCell", SimulationResult, SimulationResult], Any]
+
+
+def axis(name: str) -> Extractor:
+    """Extract a cell attribute (an axis label, or ``fault_value``)."""
+    return lambda cell, result, base: getattr(cell, name)
+
+
+def counter(*names: str) -> Extractor:
+    """Extract the integer sum of the named resilience counters
+    (``SimulationResult.chaos_counters``; absent counters count 0)."""
+    return lambda cell, result, base: int(
+        sum(result.chaos_counters.get(name, 0) for name in names)
+    )
+
+
+def mean_ms(cell, result, base) -> float:
+    return result.mean_response_time_ms
+
+
+def p95_ms(cell, result, base) -> float:
+    return result.p95_response_time * 1e3
+
+
+def goodput_pct(cell, result, base) -> float:
+    """Share of offered requests that completed successfully."""
+    offered = result.config.n_requests
+    return 100.0 * (offered - result.n_failed) / offered
+
+
+def failed(cell, result, base) -> int:
+    return result.n_failed
+
+
+_GENERIC_METRICS: tuple[tuple[str, Extractor], ...] = (
+    ("mean_ms", mean_ms),
+    ("p95_ms", p95_ms),
+    ("goodput_pct", goodput_pct),
+    ("timeouts", counter("request_timeouts_fired")),
+    ("retries", counter("total_retries")),
+    ("lost", counter("requests_lost")),
+    ("rejected", counter("requests_rejected")),
+    ("shed", counter("requests_shed")),
+)
+
+
+def _peers(cell: ScenarioCell, skip: str) -> tuple:
+    """The cell's axis labels minus one axis: equal for cells that
+    differ only along ``skip``."""
+    return tuple(getattr(cell, name) for name in _AXIS_COLUMNS if name != skip)
+
+
+def _generic_comparison(baseline, cell, base, row) -> str:
+    where = " ".join(str(part) for part in _peers(cell, "mode") if part != "")
+    return (
+        f"{cell.mode} vs {baseline} | {where}: "
+        f"p95 {base['p95_ms']:.1f} -> {row['p95_ms']:.1f} ms, "
+        f"goodput {base['goodput_pct']:.1f}% -> {row['goodput_pct']:.1f}%"
+    )
+
+
+@dataclass(frozen=True)
+class ReportLayout:
+    """What differs between campaign reports, carried as data.
+
+    A builder attaches one to the spec it returns (``ScenarioSpec.
+    layout``); it is not a spec-file key. The default is the generic
+    report every spec file gets.
+
+    ``title`` and ``comparison_heading`` are format strings over
+    ``{name}`` (the spec's), ``{cells}`` (the count) and ``{baseline}``
+    (the first mode's label). ``columns`` is the table, in order, as
+    ``(column, extractor)`` pairs; ``None`` means the labels of every
+    non-degenerate axis followed by the generic metrics.
+    ``comparison_line(baseline, cell, base_row, row)`` formats one cell
+    of a non-baseline mode against the same cell of the spec's first
+    mode (``baseline`` is its label; both rows are table rows), or
+    returns ``None`` to skip the cell.
+    """
+
+    title: str = "Scenario '{name}': {cells} cells"
+    columns: Optional[tuple[tuple[str, Extractor], ...]] = None
+    comparison_heading: str = "Modes vs '{baseline}'"
+    comparison_line: Callable[..., Optional[str]] = _generic_comparison
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +383,9 @@ class ScenarioSpec:
     surplus whitespace from empty labels is collapsed. Two cells that
     expand to identical configs (same label *and* same knobs) are
     rejected — every cell must be separately cache-addressable.
+
+    ``layout`` is the report's shape (:class:`ReportLayout`); builders
+    of named campaigns set it, spec files always get the default.
     """
 
     name: str = "scenario"
@@ -283,6 +403,7 @@ class ScenarioSpec:
     cluster_params: dict[str, Any] = field(default_factory=dict)
     config_overrides: dict[str, Any] = field(default_factory=dict)
     label_format: str = "{scenario} {workload} {policy} L={load:g} {mode} {fault} {scale}"
+    layout: ReportLayout = ReportLayout()
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -378,14 +499,11 @@ class ScenarioSpec:
                 ) from None
 
         for m in self.modes:
-            _check_keys("modes", m.label, "reliability", m.reliability, _RELIABILITY_PARAM_KEYS)
-            _check_keys("modes", m.label, "overload", m.overload, _OVERLOAD_PARAM_KEYS)
-            _check_keys("modes", m.label, "telemetry", m.telemetry, _TELEMETRY_PARAM_KEYS)
-            _check_keys("modes", m.label, "dispatcher", m.dispatcher, _DISPATCHER_PARAM_KEYS)
-            _check_keys("modes", m.label, "autoscaler", m.autoscaler, _AUTOSCALER_PARAM_KEYS)
+            for kind, config_field in _MODE_FIELDS.items():
+                _check_keys("modes", m.label, kind, getattr(m, kind), config_field)
         for f in self.faults:
-            _check_keys("faults", f.label, "chaos", f.chaos, _CHAOS_PARAM_KEYS)
-        _check_keys("cluster_params", "", "cluster", self.cluster_params, _CLUSTER_PARAM_KEYS)
+            _check_keys("faults", f.label, "chaos", f.chaos, "chaos_params")
+        _check_keys("cluster_params", "", "cluster", self.cluster_params, "cluster_params")
         _check_keys(
             "config_overrides", "", "override", self.config_overrides, _OVERRIDE_FIELDS
         )
@@ -444,14 +562,8 @@ class ScenarioSpec:
                     entry=p.label,
                 )
         for m in self.modes:
-            for kind, params in (
-                ("reliability", m.reliability),
-                ("overload", m.overload),
-                ("telemetry", m.telemetry),
-                ("dispatcher", m.dispatcher),
-                ("autoscaler", m.autoscaler),
-            ):
-                if params:
+            for kind in _MODE_FIELDS:
+                if getattr(m, kind):
                     raise ScenarioError(
                         "modes",
                         f"engine 'fast' cannot run the {kind} subsystem; "
@@ -590,12 +702,11 @@ class ScenarioSpec:
                 engine=self.engine,
                 cluster_params=dict(self.cluster_params),
                 chaos_params=dict(fault.chaos),
-                reliability_params=dict(mode.reliability),
-                overload_params=dict(mode.overload),
-                dispatcher_params=dict(mode.dispatcher),
-                autoscaler_params=dict(mode.autoscaler),
-                telemetry=dict(mode.telemetry),
                 label=label,
+                **{
+                    config_field: dict(getattr(mode, kind))
+                    for kind, config_field in _MODE_FIELDS.items()
+                },
                 **overrides,
             )
         except (TypeError, ValueError) as err:
@@ -622,20 +733,34 @@ class ScenarioSpec:
         cache=None,
         engine: Optional[str] = None,
         archive: Optional[str] = None,
+        verify: bool = False,
     ) -> "ScenarioReport":
         """Expand and execute the grid; return the unified report.
 
         ``engine`` overrides the spec's engine for this run (the CLI's
         ``--engine`` knob); ``archive`` saves every result in the
-        standard archive format.
+        standard archive format. ``verify`` (the CLI's ``--oracle``)
+        re-executes every cell under :class:`repro.verify.
+        InvariantOracle`: a violation propagates out of the sweep as
+        :class:`repro.verify.InvariantViolation`, and oracle-enabled
+        configs cache under their own key (``verify_params``
+        participates), so verified results never shadow the plain ones.
         """
         cells = self.expand()
+        if verify:
+            cells = [
+                replace(
+                    cell,
+                    config=cell.config.with_updates(verify_params={"enabled": True}),
+                )
+                for cell in cells
+            ]
         results = run_cells(
             cells, parallel=parallel, max_workers=max_workers, cache=cache, engine=engine
         )
         if archive is not None:
             save_results(results, archive)
-        return ScenarioReport(spec=self, cells=cells, results=list(results))
+        return ScenarioReport(spec=self, cells=cells, results=results)
 
 
 def run_cells(
@@ -645,64 +770,26 @@ def run_cells(
     cache=None,
     engine: Optional[str] = None,
 ) -> list[SimulationResult]:
-    """Execute expanded cells through the standard sweep machinery.
-
-    This is the single executor path every campaign shares: a warm
-    :class:`SweepExecutor` pool when ``parallel`` (cache consulted,
-    results in cell order), a serial :func:`parallel_sweep` otherwise —
-    bit-identical either way.
-    """
-    configs = [cell.config for cell in cells]
-    if parallel:
-        with SweepExecutor(max_workers=max_workers, cache=cache, engine=engine) as pool:
-            return pool.sweep(configs)
-    return parallel_sweep(configs, parallel=False, cache=cache, engine=engine)
-
-
-def verify_cells(cells: Sequence[ScenarioCell]) -> list[ScenarioCell]:
-    """Copies of ``cells`` with the invariant oracle enabled.
-
-    Used by the campaign ``verify=True`` / CLI ``--oracle`` path: every
-    run re-executes under :class:`repro.verify.InvariantOracle`, and a
-    violation propagates out of the sweep as
-    :class:`repro.verify.InvariantViolation`. Oracle-enabled configs
-    cache under their own key (``verify_params`` participates), so
-    verified results never shadow the plain ones.
-    """
-    from dataclasses import replace
-
-    return [
-        replace(
-            cell,
-            config=cell.config.with_updates(verify_params={"enabled": True}),
-        )
-        for cell in cells
-    ]
+    """Execute expanded cells through the standard sweep machinery
+    (cache consulted, results in cell order; ``parallel=False`` runs
+    in-process, bit-identical either way)."""
+    return parallel_sweep(
+        [cell.config for cell in cells],
+        max_workers=max_workers,
+        parallel=parallel,
+        cache=cache,
+        engine=engine,
+    )
 
 
 # ----------------------------------------------------------------------
 # the report
 # ----------------------------------------------------------------------
 
-#: axis-label columns, in display order (degenerate unlabeled axes are
-#: dropped from the table)
-_AXIS_COLUMNS = ("mode", "workload", "policy", "load", "fault", "scale", "speed")
-
-_METRIC_COLUMNS = (
-    "mean_ms",
-    "p95_ms",
-    "goodput_pct",
-    "timeouts",
-    "retries",
-    "lost",
-    "rejected",
-    "shed",
-)
-
-
 @dataclass
 class ScenarioReport:
-    """The unified campaign output: one row per cell."""
+    """The campaign output: one table row per cell, laid out by the
+    spec's :class:`ReportLayout`."""
 
     spec: ScenarioSpec
     cells: list[ScenarioCell]
@@ -715,36 +802,33 @@ class ScenarioReport:
             )
         self.table = self._build_table()
 
-    def _axis_columns(self) -> list[str]:
+    def _axis_columns(self) -> list[tuple[str, Extractor]]:
+        """Axis-label columns, degenerate unlabeled axes dropped."""
         columns = []
         for name in _AXIS_COLUMNS:
             if name == "load":
                 if len(self.spec.loads) > 1 or "{load" in self.spec.label_format:
-                    columns.append(name)
+                    columns.append((name, axis(name)))
                 continue
             values = {getattr(cell, name) for cell in self.cells}
             if values != {""}:
-                columns.append(name)
+                columns.append((name, axis(name)))
         return columns
 
     def _build_table(self) -> ResultTable:
-        axis_columns = self._axis_columns()
-        table = ResultTable(axis_columns + list(_METRIC_COLUMNS))
+        columns = self.spec.layout.columns
+        if columns is None:
+            columns = (*self._axis_columns(), *_GENERIC_METRICS)
+        first_fault = self.spec.faults[0].label
+        bases = {
+            _peers(cell, "fault"): result
+            for cell, result in zip(self.cells, self.results)
+            if cell.fault == first_fault
+        }
+        table = ResultTable([name for name, _ in columns])
         for cell, result in zip(self.cells, self.results):
-            counters = result.chaos_counters
-            offered = result.config.n_requests
-            row = {name: getattr(cell, name) for name in axis_columns}
-            row.update(
-                mean_ms=result.mean_response_time_ms,
-                p95_ms=result.p95_response_time * 1e3,
-                goodput_pct=100.0 * (offered - result.n_failed) / offered,
-                timeouts=int(counters.get("request_timeouts_fired", 0)),
-                retries=int(counters.get("total_retries", 0)),
-                lost=int(counters.get("requests_lost", 0)),
-                rejected=int(counters.get("requests_rejected", 0)),
-                shed=int(counters.get("requests_shed", 0)),
-            )
-            table.add(**row)
+            base = bases.get(_peers(cell, "fault"), result)
+            table.add(**{name: extract(cell, result, base) for name, extract in columns})
         return table
 
     def mode_comparison(self) -> list[str]:
@@ -754,45 +838,33 @@ class ScenarioReport:
         """
         if len(self.spec.modes) < 2:
             return []
-        baseline_mode = self.spec.modes[0].label
-        by_mode: dict[str, dict[tuple, dict]] = {}
-        for cell, row in zip(self.cells, self.table.rows):
-            key = (
-                cell.workload,
-                cell.policy,
-                cell.load,
-                cell.fault,
-                cell.scale,
-                cell.speed,
-            )
-            by_mode.setdefault(cell.mode, {})[key] = row
-        baseline = by_mode.get(baseline_mode)
-        if not baseline:
-            return []
+        baseline = self.spec.modes[0].label
+        base_rows = {
+            _peers(cell, "mode"): row
+            for cell, row in zip(self.cells, self.table.rows)
+            if cell.mode == baseline
+        }
         lines = []
-        for mode_label, cells in by_mode.items():
-            if mode_label == baseline_mode:
+        for cell, row in zip(self.cells, self.table.rows):
+            base = base_rows.get(_peers(cell, "mode"))
+            if cell.mode == baseline or base is None:
                 continue
-            for key, row in cells.items():
-                base = baseline.get(key)
-                if base is None:
-                    continue
-                where = " ".join(str(part) for part in key if part != "")
-                lines.append(
-                    f"{mode_label} vs {baseline_mode} | {where}: "
-                    f"p95 {base['p95_ms']:.1f} -> {row['p95_ms']:.1f} ms, "
-                    f"goodput {base['goodput_pct']:.1f}% -> {row['goodput_pct']:.1f}%"
-                )
+            line = self.spec.layout.comparison_line(baseline, cell, base, row)
+            if line is not None:
+                lines.append(line)
         return lines
 
     def render(self) -> str:
-        out = (
-            f"== Scenario '{self.spec.name}': {len(self.cells)} cells ==\n"
-            + self.table.render()
-        )
+        layout = self.spec.layout
+        fields = {
+            "name": self.spec.name,
+            "cells": len(self.cells),
+            "baseline": self.spec.modes[0].label,
+        }
+        out = f"== {layout.title.format(**fields)} ==\n{self.table.render()}"
         comparison = self.mode_comparison()
         if comparison:
-            out += f"\n\n== Modes vs '{self.spec.modes[0].label}' ==\n"
+            out += f"\n\n== {layout.comparison_heading.format(**fields)} ==\n"
             out += "\n".join(comparison)
         return out
 
@@ -1092,7 +1164,27 @@ def composed_spec(
     )
 
 
-#: named builtin specs accepted by ``repro scenario --spec <name>``
-BUILTIN_SCENARIOS: dict[str, Callable[..., ScenarioSpec]] = {
-    "composed": composed_spec,
+#: named builtin specs accepted by ``repro scenario --spec <name>`` (and
+#: by the ``repro <name>`` aliases): ``module:builder`` locations,
+#: imported on first use because the campaign modules import this one
+BUILTIN_SCENARIOS: dict[str, str] = {
+    "composed": "repro.experiments.scenario:composed_spec",
+    "chaos": "repro.experiments.chaos:chaos_scenario_spec",
+    "resilience": "repro.experiments.chaos:resilience_scenario_spec",
+    "overload": "repro.experiments.overload:overload_scenario_spec",
+    "autoscale": "repro.experiments.autoscale:autoscale_scenario_spec",
 }
+
+
+def builtin_spec(name: str, quick: bool = False, **kwargs: Any) -> ScenarioSpec:
+    """Build a :data:`BUILTIN_SCENARIOS` spec by name.
+
+    ``kwargs`` (``n_requests``, ``seed``, ...) go to the builder, whose
+    own defaults size the grid when omitted; ``quick`` reaches only the
+    builders that have a trimmed smoke grid.
+    """
+    module, _, attr = BUILTIN_SCENARIOS[name].partition(":")
+    builder = getattr(importlib.import_module(module), attr)
+    if "quick" in inspect.signature(builder).parameters:
+        kwargs["quick"] = quick
+    return builder(**kwargs)

@@ -20,7 +20,6 @@ from repro.cluster import (
 )
 from repro.cluster.system import DEFAULT_SERVICE
 from repro.core import RandomPolicy
-from repro.experiments.config import _AUTOSCALER_PARAM_KEYS
 
 
 def build(autoscaler=None, n_servers=4, n_requests=200, load=0.5, seed=3,
@@ -80,12 +79,6 @@ def test_policy_rejects_bad_values(kwargs):
 def test_default_policy_is_disabled():
     assert not AutoscalerPolicy().enabled
     assert scaling_policy().enabled
-
-
-def test_autoscaler_param_keys_mirror_autoscaler_policy():
-    """config.py validates autoscaler_params against a literal mirror
-    of the policy dataclass; the two must never drift apart."""
-    assert _AUTOSCALER_PARAM_KEYS == AutoscalerPolicy.field_names()
 
 
 def test_autoscaler_requires_availability():

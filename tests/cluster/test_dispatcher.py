@@ -20,7 +20,6 @@ from repro.cluster import (
     ServiceCluster,
 )
 from repro.core import RandomPolicy
-from repro.experiments.config import _DISPATCHER_PARAM_KEYS
 
 
 def build(dispatcher=None, n_servers=4, n_requests=200, load=0.5, seed=3,
@@ -70,12 +69,6 @@ def test_policy_rejects_bad_values(kwargs):
 def test_default_policy_is_disabled():
     assert not DispatcherPolicy().enabled
     assert tier_policy().enabled
-
-
-def test_dispatcher_param_keys_mirror_dispatcher_policy():
-    """config.py validates dispatcher_params against a literal mirror
-    of the policy dataclass; the two must never drift apart."""
-    assert _DISPATCHER_PARAM_KEYS == DispatcherPolicy.field_names()
 
 
 # ----------------------------------------------------------------------

@@ -2,17 +2,25 @@
 
 The scenario engine (:mod:`repro.experiments.scenario`) replaced the
 bespoke grid/executor code inside the chaos, resilience, and overload
-campaigns. The refactor is only admissible because it is *mechanically
-safe*: at fixed seeds the scenario-composed campaigns must reproduce
-the legacy outputs bit-for-bit. The fixtures under
-``tests/experiments/golden/`` pin those legacy outputs: they were
-generated at commit ``ec7e9e5`` (the last pre-refactor tree) by running
-the original campaign modules through ``regen_golden_fixtures.py``.
+campaigns, and later their bespoke drivers and report classes too: a
+campaign is now a spec builder plus a report layout, run through
+``spec.run(...)``. Each step is only admissible because it is
+*mechanically safe*: at fixed seeds the scenario-composed campaigns
+must reproduce the legacy outputs bit-for-bit. The fixtures under
+``tests/experiments/golden/`` pin those legacy outputs:
+
+- ``chaos_*``, ``resilience_*``, ``overload_*`` were generated at
+  commit ``ec7e9e5`` (the last tree before the scenario engine) by
+  running the original campaign modules through
+  ``regen_golden_fixtures.py``;
+- ``autoscale_*`` were generated at commit ``cde6c29`` (the last tree
+  with a separate ``autoscale_campaign`` driver and ``AutoscaleReport``
+  class) by that commit's ``autoscale_campaign``.
 
 ``tests/experiments/test_scenario_golden.py`` replays the same grids
-through the current (scenario-composed) code and asserts every
-``SimulationResult`` field (minus wall-clock noise) and every rendered
-report byte matches — on both exact engines.
+through the current code and asserts every ``SimulationResult`` field
+(minus wall-clock noise) and every rendered report byte matches — on
+both exact engines.
 
 Regenerating the fixtures with ``python tests/experiments/
 regen_golden_fixtures.py`` uses the *current* code, so only do that for
@@ -43,9 +51,9 @@ def run_chaos(seed: int, engine=None):
     three, and the default has since grown jiq/least-connections
     columns. The golden contract is about the *legacy* grid.
     """
-    from repro.experiments.chaos import chaos_campaign
+    from repro.experiments.chaos import chaos_scenario_spec
 
-    return chaos_campaign(
+    return chaos_scenario_spec(
         policies=(
             ("random", "random", {}),
             ("polling-3", "polling", {"poll_size": 3, "discard_slow": True}),
@@ -55,35 +63,29 @@ def run_chaos(seed: int, engine=None):
         n_servers=_N_SERVERS,
         n_requests=_N_REQUESTS,
         seed=seed,
-        parallel=False,
-        engine=engine,
-    )
+    ).run(parallel=False, engine=engine)
 
 
 def run_resilience(seed: int, engine=None):
     """The naive-vs-hardened grid: 2 modes x 2 policies x intensities 0/1."""
-    from repro.experiments.chaos import NAIVE_VS_HARDENED, chaos_campaign
+    from repro.experiments.chaos import resilience_scenario_spec
 
-    return chaos_campaign(
+    return resilience_scenario_spec(
         policies=(
             ("random", "random", {}),
             ("polling-3", "polling", {"poll_size": 3, "discard_slow": True}),
         ),
-        intensities=(0.0, 1.0),
         n_servers=_N_SERVERS,
         n_requests=_N_REQUESTS,
         seed=seed,
-        reliability_modes=NAIVE_VS_HARDENED,
-        parallel=False,
-        engine=engine,
-    )
+    ).run(parallel=False, engine=engine)
 
 
 def run_overload(seed: int, engine=None):
     """The static-vs-adaptive grid: 2 modes x 2 policies x loads 0.8/2.0."""
-    from repro.experiments.overload import overload_campaign
+    from repro.experiments.overload import overload_scenario_spec
 
-    return overload_campaign(
+    return overload_scenario_spec(
         policies=(
             ("random", "random", {}),
             ("polling-3", "polling", {"poll_size": 3, "discard_slow": True}),
@@ -92,15 +94,31 @@ def run_overload(seed: int, engine=None):
         n_servers=_N_SERVERS,
         n_requests=_N_REQUESTS,
         seed=seed,
-        parallel=False,
-        engine=engine,
-    )
+    ).run(parallel=False, engine=engine)
+
+
+def run_autoscale(seed: int, engine=None):
+    """The static-vs-autoscaled grid: 2 modes x 2 policies x loads
+    0.8/2.0 x both dispatcher-fault levels."""
+    from repro.experiments.autoscale import autoscale_scenario_spec
+
+    return autoscale_scenario_spec(
+        policies=(
+            ("random", "random", {}),
+            ("polling-3", "polling", {"poll_size": 3, "discard_slow": True}),
+        ),
+        offered_loads=(0.8, 2.0),
+        n_servers=_N_SERVERS,
+        n_requests=_N_REQUESTS,
+        seed=seed,
+    ).run(parallel=False, engine=engine)
 
 
 CAMPAIGNS = {
     "chaos": run_chaos,
     "resilience": run_resilience,
     "overload": run_overload,
+    "autoscale": run_autoscale,
 }
 
 

@@ -4,9 +4,10 @@ Usage::
 
     PYTHONPATH=src python tests/experiments/regen_golden_fixtures.py
 
-The committed fixtures were produced by the *legacy* (pre-scenario)
-campaign modules at commit ``ec7e9e5``; running this script regenerates
-them with whatever code is currently on disk. Only do that when the
+The committed fixtures were produced by the *legacy* campaign drivers
+(commit ``ec7e9e5`` for chaos/resilience/overload, ``cde6c29`` for
+autoscale); running this script regenerates them with whatever code is
+currently on disk. Only do that when the
 campaign outputs are *supposed* to change, and call the re-baseline out
 in the commit message — the whole point of the fixtures is to catch
 unintended drift (see ``golden_campaigns.py``).

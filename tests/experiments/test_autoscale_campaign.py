@@ -14,7 +14,6 @@ from repro.experiments.autoscale import (
     DEFAULT_AUTOSCALE_LOADS,
     DEFAULT_AUTOSCALE_POLICIES,
     DISPATCHER_FAULTS,
-    autoscale_campaign,
     autoscale_cluster_params,
     autoscale_dispatcher_params,
     autoscale_scaling_params,
@@ -31,8 +30,11 @@ QUICK = dict(
     faults=DISPATCHER_FAULTS[:1],
     n_servers=4,
     n_requests=120,
-    parallel=False,
 )
+
+
+def run_campaign(**run_kwargs):
+    return autoscale_scenario_spec(**QUICK).run(parallel=False, **run_kwargs)
 
 
 def test_unknown_dispatcher_params_key_rejected():
@@ -88,7 +90,7 @@ def test_spec_grid_shape_and_quick_trim():
 
 
 def test_campaign_grid_and_report_shape(tmp_path):
-    report = autoscale_campaign(archive=str(tmp_path / "runs.json"), **QUICK)
+    report = run_campaign(archive=str(tmp_path / "runs.json"))
     assert len(report.results) == 2  # static + autoscaled
     for column in ("mode", "policy", "load", "fault", "goodput_pct",
                    "p95_ms", "mean_active", "goodput_per_server",
@@ -110,10 +112,10 @@ def test_campaign_grid_and_report_shape(tmp_path):
 
 def test_campaign_second_run_served_from_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    first = autoscale_campaign(cache=cache, **QUICK)
+    first = run_campaign(cache=cache)
     assert cache.misses == len(first.results)
     cache_again = ResultCache(tmp_path / "cache")
-    second = autoscale_campaign(cache=cache_again, **QUICK)
+    second = run_campaign(cache=cache_again)
     assert cache_again.hits == len(second.results)
     assert cache_again.misses == 0
     assert first.table.rows == second.table.rows

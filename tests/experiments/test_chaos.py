@@ -9,28 +9,12 @@ from repro.experiments.chaos import (
     DEFAULT_INTENSITIES,
     DEFAULT_POLICIES,
     NAIVE_VS_HARDENED,
-    chaos_campaign,
     chaos_cluster_params,
     chaos_params_for,
+    chaos_scenario_spec,
     hardened_reliability_params,
 )
-from repro.experiments.config import (
-    _CHAOS_PARAM_KEYS,
-    _CLUSTER_PARAM_KEYS,
-    _RELIABILITY_PARAM_KEYS,
-)
-
-
-def test_chaos_param_keys_mirror_chaos_spec():
-    """config.py validates chaos_params against a literal mirror of the
-    ChaosSpec fields (to stay import-light) — keep them in sync."""
-    assert _CHAOS_PARAM_KEYS == ChaosSpec.field_names()
-
-
-def test_reliability_param_keys_mirror_reliability_policy():
-    """Same contract for reliability_params: the literal mirror in
-    config.py must track the ReliabilityPolicy fields exactly."""
-    assert _RELIABILITY_PARAM_KEYS == ReliabilityPolicy.field_names()
+from repro.experiments.config import param_keys
 
 
 def test_unknown_cluster_params_key_rejected():
@@ -50,7 +34,7 @@ def test_unknown_reliability_params_key_rejected():
 
 def test_reliability_params_accepted_and_marked():
     config = SimulationConfig(reliability_params=hardened_reliability_params())
-    assert set(config.reliability_params) <= _RELIABILITY_PARAM_KEYS
+    assert set(config.reliability_params) <= param_keys("reliability_params")
     assert config.describe().endswith("+reliability")
     # Cache keys must distinguish hardened from naive runs.
     from repro.experiments import config_key
@@ -64,8 +48,8 @@ def test_allowed_params_accepted():
         cluster_params=chaos_cluster_params(),
         chaos_params=chaos_params_for(1.0),
     )
-    assert set(config.cluster_params) <= _CLUSTER_PARAM_KEYS
-    assert set(config.chaos_params) <= _CHAOS_PARAM_KEYS
+    assert set(config.cluster_params) <= param_keys("cluster_params")
+    assert set(config.chaos_params) <= param_keys("chaos_params")
     assert config.describe().endswith("+chaos")
 
 
@@ -84,13 +68,14 @@ def test_intensity_scales_knobs():
     assert full["partitions"] == 1
 
 
-def small_campaign(**kwargs):
+def small_campaign(cache=None, archive=None, **kwargs):
     kwargs.setdefault("policies", DEFAULT_POLICIES[:2])
     kwargs.setdefault("intensities", (0.0, 1.0))
     kwargs.setdefault("n_requests", 300)
     kwargs.setdefault("n_servers", 4)
-    kwargs.setdefault("parallel", False)
-    return chaos_campaign(**kwargs)
+    return chaos_scenario_spec(**kwargs).run(
+        parallel=False, cache=cache, archive=archive
+    )
 
 
 def test_campaign_shape_and_baseline_normalization():

@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.cluster import OverloadPolicy
 from repro.experiments import SimulationConfig, load_results
 from repro.experiments.cache import ResultCache
 from repro.experiments.overload import (
     DEFAULT_OFFERED_LOADS,
     STATIC_VS_ADAPTIVE,
-    overload_campaign,
     overload_cluster_params,
     overload_control_params,
+    overload_scenario_spec,
 )
-from repro.experiments.config import _OVERLOAD_PARAM_KEYS
+from repro.experiments.config import param_keys
 from repro.experiments.runner import build_cluster
 
 QUICK = dict(
@@ -21,14 +20,11 @@ QUICK = dict(
     n_servers=4,
     n_requests=200,
     seed=0,
-    parallel=False,
 )
 
 
-def test_overload_param_keys_mirror_overload_policy():
-    """config.py validates overload_params against a literal mirror of
-    the OverloadPolicy fields (to stay import-light) — keep in sync."""
-    assert _OVERLOAD_PARAM_KEYS == OverloadPolicy.field_names()
+def run_campaign(**run_kwargs):
+    return overload_scenario_spec(**QUICK).run(parallel=False, **run_kwargs)
 
 
 def test_unknown_overload_params_key_rejected():
@@ -38,7 +34,7 @@ def test_unknown_overload_params_key_rejected():
 
 def test_overload_params_accepted_and_marked():
     config = SimulationConfig(overload_params=overload_control_params())
-    assert set(config.overload_params) <= _OVERLOAD_PARAM_KEYS
+    assert set(config.overload_params) <= param_keys("overload_params")
     assert config.describe().endswith("+overload")
     # Cache keys must distinguish adaptive from static runs.
     from repro.experiments import config_key
@@ -58,7 +54,7 @@ def test_build_cluster_installs_controllers():
 
 
 def test_campaign_grid_and_report_shape(tmp_path):
-    report = overload_campaign(archive=str(tmp_path / "runs.json"), **QUICK)
+    report = run_campaign(archive=str(tmp_path / "runs.json"))
     # 2 modes x 1 policy x 1 load
     assert len(report.results) == len(STATIC_VS_ADAPTIVE)
     assert len(report.table.rows) == len(STATIC_VS_ADAPTIVE)
@@ -86,10 +82,10 @@ def test_campaign_grid_and_report_shape(tmp_path):
 
 def test_campaign_second_run_served_from_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    first = overload_campaign(cache=cache, **QUICK)
+    first = run_campaign(cache=cache)
     assert cache.misses == len(first.results)
     cache_again = ResultCache(tmp_path / "cache")
-    second = overload_campaign(cache=cache_again, **QUICK)
+    second = run_campaign(cache=cache_again)
     assert cache_again.hits == len(second.results)
     assert cache_again.misses == 0
     assert first.table.rows == second.table.rows

@@ -6,14 +6,12 @@ and bit-identical simulation results when on (the collector schedules
 no events and draws no randomness).
 """
 
-import inspect
 import math
 
 import numpy as np
 import pytest
 
 from repro.experiments import SimulationConfig, build_cluster, run_simulation
-from repro.experiments.config import _TELEMETRY_PARAM_KEYS
 from repro.experiments.runner import run_with_telemetry
 from repro.telemetry import SPAN_FIELDS, TelemetryCollector, sample_series
 
@@ -203,14 +201,6 @@ def test_collector_knob_validation():
         TelemetryCollector(cluster, sample_interval=0.0)
     with pytest.raises(ValueError):
         TelemetryCollector(cluster, max_spans=0)
-
-
-def test_telemetry_param_keys_mirror_collector_signature():
-    # _TELEMETRY_PARAM_KEYS is a literal mirror of the collector's
-    # keyword knobs (kept literal so config.py stays import-light).
-    params = inspect.signature(TelemetryCollector.__init__).parameters
-    knobs = {name for name in params if name not in ("self", "cluster")}
-    assert knobs == set(_TELEMETRY_PARAM_KEYS)
 
 
 def test_span_fields_cover_request_lifecycle():

@@ -156,7 +156,7 @@ def test_resilience_command_small(tmp_path, capsys, monkeypatch):
     assert main(["resilience", "--requests", "300", "--serial", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "naive" in out and "hardened" in out
-    assert "per-cell deltas (identical fault schedules)" in out
+    assert "Reliability modes (identical fault schedules)" in out
     assert "hardened vs naive" in out
 
 
@@ -236,3 +236,39 @@ def test_scenario_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert main(["scenario", "--spec", str(spec), "--serial"]) == 0
     second = capsys.readouterr().out
     assert "cache: 1 hits, 0 misses" in second
+
+
+def test_campaign_alias_honours_export_dir(tmp_path, capsys):
+    """The campaign commands go through the one scenario handler, so
+    --export-dir archives every cell (it used to be silently dropped)."""
+    from repro.experiments import load_results
+
+    archive = tmp_path / "overload.json"
+    assert main(["overload", "--requests", "200", "--serial", "--no-cache",
+                 "--export-dir", str(archive)]) == 0
+    # 2 modes x 2 policies x 4 offered loads
+    assert len(load_results(archive)) == 16
+    out = capsys.readouterr().out
+    assert "Overload campaign: goodput past saturation" in out
+    assert "adaptive vs static" in out
+
+
+def test_scenario_oracle_flag_verifies_every_cell(tmp_path, capsys):
+    """--oracle on `scenario` runs the cells under the invariant oracle
+    (it used to parse and be ignored): the archived configs say so."""
+    import json
+
+    from repro.experiments import load_results
+
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps({
+        "name": "tiny", "n_requests": 200, "n_servers": 4,
+        "loads": [0.5, 0.8],
+        "policies": [{"label": "rnd", "policy": "random"}],
+    }))
+    archive = tmp_path / "results.json"
+    assert main(["scenario", "--spec", str(spec), "--oracle", "--serial",
+                 "--no-cache", "--export-dir", str(archive)]) == 0
+    results = load_results(archive)
+    assert len(results) == 2
+    assert all(r.config.verify_params == {"enabled": True} for r in results)

@@ -7,12 +7,10 @@ across the heap and calendar engines. The lifecycle checks themselves
 are unit-tested against hand-driven state.
 """
 
-import inspect
 
 import pytest
 
 from repro.experiments import SimulationConfig, run_simulation
-from repro.experiments.config import _VERIFY_PARAM_KEYS
 from repro.experiments.parity import COMPARED_FIELDS, _values_equal
 from repro.experiments.runner import build_cluster
 from repro.verify import InvariantOracle, InvariantViolation
@@ -45,13 +43,6 @@ def _run(config):
 def test_oracle_off_by_default():
     cluster, _horizon = build_cluster(SimulationConfig(n_requests=10))
     assert cluster.oracle is None
-
-
-def test_verify_params_match_oracle_signature():
-    """The config whitelist and the oracle constructor must agree, so a
-    valid config can never blow up inside the runner."""
-    params = inspect.signature(InvariantOracle).parameters
-    assert _VERIFY_PARAM_KEYS == set(params) - {"cluster"}
 
 
 def test_enabled_false_leaves_cluster_unhooked():
