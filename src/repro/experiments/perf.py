@@ -291,6 +291,21 @@ def validate_bench(data: Any, source: str = "") -> str:
     return str(kind)
 
 
+def _rates_moved(baseline: dict[str, Any], current: dict[str, Any], policy: str) -> str:
+    """Both engines' requests/sec for ``policy``, baseline -> current."""
+
+    def rate(run: dict[str, Any], engine: str) -> str:
+        for entry in run.get("entries", []):
+            if entry.get("policy") == policy and entry.get("engine") == engine:
+                return f"{entry['requests_per_sec']:.0f}"
+        return "?"
+
+    return ", ".join(
+        f"{engine} {rate(baseline, engine)} -> {rate(current, engine)} req/s"
+        for engine in ("heap", "fast")
+    )
+
+
 def check_scale_regression(
     current: dict[str, Any],
     baseline: dict[str, Any],
@@ -301,7 +316,10 @@ def check_scale_regression(
     Returns failure messages (empty = pass): a policy regresses when
     its fast-vs-heap speedup drops more than ``tolerance`` below the
     baseline's, or falls below the absolute :data:`SCALE_SPEEDUP_FLOOR`
-    on the headline policies.
+    on the headline policies. The gate is a *ratio*, so a faster heap
+    reads the same as a slower fast engine: the failure line carries
+    both engines' requests/sec, baseline -> current, to show which
+    side moved.
     """
     failures = []
     for policy, base_speedup in baseline.get("speedups", {}).items():
@@ -313,7 +331,8 @@ def check_scale_regression(
         if speedup < floor:
             failures.append(
                 f"{policy}: speedup {speedup:.1f}x fell below {floor:.1f}x "
-                f"(baseline {base_speedup:.1f}x - {tolerance:.0%})"
+                f"(baseline {base_speedup:.1f}x - {tolerance:.0%}; "
+                f"{_rates_moved(baseline, current, policy)})"
             )
     for policy in SCALE_FLOOR_POLICIES:
         speedup = current.get("speedups", {}).get(policy)

@@ -4,11 +4,15 @@ The default transport applies a per-kind one-way :class:`LatencyModel`
 and delivers via a scheduled callback. Every send is tallied (count and
 bytes per :class:`MessageKind`), which is what the §2.4 message-scaling
 ablation measures.
+
+A channel publish whose recipients all arrive at the same instant
+(:meth:`Network.multicast`) rides one scheduler event instead of one
+per recipient; messages, counts and delivery order are unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +23,12 @@ from repro.sim.engine import Simulator
 __all__ = ["Network", "BroadcastChannel"]
 
 DeliveryCallback = Callable[[Message], None]
+
+
+def _deliver_group(group: list[tuple[DeliveryCallback, Message]]) -> None:
+    """Event handler of an ungated same-instant delivery group."""
+    for on_delivery, message in group:
+        on_delivery(message)
 
 
 class Network:
@@ -144,6 +154,71 @@ class Network:
             self._schedule_delivery(dup_latency, message, on_delivery)
         return message
 
+    def multicast(
+        self,
+        kind: MessageKind,
+        src: int,
+        subscribers: Sequence[tuple[int, DeliveryCallback]],
+        payload: Any,
+        size_bytes: Optional[int] = None,
+    ) -> None:
+        """Send ``payload`` to every ``(node_id, on_delivery)`` subscriber.
+
+        Equivalent to one :meth:`send` per subscriber, in order. When
+        the kind's latency is a :class:`ConstantLatency` and neither
+        ``faults`` nor ``switch`` is installed, those sends would land
+        at one instant with consecutive sequence numbers, so they ride
+        **one** scheduler event that runs the callbacks in subscriber
+        order: same position in the event order, same callback order,
+        fewer events. Everything else stays per recipient: one
+        :class:`Message` each, the counts, the ``drop_filter`` verdict
+        at send time, and ``deliver_trace`` / ``inflight_recorder`` at
+        delivery time (decided at send time, as in :meth:`send`).
+        """
+        model = self.latency_for(kind)
+        if (
+            type(model) is not ConstantLatency
+            or self.faults is not None
+            or self.switch is not None
+        ):
+            for node_id, on_delivery in subscribers:
+                self.send(kind, src, node_id, payload, on_delivery, size_bytes)
+            return
+        if not subscribers:
+            return
+        size = DEFAULT_SIZES[kind] if size_bytes is None else size_bytes
+        now = self.sim.now
+        fan_out = len(subscribers)
+        self.message_counts[kind] = self.message_counts.get(kind, 0) + fan_out
+        self.byte_counts[kind] = self.byte_counts.get(kind, 0) + fan_out * size
+        drop_filter = self.drop_filter
+        group = []
+        for node_id, on_delivery in subscribers:
+            message = Message(kind, src, node_id, payload, size, now)
+            if drop_filter is not None and drop_filter(message):
+                self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
+                self._note_drop()
+            else:
+                group.append((on_delivery, message))
+        if not group:
+            return
+        recorder = self.inflight_recorder
+        if recorder is not None:
+            for _ in group:
+                self._inflight += 1
+                recorder.record(now, float(self._inflight))
+        if recorder is None and self.deliver_trace is None:
+            self.sim.after(model.value, _deliver_group, group)
+        else:
+            self.sim.after(model.value, self._deliver_gated_group, group)
+
+    def _deliver_gated_group(self, group: list[tuple[DeliveryCallback, Message]]) -> None:
+        """Event handler of a group sent with a delivery trace or
+        telemetry installed: each recipient passes the delivery gate."""
+        deliver = self._deliver
+        for pair in group:
+            deliver(pair)
+
     def _note_drop(self) -> None:
         """Record a lost message on the telemetry drop series (cold path)."""
         recorder = self.drops_recorder
@@ -213,7 +288,8 @@ class BroadcastChannel:
     Subscribers register a delivery callback; a publish fans out one
     message per subscriber (each with its own latency draw), matching the
     paper's accounting in which broadcast cost scales with the number of
-    clients.
+    clients. The fan-out is :meth:`Network.multicast`, which carries
+    same-instant arrivals on a single scheduler event.
     """
 
     __slots__ = ("network", "kind", "_subscribers")
@@ -237,6 +313,5 @@ class BroadcastChannel:
 
     def publish(self, src: int, payload: Any, size_bytes: Optional[int] = None) -> int:
         """Publish to all subscribers; returns the fan-out count."""
-        for node_id, callback in self._subscribers:
-            self.network.send(self.kind, src, node_id, payload, callback, size_bytes)
+        self.network.multicast(self.kind, src, self._subscribers, payload, size_bytes)
         return len(self._subscribers)

@@ -85,3 +85,47 @@ def test_intervals_randomized_not_fixed():
     assert gaps.std() > 0.005  # jittered, not a fixed period
     assert gaps.min() >= 0.025 - 1e-9
     assert gaps.max() <= 0.075 + 1e-9
+
+
+def test_block_drawn_intervals_match_scalar_draws():
+    """The policy draws its intervals 1024 at a time; the announcement
+    instants must be the ones one scalar draw per announcement gives
+    (the reference below), across several block boundaries."""
+    import heapq
+
+    from repro.sim.rng import RngHub
+
+    mean_interval, seed, n_servers = 0.01, 23, 8
+    policy = make_policy("broadcast", mean_interval=mean_interval)
+    cluster = build_cluster(
+        policy, n_servers=n_servers, n_requests=1500, load=0.5, seed=seed
+    )
+    sent = []
+    policy._channel.subscribe(999, lambda m: sent.append((m.send_time, m.src)))
+    cluster.run()
+    assert len(sent) > 2 * 1024
+
+    rng = RngHub(seed).stream("policy.broadcast.intervals")
+    due = [(float(rng.uniform(0.5, 1.5)) * mean_interval, s) for s in range(n_servers)]
+    heapq.heapify(due)
+    expected = []
+    for _ in sent:
+        now, server = heapq.heappop(due)
+        expected.append((now, server))
+        delay = float(rng.uniform(0.5, 1.5)) * mean_interval
+        heapq.heappush(due, (now + delay, server))
+    assert sent == expected
+
+
+def test_tables_hold_the_last_announcement_and_its_send_time():
+    policy = make_policy("broadcast", mean_interval=0.01)
+    cluster = build_cluster(policy, n_servers=5, n_requests=600, load=0.7)
+    last = {}
+    # Subscribed after the clients: every delivery group ends with it.
+    policy._channel.subscribe(999, lambda m: last.__setitem__(m.src, m))
+    cluster.run()
+    assert sorted(last) == list(range(5))
+    for client in cluster.clients:
+        for server_id, message in last.items():
+            assert client.state["broadcast.table"][server_id] == message.payload[1]
+            assert client.state["broadcast.table_time"][server_id] == message.send_time

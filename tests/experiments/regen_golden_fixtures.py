@@ -4,13 +4,25 @@ Usage::
 
     PYTHONPATH=src python tests/experiments/regen_golden_fixtures.py
 
-The committed fixtures were produced by the *legacy* campaign drivers
+The fixtures were first produced by the *legacy* campaign drivers
 (commit ``ec7e9e5`` for chaos/resilience/overload, ``cde6c29`` for
-autoscale); running this script regenerates them with whatever code is
-currently on disk. Only do that when the
-campaign outputs are *supposed* to change, and call the re-baseline out
-in the commit message — the whole point of the fixtures is to catch
-unintended drift (see ``golden_campaigns.py``).
+autoscale) and have held byte for byte since, with one re-baseline:
+PR 14 (same-instant delivery groups, DESIGN.md §7) lowered
+``events_executed`` in every cell, because availability PUBLISH
+refreshes sent while no ``faults`` are installed ride one scheduler
+event per publish. That re-baseline changed the ``"events_executed":``
+lines of the 12 ``.json`` files (each new value <= the old one) and no
+other line; the 12 ``.txt`` reports did not change.
+
+Running this script regenerates every fixture with whatever code is
+currently on disk. Only do that when the campaign outputs are
+*supposed* to change, and call the re-baseline out in the commit
+message — the whole point of the fixtures is to catch unintended drift
+(see ``golden_campaigns.py``). The script rewrites whole files, so
+``wall_seconds`` (host noise, ignored by the tests) changes in every
+result and config fields added since a fixture was written appear as
+empty dicts; a re-baseline that should show only what moved keeps the
+old text and replaces the lines of the field that moved.
 """
 
 from __future__ import annotations

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.net import BroadcastChannel, ConstantLatency, MessageKind, Network
+from repro.net import (
+    BroadcastChannel,
+    ConstantLatency,
+    MessageKind,
+    Network,
+    UniformLatency,
+)
 from repro.sim import Simulator
 
 
@@ -109,3 +115,165 @@ def test_broadcast_channel_custom_kind():
     channel.subscribe(1, lambda m: None)
     channel.publish(src=0, payload=None)
     assert net.message_counts[MessageKind.PUBLISH] == 1
+
+
+# ----------------------------------------------------------------------
+# same-instant delivery groups (Network.multicast)
+# ----------------------------------------------------------------------
+LATENCY = 145e-6
+NODES = (1, 2, 3, 4)
+
+
+class StepLog:
+    """Stands in for a telemetry step recorder."""
+
+    def __init__(self):
+        self.points = []
+
+    def record(self, time, value):
+        self.points.append((time, value))
+
+
+def publish_rounds(model, publishes=5, configure=None):
+    """``publishes`` announcements 10 ms apart to ``NODES``; the log is
+    every delivery as ``(dst, time, payload, send_time)``."""
+    sim = Simulator()
+    net = Network(sim, np.random.default_rng(0), ConstantLatency(1.0))
+    net.set_latency(MessageKind.BROADCAST, model)
+    if configure is not None:
+        configure(net)
+    channel = BroadcastChannel(net)
+    log = []
+    for node in NODES:
+        channel.subscribe(
+            node, lambda m: log.append((m.dst, sim.now, m.payload, m.send_time))
+        )
+    for i in range(publishes):
+        sim.at(0.01 * i, lambda i=i: channel.publish(src=100 + i, payload=i))
+    sim.run()
+    return sim, net, log
+
+
+def per_recipient():
+    """A model with the same value that is not a ConstantLatency, so
+    the transport keeps one event per recipient."""
+    return UniformLatency(LATENCY, LATENCY)
+
+
+def test_group_matches_per_recipient_sends():
+    sim_g, net_g, log_g = publish_rounds(ConstantLatency(LATENCY))
+    sim_p, net_p, log_p = publish_rounds(per_recipient())
+    assert log_g == log_p
+    assert [dst for dst, *_ in log_g[: len(NODES)]] == list(NODES)
+    assert net_g.message_counts == net_p.message_counts == {MessageKind.BROADCAST: 20}
+    assert net_g.byte_counts == net_p.byte_counts
+    assert net_g.dropped_counts == net_p.dropped_counts == {}
+    # 5 timer events either way; 5 group events against 5 x 4 deliveries
+    assert sim_g.events_executed == 5 + 5
+    assert sim_p.events_executed - sim_g.events_executed == 5 * (len(NODES) - 1)
+
+
+def test_group_drops_one_recipient_and_delivers_the_rest():
+    def drop_node_3(net):
+        net.drop_filter = lambda m: m.dst == 3
+
+    sim_g, net_g, log_g = publish_rounds(ConstantLatency(LATENCY), configure=drop_node_3)
+    _, net_p, log_p = publish_rounds(per_recipient(), configure=drop_node_3)
+    assert log_g == log_p
+    assert sorted({dst for dst, *_ in log_g}) == [1, 2, 4]
+    assert net_g.dropped_counts == net_p.dropped_counts == {MessageKind.BROADCAST: 5}
+    assert net_g.message_counts == {MessageKind.BROADCAST: 20}
+    assert sim_g.events_executed == 5 + 5
+
+
+def test_unsubscribe_after_publish_still_delivers_in_flight():
+    sim, net = make_net(latency=1e-3)
+    channel = BroadcastChannel(net)
+    received = []
+    for node in (1, 2):
+        channel.subscribe(node, lambda m: received.append(m.dst))
+    channel.publish(src=0, payload=None)
+    channel.unsubscribe(1)
+    channel.subscribe(3, lambda m: received.append(m.dst))
+    sim.run()
+    assert received == [1, 2]
+    channel.publish(src=0, payload=None)
+    sim.run()
+    assert received == [1, 2, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "condition, events_per_recipient", [("faults", 1), ("switch", 2), ("stochastic", 1)]
+)
+def test_one_event_per_recipient_when_arrivals_can_differ(condition, events_per_recipient):
+    from repro.net.faults import NetworkFaults
+    from repro.net.switch import SwitchedEthernet
+
+    def configure(net):
+        if condition == "faults":
+            net.faults = NetworkFaults(np.random.default_rng(1))
+        elif condition == "switch":
+            net.switch = SwitchedEthernet(net.sim, n_ports=8)
+
+    if condition == "stochastic":
+        model = UniformLatency(0.5 * LATENCY, 1.5 * LATENCY)
+    else:
+        model = ConstantLatency(LATENCY)
+    sim, net, log = publish_rounds(model, publishes=3, configure=configure)
+    assert len(log) == 3 * len(NODES)
+    assert net.message_counts == {MessageKind.BROADCAST: 12}
+    # the 3 publish timers, then every recipient on its own event(s)
+    assert sim.events_executed == 3 + 3 * len(NODES) * events_per_recipient
+
+
+def test_group_hooks_see_every_recipient():
+    traced = []
+    inflight = StepLog()
+
+    def observe(net):
+        net.deliver_trace = lambda m: traced.append((m.dst, m.payload))
+        net.inflight_recorder = inflight
+
+    sim_on, net_on, log_on = publish_rounds(ConstantLatency(LATENCY), configure=observe)
+    sim_off, _, log_off = publish_rounds(ConstantLatency(LATENCY))
+    assert log_on == log_off
+    assert sim_on.events_executed == sim_off.events_executed
+    assert traced == [(dst, payload) for dst, _, payload, _ in log_on]
+    # one step up per recipient at publish, one down per recipient at delivery
+    assert [v for _, v in inflight.points] == [1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0, 0.0] * 5
+    assert inflight.points[3] == (0.0, 4.0) and inflight.points[4] == (LATENCY, 3.0)
+    assert net_on._inflight == 0
+
+
+def test_group_gate_is_decided_at_send_time():
+    """Hooks installed while a group is in flight do not see it, exactly
+    as a unicast sent before the hook was installed."""
+    sim, net = make_net(latency=1e-3)
+    channel = BroadcastChannel(net)
+    received, traced = [], []
+    channel.subscribe(1, received.append)
+    channel.publish(src=0, payload="early")
+    net.deliver_trace = traced.append
+    channel.publish(src=0, payload="late")
+    sim.run()
+    assert [m.payload for m in received] == ["early", "late"]
+    assert [m.payload for m in traced] == ["late"]
+
+
+def test_nothing_scheduled_without_a_recipient():
+    sim, net = make_net()
+    empty = BroadcastChannel(net)
+    assert empty.publish(src=0, payload=None) == 0
+    assert sim.pending == 0
+    assert net.message_counts == {} and net.byte_counts == {}
+
+    channel = BroadcastChannel(net)
+    for node in (1, 2):
+        channel.subscribe(node, lambda m: pytest.fail("dropped message delivered"))
+    net.drop_filter = lambda m: True
+    assert channel.publish(src=0, payload=None) == 2
+    assert sim.pending == 0
+    assert net.message_counts == {MessageKind.BROADCAST: 2}
+    assert net.dropped_counts == {MessageKind.BROADCAST: 2}
+    sim.run()
+    assert sim.events_executed == 0
