@@ -34,10 +34,11 @@ bench-smoke:
 	$(PYTHON) -m repro validate-bench \
 		--bench-file BENCH_engine.json --bench-file BENCH_engines.json
 
-# Large-N fast-path smoke (<60s): one 1k-server fastpath cell per
-# headline policy plus the mean-field cross-check, gated against the
-# committed speedup baseline (fails on >25% regression or a sub-10x
-# fast-vs-heap speedup on random/broadcast).
+# Large-N fast-path smoke (<60s): one 1k-server heap cell and one
+# fastpath cell for each of the four fast-engine policies plus the
+# mean-field cross-check, gated against the committed speedup baseline
+# (fails on >25% regression of any policy's fast-vs-heap speedup, or a
+# sub-10x speedup on random/broadcast).
 scale-smoke:
 	$(PYTHON) -m repro scale --quick --seed 0 \
 		--check-against benchmarks/baselines/BENCH_scale.json

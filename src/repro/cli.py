@@ -390,7 +390,8 @@ def _fastparity(args) -> str:
 
 
 def _scale(args) -> str:
-    """Large-N scale bench: heap vs fast throughput + mean-field check.
+    """Large-N scale bench: heap vs fast throughput on every
+    fast-engine policy + mean-field check.
 
     Writes ``BENCH_scale.json`` (schema-validated); with
     ``--check-against`` also compares speedups to a committed baseline

@@ -36,6 +36,7 @@ from typing import Any, Optional, Sequence
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
+from repro.sim.fastpath import FASTPATH_POLICIES
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -128,13 +129,15 @@ def scale_trajectory(
     n_servers: int = 1_000,
     heap_requests: int = 20_000,
     fast_requests: int = 200_000,
-    policies: Sequence[str] = ("random", "broadcast"),
+    policies: Sequence[str] = FASTPATH_POLICIES,
     seed: int = 0,
     load: float = 0.9,
     meanfield: bool = True,
 ) -> dict[str, Any]:
     """Large-N heap-vs-fast throughput plus the mean-field cross-check.
 
+    Every policy the fast engine supports is timed by default, so the
+    committed baseline backs each per-policy speedup the docs quote.
     Speedups are requests/sec ratios at identical (policy, N); the
     mean-field cells reuse :func:`repro.experiments.parity.
     meanfield_check` so the perf artifact and the validation tier can

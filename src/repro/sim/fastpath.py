@@ -19,10 +19,15 @@ Model (simulation model only, workers=1, homogeneous speeds):
   ``start = max(server_arrival, server_free)``.
 - Queue lengths, broadcast tables, and stale-JSQ snapshots are arrays
   updated at tick boundaries: a selection inside a tick sees server
-  state as of the tick start. The tick defaults to 1/8 of the smallest
+  state as of the tick start. The tick defaults to 1/16 of the smallest
   relevant timescale (mean service time, broadcast interval, snapshot
   interval), so the induced decision staleness is small against the
   staleness the policies already model.
+- The loop iterates once per *state window*, not once per tick: a batch
+  spans several ticks exactly while its selections read no state that
+  those ticks could change (the whole run for random, the ticks between
+  two snapshot refreshes for stale_jsq, one tick for polling and
+  broadcast). Windowing changes how often Python runs, never a result.
 - All randomness draws from the same named substreams as the exact
   engines (``policy.random``, ``policy.polling``,
   ``policy.broadcast.{ties,intervals}``, ``policy.stale.ties``), so each
@@ -139,6 +144,11 @@ class FastpathRun:
     server-time spent with exactly ``k`` requests in system — the
     tier-2 comparison object against the heap engine and the empirical
     counterpart of the mean-field tail ``s_k``.
+
+    ``ticks`` counts *model* ticks (what ``events_executed`` reports for
+    ``engine="fast"``); ``iterations`` counts the state windows the loop
+    actually walked, which is smaller wherever several ticks share one
+    batch.
     """
 
     metrics: ClusterMetrics
@@ -148,6 +158,7 @@ class FastpathRun:
     occupancy: Optional[np.ndarray]
     message_counts: dict[str, int] = field(default_factory=dict)
     policy_counters: dict[str, int] = field(default_factory=dict)
+    iterations: int = 0
 
     @property
     def occupancy_tail(self) -> np.ndarray:
@@ -230,42 +241,52 @@ def _exact_occupancy(
 def _lindley_assign(
     free: np.ndarray,
     choice: np.ndarray,
+    counts: np.ndarray,
     server_arrival: np.ndarray,
     service: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """FIFO completion times for one batch of assignments.
+    start: np.ndarray,
+    completion: np.ndarray,
+) -> None:
+    """FIFO begin-service and completion times for one batch.
 
-    Jobs hitting the same server within a batch are serialized in
-    arrival order via occurrence-rank rounds: round ``r`` processes each
+    Per job, in arrival order on its server: ``begin = max(arrival,
+    free[s])``, ``free[s] = begin + service``. ``counts`` is
+    ``bincount(choice, minlength=free.size)`` (the caller needs it for
+    the queue lengths anyway); ``free`` is updated in place and the
+    results land in ``start`` / ``completion``.
+
+    A batch in which no server appears twice is one ``maximum``, one
+    add and one scatter. Otherwise jobs hitting the same server are
+    serialized via occurrence-rank rounds: round ``r`` processes each
     server's ``r``-th job of the batch, so every round is a pure
-    vectorized ``max``/add over unique servers. ``free`` is updated in
-    place. Returns ``(start, completion)`` per job.
+    vectorized ``max``/add over distinct servers.
     """
-    n = choice.shape[0]
-    start = np.empty(n)
-    completion = np.empty(n)
-    order = np.argsort(choice, kind="stable")
-    sorted_choice = choice[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_choice[1:], sorted_choice[:-1], out=boundary[1:])
-    group_start = np.flatnonzero(boundary)
-    group_sizes = np.diff(np.append(group_start, n))
-    # Groups are contiguous in `order`, so round r's jobs sit at
-    # group_start + r of the still-active groups — each round is O(active
-    # groups), O(n) total, instead of an O(n) scan per round.
-    for rank in range(int(group_sizes.max())):
-        active = group_sizes > rank
-        idx = order[group_start[active] + rank]
-        servers = choice[idx]
+    rounds = int(counts.max())
+    if rounds == 1:
+        np.maximum(server_arrival, free[choice], out=start)
+        np.add(start, service, out=completion)
+        free[choice] = completion
+        return
+    # A stable sort by server makes each server's jobs contiguous and
+    # keeps them in arrival order; `counts` gives the group layout, so
+    # round r's jobs sit at group_start + r of the still-active groups
+    # — each round is O(active groups), O(n) total.
+    order = choice.argsort(kind="stable")
+    servers = counts.nonzero()[0]
+    sizes = counts[servers]
+    group_start = sizes.cumsum() - sizes
+    for rank in range(rounds):
+        if rank:
+            active = sizes > rank
+            servers = servers[active]
+            sizes = sizes[active]
+            group_start = group_start[active]
+        idx = order[group_start + rank]
         begin = np.maximum(server_arrival[idx], free[servers])
         finish = begin + service[idx]
         free[servers] = finish
         start[idx] = begin
         completion[idx] = finish
-        group_start = group_start[active]
-        group_sizes = group_sizes[active]
-    return start, completion
 
 
 def run_fastpath(
@@ -334,6 +355,7 @@ def run_fastpath(
         tick = base / _TICK_DIVISOR
     if tick <= 0:
         raise ValueError(f"tick must be > 0, got {tick}")
+    tick = float(tick)
 
     # Policy state + substreams (same names as the exact engines).
     if kind == "random":
@@ -350,98 +372,140 @@ def run_fastpath(
         broadcasts_sent = 0
     else:  # stale_jsq
         rng_ties = hub.stream("policy.stale.ties")
-        snapshot = np.zeros(n_servers)
+        # Selection only ever reads the snapshot's set of minima, so
+        # that set is what a refresh stores (all-zero snapshot at start).
+        minima = np.arange(n_servers)
         next_refresh = policy.update_interval
         refreshes = 0
 
     # Server state.
     free = np.zeros(n_servers)  # work-drain time per server
     qlen = np.zeros(n_servers, dtype=np.int64)  # queued + in service
-    pend_completion = np.empty(0)
-    pend_server = np.empty(0, dtype=np.int64)
 
     metrics = ClusterMetrics(n)
     metrics.arrival_time[:] = arrivals
     metrics.poll_time[:] = 0.0 if kind != "polling" else constants.udp_rtt
 
-    # Random never reads server state, so the whole run is one exact
-    # batch — its response times match the heap engine's exactly.
-    window = math.inf if kind == "random" else float(tick)
+    # Per-request kernel outputs, written by slice. The metrics arrays
+    # double as the buffers: queue_wait holds begin-service times and
+    # response_time holds completion times until the loop ends.
+    start = metrics.queue_wait
+    completion = metrics.response_time
+    # Pending pool: completion time and server of the requests qlen
+    # still counts, in pool_*[:pooled]. A retired entry is overwritten
+    # with inf where it sits; the pool is compacted once over half of
+    # it is retired.
+    pool_completion = np.empty(n)
+    pool_server = np.empty(n, dtype=np.int64)
+    pooled = retired = 0
+
+    # One iteration covers a *state window*: a run of ticks whose
+    # selections read no state that those ticks could change. Random
+    # never reads server state, so the whole run is one window (and its
+    # response times match the heap engine's exactly); stale_jsq reads
+    # only the snapshot, so a window runs up to the tick holding the
+    # next refresh; polling reads qlen and broadcast reads a table that
+    # some server overwrites every tick, so their windows are one tick.
+    window = math.inf if kind == "random" else tick
     skip_ahead = kind in ("random", "polling")  # no timed control state
-    t = float(tick) * math.floor(float(arrivals[0]) / tick)
+    last_arrival = float(arrivals[-1])
+    t = tick * math.floor(float(arrivals[0]) / tick)
     i0 = 0
     ticks = 0
+    iterations = 0
     while i0 < n:
+        iterations += 1
         ticks += 1
         t_end = t + window
 
-        # 1. Completions up to the tick start leave the system.
-        if pend_completion.size:
-            done = pend_completion <= t
-            if done.any():
-                qlen -= np.bincount(pend_server[done], minlength=n_servers)
-                keep = ~done
-                pend_completion = pend_completion[keep]
-                pend_server = pend_server[keep]
+        # 1. Completions up to the window start leave the system.
+        if pooled:
+            done = (pool_completion[:pooled] <= t).nonzero()[0]
+            if done.size:
+                np.subtract.at(qlen, pool_server[done], 1)
+                pool_completion[done] = math.inf
+                retired += done.size
+                if 2 * retired > pooled:
+                    live = (pool_completion[:pooled] < math.inf).nonzero()[0]
+                    pooled, retired = live.size, 0
+                    pool_completion[:pooled] = pool_completion[live]
+                    pool_server[:pooled] = pool_server[live]
 
-        # 2. Timed control state due inside this tick.
+        # 2. Timed control state due inside the window's first tick.
         if kind == "broadcast":
-            while True:
-                due = next_announce < t_end
-                if not due.any():
-                    break
+            due = (next_announce < t_end).nonzero()[0]
+            while due.size:
                 table[due] = qlen[due]
-                broadcasts_sent += int(due.sum())
+                broadcasts_sent += due.size
                 next_announce[due] += (
-                    rng_intervals.uniform(0.5, 1.5, size=int(due.sum()))
+                    rng_intervals.uniform(0.5, 1.5, size=due.size)
                     * policy.mean_interval
                 )
+                # a coarse tick can hold one server's next announcement too
+                due = due[next_announce[due] < t_end]
         elif kind == "stale_jsq":
-            while next_refresh < t_end:
-                snapshot[:] = qlen
-                refreshes += 1
-                next_refresh += policy.update_interval
+            if next_refresh < t_end:
+                while next_refresh < t_end:
+                    refreshes += 1
+                    next_refresh += policy.update_interval
+                minima = (qlen == qlen.min()).nonzero()[0]
+            # Extend the window over the following ticks that hold no
+            # refresh, stepping with the same float addition a tick-by-
+            # tick walk would use so the batches cut at the same arrivals.
+            while t_end <= last_arrival and next_refresh >= t_end + tick:
+                t_end += tick
+                ticks += 1
 
-        # 3. Select + assign this tick's arrivals.
-        i1 = int(np.searchsorted(arrivals, t_end, side="left"))
+        # 3. Select + assign the window's arrivals.
+        i1 = int(arrivals.searchsorted(t_end))
         if i1 > i0:
-            batch = slice(i0, i1)
             n_batch = i1 - i0
             if kind == "random":
-                choice = rng_policy.integers(0, n_servers, size=n_batch)
+                picked = rng_policy.integers(0, n_servers, size=n_batch)
             elif kind == "polling":
                 cand = _distinct_candidates(rng_policy, n_batch, poll_size, n_servers)
                 if degenerate_discard:
-                    choice = cand[:, 0]
+                    picked = cand[:, 0]
                 else:
                     # Integer queue lengths + U[0,1) noise == uniform
                     # tie-breaking among minima (choose_min_with_ties).
                     keys = qlen[cand] + rng_policy.random(cand.shape)
-                    choice = cand[np.arange(n_batch), np.argmin(keys, axis=1)]
+                    picked = cand[np.arange(n_batch), keys.argmin(axis=1)]
             else:
-                view = table if kind == "broadcast" else snapshot
-                minima = np.flatnonzero(view == view.min())
-                choice = minima[rng_ties.integers(0, minima.size, size=n_batch)]
+                if kind == "broadcast":
+                    minima = (table == table.min()).nonzero()[0]
+                picked = minima[rng_ties.integers(0, minima.size, size=n_batch)]
 
-            start, completion = _lindley_assign(
-                free, choice, server_arrival[batch], services[batch]
+            counts = np.bincount(picked, minlength=n_servers)
+            _lindley_assign(
+                free,
+                picked,
+                counts,
+                server_arrival[i0:i1],
+                services[i0:i1],
+                start[i0:i1],
+                completion[i0:i1],
             )
+            metrics.server_id[i0:i1] = picked
             if i1 < n:  # final batch: no later selection reads state
-                qlen += np.bincount(choice, minlength=n_servers)
-                pend_completion = np.concatenate((pend_completion, completion))
-                pend_server = np.concatenate((pend_server, choice))
-
-            metrics.response_time[batch] = completion + one_way - arrivals[batch]
-            metrics.queue_wait[batch] = start - server_arrival[batch]
-            metrics.server_id[batch] = choice
+                qlen += counts
+                pool_completion[pooled : pooled + n_batch] = completion[i0:i1]
+                pool_server[pooled : pooled + n_batch] = picked
+                pooled += n_batch
             i0 = i1
 
         t = t_end
         if skip_ahead and i0 < n:
             # Jump empty stretches (no timed control state to replay).
-            t_next_arrival = float(tick) * math.floor(float(arrivals[i0]) / tick)
+            t_next_arrival = tick * math.floor(float(arrivals[i0]) / tick)
             if t_next_arrival > t:
                 t = t_next_arrival
+
+    # Per-request metrics, derived once: the buffers turn from times
+    # into durations in place.
+    start -= server_arrival  # metrics.queue_wait
+    completion += one_way  # metrics.response_time
+    completion -= arrivals
 
     # Exact occupancy over the post-warmup arrival window, reconstructed
     # from the completed assignment (no tick-sampling error).
@@ -486,8 +550,9 @@ def run_fastpath(
         metrics=metrics,
         nominal_rho=nominal_rho,
         ticks=ticks,
-        tick_length=float(tick),
+        tick_length=tick,
         occupancy=occupancy,
         message_counts=message_counts,
         policy_counters=policy_counters,
+        iterations=iterations,
     )

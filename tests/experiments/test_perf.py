@@ -1,6 +1,16 @@
-"""The scale gate's failure line (experiments/perf.py)."""
+"""The scale gate: its failure line and what it covers (experiments/perf.py)."""
 
-from repro.experiments.perf import check_scale_regression
+import inspect
+from pathlib import Path
+
+from repro.experiments.perf import (
+    check_scale_regression,
+    load_bench,
+    scale_trajectory,
+)
+from repro.sim.fastpath import FASTPATH_POLICIES
+
+BASELINE = Path(__file__).parents[2] / "benchmarks" / "baselines" / "BENCH_scale.json"
 
 
 def scale_run(heap_rate, fast_rate):
@@ -27,3 +37,28 @@ def test_ratio_failure_names_both_engines_rates():
 
 def test_within_tolerance_passes():
     assert check_scale_regression(scale_run(3_000.0, 148_000.0), scale_run(2_796.0, 148_007.0)) == []
+
+
+def test_scale_bench_times_every_fast_engine_policy_by_default():
+    """`repro scale` and `make scale-smoke` call scale_trajectory with
+    its defaults, so the default is what the committed baseline gates."""
+    default = inspect.signature(scale_trajectory).parameters["policies"].default
+    assert tuple(default) == FASTPATH_POLICIES
+
+
+def test_committed_scale_baseline_backs_every_fast_engine_policy():
+    baseline = load_bench(BASELINE)
+    assert set(baseline["speedups"]) == set(FASTPATH_POLICIES)
+    cells = {(entry["policy"], entry["engine"]) for entry in baseline["entries"]}
+    assert cells == {(p, e) for p in FASTPATH_POLICIES for e in ("heap", "fast")}
+
+
+def test_policy_missing_from_current_run_fails_the_gate():
+    """A baseline policy the current run did not time is a failure, not
+    a skip — dropping a policy from the bench cannot pass silently."""
+    baseline = load_bench(BASELINE)
+    current = dict(baseline, speedups={"random": baseline["speedups"]["random"]})
+    failures = check_scale_regression(current, baseline)
+    assert sorted(line.split(":")[0] for line in failures) == [
+        "broadcast", "polling", "stale_jsq",
+    ]

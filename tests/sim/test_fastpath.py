@@ -8,6 +8,8 @@ engine's arithmetic, and the accounting (messages, counters,
 occupancy) is self-consistent.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,15 @@ from repro.experiments.runner import (
     run_simulation,
     run_with_telemetry,
 )
+from repro.net.latency import PAPER_NET
 from repro.sim.fastpath import (
     FASTPATH_POLICIES,
     FastpathUnsupportedError,
     fastpath_violations,
     run_fastpath,
 )
+from repro.sim.rng import RngHub
+from repro.workload.workloads import make_workload
 
 
 def _config(**overrides):
@@ -134,6 +139,127 @@ def test_random_matches_heap_engine_exactly():
     np.testing.assert_allclose(
         fast.metrics.response_time, heap.response_time, rtol=0, atol=1e-12
     )
+
+
+# ----------------------------------------------------------------------
+# window batching: several ticks per loop iteration, same results
+# ----------------------------------------------------------------------
+def _stale_jsq_tick_by_tick(config, tick, arrivals):
+    """The stale_jsq model replayed one tick and one job at a time in
+    plain Python — the reference the windowed loop must equal. Takes the
+    run's own arrival times; services come from the same substream."""
+    n, n_servers = config.n_requests, config.n_servers
+    update_interval = config.policy_params["update_interval"]
+    hub = RngHub(config.seed)
+    _, services = make_workload(config.workload).generate(hub.stream("workload"), n)
+    rng_ties = hub.stream("policy.stale.ties")
+    one_way = PAPER_NET.request_one_way
+    arrivals, services = arrivals.tolist(), services.tolist()
+
+    free = [0.0] * n_servers
+    qlen = [0] * n_servers
+    snapshot = list(qlen)
+    in_system = []  # (completion, server)
+    next_refresh = update_interval
+    ticks = refreshes = 0
+    response, servers = [], []
+    t = tick * math.floor(arrivals[0] / tick)
+    i = 0
+    while i < n:
+        ticks += 1
+        t_end = t + tick
+        for completion, s in in_system:
+            if completion <= t:
+                qlen[s] -= 1
+        in_system = [(c, s) for c, s in in_system if c > t]
+        while next_refresh < t_end:
+            snapshot = list(qlen)
+            refreshes += 1
+            next_refresh += update_interval
+        j = i
+        while j < n and arrivals[j] < t_end:
+            j += 1
+        if j > i:
+            low = min(snapshot)
+            minima = [s for s in range(n_servers) if snapshot[s] == low]
+            picks = rng_ties.integers(0, len(minima), size=j - i).tolist()
+            for k, pick in zip(range(i, j), picks):
+                s = minima[pick]
+                begin = max(arrivals[k] + one_way, free[s])
+                free[s] = begin + services[k]
+                qlen[s] += 1
+                in_system.append((free[s], s))
+                response.append(free[s] + one_way - arrivals[k])
+                servers.append(s)
+            i = j
+        t = t_end
+    return ticks, refreshes, response, servers
+
+
+@pytest.mark.parametrize(
+    "tick",
+    [
+        None,  # update_interval / 16: 16 ticks per window
+        0.006,  # does not divide update_interval: windows of 3 and 4 ticks
+        0.05,  # above update_interval: two or three refreshes inside every tick
+    ],
+)
+def test_stale_jsq_windows_equal_the_tick_by_tick_model(tick):
+    config = _config(
+        policy="stale_jsq", policy_params={"update_interval": 0.02}, n_requests=600
+    )
+    run = run_fastpath(config, tick=tick)
+    ticks, refreshes, response, servers = _stale_jsq_tick_by_tick(
+        config, run.tick_length, run.metrics.arrival_time
+    )
+    # `ticks` stays a count of model ticks: none dropped inside a window,
+    # none added after the tick that holds the last arrival
+    assert run.ticks == ticks
+    assert run.policy_counters == {"refreshes": refreshes}
+    assert run.metrics.server_id.tolist() == servers
+    assert run.metrics.response_time.tolist() == response
+    if run.tick_length > 0.02:
+        assert run.iterations == run.ticks  # a refresh in every tick
+        assert refreshes > ticks
+    else:
+        # one iteration per refresh-bearing tick, plus the first
+        assert run.iterations <= refreshes + 1
+        assert run.iterations * 3 <= run.ticks
+
+
+def test_last_arrival_mid_window_counts_no_trailing_ticks():
+    """A window that could run to the next refresh still ends at the
+    tick holding the last arrival."""
+    config = _config(
+        policy="stale_jsq", policy_params={"update_interval": 0.5}, n_requests=50
+    )
+    run = run_fastpath(config)
+    tick = run.tick_length
+    arrivals = run.metrics.arrival_time
+    first_tick_start = tick * math.floor(float(arrivals[0]) / tick)
+    last_tick_end = first_tick_start
+    for _ in range(run.ticks):
+        last_tick_end += tick
+    assert last_tick_end - tick <= arrivals[-1] < last_tick_end
+    # the whole run sat inside the first window: no refresh came due
+    assert run.policy_counters == {"refreshes": 0}
+    assert run.iterations == 1
+
+
+@pytest.mark.parametrize("policy, params", [
+    ("polling", {"poll_size": 2}),
+    ("broadcast", {"mean_interval": 0.01}),
+])
+def test_state_reading_policies_iterate_every_tick(policy, params):
+    """qlen (polling) and the announcement table (broadcast) can change
+    in any tick, so no batch may span two."""
+    run = run_fastpath(_config(policy=policy, policy_params=params))
+    assert run.iterations == run.ticks
+
+
+def test_random_is_one_window():
+    run = run_fastpath(_config())
+    assert (run.ticks, run.iterations) == (1, 1)
 
 
 # ----------------------------------------------------------------------
