@@ -40,10 +40,10 @@ seed under both event engines (the parity suite covers one).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 from repro.cluster.request import Request
 from repro.net.message import MessageKind
@@ -262,11 +262,11 @@ class ReliabilityEngine:
                 )
                 for server in cluster.servers
             }
-        # Ring buffer of observed (successful) response times feeding
-        # the hedge-delay quantile.
-        self._observed = np.empty(policy.hedge_window, dtype=np.float64)
-        self._n_observed = 0
-        self._observed_cursor = 0
+        # Observed (successful) response times feeding the hedge-delay
+        # quantile, kept twice: in arrival order (which value to evict)
+        # and sorted (where the quantile's two neighbours sit).
+        self._observed: deque[float] = deque(maxlen=policy.hedge_window)
+        self._observed_sorted: list[float] = []
 
         # Counters (surfaced through resilience_counters / telemetry).
         self.hedges_launched = 0
@@ -517,19 +517,29 @@ class ReliabilityEngine:
     def _observe(self, response_time: float) -> None:
         if not math.isfinite(response_time):
             return
-        self._observed[self._observed_cursor] = response_time
-        self._observed_cursor = (self._observed_cursor + 1) % self.policy.hedge_window
-        if self._n_observed < self.policy.hedge_window:
-            self._n_observed += 1
+        window, ranked = self._observed, self._observed_sorted
+        if len(window) == window.maxlen:
+            del ranked[bisect_left(ranked, window[0])]
+        window.append(response_time)
+        insort(ranked, response_time)
 
     def _hedge_delay(self) -> Optional[float]:
-        """The hedge timer delay, or None while observations are scarce."""
-        if self._n_observed < self.policy.hedge_min_samples:
+        """The hedge timer delay, or None while observations are scarce:
+        ``np.quantile(window, hedge_quantile)`` bit for bit (numpy's
+        ``linear`` method on the same two neighbours, the same float64
+        operations in the same order) without its O(window) partition."""
+        ranked = self._observed_sorted
+        if len(ranked) < self.policy.hedge_min_samples:
             return None
-        assert self.policy.hedge_quantile is not None
-        return float(
-            np.quantile(self._observed[: self._n_observed], self.policy.hedge_quantile)
-        )
+        top = len(ranked) - 1
+        virtual = top * self.policy.hedge_quantile
+        if virtual >= top:
+            return ranked[top]
+        lo = int(virtual)
+        gamma, below, above = virtual - lo, ranked[lo], ranked[lo + 1]
+        if gamma < 0.5:
+            return below + (above - below) * gamma
+        return above - (above - below) * (1.0 - gamma)
 
     def _fire_hedge(self, request: Request) -> None:
         state = self._states.get(request.index)

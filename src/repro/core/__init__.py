@@ -23,7 +23,7 @@ Extensions (ablations beyond the paper):
 Use :func:`~repro.core.registry.make_policy` to build by name.
 """
 
-from repro.core.base import LoadBalancer, choose_min_with_ties
+from repro.core.base import LoadBalancer, choose_min_in_table, choose_min_with_ties
 from repro.core.random_policy import RandomPolicy
 from repro.core.round_robin import RoundRobinPolicy
 from repro.core.ideal import IdealOracle
@@ -47,6 +47,7 @@ __all__ = [
     "RandomPollingPolicy",
     "RoundRobinPolicy",
     "available_policies",
+    "choose_min_in_table",
     "choose_min_with_ties",
     "make_policy",
 ]

@@ -29,6 +29,7 @@ The context API a policy may use:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
     from repro.cluster.system import ServiceCluster
 
-__all__ = ["LoadBalancer", "choose_min_with_ties", "NoCandidatesError"]
+__all__ = ["LoadBalancer", "choose_min_in_table", "choose_min_with_ties", "NoCandidatesError"]
 
 
 class NoCandidatesError(RuntimeError):
@@ -65,6 +66,31 @@ def choose_min_with_ties(
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
+
+
+@lru_cache(maxsize=None)
+def _all_ids(n: int) -> list[int]:
+    return list(range(n))
+
+
+def choose_min_in_table(
+    table: np.ndarray, candidates: Sequence[int], rng: np.random.Generator
+) -> int:
+    """:func:`choose_min_with_ties` on ``[table[i] for i in candidates]``
+    with no O(N) interpreter pass: same return value, same ``rng`` draw.
+    The table is read in place only when the candidates are verified to
+    be ``0..N-1`` (a C-level list compare); any other list is gathered
+    through ``fromiter``, the cheapest list-to-index conversion."""
+    n = len(candidates)
+    if n == 0:
+        raise NoCandidatesError("empty candidate set")
+    if n == len(table) and candidates == _all_ids(n):
+        values = table
+    else:
+        values = table[np.fromiter(candidates, np.intp, n)]
+    ties = (values == values[values.argmin()]).nonzero()[0]
+    pick = ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+    return candidates[pick]
 
 
 class LoadBalancer(ABC):

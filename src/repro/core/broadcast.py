@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import LoadBalancer, NoCandidatesError, choose_min_with_ties
+from repro.core.base import LoadBalancer, choose_min_in_table
 
 __all__ = ["BroadcastPolicy"]
 
@@ -96,11 +96,8 @@ class BroadcastPolicy(LoadBalancer):
     # ------------------------------------------------------------------
     def select(self, client, request) -> None:
         candidates = self.ctx.available_servers(client)
-        if not candidates:
-            raise NoCandidatesError("no live servers")
         table = client.state[_TABLE_KEY]
-        values = [table[i] for i in candidates]
-        server_id = choose_min_with_ties(candidates, values, self._rng_ties)
+        server_id = choose_min_in_table(table, candidates, self._rng_ties)
         telemetry = self.ctx.telemetry
         if telemetry is not None:
             telemetry.note_decision(

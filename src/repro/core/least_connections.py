@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import LoadBalancer, NoCandidatesError, choose_min_with_ties
+from repro.core.base import LoadBalancer, choose_min_in_table
 
 __all__ = ["LeastConnectionsPolicy"]
 
@@ -44,11 +44,8 @@ class LeastConnectionsPolicy(LoadBalancer):
 
     def select(self, client, request) -> None:
         candidates = self.ctx.available_servers(client)
-        if not candidates:
-            raise NoCandidatesError("no live servers")
         counts = client.state[_COUNTS_KEY]
-        values = [int(counts[i]) for i in candidates]
-        server_id = choose_min_with_ties(candidates, values, self._rng)
+        server_id = choose_min_in_table(counts, candidates, self._rng)
         telemetry = self.ctx.telemetry
         if telemetry is not None:
             # The counter is client-local and current: staleness is zero

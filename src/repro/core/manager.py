@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import LoadBalancer, NoCandidatesError, choose_min_with_ties
+from repro.core.base import LoadBalancer, choose_min_in_table
 from repro.net.message import Message, MessageKind
 
 __all__ = ["CentralizedManagerPolicy"]
@@ -53,11 +53,8 @@ class CentralizedManagerPolicy(LoadBalancer):
     def _on_query(self, message: Message) -> None:
         client, request = message.payload
         candidates = self.ctx.available_servers(client)
-        if not candidates:
-            raise NoCandidatesError("no live servers")
+        server_id = choose_min_in_table(self._counts, candidates, self._rng)
         self.queries_served += 1
-        values = [int(self._counts[i]) for i in candidates]
-        server_id = choose_min_with_ties(candidates, values, self._rng)
         self._counts[server_id] += 1
         self.ctx.network.send(
             MessageKind.MANAGER_REPLY,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import LoadBalancer, NoCandidatesError, choose_min_with_ties
+from repro.core.base import LoadBalancer, choose_min_in_table
 
 __all__ = ["GlobalSnapshotPolicy"]
 
@@ -58,11 +58,8 @@ class GlobalSnapshotPolicy(LoadBalancer):
 
     def select(self, client, request) -> None:
         candidates = self.ctx.available_servers(client)
-        if not candidates:
-            raise NoCandidatesError("no live servers")
         table = client.state[_LOCAL_KEY] if self.local_increment else self._snapshot
-        values = [table[i] for i in candidates]
-        server_id = choose_min_with_ties(candidates, values, self._rng)
+        server_id = choose_min_in_table(table, candidates, self._rng)
         telemetry = self.ctx.telemetry
         if telemetry is not None:
             telemetry.note_decision(request, float(table[server_id]), self._snapshot_time)

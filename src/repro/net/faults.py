@@ -76,6 +76,8 @@ class NetworkFaults:
         "duplicate",
         "jitter_mean",
         "per_kind",
+        "_default_params",
+        "_kind_params",
         "unreachable",
         "partitions",
         "lost_counts",
@@ -100,10 +102,17 @@ class NetworkFaults:
             raise ValueError(f"jitter_mean must be >= 0, got {jitter_mean}")
         self.jitter_mean = float(jitter_mean)
         self.per_kind = dict(per_kind) if per_kind else {}
+        defaults = {"loss": self.loss, "duplicate": self.duplicate, "jitter_mean": self.jitter_mean}
         for kind, overrides in self.per_kind.items():
-            unknown = set(overrides) - {"loss", "duplicate", "jitter_mean"}
+            unknown = set(overrides) - set(defaults)
             if unknown:
                 raise ValueError(f"unknown per-kind override(s) for {kind}: {sorted(unknown)}")
+        # Nothing mutates the parameters after construction, so each kind's
+        # (loss, duplicate, jitter_mean) is resolved here, once, in that order.
+        self._default_params = tuple(defaults.values())
+        self._kind_params = {
+            kind: tuple({**defaults, **overrides}.values()) for kind, overrides in self.per_kind.items()
+        }
         self.unreachable: set[int] = unreachable if unreachable is not None else set()
         #: active bidirectional cuts
         self.partitions: list[PartitionPair] = []
@@ -144,16 +153,6 @@ class NetworkFaults:
     # ------------------------------------------------------------------
     # per-message decisions
     # ------------------------------------------------------------------
-    def _params_for(self, kind: MessageKind) -> tuple[float, float, float]:
-        overrides = self.per_kind.get(kind)
-        if overrides is None:
-            return self.loss, self.duplicate, self.jitter_mean
-        return (
-            overrides.get("loss", self.loss),
-            overrides.get("duplicate", self.duplicate),
-            overrides.get("jitter_mean", self.jitter_mean),
-        )
-
     def on_send(self, message: Message) -> Optional[tuple[float, bool]]:
         """Fault verdict at send time.
 
@@ -167,7 +166,7 @@ class NetworkFaults:
         if self.severed(message.src, message.dst):
             self.partition_drop_counts[kind] = self.partition_drop_counts.get(kind, 0) + 1
             return None
-        loss, duplicate, jitter_mean = self._params_for(kind)
+        loss, duplicate, jitter_mean = self._kind_params.get(kind, self._default_params)
         if loss > 0.0 and self.rng.random() < loss:
             self.lost_counts[kind] = self.lost_counts.get(kind, 0) + 1
             return None

@@ -1,8 +1,12 @@
 """Unit tests for the LoadBalancer base and helpers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.core
 from repro.cluster import ServiceCluster
 from repro.core import LoadBalancer, RandomPolicy, choose_min_with_ties
 from repro.core.base import NoCandidatesError
@@ -32,6 +36,29 @@ def test_choose_min_validation():
         choose_min_with_ties([], [], rng)
     with pytest.raises(ValueError):
         choose_min_with_ties([1, 2], [1.0], rng)
+
+
+def test_no_policy_copies_a_table_per_candidate():
+    """``[table[i] for i in candidates]`` (bare, or through ``int()`` /
+    ``float()``) is the O(N) interpreter pass ``choose_min_in_table``
+    replaced; no module under ``core/`` may grow one back. Reading an
+    attribute of ``servers[i]`` (``ideal``) is not a table copy."""
+    offenders = []
+    for path in sorted(Path(repro.core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+                continue
+            element = node.elt
+            while isinstance(element, ast.Call) and len(element.args) == 1:
+                element = element.args[0]
+            bound = {n.id for gen in node.generators for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+            if (
+                isinstance(element, ast.Subscript)
+                and isinstance(element.slice, ast.Name)
+                and element.slice.id in bound
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_double_bind_rejected():
