@@ -106,7 +106,6 @@ examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/search_engine_trace.py
 	$(PYTHON) examples/photo_album_cluster.py
-	$(PYTHON) examples/multitier_service.py
 	$(PYTHON) examples/failure_resilience.py
 
 figures:

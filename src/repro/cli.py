@@ -37,8 +37,8 @@ Sweep commands memoize results in a persistent on-disk cache (default
 ``.repro-cache/``, or ``$REPRO_CACHE_DIR``; see
 :mod:`repro.experiments.cache`), so a re-run with unchanged configs
 costs seconds. ``--no-cache`` bypasses it; ``--cache-dir`` relocates
-it. ``--engine {heap,calendar}`` selects the event-queue implementation
-(bit-identical results either way; ``parity`` proves it).
+it. ``--engine calendar`` runs the second event queue, the heap's
+differential partner: slower, bit-identical (``parity`` proves it).
 """
 
 from __future__ import annotations
@@ -616,7 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--serial", action="store_true",
                         help="disable the process-pool sweep")
     parser.add_argument("--engine", choices=["heap", "calendar", "fast"], default=None,
-                        help="execution engine (default: heap; 'fast' is the "
+                        help="execution engine (default: heap; 'calendar' is "
+                             "its slower, bit-identical differential partner "
+                             "for `parity` and the fuzzer; 'fast' is the "
                              "numpy batch engine and rejects configs it "
                              "cannot represent)")
     parser.add_argument("--cache-dir", default=None,

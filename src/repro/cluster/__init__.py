@@ -12,13 +12,6 @@ and runs the request lifecycle; it is also the *policy context* object
 handed to load balancers.
 """
 
-from repro.cluster.app import (
-    ApplicationCluster,
-    AppNode,
-    AppRequest,
-    call,
-    compute,
-)
 from repro.cluster.request import Request
 from repro.cluster.server import ServerNode
 from repro.cluster.client import ClientNode
@@ -45,13 +38,8 @@ from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.cluster.system import ClusterMetrics, ServiceCluster
 
 __all__ = [
-    "AppNode",
-    "AppRequest",
-    "ApplicationCluster",
     "AvailabilityChannel",
     "ClientNode",
-    "call",
-    "compute",
     "ChaosInjector",
     "ChaosSpec",
     "ClusterMetrics",

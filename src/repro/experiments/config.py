@@ -6,9 +6,9 @@ import functools
 import importlib
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
-__all__ = ["SimulationConfig", "param_keys"]
+__all__ = ["SUBSYSTEMS", "SimulationConfig", "param_keys"]
 
 _MODELS = ("simulation", "prototype")
 _ENGINES = ("heap", "calendar", "fast")
@@ -28,17 +28,74 @@ _CLUSTER_PARAM_KEYS = frozenset(
     }
 )
 
-#: config field -> (module, class) owning that field's knob names; a
-#: dataclass answers through ``field_names()``, a plain class through its
-#: constructor signature (minus the ``cluster`` it is attached to)
-_PARAM_OWNERS = {
-    "chaos_params": ("repro.cluster.failures", "ChaosSpec"),
-    "telemetry": ("repro.telemetry.collector", "TelemetryCollector"),
-    "reliability_params": ("repro.cluster.reliability", "ReliabilityPolicy"),
-    "overload_params": ("repro.cluster.overload", "OverloadPolicy"),
-    "dispatcher_params": ("repro.cluster.dispatcher", "DispatcherPolicy"),
-    "autoscaler_params": ("repro.cluster.autoscaler", "AutoscalerPolicy"),
-    "verify_params": ("repro.verify.oracle", "InvariantOracle"),
+
+def locate(where: str) -> Any:
+    """The object a ``module:attr`` string names, imported on use."""
+    module, _, attr = where.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+class Subsystem(NamedTuple):
+    """One optional subsystem, as each layer needs to know it."""
+
+    #: ``module:Class`` owning the knob names: a dataclass answers through
+    #: ``field_names()``, a plain class through its constructor signature
+    #: (minus the ``cluster`` it is attached to)
+    owner: str
+    #: the :class:`ServiceCluster` attribute the live object sits on
+    attr: str
+    #: ``SimulationConfig.describe()`` suffix
+    tag: str
+    #: why ``engine="fast"`` refuses it
+    fast_refusal: str
+    #: the :class:`ServiceCluster` keyword taking ``Owner(**knobs)``; without
+    #: one, ``attr`` is set once the workload is loaded, to
+    #: ``Owner(cluster, **knobs)`` or, given a ``module:Class`` injector,
+    #: ``Injector(cluster, spec=Owner(**knobs))``
+    keyword: str = ""
+    injector: str = ""
+    #: cluster accessor whose dict joins ``chaos_counters`` on chaos-free runs
+    counters: str = ""
+    #: the :class:`ModeAxis` knob set that fills the field
+    mode: str = ""
+
+
+#: config field -> its subsystem: the one list of them. Order matters:
+#: tags, refusals and counters are emitted in it.
+SUBSYSTEMS = {
+    "chaos_params": Subsystem(
+        "repro.cluster.failures:ChaosSpec", "chaos",
+        " +chaos", "fault injection",
+        injector="repro.cluster.failures:ChaosInjector",
+    ),
+    "telemetry": Subsystem(
+        "repro.telemetry.collector:TelemetryCollector", "telemetry",
+        "", "per-request span recording", mode="telemetry",
+    ),
+    "reliability_params": Subsystem(
+        "repro.cluster.reliability:ReliabilityPolicy", "reliability",
+        " +reliability", "timeouts/backoff/hedging",
+        keyword="reliability", counters="reliability.counters", mode="reliability",
+    ),
+    "overload_params": Subsystem(
+        "repro.cluster.overload:OverloadPolicy", "overload",
+        " +overload", "admission control",
+        keyword="overload", counters="overload_counters", mode="overload",
+    ),
+    "dispatcher_params": Subsystem(
+        "repro.cluster.dispatcher:DispatcherPolicy", "dispatchers",
+        " +dispatchers", "dispatcher-tier routing",
+        keyword="dispatcher", counters="dispatchers.counters", mode="dispatcher",
+    ),
+    "autoscaler_params": Subsystem(
+        "repro.cluster.autoscaler:AutoscalerPolicy", "autoscaler",
+        " +autoscale", "closed-loop scaling",
+        keyword="autoscaler", counters="autoscaler.counters", mode="autoscaler",
+    ),
+    "verify_params": Subsystem(
+        "repro.verify.oracle:InvariantOracle", "oracle",
+        " +verify", "inline invariant oracle",
+    ),
 }
 
 
@@ -46,14 +103,12 @@ _PARAM_OWNERS = {
 def param_keys(field_name: str) -> frozenset:
     """The knob names a :class:`SimulationConfig` dict field accepts.
 
-    Derived from the owning class on first use and cached. Callers ask
-    only for a non-empty dict, so an all-off config imports none of the
-    subsystem modules.
+    Derived from the owning class on first use and cached; callers ask
+    only for a non-empty dict.
     """
     if field_name == "cluster_params":
         return _CLUSTER_PARAM_KEYS
-    module, name = _PARAM_OWNERS[field_name]
-    owner = getattr(importlib.import_module(module), name)
+    owner = locate(SUBSYSTEMS[field_name].owner)
     if hasattr(owner, "field_names"):
         return owner.field_names()
     return frozenset(inspect.signature(owner).parameters) - {"cluster"}
@@ -76,7 +131,9 @@ class SimulationConfig:
 
     ``engine`` selects the execution engine: "heap" and "calendar" are
     exact event-queue implementations producing bit-identical results
-    (a pure performance knob), while "fast" is the numpy batch engine
+    (the calendar is slower at every size and is kept as the heap's
+    differential partner for ``repro parity`` and the fuzzer, not as a
+    speed knob), while "fast" is the numpy batch engine
     (:mod:`repro.sim.fastpath`) — distribution-identical, not
     bit-identical, and restricted to the homogeneous simulation-model
     policies (unsupported knobs raise ``FastpathUnsupportedError``
@@ -165,7 +222,7 @@ class SimulationConfig:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        for name in ("cluster_params", *_PARAM_OWNERS):
+        for name in ("cluster_params", *SUBSYSTEMS):
             params = getattr(self, name)
             if not params:
                 continue
@@ -194,13 +251,10 @@ class SimulationConfig:
         if self.label:
             return self.label
         params = ",".join(f"{k}={v}" for k, v in sorted(self.policy_params.items()))
-        chaos = " +chaos" if self.chaos_params else ""
-        hardened = " +reliability" if self.reliability_params else ""
-        shedding = " +overload" if self.overload_params else ""
-        tier = " +dispatchers" if self.dispatcher_params else ""
-        scaling = " +autoscale" if self.autoscaler_params else ""
-        verify = " +verify" if self.verify_params else ""
+        tags = "".join(
+            row.tag for name, row in SUBSYSTEMS.items() if getattr(self, name)
+        )
         return (
             f"{self.policy}({params}) {self.workload} load={self.load:.0%} "
-            f"[{self.model}]{chaos}{hardened}{shedding}{tier}{scaling}{verify}"
+            f"[{self.model}]{tags}"
         )

@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from repro.cluster.failures import resilience_counters
 from repro.cluster.system import ClusterMetrics, ServiceCluster
 from repro.core.registry import make_policy
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import SUBSYSTEMS, SimulationConfig, locate
 from repro.prototype.calibration import calibrate_full_load
 from repro.prototype.overhead import PrototypeOverheadModel
 from repro.sim.rng import RngHub
@@ -154,26 +155,11 @@ def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
     gaps = gaps * (target_interval / float(gaps.mean()))
 
     policy = make_policy(config.policy, **config.policy_params)
-    reliability = None
-    if config.reliability_params:
-        from repro.cluster.reliability import ReliabilityPolicy
-
-        reliability = ReliabilityPolicy(**config.reliability_params)
-    overload = None
-    if config.overload_params:
-        from repro.cluster.overload import OverloadPolicy
-
-        overload = OverloadPolicy(**config.overload_params)
-    dispatcher = None
-    if config.dispatcher_params:
-        from repro.cluster.dispatcher import DispatcherPolicy
-
-        dispatcher = DispatcherPolicy(**config.dispatcher_params)
-    autoscaler = None
-    if config.autoscaler_params:
-        from repro.cluster.autoscaler import AutoscalerPolicy
-
-        autoscaler = AutoscalerPolicy(**config.autoscaler_params)
+    enabled = [
+        (row, locate(row.owner), knobs)
+        for name, row in SUBSYSTEMS.items()
+        if (knobs := getattr(config, name))
+    ]
     cluster = ServiceCluster(
         n_servers=config.n_servers,
         policy=policy,
@@ -183,27 +169,20 @@ def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
         workers=config.workers,
         server_speeds=list(config.server_speeds) if config.server_speeds else None,
         engine=config.engine,
-        reliability=reliability,
-        overload=overload,
-        dispatcher=dispatcher,
-        autoscaler=autoscaler,
+        **{row.keyword: owner(**knobs) for row, owner, knobs in enabled if row.keyword},
         **config.cluster_params,
     )
     cluster.load_workload(gaps, services)
-    if config.chaos_params:
-        from repro.cluster.failures import ChaosInjector, ChaosSpec
-
-        cluster.chaos = ChaosInjector(cluster, spec=ChaosSpec(**config.chaos_params))
-    if config.telemetry:
-        from repro.telemetry import TelemetryCollector
-
-        cluster.telemetry = TelemetryCollector(cluster, **config.telemetry)
-    if config.verify_params:
-        from repro.verify import InvariantOracle
-
-        oracle = InvariantOracle(cluster, **config.verify_params)
-        if oracle.enabled:
-            cluster.oracle = oracle
+    for row, owner, knobs in enabled:
+        if row.keyword:
+            continue
+        if row.injector:
+            installed = locate(row.injector)(cluster, spec=owner(**knobs))
+        else:
+            installed = owner(cluster, **knobs)
+        # the oracle constructs inert under {"enabled": False}
+        if getattr(installed, "enabled", True):
+            setattr(cluster, row.attr, installed)
     return cluster, nominal_rho
 
 
@@ -281,17 +260,12 @@ def run_with_telemetry(
 
 
 def _hardening_counters(cluster) -> dict[str, float]:
-    """Reliability + overload counters for chaos-free runs (empty when
-    neither subsystem is installed)."""
+    """Counters of the installed subsystems for chaos-free runs (empty
+    when none that has any is installed)."""
     counters: dict[str, float] = {}
-    if cluster.reliability is not None:
-        counters.update(cluster.reliability.counters())
-    if cluster.overload is not None:
-        counters.update(cluster.overload_counters())
-    if cluster.dispatchers is not None:
-        counters.update(cluster.dispatchers.counters())
-    if cluster.autoscaler is not None:
-        counters.update(cluster.autoscaler.counters())
+    for row in SUBSYSTEMS.values():
+        if row.counters and getattr(cluster, row.attr) is not None:
+            counters.update(attrgetter(row.counters)(cluster)())
     return counters
 
 

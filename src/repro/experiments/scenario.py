@@ -43,14 +43,14 @@ the bespoke campaigns could not express.
 
 from __future__ import annotations
 
-import importlib
 import inspect
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.experiments.config import SimulationConfig, param_keys
+from repro.experiments.config import SUBSYSTEMS, SimulationConfig, locate, param_keys
 from repro.experiments.io import save_results
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import SimulationResult, parallel_sweep
@@ -152,13 +152,7 @@ class ModeAxis:
 
 
 #: :class:`ModeAxis` knob set -> the :class:`SimulationConfig` field it fills
-_MODE_FIELDS = {
-    "reliability": "reliability_params",
-    "overload": "overload_params",
-    "telemetry": "telemetry",
-    "dispatcher": "dispatcher_params",
-    "autoscaler": "autoscaler_params",
-}
+_MODE_FIELDS = {row.mode: name for name, row in SUBSYSTEMS.items() if row.mode}
 
 
 @dataclass(frozen=True)
@@ -549,53 +543,42 @@ class ScenarioSpec:
             self._validate_fast()
 
     def _validate_fast(self) -> None:
-        """The fast engine rejects most subsystems — name the axis now
-        rather than letting workers raise FastpathUnsupportedError."""
-        from repro.sim.fastpath import FASTPATH_POLICIES
+        """The fast engine rejects most knobs — name the axis that set
+        one now rather than letting workers raise
+        FastpathUnsupportedError. The rules are the engine's own
+        (:func:`fastpath_refusals`), asked of every cell."""
+        from repro.sim.fastpath import FASTPATH_POLICIES, fastpath_refusals
 
-        for p in self.policies:
-            if p.policy not in FASTPATH_POLICIES:
-                raise ScenarioError(
-                    "policies",
-                    f"engine 'fast' supports only {sorted(FASTPATH_POLICIES)}; "
-                    f"got {p.policy!r}",
-                    entry=p.label,
+        exact = "; use an exact engine (heap/calendar)"
+        for cell in self._cells():
+            refusals = list(fastpath_refusals(cell.config))
+            if not refusals:
+                continue
+            name, violation = refusals[0]
+            axis, entry, message = "config_overrides", None, f"cannot run {violation}"
+            if name == "model":
+                message = "requires model='simulation'"
+            elif name == "policy":
+                axis, entry = "policies", cell.policy
+                message = (
+                    f"supports only {sorted(FASTPATH_POLICIES)}; "
+                    f"got {cell.config.policy!r}"
                 )
-        for m in self.modes:
-            for kind in _MODE_FIELDS:
-                if getattr(m, kind):
-                    raise ScenarioError(
-                        "modes",
-                        f"engine 'fast' cannot run the {kind} subsystem; "
-                        "use an exact engine (heap/calendar)",
-                        entry=m.label,
-                    )
-        for sp in self.speeds:
-            if sp.speeds is not None:
-                raise ScenarioError(
-                    "speeds",
-                    "engine 'fast' cannot run heterogeneous server speeds; "
-                    "use an exact engine (heap/calendar)",
-                    entry=sp.label,
-                )
-        for f in self.faults:
-            if f.chaos:
-                raise ScenarioError(
-                    "faults",
-                    "engine 'fast' cannot inject faults; "
-                    "use an exact engine (heap/calendar)",
-                    entry=f.label,
-                )
-        unsupported = set(self.cluster_params) - {"record_server_queues"}
-        if unsupported:
-            raise ScenarioError(
-                "cluster_params",
-                f"engine 'fast' does not support {sorted(unsupported)}",
-            )
-        if self.config_overrides.get("model", "simulation") != "simulation":
-            raise ScenarioError(
-                "config_overrides", "engine 'fast' requires model='simulation'"
-            )
+            elif name == "policy_params":
+                axis, entry = "policies", cell.policy
+            elif name == "server_speeds" and name not in self.config_overrides:
+                axis, entry = "speeds", cell.speed
+                message = "cannot run heterogeneous server speeds" + exact
+            elif name == "cluster_params":
+                keys = [v.partition(".")[2] for n, v in refusals if n == name]
+                axis, message = name, f"does not support {keys}"
+            elif name == "chaos_params":
+                axis, entry = "faults", cell.fault
+                message = "cannot inject faults" + exact
+            elif name in SUBSYSTEMS:
+                axis, entry = "modes", cell.mode
+                message = f"cannot run the {SUBSYSTEMS[name].mode} subsystem" + exact
+            raise ScenarioError(axis, f"engine 'fast' {message}", entry=entry)
 
     # ------------------------------------------------------------------
     # expansion
@@ -614,33 +597,27 @@ class ScenarioSpec:
         self.validate()
         cells: list[ScenarioCell] = []
         seen: dict[str, str] = {}
-        for mode in self.modes:
-            for wl in self.workloads:
-                for policy in self.policies:
-                    for load in self.loads:
-                        for fault in self.faults:
-                            for scale in self.scales:
-                                for speed in self.speeds:
-                                    cells.append(
-                                        self._cell(
-                                            mode, wl, policy, load, fault, scale, speed
-                                        )
-                                    )
-                                    config = cells[-1].config
-                                    key = json.dumps(
-                                        asdict(config), sort_keys=True, default=list
-                                    )
-                                    if key in seen:
-                                        raise ScenarioError(
-                                            "label_format",
-                                            f"cells {seen[key]!r} and "
-                                            f"{config.label!r} expand to identical "
-                                            "configs; include the distinguishing "
-                                            "axis placeholder in label_format or "
-                                            "drop the duplicate axis entry",
-                                        )
-                                    seen[key] = config.label
+        for cell in self._cells():
+            cells.append(cell)
+            config = cell.config
+            key = json.dumps(asdict(config), sort_keys=True, default=list)
+            if key in seen:
+                raise ScenarioError(
+                    "label_format",
+                    f"cells {seen[key]!r} and {config.label!r} expand to "
+                    "identical configs; include the distinguishing axis "
+                    "placeholder in label_format or drop the duplicate axis entry",
+                )
+            seen[key] = config.label
         return cells
+
+    def _cells(self) -> Iterator[ScenarioCell]:
+        """Every grid point, in nesting order, unvalidated."""
+        for entries in itertools.product(
+            self.modes, self.workloads, self.policies, self.loads,
+            self.faults, self.scales, self.speeds,
+        ):
+            yield self._cell(*entries)
 
     def _cell(
         self,
@@ -1183,8 +1160,7 @@ def builtin_spec(name: str, quick: bool = False, **kwargs: Any) -> ScenarioSpec:
     own defaults size the grid when omitted; ``quick`` reaches only the
     builders that have a trimmed smoke grid.
     """
-    module, _, attr = BUILTIN_SCENARIOS[name].partition(":")
-    builder = getattr(importlib.import_module(module), attr)
+    builder = locate(BUILTIN_SCENARIOS[name])
     if "quick" in inspect.signature(builder).parameters:
         kwargs["quick"] = quick
     return builder(**kwargs)

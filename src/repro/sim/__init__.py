@@ -8,29 +8,17 @@ part of :mod:`repro`:
 - :class:`~repro.sim.calendar.CalendarSimulator` — a self-resizing
   calendar-queue scheduler with the same API and bit-identical event
   ordering; pick one via :func:`~repro.sim.calendar.make_simulator`.
-- :class:`~repro.sim.events.Signal` and combinators — one-shot waitable
-  events for the process layer.
-- :class:`~repro.sim.process.Process` — generator-based processes layered
-  on top of the callback scheduler (convenient, kept off hot paths).
-- :mod:`~repro.sim.resources` — counted resources and FIFO stores.
 - :mod:`~repro.sim.rng` — named, deterministic random substreams.
-- :mod:`~repro.sim.monitor` — NumPy-backed time-series and tally
-  recorders.
+- :mod:`~repro.sim.monitor` — NumPy-backed time-series recorders.
 """
 
 from repro.sim.engine import EventHandle, Simulator, SimulationError
 from repro.sim.calendar import CalendarSimulator, DEFAULT_ENGINE, ENGINES, make_simulator
 from repro.sim.clock import Clock, ClockHandle, ManualClock, ManualHandle
-from repro.sim.events import AllOf, AnyOf, Signal
-from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngHub, substream_seed
-from repro.sim.monitor import GrowableArray, StepRecorder, TallyRecorder
-from repro.sim.tracing import EventTrace, TraceRecord
+from repro.sim.monitor import GrowableArray, StepRecorder
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CalendarSimulator",
     "Clock",
     "ClockHandle",
@@ -39,18 +27,11 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "EventHandle",
-    "EventTrace",
     "GrowableArray",
-    "Process",
-    "Resource",
     "RngHub",
-    "Signal",
     "SimulationError",
     "Simulator",
     "StepRecorder",
     "make_simulator",
-    "Store",
-    "TallyRecorder",
-    "TraceRecord",
     "substream_seed",
 ]

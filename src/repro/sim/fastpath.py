@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "FASTPATH_POLICIES",
     "FastpathRun",
     "FastpathUnsupportedError",
+    "fastpath_refusals",
     "fastpath_violations",
     "run_fastpath",
 ]
@@ -83,42 +84,37 @@ class FastpathUnsupportedError(ValueError):
     """A config requires exact-engine semantics the batch model lacks."""
 
 
-def fastpath_violations(config: "SimulationConfig") -> list[str]:
-    """Config features the fast path cannot represent (empty = OK).
+def fastpath_refusals(config: "SimulationConfig") -> Iterator[tuple[str, str]]:
+    """Config features the fast path cannot represent, as ``(config
+    field, violation)`` pairs.
 
-    Each entry names the offending knob so the error message tells the
-    caller exactly what forced the exact engines.
+    Each violation names the offending knob so the error message tells
+    the caller exactly what forced the exact engines; the field lets a
+    scenario name the axis that set it.
     """
-    violations: list[str] = []
+    from repro.experiments.config import SUBSYSTEMS
+
     if config.model != "simulation":
-        violations.append(f"model={config.model!r} (prototype overhead model)")
+        yield "model", f"model={config.model!r} (prototype overhead model)"
     if config.policy not in FASTPATH_POLICIES:
-        violations.append(
-            f"policy={config.policy!r} (supported: {', '.join(FASTPATH_POLICIES)})"
-        )
+        supported = ", ".join(FASTPATH_POLICIES)
+        yield "policy", f"policy={config.policy!r} (supported: {supported})"
     if config.policy == "stale_jsq" and config.policy_params.get("local_increment"):
-        violations.append("policy_params.local_increment (per-client table state)")
+        yield "policy_params", "policy_params.local_increment (per-client table state)"
     if config.workers != 1:
-        violations.append(f"workers={config.workers} (multi-worker service)")
+        yield "workers", f"workers={config.workers} (multi-worker service)"
     if config.server_speeds is not None:
-        violations.append("server_speeds (heterogeneous service rates)")
+        yield "server_speeds", "server_speeds (heterogeneous service rates)"
     for key in sorted(set(config.cluster_params) - {"record_server_queues"}):
-        violations.append(f"cluster_params.{key}")
-    if config.chaos_params:
-        violations.append("chaos_params (fault injection)")
-    if config.telemetry:
-        violations.append("telemetry (per-request span recording)")
-    if config.reliability_params:
-        violations.append("reliability_params (timeouts/backoff/hedging)")
-    if config.overload_params:
-        violations.append("overload_params (admission control)")
-    if config.dispatcher_params:
-        violations.append("dispatcher_params (dispatcher-tier routing)")
-    if config.autoscaler_params:
-        violations.append("autoscaler_params (closed-loop scaling)")
-    if config.verify_params:
-        violations.append("verify_params (inline invariant oracle)")
-    return violations
+        yield "cluster_params", f"cluster_params.{key}"
+    for name, row in SUBSYSTEMS.items():
+        if getattr(config, name):
+            yield name, f"{name} ({row.fast_refusal})"
+
+
+def fastpath_violations(config: "SimulationConfig") -> list[str]:
+    """The violations of :func:`fastpath_refusals` (empty = OK)."""
+    return [violation for _, violation in fastpath_refusals(config)]
 
 
 def require_fastpath_supported(config: "SimulationConfig") -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GrowableArray", "StepRecorder", "TallyRecorder", "step_occupancy"]
+__all__ = ["GrowableArray", "StepRecorder", "step_occupancy"]
 
 
 class GrowableArray:
@@ -54,36 +54,6 @@ class GrowableArray:
     def array(self) -> np.ndarray:
         """An owning copy of the recorded values."""
         return self._data[: self._size].copy()
-
-
-class TallyRecorder:
-    """Records independent observations (e.g. response times)."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self) -> None:
-        self._values = GrowableArray()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def record(self, value: float) -> None:
-        self._values.append(value)
-
-    def values(self) -> np.ndarray:
-        return self._values.view()
-
-    def mean(self) -> float:
-        values = self._values.view()
-        return float(values.mean()) if values.size else float("nan")
-
-    def std(self) -> float:
-        values = self._values.view()
-        return float(values.std(ddof=1)) if values.size > 1 else float("nan")
-
-    def percentile(self, q: float) -> float:
-        values = self._values.view()
-        return float(np.percentile(values, q)) if values.size else float("nan")
 
 
 class StepRecorder:

@@ -9,17 +9,17 @@ import pytest
 
 
 def test_section1_kernel():
-    from repro.sim import Process, RngHub, Simulator
+    from repro.sim import RngHub, Simulator
 
     sim = Simulator()
     log = []
 
-    def heartbeat():
-        for _ in range(3):
-            yield 1.0
-            log.append(sim.now)
+    def heartbeat(remaining):
+        log.append(sim.now)
+        if remaining > 1:
+            sim.after(1.0, heartbeat, remaining - 1)
 
-    Process(sim, heartbeat())
+    sim.after(1.0, heartbeat, 3)
     sim.run()
     assert log == [1.0, 2.0, 3.0]
 
@@ -95,31 +95,7 @@ def test_section4_cluster_control():
     del hub
 
 
-def test_section5_application():
-    from repro.cluster import ApplicationCluster, ServiceSpec, call, compute
-
-    app = ApplicationCluster(n_nodes=6, seed=1, poll_size=2)
-
-    def backend(ctx, request):
-        yield compute(0.004)
-        return request.payload * 2
-
-    def front(ctx, request):
-        yield compute(0.002)
-        doubled = yield call("backend", partition=request.payload % 2,
-                             payload=request.payload)
-        return doubled + 1
-
-    app.place_service(ServiceSpec("backend", n_partitions=2, replication=2),
-                      node_ids=[0, 1, 2, 3], handler=backend)
-    app.place_service(ServiceSpec("front", replication=2),
-                      node_ids=[4, 5], handler=front, workers=32)
-    signal = app.async_call(app.client_ids[0], "front", 0, payload=10)
-    app.sim.run()
-    assert signal.value == 21
-
-
-def test_section6_analysis():
+def test_section5_analysis():
     from repro.analysis import (
         eq1_upperbound,
         mm1_mean_response_time,
@@ -131,7 +107,7 @@ def test_section6_analysis():
     assert mm1_mean_response_time(0.9, 0.05) == pytest.approx(0.5)
 
 
-def test_section7_figures():
+def test_section6_figures():
     from repro.experiments import figures
 
     data = figures.figure4_pollsize(

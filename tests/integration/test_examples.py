@@ -42,13 +42,6 @@ def test_photo_album_cluster():
 
 
 @pytest.mark.slow
-def test_multitier_service():
-    out = run_example("multitier_service.py")
-    assert "photo_album" in out and "image_store" in out
-    assert "completed" in out
-
-
-@pytest.mark.slow
 def test_failure_resilience():
     out = run_example("failure_resilience.py")
     assert "<- crash" in out

@@ -1,11 +1,9 @@
 """Unit tests for measurement recorders."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.sim import GrowableArray, StepRecorder, TallyRecorder
+from repro.sim import GrowableArray, StepRecorder
 
 
 def test_growable_append_and_view():
@@ -37,23 +35,6 @@ def test_growable_array_returns_copy():
     copy = arr.array()
     copy[0] = 99.0
     assert arr.view()[0] == 1.0
-
-
-def test_tally_summary_stats():
-    tally = TallyRecorder()
-    for v in [1.0, 2.0, 3.0, 4.0]:
-        tally.record(v)
-    assert tally.mean() == 2.5
-    assert tally.std() == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-    assert tally.percentile(50) == 2.5
-    assert len(tally) == 4
-
-
-def test_tally_empty_is_nan():
-    tally = TallyRecorder()
-    assert math.isnan(tally.mean())
-    assert math.isnan(tally.std())
-    assert math.isnan(tally.percentile(99))
 
 
 def test_step_value_at_before_first_breakpoint():
