@@ -9,8 +9,8 @@
 - :mod:`~repro.analysis.supermarket` — Mitzenmacher's power-of-d mean
   field model (SPAA'97), which the paper invokes to explain why poll
   size 2 captures most of the benefit.
-- :mod:`~repro.analysis.stats` — Welford online moments, batch-means
-  confidence intervals, and a P² streaming quantile estimator.
+- :mod:`~repro.analysis.stats` — sample summaries and the KS distances
+  the engine-parity tiers compare with.
 """
 
 from repro.analysis.mm1 import (
@@ -32,19 +32,10 @@ from repro.analysis.supermarket import (
     supermarket_fixed_point,
     supermarket_mean_queue_length,
     supermarket_mean_response_time,
-    supermarket_ode_trajectory,
 )
-from repro.analysis.stats import (
-    OnlineStats,
-    P2Quantile,
-    batch_means_ci,
-    summarize,
-)
+from repro.analysis.stats import summarize
 
 __all__ = [
-    "OnlineStats",
-    "P2Quantile",
-    "batch_means_ci",
     "eq1_upperbound",
     "eq1_upperbound_series",
     "erlang_c",
@@ -60,5 +51,4 @@ __all__ = [
     "supermarket_fixed_point",
     "supermarket_mean_queue_length",
     "supermarket_mean_response_time",
-    "supermarket_ode_trajectory",
 ]

@@ -1,7 +1,7 @@
 """Stationary mean-field (fluid-limit) solver for the supermarket model.
 
 :mod:`repro.analysis.supermarket` gives the *analytic* fixed point
-``s_k = rho^{(d^k-1)/(d-1)}`` and the transient ODE. This module closes
+``s_k = rho^{(d^k-1)/(d-1)}``. This module closes
 the loop for the large-N validation tier (DESIGN.md §13): it finds the
 stationary point *numerically* — integrating the mean-field ODE
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.analysis.supermarket import supermarket_fixed_point
 from repro.net.latency import PAPER_NET, PaperNetworkConstants
@@ -114,6 +113,8 @@ def solve_stationary(
         tail = np.zeros(k_max + 1)
         tail[0] = 1.0
         return MeanFieldSolution(rho=rho, d=d, tail=tail, residual=0.0, elapsed=0.0)
+
+    from scipy.integrate import solve_ivp
 
     def rhs(_t: float, s: np.ndarray) -> np.ndarray:
         full = np.empty(k_max + 2)

@@ -1,207 +1,24 @@
-"""Streaming statistics and confidence intervals.
+"""Sample summaries and distribution distances, numpy only.
 
-- :class:`OnlineStats` — Welford single-pass mean/variance (numerically
-  stable; validated against NumPy in tests).
-- :class:`P2Quantile` — the P² streaming quantile estimator (Jain &
-  Chlamtac 1985), used where storing every response time would dominate
-  memory.
-- :func:`batch_means_ci` — batch-means confidence interval for the mean
-  of a (possibly autocorrelated) stationary series, the standard way to
-  put error bars on steady-state simulation output.
+- :func:`summarize` — mean, std and percentiles of a sample in one pass
+  over a numpy array.
+- :func:`ks_statistic` — two-sample Kolmogorov–Smirnov statistic, the
+  fast-vs-exact engine parity measure (DESIGN.md §13).
+- :func:`distribution_distance` — the same sup-distance over two
+  occupancy histograms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 __all__ = [
-    "OnlineStats",
-    "P2Quantile",
-    "batch_means_ci",
     "summarize",
     "ks_statistic",
     "distribution_distance",
 ]
-
-
-class OnlineStats:
-    """Welford's single-pass mean/variance with min/max tracking."""
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def push(self, value: float) -> None:
-        self.n += 1
-        delta = value - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def push_many(self, values: np.ndarray) -> None:
-        for value in np.asarray(values, dtype=np.float64):
-            self.push(float(value))
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else math.nan
-
-    @property
-    def std(self) -> float:
-        variance = self.variance
-        return math.sqrt(variance) if variance == variance else math.nan
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Combine two accumulators (parallel reduction; Chan et al.)."""
-        merged = OnlineStats()
-        merged.n = self.n + other.n
-        if merged.n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._mean = self._mean + delta * other.n / merged.n
-        merged._m2 = (
-            self._m2 + other._m2 + delta * delta * self.n * other.n / merged.n
-        )
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
-
-
-class P2Quantile:
-    """P² streaming estimate of the ``p``-quantile (no sample storage)."""
-
-    __slots__ = ("p", "_markers", "_positions", "_desired", "_increments", "_count")
-
-    def __init__(self, p: float):
-        if not 0 < p < 1:
-            raise ValueError(f"p must be in (0, 1), got {p}")
-        self.p = p
-        self._markers: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self._count = 0
-
-    def push(self, value: float) -> None:
-        self._count += 1
-        markers = self._markers
-        if len(markers) < 5:
-            markers.append(value)
-            markers.sort()
-            return
-        # Locate the cell and bump marker positions.
-        if value < markers[0]:
-            markers[0] = value
-            cell = 0
-        elif value >= markers[4]:
-            markers[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= markers[cell + 1]:
-                cell += 1
-        positions = self._positions
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust interior markers by parabolic (or linear) interpolation.
-        for i in (1, 2, 3):
-            gap = self._desired[i] - positions[i]
-            step = 1.0 if gap >= 1.0 else (-1.0 if gap <= -1.0 else 0.0)
-            if step == 0.0:
-                continue
-            left_gap = positions[i] - positions[i - 1]
-            right_gap = positions[i + 1] - positions[i]
-            if (step > 0 and right_gap <= 1.0) or (step < 0 and left_gap <= 1.0):
-                continue
-            candidate = self._parabolic(i, step)
-            if not markers[i - 1] < candidate < markers[i + 1]:
-                candidate = self._linear(i, step)
-            markers[i] = candidate
-            positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        q, n = self._markers, self._positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        q, n = self._markers, self._positions
-        j = i + int(step)
-        return q[i] + step * (q[j] - q[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate."""
-        if not self._markers:
-            return math.nan
-        if self._count <= 5:
-            ordered = sorted(self._markers)
-            index = min(int(self.p * len(ordered)), len(ordered) - 1)
-            return ordered[index]
-        return self._markers[2]
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    mean: float
-    half_width: float
-    confidence: float
-    n_batches: int
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width
-
-
-def batch_means_ci(
-    values: np.ndarray, n_batches: int = 20, confidence: float = 0.95
-) -> ConfidenceInterval:
-    """Batch-means CI for the mean of a stationary, correlated series.
-
-    Splits the series into ``n_batches`` contiguous batches; batch means
-    are approximately IID for long batches, so a Student-t interval on
-    them is valid despite within-series autocorrelation.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if n_batches < 2:
-        raise ValueError(f"n_batches must be >= 2, got {n_batches}")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if values.size < 2 * n_batches:
-        raise ValueError(
-            f"need at least {2 * n_batches} observations, got {values.size}"
-        )
-    usable = (values.size // n_batches) * n_batches
-    batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    mean = float(batches.mean())
-    sem = float(batches.std(ddof=1) / math.sqrt(n_batches))
-    t_crit = float(sp_stats.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
-    return ConfidenceInterval(mean, t_crit * sem, confidence, n_batches)
 
 
 def summarize(values: np.ndarray) -> dict[str, float]:

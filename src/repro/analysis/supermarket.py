@@ -9,25 +9,22 @@ queues with at least ``k`` jobs is
 
 so the expected time in system is ``E[T]/E[S] = sum_{i>=1}
 rho^{(d^i - d)/(d - 1)}`` — a doubly exponential improvement over d=1.
-This module provides the fixed point, the transient ODE
-
-    ds_k/dt = lambda (s_{k-1}^d - s_k^d) - (s_k - s_{k+1})
-
-and the derived means, used to (a) explain the paper's "poll size 2
-suffices" observation analytically and (b) validate the cluster
-simulator against theory in the benches.
+This module provides the fixed point and the derived means (the ODE
+whose stationary point it is, ``ds_k/dt = lambda (s_{k-1}^d - s_k^d) -
+(s_k - s_{k+1})``, is integrated numerically by
+:func:`repro.analysis.meanfield.solve_stationary`), used to (a) explain
+the paper's "poll size 2 suffices" observation analytically and (b)
+validate the cluster simulator against theory in the benches.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "supermarket_fixed_point",
     "supermarket_mean_queue_length",
     "supermarket_mean_response_time",
-    "supermarket_ode_trajectory",
 ]
 
 
@@ -90,50 +87,3 @@ def supermarket_mean_response_time(rho: float, d: int, mean_service: float = 1.0
     with np.errstate(under="ignore"):
         terms = np.where(exponents > 1e15, 0.0, rho ** np.minimum(exponents, 1e15))
     return mean_service * float(terms.sum())
-
-
-def supermarket_ode_trajectory(
-    rho: float,
-    d: int,
-    t_max: float,
-    k_max: int = 64,
-    initial: np.ndarray | None = None,
-    n_points: int = 200,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the mean-field ODE from ``initial`` (default: empty).
-
-    Time is in units of mean service time. Returns ``(t, S)`` where
-    ``S[j, k]`` is s_k at time t[j]; s_0 is pinned at 1.
-
-    Used to study how fast the power-of-d system converges to its fixed
-    point — the transient counterpart of the paper's staleness argument.
-    """
-    _check(rho, d)
-    if t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    if initial is None:
-        state0 = np.zeros(k_max)  # s_1..s_kmax start empty
-    else:
-        state0 = np.asarray(initial, dtype=np.float64)
-        if state0.shape != (k_max,):
-            raise ValueError(f"initial must have shape ({k_max},)")
-
-    def rhs(_t: float, s: np.ndarray) -> np.ndarray:
-        full = np.empty(k_max + 2)
-        full[0] = 1.0
-        full[1 : k_max + 1] = np.clip(s, 0.0, 1.0)
-        full[k_max + 1] = 0.0
-        sd = full**d
-        # ds_k/dt for k = 1..k_max
-        return rho * (sd[:k_max] - sd[1 : k_max + 1]) - (
-            full[1 : k_max + 1] - full[2 : k_max + 2]
-        )
-
-    t_eval = np.linspace(0.0, t_max, n_points)
-    solution = solve_ivp(rhs, (0.0, t_max), state0, t_eval=t_eval, rtol=1e-8, atol=1e-10)
-    if not solution.success:  # pragma: no cover - solver failure
-        raise RuntimeError(f"ODE integration failed: {solution.message}")
-    trajectory = np.empty((n_points, k_max + 1))
-    trajectory[:, 0] = 1.0
-    trajectory[:, 1:] = solution.y.T
-    return t_eval, trajectory

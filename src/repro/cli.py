@@ -48,8 +48,10 @@ import sys
 import time
 from typing import Callable, Optional, Sequence
 
+from repro.core.registry import available_policies
 from repro.experiments import figures
 from repro.verify import InvariantViolation
+from repro.workload.workloads import available_workloads
 
 __all__ = ["main"]
 
@@ -100,6 +102,25 @@ def _parse_policy_params(pairs: Sequence[str]) -> dict:
                     value = raw
         params[key] = value
     return params
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=``: an int no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _sweep_kwargs(args) -> dict:
@@ -608,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=list(_COMMANDS) + ["list"],
                         help="which artifact to regenerate")
-    parser.add_argument("--requests", type=int, default=None,
+    parser.add_argument("--requests", type=_int_at_least(10), default=None,
                         help="requests per simulated point (default: publication size)")
     parser.add_argument("--quick", action="store_true",
                         help="smoke-test size (overridden by --requests)")
@@ -627,12 +648,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent result cache")
     parser.add_argument("--workload", default="poisson_exp",
+                        choices=available_workloads(), metavar="NAME",
                         help="workload for `compare` (default: poisson_exp)")
-    parser.add_argument("--load", type=float, default=0.9,
+    parser.add_argument("--load", type=_positive_float, default=0.9,
                         help="load level for `compare` (default: 0.9)")
-    parser.add_argument("--replications", type=int, default=5,
+    parser.add_argument("--replications", type=_int_at_least(1), default=5,
                         help="replications for `compare` (default: 5)")
     parser.add_argument("--policy", default="polling",
+                        choices=available_policies(), metavar="NAME",
                         help="policy for `trace` (default: polling)")
     parser.add_argument("--policy-param", action="append", default=[],
                         metavar="KEY=VALUE",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import SimulationResult, parallel_sweep
@@ -44,6 +43,8 @@ class ReplicatedResult:
         n = self.n_replications
         if n < 2:
             return math.inf
+        from scipy import stats as sp_stats
+
         sem = float(np.std(self.per_seed_means, ddof=1)) / math.sqrt(n)
         t_crit = float(sp_stats.t.ppf(0.5 + self.confidence / 2.0, df=n - 1))
         return t_crit * sem

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.experiments.report import format_table
 
@@ -31,43 +31,6 @@ class ResultTable:
         if name not in self.columns:
             raise KeyError(name)
         return [row[name] for row in self.rows]
-
-    def where(self, predicate: Callable[[dict[str, Any]], bool]) -> "ResultTable":
-        out = ResultTable(self.columns)
-        out.rows = [row for row in self.rows if predicate(row)]
-        return out
-
-    def sorted_by(self, *names: str) -> "ResultTable":
-        out = ResultTable(self.columns)
-        out.rows = sorted(self.rows, key=lambda row: tuple(row[n] for n in names))
-        return out
-
-    def pivot(self, index: str, column: str, value: str) -> "ResultTable":
-        """Wide-format view: one row per ``index``, one column per
-        distinct ``column`` value (how the figure benches print series).
-
-        Column values sort natively when comparable — numeric series
-        like poll size d ∈ {2, 10} render as ``2, 10``, not the
-        lexicographic ``10, 2`` — falling back to string order only for
-        mixed incomparable types.
-        """
-        distinct = {row[column] for row in self.rows}
-        try:
-            column_values = sorted(distinct)
-        except TypeError:
-            column_values = sorted(distinct, key=str)
-        out = ResultTable([index] + [str(v) for v in column_values])
-        for index_value in dict.fromkeys(row[index] for row in self.rows):
-            entry: dict[str, Any] = {index: index_value}
-            for cv in column_values:
-                matches = [
-                    row[value]
-                    for row in self.rows
-                    if row[index] == index_value and row[column] == cv
-                ]
-                entry[str(cv)] = matches[0] if matches else None
-            out.rows.append(entry)
-        return out
 
     def render(self, floatfmt: str = "{:.3f}") -> str:
         body = [

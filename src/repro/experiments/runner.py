@@ -25,8 +25,7 @@ from repro.core.registry import make_policy
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig, locate
 from repro.prototype.calibration import calibrate_full_load
 from repro.prototype.overhead import PrototypeOverheadModel
-from repro.sim.rng import RngHub
-from repro.workload.workloads import make_workload
+from repro.workload.workloads import make_workload, request_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.cache import ResultCache
@@ -147,12 +146,14 @@ def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
         )
     overhead = _overhead_for(config)
     nominal_rho = _resolve_nominal_rho(config, overhead)
-    workload = make_workload(config.workload, **config.workload_params)
-    hub = RngHub(config.seed)
-    gaps, services = workload.generate(hub.stream("workload"), config.n_requests)
-    mean_service = float(services.mean())
-    target_interval = mean_service / (config.n_servers * nominal_rho)
-    gaps = gaps * (target_interval / float(gaps.mean()))
+    gaps, services = request_stream(
+        config.workload,
+        config.workload_params,
+        config.seed,
+        config.n_requests,
+        config.n_servers,
+        nominal_rho,
+    )
 
     policy = make_policy(config.policy, **config.policy_params)
     enabled = [
@@ -368,13 +369,3 @@ def parallel_sweep(
 
     with SweepExecutor(max_workers=max_workers, cache=cache, engine=engine) as pool:
         return pool.sweep(configs, parallel=parallel)
-
-
-def normalized_to_baseline(
-    results: Sequence[SimulationResult], baseline: SimulationResult
-) -> list[float]:
-    """Mean response times normalized to a baseline run (Figure 3 style)."""
-    base = baseline.mean_response_time
-    if not math.isfinite(base) or base <= 0:
-        raise ValueError("baseline has no valid mean response time")
-    return [result.mean_response_time / base for result in results]

@@ -42,7 +42,7 @@ from repro.live.clock import WallClock
 from repro.live.faults import LoopbackFaults
 from repro.live.server import LiveServer
 from repro.sim.rng import RngHub
-from repro.workload.workloads import make_workload
+from repro.workload.workloads import request_stream
 
 __all__ = [
     "LiveRunConfig",
@@ -137,15 +137,11 @@ class LiveRunResult:
 
 
 def generate_workload(cfg: LiveRunConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Exactly the workload arrays ``build_cluster`` would produce for
-    :meth:`LiveRunConfig.sim_config` (same substream, same rescale)."""
-    workload = make_workload(cfg.workload, **cfg.workload_params)
-    hub = RngHub(cfg.seed)
-    gaps, services = workload.generate(hub.stream("workload"), cfg.n_requests)
-    mean_service = float(services.mean())
-    target_interval = mean_service / (cfg.n_servers * cfg.load)
-    gaps = gaps * (target_interval / float(gaps.mean()))
-    return gaps, services
+    """Exactly the workload arrays ``build_cluster`` produces for
+    :meth:`LiveRunConfig.sim_config`: both call ``request_stream``."""
+    return request_stream(
+        cfg.workload, cfg.workload_params, cfg.seed, cfg.n_requests, cfg.n_servers, cfg.load
+    )
 
 
 def _policy_counters(policy) -> Dict[str, int]:

@@ -18,7 +18,6 @@ load information travels in explicit messages. This subpackage provides:
 
 from repro.net.latency import (
     ConstantLatency,
-    ExponentialLatency,
     LatencyModel,
     PaperNetworkConstants,
     PAPER_NET,
@@ -32,7 +31,6 @@ from repro.net.switch import SwitchedEthernet
 __all__ = [
     "BroadcastChannel",
     "ConstantLatency",
-    "ExponentialLatency",
     "LatencyModel",
     "Message",
     "MessageKind",

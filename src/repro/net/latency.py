@@ -21,7 +21,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "PaperNetworkConstants",
     "PAPER_NET",
 ]
@@ -78,27 +77,6 @@ class UniformLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low!r}, {self.high!r})"
-
-
-class ExponentialLatency(LatencyModel):
-    """Shifted exponential: ``base + Exp(mean_extra)`` (heavy-ish tail)."""
-
-    __slots__ = ("base", "mean_extra")
-
-    def __init__(self, base: float, mean_extra: float):
-        if base < 0 or mean_extra < 0:
-            raise ValueError("base and mean_extra must be >= 0")
-        self.base = base
-        self.mean_extra = mean_extra
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.base + float(rng.exponential(self.mean_extra))
-
-    def mean(self) -> float:
-        return self.base + self.mean_extra
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency({self.base!r}, {self.mean_extra!r})"
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from repro.cluster.system import ClusterMetrics
 from repro.core.registry import make_policy
 from repro.net.latency import PAPER_NET, PaperNetworkConstants
 from repro.sim.rng import RngHub
-from repro.workload.workloads import make_workload
+from repro.workload.workloads import request_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import SimulationConfig
@@ -304,12 +304,15 @@ def run_fastpath(
     policy = make_policy(config.policy, **config.policy_params)
 
     hub = RngHub(config.seed)
-    workload = make_workload(config.workload, **config.workload_params)
-    gaps, services = workload.generate(hub.stream("workload"), config.n_requests)
     nominal_rho = config.load
-    mean_service = float(services.mean())
-    target_interval = mean_service / (config.n_servers * nominal_rho)
-    gaps = gaps * (target_interval / float(gaps.mean()))
+    gaps, services = request_stream(
+        config.workload,
+        config.workload_params,
+        config.seed,
+        config.n_requests,
+        config.n_servers,
+        nominal_rho,
+    )
     arrivals = np.cumsum(gaps)
 
     n = config.n_requests
@@ -343,7 +346,7 @@ def run_fastpath(
     # (slow but maximally faithful — exactly where tier-2 validates);
     # large N runs pack hundreds of arrivals per tick.
     if tick is None:
-        base = mean_service if mean_service > 0 else target_interval * n_servers
+        base = float(services.mean())
         if kind == "broadcast":
             base = min(base, policy.mean_interval)
         elif kind == "stale_jsq":

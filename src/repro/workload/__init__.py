@@ -11,14 +11,19 @@ The paper evaluates three workloads (§1.1):
 
 The real traces are proprietary; :mod:`~repro.workload.synthesis`
 generates synthetic traces fitted to the published Table 1 moments (see
-DESIGN.md §5 for the OCR-disambiguation of those numbers).
+DESIGN.md §5 for the OCR-disambiguation of those numbers). A user's own
+timestamped trace enters through :mod:`~repro.workload.replay`
+(``replay_file``: CSV/JSONL, content-addressed in the result cache).
+
+:func:`~repro.workload.workloads.request_stream` is the one recipe that
+turns a named workload into a run's arrays: draw from the seed's
+``workload`` substream, rescale the gaps to the target per-server load.
 """
 
 from repro.workload.distributions import (
     Deterministic,
     Distribution,
     Exponential,
-    Gamma,
     Lognormal,
     Pareto,
     Uniform,
@@ -33,10 +38,6 @@ from repro.workload.arrivals import (
     PoissonProcess,
     RenewalProcess,
 )
-from repro.workload.empirical import (
-    EmpiricalDistribution,
-    empirical_workload_from_trace,
-)
 from repro.workload.replay import (
     bursty_trace,
     diurnal_trace,
@@ -47,7 +48,7 @@ from repro.workload.replay import (
     save_arrivals,
     trace_digest,
 )
-from repro.workload.traces import Trace, TraceStats, load_trace, save_trace
+from repro.workload.traces import Trace, TraceStats
 from repro.workload.synthesis import (
     FINE_GRAIN_SPEC,
     MEDIUM_GRAIN_SPEC,
@@ -63,6 +64,7 @@ from repro.workload.workloads import (
     Workload,
     available_workloads,
     make_workload,
+    request_stream,
 )
 
 __all__ = [
@@ -70,11 +72,8 @@ __all__ = [
     "Deterministic",
     "Distribution",
     "DiurnalProfile",
-    "EmpiricalDistribution",
-    "empirical_workload_from_trace",
     "Exponential",
     "FINE_GRAIN_SPEC",
-    "Gamma",
     "Lognormal",
     "MarkovModulatedPoisson",
     "MEDIUM_GRAIN_SPEC",
@@ -98,11 +97,10 @@ __all__ = [
     "save_arrivals",
     "synthesize_weekly_trace",
     "trace_digest",
-    "load_trace",
     "lognormal_from_moments",
     "make_workload",
     "pareto_from_moments",
-    "save_trace",
+    "request_stream",
     "synthesize_trace",
     "weibull_from_moments",
 ]

@@ -13,7 +13,6 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import optimize, special
 
 __all__ = [
     "Distribution",
@@ -21,7 +20,6 @@ __all__ = [
     "Exponential",
     "Uniform",
     "Lognormal",
-    "Gamma",
     "Weibull",
     "Pareto",
     "lognormal_from_moments",
@@ -46,10 +44,6 @@ class Distribution(ABC):
     def cv(self) -> float:
         """Coefficient of variation std/mean."""
         return self.std() / self.mean()
-
-    def scaled(self, factor: float) -> "Scaled":
-        """The distribution of ``factor * X``."""
-        return Scaled(self, factor)
 
 
 class Deterministic(Distribution):
@@ -154,29 +148,12 @@ class Lognormal(Distribution):
         return f"Lognormal(mu={self.mu!r}, sigma={self.sigma!r})"
 
 
-class Gamma(Distribution):
-    """Gamma with ``shape`` k and ``scale`` theta."""
+def _gamma(x: float) -> float:
+    # scipy is imported where it is called: Weibull is the one family
+    # here that needs it, and a run that asks for none loads numpy only
+    from scipy import special
 
-    __slots__ = ("shape", "scale")
-
-    def __init__(self, shape: float, scale: float):
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be > 0")
-        self.shape = shape
-        self.scale = scale
-
-    def sample(self, rng, size=None):
-        out = rng.gamma(self.shape, self.scale, size)
-        return float(out) if size is None else out
-
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    def std(self) -> float:
-        return math.sqrt(self.shape) * self.scale
-
-    def __repr__(self):
-        return f"Gamma(shape={self.shape!r}, scale={self.scale!r})"
+    return special.gamma(x)
 
 
 class Weibull(Distribution):
@@ -195,11 +172,11 @@ class Weibull(Distribution):
         return float(out) if size is None else out
 
     def mean(self) -> float:
-        return self.scale * special.gamma(1.0 + 1.0 / self.shape)
+        return self.scale * _gamma(1.0 + 1.0 / self.shape)
 
     def std(self) -> float:
-        g1 = special.gamma(1.0 + 1.0 / self.shape)
-        g2 = special.gamma(1.0 + 2.0 / self.shape)
+        g1 = _gamma(1.0 + 1.0 / self.shape)
+        g2 = _gamma(1.0 + 2.0 / self.shape)
         return self.scale * math.sqrt(max(g2 - g1 * g1, 0.0))
 
     def __repr__(self):
@@ -242,30 +219,6 @@ class Pareto(Distribution):
         return f"Pareto(alpha={self.alpha!r}, xm={self.xm!r})"
 
 
-class Scaled(Distribution):
-    """The distribution of ``factor * X`` for an inner distribution X."""
-
-    __slots__ = ("inner", "factor")
-
-    def __init__(self, inner: Distribution, factor: float):
-        if factor <= 0:
-            raise ValueError(f"factor must be > 0, got {factor}")
-        self.inner = inner
-        self.factor = factor
-
-    def sample(self, rng, size=None):
-        return self.inner.sample(rng, size) * self.factor
-
-    def mean(self) -> float:
-        return self.inner.mean() * self.factor
-
-    def std(self) -> float:
-        return self.inner.std() * self.factor
-
-    def __repr__(self):
-        return f"Scaled({self.inner!r}, {self.factor!r})"
-
-
 # ----------------------------------------------------------------------
 # moment-fitting constructors
 # ----------------------------------------------------------------------
@@ -288,15 +241,17 @@ def weibull_from_moments(mean: float, std: float) -> Weibull:
     """Weibull matching (mean, std); solves the shape equation numerically."""
     if mean <= 0 or std <= 0:
         raise ValueError(f"need mean > 0 and std > 0, got ({mean}, {std})")
+    from scipy import optimize
+
     cv2 = (std / mean) ** 2
 
     def cv2_of_shape(k: float) -> float:
-        g1 = special.gamma(1.0 + 1.0 / k)
-        g2 = special.gamma(1.0 + 2.0 / k)
+        g1 = _gamma(1.0 + 1.0 / k)
+        g2 = _gamma(1.0 + 2.0 / k)
         return g2 / (g1 * g1) - 1.0
 
     shape = optimize.brentq(lambda k: cv2_of_shape(k) - cv2, 0.05, 100.0)
-    scale = mean / special.gamma(1.0 + 1.0 / shape)
+    scale = mean / _gamma(1.0 + 1.0 / shape)
     return Weibull(shape, scale)
 
 

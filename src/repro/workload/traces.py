@@ -1,4 +1,4 @@
-"""Trace container, statistics, scaling, and file I/O.
+"""Trace container and statistics.
 
 A :class:`Trace` is a pair of aligned arrays — interarrival gaps and
 service times, in seconds — plus metadata. This mirrors how the paper
@@ -9,12 +9,11 @@ scaled when necessary to generate workloads at various demand levels."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-__all__ = ["Trace", "TraceStats", "save_trace", "load_trace"]
+__all__ = ["Trace", "TraceStats"]
 
 
 @dataclass(frozen=True)
@@ -100,33 +99,6 @@ class Trace:
             service_time_std=float(self.service.std(ddof=1)),
         )
 
-    def offered_load(self, n_servers: int) -> float:
-        """Nominal per-server utilization of this trace on ``n_servers``."""
-        return float(self.service.mean() / (self.interarrival.mean() * n_servers))
-
-    def scaled_to_load(self, n_servers: int, load: float) -> "Trace":
-        """Rescale interarrival gaps for a target per-server load.
-
-        This is the paper's demand-level knob: service times are left
-        untouched; gaps are multiplied by a single factor so that
-        ``mean service / (n_servers * mean gap) == load``.
-        """
-        if not 0 < load < 1.5:
-            raise ValueError(f"load should be in (0, 1.5), got {load}")
-        if n_servers < 1:
-            raise ValueError(f"n_servers must be >= 1, got {n_servers}")
-        target_interval = self.service.mean() / (n_servers * load)
-        factor = target_interval / self.interarrival.mean()
-        metadata = dict(self.metadata)
-        metadata["scaled_to_load"] = load
-        metadata["scale_factor"] = factor
-        return Trace(
-            name=self.name,
-            interarrival=self.interarrival * factor,
-            service=self.service.copy(),
-            metadata=metadata,
-        )
-
     def head(self, n: int) -> "Trace":
         """The first ``n`` requests (views are copied)."""
         if n < 1:
@@ -163,27 +135,4 @@ class Trace:
             interarrival=np.concatenate(gap_tiles)[:n],
             service=np.concatenate(service_tiles)[:n],
             metadata=dict(self.metadata),
-        )
-
-
-def save_trace(trace: Trace, path: str | Path) -> None:
-    """Save a trace as a compressed ``.npz`` archive."""
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        name=np.asarray(trace.name),
-        interarrival=trace.interarrival,
-        service=trace.service,
-    )
-
-
-def load_trace(path: str | Path) -> Trace:
-    """Load a trace written by :func:`save_trace`."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        return Trace(
-            name=str(archive["name"]),
-            interarrival=archive["interarrival"],
-            service=archive["service"],
-            metadata={"source": str(path)},
         )

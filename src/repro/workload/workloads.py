@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.sim.rng import RngHub
 from repro.workload.arrivals import ArrivalProcess, PoissonProcess, RenewalProcess
 from repro.workload.distributions import (
     Deterministic,
@@ -31,7 +32,7 @@ from repro.workload.synthesis import (
 )
 from repro.workload.traces import Trace
 
-__all__ = ["Workload", "make_workload", "available_workloads"]
+__all__ = ["Workload", "make_workload", "available_workloads", "request_stream"]
 
 #: Mean service time used by the paper for Poisson/Exp in the
 #: multi-server experiments (Figures 3, 4, 6): 50 ms.
@@ -200,3 +201,26 @@ def make_workload(name: str, **kwargs) -> Workload:
             f"unknown workload {name!r}; available: {available_workloads()}"
         ) from None
     return builder(**kwargs)
+
+
+def request_stream(
+    name: str,
+    params: dict,
+    seed: int,
+    n_requests: int,
+    n_servers: int,
+    rho: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(gaps, services)`` arrays of one run.
+
+    Drawn from the seed's ``workload`` substream, then the paper's
+    demand-level knob: service times are left untouched and the gaps are
+    multiplied by a single factor so that ``mean service / (n_servers *
+    mean gap) == rho``. Both exact engines, the fast engine and the live
+    harness call this, which is what makes their request streams the
+    same bits.
+    """
+    workload = make_workload(name, **params)
+    gaps, services = workload.generate(RngHub(seed).stream("workload"), n_requests)
+    target_interval = float(services.mean()) / (n_servers * rho)
+    return gaps * (target_interval / float(gaps.mean())), services

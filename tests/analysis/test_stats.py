@@ -1,111 +1,11 @@
-"""Unit tests for streaming statistics."""
+"""Unit tests for sample summaries."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis import OnlineStats, P2Quantile, batch_means_ci, summarize
-
-
-def test_online_stats_matches_numpy():
-    rng = np.random.default_rng(0)
-    values = rng.lognormal(0.0, 1.0, 10_000)
-    stats = OnlineStats()
-    stats.push_many(values)
-    assert stats.n == 10_000
-    assert stats.mean == pytest.approx(values.mean(), rel=1e-12)
-    assert stats.variance == pytest.approx(values.var(ddof=1), rel=1e-10)
-    assert stats.min == values.min()
-    assert stats.max == values.max()
-
-
-def test_online_stats_empty():
-    stats = OnlineStats()
-    assert math.isnan(stats.mean)
-    assert math.isnan(stats.variance)
-    assert math.isnan(stats.std)
-
-
-def test_online_stats_single_value():
-    stats = OnlineStats()
-    stats.push(3.0)
-    assert stats.mean == 3.0
-    assert math.isnan(stats.variance)
-
-
-def test_online_stats_merge_equals_sequential():
-    rng = np.random.default_rng(1)
-    a_values = rng.normal(0, 1, 5000)
-    b_values = rng.normal(10, 2, 3000)
-    a, b, both = OnlineStats(), OnlineStats(), OnlineStats()
-    a.push_many(a_values)
-    b.push_many(b_values)
-    both.push_many(np.concatenate([a_values, b_values]))
-    merged = a.merge(b)
-    assert merged.n == both.n
-    assert merged.mean == pytest.approx(both.mean, rel=1e-12)
-    assert merged.variance == pytest.approx(both.variance, rel=1e-10)
-    assert merged.min == both.min and merged.max == both.max
-
-
-def test_online_stats_merge_with_empty():
-    a = OnlineStats()
-    a.push(1.0)
-    merged = a.merge(OnlineStats())
-    assert merged.n == 1 and merged.mean == 1.0
-
-
-@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
-def test_p2_quantile_close_to_numpy(p):
-    rng = np.random.default_rng(3)
-    values = rng.exponential(1.0, 50_000)
-    estimator = P2Quantile(p)
-    for value in values:
-        estimator.push(float(value))
-    exact = np.quantile(values, p)
-    assert estimator.value == pytest.approx(exact, rel=0.08)
-
-
-def test_p2_quantile_few_samples():
-    estimator = P2Quantile(0.5)
-    assert math.isnan(estimator.value)
-    for value in [5.0, 1.0, 3.0]:
-        estimator.push(value)
-    assert estimator.value in (1.0, 3.0, 5.0)
-
-
-def test_p2_validation():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-def test_batch_means_ci_covers_iid_mean():
-    rng = np.random.default_rng(4)
-    values = rng.normal(5.0, 2.0, 20_000)
-    ci = batch_means_ci(values, n_batches=20)
-    assert ci.low < 5.0 < ci.high
-    assert ci.mean == pytest.approx(values[: (20_000 // 20) * 20].mean())
-    assert ci.half_width > 0
-
-
-def test_batch_means_ci_narrows_with_more_data():
-    rng = np.random.default_rng(5)
-    narrow = batch_means_ci(rng.normal(0, 1, 100_000), n_batches=20)
-    wide = batch_means_ci(rng.normal(0, 1, 1_000), n_batches=20)
-    assert narrow.half_width < wide.half_width
-
-
-def test_batch_means_validation():
-    values = np.ones(100)
-    with pytest.raises(ValueError):
-        batch_means_ci(values, n_batches=1)
-    with pytest.raises(ValueError):
-        batch_means_ci(values, confidence=1.5)
-    with pytest.raises(ValueError):
-        batch_means_ci(np.ones(10), n_batches=20)
+from repro.analysis import summarize
 
 
 def test_summarize_keys_and_values():

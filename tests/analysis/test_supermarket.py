@@ -9,7 +9,6 @@ from repro.analysis import (
     supermarket_fixed_point,
     supermarket_mean_queue_length,
     supermarket_mean_response_time,
-    supermarket_ode_trajectory,
 )
 
 
@@ -77,26 +76,6 @@ def test_response_time_decreasing_in_d():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_ode_converges_to_fixed_point():
-    rho, d = 0.9, 2
-    _, trajectory = supermarket_ode_trajectory(rho, d, t_max=200.0, k_max=32)
-    final = trajectory[-1]
-    expected = supermarket_fixed_point(rho, d, k_max=32)
-    assert np.allclose(final, expected, atol=5e-4)
-
-
-def test_ode_starts_empty():
-    _, trajectory = supermarket_ode_trajectory(0.5, 2, t_max=1.0, k_max=8)
-    assert trajectory[0, 0] == 1.0
-    assert np.allclose(trajectory[0, 1:], 0.0)
-
-
-def test_ode_tail_stays_in_unit_interval():
-    _, trajectory = supermarket_ode_trajectory(0.95, 4, t_max=50.0, k_max=16)
-    assert (trajectory >= -1e-9).all()
-    assert (trajectory <= 1.0 + 1e-9).all()
-
-
 def test_validation():
     with pytest.raises(ValueError):
         supermarket_fixed_point(1.0, 2)
@@ -104,7 +83,3 @@ def test_validation():
         supermarket_fixed_point(0.5, 0)
     with pytest.raises(ValueError):
         supermarket_mean_response_time(0.5, 2, mean_service=0.0)
-    with pytest.raises(ValueError):
-        supermarket_ode_trajectory(0.5, 2, t_max=0.0)
-    with pytest.raises(ValueError):
-        supermarket_ode_trajectory(0.5, 2, t_max=1.0, k_max=4, initial=np.zeros(3))

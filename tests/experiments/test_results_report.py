@@ -27,41 +27,13 @@ def test_add_missing_column_rejected():
         table.add(a=1)
 
 
-def test_where_and_sorted_by():
-    table = ResultTable(["x", "y"])
-    for x, y in [(2, "b"), (1, "a"), (3, "c")]:
-        table.add(x=x, y=y)
-    filtered = table.where(lambda row: row["x"] > 1)
-    assert filtered.column("x") == [2, 3]
-    ordered = table.sorted_by("x")
-    assert ordered.column("y") == ["a", "b", "c"]
-
-
-def test_pivot_wide_format():
-    table = ResultTable(["load", "policy", "resp"])
-    for load in (0.5, 0.9):
-        for policy in ("random", "ideal"):
-            table.add(load=load, policy=policy, resp=load * (1 if policy == "ideal" else 2))
-    wide = table.pivot(index="load", column="policy", value="resp")
-    assert wide.columns == ["load", "ideal", "random"]
-    assert wide.rows[0]["ideal"] == 0.5
-    assert wide.rows[1]["random"] == 1.8
-
-
-def test_pivot_missing_cells_render_dash():
-    table = ResultTable(["i", "c", "v"])
-    table.add(i=1, c="a", v=1.0)
-    table.add(i=2, c="b", v=2.0)
-    wide = table.pivot("i", "c", "v")
-    text = wide.render()
-    assert "-" in text
-
-
 def test_render_alignment_and_floats():
     table = ResultTable(["name", "value"])
     table.add(name="x", value=1.23456)
+    table.add(name="y", value=None)
     text = table.render(floatfmt="{:.2f}")
     assert "1.23" in text and "name" in text
+    assert text.splitlines()[-1].split() == ["y", "-"]
     assert str(table)
 
 
@@ -80,23 +52,6 @@ def test_format_series():
     assert "s1" in text and "-" in text
     lines = text.splitlines()
     assert len(lines) == 4  # header, rule, two rows
-
-
-def test_pivot_numeric_columns_sort_numerically():
-    # Regression: key=str rendered poll sizes {2, 10} as "10, 2".
-    table = ResultTable(["load", "d", "resp"])
-    for d in (10, 2, 3):
-        table.add(load=0.9, d=d, resp=float(d))
-    wide = table.pivot(index="load", column="d", value="resp")
-    assert wide.columns == ["load", "2", "3", "10"]
-
-
-def test_pivot_mixed_types_fall_back_to_str_order():
-    table = ResultTable(["i", "c", "v"])
-    table.add(i=1, c=2, v=1.0)
-    table.add(i=1, c="b", v=2.0)
-    wide = table.pivot("i", "c", "v")  # incomparable int/str: no raise
-    assert wide.columns == ["i", "2", "b"]
 
 
 def test_staleness_response_table_buckets():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import SimulationConfig, parallel_sweep, run_simulation
-from repro.experiments.runner import full_load_rho_for, normalized_to_baseline
+from repro.experiments.runner import full_load_rho_for
 
 
 def small(policy="random", **kwargs):
@@ -89,12 +89,6 @@ def test_parallel_sweep_matches_serial():
 
 def test_empty_sweep():
     assert parallel_sweep([]) == []
-
-
-def test_normalized_to_baseline():
-    results = parallel_sweep([small(seed=1), small(seed=1)], parallel=False)
-    normalized = normalized_to_baseline(results, results[0])
-    assert normalized[0] == pytest.approx(1.0)
 
 
 def test_workload_scaled_to_requested_load():

@@ -13,11 +13,18 @@ fails here — in the style of ``test_campaign_single_path.py``:
 - the strings the loops emit are the ones the ladders emitted (pinned
   from the parent commit), and the scenario's fast-engine check agrees
   with the fast engine's own.
+
+ISSUE 18 took scipy off the path of ``import repro``: a run loads numpy
+only, and the three functions that need scipy import it where they call
+it. A module-level scipy import anywhere under ``src/repro`` fails here.
 """
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,9 +47,8 @@ UNREACHED_ALLOWED = {
     "numbers across six policy families x both models; tests compare against it",
     "repro.workload.weekly": "the paper's §2 peak-portion methodology",
     "repro.cluster.service": "Figure 1's partition/replica placement, run by "
-    "examples/photo_album_cluster.py",
-    "repro.workload.empirical": "resampling a measured trace, the entry point "
-    "for a user's own data (Table 1's traces are not public)",
+    "examples/photo_album_cluster.py; ISSUE 18 decided it stays, as the seed "
+    "of the parked multi-service item",
 }
 
 
@@ -95,6 +101,68 @@ def test_every_module_is_reached_or_allowlisted():
         and name not in reached
     }
     assert unreached == set(UNREACHED_ALLOWED)
+
+
+#: run in a fresh interpreter: everything a CLI command, a pool worker or a
+#: suite workload imports, one default run, then the three cold functions
+#: that do need scipy (ISSUE 18)
+_IMPORT_PROBE = """
+import sys
+import repro, repro.cli, repro.live, repro.verify
+from repro.analysis.meanfield import meanfield_prediction
+from repro.experiments import ReplicatedResult, SimulationConfig, run_simulation
+from repro.workload import weibull_from_moments
+
+run_simulation(SimulationConfig(n_requests=200))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+polling2 = SimulationConfig(policy="polling", policy_params={"poll_size": 2}, engine="fast")
+print(weibull_from_moments(0.05, 0.075).shape)
+print(ReplicatedResult(SimulationConfig(), (0.10, 0.11, 0.125), 0.95).half_width)
+print(meanfield_prediction(polling2).mean_response_time)
+"""
+
+
+def test_a_run_imports_numpy_only_and_the_three_lazy_sites_work():
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *sys.path])},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=240,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    # the values the module-level imports produced at the parent (d5f833b)
+    assert [float(line) for line in out[1:]] == pytest.approx(
+        [0.6847725532334181, 0.031258047396878874, 0.13150886865275088], rel=1e-12
+    )
+
+
+def _import_time_nodes(node: ast.AST):
+    """Every node that executes when the module is imported."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _import_time_nodes(child)
+
+
+def _imported_packages(node: ast.AST) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_module_imports_scipy_at_import_time():
+    offenders = {
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        for node in _import_time_nodes(ast.parse(path.read_text()))
+        if "scipy" in _imported_packages(node)
+    }
+    assert offenders == set()
 
 
 def test_every_subsystem_field_has_exactly_one_row():

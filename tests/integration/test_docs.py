@@ -33,6 +33,7 @@ def test_section2_workloads():
         FINE_GRAIN_SPEC,
         extract_peak_portion,
         make_workload,
+        request_stream,
         synthesize_trace,
         synthesize_weekly_trace,
     )
@@ -43,8 +44,12 @@ def test_section2_workloads():
     assert gaps.shape == (10_000,)
 
     trace = synthesize_trace(FINE_GRAIN_SPEC, n=50_000, rng=hub.stream("t"))
-    scaled = trace.scaled_to_load(n_servers=16, load=0.9)
-    assert scaled.offered_load(16) == pytest.approx(0.9)
+    assert len(trace) == 50_000
+
+    gaps, services = request_stream(
+        "fine_grain", {}, seed=7, n_requests=10_000, n_servers=16, rho=0.9
+    )
+    assert services.mean() / (16 * gaps.mean()) == pytest.approx(0.9)
 
     week = synthesize_weekly_trace(FINE_GRAIN_SPEC, hub.stream("wk"), scale=0.02)
     peak = extract_peak_portion(week)

@@ -1,5 +1,6 @@
 """Smoke-run every example script end-to-end (reduced sizes via env)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,16 @@ def test_failure_resilience():
     assert "<- crash" in out
     assert "<- recovery" in out
     assert "failed requests: 0" in out
+
+
+def test_every_bench_output_has_a_bench_that_writes_it():
+    """A committed ``benchmarks/output/*.txt`` whose bench was deleted
+    reads as a current result; PR 17 left one behind."""
+    benchmarks = EXAMPLES.parent / "benchmarks"
+    written = {
+        name
+        for bench in benchmarks.glob("bench_*.py")
+        for name in re.findall(r'\breport\(\s*"(\w+)"', bench.read_text())
+    }
+    outputs = {path.stem for path in (benchmarks / "output").glob("*.txt")}
+    assert outputs - written == set()

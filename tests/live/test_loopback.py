@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.experiments.runner import build_cluster
 from repro.live.clock import WallClock
 from repro.live.harness import LiveRunConfig, generate_workload, run_loopback
 from repro.live.server import LiveServer
@@ -62,6 +63,10 @@ def test_workload_matches_sim_baseline_arrays():
     gaps2, services2 = generate_workload(cfg)
     np.testing.assert_array_equal(gaps, gaps2)
     np.testing.assert_array_equal(services, services2)
+    # ... and the arrays the exact engines load for the sim baseline.
+    cluster, _ = build_cluster(cfg.sim_config())
+    np.testing.assert_array_equal(np.cumsum(gaps), cluster._arrival_times)
+    np.testing.assert_array_equal(services, cluster._service_times)
 
 
 def test_spin_overcommit_guard():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.net import (
     ConstantLatency,
-    ExponentialLatency,
     PAPER_NET,
     PaperNetworkConstants,
     UniformLatency,
@@ -37,15 +36,6 @@ def test_uniform_latency_bounds_and_mean():
 def test_uniform_latency_validation():
     with pytest.raises(ValueError):
         UniformLatency(3e-3, 1e-3)
-
-
-def test_exponential_latency():
-    model = ExponentialLatency(base=1e-3, mean_extra=2e-3)
-    assert model.mean() == pytest.approx(3e-3)
-    generator = rng()
-    samples = np.array([model.sample(generator) for _ in range(20_000)])
-    assert (samples >= 1e-3).all()
-    assert samples.mean() == pytest.approx(3e-3, rel=0.05)
 
 
 def test_paper_constants_values():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis import OnlineStats, eq1_upperbound, summarize
+from repro.analysis import eq1_upperbound, summarize
 from repro.analysis.mm1 import mm1_queue_length_pmf
 from repro.analysis.supermarket import supermarket_fixed_point
 from repro.workload.distributions import (
@@ -16,29 +16,6 @@ from repro.workload.distributions import (
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 samples = hnp.arrays(np.float64, st.integers(1, 300), elements=finite_floats)
-
-
-@given(samples)
-def test_online_stats_equals_numpy(values):
-    stats = OnlineStats()
-    stats.push_many(values)
-    assert np.isclose(stats.mean, values.mean(), rtol=1e-9, atol=1e-6)
-    if values.size > 1:
-        assert np.isclose(stats.variance, values.var(ddof=1), rtol=1e-6, atol=1e-4)
-    assert stats.min == values.min() and stats.max == values.max()
-
-
-@given(samples, st.integers(1, 299))
-def test_online_stats_merge_associative(values, split):
-    split = min(split, values.size)
-    left, right = OnlineStats(), OnlineStats()
-    left.push_many(values[:split])
-    right.push_many(values[split:])
-    merged = left.merge(right)
-    direct = OnlineStats()
-    direct.push_many(values)
-    assert np.isclose(merged.mean, direct.mean, rtol=1e-9, atol=1e-6)
-    assert merged.n == direct.n
 
 
 @given(samples)

@@ -18,6 +18,25 @@ def test_unknown_command_rejected():
         build_parser().parse_args(["fig5"])
 
 
+#: flag -> an invocation that used to die with a traceback from inside
+#: replicate / SimulationConfig / make_policy / make_workload
+BAD_ARGUMENTS = {
+    "--replications": ["compare", "--replications", "0"],
+    "--requests": ["fig3", "--requests", "5"],
+    "--load": ["compare", "--load", "0"],
+    "--policy": ["trace", "--policy", "nosuch"],
+    "--workload": ["compare", "--workload", "nosuch"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(BAD_ARGUMENTS))
+def test_bad_argument_exits_2_naming_the_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(BAD_ARGUMENTS[flag] + ["--serial", "--no-cache"])
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload import Trace, load_trace, save_trace
+from repro.workload import Trace
 
 
 def make_trace(n=100, name="t"):
@@ -60,30 +60,6 @@ def test_stats_row_renders():
     assert "Fine" in row and "ms" in row
 
 
-def test_offered_load():
-    trace = Trace("x", np.full(10, 0.1), np.full(10, 0.05))
-    # one server: rho = 0.05/0.1 = 0.5 ; 2 servers: 0.25
-    assert trace.offered_load(1) == pytest.approx(0.5)
-    assert trace.offered_load(2) == pytest.approx(0.25)
-
-
-def test_scaled_to_load_hits_target():
-    trace = make_trace(10_000)
-    scaled = trace.scaled_to_load(n_servers=16, load=0.9)
-    assert scaled.offered_load(16) == pytest.approx(0.9, rel=1e-9)
-    # Service times untouched.
-    assert np.array_equal(scaled.service, trace.service)
-    assert scaled.metadata["scaled_to_load"] == 0.9
-
-
-def test_scaled_to_load_validation():
-    trace = make_trace(10)
-    with pytest.raises(ValueError):
-        trace.scaled_to_load(16, 0.0)
-    with pytest.raises(ValueError):
-        trace.scaled_to_load(0, 0.5)
-
-
 def test_head():
     trace = make_trace(100)
     head = trace.head(10)
@@ -119,13 +95,3 @@ def test_tiled_without_rng_repeats_exactly():
 def test_tiled_noop_when_short():
     trace = make_trace(100)
     assert len(trace.tiled(30)) == 30
-
-
-def test_save_and_load_roundtrip(tmp_path):
-    trace = make_trace(256, name="roundtrip")
-    path = tmp_path / "trace.npz"
-    save_trace(trace, path)
-    loaded = load_trace(path)
-    assert loaded.name == "roundtrip"
-    assert np.array_equal(loaded.interarrival, trace.interarrival)
-    assert np.array_equal(loaded.service, trace.service)
