@@ -559,8 +559,8 @@ class ReliabilityEngine:
         candidates = [s for s in cluster.available_servers(client) if s not in held]
         if not candidates:
             return
-        rng = cluster.rng("reliability.hedge")
-        server_id = candidates[int(rng.integers(len(candidates)))]
+        rng = cluster.index_stream("reliability.hedge")
+        server_id = candidates[rng.integers(len(candidates))]
         clone = Request(
             index=request.index,
             client_id=request.client_id,

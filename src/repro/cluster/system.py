@@ -46,7 +46,7 @@ from repro.net.message import Message, MessageKind
 from repro.net.transport import Network
 from repro.sim.calendar import make_simulator
 from repro.sim.engine import SimulationError
-from repro.sim.rng import RngHub
+from repro.sim.rng import IndexStream, RngHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.autoscaler import AutoscalerPolicy
@@ -253,6 +253,10 @@ class RequestLifecycle:
     def rng(self, name: str) -> np.random.Generator:
         """Named deterministic substream (see :class:`RngHub`)."""
         return self.rng_hub.stream(name)
+
+    def index_stream(self, name: str) -> IndexStream:
+        """Named private substream of uniform indices (picks, tie-breaks)."""
+        return self.rng_hub.index_stream(name)
 
     def available_servers(self, client: ClientNode) -> list[int]:
         """Candidate server ids for this client's next access.

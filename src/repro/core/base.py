@@ -10,6 +10,8 @@ manager).
 The context API a policy may use:
 
 - ``ctx.sim`` / ``ctx.rng(name)`` / ``ctx.network`` / ``ctx.constants``
+- ``ctx.index_stream(name)`` — a private integer-only substream for
+  picks and tie-breaks (``integers(n)`` as a Python int, block-drawn).
 - ``ctx.servers`` — the :class:`ServerNode` list (index = node id);
   *only* oracle-style policies may read ``servers[i].queue_length``
   directly — distributed policies must learn load via messages.

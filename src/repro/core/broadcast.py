@@ -68,7 +68,7 @@ class BroadcastPolicy(LoadBalancer):
 
     def _setup(self) -> None:
         ctx = self.ctx
-        self._rng_ties = ctx.rng("policy.broadcast.ties")
+        self._rng_ties = ctx.index_stream("policy.broadcast.ties")
         # The stream is private to this policy, so drawing ahead is unobservable.
         self._intervals = _interval_factors(ctx.rng("policy.broadcast.intervals"))
         from repro.net.transport import BroadcastChannel

@@ -30,7 +30,7 @@ class IdealOracle(LoadBalancer):
         self.weight_by_speed = weight_by_speed
 
     def _setup(self) -> None:
-        self._rng = self.ctx.rng("policy.ideal.ties")
+        self._rng = self.ctx.index_stream("policy.ideal.ties")
 
     def select(self, client, request) -> None:
         candidates = self.ctx.available_servers(client)

@@ -38,7 +38,7 @@ class JoinIdleQueuePolicy(LoadBalancer):
 
     def _setup(self) -> None:
         ctx = self.ctx
-        self._rng = ctx.rng("policy.jiq")
+        self._rng = ctx.index_stream("policy.jiq")
         for client in ctx.selector_agents:
             client.state[_IDLE_KEY] = deque()
         self._next_dispatcher = 0
@@ -79,5 +79,5 @@ class JoinIdleQueuePolicy(LoadBalancer):
                 self.ctx.dispatch(client, request, server_id)
                 return
         self.random_fallbacks += 1
-        server_id = candidates[int(self._rng.integers(len(candidates)))]
+        server_id = candidates[self._rng.integers(len(candidates))]
         self.ctx.dispatch(client, request, server_id)

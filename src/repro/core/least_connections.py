@@ -32,7 +32,7 @@ class LeastConnectionsPolicy(LoadBalancer):
     name = "least_connections"
 
     def _setup(self) -> None:
-        self._rng = self.ctx.rng("policy.least_connections.ties")
+        self._rng = self.ctx.index_stream("policy.least_connections.ties")
         #: request index -> (selector node_id, server_id) of the single
         #: outstanding charge for that request
         self._charges: dict[int, tuple[int, int]] = {}

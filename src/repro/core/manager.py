@@ -36,7 +36,7 @@ class CentralizedManagerPolicy(LoadBalancer):
     def _setup(self) -> None:
         ctx = self.ctx
         self._counts = np.zeros(ctx.n_servers, dtype=np.int64)
-        self._rng = ctx.rng("policy.manager.ties")
+        self._rng = ctx.index_stream("policy.manager.ties")
         # The manager is a dedicated node; give it the next free id.
         self.manager_node_id = ctx.n_servers + ctx.n_clients
 

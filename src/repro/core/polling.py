@@ -72,7 +72,7 @@ class RandomPollingPolicy(LoadBalancer):
         self.timeouts_fired = 0
 
     def _setup(self) -> None:
-        self._rng = self.ctx.rng("policy.polling")
+        self._rng = self.ctx.index_stream("policy.polling")
         if self.discard_slow and self.discard_timeout is None:
             self.discard_timeout = self.ctx.constants.discard_timeout
 
@@ -94,7 +94,7 @@ class RandomPollingPolicy(LoadBalancer):
             seen: set[int] = set()
             targets = []
             while len(targets) < count:
-                pick = int(rng.integers(n))
+                pick = rng.integers(n)
                 if pick not in seen:
                     seen.add(pick)
                     targets.append(candidates[pick])

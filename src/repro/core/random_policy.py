@@ -17,11 +17,11 @@ class RandomPolicy(LoadBalancer):
     name = "random"
 
     def _setup(self) -> None:
-        self._rng = self.ctx.rng("policy.random")
+        self._rng = self.ctx.index_stream("policy.random")
 
     def select(self, client, request) -> None:
         candidates = self.ctx.available_servers(client)
         if not candidates:
             raise NoCandidatesError("no live servers")
-        server_id = candidates[int(self._rng.integers(len(candidates)))]
+        server_id = candidates[self._rng.integers(len(candidates))]
         self.ctx.dispatch(client, request, server_id)

@@ -37,7 +37,7 @@ class GlobalSnapshotPolicy(LoadBalancer):
 
     def _setup(self) -> None:
         ctx = self.ctx
-        self._rng = ctx.rng("policy.stale.ties")
+        self._rng = ctx.index_stream("policy.stale.ties")
         self._snapshot = np.zeros(ctx.n_servers)
         self._snapshot_time = 0.0
         if self.local_increment:

@@ -163,7 +163,7 @@ class NetworkFaults:
         consumption is reproducible.
         """
         kind = message.kind
-        if self.severed(message.src, message.dst):
+        if self.partitions and self.severed(message.src, message.dst):
             self.partition_drop_counts[kind] = self.partition_drop_counts.get(kind, 0) + 1
             return None
         loss, duplicate, jitter_mean = self._kind_params.get(kind, self._default_params)
@@ -186,8 +186,10 @@ class NetworkFaults:
         the message is on the wire. Consumes no randomness.
         """
         unreachable = self.unreachable
-        if message.dst in unreachable or message.src in unreachable or self.severed(
-            message.src, message.dst
+        if (
+            message.dst in unreachable
+            or message.src in unreachable
+            or (self.partitions and self.severed(message.src, message.dst))
         ):
             kind = message.kind
             self.in_flight_drop_counts[kind] = self.in_flight_drop_counts.get(kind, 0) + 1

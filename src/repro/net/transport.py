@@ -126,7 +126,8 @@ class Network:
         (used by the prototype model for load-dependent response delays).
         """
         size = DEFAULT_SIZES[kind] if size_bytes is None else size_bytes
-        message = Message(kind, src, dst, payload, size, self.sim.now)
+        sim = self.sim
+        message = Message(kind, src, dst, payload, size, sim.now)
         self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
         self.byte_counts[kind] = self.byte_counts.get(kind, 0) + size
         if self.drop_filter is not None and self.drop_filter(message):
@@ -143,14 +144,28 @@ class Network:
                 return message
             jitter, duplicated = verdict
             extra_delay += jitter
-        latency = self.latency_for(kind).sample(self.rng) + extra_delay
+        # A constant latency is read, not sampled (it draws nothing), and
+        # an ungated network schedules the arrival here: the test is the
+        # one _schedule_delivery makes, made once.
+        model = self._latency_by_kind.get(kind, self.default_latency)
+        latency = (
+            model.value if type(model) is ConstantLatency else model.sample(self.rng)
+        ) + extra_delay
+        if (
+            faults is None
+            and self.switch is None
+            and self.deliver_trace is None
+            and self.inflight_recorder is None
+        ):
+            sim.after(latency, on_delivery, message)
+            return message
         self._schedule_delivery(latency, message, on_delivery)
         if duplicated:
             # The duplicate is an independent delivery: its own latency
             # draw, subject to the same delivery-time fault checks. It
             # does not count as a new send in message_counts (the
             # NetworkFaults.duplicated_counts tally covers it).
-            dup_latency = self.latency_for(kind).sample(self.rng) + extra_delay
+            dup_latency = model.sample(self.rng) + extra_delay
             self._schedule_delivery(dup_latency, message, on_delivery)
         return message
 
@@ -229,31 +244,27 @@ class Network:
     def _schedule_delivery(
         self, latency: float, message: Message, on_delivery: DeliveryCallback
     ) -> None:
-        """Schedule the arrival; keep the allocation-free fast path when
-        no faults/trace/telemetry are installed (this is the simulator
-        hot path)."""
+        """Schedule an arrival that transits the switch, passes the
+        delivery gate (faults/trace/telemetry installed), or both; the
+        ungated, switchless arrival is scheduled by :meth:`send` itself."""
         recorder = self.inflight_recorder
         if recorder is not None:
             self._inflight += 1
             recorder.record(self.sim.now, float(self._inflight))
-        if self.faults is None and self.deliver_trace is None and recorder is None:
-            if self.switch is not None:
-                self.sim.after(
-                    latency,
-                    lambda m=message: self.switch.transit(m, on_delivery),
-                )
-            else:
-                self.sim.after(latency, on_delivery, message)
-            return
-        if self.switch is not None:
+        if self.switch is None:
+            self.sim.after(latency, self._deliver, (on_delivery, message))
+        elif self.faults is None and self.deliver_trace is None and recorder is None:
+            self.sim.after(
+                latency,
+                lambda m=message: self.switch.transit(m, on_delivery),
+            )
+        else:
             self.sim.after(
                 latency,
                 lambda m=message: self.switch.transit(
                     m, lambda mm: self._deliver((on_delivery, mm))
                 ),
             )
-        else:
-            self.sim.after(latency, self._deliver, (on_delivery, message))
 
     def _deliver(self, pair: tuple[DeliveryCallback, Message]) -> None:
         """Final delivery gate: drop in-flight messages whose endpoints

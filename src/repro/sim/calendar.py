@@ -59,9 +59,8 @@ class CalendarSimulator:
         "_width",
         "_day",
         "_qsize",
-        "_now",
+        "now",
         "_seq",
-        "_pending",
         "_events_executed",
         "trace",
     )
@@ -79,10 +78,13 @@ class CalendarSimulator:
         # a float "end of window" threshold accumulates rounding error
         # and strands events that land exactly on a bucket boundary.
         self._day: int = 0
-        self._qsize: int = 0  # entries in buckets, including cancelled
-        self._now: float = 0.0
+        # Entries in buckets, cancelled-but-unpurged ones included; the
+        # bucket array is sized from it. A count of *live* events cannot
+        # be kept here: ``EventHandle.cancel()`` never reaches the engine.
+        self._qsize: int = 0
+        #: current simulation time in seconds (a plain slot, as on the heap)
+        self.now: float = 0.0
         self._seq: int = 0
-        self._pending: int = 0  # live (non-cancelled) events
         self._events_executed: int = 0
         #: optional callable(time, handle) invoked before each event runs
         self.trace: Optional[Callable[[float, EventHandle], None]] = None
@@ -91,14 +93,11 @@ class CalendarSimulator:
     # clock & introspection (mirrors Simulator)
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) scheduled events."""
-        return self._pending
+        """Number of live (non-cancelled) scheduled events (counted on demand)."""
+        return sum(
+            1 for bucket in self._buckets for entry in bucket if not entry[2].cancelled
+        )
 
     @property
     def events_executed(self) -> int:
@@ -115,9 +114,9 @@ class CalendarSimulator:
     # ------------------------------------------------------------------
     def at(self, time: float, fn: Callable[..., Any], arg: Any = _SENTINEL) -> EventHandle:
         """Schedule ``fn`` (optionally with one argument) at absolute ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (now={self._now!r}, requested={time!r})"
+                f"cannot schedule into the past (now={self.now!r}, requested={time!r})"
             )
         self._seq += 1
         handle = EventHandle(time, self._seq, fn, arg)
@@ -126,8 +125,7 @@ class CalendarSimulator:
             (time, self._seq, handle),
         )
         self._qsize += 1
-        self._pending += 1
-        if self._pending > 2 * self._n_buckets:
+        if self._qsize > 2 * self._n_buckets:
             self._resize(2 * self._n_buckets)
         return handle
 
@@ -135,17 +133,15 @@ class CalendarSimulator:
         """Schedule ``fn`` after a relative ``delay`` (must be >= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        return self.at(self._now + delay, fn, arg)
+        return self.at(self.now + delay, fn, arg)
 
     def call_soon(self, fn: Callable[..., Any], arg: Any = _SENTINEL) -> EventHandle:
         """Schedule ``fn`` at the current time (after already-queued events)."""
-        return self.at(self._now, fn, arg)
+        return self.at(self.now, fn, arg)
 
     def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously scheduled handle (idempotent)."""
-        if not handle.cancelled:
-            handle.cancelled = True
-            self._pending -= 1
+        """Cancel a handle (idempotent, and safe after it fired)."""
+        handle.cancelled = True
 
     # ------------------------------------------------------------------
     # calendar internals
@@ -168,7 +164,7 @@ class CalendarSimulator:
 
     def _pop_next(self) -> Optional[tuple[float, int, EventHandle]]:
         """Remove and return the next live entry, advancing the cursor."""
-        if self._pending == 0:
+        if self._qsize == 0:
             return None
         buckets = self._buckets
         n = self._n_buckets
@@ -215,7 +211,7 @@ class CalendarSimulator:
         self._qsize = len(entries)
         # Restart the cursor at the current day under the new width;
         # nothing can be scheduled before `now`, so no event is skipped.
-        self._day = int(self._now / width)
+        self._day = int(self.now / width)
 
     def _estimate_width(self, head: list[tuple[float, int, EventHandle]]) -> float:
         """Bucket width from head-of-queue inter-event gaps.
@@ -243,12 +239,11 @@ class CalendarSimulator:
         if entry is None:
             return False
         handle = entry[2]
-        self._pending -= 1
-        self._now = handle.time
+        self.now = handle.time
         self._events_executed += 1
         self._maybe_shrink()
         if self.trace is not None:
-            self.trace(self._now, handle)
+            self.trace(self.now, handle)
         if handle.arg is _SENTINEL:
             handle.fn()
         else:
@@ -280,30 +275,29 @@ class CalendarSimulator:
                     entry,
                 )
                 self._qsize += 1
-                self._day = int(self._now / self._width)
+                self._day = int(self.now / self._width)
                 break
             handle = entry[2]
-            self._pending -= 1
-            self._now = handle.time
+            self.now = handle.time
             self._events_executed += 1
             executed += 1
             self._maybe_shrink()
             if self.trace is not None:
-                self.trace(self._now, handle)
+                self.trace(self.now, handle)
             if handle.arg is _SENTINEL:
                 handle.fn()
             else:
                 handle.fn(handle.arg)
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def _maybe_shrink(self) -> None:
-        if self._n_buckets > _MIN_BUCKETS and self._pending < self._n_buckets // 2:
+        if self._n_buckets > _MIN_BUCKETS and self._qsize < self._n_buckets // 2:
             self._resize(max(_MIN_BUCKETS, self._n_buckets // 2))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<CalendarSimulator now={self._now:.6f} pending={self._pending} "
+            f"<CalendarSimulator now={self.now:.6f} pending={self.pending} "
             f"buckets={self._n_buckets} width={self._width:.2e}>"
         )
 

@@ -59,7 +59,10 @@ class Clock(Protocol):
     * ``now`` is monotonic non-decreasing, in float seconds, with an
       **arbitrary origin** — components must only ever compare or
       subtract timestamps from the same clock, never assume ``now``
-      starts at ``0.0``.
+      starts at ``0.0``. Read it, never write it: it may be a property
+      (``ManualClock``, ``WallClock``) or a plain attribute the event
+      loop stores (the two simulators, where a request reads it a dozen
+      times).
     * ``after`` rejects negative delays; ``call_soon`` schedules at the
       current time but never runs the callback synchronously.
     * ``cancel`` is idempotent and safe after the handle fired.

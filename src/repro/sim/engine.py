@@ -4,7 +4,8 @@ The scheduler is intentionally minimal: a binary heap of
 :class:`EventHandle` objects ordered by ``(time, seq)``, with lazy
 cancellation (cancelled handles stay in the heap and are skipped when
 popped). This is the hot path of every experiment, so handles use
-``__slots__`` and scheduling does no allocation beyond the handle itself.
+``__slots__`` and scheduling allocates only the handle and its
+``(time, seq, handle)`` heap entry.
 """
 
 from __future__ import annotations
@@ -76,13 +77,14 @@ class Simulator:
     1.5
     """
 
-    __slots__ = ("_heap", "_now", "_seq", "_pending", "_events_executed", "trace")
+    __slots__ = ("_heap", "now", "_seq", "_events_executed", "trace")
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
-        self._now: float = 0.0
+        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: current simulation time in seconds: a plain slot the event
+        #: loop writes, so the dozen reads per request cost no call
+        self.now: float = 0.0
         self._seq: int = 0
-        self._pending: int = 0  # live (non-cancelled) events in the heap
         self._events_executed: int = 0
         #: optional callable(time, handle) invoked before each event runs
         self.trace: Optional[Callable[[float, EventHandle], None]] = None
@@ -91,14 +93,14 @@ class Simulator:
     # clock & introspection
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) scheduled events."""
-        return self._pending
+        """Number of live (non-cancelled) scheduled events.
+
+        Counted on demand: nothing reads it mid-run, so the loop keeps no
+        counter for a cancel (of either spelling, before or after the
+        handle fired) to get wrong.
+        """
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     @property
     def events_executed(self) -> int:
@@ -117,34 +119,37 @@ class Simulator:
     # ------------------------------------------------------------------
     def at(self, time: float, fn: Callable[..., Any], arg: Any = _SENTINEL) -> EventHandle:
         """Schedule ``fn`` (optionally with one argument) at absolute ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (now={self._now!r}, requested={time!r})"
+                f"cannot schedule into the past (now={self.now!r}, requested={time!r})"
             )
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, arg)
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, arg)
         # Heap entries are (time, seq, handle) tuples: comparisons run in
         # C (floats/ints) instead of calling EventHandle.__lt__ ~1M times
         # per million events (profile-guided; ~8% of a polling run).
-        _heappush(self._heap, (time, self._seq, handle))
-        self._pending += 1
+        _heappush(self._heap, (time, seq, handle))
         return handle
 
     def after(self, delay: float, fn: Callable[..., Any], arg: Any = _SENTINEL) -> EventHandle:
         """Schedule ``fn`` after a relative ``delay`` (must be >= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        return self.at(self._now + delay, fn, arg)
+        # Four pushes in five come through here, so it pushes what
+        # :meth:`at` would push instead of paying a second frame.
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, arg)
+        _heappush(self._heap, (time, seq, handle))
+        return handle
 
     def call_soon(self, fn: Callable[..., Any], arg: Any = _SENTINEL) -> EventHandle:
         """Schedule ``fn`` at the current time (after already-queued events)."""
-        return self.at(self._now, fn, arg)
+        return self.at(self.now, fn, arg)
 
     def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously scheduled handle (idempotent)."""
-        if not handle.cancelled:
-            handle.cancelled = True
-            self._pending -= 1
+        """Cancel a handle (idempotent, and safe after it fired)."""
+        handle.cancelled = True
 
     # ------------------------------------------------------------------
     # execution
@@ -156,11 +161,10 @@ class Simulator:
             handle = _heappop(heap)[2]
             if handle.cancelled:
                 continue
-            self._pending -= 1
-            self._now = handle.time
+            self.now = handle.time
             self._events_executed += 1
             if self.trace is not None:
-                self.trace(self._now, handle)
+                self.trace(self.now, handle)
             arg = handle.arg
             if arg is _SENTINEL:
                 handle.fn()
@@ -183,14 +187,11 @@ class Simulator:
         budget = math.inf if max_events is None else max_events
         limit = math.inf if until is None else until
         executed = 0
-        popped = 0
-        # The loop keeps ``executed``/``popped`` in locals and commits
-        # them to the instance in ``finally`` (callbacks can abort the
-        # run by raising, e.g. the cluster's run-complete unwind, and
-        # the counters must survive that). ``self._now`` is still
-        # written before every callback — callbacks read the clock.
-        # Nothing on the heap engine branches on ``_pending`` mid-run,
-        # so deferring the decrement is observationally safe.
+        # The loop keeps ``executed`` in a local and commits it to the
+        # instance in ``finally`` (callbacks can abort the run by
+        # raising, e.g. the cluster's run-complete unwind, and the
+        # counter must survive that). ``self.now`` is still written
+        # before every callback — callbacks read the clock.
         try:
             while heap and executed < budget:
                 entry = heap[0]
@@ -201,22 +202,20 @@ class Simulator:
                 if entry[0] > limit:
                     break
                 heappop(heap)
-                popped += 1
-                self._now = handle.time
+                self.now = time = handle.time
                 executed += 1
                 trace = self.trace
                 if trace is not None:
-                    trace(self._now, handle)
+                    trace(time, handle)
                 arg = handle.arg
                 if arg is sentinel:
                     handle.fn()
                 else:
                     handle.fn(arg)
         finally:
-            self._pending -= popped
             self._events_executed += executed
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:.6f} pending={self._pending}>"
+        return f"<Simulator now={self.now:.6f} pending={self.pending}>"

@@ -19,6 +19,7 @@ from repro.core.polling import RandomPollingPolicy
 from repro.net.message import Message, MessageKind
 from repro.net.switch import SwitchedEthernet
 from repro.sim.clock import ManualClock
+from repro.sim.rng import IndexStream
 from repro.telemetry.sampler import sample_series
 
 EPOCH = 1.7e9
@@ -164,8 +165,8 @@ class _PollCtx:
         self.pending = []  # (server_id, on_reply)
         self.dispatched = []
 
-    def rng(self, name):
-        return np.random.default_rng(0)
+    def index_stream(self, name):
+        return IndexStream(np.random.default_rng(0))
 
     def available_servers(self, client):
         return self._servers

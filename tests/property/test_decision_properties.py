@@ -1,10 +1,11 @@
 """Per-decision statistics against their whole-collection references.
 
-Both hot-path shortcuts claim *the same bits* as the code they replaced,
-so both are held with ``==``: the hedge-delay window against
-``np.quantile`` over an arrival-order ring, and the numpy table argmin
+The hot-path shortcuts claim *the same bits* as the code they replaced,
+so each is held with ``==``: the hedge-delay window against
+``np.quantile`` over an arrival-order ring, the numpy table argmin
 against :func:`choose_min_with_ties` on the copied value list —
-return value *and* the generator's state after the call.
+return value *and* the generator's state after the call — and the
+block-drawn :class:`IndexStream` against scalar ``Generator.integers``.
 """
 
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.reliability import ReliabilityEngine, ReliabilityPolicy
 from repro.core.base import NoCandidatesError, choose_min_in_table, choose_min_with_ties
+from repro.sim.rng import IndexStream
 
 # ----------------------------------------------------------------------
 # hedge-delay window == np.quantile over the last `window` observations
@@ -131,3 +133,52 @@ def test_choose_min_in_table_draws_only_on_a_shared_minimum():
 def test_choose_min_in_table_empty_candidates():
     with pytest.raises(NoCandidatesError):
         choose_min_in_table(np.zeros(4), [], np.random.default_rng(0))
+
+
+# ----------------------------------------------------------------------
+# IndexStream.integers(n) == int(Generator.integers(n)), draw for draw
+# ----------------------------------------------------------------------
+#: 1 consumes no word; 2**31 + 1 rejects every other word; 2**32 - 1 is
+#: the largest bound numpy still routes through the 32-bit Lemire rule
+EDGE_BOUNDS = [1, 2, 3, 16, 1000, 2**20 + 7, 2**31 + 1, 2**32 - 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bound=st.one_of(st.none(), st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**32 - 1)),
+)
+def test_index_stream_equals_scalar_generator_draws(seed, bound):
+    """5 000 consecutive draws (five 1024-word blocks at the least) from
+    identically seeded generators; ``bound=None`` mixes the edge bounds
+    and uniform ones draw by draw."""
+    generator = np.random.default_rng(seed)
+    stream = IndexStream(np.random.default_rng(seed))
+    if bound is None:
+        chooser = np.random.default_rng(seed ^ 0x5EED)
+        bounds = np.where(
+            chooser.random(5000) < 0.5,
+            chooser.choice(EDGE_BOUNDS, 5000),
+            chooser.integers(1, 2**32, 5000),
+        ).tolist()
+    else:
+        bounds = [bound] * 5000
+    for n in bounds:
+        drawn = stream.integers(n)
+        assert type(drawn) is int
+        assert drawn == int(generator.integers(n)), n
+
+
+def test_choose_min_helpers_take_an_index_stream():
+    """The tie-break is duck-typed on ``integers``: same pick either way."""
+    table = np.zeros(7)
+    candidates = list(range(7))
+    for seed in range(20):
+        stream = IndexStream(np.random.default_rng(seed))
+        generator = np.random.default_rng(seed)
+        assert choose_min_in_table(table, candidates, stream) == choose_min_in_table(
+            table, candidates, generator
+        )
+        assert choose_min_with_ties(candidates, [0] * 7, stream) == choose_min_with_ties(
+            candidates, [0] * 7, generator
+        )

@@ -59,6 +59,55 @@ def test_cancel_then_reschedule_same_timestamp(sim):
     assert sim.now == 1.0
 
 
+@pytest.mark.parametrize("when", ["before it fires", "after it fired"])
+@pytest.mark.parametrize("spelling", ["sim.cancel(handle)", "handle.cancel()"])
+def test_pending_is_the_number_of_live_events(sim, spelling, when):
+    """Both legal spellings of cancel, on either side of the firing
+    (``Clock``: cancel is "safe after the handle fired"): ``pending``
+    neither goes negative nor keeps counting a cancelled event."""
+    fired = []
+    handle = sim.after(1.0, fired.append, "target")
+    sim.after(2.0, fired.append, "other")
+    if when == "after it fired":
+        sim.run(until=1.5)
+        assert fired == ["target"] and sim.pending == 1
+    for _ in range(2):  # idempotent
+        if spelling == "handle.cancel()":
+            handle.cancel()
+        else:
+            sim.cancel(handle)
+        assert sim.pending == 1
+    sim.run()
+    assert sim.pending == 0
+    assert fired == (["target", "other"] if when == "after it fired" else ["other"])
+    assert sim.step() is False and sim.peek() == math.inf
+
+
+def test_after_and_at_share_one_scheduling_order(sim):
+    """``after(d, f)`` is ``at(now + d, f)``: one sequence counter, so
+    interleaved calls — equal times included, from ``now == 0`` and from
+    inside a callback — fire by (time, order of the scheduling call)."""
+    rng = random.Random(4)
+    fired, expected = [], []
+
+    def schedule(batch):
+        for i in range(60):
+            delay = rng.choice([0.0, 0.25, 0.25, 0.5, 1.0, 1.75])
+            tag = (batch, i)
+            if rng.random() < 0.5:
+                sim.after(delay, fired.append, tag)
+            else:
+                sim.at(sim.now + delay, fired.append, tag)
+            expected.append((sim.now + delay, len(expected), tag))
+
+    schedule("from t=0")
+    sim.after(0.25, schedule, "from t=0.25, amid ties")
+    sim.at(0.625, schedule, "from t=0.625")
+    sim.run()
+    assert fired == [tag for _time, _order, tag in sorted(expected)]
+    assert len(fired) == 180
+
+
 def test_cancel_reschedule_interleaved_many(sim):
     """Repeated cancel/reschedule churn at one timestamp stays FIFO."""
     fired = []

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import available_policies
+from repro.experiments import SimulationConfig, build_cluster
 from repro.sim import RngHub, substream_seed
+from repro.sim.rng import IndexStream
 
 
 def test_same_seed_same_name_reproduces():
@@ -64,3 +67,61 @@ def test_substream_seed_stable_value():
 def test_non_int_seed_rejected():
     with pytest.raises(TypeError):
         RngHub("42")
+
+
+# ----------------------------------------------------------------------
+# index streams: block-drawn, so a name is raw or an index stream, never both
+# ----------------------------------------------------------------------
+def test_index_stream_is_cached_and_seeded_like_the_raw_stream():
+    hub = RngHub(9)
+    stream = hub.index_stream("picks")
+    assert hub.index_stream("picks") is stream
+    reference = RngHub(9).stream("picks")
+    assert [stream.integers(16) for _ in range(64)] == [
+        int(reference.integers(16)) for _ in range(64)
+    ]
+
+
+def test_hub_refuses_a_name_both_ways():
+    hub = RngHub(0)
+    hub.stream("raw")
+    hub.index_stream("index")
+    with pytest.raises(ValueError, match="already a raw generator"):
+        hub.index_stream("raw")
+    with pytest.raises(ValueError, match="already an index stream"):
+        hub.stream("index")
+    # the refusals handed nothing out and disturbed nothing
+    assert hub.stream("raw") is hub.stream("raw")
+    assert hub.index_stream("index") is hub.index_stream("index")
+
+
+def test_index_stream_rejects_what_numpy_rejects_or_draws_differently():
+    stream = RngHub(0).index_stream("x")
+    for n in (0, -3, 2**32):
+        with pytest.raises(ValueError, match="n must be in"):
+            stream.integers(n)
+
+
+#: constructor arguments that have no default
+REQUIRED_PARAMS = {
+    "broadcast": {"mean_interval": 0.01},
+    "stale_jsq": {"update_interval": 0.02},
+}
+
+
+@pytest.mark.parametrize("policy", available_policies())
+def test_every_policy_draws_its_picks_from_index_streams(policy):
+    config = SimulationConfig(
+        policy=policy, policy_params=REQUIRED_PARAMS.get(policy, {}),
+        n_servers=4, n_requests=60, seed=1,
+    )
+    cluster, _rho = build_cluster(config)
+    cluster.run()
+    held = {name: value for name, value in vars(cluster.policy).items() if name.startswith("_rng")}
+    assert all(type(value) is IndexStream for value in held.values()), held
+    assert held or policy == "round_robin"  # the one policy that draws nothing
+    # the hub would have raised had any of them also been taken raw
+    private = [name for name in cluster.rng_hub._streams if name.startswith("policy.")]
+    for name in private:
+        if name != "policy.broadcast.intervals":  # floats, block-drawn by its own generator
+            assert cluster.rng_hub.index_stream(name) in held.values()

@@ -71,13 +71,19 @@ def _lifo_at(self, time, fn, arg=_SENTINEL):
     self._seq += 1
     handle = EventHandle(time, self._seq, fn, arg)
     self._push((time, -self._seq, handle))
-    self._pending += 1
     return handle
+
+
+def _lifo_after(self, delay, fn, arg=_SENTINEL):
+    """``Simulator.after`` pushes without calling ``at`` (four pushes in
+    five), so the mutation has to cover it too."""
+    return self.at(self.now + delay, fn, arg)
 
 
 class TieFlipHeap(Simulator):
     __slots__ = ()
     at = _lifo_at
+    after = _lifo_after
 
     def _push(self, entry):
         heappush(self._heap, entry)
@@ -86,6 +92,7 @@ class TieFlipHeap(Simulator):
 class TieFlipCalendar(CalendarSimulator):
     __slots__ = ()
     at = _lifo_at
+    after = _lifo_after
 
     def _push(self, entry):
         heappush(self._buckets[int(entry[0] / self._width) % self._n_buckets], entry)
@@ -104,8 +111,7 @@ class OffByOneBucket(CalendarSimulator):
         index = (int(time / self._width) + 1) % self._n_buckets
         heappush(self._buckets[index], (time, self._seq, handle))
         self._qsize += 1
-        self._pending += 1
-        if self._pending > 2 * self._n_buckets:
+        if self._qsize > 2 * self._n_buckets:
             self._resize(2 * self._n_buckets)
         return handle
 
@@ -130,21 +136,20 @@ class LateCursorRewind(CalendarSimulator):
                     self._buckets[int(entry[0] / self._width) % self._n_buckets], entry
                 )
                 self._qsize += 1
-                break  # mutation: no ``self._day = int(self._now / self._width)``
+                break  # mutation: no ``self._day = int(self.now / self._width)``
             handle = entry[2]
-            self._pending -= 1
-            self._now = handle.time
+            self.now = handle.time
             self._events_executed += 1
             executed += 1
             self._maybe_shrink()
             if self.trace is not None:
-                self.trace(self._now, handle)
+                self.trace(self.now, handle)
             if handle.arg is _SENTINEL:
                 handle.fn()
             else:
                 handle.fn(handle.arg)
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
 
 MUTATIONS = {
