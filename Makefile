@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke suite-smoke examples figures clean
+.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke suite-smoke bench-pairs examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -101,6 +101,17 @@ serve-smoke:
 suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke --trace 1
 	$(PYTHON) -m pytest benchmarks/suite/test_suite.py -q
+
+# The ritual every perf claim rests on (ROADMAP, choosing-metrics §8):
+# N alternating parent/change runs of one suite workload from two
+# sibling scratch trees, each pair checked for correct / failed /
+# sim_fingerprint, then per-metric medians, quartiles and wins.
+#   make bench-pairs W=broadcast_fanout PARENT=../parent CHANGE=../change [N=10 SEED=0 SECONDS=10]
+N ?= 10
+SEED ?= 0
+SECONDS ?= 10
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py $(W) $(PARENT) $(CHANGE) $(N) $(SEED) $(SECONDS)
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -1,0 +1,60 @@
+"""pairs.py WORKLOAD PARENT_DIR CHANGE_DIR [N=10, at least 2] [SEED=0] [SECONDS=10]  (`make bench-pairs`)
+
+Runs each tree's own ``benchmarks/suite/run.py --trace 0`` N times per side,
+alternating which side goes first, checks ``correct``/``failed``/``sim_fingerprint``
+on every pair, prints per-metric medians, quartiles and wins; exit 1 on a failed check.
+"""
+
+import json
+import statistics
+import subprocess
+import sys
+
+
+def run_once(tree: str, workload: str, seed: str, seconds: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, "benchmarks/suite/run.py", "--workload", workload,
+         "--seed", seed, "--seconds", seconds, "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = done.stdout.splitlines()
+    detail = next(json.loads(x[7:]) for x in reversed(lines) if x.startswith("DETAIL {"))
+    result = json.loads(lines[-1])
+    return {
+        "ok": done.returncode == 0 and result["correct"] and result["failed"] == 0,
+        "fingerprint": detail["fingerprint"],
+        **{name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def main(workload, parent, change, n="10", seed="0", seconds="10") -> int:
+    trees, n = {"parent": parent, "change": change}, int(n)
+    with open(f"{parent}/BENCHMARK.json") as handle:
+        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    pairs, sound = [], True
+    for i in range(n):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        run = {side: run_once(trees[side], workload, seed, seconds) for side in order}
+        p, c = run["parent"], run["change"]
+        same = p["fingerprint"] == c["fingerprint"]
+        sound &= same and p["ok"] and c["ok"]
+        pairs.append(run)
+        print(f"pair {i + 1}/{n} first={order[0]} fingerprint_equal={same} "
+              f"ok={p['ok']}/{c['ok']} wall_s {p['wall_s']:.4f}/{c['wall_s']:.4f}", flush=True)
+    print(f"{workload} seed={seed} seconds={seconds} pairs={n}")
+    for name, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        ps, cs = ([pair[side][name] for pair in pairs] for side in ("parent", "change"))
+        wins = sum(sign * c < sign * p for p, c in zip(ps, cs))
+        (pq1, pm, pq3), (cq1, cm, cq3) = (
+            statistics.quantiles(xs, n=4, method="inclusive") for xs in (ps, cs)
+        )
+        print(f"  {name:19s} parent {pm:.5g} [{pq1:.5g}, {pq3:.5g}]  change {cm:.5g} "
+              f"[{cq1:.5g}, {cq3:.5g}]  worse by {sign * (cm - pm) / pm:+.1%}  "
+              f"parent IQR {pq3 - pq1:.3g}  wins {wins}/{n}")
+    print(f"  every pair correct, failed 0, sim_fingerprint equal: {sound}")
+    return 0 if sound else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))

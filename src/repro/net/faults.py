@@ -4,8 +4,9 @@ The paper's §3.1 robustness claim rests on soft state surviving *messy*
 failures, not just clean crashes: announcements get lost or duplicated,
 links jitter, and node groups partition. This module provides the
 network-side half of the chaos subsystem — a :class:`NetworkFaults`
-object consulted by :class:`~repro.net.transport.Network` on every send
-and every delivery:
+object holding the parameters, partitions, dead-node set and tallies
+that :class:`~repro.net.transport.Network` reads to make its verdict on
+every send (``Network.send``) and every delivery (``Network._deliver``):
 
 - **loss** — each message is dropped with probability ``loss`` (per
   kind overridable) at send time;
@@ -35,7 +36,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.net.message import Message, MessageKind
+from repro.net.message import MessageKind
 
 __all__ = ["NetworkFaults"]
 
@@ -43,10 +44,14 @@ __all__ = ["NetworkFaults"]
 PartitionPair = tuple[frozenset, frozenset]
 
 
-def _validate_probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return float(value)
+def _validate_params(loss: float, duplicate: float, jitter_mean: float, where: str = "") -> tuple:
+    """Range-check one ``(loss, duplicate, jitter_mean)`` triple."""
+    for name, value in (("loss", loss), ("duplicate", duplicate)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{where}{name} must be in [0, 1], got {value}")
+    if jitter_mean < 0:
+        raise ValueError(f"{where}jitter_mean must be >= 0, got {jitter_mean}")
+    return float(loss), float(duplicate), float(jitter_mean)
 
 
 class NetworkFaults:
@@ -76,8 +81,10 @@ class NetworkFaults:
         "duplicate",
         "jitter_mean",
         "per_kind",
-        "_default_params",
-        "_kind_params",
+        "default_params",
+        "kind_params",
+        "random",
+        "standard_exponential",
         "unreachable",
         "partitions",
         "lost_counts",
@@ -96,23 +103,24 @@ class NetworkFaults:
         unreachable: Optional[set[int]] = None,
     ):
         self.rng = rng
-        self.loss = _validate_probability("loss", loss)
-        self.duplicate = _validate_probability("duplicate", duplicate)
-        if jitter_mean < 0:
-            raise ValueError(f"jitter_mean must be >= 0, got {jitter_mean}")
-        self.jitter_mean = float(jitter_mean)
+        #: the generator's bound draws, in the order a send makes them:
+        #: loss (uniform), jitter (standard exponential), duplicate (uniform)
+        self.random = rng.random
+        self.standard_exponential = rng.standard_exponential
+        # Nothing mutates the parameters after construction, so each kind's
+        # (loss, duplicate, jitter_mean) is resolved here, once, in that order.
+        self.default_params = _validate_params(loss, duplicate, jitter_mean)
+        self.loss, self.duplicate, self.jitter_mean = self.default_params
         self.per_kind = dict(per_kind) if per_kind else {}
         defaults = {"loss": self.loss, "duplicate": self.duplicate, "jitter_mean": self.jitter_mean}
+        self.kind_params = {}
         for kind, overrides in self.per_kind.items():
             unknown = set(overrides) - set(defaults)
             if unknown:
                 raise ValueError(f"unknown per-kind override(s) for {kind}: {sorted(unknown)}")
-        # Nothing mutates the parameters after construction, so each kind's
-        # (loss, duplicate, jitter_mean) is resolved here, once, in that order.
-        self._default_params = tuple(defaults.values())
-        self._kind_params = {
-            kind: tuple({**defaults, **overrides}.values()) for kind, overrides in self.per_kind.items()
-        }
+            self.kind_params[kind] = _validate_params(
+                **{**defaults, **overrides}, where=f"per_kind[{kind.value}] "
+            )
         self.unreachable: set[int] = unreachable if unreachable is not None else set()
         #: active bidirectional cuts
         self.partitions: list[PartitionPair] = []
@@ -148,52 +156,6 @@ class NetworkFaults:
         for group_a, group_b in self.partitions:
             if (src in group_a and dst in group_b) or (src in group_b and dst in group_a):
                 return True
-        return False
-
-    # ------------------------------------------------------------------
-    # per-message decisions
-    # ------------------------------------------------------------------
-    def on_send(self, message: Message) -> Optional[tuple[float, bool]]:
-        """Fault verdict at send time.
-
-        Returns ``None`` when the message is dropped (partition cut or
-        probabilistic loss), else ``(extra_jitter_seconds, duplicate)``.
-        Partition checks consume no randomness; the loss, jitter, and
-        duplication draws happen in that fixed order so stream
-        consumption is reproducible.
-        """
-        kind = message.kind
-        if self.partitions and self.severed(message.src, message.dst):
-            self.partition_drop_counts[kind] = self.partition_drop_counts.get(kind, 0) + 1
-            return None
-        loss, duplicate, jitter_mean = self._kind_params.get(kind, self._default_params)
-        if loss > 0.0 and self.rng.random() < loss:
-            self.lost_counts[kind] = self.lost_counts.get(kind, 0) + 1
-            return None
-        jitter = float(self.rng.exponential(jitter_mean)) if jitter_mean > 0.0 else 0.0
-        duplicated = bool(duplicate > 0.0 and self.rng.random() < duplicate)
-        if duplicated:
-            self.duplicated_counts[kind] = self.duplicated_counts.get(kind, 0) + 1
-        return jitter, duplicated
-
-    def blocks_delivery(self, message: Message) -> bool:
-        """Fault verdict at delivery time (for messages already in flight).
-
-        A message is swallowed when either endpoint has crashed or a
-        partition now separates the endpoints — this is what guarantees
-        that *no message is ever delivered to a crashed or
-        partitioned-away node*, even for crashes/cuts that happen while
-        the message is on the wire. Consumes no randomness.
-        """
-        unreachable = self.unreachable
-        if (
-            message.dst in unreachable
-            or message.src in unreachable
-            or (self.partitions and self.severed(message.src, message.dst))
-        ):
-            kind = message.kind
-            self.in_flight_drop_counts[kind] = self.in_flight_drop_counts.get(kind, 0) + 1
-            return True
         return False
 
     # ------------------------------------------------------------------

@@ -5,9 +5,12 @@ and delivers via a scheduled callback. Every send is tallied (count and
 bytes per :class:`MessageKind`), which is what the §2.4 message-scaling
 ablation measures.
 
-A channel publish whose recipients all arrive at the same instant
+A message pays only for the gates that are installed: a channel
+publish whose recipients all arrive at the same instant
 (:meth:`Network.multicast`) rides one scheduler event instead of one
-per recipient; messages, counts and delivery order are unchanged.
+per recipient, and with no gate installed it is one flyweight
+:class:`Message` re-addressed to each subscriber in turn; counts and
+delivery order are unchanged.
 """
 
 from __future__ import annotations
@@ -25,8 +28,15 @@ __all__ = ["Network", "BroadcastChannel"]
 DeliveryCallback = Callable[[Message], None]
 
 
+def _deliver_publication(publication: tuple[Sequence[tuple[int, DeliveryCallback]], Message]) -> None:
+    """Event handler of an ungated publication: one message, re-addressed per callback."""
+    subscribers, message = publication
+    for message.dst, on_delivery in subscribers:
+        on_delivery(message)
+
+
 def _deliver_group(group: list[tuple[DeliveryCallback, Message]]) -> None:
-    """Event handler of an ungated same-instant delivery group."""
+    """Event handler of a same-instant group filtered at send time."""
     for on_delivery, message in group:
         on_delivery(message)
 
@@ -124,6 +134,10 @@ class Network:
 
         ``extra_delay`` is added on top of the sampled network latency
         (used by the prototype model for load-dependent response delays).
+
+        With ``faults`` installed the send-time chaos verdict is made
+        here: partition cut (no randomness), then the loss, jitter and
+        duplication draws, in that fixed order on the faults' generator.
         """
         size = DEFAULT_SIZES[kind] if size_bytes is None else size_bytes
         sim = self.sim
@@ -131,42 +145,42 @@ class Network:
         self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
         self.byte_counts[kind] = self.byte_counts.get(kind, 0) + size
         if self.drop_filter is not None and self.drop_filter(message):
-            self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
-            self._note_drop()
+            self._drop_at_send(kind)
             return message
         faults = self.faults
         duplicated = False
         if faults is not None:
-            verdict = faults.on_send(message)
-            if verdict is None:
-                self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
-                self._note_drop()
+            if faults.partitions and faults.severed(src, dst):
+                self._drop_at_send(kind, faults.partition_drop_counts)
                 return message
-            jitter, duplicated = verdict
-            extra_delay += jitter
-        # A constant latency is read, not sampled (it draws nothing), and
-        # an ungated network schedules the arrival here: the test is the
-        # one _schedule_delivery makes, made once.
+            loss, duplicate, jitter_mean = faults.kind_params.get(kind, faults.default_params)
+            if loss > 0.0 and faults.random() < loss:
+                self._drop_at_send(kind, faults.lost_counts)
+                return message
+            if jitter_mean > 0.0:
+                # The double exponential(jitter_mean) returns: numpy
+                # computes scale * standard_exponential().
+                extra_delay += jitter_mean * faults.standard_exponential()
+            if duplicate > 0.0 and faults.random() < duplicate:
+                duplicated = True
+                counts = faults.duplicated_counts
+                counts[kind] = counts.get(kind, 0) + 1
+        # A constant latency is read, not sampled (it draws nothing).
         model = self._latency_by_kind.get(kind, self.default_latency)
         latency = (
             model.value if type(model) is ConstantLatency else model.sample(self.rng)
         ) + extra_delay
-        if (
-            faults is None
-            and self.switch is None
-            and self.deliver_trace is None
-            and self.inflight_recorder is None
-        ):
+        if self.switch is not None or self.inflight_recorder is not None:
+            self._schedule_delivery(latency, message, on_delivery)
+        elif faults is None and self.deliver_trace is None:
             sim.after(latency, on_delivery, message)
-            return message
-        self._schedule_delivery(latency, message, on_delivery)
+        else:
+            sim.after(latency, self._deliver, (on_delivery, message))
         if duplicated:
-            # The duplicate is an independent delivery: its own latency
-            # draw, subject to the same delivery-time fault checks. It
-            # does not count as a new send in message_counts (the
-            # NetworkFaults.duplicated_counts tally covers it).
-            dup_latency = model.sample(self.rng) + extra_delay
-            self._schedule_delivery(dup_latency, message, on_delivery)
+            # An independent delivery: its own latency draw, the same
+            # delivery-time checks. Not a new send in message_counts
+            # (NetworkFaults.duplicated_counts covers it).
+            self._schedule_delivery(model.sample(self.rng) + extra_delay, message, on_delivery)
         return message
 
     def multicast(
@@ -179,16 +193,22 @@ class Network:
     ) -> None:
         """Send ``payload`` to every ``(node_id, on_delivery)`` subscriber.
 
-        Equivalent to one :meth:`send` per subscriber, in order. When
-        the kind's latency is a :class:`ConstantLatency` and neither
-        ``faults`` nor ``switch`` is installed, those sends would land
-        at one instant with consecutive sequence numbers, so they ride
-        **one** scheduler event that runs the callbacks in subscriber
-        order: same position in the event order, same callback order,
-        fewer events. Everything else stays per recipient: one
-        :class:`Message` each, the counts, the ``drop_filter`` verdict
-        at send time, and ``deliver_trace`` / ``inflight_recorder`` at
-        delivery time (decided at send time, as in :meth:`send`).
+        Equivalent to one :meth:`send` per subscriber, in order; which
+        gates are installed decides, at send time, what it costs:
+
+        - ``faults``, ``switch`` or a latency that is not a
+          :class:`ConstantLatency`: arrivals can differ, so it *is* one
+          :meth:`send` per subscriber.
+        - Otherwise the sends would land at one instant with consecutive
+          sequence numbers, so they ride **one** scheduler event that
+          runs the callbacks in subscriber order: same position in the
+          event order, same callback order, same counts, fewer events.
+          ``drop_filter``, ``deliver_trace`` and ``inflight_recorder``
+          each judge a :class:`Message` per recipient; with none of them
+          installed nothing reads one, and the publication is a single
+          flyweight :class:`Message` (contract: :class:`BroadcastChannel`).
+
+        The event holds ``subscribers``: do not mutate it afterwards.
         """
         model = self.latency_for(kind)
         if (
@@ -207,17 +227,20 @@ class Network:
         self.message_counts[kind] = self.message_counts.get(kind, 0) + fan_out
         self.byte_counts[kind] = self.byte_counts.get(kind, 0) + fan_out * size
         drop_filter = self.drop_filter
+        recorder = self.inflight_recorder
+        if drop_filter is None and recorder is None and self.deliver_trace is None:
+            message = Message(kind, src, subscribers[0][0], payload, size, now)
+            self.sim.after(model.value, _deliver_publication, (subscribers, message))
+            return
         group = []
         for node_id, on_delivery in subscribers:
             message = Message(kind, src, node_id, payload, size, now)
             if drop_filter is not None and drop_filter(message):
-                self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
-                self._note_drop()
+                self._drop_at_send(kind)
             else:
                 group.append((on_delivery, message))
         if not group:
             return
-        recorder = self.inflight_recorder
         if recorder is not None:
             for _ in group:
                 self._inflight += 1
@@ -234,6 +257,13 @@ class Network:
         for pair in group:
             deliver(pair)
 
+    def _drop_at_send(self, kind: MessageKind, cause_counts: Optional[dict] = None) -> None:
+        """Tally a send-time drop (cold path), and why if the faults did it."""
+        if cause_counts is not None:
+            cause_counts[kind] = cause_counts.get(kind, 0) + 1
+        self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
+        self._note_drop()
+
     def _note_drop(self) -> None:
         """Record a lost message on the telemetry drop series (cold path)."""
         recorder = self.drops_recorder
@@ -244,9 +274,9 @@ class Network:
     def _schedule_delivery(
         self, latency: float, message: Message, on_delivery: DeliveryCallback
     ) -> None:
-        """Schedule an arrival that transits the switch, passes the
-        delivery gate (faults/trace/telemetry installed), or both; the
-        ungated, switchless arrival is scheduled by :meth:`send` itself."""
+        """Schedule an arrival through whatever is installed (switch,
+        in-flight telemetry, delivery gate); :meth:`send` calls this for
+        duplicates and when a switch or the recorder is in the way."""
         recorder = self.inflight_recorder
         if recorder is not None:
             self._inflight += 1
@@ -275,7 +305,14 @@ class Network:
             # The message left flight whether or not the gate blocks it.
             self._inflight -= 1
             recorder.record(self.sim.now, float(self._inflight))
-        if self.faults is not None and self.faults.blocks_delivery(message):
+        faults = self.faults
+        if faults is not None and (
+            message.dst in faults.unreachable
+            or message.src in faults.unreachable
+            or (faults.partitions and faults.severed(message.src, message.dst))
+        ):
+            counts = faults.in_flight_drop_counts
+            counts[message.kind] = counts.get(message.kind, 0) + 1
             self._note_drop()
             return
         if self.deliver_trace is not None:
@@ -296,11 +333,17 @@ class Network:
 class BroadcastChannel:
     """A one-to-many channel (IP multicast / well-known pub-sub channel).
 
-    Subscribers register a delivery callback; a publish fans out one
-    message per subscriber (each with its own latency draw), matching the
-    paper's accounting in which broadcast cost scales with the number of
-    clients. The fan-out is :meth:`Network.multicast`, which carries
-    same-instant arrivals on a single scheduler event.
+    Subscribers register a delivery callback; a publish is accounted as
+    one message per subscriber, matching the paper's accounting in which
+    broadcast cost scales with the number of clients. The fan-out is
+    :meth:`Network.multicast`, which carries same-instant arrivals on a
+    single scheduler event.
+
+    The :class:`Message` handed to a subscriber belongs to the
+    publication: ``dst`` names the recipient for the duration of its
+    callback only, and a subscriber that keeps the message copies it. A
+    subscriber added while a publication is in flight does not receive
+    it; one removed still does.
     """
 
     __slots__ = ("network", "kind", "_subscribers")
@@ -316,7 +359,8 @@ class BroadcastChannel:
 
     def subscribe(self, node_id: int, on_delivery: DeliveryCallback) -> None:
         """Register ``on_delivery`` for messages published on the channel."""
-        self._subscribers.append((node_id, on_delivery))
+        # Copy-on-write, as unsubscribe: an in-flight event holds the old list.
+        self._subscribers = [*self._subscribers, (node_id, on_delivery)]
 
     def unsubscribe(self, node_id: int) -> None:
         """Remove all subscriptions for ``node_id``."""

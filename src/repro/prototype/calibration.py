@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.system import ServiceCluster
-from repro.core.random_policy import RandomPolicy
 from repro.net.latency import PAPER_NET, PaperNetworkConstants
 from repro.prototype.overhead import PrototypeOverheadModel
 from repro.sim.rng import RngHub
@@ -57,34 +55,23 @@ class FullLoadCalibration:
         return load * self.nominal_rho_at_full_load
 
 
-def _completion_fraction(
-    workload: Workload,
-    nominal_rho: float,
-    n_requests: int,
-    seed: int,
-    threshold: float,
-    constants: PaperNetworkConstants,
-    overhead: PrototypeOverheadModel,
-) -> float:
-    """Fraction of requests finishing within ``threshold`` on 1 server."""
-    hub = RngHub(seed)
-    gaps, services = workload.generate(hub.stream("calibration.workload"), n_requests)
-    mean_service = float(services.mean())
-    target_interval = mean_service / nominal_rho
-    gaps = gaps * (target_interval / float(gaps.mean()))
-    cluster = ServiceCluster(
-        n_servers=1,
-        policy=RandomPolicy(),
-        seed=seed,
-        n_clients=1,
-        constants=constants,
-        overhead=overhead,
-    )
-    cluster.load_workload(gaps, services)
-    metrics = cluster.run()
-    mask = metrics.measurement_slice(warmup_fraction=0.1)
-    responses = metrics.response_time[mask]
-    return float((responses <= threshold).mean())
+def _single_server_responses(
+    gaps: np.ndarray, services: np.ndarray, one_way: float
+) -> np.ndarray:
+    """Response times on one FIFO server, ``one_way`` away each way.
+
+    With one server and no polls a prototype ``ServiceCluster`` run *is*
+    this Lindley recursion; the float operations are the event engine's,
+    in its order, so the array equals ``ClusterMetrics.response_time``.
+    """
+    responses = []
+    free = 0.0
+    for arrival, service in zip(np.cumsum(gaps).tolist(), services.tolist()):
+        at_server = arrival + one_way
+        begin = at_server if at_server > free else free
+        free = begin + service
+        responses.append((free + one_way) - arrival)
+    return np.array(responses)
 
 
 def calibrate_full_load(
@@ -100,9 +87,9 @@ def calibrate_full_load(
 ) -> FullLoadCalibration:
     """Bisect the nominal utilization at which the 98%-rule trips.
 
-    Uses common random numbers (one seed for every probe), so the
-    completion fraction is a deterministic, effectively monotone
-    function of the nominal rate and bisection is well-posed.
+    Every probe sees the same request stream, so the completion
+    fraction is a deterministic, effectively monotone function of the
+    nominal rate and bisection is well-posed.
     """
     if not 0 < target_fraction < 1:
         raise ValueError(f"target_fraction must be in (0,1), got {target_fraction}")
@@ -111,17 +98,24 @@ def calibrate_full_load(
     if not 0 < lo < hi:
         raise ValueError(f"invalid rho_bounds {rho_bounds}")
 
+    # Common random numbers: one request stream, rescaled per probe.
+    gaps, services = workload.generate(RngHub(seed).stream("calibration.workload"), n_requests)
+    mean_service, mean_gap = float(services.mean()), float(gaps.mean())
+    services = services + overhead.request_cpu_overhead
+    warmup = int(n_requests * 0.1)  # as ClusterMetrics.measurement_slice
+
     def fraction(rho: float) -> float:
-        return _completion_fraction(
-            workload, rho, n_requests, seed, threshold, constants, overhead
+        """Share of post-warm-up requests within ``threshold`` on 1 server."""
+        responses = _single_server_responses(
+            gaps * ((mean_service / rho) / mean_gap), services, constants.request_one_way
         )
+        return float((responses[warmup:] <= threshold).mean())
 
     # The fraction decreases with rho. If even the upper bound meets the
     # target, full load is at (or beyond) the bound.
-    if fraction(hi) >= target_fraction:
-        return FullLoadCalibration(
-            workload.name, hi, fraction(hi), threshold, target_fraction
-        )
+    at_hi = fraction(hi)
+    if at_hi >= target_fraction:
+        return FullLoadCalibration(workload.name, hi, at_hi, threshold, target_fraction)
     if fraction(lo) < target_fraction:
         raise RuntimeError(
             f"workload {workload.name!r} misses the {target_fraction:.0%} "

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net import ConstantLatency, Message, MessageKind, Network, NetworkFaults
-from repro.sim import Simulator
+from repro.net import ConstantLatency, Message, MessageKind, Network, NetworkFaults, UniformLatency
+from repro.net.message import DEFAULT_SIZES
+from repro.sim import Simulator, make_simulator
+from tests.net.test_transport import StepLog
 
 
 def make_network(latency=1e-4):
@@ -37,6 +41,29 @@ def test_probability_validation():
         NetworkFaults(rng, jitter_mean=-1.0)
     with pytest.raises(ValueError):
         NetworkFaults(rng, per_kind={MessageKind.POLL: {"latency": 1.0}})
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"loss": 2.0}, r"per_kind\[publish\] loss must be in \[0, 1\], got 2.0"),
+        ({"loss": -0.1}, r"per_kind\[publish\] loss must be in \[0, 1\]"),
+        ({"duplicate": 1.5}, r"per_kind\[publish\] duplicate must be in \[0, 1\], got 1.5"),
+        ({"jitter_mean": -1.0}, r"per_kind\[publish\] jitter_mean must be >= 0, got -1.0"),
+        ({"loss": 0.5, "jitter_mean": -1e-9}, r"per_kind\[publish\] jitter_mean must be >= 0"),
+    ],
+)
+def test_per_kind_overrides_are_range_checked_at_construction(override, message):
+    """An out-of-range override used to construct: loss=2.0 silently
+    dropped every message of the kind, jitter_mean=-1.0 died inside the
+    first send with numpy's ``scale < 0``."""
+    with pytest.raises(ValueError, match=message):
+        NetworkFaults(np.random.default_rng(0), per_kind={MessageKind.PUBLISH: override})
+    in_range = {name: min(max(value, 0.0), 1.0) for name, value in override.items()}
+    faults = NetworkFaults(np.random.default_rng(0), loss=0.25, per_kind={MessageKind.PUBLISH: in_range})
+    assert faults.kind_params[MessageKind.PUBLISH] == (
+        in_range.get("loss", 0.25), in_range.get("duplicate", 0.0), in_range.get("jitter_mean", 0.0)
+    )
 
 
 def test_no_faults_delivers_everything():
@@ -182,3 +209,178 @@ def test_fixed_seed_fault_decisions_are_reproducible():
         delivered = send_n(sim, net, 100)
         outcomes.append((len(delivered), faults.total_lost(), faults.total_duplicated()))
     assert outcomes[0] == outcomes[1]
+
+
+# ----------------------------------------------------------------------
+# the chaos verdict made in Network.send / Network._deliver equals the
+# NetworkFaults.on_send / blocks_delivery pair it replaced
+# ----------------------------------------------------------------------
+class ReferenceFaults(NetworkFaults):
+    """``NetworkFaults`` with the two deleted per-message methods, kept
+    here as the reference the in-frame verdict is held against."""
+
+    __slots__ = ()
+
+    def on_send(self, message):
+        kind = message.kind
+        if self.partitions and self.severed(message.src, message.dst):
+            self.partition_drop_counts[kind] = self.partition_drop_counts.get(kind, 0) + 1
+            return None
+        loss, duplicate, jitter_mean = self.kind_params.get(kind, self.default_params)
+        if loss > 0.0 and self.rng.random() < loss:
+            self.lost_counts[kind] = self.lost_counts.get(kind, 0) + 1
+            return None
+        jitter = float(self.rng.exponential(jitter_mean)) if jitter_mean > 0.0 else 0.0
+        duplicated = bool(duplicate > 0.0 and self.rng.random() < duplicate)
+        if duplicated:
+            self.duplicated_counts[kind] = self.duplicated_counts.get(kind, 0) + 1
+        return jitter, duplicated
+
+    def blocks_delivery(self, message):
+        unreachable = self.unreachable
+        if (
+            message.dst in unreachable
+            or message.src in unreachable
+            or (self.partitions and self.severed(message.src, message.dst))
+        ):
+            kind = message.kind
+            self.in_flight_drop_counts[kind] = self.in_flight_drop_counts.get(kind, 0) + 1
+            return True
+        return False
+
+
+class ReferenceNetwork(Network):
+    """``Network`` with the replaced ``send`` / ``_deliver`` bodies:
+    the verdict is asked of the faults object, one call each."""
+
+    __slots__ = ()
+
+    def send(self, kind, src, dst, payload, on_delivery, size_bytes=None, extra_delay=0.0):
+        size = DEFAULT_SIZES[kind] if size_bytes is None else size_bytes
+        message = Message(kind, src, dst, payload, size, self.sim.now)
+        self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
+        self.byte_counts[kind] = self.byte_counts.get(kind, 0) + size
+        if self.drop_filter is not None and self.drop_filter(message):
+            self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
+            self._note_drop()
+            return message
+        verdict = self.faults.on_send(message)
+        if verdict is None:
+            self.dropped_counts[kind] = self.dropped_counts.get(kind, 0) + 1
+            self._note_drop()
+            return message
+        jitter, duplicated = verdict
+        extra_delay += jitter
+        model = self.latency_for(kind)
+        self._schedule_delivery(model.sample(self.rng) + extra_delay, message, on_delivery)
+        if duplicated:
+            self._schedule_delivery(model.sample(self.rng) + extra_delay, message, on_delivery)
+        return message
+
+    def _deliver(self, pair):
+        on_delivery, message = pair
+        recorder = self.inflight_recorder
+        if recorder is not None:
+            self._inflight -= 1
+            recorder.record(self.sim.now, float(self._inflight))
+        if self.faults.blocks_delivery(message):
+            self._note_drop()
+            return
+        if self.deliver_trace is not None:
+            self.deliver_trace(message)
+        on_delivery(message)
+
+
+NODES = st.integers(0, 5)
+KINDS = st.sampled_from([MessageKind.REQUEST, MessageKind.POLL, MessageKind.PUBLISH, MessageKind.RESPONSE])
+PROBABILITY = st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0])
+JITTER = st.sampled_from([0.0, 0.0, 1e-4, 5e-3])
+PARAMS = st.fixed_dictionaries(
+    {}, optional={"loss": PROBABILITY, "duplicate": PROBABILITY, "jitter_mean": JITTER}
+)
+GROUPS = st.sets(NODES, min_size=2, max_size=6).flatmap(
+    lambda nodes: st.integers(1, len(nodes) - 1).map(
+        lambda cut: (sorted(nodes)[:cut], sorted(nodes)[cut:])
+    )
+)
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1e-4, 2e-3]),  # time since the previous step
+        st.one_of(
+            st.tuples(st.just("send"), KINDS, NODES, NODES),
+            st.tuples(st.just("send"), KINDS, NODES, NODES),
+            st.tuples(st.just("cut"), GROUPS),
+            st.tuples(st.just("heal")),
+            st.tuples(st.just("die"), NODES),
+            st.tuples(st.just("recover"), NODES),
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def play(network_cls, faults_cls, engine, seed, defaults, per_kind, steps, stochastic, telemetry):
+    sim = make_simulator(engine)
+    latency = UniformLatency(1e-4, 3e-3) if stochastic else ConstantLatency(1e-3)
+    net = network_cls(sim, np.random.default_rng(seed), latency)
+    faults = net.faults = faults_cls(np.random.default_rng(seed + 1), per_kind=per_kind, **defaults)
+    if telemetry:
+        net.inflight_recorder, net.drops_recorder = StepLog(), StepLog()
+    log, cuts = [], []
+
+    def step(action):
+        name, *args = action
+        if name == "send":
+            kind, src, dst = args
+            net.send(kind, src, dst, len(log), lambda m: log.append((m.dst, sim.now, m.payload)))
+        elif name == "cut":
+            cuts.append(faults.add_partition(*args[0]))
+        elif name == "heal" and cuts:
+            faults.remove_partition(cuts.pop(0))
+        elif name == "die":
+            faults.unreachable.add(args[0])
+        elif name == "recover":
+            faults.unreachable.discard(args[0])
+
+    at = 0.0
+    for gap, action in steps:
+        at += gap
+        sim.at(at, step, action)
+    sim.run()
+    return {
+        "log": log,
+        "message": net.message_counts, "byte": net.byte_counts, "dropped": net.dropped_counts,
+        "lost": faults.lost_counts, "duplicated": faults.duplicated_counts,
+        "partition_drop": faults.partition_drop_counts, "in_flight_drop": faults.in_flight_drop_counts,
+        "fault_rng": faults.rng.bit_generator.state, "latency_rng": net.rng.bit_generator.state,
+        "telemetry": telemetry and (net.inflight_recorder.points, net.drops_recorder.points),
+        "events": sim.events_executed,
+    }
+
+
+@pytest.mark.parametrize("engine", ["heap", "calendar"])
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 2),
+    defaults=PARAMS,
+    per_kind=st.dictionaries(KINDS, PARAMS, max_size=2),
+    steps=STEPS,
+    stochastic=st.booleans(),
+    telemetry=st.booleans(),
+)
+def test_in_frame_chaos_verdict_equals_the_replaced_methods(
+    engine, seed, defaults, per_kind, steps, stochastic, telemetry
+):
+    script = (engine, seed, defaults, per_kind, steps, stochastic, telemetry)
+    assert play(Network, NetworkFaults, *script) == play(ReferenceNetwork, ReferenceFaults, *script)
+
+
+def test_scaled_standard_exponential_is_the_exponential_draw():
+    """``jitter_mean * standard_exponential()`` is the double
+    ``exponential(jitter_mean)`` returns, draw for draw."""
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for mean in (1e-4, 5e-3, 0.05, 1.0, 3.7):
+        for _ in range(40_000):
+            assert mean * a.standard_exponential() == float(b.exponential(mean))
+    assert a.bit_generator.state == b.bit_generator.state

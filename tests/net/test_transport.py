@@ -277,3 +277,89 @@ def test_nothing_scheduled_without_a_recipient():
     assert net.dropped_counts == {MessageKind.BROADCAST: 2}
     sim.run()
     assert sim.events_executed == 0
+
+
+# ----------------------------------------------------------------------
+# the flyweight publication (no gate installed)
+# ----------------------------------------------------------------------
+def retaining_channel(configure=None):
+    """Two subscribers that keep every message they are handed."""
+    sim, net = make_net(latency=1e-3)
+    if configure is not None:
+        configure(net)
+    channel = BroadcastChannel(net)
+    kept = {1: [], 2: []}
+    seen_dst = []
+    for node in kept:
+        channel.subscribe(node, lambda m, node=node: (kept[node].append(m), seen_dst.append(m.dst)))
+    return sim, net, channel, kept, seen_dst
+
+
+def test_ungated_publication_is_one_message_addressed_to_each_subscriber_in_turn():
+    sim, net, channel, kept, seen_dst = retaining_channel()
+    channel.publish(src=0, payload="a")
+    channel.publish(src=0, payload="b")
+    sim.run()
+    # dst named the recipient while its callback ran ...
+    assert seen_dst == [1, 2, 1, 2]
+    # ... but the record belongs to the publication: a subscriber that
+    # keeps it must copy it.
+    assert [m.payload for m in kept[1]] == ["a", "b"]
+    assert kept[1][0] is kept[2][0] and kept[1][1] is kept[2][1]
+    assert kept[1][0] is not kept[1][1]
+    assert net.message_counts == {MessageKind.BROADCAST: 4}
+    assert net.byte_counts == {MessageKind.BROADCAST: 4 * 64}
+
+
+def test_subscriber_added_in_flight_does_not_receive_the_publication():
+    sim, net, channel, kept, _ = retaining_channel()
+    channel.publish(src=0, payload="early")
+    late = []
+    channel.subscribe(3, late.append)  # no unsubscribe in between
+    sim.run()
+    assert [m.payload for m in kept[1]] == [m.payload for m in kept[2]] == ["early"]
+    assert late == []
+    assert net.message_counts == {MessageKind.BROADCAST: 2}
+    channel.publish(src=0, payload="next")
+    sim.run()
+    assert [m.payload for m in late] == ["next"]
+
+
+@pytest.mark.parametrize("gate", ["drop_filter", "deliver_trace", "inflight_recorder"])
+def test_an_installed_gate_gets_one_message_per_recipient(gate):
+    value = {
+        "drop_filter": lambda m: False,
+        "deliver_trace": lambda m: None,
+        "inflight_recorder": StepLog(),
+    }[gate]
+    sim, net, channel, kept, seen_dst = retaining_channel(lambda net: setattr(net, gate, value))
+    channel.publish(src=0, payload="a")
+    sim.run()
+    assert seen_dst == [1, 2]
+    assert kept[1][0] is not kept[2][0]
+    assert (kept[1][0].dst, kept[2][0].dst) == (1, 2)
+    assert sim.events_executed == 1
+
+
+def test_reversed_delivery_order_mutant(monkeypatch):
+    """One mutant from the lifecycle catalogue (ROADMAP item 1): the
+    publication handler delivering in reverse subscriber order.
+
+    Verdict, pinned: the unit-level log comparison kills it; the
+    cluster-level ``test_grouped_cell_is_byte_equal_to_per_recipient_cell``
+    does **not** — every subscriber of a broadcast cell writes only its
+    own client's table and draws nothing, so the order inside one
+    instant is not observable in any per-request array or counter.
+    """
+    from repro.net import transport
+    from tests.integration import test_delivery_groups as cluster_level
+
+    def reversed_publication(publication):
+        subscribers, message = publication
+        for message.dst, on_delivery in reversed(subscribers):
+            on_delivery(message)
+
+    monkeypatch.setattr(transport, "_deliver_publication", reversed_publication)
+    with pytest.raises(AssertionError):
+        test_group_matches_per_recipient_sends()
+    cluster_level.test_grouped_cell_is_byte_equal_to_per_recipient_cell("heap")
