@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-quick bench-smoke scale-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke suite-smoke bench-pairs examples figures clean
+.PHONY: install test test-fast bench bench-quick bench-smoke chaos-smoke telemetry-smoke resilience-smoke overload-smoke autoscale-smoke scenario-smoke fuzz-smoke serve-smoke suite-smoke bench-pairs examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,30 +19,16 @@ bench:
 bench-quick:
 	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# CI smoke: tier-1 tests, a ~30s quick figure bench (exercising the
-# sweep engine + result cache), and the engine microbenchmarks recorded
-# to BENCH_engine.json (pytest-benchmark) + BENCH_engines.json (the
-# schema-versioned perf trajectory). The trailing validate-bench step
-# exits nonzero when either artifact is missing, empty, or
-# schema-invalid, so a silently-broken bench run fails the smoke.
+# CI smoke: tier-1 tests, a quick figure bench (exercising the sweep
+# engine + result cache), then the two engine validations: heap vs
+# calendar bit-identity, and the fast engine against heap distributions
+# at N=8 and the mean-field limit at N=1000. Wall-clock numbers are
+# suite-smoke's business (benchmarks/suite/), not this target's.
 bench-smoke:
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m repro fig3 --quick
 	$(PYTHON) -m repro parity --quick
-	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest benchmarks/bench_engine_throughput.py \
-		--benchmark-only --benchmark-json=BENCH_engine.json -q
-	$(PYTHON) -m repro validate-bench \
-		--bench-file BENCH_engine.json --bench-file BENCH_engines.json
-
-# Large-N fast-path smoke (<60s): one 1k-server heap cell and one
-# fastpath cell for each of the four fast-engine policies plus the
-# mean-field cross-check, gated against the committed speedup baseline
-# (fails on >25% regression of any policy's fast-vs-heap speedup, or a
-# sub-10x speedup on random/broadcast).
-scale-smoke:
-	$(PYTHON) -m repro scale --quick --seed 0 \
-		--check-against benchmarks/baselines/BENCH_scale.json
-	$(PYTHON) -m repro validate-bench --bench-file BENCH_scale.json
+	$(PYTHON) -m repro fastparity --quick
 
 # Tiny telemetry-on run; the exported spans.jsonl/series.csv are
 # re-read and validated against the schema by the trace command itself.
@@ -131,5 +117,5 @@ figures:
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/output build *.egg-info src/*.egg-info
-	rm -rf .repro-cache BENCH_engine.json BENCH_engines.json BENCH_scale.json .telemetry-smoke .fuzz-findings
+	rm -rf .repro-cache .telemetry-smoke .fuzz-findings
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -11,6 +11,7 @@ Usage::
     python -m repro profile
     python -m repro messages
     python -m repro parity
+    python -m repro fastparity --quick
     python -m repro chaos --quick
     python -m repro resilience --quick
     python -m repro overload --quick
@@ -76,8 +77,6 @@ _QUICK_REQUESTS = {
     "fuzz": 0,
     "trace": 800,
     "fastparity": 2_000,
-    "scale": 6_000,
-    "bench-engines": 5_000,
     "drive": 240,
 }
 
@@ -120,6 +119,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _udp_port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
     return value
 
 
@@ -400,84 +406,26 @@ def _parity(args) -> str:
 
 
 def _fastparity(args) -> str:
-    """Tier-2 validation: fast path vs heap at the distribution level."""
-    from repro.experiments.parity import distribution_parity, fastpath_suite
+    """Fast-engine validation: tier 2 (distributions vs heap at N=8),
+    then tier 3 (mean response vs the mean-field limit at N=1000)."""
+    from repro.experiments.parity import (
+        distribution_parity,
+        fastpath_suite,
+        meanfield_check,
+        meanfield_suite,
+    )
 
     suite = fastpath_suite(n_requests=args.requests or 4_000, seed=args.seed)
-    report = distribution_parity(suite)
-    if not report.ok:
-        raise SystemExit(report.render())
-    return report.render()
-
-
-def _scale(args) -> str:
-    """Large-N scale bench: heap vs fast throughput on every
-    fast-engine policy + mean-field check.
-
-    Writes ``BENCH_scale.json`` (schema-validated); with
-    ``--check-against`` also compares speedups to a committed baseline
-    and exits nonzero on >25% regression, a broken 10x floor, or a
-    failed mean-field check.
-    """
-    from repro.experiments.perf import (
-        check_scale_regression,
-        load_bench,
-        render_bench,
-        save_bench,
-        scale_trajectory,
-    )
-
-    heap_requests = args.requests or (6_000 if args.quick else 20_000)
-    data = scale_trajectory(
-        n_servers=args.servers,
-        heap_requests=heap_requests,
-        fast_requests=heap_requests * 10,
-        seed=args.seed,
-    )
-    path = save_bench(data, (args.bench_file or ["BENCH_scale.json"])[0])
-    out = render_bench(data) + f"\n[written to {path}]"
-    problems: list[str] = []
-    if not data["meanfield_ok"]:
-        problems.append("mean-field check failed (see cells above)")
-    if args.check_against:
-        problems += check_scale_regression(data, load_bench(args.check_against))
-        out += f"\n[checked against {args.check_against}]"
-    if problems:
-        raise SystemExit(out + "\nscale bench FAILED:\n  " + "\n  ".join(problems))
-    return out
-
-
-def _bench_engines(args) -> str:
-    """Engine x cluster-size throughput trajectory -> BENCH_engines.json."""
-    from repro.experiments.perf import engine_trajectory, render_bench, save_bench
-
-    base_requests = args.requests or (5_000 if args.quick else 20_000)
-    data = engine_trajectory(
-        sizes=(16, 100, 1000) if not args.quick else (16, 100),
-        base_requests=base_requests,
-        seed=args.seed,
-    )
-    path = save_bench(data, (args.bench_file or ["BENCH_engines.json"])[0])
-    return render_bench(data) + f"\n[written to {path}]"
-
-
-def _validate_bench(args) -> str:
-    """Schema-validate BENCH_*.json artifacts; exit nonzero on failure."""
-    from repro.experiments.perf import BenchValidationError, load_bench, validate_bench
-
-    if not args.bench_file:
-        raise SystemExit("validate-bench requires at least one --bench-file")
-    lines = []
-    failures = []
-    for path in args.bench_file:
-        try:
-            kind = validate_bench(load_bench(path), source=str(path))
-            lines.append(f"  {path}: OK ({kind})")
-        except BenchValidationError as error:
-            failures.append(f"  {path}: {error}")
-    if failures:
-        raise SystemExit("bench validation FAILED:\n" + "\n".join(failures))
-    return "bench validation OK:\n" + "\n".join(lines)
+    # Tier 3 keeps its own size: its window has to span the relaxation
+    # times the 5% band assumes (see meanfield_suite).
+    reports = [
+        distribution_parity(suite),
+        meanfield_check(meanfield_suite(seed=args.seed)),
+    ]
+    output = "\n".join(report.render() for report in reports)
+    if not all(report.ok for report in reports):
+        raise SystemExit(output)
+    return output
 
 
 def _serve(args) -> str:
@@ -612,10 +560,7 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
     "scenario": (_scenario, "declarative scenario composition (spec file or builtin)"),
     "fuzz": (_fuzz, "deterministic chaos fuzzer under the invariant oracle"),
     "trace": (_trace, "request-lifecycle telemetry + staleness report"),
-    "fastparity": (_fastparity, "fast path vs heap distribution-level parity"),
-    "scale": (_scale, "large-N heap-vs-fast bench + mean-field check"),
-    "bench-engines": (_bench_engines, "engine x size throughput trajectory"),
-    "validate-bench": (_validate_bench, "schema-validate BENCH_*.json artifacts"),
+    "fastparity": (_fastparity, "fast engine vs heap distributions and vs mean-field theory"),
     "serve": (_serve, "standalone live UDP server node (loopback prototype)"),
     "drive": (_drive, "live loopback poll-size ladder vs calibrated simulation"),
 }
@@ -660,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy-param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="policy parameter for `trace` (repeatable)")
-    parser.add_argument("--sample-interval", type=float, default=0.05,
+    parser.add_argument("--sample-interval", type=_positive_float, default=0.05,
                         help="telemetry series grid spacing in simulated "
                              "seconds for `trace` (default: 0.05)")
     parser.add_argument("--export-dir", default=None,
@@ -686,26 +631,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "run every cell under the inline invariant oracle "
                              "(exits nonzero on the first violation; results "
                              "are bit-identical to oracle-off runs)")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_int_at_least(1), default=None,
                         help="for `fuzz`: number of generated cases "
                              "(default: 100, or 25 with --quick)")
     parser.add_argument("--replay", default=None, metavar="PATH",
                         help="for `fuzz`: replay one reproducer spec on both "
                              "engines instead of generating cases (with "
                              "--validate: validate it without running)")
-    parser.add_argument("--servers", type=int, default=1000,
-                        help="cluster size for `scale` (default: 1000)")
-    parser.add_argument("--bench-file", action="append", default=None,
-                        metavar="PATH",
-                        help="bench artifact path: output for `scale`/"
-                             "`bench-engines`, input for `validate-bench` "
-                             "(repeatable)")
-    parser.add_argument("--check-against", default=None, metavar="BASELINE",
-                        help="for `scale`: committed BENCH_scale.json baseline "
-                             "to enforce the speedup-regression gate against")
-    parser.add_argument("--live-servers", type=int, default=4,
+    parser.add_argument("--live-servers", type=_int_at_least(1), default=4,
                         help="for `drive`: loopback server count (default: 4)")
-    parser.add_argument("--live-load", type=float, default=0.15,
+    parser.add_argument("--live-load", type=_positive_float, default=0.15,
                         help="for `drive`: per-server load; n_servers*load "
                              "must stay <= 0.85 in spin mode since the whole "
                              "loopback harness shares one CPU (default: 0.15)")
@@ -717,16 +652,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-compare-sim", action="store_true",
                         help="for `drive`: skip the calibrated simulation "
                              "baseline columns")
-    parser.add_argument("--time-limit", type=float, default=60.0,
+    parser.add_argument("--time-limit", type=_positive_float, default=60.0,
                         help="for `serve`/`drive`: hard wall-clock bound per "
                              "live run in seconds (default: 60)")
     parser.add_argument("--record-trace", default=None, metavar="PATH",
                         help="for `drive`: record live arrivals to a replay "
                              "trace (.csv/.jsonl); wall-clock epochs are "
                              "normalized to t=0 on save")
-    parser.add_argument("--port", type=int, default=0,
+    parser.add_argument("--port", type=_udp_port, default=0,
                         help="for `serve`: UDP port (default: 0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_int_at_least(1), default=1,
                         help="for `serve`/`drive`: worker slots per server "
                              "(default: 1)")
     return parser

@@ -1,14 +1,20 @@
 """Tier-2/tier-3 validation harness tests (DESIGN.md §13).
 
-The full suites run from the CLI (``repro fastparity`` / the scale
-bench); these tests exercise the harness itself on small cheap cells so
-the comparison machinery — KS on response times, occupancy distance,
-mean agreement, mean-field cross-check — is covered by tier-1 pytest.
+The full tier-2 suite runs from the CLI (``repro fastparity``); these
+tests exercise the harness itself on small cheap cells so the comparison
+machinery — KS on response times, occupancy distance, mean agreement —
+is covered by tier-1 pytest, run tier 3 at its real size (N=1000, ~2 s),
+and hold ``repro fastparity`` to printing both tiers and failing on
+either.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.experiments import parity
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parity import (
     DistributionParityCell,
@@ -97,3 +103,41 @@ def test_meanfield_suite_configs_are_fast_engine():
     for config in meanfield_suite():
         assert config.engine == "fast"
         assert config.warmup_fraction == 0.25
+
+
+def test_meanfield_check_default_suite_at_n1000():
+    """Tier 3 at the size it is quoted at: polling(d=2) has no exact
+    finite-N answer, so N=1000 is where the 5% band means something."""
+    report = meanfield_check()
+    assert report.ok, report.render()
+    assert [(c.config.policy, c.config.n_servers) for c in report.cells] == [
+        ("random", 1000), ("polling", 1000),
+    ]
+
+
+TIER_HEADERS = ("distribution parity (fast vs heap): ", "mean-field check (fast path vs N->inf): ")
+
+
+def test_fastparity_prints_both_tiers(capsys):
+    assert main(["fastparity", "--quick", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith(TIER_HEADERS)] == [
+        TIER_HEADERS[0] + "OK — 10 configs (KS<=0.08, occupancy<=0.08, mean within 5%)",
+        TIER_HEADERS[1] + "OK — 2 cells (tolerance 5%)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "check, forced, verdicts",
+    [
+        ("distribution_parity", {"ks_threshold": 0.0}, ("FAILED", "OK")),
+        ("meanfield_check", {"tolerance": 0.0}, ("OK", "FAILED")),
+    ],
+)
+def test_fastparity_exits_nonzero_when_either_tier_fails(monkeypatch, check, forced, verdicts):
+    monkeypatch.setattr(parity, check, functools.partial(getattr(parity, check), **forced))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fastparity", "--quick", "--no-cache"])
+    message = str(exit_info.value.code)
+    for header, verdict in zip(TIER_HEADERS, verdicts):
+        assert header + verdict in message

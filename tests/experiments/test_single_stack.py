@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig
 from repro.experiments.scenario import PolicyAxis, ScenarioError, ScenarioSpec
 from repro.sim.fastpath import (
@@ -101,6 +102,21 @@ def test_every_module_is_reached_or_allowlisted():
         and name not in reached
     }
     assert unreached == set(UNREACHED_ALLOWED)
+
+
+def test_every_cli_command_has_a_caller():
+    """A command no Makefile target, CI step or README line runs is one
+    nobody notices breaking: ISSUE 22 found one with no caller anywhere
+    (since deleted) and ``compare`` known to DESIGN.md alone."""
+    invoked = (ROOT / "Makefile").read_text() + (ROOT / ".github/workflows/ci.yml").read_text()
+    readme = (ROOT / "README.md").read_text()
+    orphans = {
+        name
+        for name in cli._COMMANDS
+        if not re.search(rf"repro {re.escape(name)}(?![\w-])", invoked)
+        and not re.search(rf"(?:repro |`){re.escape(name)}(?![\w-])", readme)
+    }
+    assert orphans == set()
 
 
 #: run in a fresh interpreter: everything a CLI command, a pool worker or a

@@ -19,13 +19,21 @@ def test_unknown_command_rejected():
 
 
 #: flag -> an invocation that used to die with a traceback from inside
-#: replicate / SimulationConfig / make_policy / make_workload
+#: replicate / SimulationConfig / make_policy / make_workload / asyncio,
+#: or (fuzz --budget, serve --time-limit) to pass having done nothing
 BAD_ARGUMENTS = {
     "--replications": ["compare", "--replications", "0"],
     "--requests": ["fig3", "--requests", "5"],
     "--load": ["compare", "--load", "0"],
     "--policy": ["trace", "--policy", "nosuch"],
     "--workload": ["compare", "--workload", "nosuch"],
+    "--budget": ["fuzz", "--budget", "-1"],
+    "--sample-interval": ["trace", "--sample-interval", "0"],
+    "--workers": ["serve", "--workers", "0"],
+    "--port": ["serve", "--port", "99999"],
+    "--live-servers": ["drive", "--live-servers", "0"],
+    "--live-load": ["drive", "--live-load", "0"],
+    "--time-limit": ["serve", "--time-limit", "-1"],
 }
 
 
