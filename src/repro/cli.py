@@ -5,17 +5,13 @@ Usage::
     python -m repro table1
     python -m repro fig2
     python -m repro fig3  --requests 10000
-    python -m repro fig4  --requests 10000
     python -m repro fig6  --requests 10000 --seed 3
     python -m repro table2
     python -m repro profile
     python -m repro messages
     python -m repro parity
     python -m repro fastparity --quick
-    python -m repro chaos --quick
-    python -m repro resilience --quick
-    python -m repro overload --quick
-    python -m repro autoscale --quick
+    python -m repro chaos --quick         # resilience, overload, autoscale
     python -m repro scenario --quick
     python -m repro scenario --spec overload --oracle --export-dir runs.json
     python -m repro scenario --spec grid.yaml --validate
@@ -23,16 +19,22 @@ Usage::
     python -m repro drive --quick
     python -m repro serve --port 9000 --time-limit 30
     python -m repro list
+    python -m repro fig3 -h
+
+One table, per-command parsers: :data:`_FLAGS` declares each flag
+once, a :data:`_COMMANDS` row names the flags its handler reads, and
+``repro <command> -h`` lists exactly those. A flag the command would
+not read is a usage error (exit 2, ``unrecognized arguments``), never
+accepted and dropped.
 
 Figures print the same series the paper plots; ``--requests`` trades
 precision for speed (defaults are publication-sized), ``--quick`` picks
-a small smoke-test size per command.
+the row's smoke-test size.
 
 Every campaign is one code path: ``chaos``, ``resilience``,
 ``overload`` and ``autoscale`` are aliases of ``scenario --spec <name>``
-(builtin specs in :data:`repro.experiments.scenario.BUILTIN_SCENARIOS`),
-so ``--oracle``, ``--export-dir``, ``--validate``, ``--engine`` and the
-result cache behave identically for all of them and for spec files.
+(builtin specs in :data:`repro.experiments.scenario.BUILTIN_SCENARIOS`)
+and take its flag group, :data:`_CAMPAIGN`, as spec files do.
 
 Sweep commands memoize results in a persistent on-disk cache (default
 ``.repro-cache/``, or ``$REPRO_CACHE_DIR``; see
@@ -47,38 +49,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.registry import available_policies
-from repro.experiments import figures
+from repro.experiments import ResultCache, figures
 from repro.verify import InvariantViolation
 from repro.workload.workloads import available_workloads
 
 __all__ = ["main"]
-
-#: per-command --quick request sizes (small but shape-preserving)
-_QUICK_REQUESTS = {
-    "fig2": 30_000,
-    "fig3": 2_000,
-    "fig4": 2_000,
-    "fig6": 2_000,
-    "table2": 3_000,
-    "profile": 3_000,
-    "messages": 2_000,
-    "compare": 600,
-    "parity": 800,
-    "chaos": 600,
-    "resilience": 600,
-    "overload": 600,
-    "autoscale": 500,
-    "scenario": 400,
-    # fuzz sizes its cases itself; --quick shrinks the case budget, not
-    # the per-case request count (handled in _fuzz, not via --requests)
-    "fuzz": 0,
-    "trace": 800,
-    "fastparity": 2_000,
-    "drive": 240,
-}
 
 
 def _parse_policy_params(pairs: Sequence[str]) -> dict:
@@ -129,60 +108,29 @@ def _udp_port(text: str) -> int:
     return value
 
 
-def _sweep_kwargs(args) -> dict:
-    """cache/engine keyword arguments for the sweep-driven commands."""
-    return {"cache": args.result_cache, "engine": args.engine}
-
-
 def _table1(args) -> str:
     return figures.table1_traces(seed=args.seed).render()
 
 
 def _fig2(args) -> str:
-    data = figures.figure2_inaccuracy(
-        n_requests=args.requests or 300_000, seed=args.seed
-    )
+    data = figures.figure2_inaccuracy(n_requests=args.requests, seed=args.seed)
     bounds = ", ".join(
         f"{load:.0%}: {bound:.2f}" for load, bound in data.extras["upperbound"].items()
     )
     return data.render() + f"\nEq.1 upper bounds (Poisson/Exp): {bounds}"
 
 
-def _fig3(args) -> str:
-    data = figures.figure3_broadcast(
-        n_requests=args.requests or 20_000, seed=args.seed,
-        parallel=not args.serial, **_sweep_kwargs(args),
-    )
-    return data.render()
-
-
-def _fig4(args) -> str:
-    data = figures.figure4_pollsize(
-        n_requests=args.requests or 20_000, seed=args.seed,
-        model="simulation", parallel=not args.serial, **_sweep_kwargs(args),
-    )
-    return data.render()
-
-
-def _fig6(args) -> str:
-    data = figures.figure6_pollsize(
-        n_requests=args.requests or 15_000, seed=args.seed,
-        parallel=not args.serial, **_sweep_kwargs(args),
-    )
-    return data.render()
-
-
-def _table2(args) -> str:
-    data = figures.table2_discard(
-        n_requests=args.requests or 25_000, seed=args.seed,
-        parallel=not args.serial, **_sweep_kwargs(args),
-    )
-    return data.render()
+def _sweep_figure(driver: Callable[..., figures.FigureData], args) -> str:
+    """fig3, fig4, fig6, table2, messages: one sweep, one rendered table."""
+    return driver(
+        n_requests=args.requests, seed=args.seed, parallel=not args.serial,
+        cache=args.result_cache, engine=args.engine,
+    ).render()
 
 
 def _profile(args) -> str:
     profile, result = figures.poll_profile_section32(
-        n_requests=args.requests or 25_000, seed=args.seed
+        n_requests=args.requests, seed=args.seed
     )
     return (
         "== §3.2 poll profile (d=3, 90% load, 16 servers) ==\n"
@@ -192,21 +140,13 @@ def _profile(args) -> str:
     )
 
 
-def _messages(args) -> str:
-    data = figures.message_scaling_section24(
-        n_requests=args.requests or 10_000, seed=args.seed,
-        parallel=not args.serial, **_sweep_kwargs(args),
-    )
-    return data.render()
-
-
 def _compare(args) -> str:
     """Race the headline policies with seed-level confidence intervals."""
     from repro.experiments import SimulationConfig, compare_policies
 
     base = SimulationConfig(
         workload=args.workload, load=args.load,
-        n_requests=args.requests or 8_000, seed=args.seed,
+        n_requests=args.requests, seed=args.seed,
         engine=args.engine or "heap",
     )
     comparison = compare_policies(
@@ -234,12 +174,9 @@ def _compare(args) -> str:
 
 def _scenario(args) -> str:
     """Every campaign: resolve a spec (builtin name or file), expand
-    it, run it, print its report.
-
-    ``repro chaos|resilience|overload|autoscale`` are aliases of
-    ``repro scenario --spec <command>``; bare ``repro scenario`` runs
-    the ``composed`` builtin.
-    """
+    it, run it, print its report. The ``chaos|resilience|overload|
+    autoscale`` rows pin ``spec`` to their own name; bare ``repro
+    scenario`` runs the ``composed`` builtin."""
     from repro.experiments.scenario import (
         BUILTIN_SCENARIOS,
         ScenarioError,
@@ -247,15 +184,28 @@ def _scenario(args) -> str:
         load_spec,
     )
 
-    alias = args.command if args.command in BUILTIN_SCENARIOS else "composed"
-    ref = args.spec or alias
+    ref = args.spec or "composed"
     try:
         if ref in BUILTIN_SCENARIOS:
-            # No --requests (and no --quick preset): the builder's own
-            # default is the publication size.
+            # No --requests (and no --quick): the builder's own default
+            # is the publication size.
             sizing = {} if args.requests is None else {"n_requests": args.requests}
-            spec = builtin_spec(ref, seed=args.seed, quick=args.quick, **sizing)
+            spec = builtin_spec(ref, seed=args.seed or 0, quick=args.quick, **sizing)
         else:
+            # main has turned --quick into a size by now, so ask it first
+            given = (
+                "--seed" if args.seed is not None
+                else "--quick" if args.quick
+                else "--requests" if args.requests is not None
+                else None
+            )
+            if given:
+                print(
+                    f"repro {args.command}: error: argument {given}: sizes builtin "
+                    f"specs only; the file {ref!r} carries its own seed and n_requests",
+                    file=sys.stderr,
+                )
+                raise SystemExit(2)
             spec = load_spec(ref)
         # Expansion validates every axis; --validate stops here.
         cells = spec.expand()
@@ -276,7 +226,8 @@ def _scenario(args) -> str:
         parallel=not args.serial,
         archive=args.export_dir,
         verify=args.oracle,
-        **_sweep_kwargs(args),
+        cache=args.result_cache,
+        engine=args.engine,
     )
     return report.render()
 
@@ -320,11 +271,10 @@ def _fuzz(args) -> str:
             f"(no violation, no divergence)"
         )
     budget = args.budget if args.budget is not None else (25 if args.quick else 100)
-    out_dir = args.export_dir or ".fuzz-findings"
     report = fuzz_mod.fuzz_campaign(
         seed=args.seed,
         budget=budget,
-        out_dir=out_dir,
+        out_dir=args.export_dir or ".fuzz-findings",
         progress=lambda line: print(f"  [fuzz] {line}", file=sys.stderr),
     )
     if not report.clean:
@@ -349,7 +299,7 @@ def _trace(args) -> str:
         policy_params=_parse_policy_params(args.policy_param),
         workload=args.workload,
         load=args.load,
-        n_requests=args.requests or 5_000,
+        n_requests=args.requests,
         seed=args.seed,
         engine=args.engine or "heap",
         telemetry={"spans": True, "sample_interval": args.sample_interval},
@@ -398,7 +348,7 @@ def _parity(args) -> str:
     """Prove heap and calendar engines produce bit-identical results."""
     from repro.experiments import engine_parity, parity_suite
 
-    suite = parity_suite(n_requests=args.requests or 1_200, seed=args.seed)
+    suite = parity_suite(n_requests=args.requests, seed=args.seed)
     report = engine_parity(suite, parallel=not args.serial)
     if not report.ok:
         raise SystemExit(report.render())
@@ -415,7 +365,7 @@ def _fastparity(args) -> str:
         meanfield_suite,
     )
 
-    suite = fastpath_suite(n_requests=args.requests or 4_000, seed=args.seed)
+    suite = fastpath_suite(n_requests=args.requests, seed=args.seed)
     # Tier 3 keeps its own size: its window has to span the relaxation
     # times the 5% band assumes (see meanfield_suite).
     reports = [
@@ -482,7 +432,7 @@ def _drive(args) -> str:
         policy_params=_parse_policy_params(args.policy_param),
         load=args.live_load,
         n_servers=args.live_servers,
-        n_requests=args.requests or 960,
+        n_requests=args.requests,
         seed=args.seed,
         mode=args.live_mode,
         workers=args.workers,
@@ -542,27 +492,171 @@ def _drive(args) -> str:
     return "\n".join(lines)
 
 
-_COMMANDS: dict[str, tuple[Callable, str]] = {
-    "table1": (_table1, "Table 1: trace statistics"),
-    "fig2": (_fig2, "Figure 2: load-index inaccuracy vs delay"),
-    "fig3": (_fig3, "Figure 3: broadcast frequency sweep"),
-    "fig4": (_fig4, "Figure 4: poll size (simulation model)"),
-    "fig6": (_fig6, "Figure 6: poll size (prototype model)"),
-    "table2": (_table2, "Table 2: discarding slow-responding polls"),
-    "profile": (_profile, "§3.2 slow-poll profile"),
-    "messages": (_messages, "§2.4 message scaling ablation"),
-    "compare": (_compare, "policy comparison with confidence intervals"),
-    "parity": (_parity, "heap vs calendar engine determinism check"),
-    "chaos": (_scenario, "chaos campaign: resilience under injected faults"),
-    "resilience": (_scenario, "naive vs hardened reliability layer under chaos"),
-    "overload": (_scenario, "overload campaign: goodput past saturation"),
-    "autoscale": (_scenario, "autoscale campaign: goodput vs provisioning cost"),
-    "scenario": (_scenario, "declarative scenario composition (spec file or builtin)"),
-    "fuzz": (_fuzz, "deterministic chaos fuzzer under the invariant oracle"),
-    "trace": (_trace, "request-lifecycle telemetry + staleness report"),
-    "fastparity": (_fastparity, "fast engine vs heap distributions and vs mean-field theory"),
-    "serve": (_serve, "standalone live UDP server node (loopback prototype)"),
-    "drive": (_drive, "live loopback poll-size ladder vs calibrated simulation"),
+#: every flag, declared once: dest (the option string with underscores)
+#: -> ``add_argument`` keywords. Which commands take it is the rows' business.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "requests": dict(type=_int_at_least(10),
+                     help="requests per simulated point (default: publication size)"),
+    "quick": dict(action="store_true", help="smoke-test size (--requests overrides)"),
+    "seed": dict(type=int, default=0, help="experiment seed"),
+    "serial": dict(action="store_true", help="disable the process-pool sweep"),
+    "engine": dict(choices=["heap", "calendar", "fast"],
+                   help="execution engine (default: heap; calendar is its slower, "
+                        "bit-identical differential partner; fast is the numpy "
+                        "batch engine and rejects configs it cannot represent)"),
+    "cache_dir": dict(help="result cache location (default: .repro-cache "
+                           "or $REPRO_CACHE_DIR)"),
+    "no_cache": dict(action="store_true", help="disable the persistent result cache"),
+    "workload": dict(default="poisson_exp", choices=available_workloads(),
+                     metavar="NAME", help="workload (default: poisson_exp)"),
+    "load": dict(type=_positive_float, default=0.9, help="load level (default: 0.9)"),
+    "replications": dict(type=_int_at_least(1), default=5,
+                         help="seeds per policy (default: 5)"),
+    "policy": dict(default="polling", choices=available_policies(),
+                   metavar="NAME", help="policy (default: polling)"),
+    "policy_param": dict(action="append", default=[], metavar="KEY=VALUE",
+                         help="policy parameter (repeatable)"),
+    "sample_interval": dict(type=_positive_float, default=0.05,
+                            help="telemetry series grid spacing in seconds "
+                                 "(default: 0.05)"),
+    "export_dir": dict(help="export telemetry (spans.jsonl, series.csv, "
+                            "accounting.json) to this directory"),
+    "spec": dict(metavar="NAME_OR_PATH",
+                 help="a builtin name (composed, chaos, resilience, overload, "
+                      "autoscale; default: composed) or a .json/.yaml spec "
+                      "file, which carries its own seed and size"),
+    "validate": dict(action="store_true",
+                     help="expand and validate the spec without running it "
+                          "(exits nonzero naming the offending axis)"),
+    "oracle": dict(action="store_true",
+                   help="run every cell under the inline invariant oracle "
+                        "(exits nonzero on the first violation; results are "
+                        "bit-identical to oracle-off runs)"),
+    "budget": dict(type=_int_at_least(1),
+                   help="number of generated cases (default: 100; 25 with --quick)"),
+    "replay": dict(metavar="PATH",
+                   help="replay one reproducer spec on both engines instead "
+                        "of generating cases (with --validate: validate it "
+                        "without running)"),
+    "live_servers": dict(type=_int_at_least(1), default=4,
+                         help="loopback server count (default: 4)"),
+    "live_load": dict(type=_positive_float, default=0.15,
+                      help="per-server load; n_servers*load must stay <= 0.85 "
+                           "in spin mode since the whole loopback harness "
+                           "shares one CPU (default: 0.15)"),
+    "live_mode": dict(choices=["spin", "sleep"], default="spin",
+                      help="service work burns real CPU (spin) or just waits "
+                           "(sleep) (default: spin)"),
+    "poll_sizes": dict(default="2,4,8", metavar="CSV",
+                       help="poll-size ladder (default: 2,4,8)"),
+    "no_compare_sim": dict(action="store_true",
+                           help="skip the calibrated simulation baseline columns"),
+    "time_limit": dict(type=_positive_float, default=60.0,
+                       help="hard wall-clock bound per live run in seconds "
+                            "(default: 60)"),
+    "record_trace": dict(metavar="PATH",
+                         help="record live arrivals to a replay trace "
+                              "(.csv/.jsonl); wall-clock epochs are normalized "
+                              "to t=0 on save"),
+    "port": dict(type=_udp_port, default=0, help="UDP port (default: 0 = ephemeral)"),
+    "workers": dict(type=_int_at_least(1), default=1,
+                    help="worker slots per server (default: 1)"),
+}
+
+
+class _Command(NamedTuple):
+    """One command: everything ``build_parser`` and ``main`` know of it."""
+
+    handler: Callable[[argparse.Namespace], str]
+    help: str
+    #: the :data:`_FLAGS` the handler reads
+    flags: tuple[str, ...] = ()
+    #: ``(--quick, publication)`` request sizes; a row that has them takes
+    #: ``--requests``/``--quick`` and ``main`` resolves ``args.requests``
+    #: (to ``None`` where the callee sizes itself) before the handler runs
+    sizes: Optional[tuple[int, Optional[int]]] = None
+    #: ``add_argument`` keywords that differ on this command
+    overrides: Mapping[str, dict[str, Any]] = {}
+    #: dests the row sets itself in place of taking the flag
+    pinned: Mapping[str, Any] = {}
+
+
+#: the process-pool sweep through the result cache; ``main`` builds a
+#: ``ResultCache`` for the rows that take ``no_cache``, and no other
+_SWEEP = ("seed", "serial", "engine", "cache_dir", "no_cache")
+#: what ``scenario`` and its four aliases share, so they cannot drift
+_CAMPAIGN = (*_SWEEP, "validate", "oracle", "export_dir")
+_CAMPAIGN_OVERRIDES = {
+    # None tells "given" from the default: a spec file has its own seed
+    "seed": dict(default=None, help="seed of a builtin spec (default: 0)"),
+    "export_dir": dict(help="archive every cell's result to this path"),
+}
+
+
+_COMMANDS: dict[str, _Command] = {
+    "table1": _Command(_table1, "Table 1: trace statistics", ("seed",)),
+    "fig2": _Command(_fig2, "Figure 2: load-index inaccuracy vs delay",
+                     ("seed",), (30_000, 300_000)),
+    "fig3": _Command(partial(_sweep_figure, figures.figure3_broadcast),
+                     "Figure 3: broadcast frequency sweep",
+                     _SWEEP, (2_000, 20_000)),
+    "fig4": _Command(partial(_sweep_figure, figures.figure4_pollsize),
+                     "Figure 4: poll size (simulation model)",
+                     _SWEEP, (2_000, 20_000)),
+    "fig6": _Command(partial(_sweep_figure, figures.figure6_pollsize),
+                     "Figure 6: poll size (prototype model)",
+                     _SWEEP, (2_000, 15_000)),
+    "table2": _Command(partial(_sweep_figure, figures.table2_discard),
+                       "Table 2: discarding slow-responding polls",
+                       _SWEEP, (3_000, 25_000)),
+    "profile": _Command(_profile, "§3.2 slow-poll profile",
+                        ("seed",), (3_000, 25_000)),
+    "messages": _Command(partial(_sweep_figure, figures.message_scaling_section24),
+                         "§2.4 message scaling ablation",
+                         _SWEEP, (2_000, 10_000)),
+    "compare": _Command(_compare, "policy comparison with confidence intervals",
+                        ("seed", "serial", "engine", "workload", "load",
+                         "replications"), (600, 8_000)),
+    "parity": _Command(_parity, "heap vs calendar engine determinism check",
+                       ("seed", "serial"), (800, 1_200)),
+    # aliases of `scenario --spec <name>`: the flag is pinned, not taken
+    **{
+        name: _Command(_scenario, help, _CAMPAIGN, (quick_requests, None),
+                       _CAMPAIGN_OVERRIDES, pinned={"spec": name})
+        for name, help, quick_requests in (
+            ("chaos", "chaos campaign: resilience under injected faults", 600),
+            ("resilience", "naive vs hardened reliability layer under chaos", 600),
+            ("overload", "overload campaign: goodput past saturation", 600),
+            ("autoscale", "autoscale campaign: goodput vs provisioning cost", 500),
+        )
+    },
+    "scenario": _Command(_scenario,
+                         "declarative scenario composition (spec file or builtin)",
+                         ("spec", *_CAMPAIGN), (400, None), _CAMPAIGN_OVERRIDES),
+    "fuzz": _Command(
+        _fuzz, "deterministic chaos fuzzer under the invariant oracle",
+        ("seed", "quick", "budget", "replay", "validate", "export_dir"),
+        overrides={
+            "quick": dict(help="a quarter of the default case budget"),
+            "validate": dict(help="validate reproducer specs (--replay PATH or "
+                                  "the committed corpus) without running them"),
+            "export_dir": dict(help="where shrunk reproducers are written "
+                                    "(default: .fuzz-findings)"),
+        }),
+    "trace": _Command(_trace, "request-lifecycle telemetry + staleness report",
+                      ("seed", "engine", "policy", "policy_param", "workload",
+                       "load", "sample_interval", "export_dir"), (800, 5_000)),
+    "fastparity": _Command(
+        _fastparity, "fast engine vs heap distributions and vs mean-field theory",
+        ("seed",), (2_000, 4_000)),
+    "serve": _Command(_serve, "standalone live UDP server node (loopback prototype)",
+                      ("port", "workers", "live_mode", "time_limit")),
+    "drive": _Command(
+        _drive, "live loopback poll-size ladder vs calibrated simulation",
+        ("seed", "policy_param", "live_servers", "live_load", "live_mode",
+         "workers", "poll_sizes", "no_compare_sim", "sample_interval",
+         "time_limit", "export_dir", "record_trace"),
+        (240, 960)),
 }
 
 
@@ -572,135 +666,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate tables/figures of 'Cluster Load Balancing "
         "for Fine-grain Network Services' (IPPS 2002).",
     )
-    parser.add_argument("command", choices=list(_COMMANDS) + ["list"],
-                        help="which artifact to regenerate")
-    parser.add_argument("--requests", type=_int_at_least(10), default=None,
-                        help="requests per simulated point (default: publication size)")
-    parser.add_argument("--quick", action="store_true",
-                        help="smoke-test size (overridden by --requests)")
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument("--serial", action="store_true",
-                        help="disable the process-pool sweep")
-    parser.add_argument("--engine", choices=["heap", "calendar", "fast"], default=None,
-                        help="execution engine (default: heap; 'calendar' is "
-                             "its slower, bit-identical differential partner "
-                             "for `parity` and the fuzzer; 'fast' is the "
-                             "numpy batch engine and rejects configs it "
-                             "cannot represent)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache location (default: .repro-cache "
-                             "or $REPRO_CACHE_DIR)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent result cache")
-    parser.add_argument("--workload", default="poisson_exp",
-                        choices=available_workloads(), metavar="NAME",
-                        help="workload for `compare` (default: poisson_exp)")
-    parser.add_argument("--load", type=_positive_float, default=0.9,
-                        help="load level for `compare` (default: 0.9)")
-    parser.add_argument("--replications", type=_int_at_least(1), default=5,
-                        help="replications for `compare` (default: 5)")
-    parser.add_argument("--policy", default="polling",
-                        choices=available_policies(), metavar="NAME",
-                        help="policy for `trace` (default: polling)")
-    parser.add_argument("--policy-param", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="policy parameter for `trace` (repeatable)")
-    parser.add_argument("--sample-interval", type=_positive_float, default=0.05,
-                        help="telemetry series grid spacing in simulated "
-                             "seconds for `trace` (default: 0.05)")
-    parser.add_argument("--export-dir", default=None,
-                        help="export `trace` telemetry (spans.jsonl, "
-                             "series.csv, accounting.json) to this directory; "
-                             "for `scenario` and its aliases `chaos`/"
-                             "`resilience`/`overload`/`autoscale`, archive "
-                             "every cell's result to this path")
-    parser.add_argument("--spec", default=None, metavar="NAME_OR_PATH",
-                        help="for `scenario`: a builtin name (composed, "
-                             "chaos, resilience, overload, autoscale; "
-                             "default: 'composed') or a .json/.yaml spec file")
-    parser.add_argument("--validate", action="store_true",
-                        help="for `scenario`: expand and validate the spec "
-                             "without running it (exits nonzero naming the "
-                             "offending axis on failure); for `fuzz`: "
-                             "validate reproducer specs (--replay PATH or "
-                             "the committed corpus) without running them")
-    parser.add_argument("--oracle", action="store_true",
-                        help="for `scenario` (builtin or spec file) and its "
-                             "aliases `chaos`/`resilience`/`overload`/"
-                             "`autoscale`: "
-                             "run every cell under the inline invariant oracle "
-                             "(exits nonzero on the first violation; results "
-                             "are bit-identical to oracle-off runs)")
-    parser.add_argument("--budget", type=_int_at_least(1), default=None,
-                        help="for `fuzz`: number of generated cases "
-                             "(default: 100, or 25 with --quick)")
-    parser.add_argument("--replay", default=None, metavar="PATH",
-                        help="for `fuzz`: replay one reproducer spec on both "
-                             "engines instead of generating cases (with "
-                             "--validate: validate it without running)")
-    parser.add_argument("--live-servers", type=_int_at_least(1), default=4,
-                        help="for `drive`: loopback server count (default: 4)")
-    parser.add_argument("--live-load", type=_positive_float, default=0.15,
-                        help="for `drive`: per-server load; n_servers*load "
-                             "must stay <= 0.85 in spin mode since the whole "
-                             "loopback harness shares one CPU (default: 0.15)")
-    parser.add_argument("--live-mode", choices=["spin", "sleep"], default="spin",
-                        help="for `serve`/`drive`: service work burns real CPU "
-                             "(spin) or just waits (sleep) (default: spin)")
-    parser.add_argument("--poll-sizes", default="2,4,8", metavar="CSV",
-                        help="for `drive`: poll-size ladder (default: 2,4,8)")
-    parser.add_argument("--no-compare-sim", action="store_true",
-                        help="for `drive`: skip the calibrated simulation "
-                             "baseline columns")
-    parser.add_argument("--time-limit", type=_positive_float, default=60.0,
-                        help="for `serve`/`drive`: hard wall-clock bound per "
-                             "live run in seconds (default: 60)")
-    parser.add_argument("--record-trace", default=None, metavar="PATH",
-                        help="for `drive`: record live arrivals to a replay "
-                             "trace (.csv/.jsonl); wall-clock epochs are "
-                             "normalized to t=0 on save")
-    parser.add_argument("--port", type=_udp_port, default=0,
-                        help="for `serve`: UDP port (default: 0 = ephemeral)")
-    parser.add_argument("--workers", type=_int_at_least(1), default=1,
-                        help="for `serve`/`drive`: worker slots per server "
-                             "(default: 1)")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    commands.add_parser("list", help="list the commands")
+    for name, row in _COMMANDS.items():
+        # no abbreviations: `drive --policy` must not pass for --policy-param
+        sub = commands.add_parser(
+            name, help=row.help, description=row.help, allow_abbrev=False
+        )
+        for dest in (("requests", "quick") if row.sizes else ()) + row.flags:
+            keywords = {**_FLAGS[dest], **row.overrides.get(dest, {})}
+            sub.add_argument("--" + dest.replace("_", "-"), **keywords)
+        sub.set_defaults(**row.pinned)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (_fn, description) in _COMMANDS.items():
-            print(f"  {name:<10s} {description}")
+        for name, row in _COMMANDS.items():
+            print(f"  {name:<10s} {row.help}")
         return 0
-    if args.quick and args.requests is None:
-        if args.command in _QUICK_REQUESTS:
-            args.requests = _QUICK_REQUESTS[args.command]
-        else:
-            print(
-                f"[--quick has no preset for {args.command!r}; "
-                "running at the publication size]",
-                file=sys.stderr,
-            )
-    args.result_cache = None
-    if not args.no_cache:
-        from repro.experiments.cache import ResultCache
-
-        args.result_cache = ResultCache(args.cache_dir)
-    runner, _description = _COMMANDS[args.command]
+    row = _COMMANDS[args.command]
+    if row.sizes and args.requests is None:
+        args.requests = row.sizes[0 if args.quick else 1]
+    cached = "no_cache" in row.flags and not args.no_cache
+    cache = args.result_cache = ResultCache(args.cache_dir) if cached else None
     started = time.perf_counter()
     try:
-        output = runner(args)
+        output = row.handler(args)
     except InvariantViolation as violation:
         raise SystemExit(f"invariant violation: {violation}")
     elapsed = time.perf_counter() - started
     print(output)
-    cache = args.result_cache
     if cache is not None and (cache.hits or cache.misses):
-        print(
-            f"[cache: {cache.hits} hits, {cache.misses} misses "
-            f"-> {str(cache.root)}]"
-        )
+        print(f"[cache: {cache.hits} hits, {cache.misses} misses -> {cache.root}]")
     print(f"\n[{args.command} regenerated in {elapsed:.1f}s]")
     return 0
 

@@ -108,7 +108,10 @@ def param_keys(field_name: str) -> frozenset:
     """
     if field_name == "cluster_params":
         return _CLUSTER_PARAM_KEYS
-    owner = locate(SUBSYSTEMS[field_name].owner)
+    if field_name == "overhead_params":
+        owner = locate("repro.prototype.overhead:PrototypeOverheadModel")
+    else:
+        owner = locate(SUBSYSTEMS[field_name].owner)
     if hasattr(owner, "field_names"):
         return owner.field_names()
     return frozenset(inspect.signature(owner).parameters) - {"cluster"}
@@ -222,7 +225,12 @@ class SimulationConfig:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        for name in ("cluster_params", *SUBSYSTEMS):
+        if self.overhead_params and self.model != "prototype":
+            raise ValueError(
+                "overhead_params apply to model='prototype' only, "
+                f"got model={self.model!r}"
+            )
+        for name in ("cluster_params", "overhead_params", *SUBSYSTEMS):
             params = getattr(self, name)
             if not params:
                 continue

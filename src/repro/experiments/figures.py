@@ -9,6 +9,7 @@ in ``tests/experiments/`` and ``benchmarks/``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -390,7 +391,7 @@ def poll_profile_section32(
     seed: int = 0,
 ) -> tuple[PollProfile, SimulationResult]:
     """§3.2 profile: fraction of polls slower than 10 ms / 20 ms."""
-    from repro.experiments.runner import build_cluster
+    from repro.experiments.runner import _summarize_run, build_cluster
 
     config = SimulationConfig(
         workload=workload,
@@ -403,23 +404,10 @@ def poll_profile_section32(
         model="prototype",
     )
     config = config.with_updates(full_load_rho=full_load_rho_for(config))
+    started = time.perf_counter()
     cluster, nominal_rho = build_cluster(config)
     tap = profile_poll_delays(cluster)
-    metrics = cluster.run()
-    summary = metrics.summary(config.warmup_fraction)
-    result = SimulationResult(
-        config=config,
-        mean_response_time=summary["mean_response_time"],
-        p50_response_time=summary["p50_response_time"],
-        p90_response_time=summary["p90_response_time"],
-        p99_response_time=summary["p99_response_time"],
-        mean_poll_time=summary["mean_poll_time"],
-        n_measured=summary["n_measured"],
-        n_failed=summary["n_failed"],
-        nominal_rho=nominal_rho,
-        wall_seconds=0.0,
-        events_executed=cluster.sim.events_executed,
-    )
+    result = _summarize_run(config, cluster, nominal_rho, started)
     return tap.profile(), result
 
 

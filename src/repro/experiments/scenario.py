@@ -209,26 +209,64 @@ class ScenarioCell:
     speed: str = ""
 
 
-def _coerce(axis: str, entries: Sequence, factory: Callable, kind: type) -> tuple:
+#: axis field of a :class:`ScenarioSpec` -> the class of its entries
+_AXES = {
+    "policies": PolicyAxis,
+    "workloads": WorkloadAxis,
+    "modes": ModeAxis,
+    "faults": FaultAxis,
+    "scales": ScaleAxis,
+    "speeds": SpeedAxis,
+}
+
+_NONE = type(None)
+#: spec-file key -> the type it is used as. JSON can put anything
+#: anywhere, and a wrong one is reported by name instead of surfacing as
+#: a TypeError from whichever line first compares, hashes or iterates it
+_SPEC_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(("name", "engine", "label_format"), (str,)),
+    **dict.fromkeys(("n_servers", "n_requests", "seed"), (int,)),
+    **dict.fromkeys(("cluster_params", "config_overrides"), (dict,)),
+    **dict.fromkeys(("loads", *_AXES), (list, tuple)),
+}
+#: the same for the fields of an axis entry (``None``: inherit, not given)
+_ENTRY_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(("label", "policy", "workload"), (str,)),
+    **dict.fromkeys(("params", "chaos", *_MODE_FIELDS), (dict,)),
+    **dict.fromkeys(("n_servers", "n_requests"), (int, _NONE)),
+    "value": (int, float, _NONE),
+    "speeds": (tuple, _NONE),
+}
+
+
+def _check_types(values: dict, types: dict, axis: Optional[str] = None) -> None:
+    """Raise :class:`ScenarioError` naming the first of ``values`` (spec
+    keys, or the fields of one ``axis`` entry) that has the wrong type."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, types[name]):
+            expected = " or ".join(k.__name__ for k in types[name] if k is not _NONE)
+            raise ScenarioError(
+                axis or name,
+                f"{name + ' ' if axis else ''}must be {expected}, got {value!r}",
+            )
+
+
+def _coerce(axis: str, entries: Sequence) -> tuple:
     """Accept axis entries as dataclasses, tuples, or dicts."""
+    kind = _AXES[axis]
     out = []
     for entry in entries:
-        if isinstance(entry, kind):
-            out.append(entry)
-        elif isinstance(entry, dict):
+        if isinstance(entry, (dict, tuple, list)):
             try:
-                out.append(factory(**entry))
+                entry = kind(**entry) if isinstance(entry, dict) else kind(*entry)
             except TypeError as err:
                 raise ScenarioError(axis, str(err)) from None
-        elif isinstance(entry, (tuple, list)):
-            try:
-                out.append(factory(*entry))
-            except TypeError as err:
-                raise ScenarioError(axis, str(err)) from None
-        else:
+        elif not isinstance(entry, kind):
             raise ScenarioError(
                 axis, f"cannot build {kind.__name__} from {entry!r}"
             )
+        _check_types(vars(entry), _ENTRY_TYPES, axis)
+        out.append(entry)
     return tuple(out)
 
 
@@ -400,24 +438,8 @@ class ScenarioSpec:
     layout: ReportLayout = ReportLayout()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "policies", _coerce("policies", self.policies, PolicyAxis, PolicyAxis)
-        )
-        object.__setattr__(
-            self,
-            "workloads",
-            _coerce("workloads", self.workloads, WorkloadAxis, WorkloadAxis),
-        )
-        object.__setattr__(self, "modes", _coerce("modes", self.modes, ModeAxis, ModeAxis))
-        object.__setattr__(
-            self, "faults", _coerce("faults", self.faults, FaultAxis, FaultAxis)
-        )
-        object.__setattr__(
-            self, "scales", _coerce("scales", self.scales, ScaleAxis, ScaleAxis)
-        )
-        object.__setattr__(
-            self, "speeds", _coerce("speeds", self.speeds, SpeedAxis, SpeedAxis)
-        )
+        for axis in _AXES:
+            object.__setattr__(self, axis, _coerce(axis, getattr(self, axis)))
         object.__setattr__(self, "loads", tuple(float(v) for v in self.loads))
 
     # ------------------------------------------------------------------
@@ -434,23 +456,11 @@ class ScenarioSpec:
             raise ScenarioError(
                 "engine", f"must be one of {_ENGINES}, got {self.engine!r}"
             )
-        for axis, entries in (
-            ("policies", self.policies),
-            ("workloads", self.workloads),
-            ("loads", self.loads),
-            ("modes", self.modes),
-            ("faults", self.faults),
-            ("scales", self.scales),
-            ("speeds", self.speeds),
-        ):
-            if not entries:
+        for axis in ("loads", *_AXES):
+            if not getattr(self, axis):
                 raise ScenarioError(axis, "must not be empty")
-        _unique_labels("policies", [p.label for p in self.policies])
-        _unique_labels("workloads", [w.label for w in self.workloads])
-        _unique_labels("modes", [m.label for m in self.modes])
-        _unique_labels("faults", [f.label for f in self.faults])
-        _unique_labels("scales", [s.label for s in self.scales])
-        _unique_labels("speeds", [s.label for s in self.speeds])
+        for axis in _AXES:
+            _unique_labels(axis, [entry.label for entry in getattr(self, axis)])
         if len(set(self.loads)) != len(self.loads):
             raise ScenarioError("loads", f"duplicate load in {list(self.loads)}")
         for load in self.loads:
@@ -468,7 +478,7 @@ class ScenarioSpec:
                 )
             try:
                 make_policy(p.policy, **p.params)
-            except TypeError as err:
+            except (TypeError, ValueError) as err:
                 raise ScenarioError(
                     "policies", f"bad params for {p.policy!r}: {err}", entry=p.label
                 ) from None
@@ -501,6 +511,12 @@ class ScenarioSpec:
         _check_keys(
             "config_overrides", "", "override", self.config_overrides, _OVERRIDE_FIELDS
         )
+        try:
+            # the config's own checks (model, overhead_params, ...) on the
+            # overrides alone, so a bad one is not blamed on the first cell
+            SimulationConfig(**self.config_overrides)
+        except (TypeError, ValueError) as err:
+            raise ScenarioError("config_overrides", str(err)) from None
 
         for s in self.scales:
             n_servers = s.n_servers if s.n_servers is not None else self.n_servers
@@ -850,27 +866,6 @@ class ScenarioReport:
 # declarative construction: dicts, files, builtins
 # ----------------------------------------------------------------------
 
-_SPEC_KEYS = frozenset(
-    {
-        "name",
-        "policies",
-        "workloads",
-        "loads",
-        "modes",
-        "faults",
-        "scales",
-        "speeds",
-        "n_servers",
-        "n_requests",
-        "seed",
-        "engine",
-        "cluster_params",
-        "config_overrides",
-        "label_format",
-    }
-)
-
-
 def _fault_from_entry(entry: Any, n_servers: int) -> FaultAxis:
     """A fault entry: explicit chaos knobs, or a scalar ``intensity``
     routed through the chaos campaign's canonical scaling."""
@@ -903,19 +898,20 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
     """
     if not isinstance(data, dict):
         raise ScenarioError("spec", f"expected a mapping, got {type(data).__name__}")
-    unknown = set(data) - _SPEC_KEYS
+    unknown = set(data) - set(_SPEC_TYPES)
     if unknown:
         raise ScenarioError(
             "spec",
-            f"unknown key(s): {sorted(unknown)} (allowed: {sorted(_SPEC_KEYS)})",
+            f"unknown key(s): {sorted(unknown)} (allowed: {sorted(_SPEC_TYPES)})",
         )
+    _check_types(data, _SPEC_TYPES)
     kwargs = dict(data)
-    if "faults" in kwargs:
-        n_servers = int(kwargs.get("n_servers", ScenarioSpec.n_servers))
-        kwargs["faults"] = tuple(
-            _fault_from_entry(entry, n_servers) for entry in kwargs["faults"]
-        )
     try:
+        if "faults" in kwargs:
+            n_servers = kwargs.get("n_servers", ScenarioSpec.n_servers)
+            kwargs["faults"] = tuple(
+                _fault_from_entry(entry, n_servers) for entry in kwargs["faults"]
+            )
         return ScenarioSpec(**kwargs)
     except ScenarioError:
         raise

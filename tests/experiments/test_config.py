@@ -23,6 +23,18 @@ def test_validation():
         SimulationConfig(warmup_fraction=1.0)
 
 
+def test_overhead_params_are_checked_like_every_other_dict_field():
+    """They used to reach PrototypeOverheadModel unchecked: a TypeError
+    in a pool worker under "prototype", ignored yet hashed into the
+    cache key under "simulation"."""
+    ok = SimulationConfig(model="prototype", overhead_params={"poll_cpu_cost": 1e-4})
+    assert ok.overhead_params == {"poll_cpu_cost": 1e-4}
+    with pytest.raises(ValueError, match=r"unknown overhead_params key\(s\): \['nosuch'\]"):
+        SimulationConfig(model="prototype", overhead_params={"nosuch": 1})
+    with pytest.raises(ValueError, match="model='prototype' only"):
+        SimulationConfig(overhead_params={"poll_cpu_cost": 1e-4})
+
+
 def test_with_updates_returns_new_frozen_copy():
     config = SimulationConfig(load=0.5)
     updated = config.with_updates(load=0.9, policy="random")

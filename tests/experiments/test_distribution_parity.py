@@ -119,7 +119,7 @@ TIER_HEADERS = ("distribution parity (fast vs heap): ", "mean-field check (fast 
 
 
 def test_fastparity_prints_both_tiers(capsys):
-    assert main(["fastparity", "--quick", "--no-cache"]) == 0
+    assert main(["fastparity", "--quick"]) == 0
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith(TIER_HEADERS)] == [
         TIER_HEADERS[0] + "OK — 10 configs (KS<=0.08, occupancy<=0.08, mean within 5%)",
@@ -137,7 +137,7 @@ def test_fastparity_prints_both_tiers(capsys):
 def test_fastparity_exits_nonzero_when_either_tier_fails(monkeypatch, check, forced, verdicts):
     monkeypatch.setattr(parity, check, functools.partial(getattr(parity, check), **forced))
     with pytest.raises(SystemExit) as exit_info:
-        main(["fastparity", "--quick", "--no-cache"])
+        main(["fastparity", "--quick"])
     message = str(exit_info.value.code)
     for header, verdict in zip(TIER_HEADERS, verdicts):
         assert header + verdict in message

@@ -1,10 +1,12 @@
 """Tests for the figure/table drivers (small sizes; shape checks live in
 tests/integration and the benches)."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, run_simulation
 from repro.workload.synthesis import FINE_GRAIN_SPEC, MEDIUM_GRAIN_SPEC
 
 
@@ -83,6 +85,9 @@ def test_poll_profile_driver():
     assert profile.n_polls == 3000 * 3
     assert 0.0 < profile.frac_over_10ms < 0.25
     assert result.nominal_rho > 0.8
+    # the tap only listens: the fold is the one every run goes through
+    plain = asdict(run_simulation(result.config))
+    assert {**asdict(result), "wall_seconds": plain["wall_seconds"]} == plain
 
 
 def test_message_scaling_driver():

@@ -159,6 +159,11 @@ def test_expansion_is_deterministic_and_cache_key_stable():
          "dispatcher"),
         (dict(modes=(ModeAxis("m", autoscaler={"bogus": 1}),)), "modes",
          "autoscaler"),
+        (dict(config_overrides={"model": "prototype",
+                                "overhead_params": {"bogus": 1}}),
+         "config_overrides", "unknown overhead_params"),
+        (dict(config_overrides={"overhead_params": {"poll_cpu_cost": 1e-4}}),
+         "config_overrides", "model='prototype' only"),
     ],
 )
 def test_validation_errors_name_the_axis(kwargs, axis, fragment):
@@ -202,6 +207,30 @@ def test_fast_engine_rejects_subsystem_modes_naming_the_axis():
 def test_spec_from_dict_rejects_unknown_keys():
     with pytest.raises(ScenarioError, match="unknown key"):
         spec_from_dict({"name": "x", "polices": []})  # typo'd axis
+
+
+@pytest.mark.parametrize(
+    "data,axis,fragment",
+    [
+        ({"n_requests": "200"}, "n_requests", "must be int, got '200'"),
+        ({"label_format": 1}, "label_format", "must be str, got 1"),
+        ({"n_servers": "x", "faults": [{"intensity": 1.0}]}, "n_servers", "must be int"),
+        ({"seed": True}, "seed", "must be int, got True"),
+        ({"faults": 3}, "faults", "must be list or tuple"),
+        ({"config_overrides": []}, "config_overrides", "must be dict"),
+        ({"policies": [{"label": 1, "policy": "random"}]}, "policies",
+         "label must be str, got 1"),
+        ({"scales": [{"label": "s", "n_servers": "4"}]}, "scales",
+         "n_servers must be int, got '4'"),
+        ({"faults": [{"intensity": "x"}]}, "spec", "could not convert"),
+    ],
+)
+def test_spec_from_dict_type_errors_name_the_field(data, axis, fragment):
+    """JSON puts any type anywhere; these used to be a TypeError,
+    AttributeError or bare ValueError from deep inside validate()."""
+    with pytest.raises(ScenarioError, match=fragment) as err:
+        spec_from_dict(data).expand()
+    assert err.value.axis == axis
 
 
 def test_spec_from_dict_intensity_shorthand_builds_chaos_knobs():

@@ -6,6 +6,9 @@ no two distinct cells may ever collide on a cache key — a collision
 would silently serve one cell's cached result for another.
 """
 
+import copy
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +18,11 @@ from repro.experiments.scenario import (
     ModeAxis,
     PolicyAxis,
     ScaleAxis,
+    ScenarioError,
     ScenarioSpec,
     WorkloadAxis,
+    parse_yaml_lite,
+    spec_from_dict,
 )
 
 _POLICY_POOL = [
@@ -120,3 +126,97 @@ def test_scale_axis_overrides_apply_per_cell(spec, n_servers):
         assert cell.config.n_servers == expected_servers
         if scale.n_requests is not None:
             assert cell.config.n_requests == scale.n_requests
+
+
+# ----------------------------------------------------------------------
+# spec files are outside input: junk raises ScenarioError, nothing else
+# ----------------------------------------------------------------------
+
+_JUNK_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.floats(allow_nan=True),
+    st.text(max_size=4),
+    st.sampled_from(["200", "random", "poisson_exp", "prototype", "fast",
+                     "{", "{0}", "{load:d}", "{nosuch}", "{load.x}"]),
+)
+_JUNK_KEYS = st.sampled_from([
+    "label", "policy", "workload", "params", "chaos", "intensity", "value",
+    "n_servers", "n_requests", "speeds", "reliability", "overload", "model",
+    "overhead_params", "server_speeds", "loss", "poll_size", "bogus",
+])
+_JUNK = st.recursive(
+    _JUNK_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_JUNK_KEYS, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+#: a valid spec with every axis populated, to be broken one path at a time
+_VALID_SPEC = {
+    "name": "junk", "n_requests": 100, "n_servers": 4, "seed": 1,
+    "engine": "heap", "loads": [0.5],
+    "policies": [{"label": "p", "policy": "polling", "params": {"poll_size": 2}}],
+    "workloads": [{"label": "w", "workload": "poisson_exp", "params": {}}],
+    "modes": [{"label": "m", "reliability": {"deadline": 1.0}}],
+    "faults": [{"label": "f", "chaos": {"loss": 0.1}}, {"intensity": 1.0}],
+    "scales": [{"label": "s", "n_servers": 4, "n_requests": 50}],
+    "speeds": [{"label": "sp", "speeds": [1, 1, 1, 2]}],
+    "cluster_params": {}, "config_overrides": {"model": "simulation"},
+    "label_format": "{scenario} {policy} {fault}",
+}
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(list(_paths(_VALID_SPEC))), _JUNK),
+        min_size=1, max_size=2,
+    ),
+    scratch=st.dictionaries(st.sampled_from(sorted(_VALID_SPEC)), _JUNK, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_json_shaped_junk_expands_or_raises_scenario_error(mutations, scratch):
+    """Wrong-typed scalars, scalars where lists belong, nested junk in
+    axis entries: cells or ScenarioError, never a TypeError /
+    AttributeError / KeyError / IndexError from inside validation."""
+    broken = copy.deepcopy(_VALID_SPEC)
+    for path, junk in mutations:
+        node = broken
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = junk
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced the container this one is in
+    for data in (broken, scratch):
+        try:
+            cells = spec_from_dict(data).expand()
+        except ScenarioError:
+            continue
+        assert cells and all(cell.config.n_requests >= 10 for cell in cells)
+
+
+@given(
+    text=st.text(
+        alphabet=st.sampled_from(list("ab:-# \n\t{}[]\"',01.~")), max_size=60
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_yaml_lite_noise_parses_or_raises_value_error_with_a_line(text):
+    """200 000 random documents found no other exception; pin that."""
+    try:
+        parse_yaml_lite(text)
+    except ValueError as error:
+        assert re.search(r"line \d+", str(error))

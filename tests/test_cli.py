@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import ast
+import functools
+import inspect
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -40,7 +45,7 @@ BAD_ARGUMENTS = {
 @pytest.mark.parametrize("flag", sorted(BAD_ARGUMENTS))
 def test_bad_argument_exits_2_naming_the_flag(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(BAD_ARGUMENTS[flag] + ["--serial", "--no-cache"])
+        main(BAD_ARGUMENTS[flag])
     assert exit_info.value.code == 2
     assert f"error: argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
 
@@ -79,7 +84,7 @@ def test_profile_command_small(capsys):
 
 def test_compare_command_small(capsys):
     assert main(["compare", "--requests", "600", "--replications", "2",
-                 "--serial", "--load", "0.8", "--no-cache"]) == 0
+                 "--serial", "--load", "0.8"]) == 0
     out = capsys.readouterr().out
     assert "ideal" in out and "±" in out
     # Sorted ascending: the oracle line comes before random's.
@@ -105,12 +110,12 @@ def test_quick_sets_default_requests_only(tmp_path, capsys, monkeypatch):
 
 
 def test_quick_without_preset_warns(capsys):
-    """--quick on a command with no preset size says so instead of
-    silently running at the publication size."""
-    assert main(["table1", "--quick", "--no-cache"]) == 0
-    captured = capsys.readouterr()
-    assert "no preset for 'table1'" in captured.err
-    assert "Table 1" in captured.out  # command still runs
+    """A command without request sizes has no --quick to accept (it used
+    to warn and run at the publication size)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table1", "--quick"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 def test_cache_round_trip_via_cli(tmp_path, capsys, monkeypatch):
@@ -167,7 +172,7 @@ def test_policy_param_parsing():
 
 def test_trace_command_small(capsys, tmp_path):
     out_dir = tmp_path / "telemetry"
-    assert main(["trace", "--requests", "200", "--seed", "0", "--no-cache",
+    assert main(["trace", "--requests", "200", "--seed", "0",
                  "--export-dir", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "request-lifecycle telemetry" in out
@@ -188,7 +193,7 @@ def test_resilience_command_small(tmp_path, capsys, monkeypatch):
 
 
 def test_trace_command_policy_params(capsys):
-    assert main(["trace", "--requests", "200", "--seed", "1", "--no-cache",
+    assert main(["trace", "--requests", "200", "--seed", "1",
                  "--policy", "broadcast",
                  "--policy-param", "mean_interval=0.05"]) == 0
     out = capsys.readouterr().out
@@ -299,3 +304,146 @@ def test_scenario_oracle_flag_verifies_every_cell(tmp_path, capsys):
     results = load_results(archive)
     assert len(results) == 2
     assert all(r.config.verify_params == {"enabled": True} for r in results)
+
+
+# ----------------------------------------------------------------------
+# the command table: accepted (command, flag) pairs == read pairs
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _module_functions():
+    """cli's module-level functions -> (``args.<dest>`` reads anywhere in
+    the body, names of the module-level functions it calls)."""
+    tree = ast.parse(inspect.getsource(cli))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    table = {}
+    for name, node in defs.items():
+        reads, calls = set(), set()
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "args"):
+                reads.add(sub.attr)
+            elif isinstance(sub, ast.Name) and sub.id in defs:
+                calls.add(sub.id)
+        table[name] = (reads, calls)
+    return table
+
+
+def _reads(function_name, table):
+    """``args`` dests read by a function and, transitively, its helpers."""
+    seen, stack, reads = set(), [function_name], set()
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            reads |= table[name][0]
+            stack += table[name][1]
+    return reads
+
+
+#: Namespace attributes that are not flags: argparse's subparser dest,
+#: and the cache object main hangs on the namespace for the handlers
+_NOT_FLAGS = {"command", "result_cache"}
+
+
+def _declared(row):
+    sizing = {"requests", "quick"} if row.sizes else set()
+    return set(row.flags) | set(row.pinned) | sizing
+
+
+def test_flag_table_is_the_28_flags_and_every_one_has_a_command():
+    assert len(cli._FLAGS) == 28
+    used = set().union(*(_declared(row) for row in cli._COMMANDS.values()))
+    assert used == set(cli._FLAGS)
+    for row in cli._COMMANDS.values():
+        assert not set(row.flags) & set(row.pinned)
+        assert set(row.overrides) <= _declared(row)
+        assert len(row.flags) == len(set(row.flags))
+
+
+def test_main_reads_only_sizing_and_cache_flags_on_a_rows_behalf():
+    assert _reads("main", _module_functions()) - _NOT_FLAGS == {
+        "requests", "quick", "no_cache", "cache_dir",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_row_declares_exactly_the_flags_its_handler_reads(name):
+    """Both directions: a declared flag nobody reads is the accepted-and-
+    ignored bug; a read the row does not declare is an AttributeError."""
+    row = cli._COMMANDS[name]
+    handler = getattr(row.handler, "func", row.handler)  # functools.partial
+    reads = _reads(handler.__name__, _module_functions())
+    # what main reads for the row before the handler runs
+    if row.sizes:
+        reads |= {"requests", "quick"}
+    if "no_cache" in row.flags:
+        reads |= {"no_cache", "cache_dir"}
+    assert reads - _NOT_FLAGS == _declared(row)
+
+
+#: one well-formed value per value-taking flag
+_SAMPLE_VALUES = {
+    "requests": "100", "seed": "1", "engine": "heap", "cache_dir": "x",
+    "workload": "poisson_exp", "load": "0.5", "replications": "2",
+    "policy": "random", "policy_param": "a=1", "sample_interval": "0.1",
+    "export_dir": "x", "spec": "chaos", "budget": "3", "replay": "x.json",
+    "live_servers": "2", "live_load": "0.1", "live_mode": "sleep",
+    "poll_sizes": "2", "time_limit": "1", "record_trace": "x.csv",
+    "port": "0", "workers": "1",
+}
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return build_parser()
+
+
+@pytest.mark.parametrize("dest", sorted(cli._FLAGS))
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_a_flag_parses_on_the_commands_that_declare_it_and_no_other(
+    name, dest, parser, capsys
+):
+    row = cli._COMMANDS[name]
+    argv = [name, "--" + dest.replace("_", "-")]
+    if cli._FLAGS[dest].get("action") != "store_true":
+        argv.append(_SAMPLE_VALUES[dest])
+    if dest in _declared(row) - set(row.pinned):
+        assert parser.parse_args(argv).command == name
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_alias_rows_pin_the_spec_they_are_named_after(parser):
+    for name in ("chaos", "resilience", "overload", "autoscale"):
+        assert parser.parse_args([name]).spec == name
+    assert parser.parse_args(["scenario"]).spec is None
+
+
+def test_command_help_lists_that_commands_flags_only(parser, capsys):
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fig3", "-h"])
+    text = capsys.readouterr().out
+    assert "--engine" in text and "--budget" not in text and "--spec" not in text
+    assert len(text.splitlines()) <= 35
+
+
+@pytest.mark.parametrize(
+    "flag", [["--seed", "1"], ["--requests", "5000"], ["--quick"]], ids=lambda f: f[0]
+)
+def test_sizing_flag_on_a_spec_file_is_a_usage_error(flag, tmp_path, capsys):
+    """The file's own seed and n_requests win, so the flag would be
+    dropped (it used to be, silently)."""
+    import json
+
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps({"name": "tiny", "n_requests": 200, "n_servers": 4}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scenario", "--spec", str(spec), "--validate", *flag])
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag[0]}:" in capsys.readouterr().err
+    # builtins keep taking all three
+    assert main(["scenario", "--spec", "chaos", "--validate", *flag]) == 0
