@@ -9,12 +9,12 @@ queues with at least ``k`` jobs is
 
 so the expected time in system is ``E[T]/E[S] = sum_{i>=1}
 rho^{(d^i - d)/(d - 1)}`` — a doubly exponential improvement over d=1.
-This module provides the fixed point and the derived means (the ODE
-whose stationary point it is, ``ds_k/dt = lambda (s_{k-1}^d - s_k^d) -
-(s_k - s_{k+1})``, is integrated numerically by
-:func:`repro.analysis.meanfield.solve_stationary`), used to (a) explain
-the paper's "poll size 2 suffices" observation analytically and (b)
-validate the cluster simulator against theory in the benches.
+This module provides the fixed point of the mean-field ODE ``ds_k/dt =
+lambda (s_{k-1}^d - s_k^d) - (s_k - s_{k+1})`` and the derived means,
+used to (a) explain the paper's "poll size 2 suffices" observation
+analytically and (b) validate the cluster simulator against theory
+(:mod:`repro.analysis.meanfield` maps configs onto it for the fast
+engine's large-N check).
 """
 
 from __future__ import annotations

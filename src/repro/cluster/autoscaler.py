@@ -58,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["AutoscalerPolicy", "Autoscaler"]
 
+#: smoothing of the observed-service-time EWMA behind the demand estimate
+EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class AutoscalerPolicy:
@@ -76,8 +79,6 @@ class AutoscalerPolicy:
       loop scales up; ``None`` disables the latency trigger.
     - ``util_low`` — demand estimate (completions × EWMA service time
       per active-server-second) below which a clean window scales down.
-    - ``ewma_alpha`` — smoothing for the observed-service-time EWMA
-      feeding the demand estimate.
     - ``step_up`` / ``step_down`` — servers activated/parked per action.
     - ``cooldown`` — minimum seconds between scale-*down* actions
       (0 = every clean tick may shrink); scale-up is never delayed.
@@ -90,7 +91,6 @@ class AutoscalerPolicy:
     shed_high: float = 0.02
     p95_high: Optional[float] = None
     util_low: float = 0.5
-    ewma_alpha: float = 0.2
     step_up: int = 2
     step_down: int = 1
     cooldown: float = 0.0
@@ -112,8 +112,6 @@ class AutoscalerPolicy:
             raise ValueError(f"p95_high must be > 0 or None, got {self.p95_high}")
         if not 0.0 <= self.util_low <= 1.0:
             raise ValueError(f"util_low must be in [0, 1], got {self.util_low}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
         if self.step_up < 1 or self.step_down < 1:
             raise ValueError(
                 f"step_up/step_down must be >= 1, got {self.step_up}/{self.step_down}"
@@ -208,9 +206,7 @@ class Autoscaler:
             if self.ewma_service == 0.0:
                 self.ewma_service = elapsed
             else:
-                self.ewma_service += self.policy.ewma_alpha * (
-                    elapsed - self.ewma_service
-                )
+                self.ewma_service += EWMA_ALPHA * (elapsed - self.ewma_service)
 
     def on_failure(self, request: "Request") -> None:
         self._window_failures += 1

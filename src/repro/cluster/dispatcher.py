@@ -38,7 +38,8 @@ Topology and lifecycle (DESIGN.md §16):
   and routes retries to the next non-suspect dispatcher.
 - Per-dispatcher **admission** reuses :class:`~repro.cluster.overload.
   OverloadController` verbatim (CoDel-style, keyed on the dispatcher's
-  in-flight count, ``workers = n_servers``, no jitter, no withdrawal):
+  in-flight count, ``workers = n_servers``, ``ADMIT_INTERVAL``,
+  ``ADMIT_EWMA_ALPHA``, no jitter, no withdrawal):
   an overloaded dispatcher NACKs the forward and — under failover —
   pushes the client to its secondary.
 - Per-dispatcher **breakers** reuse :class:`~repro.cluster.reliability.
@@ -46,11 +47,11 @@ Topology and lifecycle (DESIGN.md §16):
   which servers are failing it (timeouts, rejects) and filters its own
   candidate sets, failing open like the reliability engine.
 
-Dispatcher *fault injection* (crash storms, client↔dispatcher
-partitions) rides the existing :class:`~repro.cluster.failures.
-ChaosInjector` machinery — dispatcher node ids enter the injector's
-shared ``dead`` set so in-flight messages are swallowed by the same
-``NetworkFaults`` gate that handles server crashes.
+Dispatcher *fault injection* (crash storms) rides the existing
+:class:`~repro.cluster.failures.ChaosInjector` machinery — dispatcher
+node ids enter the injector's shared ``dead`` set so in-flight messages
+are swallowed by the same ``NetworkFaults`` gate that handles server
+crashes.
 
 Everything is **off by default**: a cluster built without a
 :class:`DispatcherPolicy` (or with the all-default policy) takes
@@ -75,6 +76,11 @@ __all__ = ["DispatcherPolicy", "Dispatcher", "DispatcherTier"]
 
 _ASSIGNMENTS = ("static", "failover")
 
+#: the tier admission controller's CoDel interval and service-time EWMA
+#: smoothing (its sojourn target is the policy's ``admit_sojourn_target``)
+ADMIT_INTERVAL = 0.05
+ADMIT_EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class DispatcherPolicy:
@@ -96,11 +102,10 @@ class DispatcherPolicy:
     - ``view_lag`` — extra constant delay (seconds) on availability
       PUBLISH deliveries into dispatcher views (stale-view fault
       model; 0 = views as fresh as any client's).
-    - ``admit_sojourn_target`` / ``admit_interval`` /
-      ``admit_ewma_alpha`` — per-dispatcher CoDel-style admission over
-      the dispatcher's in-flight count, reusing
+    - ``admit_sojourn_target`` — per-dispatcher CoDel-style admission
+      over the dispatcher's in-flight count, reusing
       :class:`~repro.cluster.overload.OverloadController` with
-      ``workers = n_servers``; ``None`` target disables admission.
+      ``workers = n_servers``; ``None`` disables admission.
     - ``breaker_threshold`` / ``breaker_cooldown`` — per-dispatcher
       per-server circuit breakers (each dispatcher's view filters
       independently); ``None`` threshold disables them.
@@ -111,8 +116,6 @@ class DispatcherPolicy:
     suspect_cooldown: float = 0.5
     view_lag: float = 0.0
     admit_sojourn_target: Optional[float] = None
-    admit_interval: float = 0.05
-    admit_ewma_alpha: float = 0.2
     breaker_threshold: Optional[int] = None
     breaker_cooldown: float = 1.0
 
@@ -133,12 +136,6 @@ class DispatcherPolicy:
             raise ValueError(
                 "admit_sojourn_target must be > 0 or None, "
                 f"got {self.admit_sojourn_target}"
-            )
-        if self.admit_interval <= 0:
-            raise ValueError(f"admit_interval must be > 0, got {self.admit_interval}")
-        if not 0.0 < self.admit_ewma_alpha <= 1.0:
-            raise ValueError(
-                f"admit_ewma_alpha must be in (0, 1], got {self.admit_ewma_alpha}"
             )
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError(
@@ -192,8 +189,8 @@ class Dispatcher:
             self.admission = OverloadController(
                 OverloadPolicy(
                     sojourn_target=policy.admit_sojourn_target,
-                    interval=policy.admit_interval,
-                    ewma_alpha=policy.admit_ewma_alpha,
+                    interval=ADMIT_INTERVAL,
+                    ewma_alpha=ADMIT_EWMA_ALPHA,
                 ),
                 cluster.sim,
                 workers=cluster.n_servers,

@@ -37,6 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FailureInjector", "ChaosSpec", "ChaosInjector", "resilience_counters"]
 
+#: share of the workload horizon a straggle, a partition and a crash
+#: storm last
+STRAGGLE_FRAC = 0.25
+PARTITION_FRAC = 0.12
+STORM_FRAC = 0.1
+
 
 class FailureInjector:
     """Schedules crashes/recoveries against a :class:`ServiceCluster`."""
@@ -153,25 +159,18 @@ class ChaosSpec:
     Scheduled events (start times uniform in the middle of the run):
 
     - ``stragglers`` servers have their service rate divided by
-      ``straggle_factor`` for ``straggle_frac`` of the workload horizon;
+      ``straggle_factor`` for ``STRAGGLE_FRAC`` of the workload horizon;
     - ``partitions`` timed cuts isolate ``partition_servers`` servers
-      from everyone else for ``partition_frac`` of the horizon;
+      from everyone else for ``PARTITION_FRAC`` of the horizon;
     - ``storms`` correlated crash events take ``storm_size`` servers
-      down simultaneously, recovering after ``storm_frac`` of the
-      horizon.
-
-    Dispatcher-tier faults (require ``dispatcher_params`` on the
-    config — scheduling them against a cluster without the tier is a
-    loud error):
-
+      down simultaneously, recovering after ``STORM_FRAC`` of the
+      horizon;
     - ``dispatcher_storms`` crash events take ``dispatcher_storm_size``
       dispatchers network-silent, recovering after
       ``dispatcher_storm_frac`` of the horizon (at least one dispatcher
-      always survives, mirroring the server-storm clamp);
-    - ``dispatcher_partitions`` timed cuts isolate one dispatcher from
-      every *client* (its server-side view stays fresh; its clients
-      must time out and — under failover assignment — route around it)
-      for ``dispatcher_partition_frac`` of the horizon.
+      always survives, mirroring the server-storm clamp). They require
+      ``dispatcher_params`` on the config — scheduling them against a
+      cluster without the tier is a loud error.
     """
 
     loss: float = 0.0
@@ -179,18 +178,13 @@ class ChaosSpec:
     jitter_mean: float = 0.0
     stragglers: int = 0
     straggle_factor: float = 4.0
-    straggle_frac: float = 0.25
     partitions: int = 0
-    partition_frac: float = 0.12
     partition_servers: int = 1
     storms: int = 0
     storm_size: int = 2
-    storm_frac: float = 0.1
     dispatcher_storms: int = 0
     dispatcher_storm_size: int = 1
     dispatcher_storm_frac: float = 0.25
-    dispatcher_partitions: int = 0
-    dispatcher_partition_frac: float = 0.12
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss <= 1.0:
@@ -209,19 +203,13 @@ class ChaosSpec:
             "storm_size",
             "dispatcher_storms",
             "dispatcher_storm_size",
-            "dispatcher_partitions",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in (
-            "straggle_frac",
-            "partition_frac",
-            "storm_frac",
-            "dispatcher_storm_frac",
-            "dispatcher_partition_frac",
-        ):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if not 0.0 < self.dispatcher_storm_frac <= 1.0:
+            raise ValueError(
+                f"dispatcher_storm_frac must be in (0, 1], got {self.dispatcher_storm_frac}"
+            )
 
     @classmethod
     def field_names(cls) -> frozenset:
@@ -271,7 +259,6 @@ class ChaosInjector(FailureInjector):
             and spec.partitions == 0
             and spec.storms == 0
             and spec.dispatcher_storms == 0
-            and spec.dispatcher_partitions == 0
         ):
             return
         cluster = self.cluster
@@ -292,7 +279,7 @@ class ChaosInjector(FailureInjector):
         for _ in range(spec.stragglers):
             node = int(rng.integers(0, n))
             at = start_time()
-            self.schedule_straggle(node, at, spec.straggle_frac * horizon, spec.straggle_factor)
+            self.schedule_straggle(node, at, STRAGGLE_FRAC * horizon, spec.straggle_factor)
         for _ in range(spec.partitions):
             k = min(max(1, spec.partition_servers), n - 1)
             isolated = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
@@ -300,7 +287,7 @@ class ChaosInjector(FailureInjector):
                 client.node_id for client in cluster.clients
             ]
             at = start_time()
-            self.schedule_partition(isolated, everyone_else, at, spec.partition_frac * horizon)
+            self.schedule_partition(isolated, everyone_else, at, PARTITION_FRAC * horizon)
         for _ in range(spec.storms):
             k = min(max(1, spec.storm_size), n - 1)
             victims = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
@@ -308,20 +295,19 @@ class ChaosInjector(FailureInjector):
             self.events.append(("storm", at))
             for node in victims:
                 self.schedule_crash(node, at)
-                self.schedule_recovery(node, at + spec.storm_frac * horizon)
-        # Dispatcher-tier faults draw *after* every server-fault draw,
-        # so adding tier knobs to a spec never perturbs an existing
-        # server-fault schedule at the same seed.
-        if spec.dispatcher_storms == 0 and spec.dispatcher_partitions == 0:
+                self.schedule_recovery(node, at + STORM_FRAC * horizon)
+        # Dispatcher storms draw *after* every server-fault draw, so
+        # adding them to a spec never perturbs an existing server-fault
+        # schedule at the same seed.
+        if spec.dispatcher_storms == 0:
             return
         tier = cluster.dispatchers
         if tier is None:
             raise ValueError(
-                "dispatcher_storms/dispatcher_partitions require the dispatcher "
-                "tier (set dispatcher_params on the config)"
+                "dispatcher_storms require the dispatcher tier "
+                "(set dispatcher_params on the config)"
             )
         n_dispatchers = len(tier.dispatchers)
-        client_ids = [client.node_id for client in cluster.clients]
         for _ in range(spec.dispatcher_storms):
             # Mirror the server-storm clamp: at least one dispatcher
             # survives (a 1-dispatcher tier cannot storm).
@@ -338,15 +324,6 @@ class ChaosInjector(FailureInjector):
                 self.schedule_dispatcher_recovery(
                     index, at + spec.dispatcher_storm_frac * horizon
                 )
-        for _ in range(spec.dispatcher_partitions):
-            index = int(rng.integers(0, n_dispatchers))
-            at = start_time()
-            self.schedule_partition(
-                [tier.dispatchers[index].node_id],
-                client_ids,
-                at,
-                spec.dispatcher_partition_frac * horizon,
-            )
 
     # ------------------------------------------------------------------
     # event primitives (also usable directly by tests)

@@ -59,6 +59,18 @@ __all__ = ["ReliabilityPolicy", "CircuitBreaker", "ReliabilityEngine"]
 #: path then fails it fast on the deadline check
 _MIN_ATTEMPT_TIMEOUT = 1e-6
 
+#: retry *k* backs off ``min(BACKOFF_CAP, backoff_base * BACKOFF_MULT**(k-1))``
+#: seconds, of which the upper ``BACKOFF_JITTER`` share is drawn uniformly
+BACKOFF_MULT = 2.0
+BACKOFF_CAP = 1.0
+BACKOFF_JITTER = 0.5
+#: retry-budget tokens returned to a client's bucket per simulated second
+RETRY_BUDGET_REFILL = 10.0
+#: the hedge delay is a quantile of the last ``HEDGE_WINDOW`` successful
+#: response times, and no hedge is armed before ``HEDGE_MIN_SAMPLES``
+HEDGE_MIN_SAMPLES = 32
+HEDGE_WINDOW = 512
+
 
 @dataclass(frozen=True)
 class ReliabilityPolicy:
@@ -73,19 +85,18 @@ class ReliabilityPolicy:
     - ``deadline`` — total per-request time budget in seconds, measured
       from arrival; ``None`` keeps the flat per-attempt
       ``request_timeout`` semantics.
-    - ``backoff_base`` / ``backoff_mult`` / ``backoff_cap`` — retry *k*
-      waits ``min(cap, base * mult**(k-1))`` before re-selecting;
+    - ``backoff_base`` — retry *k* waits ``min(BACKOFF_CAP, base *
+      BACKOFF_MULT**(k-1))``, the upper ``BACKOFF_JITTER`` of it
+      uniformly jittered (equal jitter), before re-selecting;
       ``backoff_base = 0`` disables backoff (immediate re-select, the
       naive behavior).
-    - ``backoff_jitter`` — fraction of each backoff delay that is
-      uniformly jittered (equal-jitter scheme; 0 = deterministic).
     - ``retry_budget`` — per-client token-bucket capacity; each retry
-      spends one token, the bucket refills at ``retry_budget_refill``
+      spends one token, the bucket refills at ``RETRY_BUDGET_REFILL``
       tokens per simulated second. An empty bucket degrades the client
       to fail-fast. ``None`` = unlimited retries (up to ``max_retries``).
     - ``hedge_quantile`` — arm a hedge timer at this quantile of the
-      last ``hedge_window`` observed response times (needs at least
-      ``hedge_min_samples`` observations); ``None`` disables hedging.
+      last ``HEDGE_WINDOW`` observed response times (needs at least
+      ``HEDGE_MIN_SAMPLES`` observations); ``None`` disables hedging.
     - ``breaker_threshold`` — consecutive failures (timeouts or server
       losses) that open a server's circuit breaker; ``None`` disables
       breakers. An open breaker ejects the server from candidate sets
@@ -95,14 +106,8 @@ class ReliabilityPolicy:
 
     deadline: Optional[float] = None
     backoff_base: float = 0.0
-    backoff_mult: float = 2.0
-    backoff_cap: float = 1.0
-    backoff_jitter: float = 0.5
     retry_budget: Optional[float] = None
-    retry_budget_refill: float = 10.0
     hedge_quantile: Optional[float] = None
-    hedge_min_samples: int = 32
-    hedge_window: int = 512
     breaker_threshold: Optional[int] = None
     breaker_cooldown: float = 1.0
 
@@ -111,34 +116,13 @@ class ReliabilityPolicy:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
         if self.backoff_base < 0:
             raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_mult < 1.0:
-            raise ValueError(f"backoff_mult must be >= 1, got {self.backoff_mult}")
-        if self.backoff_cap <= 0:
-            raise ValueError(f"backoff_cap must be > 0, got {self.backoff_cap}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
-            )
         if self.retry_budget is not None and self.retry_budget < 1:
             raise ValueError(
                 f"retry_budget must be >= 1 or None, got {self.retry_budget}"
             )
-        if self.retry_budget_refill <= 0:
-            raise ValueError(
-                f"retry_budget_refill must be > 0, got {self.retry_budget_refill}"
-            )
         if self.hedge_quantile is not None and not 0.0 < self.hedge_quantile < 1.0:
             raise ValueError(
                 f"hedge_quantile must be in (0, 1) or None, got {self.hedge_quantile}"
-            )
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, got {self.hedge_min_samples}"
-            )
-        if self.hedge_window < self.hedge_min_samples:
-            raise ValueError(
-                "hedge_window must be >= hedge_min_samples, got "
-                f"{self.hedge_window} < {self.hedge_min_samples}"
             )
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError(
@@ -265,7 +249,7 @@ class ReliabilityEngine:
         # Observed (successful) response times feeding the hedge-delay
         # quantile, kept twice: in arrival order (which value to evict)
         # and sorted (where the quantile's two neighbours sit).
-        self._observed: deque[float] = deque(maxlen=policy.hedge_window)
+        self._observed: deque[float] = deque(maxlen=HEDGE_WINDOW)
         self._observed_sorted: list[float] = []
 
         # Counters (surfaced through resilience_counters / telemetry).
@@ -310,7 +294,7 @@ class ReliabilityEngine:
         # A fresh bucket is full *now* — not at t=0, which is only the
         # origin of the simulator's clock (the Clock seam allows any).
         tokens, last = self._buckets.get(client_id, (capacity, now))
-        tokens = min(capacity, tokens + (now - last) * self.policy.retry_budget_refill)
+        tokens = min(capacity, tokens + (now - last) * RETRY_BUDGET_REFILL)
         if tokens >= 1.0:
             self._buckets[client_id] = (tokens - 1.0, now)
             return True
@@ -334,18 +318,12 @@ class ReliabilityEngine:
 
     def backoff_delay(self, request: Request) -> float:
         """Jittered exponential backoff before retry ``request.retries``."""
-        policy = self.policy
-        if policy.backoff_base <= 0.0:
+        base = self.policy.backoff_base
+        if base <= 0.0:
             return 0.0
-        delay = min(
-            policy.backoff_cap,
-            policy.backoff_base * policy.backoff_mult ** max(0, request.retries - 1),
-        )
-        jitter = policy.backoff_jitter
-        if jitter > 0.0:
-            u = float(self.cluster.rng("reliability.backoff").random())
-            delay = delay * (1.0 - jitter) + delay * jitter * u
-        return delay
+        delay = min(BACKOFF_CAP, base * BACKOFF_MULT ** max(0, request.retries - 1))
+        u = float(self.cluster.rng("reliability.backoff").random())
+        return delay * (1.0 - BACKOFF_JITTER) + delay * BACKOFF_JITTER * u
 
     # ------------------------------------------------------------------
     # circuit breakers
@@ -529,7 +507,7 @@ class ReliabilityEngine:
         ``linear`` method on the same two neighbours, the same float64
         operations in the same order) without its O(window) partition."""
         ranked = self._observed_sorted
-        if len(ranked) < self.policy.hedge_min_samples:
+        if len(ranked) < HEDGE_MIN_SAMPLES:
             return None
         top = len(ranked) - 1
         virtual = top * self.policy.hedge_quantile

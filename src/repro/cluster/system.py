@@ -161,7 +161,6 @@ class RequestLifecycle:
         policy: "LoadBalancer",
         request_timeout: Optional[float],
         max_retries: int,
-        reselect_delay: Optional[float],
         reliability: Optional["ReliabilityPolicy"],
     ) -> None:
         """Lifecycle configuration, workload slots, resilience counters
@@ -169,9 +168,6 @@ class RequestLifecycle:
         reads the finished context)."""
         self.request_timeout = request_timeout
         self.max_retries = max_retries
-        if reselect_delay is not None and reselect_delay <= 0:
-            raise ValueError(f"reselect_delay must be > 0, got {reselect_delay}")
-        self._reselect_delay = reselect_delay
         #: fallback for the derived re-select delay until load_workload
         #: computes one from the workload's mean service time
         self._derived_reselect_delay = 0.1
@@ -316,9 +312,9 @@ class RequestLifecycle:
 
     @property
     def reselect_delay(self) -> float:
-        """Delay before re-selecting after an empty candidate set."""
-        if self._reselect_delay is not None:
-            return self._reselect_delay
+        """Delay before re-selecting after an empty candidate set: the
+        flat ``request_timeout`` when one is set, else 5x the workload's
+        mean service time (derived in :meth:`load_workload`)."""
         if self.request_timeout is not None:
             return self.request_timeout
         return self._derived_reselect_delay
@@ -376,8 +372,8 @@ class RequestLifecycle:
         self._arrival_times = np.cumsum(gaps)
         extra = 0.0 if self.overhead is None else self.overhead.request_cpu_overhead
         self._service_times = service_times + extra
-        # Default NoCandidates re-select delay, used only when neither
-        # reselect_delay nor request_timeout is configured: a few mean
+        # NoCandidates re-select delay, used only when no
+        # request_timeout is configured: a few mean
         # service times, not a flat 100 ms (which is ~20x the mean
         # service time of a fine-grain request).
         mean_service = float(self._service_times.mean())
@@ -593,17 +589,21 @@ class ServiceCluster(RequestLifecycle):
         Service units per server (1 = the paper's model).
     server_speeds:
         Optional per-server speed factors (heterogeneity ablation).
-    availability:
+    record_server_queues:
+        Keep every server's queue-length trajectory (for occupancy).
+    availability / availability_refresh / availability_ttl:
         When True, run the publish/subscribe availability subsystem and
         derive candidate sets from soft state (required for failure
-        experiments); when False (default), membership is static.
+        experiments); servers publish every ``availability_refresh``
+        seconds on average and entries expire after ``availability_ttl``.
+        When False (default), membership is static.
+    server_max_queue:
+        Static admission bound per server (``None``: unbounded).
     request_timeout / max_retries:
-        Client-side loss recovery (used with failures).
-    reselect_delay:
-        Wait before re-selecting after a ``NoCandidatesError`` (every
-        server's soft state expired). Defaults to ``request_timeout``
-        when one is set, else to 5× the workload's mean service time
-        (derived in :meth:`load_workload`).
+        Client-side loss recovery (used with failures). After a
+        ``NoCandidatesError`` (every server's soft state expired) the
+        client waits ``request_timeout`` before re-selecting, or 5× the
+        workload's mean service time when no timeout is set.
     reliability:
         Optional :class:`repro.cluster.reliability.ReliabilityPolicy`
         — deadline budgets, backoff, retry budgets, hedging, breakers.
@@ -648,7 +648,6 @@ class ServiceCluster(RequestLifecycle):
         request_timeout: Optional[float] = None,
         max_retries: int = 5,
         server_max_queue: Optional[int] = None,
-        reselect_delay: Optional[float] = None,
         reliability: Optional["ReliabilityPolicy"] = None,
         overload: Optional["OverloadPolicy"] = None,
         dispatcher: Optional["DispatcherPolicy"] = None,
@@ -825,7 +824,7 @@ class ServiceCluster(RequestLifecycle):
                     controller.on_rejoin = self._make_rejoin(server, publisher)
 
         self._runner_active = False
-        self._init_lifecycle(policy, request_timeout, max_retries, reselect_delay, reliability)
+        self._init_lifecycle(policy, request_timeout, max_retries, reliability)
 
     def should_publish(self, node_id: int) -> bool:
         """Whether server ``node_id`` may (re)start its availability

@@ -24,7 +24,6 @@ _CLUSTER_PARAM_KEYS = frozenset(
         "max_retries",
         "server_max_queue",
         "record_server_queues",
-        "reselect_delay",
     }
 )
 
@@ -130,7 +129,8 @@ class SimulationConfig:
     ``overhead_params`` override :class:`PrototypeOverheadModel` fields;
     ``full_load_rho`` short-circuits the calibration bisection when the
     caller has already computed it (the sweep drivers do this once per
-    workload).
+    workload). ``server_speeds`` gives one positive speed factor per
+    server (heterogeneity); ``None`` runs every server at 1.0.
 
     ``engine`` selects the execution engine: "heap" and "calendar" are
     exact event-queue implementations producing bit-identical results
@@ -248,6 +248,16 @@ class SimulationConfig:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
             )
+        if self.server_speeds is not None:
+            if len(self.server_speeds) != self.n_servers:
+                raise ValueError(
+                    f"server_speeds has {len(self.server_speeds)} factors but "
+                    f"n_servers is {self.n_servers} (one factor per server)"
+                )
+            if not all(v > 0 for v in self.server_speeds):
+                raise ValueError(
+                    f"server_speeds factors must be > 0, got {list(self.server_speeds)}"
+                )
 
     def with_updates(self, **changes: Any) -> "SimulationConfig":
         """A copy with the given fields replaced."""

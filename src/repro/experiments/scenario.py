@@ -66,7 +66,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioReport",
     "ScenarioSpec",
-    "SpeedAxis",
     "WorkloadAxis",
     "axis",
     "builtin_spec",
@@ -84,9 +83,7 @@ __all__ = [
 _ENGINES = ("heap", "calendar", "fast")
 
 #: SimulationConfig fields a spec may set via ``config_overrides``
-#: (everything not already owned by an axis or a spec scalar; note
-#: ``server_speeds`` here conflicts with a non-degenerate ``speeds``
-#: axis — the axis owns heterogeneity when present)
+#: (everything not already owned by an axis or a spec scalar)
 _OVERRIDE_FIELDS = frozenset(
     {
         "n_clients",
@@ -176,25 +173,6 @@ class ScaleAxis:
 
 
 @dataclass(frozen=True)
-class SpeedAxis:
-    """One server-speed profile (heterogeneity ablation).
-
-    ``speeds=None`` is the homogeneous default (every server at speed
-    1.0 — the exact legacy configuration); otherwise one positive
-    factor per server, length-checked against every scale in the spec.
-    """
-
-    label: str
-    speeds: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.speeds is not None:
-            object.__setattr__(
-                self, "speeds", tuple(float(v) for v in self.speeds)
-            )
-
-
-@dataclass(frozen=True)
 class ScenarioCell:
     """One expanded grid point: axis labels + the runnable config."""
 
@@ -206,7 +184,6 @@ class ScenarioCell:
     scale: str
     fault_value: Optional[float]
     config: SimulationConfig
-    speed: str = ""
 
 
 #: axis field of a :class:`ScenarioSpec` -> the class of its entries
@@ -216,7 +193,6 @@ _AXES = {
     "modes": ModeAxis,
     "faults": FaultAxis,
     "scales": ScaleAxis,
-    "speeds": SpeedAxis,
 }
 
 _NONE = type(None)
@@ -235,7 +211,6 @@ _ENTRY_TYPES: dict[str, tuple[type, ...]] = {
     **dict.fromkeys(("params", "chaos", *_MODE_FIELDS), (dict,)),
     **dict.fromkeys(("n_servers", "n_requests"), (int, _NONE)),
     "value": (int, float, _NONE),
-    "speeds": (tuple, _NONE),
 }
 
 
@@ -301,7 +276,7 @@ def _unique_labels(axis: str, labels: Sequence[str]) -> None:
 # ----------------------------------------------------------------------
 
 #: axis-label attributes of a cell, in expansion (and display) order
-_AXIS_COLUMNS = ("mode", "workload", "policy", "load", "fault", "scale", "speed")
+_AXIS_COLUMNS = ("mode", "workload", "policy", "load", "fault", "scale")
 
 #: a column extractor: ``(cell, result, base) -> value``, where ``base``
 #: is the result of the same cell at the spec's *first* fault entry (the
@@ -402,16 +377,15 @@ class ScenarioSpec:
     """A declarative experiment grid.
 
     Cells expand in fixed nesting order — mode, workload, policy, load,
-    fault, scale, speed (outer to inner) — so reports group naturally
-    and the legacy campaigns reproduce their historical result ordering
-    (the degenerate default ``speeds`` axis adds no loop iterations and
-    leaves every legacy label and config byte-identical).
+    fault, scale (outer to inner) — so reports group naturally and the
+    legacy campaigns reproduce their historical result ordering.
+    Heterogeneous server speeds are ``config_overrides.server_speeds``:
+    one positive factor per server, so every scale must have that many.
 
     ``label_format`` builds each cell's config label (and hence its
     archive/cache identity) from the placeholders ``{scenario}``,
     ``{workload}``, ``{policy}``, ``{load}``, ``{mode}``, ``{fault}``,
-    ``{scale}``, ``{speed}``, ``{n_servers}``, ``{n_requests}``, and
-    ``{seed}``;
+    ``{scale}``, ``{n_servers}``, ``{n_requests}``, and ``{seed}``;
     surplus whitespace from empty labels is collapsed. Two cells that
     expand to identical configs (same label *and* same knobs) are
     rejected — every cell must be separately cache-addressable.
@@ -427,7 +401,6 @@ class ScenarioSpec:
     modes: tuple[ModeAxis, ...] = (ModeAxis(""),)
     faults: tuple[FaultAxis, ...] = (FaultAxis(""),)
     scales: tuple[ScaleAxis, ...] = (ScaleAxis(""),)
-    speeds: tuple[SpeedAxis, ...] = (SpeedAxis(""),)
     n_servers: int = 16
     n_requests: int = 4_000
     seed: int = 0
@@ -511,12 +484,6 @@ class ScenarioSpec:
         _check_keys(
             "config_overrides", "", "override", self.config_overrides, _OVERRIDE_FIELDS
         )
-        try:
-            # the config's own checks (model, overhead_params, ...) on the
-            # overrides alone, so a bad one is not blamed on the first cell
-            SimulationConfig(**self.config_overrides)
-        except (TypeError, ValueError) as err:
-            raise ScenarioError("config_overrides", str(err)) from None
 
         for s in self.scales:
             n_servers = s.n_servers if s.n_servers is not None else self.n_servers
@@ -529,31 +496,13 @@ class ScenarioSpec:
                 raise ScenarioError(
                     "scales", f"n_requests must be >= 10, got {n_requests}", entry=s.label
                 )
-
-        heterogeneous = [sp for sp in self.speeds if sp.speeds is not None]
-        if heterogeneous and "server_speeds" in self.config_overrides:
-            raise ScenarioError(
-                "speeds",
-                "a heterogeneous speeds axis conflicts with "
-                "config_overrides.server_speeds; use one or the other",
-            )
-        for sp in heterogeneous:
-            if any(v <= 0 for v in sp.speeds):
-                raise ScenarioError(
-                    "speeds",
-                    f"speed factors must be > 0, got {list(sp.speeds)}",
-                    entry=sp.label,
-                )
-            for s in self.scales:
-                n_servers = s.n_servers if s.n_servers is not None else self.n_servers
-                if len(sp.speeds) != n_servers:
-                    raise ScenarioError(
-                        "speeds",
-                        f"{len(sp.speeds)} speed factors but scale "
-                        f"{s.label or '<default>'} has {n_servers} servers "
-                        "(one factor per server)",
-                        entry=sp.label,
-                    )
+            try:
+                # the config's own checks (model, overhead_params, one
+                # server speed per server, ...) on the overrides alone, so
+                # a bad one is not blamed on the first cell
+                SimulationConfig(n_servers=n_servers, **self.config_overrides)
+            except (TypeError, ValueError) as err:
+                raise ScenarioError("config_overrides", str(err)) from None
 
         if self.engine == "fast":
             self._validate_fast()
@@ -582,9 +531,6 @@ class ScenarioSpec:
                 )
             elif name == "policy_params":
                 axis, entry = "policies", cell.policy
-            elif name == "server_speeds" and name not in self.config_overrides:
-                axis, entry = "speeds", cell.speed
-                message = "cannot run heterogeneous server speeds" + exact
             elif name == "cluster_params":
                 keys = [v.partition(".")[2] for n, v in refusals if n == name]
                 axis, message = name, f"does not support {keys}"
@@ -602,7 +548,7 @@ class ScenarioSpec:
     def _label(self, **fields: Any) -> str:
         try:
             raw = self.label_format.format(scenario=self.name, **fields)
-        except (KeyError, IndexError, ValueError) as err:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ScenarioError(
                 "label_format", f"bad format {self.label_format!r}: {err}"
             ) from None
@@ -631,7 +577,7 @@ class ScenarioSpec:
         """Every grid point, in nesting order, unvalidated."""
         for entries in itertools.product(
             self.modes, self.workloads, self.policies, self.loads,
-            self.faults, self.scales, self.speeds,
+            self.faults, self.scales,
         ):
             yield self._cell(*entries)
 
@@ -643,7 +589,6 @@ class ScenarioSpec:
         load: float,
         fault: FaultAxis,
         scale: ScaleAxis,
-        speed: SpeedAxis = SpeedAxis(""),
     ) -> ScenarioCell:
         n_servers = scale.n_servers if scale.n_servers is not None else self.n_servers
         n_requests = scale.n_requests if scale.n_requests is not None else self.n_requests
@@ -654,7 +599,6 @@ class ScenarioSpec:
             mode=mode.label,
             fault=fault.label,
             scale=scale.label,
-            speed=speed.label,
             n_servers=n_servers,
             n_requests=n_requests,
             seed=self.seed,
@@ -679,9 +623,6 @@ class ScenarioSpec:
                 raise ScenarioError(
                     "workloads", f"cell {label!r}: replay_file {path!r}: {err}"
                 ) from None
-        overrides = dict(self.config_overrides)
-        if speed.speeds is not None:
-            overrides["server_speeds"] = tuple(speed.speeds)
         try:
             config = SimulationConfig(
                 policy=policy.policy,
@@ -700,7 +641,7 @@ class ScenarioSpec:
                     config_field: dict(getattr(mode, kind))
                     for kind, config_field in _MODE_FIELDS.items()
                 },
-                **overrides,
+                **self.config_overrides,
             )
         except (TypeError, ValueError) as err:
             raise ScenarioError("spec", f"cell {label!r}: {err}") from None
@@ -713,7 +654,6 @@ class ScenarioSpec:
             scale=scale.label,
             fault_value=fault.value,
             config=config,
-            speed=speed.label,
         )
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from repro.core.base import LoadBalancer
 from repro.live.clock import WallClock
 from repro.live.faults import LoopbackFaults
 from repro.live.wire import WireError, decode_message, encode_message
-from repro.net.latency import PAPER_NET, PaperNetworkConstants
+from repro.net.latency import PAPER_NET
 from repro.net.message import MessageKind
 from repro.sim.rng import RngHub
 
@@ -122,10 +122,8 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
         *,
         seed: int = 0,
         n_clients: int = 6,
-        constants: PaperNetworkConstants = PAPER_NET,
         request_timeout: Optional[float] = None,
         max_retries: int = 5,
-        reselect_delay: Optional[float] = None,
         reliability=None,
         availability: bool = False,
         availability_ttl: float = 3.0,
@@ -151,7 +149,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
         self.sim = clock
         self.clock = clock
         self.rng_hub = RngHub(seed)
-        self.constants = constants
+        self.constants = PAPER_NET
         self.overhead = None
         self.faults = faults
 
@@ -197,7 +195,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
         self.stale_poll_replies_ignored = 0
         self.wire_errors = 0
 
-        self._init_lifecycle(policy, request_timeout, max_retries, reselect_delay, reliability)
+        self._init_lifecycle(policy, request_timeout, max_retries, reliability)
 
     # ------------------------------------------------------------------
     # asyncio protocol plumbing
@@ -309,7 +307,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
             self.stale_poll_replies_ignored += 1
             return
         server_id, on_reply, _sent_at = entry
-        queue_length = int(msg["q"])
+        queue_length = msg["q"]
         # Shared wall clock across the loopback harness: the server's
         # read time is directly comparable (telemetry staleness).
         observed_at = float(msg["at"])
@@ -340,7 +338,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
             return
         # The sim's server stamps the shared Request object; over UDP
         # the stamps travel in the datagram.
-        request.server_id = int(msg["server"])
+        request.server_id = msg["server"]
         request.enqueue_time = float(msg["enq"])
         request.start_time = float(msg["start"])
         request.completion_time = float(msg["done"])
@@ -351,7 +349,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
         if request is None:
             self.stale_rejects_ignored += 1
             return
-        attempt, server_id = msg["attempt"], int(msg["server"])
+        attempt, server_id = msg["attempt"], msg["server"]
         if not request.done and request.retries == attempt:
             # The sim's server marks the shared Request object when it
             # rejects; over UDP the mark lands with the (live) NACK.
@@ -362,8 +360,9 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
     def _recv_publish(self, msg: Dict[str, Any]) -> None:
         if self._shared_table is None:
             return
-        entries = tuple((str(s), int(p)) for s, p in msg["entries"])
-        payload = (int(msg["server"]), entries, float(msg["at"]))
+        # the decoder checked the types: only the JSON lists become tuples
+        entries = tuple(tuple(entry) for entry in msg["entries"])
+        payload = (msg["server"], entries, float(msg["at"]))
         self._shared_table._on_publish(_PublishShim(payload))  # noqa: SLF001
 
     def resilience_counters(self) -> Dict[str, float]:

@@ -39,7 +39,6 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
 from repro.live.client import LiveCluster
 from repro.live.clock import WallClock
-from repro.live.faults import LoopbackFaults
 from repro.live.server import LiveServer
 from repro.sim.rng import RngHub
 from repro.workload.workloads import request_stream
@@ -75,7 +74,6 @@ class LiveRunConfig:
     seed: int = 0
     warmup_fraction: float = 0.1
     mode: str = "spin"
-    slice_seconds: float = 0.001
     poll_spin: float = 0.0003
     workers: int = 1
     request_timeout: Optional[float] = 1.0
@@ -89,12 +87,19 @@ class LiveRunConfig:
     telemetry: bool = False
     sample_interval: float = 0.05
     time_limit: float = 60.0
-    #: client->server and server->client fault planes (race tests)
-    client_faults: Optional[Dict[str, float]] = None
-    server_faults: Optional[Dict[str, float]] = None
 
     def sim_config(self) -> SimulationConfig:
-        """The calibrated simulation baseline of this live run."""
+        """The calibrated simulation baseline of this live run: the same
+        config, with every lifecycle knob the live cluster and servers
+        take forwarded as ``cluster_params``."""
+        cluster_params = {
+            "request_timeout": self.request_timeout,
+            "max_retries": self.max_retries,
+            "server_max_queue": self.server_max_queue,
+            "availability": self.availability,
+            "availability_refresh": self.availability_refresh,
+            "availability_ttl": self.availability_ttl,
+        }
         return SimulationConfig(
             policy=self.policy,
             policy_params=dict(self.policy_params),
@@ -110,11 +115,7 @@ class LiveRunConfig:
             workers=self.workers,
             reliability_params=dict(self.reliability_params),
             overload_params=dict(self.overload_params),
-            cluster_params=(
-                {"request_timeout": self.request_timeout}
-                if self.request_timeout is not None
-                else {}
-            ),
+            cluster_params={k: v for k, v in cluster_params.items() if v is not None},
             label=f"sim:{self.policy}",
         )
 
@@ -152,14 +153,6 @@ def _policy_counters(policy) -> Dict[str, int]:
         for name in _POLICY_COUNTER_ATTRS
         if hasattr(policy, name)
     }
-
-
-def _make_faults(
-    spec: Optional[Dict[str, float]], rng: np.random.Generator
-) -> Optional[LoopbackFaults]:
-    if not spec:
-        return None
-    return LoopbackFaults(rng, **spec)
 
 
 async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
@@ -201,13 +194,11 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
                 clock,
                 workers=cfg.workers,
                 mode=cfg.mode,
-                slice_seconds=cfg.slice_seconds,
                 poll_spin=cfg.poll_spin,
                 max_queue=cfg.server_max_queue,
                 overload=overload_policy,
                 publish_interval=(cfg.availability_refresh if cfg.availability else None),
                 rng=hub.stream(f"live.server.{i}"),
-                faults=_make_faults(cfg.server_faults, hub.stream(f"live.faults.server.{i}")),
             )
             transport, _ = await loop.create_datagram_endpoint(
                 lambda s=server: s, local_addr=("127.0.0.1", 0)
@@ -229,7 +220,6 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
             availability=cfg.availability,
             availability_ttl=cfg.availability_ttl,
             workers_per_server=cfg.workers,
-            faults=_make_faults(cfg.client_faults, hub.stream("live.faults.client")),
         )
         client_transport, _ = await loop.create_datagram_endpoint(
             lambda: cluster, local_addr=("127.0.0.1", 0)

@@ -37,6 +37,10 @@ from repro.prototype.microbench import SpinCalibration, calibrate_spin, spin_for
 
 __all__ = ["LiveServer"]
 
+#: spin-mode service work yields to the event loop after every slice of
+#: this many seconds, so datagrams (polls) interleave with it
+SLICE_SECONDS = 0.001
+
 
 class _ServiceStamp:
     """Duck-typed stand-in for ``Request`` in ``observe_completion``
@@ -78,7 +82,6 @@ class LiveServer(asyncio.DatagramProtocol):
         workers: int = 1,
         mode: str = "sleep",
         calibration: Optional[SpinCalibration] = None,
-        slice_seconds: float = 0.001,
         poll_spin: float = 0.0,
         max_queue: Optional[int] = None,
         overload: Optional[OverloadPolicy] = None,
@@ -91,13 +94,10 @@ class LiveServer(asyncio.DatagramProtocol):
             raise ValueError(f"mode must be 'sleep' or 'spin', got {mode!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if slice_seconds <= 0:
-            raise ValueError(f"slice_seconds must be > 0, got {slice_seconds!r}")
         self.node_id = node_id
         self.clock = clock
         self.workers = workers
         self.mode = mode
-        self.slice_seconds = slice_seconds
         self.poll_spin = poll_spin
         self.max_queue = max_queue
         self.faults = faults
@@ -321,7 +321,7 @@ class LiveServer(asyncio.DatagramProtocol):
             assert self._calibration is not None
             remaining = service
             while remaining > 0.0:
-                chunk = min(self.slice_seconds, remaining)
+                chunk = min(SLICE_SECONDS, remaining)
                 spin_for(chunk, self._calibration)
                 remaining -= chunk
                 await asyncio.sleep(0)

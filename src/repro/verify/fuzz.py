@@ -219,34 +219,64 @@ def sample_case(seed: int, case: int) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``true`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _config_problems(config: dict[str, Any]) -> list[str]:
+    """What stops ``config`` from building: the config's own checks, then
+    its policy and its workload, constructed the way a run constructs
+    them (:meth:`ScenarioSpec.validate` does the same)."""
+    from repro.core.registry import make_policy
+    from repro.workload.workloads import make_workload
+
+    problems = [
+        f"config.{reserved} is supplied by the runner and must not appear in a spec"
+        for reserved in ("engine", "verify_params")
+        if reserved in config
+    ]
+    try:
+        checked = SimulationConfig(
+            **{k: v for k, v in config.items() if k not in ("engine", "verify_params")}
+        )
+    except (TypeError, ValueError) as exc:
+        return [*problems, f"config rejected: {exc}"]
+    for what, build, name, params in (
+        ("policy", make_policy, checked.policy, checked.policy_params),
+        ("workload", make_workload, checked.workload, checked.workload_params),
+    ):
+        try:
+            build(name, **params)
+        except Exception as exc:  # a replay would die on the same line
+            problems.append(
+                f"config.{what} {name!r} cannot be built: {type(exc).__name__}: {exc}"
+            )
+    return problems
+
+
 def validate_spec(spec: Any) -> list[str]:
-    """Every problem with a reproducer spec (empty list == valid)."""
+    """Every problem with a reproducer spec (empty list == valid).
+
+    Never raises: a spec that would not replay is a problem string here,
+    not an error from inside the run."""
     problems: list[str] = []
     if not isinstance(spec, dict):
         return [f"spec must be a JSON object, got {type(spec).__name__}"]
-    if spec.get("schema") != SPEC_SCHEMA:
-        problems.append(
-            f"schema must be {SPEC_SCHEMA}, got {spec.get('schema')!r}"
-        )
+    schema = spec.get("schema")
+    if not (_is_int(schema) and schema == SPEC_SCHEMA):
+        problems.append(f"schema must be {SPEC_SCHEMA}, got {schema!r}")
     config = spec.get("config")
-    if not isinstance(config, dict):
-        problems.append("config must be an object of SimulationConfig kwargs")
-        config = None
+    if isinstance(config, dict):
+        problems += _config_problems(config)
     else:
-        for reserved in ("engine", "verify_params"):
-            if reserved in config:
-                problems.append(
-                    f"config.{reserved} is supplied by the runner and must "
-                    f"not appear in a spec"
-                )
-        try:
-            SimulationConfig(
-                **{k: v for k, v in config.items() if k not in ("engine", "verify_params")}
-            )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"config rejected: {exc}")
+        problems.append("config must be an object of SimulationConfig kwargs")
     interval = spec.get("check_interval", 8)
-    if not isinstance(interval, int) or interval < 1:
+    if not _is_int(interval) or interval < 1:
         problems.append(f"check_interval must be a positive int, got {interval!r}")
     schedule = spec.get("schedule", [])
     if not isinstance(schedule, list):
@@ -258,13 +288,13 @@ def validate_spec(spec: Any) -> list[str]:
             problems.append(f"{where} must be an object")
             continue
         kind = event.get("kind")
-        if kind not in _EVENT_KEYS:
+        if not isinstance(kind, str) or kind not in _EVENT_KEYS:
             problems.append(
                 f"{where}.kind must be one of {sorted(_EVENT_KEYS)}, got {kind!r}"
             )
             continue
         at_frac = event.get("at_frac")
-        if not isinstance(at_frac, (int, float)) or not 0 <= at_frac <= 1:
+        if not _is_number(at_frac) or not 0 <= at_frac <= 1:
             problems.append(f"{where}.at_frac must be in [0, 1], got {at_frac!r}")
         for key in _EVENT_KEYS[kind]:
             if key not in event:
@@ -272,17 +302,17 @@ def validate_spec(spec: Any) -> list[str]:
                 continue
             value = event[key]
             if key in ("node", "index", "servers"):
-                if not isinstance(value, int) or value < 0:
+                if not _is_int(value) or value < 0:
                     problems.append(
                         f"{where}.{key} must be a non-negative int, got {value!r}"
                     )
             elif key == "duration_frac":
-                if not isinstance(value, (int, float)) or not 0 < value <= 1:
+                if not _is_number(value) or not 0 < value <= 1:
                     problems.append(
                         f"{where}.duration_frac must be in (0, 1], got {value!r}"
                     )
             elif key == "factor":
-                if not isinstance(value, (int, float)) or value <= 0:
+                if not _is_number(value) or not value > 0:
                     problems.append(f"{where}.factor must be > 0, got {value!r}")
     return problems
 

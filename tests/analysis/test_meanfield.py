@@ -1,74 +1,18 @@
-"""Mean-field/fluid solver tests (tier 3 of the validation ladder).
+"""Mean-field prediction tests (tier 3 of the validation ladder).
 
-The fixed-seed regression values are the supermarket model's known
-stationary quantities: at d=1 the system is M/M/1 (sojourn 1/(1-rho)
-service times); at d>=2 the integrated fixed point must agree with the
-analytic ``s_k = rho^{(d^k-1)/(d-1)}`` tail to solver accuracy.
+The regression values are the supermarket model's known stationary
+quantities: at d=1 the system is M/M/1 (sojourn 1/(1-rho) service
+times); at d>=2 the closed form ``sum_i rho^{(d^i-d)/(d-1)}``.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.meanfield import (
     MeanFieldUnsupportedError,
     meanfield_prediction,
-    solve_stationary,
 )
 from repro.experiments.config import SimulationConfig
 from repro.net.latency import PAPER_NET
-
-
-# ----------------------------------------------------------------------
-# solver regression values
-# ----------------------------------------------------------------------
-def test_d1_reduces_to_mm1():
-    # k_max must cover the geometric tail: truncating at k_max models
-    # M/M/1/k_max, which undershoots 1/(1-rho) by ~rho^k_max/(1-rho).
-    for rho in (0.3, 0.5, 0.9):
-        solution = solve_stationary(rho, 1, k_max=256)
-        assert solution.mean_sojourn == pytest.approx(1.0 / (1.0 - rho), rel=1e-4)
-
-
-def test_supermarket_regression_values():
-    # Known stationary sojourns (service-time units), pinned to guard
-    # the solver against silent drift.
-    assert solve_stationary(0.9, 2).mean_sojourn == pytest.approx(
-        2.6140573, rel=1e-5
-    )
-    assert solve_stationary(0.7, 3).mean_sojourn == pytest.approx(
-        1.3568422, rel=1e-5
-    )
-
-
-def test_integrated_fixed_point_matches_closed_form():
-    for rho, d in [(0.5, 2), (0.9, 2), (0.8, 4), (0.99, 2)]:
-        solution = solve_stationary(rho, d)
-        assert solution.fixed_point_gap < 1e-5
-        assert solution.residual <= 1e-8
-
-
-def test_tail_shape_and_monotonicity():
-    solution = solve_stationary(0.9, 2, k_max=32)
-    assert solution.tail.shape == (33,)
-    assert solution.tail[0] == 1.0
-    assert np.all(np.diff(solution.tail) <= 1e-12)
-    # Doubly-exponential decay: deep tail is numerically zero.
-    assert solution.tail[-1] < 1e-12
-
-
-def test_zero_load_is_trivially_empty():
-    solution = solve_stationary(0.0, 2)
-    assert solution.mean_queue_length == 0.0
-    assert solution.mean_sojourn == 1.0
-
-
-def test_invalid_parameters_raise():
-    with pytest.raises(ValueError, match="rho"):
-        solve_stationary(1.0, 2)
-    with pytest.raises(ValueError, match="rho"):
-        solve_stationary(-0.1, 2)
-    with pytest.raises(ValueError, match="d"):
-        solve_stationary(0.5, 0)
 
 
 # ----------------------------------------------------------------------
@@ -87,12 +31,35 @@ def _config(**overrides):
     return SimulationConfig(**defaults)
 
 
+def test_d1_reduces_to_mm1():
+    for rho in (0.3, 0.5, 0.9):
+        prediction = meanfield_prediction(_config(load=rho))
+        assert prediction.mean_sojourn == pytest.approx(50e-3 / (1.0 - rho), rel=1e-12)
+
+
+def test_supermarket_regression_values():
+    # Known stationary sojourns (service-time units), pinned to guard
+    # the prediction against silent drift.
+    for rho, d, sojourn in [(0.9, 2, 2.6140573), (0.7, 3, 1.3568422)]:
+        prediction = meanfield_prediction(
+            _config(policy="polling", policy_params={"poll_size": d}, load=rho)
+        )
+        assert prediction.mean_sojourn / 50e-3 == pytest.approx(sojourn, rel=1e-7)
+
+
+def test_invalid_parameters_raise():
+    with pytest.raises(ValueError, match="rho"):
+        meanfield_prediction(_config(load=1.0))
+    with pytest.raises(ValueError, match="d must be"):
+        meanfield_prediction(_config(policy="polling", policy_params={"poll_size": 0}))
+
+
 def test_prediction_degrees_and_offsets():
     random = meanfield_prediction(_config())
     assert random.d == 1
     assert random.latency_offset == pytest.approx(2.0 * PAPER_NET.request_one_way)
     assert random.mean_sojourn == pytest.approx(
-        5.0 * 50e-3, rel=1e-4
+        5.0 * 50e-3, rel=1e-12
     )  # M/M/1 at rho=0.8: 5 service times of 50 ms
 
     polling = meanfield_prediction(

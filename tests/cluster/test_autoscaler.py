@@ -72,7 +72,9 @@ def scaling_policy(**overrides):
     ],
 )
 def test_policy_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # ewma_alpha is a module constant now: naming it is an unknown keyword
+    known = set(kwargs) <= AutoscalerPolicy.field_names()
+    with pytest.raises(ValueError if known else TypeError):
         AutoscalerPolicy(**kwargs)
 
 

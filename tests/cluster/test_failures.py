@@ -185,7 +185,7 @@ def test_chaos_spec_validation():
         ChaosSpec(loss=1.5)
     with pytest.raises(ValueError):
         ChaosSpec(straggle_factor=0.0)
-    with pytest.raises(ValueError):
-        ChaosSpec(storm_frac=0.0)
+    with pytest.raises(TypeError, match="storm_frac"):
+        ChaosSpec(storm_frac=0.1)  # a module constant now
     with pytest.raises(ValueError):
         ChaosSpec(storms=-1)

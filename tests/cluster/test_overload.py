@@ -383,7 +383,7 @@ def test_rejecting_server_recorded_for_hedge_exclusion():
 # ----------------------------------------------------------------------
 
 HEDGING = ReliabilityPolicy(
-    hedge_quantile=0.5, hedge_min_samples=8, breaker_threshold=4,
+    hedge_quantile=0.5, breaker_threshold=4,
     breaker_cooldown=0.1,
 )
 

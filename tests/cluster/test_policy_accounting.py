@@ -101,7 +101,7 @@ def test_least_connections_with_hedging_and_nacks():
         load=1.5,
         server_max_queue=2,
         reliability=ReliabilityPolicy(
-            hedge_quantile=0.9, hedge_min_samples=20, breaker_threshold=3
+            hedge_quantile=0.9, breaker_threshold=3
         ),
         overload=OverloadPolicy(sojourn_target=0.02, interval=0.05),
     )

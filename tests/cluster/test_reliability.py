@@ -22,8 +22,11 @@ from repro.cluster import (
     ServiceCluster,
     resilience_counters,
 )
+from repro.cluster.reliability import BACKOFF_CAP, BACKOFF_JITTER
 from repro.core import RandomPolicy, make_policy
 from repro.experiments.chaos import hardened_reliability_params
+from repro.experiments.config import SimulationConfig
+from repro.sim.rng import RngHub
 
 
 def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
@@ -63,7 +66,10 @@ def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
     ],
 )
 def test_policy_validation(kwargs):
-    with pytest.raises(ValueError):
+    # backoff_mult/_cap/_jitter, retry_budget_refill and hedge_min_samples/
+    # _window are module constants now: naming one is an unknown keyword
+    known = set(kwargs) <= ReliabilityPolicy.field_names()
+    with pytest.raises(ValueError if known else TypeError):
         ReliabilityPolicy(**kwargs)
 
 
@@ -242,7 +248,7 @@ def test_should_fail_fast_on_deadline():
 
 def test_retry_token_bucket_exhausts_and_refills():
     cluster = build(
-        reliability=ReliabilityPolicy(retry_budget=2, retry_budget_refill=1.0)
+        reliability=ReliabilityPolicy(retry_budget=2)
     )
     engine = cluster.reliability
     client_id = cluster.clients[0].node_id
@@ -257,7 +263,7 @@ def test_retry_token_bucket_exhausts_and_refills():
 def test_retry_budget_is_per_client():
     cluster = build(
         n_clients=2,
-        reliability=ReliabilityPolicy(retry_budget=1, retry_budget_refill=1.0),
+        reliability=ReliabilityPolicy(retry_budget=1),
     )
     engine = cluster.reliability
     a, b = (client.node_id for client in cluster.clients)
@@ -272,25 +278,18 @@ def test_backoff_disabled_by_default():
 
 
 def test_backoff_exponential_without_jitter():
-    cluster = build(
-        reliability=ReliabilityPolicy(
-            backoff_base=0.01, backoff_mult=2.0, backoff_cap=0.05, backoff_jitter=0.0
-        )
-    )
+    cluster = build(seed=5, reliability=ReliabilityPolicy(backoff_base=0.01))
     engine = cluster.reliability
-    assert engine.backoff_delay(_request(cluster, retries=1)) == pytest.approx(0.01)
-    assert engine.backoff_delay(_request(cluster, retries=2)) == pytest.approx(0.02)
-    assert engine.backoff_delay(_request(cluster, retries=3)) == pytest.approx(0.04)
-    # Capped.
-    assert engine.backoff_delay(_request(cluster, retries=10)) == pytest.approx(0.05)
+    # the engine's jitter draws, replayed from the same named substream
+    draws = RngHub(5).stream("reliability.backoff")
+    for retries, expected in [(1, 0.01), (2, 0.02), (3, 0.04), (10, BACKOFF_CAP)]:
+        jitter = 1.0 - BACKOFF_JITTER + BACKOFF_JITTER * float(draws.random())
+        delay = engine.backoff_delay(_request(cluster, retries=retries))
+        assert delay / jitter == pytest.approx(expected)
 
 
 def test_backoff_jitter_stays_in_equal_jitter_band():
-    cluster = build(
-        reliability=ReliabilityPolicy(
-            backoff_base=0.01, backoff_mult=2.0, backoff_cap=1.0, backoff_jitter=0.5
-        )
-    )
+    cluster = build(reliability=ReliabilityPolicy(backoff_base=0.01))
     engine = cluster.reliability
     for _ in range(50):
         delay = engine.backoff_delay(_request(cluster, retries=1))
@@ -301,11 +300,6 @@ def test_backoff_jitter_stays_in_equal_jitter_band():
 # reselect delay (satellite: no hardcoded 0.1 s fallback)
 # ----------------------------------------------------------------------
 
-def test_reselect_delay_explicit_wins():
-    cluster = build(reselect_delay=0.02, request_timeout=0.5)
-    assert cluster.reselect_delay == pytest.approx(0.02)
-
-
 def test_reselect_delay_falls_back_to_request_timeout():
     cluster = build(request_timeout=0.5)
     assert cluster.reselect_delay == pytest.approx(0.5)
@@ -315,17 +309,19 @@ def test_reselect_delay_derives_from_mean_service_time():
     """Regression: the NoCandidates path used a flat 100 ms sleep —
     ~20x the mean service time of a fine-grain request. It now derives
     from the loaded workload when nothing else is configured."""
-    cluster = build()  # no reselect_delay, no request_timeout
+    cluster = build()  # no request_timeout
     mean_service = float(cluster._service_times.mean())
     assert cluster.reselect_delay == pytest.approx(5.0 * mean_service)
     assert cluster.reselect_delay < 0.1
 
 
 def test_reselect_delay_validation():
-    with pytest.raises(ValueError):
-        ServiceCluster(n_servers=2, policy=RandomPolicy(), reselect_delay=0.0)
-    with pytest.raises(ValueError):
-        ServiceCluster(n_servers=2, policy=RandomPolicy(), reselect_delay=-0.1)
+    """The delay is derived, never set: the keyword and the config knob
+    are gone, and naming either fails loudly."""
+    with pytest.raises(TypeError, match="reselect_delay"):
+        ServiceCluster(n_servers=2, policy=RandomPolicy(), reselect_delay=0.02)
+    with pytest.raises(ValueError, match="reselect_delay"):
+        SimulationConfig(cluster_params={"reselect_delay": 0.02})
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +386,7 @@ def test_server_loss_retries_counter():
 
 
 def test_hedging_end_to_end_exactly_once():
-    policy = ReliabilityPolicy(hedge_quantile=0.5, hedge_min_samples=8)
+    policy = ReliabilityPolicy(hedge_quantile=0.5)
     cluster = _crash_cluster(policy, n_requests=1200)
     ChaosInjector(cluster, spec=ChaosSpec(loss=0.08))
     metrics = cluster.run()
@@ -419,7 +415,7 @@ def test_hedged_run_is_deterministic():
 
 
 def test_reliability_counters_surface_in_resilience_counters():
-    policy = ReliabilityPolicy(hedge_quantile=0.5, hedge_min_samples=8)
+    policy = ReliabilityPolicy(hedge_quantile=0.5)
     cluster = _crash_cluster(policy, n_requests=800)
     injector = ChaosInjector(cluster, spec=ChaosSpec(loss=0.05))
     metrics = cluster.run()

@@ -1,6 +1,12 @@
-"""Suite-wide fixtures."""
+"""Suite-wide fixtures and hypothesis profiles."""
 
 import pytest
+from hypothesis import settings
+
+#: ``--hypothesis-profile=hostile`` runs the junk-input properties (spec
+#: files, datagrams, fuzz reproducers) at a budget CI can afford once;
+#: tier-1 runs them at the default profile's
+settings.register_profile("hostile", max_examples=2000)
 
 
 @pytest.fixture(autouse=True)

@@ -18,7 +18,6 @@ from repro.experiments.scenario import (
     ScenarioError,
     ScenarioReport,
     ScenarioSpec,
-    SpeedAxis,
     WorkloadAxis,
     composed_spec,
     load_spec,
@@ -146,15 +145,23 @@ def test_expansion_is_deterministic_and_cache_key_stable():
         (dict(engine="quantum"), "engine", "one of"),
         (dict(scales=(ScaleAxis("s", n_servers=0),)), "scales", "n_servers"),
         (dict(label_format="{bogus}"), "label_format", "bad format"),
-        (dict(speeds=()), "speeds", "empty"),
-        (dict(speeds=(SpeedAxis("s", (1.0, -2.0)),)), "speeds", "> 0"),
-        (dict(speeds=(SpeedAxis("a"), SpeedAxis("a"))), "speeds", "duplicate"),
-        (dict(speeds=(SpeedAxis("skew", (1.0, 2.0)),),
-              config_overrides={"server_speeds": (1.0, 1.0)}),
-         "speeds", "conflicts"),
-        (dict(speeds=(SpeedAxis("skew", (1.0, 2.0)),),
-              scales=(ScaleAxis("s", n_servers=4),)),
-         "speeds", "speed factors"),
+        # server speeds: checked by the config against every scale, at
+        # validate time (a wrong length or factor used to crash the run)
+        (dict(config_overrides={"server_speeds": (1.0, 2.0)}),
+         "config_overrides", "n_servers is 16"),
+        (dict(n_servers=4, config_overrides={"server_speeds": (1.0, 1.0, 1.0, -2.0)}),
+         "config_overrides", "> 0"),
+        (dict(n_servers=4, config_overrides={"server_speeds": ("x",) * 4}),
+         "config_overrides", "not supported"),
+        (dict(n_servers=4, scales=(ScaleAxis("s4"), ScaleAxis("s8", n_servers=8)),
+              config_overrides={"server_speeds": (1.0,) * 4}),
+         "config_overrides", "n_servers is 8"),
+        # the length is held to the scale's n_servers (4), not the spec's 16
+        # (its own id: the regex fragment makes a long, escaped default one)
+        pytest.param(dict(scales=(ScaleAxis("s", n_servers=4),),
+                          config_overrides={"server_speeds": (1.0, 2.0)}),
+                     "config_overrides", r"n_servers is 4 \(one factor per server\)",
+                     id="kwargs20-per-scale"),
         (dict(modes=(ModeAxis("m", dispatcher={"bogus": 1}),)), "modes",
          "dispatcher"),
         (dict(modes=(ModeAxis("m", autoscaler={"bogus": 1}),)), "modes",
@@ -164,6 +171,8 @@ def test_expansion_is_deterministic_and_cache_key_stable():
          "config_overrides", "unknown overhead_params"),
         (dict(config_overrides={"overhead_params": {"poll_cpu_cost": 1e-4}}),
          "config_overrides", "model='prototype' only"),
+        # an attribute lookup on a placeholder was an AttributeError
+        (dict(label_format="{load.x}"), "label_format", "bad format"),
     ],
 )
 def test_validation_errors_name_the_axis(kwargs, axis, fragment):
@@ -193,9 +202,9 @@ def test_fast_engine_rejects_subsystem_modes_naming_the_axis():
     assert err.value.axis == "modes"
     with pytest.raises(ScenarioError) as err:
         ScenarioSpec(
-            speeds=(SpeedAxis("skew", (1.0, 2.0) * 8),), **base
+            config_overrides={"server_speeds": (1.0, 2.0) * 8}, **base
         ).expand()
-    assert err.value.axis == "speeds"
+    assert err.value.axis == "config_overrides"
     # a plain fast-compatible grid is fine
     assert len(ScenarioSpec(n_requests=100, engine="fast").expand()) == 1
 
@@ -207,6 +216,9 @@ def test_fast_engine_rejects_subsystem_modes_naming_the_axis():
 def test_spec_from_dict_rejects_unknown_keys():
     with pytest.raises(ScenarioError, match="unknown key"):
         spec_from_dict({"name": "x", "polices": []})  # typo'd axis
+    # the speeds axis is gone: heterogeneity is config_overrides.server_speeds
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\): \['speeds'\]"):
+        spec_from_dict({"speeds": [{"label": "skew", "speeds": [2, 1]}]})
 
 
 @pytest.mark.parametrize(
@@ -399,41 +411,19 @@ def test_composed_spec_full_grid_includes_modern_policies():
 
 
 # ----------------------------------------------------------------------
-# speeds axis
+# heterogeneous server speeds
 # ----------------------------------------------------------------------
 
-def test_speed_axis_expands_innermost_with_labels_and_overrides():
-    spec = ScenarioSpec(
-        loads=(0.5, 0.9),
-        speeds=(SpeedAxis("uniform"), SpeedAxis("skewed", (2.0, 1.0, 1.0, 0.5))),
-        n_requests=100,
-        n_servers=4,
-        label_format="{scenario} {policy} L={load:g} {speed}",
-    )
-    cells = spec.expand()
-    assert len(cells) == 4
-    # innermost axis: speed varies fastest
-    assert [c.speed for c in cells] == ["uniform", "skewed"] * 2
-    uniform, skewed = cells[0].config, cells[1].config
-    assert uniform.server_speeds is None
-    assert skewed.server_speeds == (2.0, 1.0, 1.0, 0.5)
-    assert skewed.label.endswith("skewed")
+def test_server_speeds_override_reaches_every_cell():
+    grid = dict(loads=(0.5, 0.9), n_requests=100, n_servers=4)
+    skewed = ScenarioSpec(config_overrides={"server_speeds": (2.0, 1.0, 1.0, 0.5)}, **grid)
+    cells = skewed.expand()
+    assert [c.config.server_speeds for c in cells] == [(2.0, 1.0, 1.0, 0.5)] * 2
     # heterogeneous cells never collide with homogeneous ones in cache
-    assert config_key(uniform) != config_key(skewed)
-
-
-def test_speed_axis_coerces_factors_to_floats():
-    axis = SpeedAxis("mixed", (2, 1, 1))
-    assert axis.speeds == (2.0, 1.0, 1.0)
-    assert all(isinstance(v, float) for v in axis.speeds)
-
-
-def test_degenerate_speed_axis_keeps_legacy_labels():
-    base = ScenarioSpec(n_requests=100)
-    assert [c.config.label for c in base.expand()] == [
-        c.config.label
-        for c in ScenarioSpec(n_requests=100, speeds=(SpeedAxis(""),)).expand()
-    ]
+    uniform = ScenarioSpec(**grid).expand()
+    assert {config_key(c.config) for c in cells}.isdisjoint(
+        config_key(c.config) for c in uniform
+    )
 
 
 def test_mode_axis_dispatcher_and_autoscaler_reach_config():

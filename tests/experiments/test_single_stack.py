@@ -15,8 +15,9 @@ fails here — in the style of ``test_campaign_single_path.py``:
   with the fast engine's own.
 
 ISSUE 18 took scipy off the path of ``import repro``: a run loads numpy
-only, and the three functions that need scipy import it where they call
-it. A module-level scipy import anywhere under ``src/repro`` fails here.
+only, and the functions that need scipy import it where they call it
+(three call sites since the mean-field prediction became a closed form).
+A module-level scipy import anywhere under ``src/repro`` fails here.
 """
 
 import ast
@@ -120,8 +121,9 @@ def test_every_cli_command_has_a_caller():
 
 
 #: run in a fresh interpreter: everything a CLI command, a pool worker or a
-#: suite workload imports, one default run, then the three cold functions
-#: that do need scipy (ISSUE 18)
+#: suite workload imports, one default run and one mean-field prediction,
+#: then the cold functions behind the three call sites that do need scipy:
+#: ``weibull_from_moments`` reaches two, ``half_width`` one
 _IMPORT_PROBE = """
 import sys
 import repro, repro.cli, repro.live, repro.verify
@@ -130,11 +132,11 @@ from repro.experiments import ReplicatedResult, SimulationConfig, run_simulation
 from repro.workload import weibull_from_moments
 
 run_simulation(SimulationConfig(n_requests=200))
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
 polling2 = SimulationConfig(policy="polling", policy_params={"poll_size": 2}, engine="fast")
+meanfield_prediction(polling2)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 print(weibull_from_moments(0.05, 0.075).shape)
 print(ReplicatedResult(SimulationConfig(), (0.10, 0.11, 0.125), 0.95).half_width)
-print(meanfield_prediction(polling2).mean_response_time)
 """
 
 
@@ -150,7 +152,7 @@ def test_a_run_imports_numpy_only_and_the_three_lazy_sites_work():
     assert out[0] == "[]"
     # the values the module-level imports produced at the parent (d5f833b)
     assert [float(line) for line in out[1:]] == pytest.approx(
-        [0.6847725532334181, 0.031258047396878874, 0.13150886865275088], rel=1e-12
+        [0.6847725532334181, 0.031258047396878874], rel=1e-12
     )
 
 

@@ -25,8 +25,7 @@ from repro.workload import make_workload
 #: moderately hostile, fixed fault mix: 5% loss, two crash storms,
 #: one partition episode — the regime the hardened layer targets
 CHAOS = dict(
-    loss=0.05, duplicate=0.01, storms=2, storm_size=3,
-    storm_frac=0.12, partitions=1,
+    loss=0.05, duplicate=0.01, storms=2, storm_size=3, partitions=1,
 )
 
 

@@ -14,7 +14,12 @@ import pytest
 
 from repro.cluster.availability import ServiceMappingTable, ServicePublisher
 from repro.cluster.overload import OverloadController, OverloadPolicy
-from repro.cluster.reliability import CircuitBreaker, ReliabilityEngine, ReliabilityPolicy
+from repro.cluster.reliability import (
+    RETRY_BUDGET_REFILL,
+    CircuitBreaker,
+    ReliabilityEngine,
+    ReliabilityPolicy,
+)
 from repro.core.polling import RandomPollingPolicy
 from repro.net.message import Message, MessageKind
 from repro.net.switch import SwitchedEthernet
@@ -135,7 +140,7 @@ def test_retry_budget_fresh_bucket_at_negative_origin():
     # Regression: the bucket's default last-refill time was 0.0, so a
     # clock reading below zero "un-filled" a brand-new bucket.
     clock = ManualClock(origin=-100.0)
-    engine = _engine(clock, retry_budget=2.0, retry_budget_refill=0.001)
+    engine = _engine(clock, retry_budget=2.0)
     assert engine._take_retry_token(client_id=7)
     assert engine._take_retry_token(client_id=7)
     assert not engine._take_retry_token(client_id=7)  # drained
@@ -143,10 +148,12 @@ def test_retry_budget_fresh_bucket_at_negative_origin():
 
 def test_retry_budget_refills_with_elapsed_time_not_absolute_time():
     clock = ManualClock(origin=EPOCH)
-    engine = _engine(clock, retry_budget=1.0, retry_budget_refill=1.0)
+    engine = _engine(clock, retry_budget=1.0)
     assert engine._take_retry_token(client_id=0)
     assert not engine._take_retry_token(client_id=0)
-    clock.advance(1.5)  # refill 1 token over 1.5s
+    clock.advance(0.5 / RETRY_BUDGET_REFILL)  # half a token back
+    assert not engine._take_retry_token(client_id=0)
+    clock.advance(0.6 / RETRY_BUDGET_REFILL)  # 1.1 tokens since the drain
     assert engine._take_retry_token(client_id=0)
     assert not engine._take_retry_token(client_id=0)
 

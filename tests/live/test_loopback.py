@@ -69,6 +69,27 @@ def test_workload_matches_sim_baseline_arrays():
     np.testing.assert_array_equal(services, cluster._service_times)
 
 
+def test_sim_config_forwards_every_lifecycle_knob():
+    """Regression: the "apples-to-apples" baseline carried only
+    ``request_timeout`` and simulated a cluster without the live run's
+    availability, retry budget or queue bound."""
+    cfg = replace(
+        BASE, availability=True, availability_refresh=0.2, availability_ttl=0.6,
+        max_retries=9, server_max_queue=8,
+    )
+    assert cfg.sim_config().cluster_params == {
+        "request_timeout": 2.0,
+        "max_retries": 9,
+        "server_max_queue": 8,
+        "availability": True,
+        "availability_refresh": 0.2,
+        "availability_ttl": 0.6,
+    }
+    cluster, _ = build_cluster(cfg.sim_config())
+    assert cluster.availability_enabled and cluster.max_retries == 9
+    assert cluster.servers[0].max_queue == 8
+
+
 def test_spin_overcommit_guard():
     with pytest.raises(ValueError, match="over-commits"):
         run_loopback(replace(BASE, mode="spin", load=0.5))  # 3 * 0.5 > 0.85

@@ -128,16 +128,14 @@ reliability_strategy = st.sampled_from(
     [
         # hedging + breakers (the canonical hardened combination)
         ReliabilityPolicy(
-            hedge_quantile=0.9, hedge_min_samples=16,
-            breaker_threshold=4, breaker_cooldown=0.3,
+            hedge_quantile=0.9, breaker_threshold=4, breaker_cooldown=0.3,
         ),
         # deadline budget + jittered backoff + retry budget
         ReliabilityPolicy(deadline=1.5, backoff_base=0.002, retry_budget=100),
         # everything at once
         ReliabilityPolicy(
             deadline=2.0, backoff_base=0.001, retry_budget=200,
-            hedge_quantile=0.8, hedge_min_samples=16,
-            breaker_threshold=3, breaker_cooldown=0.2,
+            hedge_quantile=0.8, breaker_threshold=3, breaker_cooldown=0.2,
         ),
     ]
 )

@@ -15,12 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.reliability import ReliabilityEngine, ReliabilityPolicy
+from repro.cluster.reliability import (
+    HEDGE_MIN_SAMPLES,
+    HEDGE_WINDOW,
+    ReliabilityEngine,
+    ReliabilityPolicy,
+)
 from repro.core.base import NoCandidatesError, choose_min_in_table, choose_min_with_ties
 from repro.sim.rng import IndexStream
 
 # ----------------------------------------------------------------------
-# hedge-delay window == np.quantile over the last `window` observations
+# hedge-delay window == np.quantile over the last HEDGE_WINDOW observations
 # ----------------------------------------------------------------------
 SAMPLERS = {
     "exponential": lambda rng, n: rng.exponential(0.05, n),
@@ -30,11 +35,10 @@ SAMPLERS = {
 }
 
 
-def hedging_engine(q, window, min_samples):
+def hedging_engine(q):
     """A ReliabilityEngine with hedging only: its constructor reads
     nothing from the cluster unless breakers are on."""
-    policy = ReliabilityPolicy(hedge_quantile=q, hedge_window=window, hedge_min_samples=min_samples)
-    return ReliabilityEngine(SimpleNamespace(servers=()), policy)
+    return ReliabilityEngine(SimpleNamespace(servers=()), ReliabilityPolicy(hedge_quantile=q))
 
 
 quantiles = st.one_of(
@@ -45,17 +49,15 @@ quantiles = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    window=st.integers(1, 600),
     fill=st.sampled_from([0.3, 1.0, 2.7]),  # n < window, n = window, n > window
     q=quantiles,
     sampler=st.sampled_from(sorted(SAMPLERS)),
     seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
 )
-def test_hedge_delay_equals_numpy_quantile(window, fill, q, sampler, seed, data):
-    min_samples = data.draw(st.integers(1, window))
-    engine = hedging_engine(q, window, min_samples)
-    values = SAMPLERS[sampler](np.random.default_rng(seed), max(1, int(window * fill))).tolist()
+def test_hedge_delay_equals_numpy_quantile(fill, q, sampler, seed):
+    window, min_samples = HEDGE_WINDOW, HEDGE_MIN_SAMPLES
+    engine = hedging_engine(q)
+    values = SAMPLERS[sampler](np.random.default_rng(seed), int(window * fill)).tolist()
     # The reference is the replaced implementation: a ring overwritten in
     # arrival order, np.quantile over its filled prefix.
     ring = np.empty(window)
@@ -70,13 +72,14 @@ def test_hedge_delay_equals_numpy_quantile(window, fill, q, sampler, seed, data)
 
 
 def test_hedge_window_ignores_non_finite_and_evicts_one_duplicate():
-    engine = hedging_engine(0.5, window=3, min_samples=1)
-    for value in (2.0, float("nan"), 2.0, float("inf"), 5.0):
+    engine = hedging_engine(0.5)
+    rest = [5.0] * (HEDGE_WINDOW - 2)
+    for value in (2.0, float("nan"), 2.0, float("inf"), *rest):
         engine._observe(value)
-    assert engine._observed_sorted == [2.0, 2.0, 5.0]
+    assert engine._observed_sorted == [2.0, 2.0, *rest]
     engine._observe(1.0)  # evicts the older 2.0, not both
-    assert engine._observed_sorted == [1.0, 2.0, 5.0]
-    assert list(engine._observed) == [2.0, 5.0, 1.0]
+    assert engine._observed_sorted == [1.0, 2.0, *rest]
+    assert list(engine._observed) == [2.0, *rest, 1.0]
 
 
 # ----------------------------------------------------------------------

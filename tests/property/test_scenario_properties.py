@@ -163,8 +163,8 @@ _VALID_SPEC = {
     "modes": [{"label": "m", "reliability": {"deadline": 1.0}}],
     "faults": [{"label": "f", "chaos": {"loss": 0.1}}, {"intensity": 1.0}],
     "scales": [{"label": "s", "n_servers": 4, "n_requests": 50}],
-    "speeds": [{"label": "sp", "speeds": [1, 1, 1, 2]}],
-    "cluster_params": {}, "config_overrides": {"model": "simulation"},
+    "cluster_params": {},
+    "config_overrides": {"model": "simulation", "server_speeds": [1, 1, 1, 2]},
     "label_format": "{scenario} {policy} {fault}",
 }
 
@@ -186,7 +186,7 @@ def _paths(node, prefix=()):
     ),
     scratch=st.dictionaries(st.sampled_from(sorted(_VALID_SPEC)), _JUNK, max_size=4),
 )
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)  # the example budget is the profile's (conftest.py)
 def test_json_shaped_junk_expands_or_raises_scenario_error(mutations, scratch):
     """Wrong-typed scalars, scalars where lists belong, nested junk in
     axis entries: cells or ScenarioError, never a TypeError /

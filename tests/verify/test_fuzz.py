@@ -11,6 +11,8 @@ synthetic ``run_fn`` whose failure condition is known exactly.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.verify import fuzz
 
@@ -64,6 +66,93 @@ def test_validate_spec_names_the_problem(mutate, expected):
     problems = fuzz.validate_spec(spec)
     assert problems, f"mutation not caught ({expected})"
     assert any(expected in p for p in problems), problems
+
+
+def test_validate_spec_reports_what_used_to_crash_or_pass():
+    """Regressions: an unhashable kind raised TypeError; ``true`` passed
+    as an int or a fraction; a policy param the policy rejects validated
+    clean and then replayed as ``build failed: TypeError``."""
+    assert fuzz.validate_spec(
+        {"schema": 1, "config": {}, "schedule": [{"kind": [1], "at_frac": 0.1}]}
+    ) == [
+        "schedule[0].kind must be one of ['crash', 'dispatcher_crash', "
+        "'dispatcher_recover', 'partition', 'recover', 'straggle'], got [1]"
+    ]
+    spec = fuzz.sample_case(0, 0)
+    spec.update(check_interval=True, schema=True)
+    spec["schedule"] = [{"kind": "crash", "node": True, "at_frac": True}]
+    problems = " | ".join(fuzz.validate_spec(spec))
+    for field in ("schema", "check_interval", "node", "at_frac"):
+        assert f"{field} must be" in problems
+    unbuildable = {"policy": "polling", "policy_params": {"poll_size": "x"}}
+    spec = {"schema": 1, "config": unbuildable}
+    assert fuzz.run_spec(spec).message.startswith("build failed: TypeError")
+    (problem,) = fuzz.validate_spec(spec)
+    assert problem.startswith("config.policy 'polling' cannot be built: TypeError")
+    (problem,) = fuzz.validate_spec({"schema": 1, "config": {"workload": "nosuch"}})
+    assert problem.startswith("config.workload 'nosuch' cannot be built")
+
+
+_JUNK_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**6),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["crash", "straggle", "polling", "random", "poisson_exp", "heap"]),
+)
+_JUNK_KEYS = st.sampled_from([
+    "schema", "config", "check_interval", "schedule", "kind", "at_frac", "node",
+    "index", "servers", "duration_frac", "factor", "policy", "policy_params",
+    "poll_size", "workload", "workload_params", "n_servers", "n_requests", "load",
+    "cluster_params", "chaos_params", "server_speeds", "engine", "bogus",
+])
+_JUNK = st.recursive(
+    _JUNK_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_JUNK_KEYS, inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+#: a valid reproducer with every field populated, to be broken a path at a time
+_VALID = fuzz.sample_case(0, 74)
+
+
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(list(_paths(_VALID))), _JUNK), min_size=1, max_size=2
+    ),
+    scratch=_JUNK,
+)
+@settings(deadline=None)  # the example budget is the profile's (conftest.py)
+def test_validate_spec_over_junk_returns_problems(mutations, scratch):
+    """A reproducer is outside input: ``validate_spec`` answers with a
+    list of problem strings and never raises."""
+    broken = json.loads(json.dumps(_VALID))
+    for path, junk in mutations:
+        node = broken
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = junk
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced the container this one is in
+    for spec in (broken, scratch):
+        problems = fuzz.validate_spec(spec)
+        assert isinstance(problems, list)
+        assert all(isinstance(problem, str) for problem in problems)
 
 
 def test_load_spec_raises_on_malformed(tmp_path):
