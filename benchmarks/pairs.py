@@ -3,12 +3,22 @@
 Runs each tree's own ``benchmarks/suite/run.py --trace 0`` N times per side,
 alternating which side goes first, checks ``correct``/``failed``/``sim_fingerprint``
 on every pair, prints per-metric medians, quartiles and wins; exit 1 on a failed check.
+A side whose ``run.py`` dies before printing its result fails its pair, naming the
+side, the tree, the exit code and the tail of its stderr, and ends the run: the
+other side of that pair and every later pair are skipped.
 """
 
 import json
 import statistics
 import subprocess
 import sys
+
+#: stderr lines a failed side's report keeps
+STDERR_TAIL = 20
+
+
+class RunFailed(Exception):
+    """A side's ``run.py`` exited without printing its result."""
 
 
 def run_once(tree: str, workload: str, seed: str, seconds: str) -> dict:
@@ -18,7 +28,12 @@ def run_once(tree: str, workload: str, seed: str, seconds: str) -> dict:
         cwd=tree, capture_output=True, text=True,
     )
     lines = done.stdout.splitlines()
-    detail = next(json.loads(x[7:]) for x in reversed(lines) if x.startswith("DETAIL {"))
+    details = [x for x in lines if x.startswith("DETAIL {")]
+    if not details or not lines[-1].startswith("{"):
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"tree {tree}: run.py exited {done.returncode} before its result; "
+                        f"stderr ends:\n{tail}")
+    detail = json.loads(details[-1][7:])
     result = json.loads(lines[-1])
     return {
         "ok": done.returncode == 0 and result["correct"] and result["failed"] == 0,
@@ -34,15 +49,24 @@ def main(workload, parent, change, n="10", seed="0", seconds="10") -> int:
     pairs, sound = [], True
     for i in range(n):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        run = {side: run_once(trees[side], workload, seed, seconds) for side in order}
+        run = {}
+        for side in order:
+            try:
+                run[side] = run_once(trees[side], workload, seed, seconds)
+            except RunFailed as failed:
+                print(f"pair {i + 1}/{n}: {side} side failed, {failed}", file=sys.stderr, flush=True)
+                break
+        if len(run) < 2:  # a tree that dies once will die again: stop here
+            sound = False
+            break
         p, c = run["parent"], run["change"]
         same = p["fingerprint"] == c["fingerprint"]
         sound &= same and p["ok"] and c["ok"]
         pairs.append(run)
         print(f"pair {i + 1}/{n} first={order[0]} fingerprint_equal={same} "
               f"ok={p['ok']}/{c['ok']} wall_s {p['wall_s']:.4f}/{c['wall_s']:.4f}", flush=True)
-    print(f"{workload} seed={seed} seconds={seconds} pairs={n}")
-    for name, direction in better.items():
+    print(f"{workload} seed={seed} seconds={seconds} pairs={len(pairs)} of {n}")
+    for name, direction in better.items() if len(pairs) >= 2 else ():
         sign = 1.0 if direction == "lower" else -1.0
         ps, cs = ([pair[side][name] for pair in pairs] for side in ("parent", "change"))
         wins = sum(sign * c < sign * p for p, c in zip(ps, cs))
@@ -51,7 +75,7 @@ def main(workload, parent, change, n="10", seed="0", seconds="10") -> int:
         )
         print(f"  {name:19s} parent {pm:.5g} [{pq1:.5g}, {pq3:.5g}]  change {cm:.5g} "
               f"[{cq1:.5g}, {cq3:.5g}]  worse by {sign * (cm - pm) / pm:+.1%}  "
-              f"parent IQR {pq3 - pq1:.3g}  wins {wins}/{n}")
+              f"parent IQR {pq3 - pq1:.3g}  wins {wins}/{len(pairs)}")
     print(f"  every pair correct, failed 0, sim_fingerprint equal: {sound}")
     return 0 if sound else 1
 

@@ -19,20 +19,54 @@ Quick start::
                            workload="poisson_exp", load=0.9, seed=1)
     result = run_simulation(cfg)
     print(result.mean_response_time_ms)
+
+Every package ``__init__`` names its exports and imports none of them:
+:func:`exports` resolves each on first access, so a run loads the
+modules it uses and no others.
 """
+
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-from repro import analysis, cluster, core, experiments, net, prototype, sim, workload
 
-__all__ = [
-    "analysis",
-    "cluster",
-    "core",
-    "experiments",
-    "net",
-    "prototype",
-    "sim",
-    "workload",
-    "__version__",
-]
+def locate(where: str):
+    """The object a ``module:attr`` string names, imported on use; a bare
+    ``module`` names the module itself."""
+    module, _, attr = where.partition(":")
+    found = importlib.import_module(module)
+    return getattr(found, attr) if attr else found
+
+
+def exports(package: str, *where: str):
+    """``__all__``, ``__getattr__`` and ``__dir__`` (PEP 562) for a package
+    whose exports are the :func:`locate` strings ``where``: each is
+    imported on first access and then kept on the package."""
+    table = {w.partition(":")[2] or w.rpartition(".")[2]: w for w in where}
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = locate(table[name])
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list:
+        return sorted({*vars(sys.modules[package]), *table})
+
+    return list(table), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.analysis",
+    "repro.cluster",
+    "repro.core",
+    "repro.experiments",
+    "repro.net",
+    "repro.prototype",
+    "repro.sim",
+    "repro.workload",
+)
+__all__.append("__version__")

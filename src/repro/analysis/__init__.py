@@ -13,42 +13,23 @@
   the engine-parity tiers compare with.
 """
 
-from repro.analysis.mm1 import (
-    erlang_c,
-    mg1_mean_response_time,
-    mm1_mean_queue_length,
-    mm1_mean_response_time,
-    mm1_mean_waiting_time,
-    mm1_queue_length_pmf,
-    mmk_mean_response_time,
-)
-from repro.analysis.inaccuracy import (
-    eq1_upperbound,
-    eq1_upperbound_series,
-    fifo_queue_length_steps,
-    measure_inaccuracy,
-)
-from repro.analysis.supermarket import (
-    supermarket_fixed_point,
-    supermarket_mean_queue_length,
-    supermarket_mean_response_time,
-)
-from repro.analysis.stats import summarize
+from repro import exports
 
-__all__ = [
-    "eq1_upperbound",
-    "eq1_upperbound_series",
-    "erlang_c",
-    "fifo_queue_length_steps",
-    "measure_inaccuracy",
-    "mg1_mean_response_time",
-    "mm1_mean_queue_length",
-    "mm1_mean_response_time",
-    "mm1_mean_waiting_time",
-    "mm1_queue_length_pmf",
-    "mmk_mean_response_time",
-    "summarize",
-    "supermarket_fixed_point",
-    "supermarket_mean_queue_length",
-    "supermarket_mean_response_time",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.analysis.inaccuracy:eq1_upperbound",
+    "repro.analysis.inaccuracy:eq1_upperbound_series",
+    "repro.analysis.mm1:erlang_c",
+    "repro.analysis.inaccuracy:fifo_queue_length_steps",
+    "repro.analysis.inaccuracy:measure_inaccuracy",
+    "repro.analysis.mm1:mg1_mean_response_time",
+    "repro.analysis.mm1:mm1_mean_queue_length",
+    "repro.analysis.mm1:mm1_mean_response_time",
+    "repro.analysis.mm1:mm1_mean_waiting_time",
+    "repro.analysis.mm1:mm1_queue_length_pmf",
+    "repro.analysis.mm1:mmk_mean_response_time",
+    "repro.analysis.stats:summarize",
+    "repro.analysis.supermarket:supermarket_fixed_point",
+    "repro.analysis.supermarket:supermarket_mean_queue_length",
+    "repro.analysis.supermarket:supermarket_mean_response_time",
+)

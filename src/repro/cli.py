@@ -53,8 +53,7 @@ from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.registry import available_policies
-from repro.experiments import ResultCache, figures
-from repro.verify import InvariantViolation
+from repro.verify.oracle import InvariantViolation
 from repro.workload.workloads import available_workloads
 
 __all__ = ["main"]
@@ -109,10 +108,14 @@ def _udp_port(text: str) -> int:
 
 
 def _table1(args) -> str:
+    from repro.experiments import figures
+
     return figures.table1_traces(seed=args.seed).render()
 
 
 def _fig2(args) -> str:
+    from repro.experiments import figures
+
     data = figures.figure2_inaccuracy(n_requests=args.requests, seed=args.seed)
     bounds = ", ".join(
         f"{load:.0%}: {bound:.2f}" for load, bound in data.extras["upperbound"].items()
@@ -120,15 +123,20 @@ def _fig2(args) -> str:
     return data.render() + f"\nEq.1 upper bounds (Poisson/Exp): {bounds}"
 
 
-def _sweep_figure(driver: Callable[..., figures.FigureData], args) -> str:
-    """fig3, fig4, fig6, table2, messages: one sweep, one rendered table."""
-    return driver(
+def _sweep_figure(driver: str, args) -> str:
+    """fig3, fig4, fig6, table2, messages: one sweep of the ``figures``
+    driver so named, one rendered table."""
+    from repro.experiments import figures
+
+    return getattr(figures, driver)(
         n_requests=args.requests, seed=args.seed, parallel=not args.serial,
         cache=args.result_cache, engine=args.engine,
     ).render()
 
 
 def _profile(args) -> str:
+    from repro.experiments import figures
+
     profile, result = figures.poll_profile_section32(
         n_requests=args.requests, seed=args.seed
     )
@@ -597,21 +605,21 @@ _COMMANDS: dict[str, _Command] = {
     "table1": _Command(_table1, "Table 1: trace statistics", ("seed",)),
     "fig2": _Command(_fig2, "Figure 2: load-index inaccuracy vs delay",
                      ("seed",), (30_000, 300_000)),
-    "fig3": _Command(partial(_sweep_figure, figures.figure3_broadcast),
+    "fig3": _Command(partial(_sweep_figure, "figure3_broadcast"),
                      "Figure 3: broadcast frequency sweep",
                      _SWEEP, (2_000, 20_000)),
-    "fig4": _Command(partial(_sweep_figure, figures.figure4_pollsize),
+    "fig4": _Command(partial(_sweep_figure, "figure4_pollsize"),
                      "Figure 4: poll size (simulation model)",
                      _SWEEP, (2_000, 20_000)),
-    "fig6": _Command(partial(_sweep_figure, figures.figure6_pollsize),
+    "fig6": _Command(partial(_sweep_figure, "figure6_pollsize"),
                      "Figure 6: poll size (prototype model)",
                      _SWEEP, (2_000, 15_000)),
-    "table2": _Command(partial(_sweep_figure, figures.table2_discard),
+    "table2": _Command(partial(_sweep_figure, "table2_discard"),
                        "Table 2: discarding slow-responding polls",
                        _SWEEP, (3_000, 25_000)),
     "profile": _Command(_profile, "§3.2 slow-poll profile",
                         ("seed",), (3_000, 25_000)),
-    "messages": _Command(partial(_sweep_figure, figures.message_scaling_section24),
+    "messages": _Command(partial(_sweep_figure, "message_scaling_section24"),
                          "§2.4 message scaling ablation",
                          _SWEEP, (2_000, 10_000)),
     "compare": _Command(_compare, "policy comparison with confidence intervals",
@@ -689,8 +697,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     row = _COMMANDS[args.command]
     if row.sizes and args.requests is None:
         args.requests = row.sizes[0 if args.quick else 1]
-    cached = "no_cache" in row.flags and not args.no_cache
-    cache = args.result_cache = ResultCache(args.cache_dir) if cached else None
+    cache = args.result_cache = None
+    if "no_cache" in row.flags and not args.no_cache:
+        from repro.experiments.cache import ResultCache
+
+        cache = args.result_cache = ResultCache(args.cache_dir)
     started = time.perf_counter()
     try:
         output = row.handler(args)

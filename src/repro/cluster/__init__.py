@@ -12,54 +12,32 @@ and runs the request lifecycle; it is also the *policy context* object
 handed to load balancers.
 """
 
-from repro.cluster.request import Request
-from repro.cluster.server import ServerNode
-from repro.cluster.client import ClientNode
-from repro.cluster.service import PartitionMap, ServiceSpec
-from repro.cluster.availability import (
-    AvailabilityChannel,
-    ServiceMappingTable,
-    ServicePublisher,
-)
-from repro.cluster.failures import (
-    ChaosInjector,
-    ChaosSpec,
-    FailureInjector,
-    resilience_counters,
-)
-from repro.cluster.reliability import (
-    CircuitBreaker,
-    ReliabilityEngine,
-    ReliabilityPolicy,
-)
-from repro.cluster.overload import OverloadController, OverloadPolicy
-from repro.cluster.dispatcher import Dispatcher, DispatcherPolicy, DispatcherTier
-from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
-from repro.cluster.system import ClusterMetrics, ServiceCluster
+from repro import exports
 
-__all__ = [
-    "AvailabilityChannel",
-    "ClientNode",
-    "ChaosInjector",
-    "ChaosSpec",
-    "ClusterMetrics",
-    "FailureInjector",
-    "resilience_counters",
-    "CircuitBreaker",
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "Dispatcher",
-    "DispatcherPolicy",
-    "DispatcherTier",
-    "OverloadController",
-    "OverloadPolicy",
-    "PartitionMap",
-    "ReliabilityEngine",
-    "ReliabilityPolicy",
-    "Request",
-    "ServerNode",
-    "ServiceCluster",
-    "ServiceMappingTable",
-    "ServicePublisher",
-    "ServiceSpec",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.cluster.availability:AvailabilityChannel",
+    "repro.cluster.client:ClientNode",
+    "repro.cluster.failures:ChaosInjector",
+    "repro.cluster.failures:ChaosSpec",
+    "repro.cluster.system:ClusterMetrics",
+    "repro.cluster.failures:FailureInjector",
+    "repro.cluster.failures:resilience_counters",
+    "repro.cluster.reliability:CircuitBreaker",
+    "repro.cluster.autoscaler:Autoscaler",
+    "repro.cluster.autoscaler:AutoscalerPolicy",
+    "repro.cluster.dispatcher:Dispatcher",
+    "repro.cluster.dispatcher:DispatcherPolicy",
+    "repro.cluster.dispatcher:DispatcherTier",
+    "repro.cluster.overload:OverloadController",
+    "repro.cluster.overload:OverloadPolicy",
+    "repro.cluster.service:PartitionMap",
+    "repro.cluster.reliability:ReliabilityEngine",
+    "repro.cluster.reliability:ReliabilityPolicy",
+    "repro.cluster.request:Request",
+    "repro.cluster.server:ServerNode",
+    "repro.cluster.system:ServiceCluster",
+    "repro.cluster.availability:ServiceMappingTable",
+    "repro.cluster.availability:ServicePublisher",
+    "repro.cluster.service:ServiceSpec",
+)

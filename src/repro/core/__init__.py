@@ -23,31 +23,22 @@ Extensions (ablations beyond the paper):
 Use :func:`~repro.core.registry.make_policy` to build by name.
 """
 
-from repro.core.base import LoadBalancer, choose_min_in_table, choose_min_with_ties
-from repro.core.random_policy import RandomPolicy
-from repro.core.round_robin import RoundRobinPolicy
-from repro.core.ideal import IdealOracle
-from repro.core.jiq import JoinIdleQueuePolicy
-from repro.core.broadcast import BroadcastPolicy
-from repro.core.polling import RandomPollingPolicy
-from repro.core.manager import CentralizedManagerPolicy
-from repro.core.stale import GlobalSnapshotPolicy
-from repro.core.least_connections import LeastConnectionsPolicy
-from repro.core.registry import available_policies, make_policy
+from repro import exports
 
-__all__ = [
-    "BroadcastPolicy",
-    "CentralizedManagerPolicy",
-    "GlobalSnapshotPolicy",
-    "IdealOracle",
-    "JoinIdleQueuePolicy",
-    "LeastConnectionsPolicy",
-    "LoadBalancer",
-    "RandomPolicy",
-    "RandomPollingPolicy",
-    "RoundRobinPolicy",
-    "available_policies",
-    "choose_min_in_table",
-    "choose_min_with_ties",
-    "make_policy",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.core.broadcast:BroadcastPolicy",
+    "repro.core.manager:CentralizedManagerPolicy",
+    "repro.core.stale:GlobalSnapshotPolicy",
+    "repro.core.ideal:IdealOracle",
+    "repro.core.jiq:JoinIdleQueuePolicy",
+    "repro.core.least_connections:LeastConnectionsPolicy",
+    "repro.core.base:LoadBalancer",
+    "repro.core.random_policy:RandomPolicy",
+    "repro.core.polling:RandomPollingPolicy",
+    "repro.core.round_robin:RoundRobinPolicy",
+    "repro.core.registry:available_policies",
+    "repro.core.base:choose_min_in_table",
+    "repro.core.base:choose_min_with_ties",
+    "repro.core.registry:make_policy",
+)

@@ -24,117 +24,61 @@ it and get the one :class:`ScenarioReport`. :func:`builtin_spec`
 resolves the names ``repro scenario --spec`` accepts.
 """
 
-from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import (
-    SimulationResult,
-    build_cluster,
-    parallel_sweep,
-    run_simulation,
-    run_with_telemetry,
-)
-from repro.experiments.results import ResultTable
-from repro.experiments.report import format_table, staleness_response_table
-from repro.experiments.replication import (
-    ReplicatedResult,
-    compare_policies,
-    replicate,
-)
-from repro.experiments.io import (
-    load_attempts_jsonl,
-    load_results,
-    load_spans_jsonl,
-    save_results,
-    save_telemetry,
-    validate_telemetry_dir,
-)
-from repro.experiments.cache import ResultCache, config_key, default_cache_dir
-from repro.experiments.executor import SweepExecutor, SweepStats
-from repro.experiments.parity import EngineParityReport, engine_parity, parity_suite
-from repro.experiments.chaos import (
-    NAIVE_VS_HARDENED,
-    chaos_cluster_params,
-    chaos_params_for,
-    chaos_scenario_spec,
-    hardened_reliability_params,
-    resilience_scenario_spec,
-)
-from repro.experiments.overload import (
-    STATIC_VS_ADAPTIVE,
-    overload_cluster_params,
-    overload_control_params,
-    overload_scenario_spec,
-)
-from repro.experiments.scenario import (
-    BUILTIN_SCENARIOS,
-    FaultAxis,
-    ModeAxis,
-    PolicyAxis,
-    ReportLayout,
-    ScaleAxis,
-    ScenarioCell,
-    ScenarioError,
-    ScenarioReport,
-    ScenarioSpec,
-    WorkloadAxis,
-    builtin_spec,
-    composed_spec,
-    load_spec,
-    spec_from_dict,
-)
-from repro.experiments import figures, regression
+from repro import exports
 
-__all__ = [
-    "BUILTIN_SCENARIOS",
-    "EngineParityReport",
-    "FaultAxis",
-    "ModeAxis",
-    "NAIVE_VS_HARDENED",
-    "PolicyAxis",
-    "ReplicatedResult",
-    "ReportLayout",
-    "STATIC_VS_ADAPTIVE",
-    "ResultCache",
-    "ResultTable",
-    "ScaleAxis",
-    "ScenarioCell",
-    "ScenarioError",
-    "ScenarioReport",
-    "ScenarioSpec",
-    "SimulationConfig",
-    "SimulationResult",
-    "SweepExecutor",
-    "SweepStats",
-    "WorkloadAxis",
-    "build_cluster",
-    "builtin_spec",
-    "chaos_cluster_params",
-    "chaos_params_for",
-    "chaos_scenario_spec",
-    "compare_policies",
-    "composed_spec",
-    "config_key",
-    "default_cache_dir",
-    "engine_parity",
-    "figures",
-    "format_table",
-    "hardened_reliability_params",
-    "load_spec",
-    "load_attempts_jsonl",
-    "load_results",
-    "load_spans_jsonl",
-    "overload_cluster_params",
-    "overload_control_params",
-    "overload_scenario_spec",
-    "parallel_sweep",
-    "parity_suite",
-    "regression",
-    "replicate",
-    "resilience_scenario_spec",
-    "run_simulation",
-    "run_with_telemetry",
-    "save_results",
-    "save_telemetry",
-    "spec_from_dict",
-    "staleness_response_table",
-    "validate_telemetry_dir",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.experiments.scenario:BUILTIN_SCENARIOS",
+    "repro.experiments.parity:EngineParityReport",
+    "repro.experiments.scenario:FaultAxis",
+    "repro.experiments.scenario:ModeAxis",
+    "repro.experiments.chaos:NAIVE_VS_HARDENED",
+    "repro.experiments.scenario:PolicyAxis",
+    "repro.experiments.replication:ReplicatedResult",
+    "repro.experiments.scenario:ReportLayout",
+    "repro.experiments.overload:STATIC_VS_ADAPTIVE",
+    "repro.experiments.cache:ResultCache",
+    "repro.experiments.results:ResultTable",
+    "repro.experiments.scenario:ScaleAxis",
+    "repro.experiments.scenario:ScenarioCell",
+    "repro.experiments.scenario:ScenarioError",
+    "repro.experiments.scenario:ScenarioReport",
+    "repro.experiments.scenario:ScenarioSpec",
+    "repro.experiments.config:SimulationConfig",
+    "repro.experiments.runner:SimulationResult",
+    "repro.experiments.executor:SweepExecutor",
+    "repro.experiments.executor:SweepStats",
+    "repro.experiments.scenario:WorkloadAxis",
+    "repro.experiments.runner:build_cluster",
+    "repro.experiments.scenario:builtin_spec",
+    "repro.experiments.chaos:chaos_cluster_params",
+    "repro.experiments.chaos:chaos_params_for",
+    "repro.experiments.chaos:chaos_scenario_spec",
+    "repro.experiments.replication:compare_policies",
+    "repro.experiments.scenario:composed_spec",
+    "repro.experiments.cache:config_key",
+    "repro.experiments.cache:default_cache_dir",
+    "repro.experiments.parity:engine_parity",
+    "repro.experiments.figures",
+    "repro.experiments.report:format_table",
+    "repro.experiments.chaos:hardened_reliability_params",
+    "repro.experiments.scenario:load_spec",
+    "repro.experiments.io:load_attempts_jsonl",
+    "repro.experiments.io:load_results",
+    "repro.experiments.io:load_spans_jsonl",
+    "repro.experiments.overload:overload_cluster_params",
+    "repro.experiments.overload:overload_control_params",
+    "repro.experiments.overload:overload_scenario_spec",
+    "repro.experiments.runner:parallel_sweep",
+    "repro.experiments.parity:parity_suite",
+    "repro.experiments.regression",
+    "repro.experiments.replication:replicate",
+    "repro.experiments.chaos:resilience_scenario_spec",
+    "repro.experiments.runner:run_simulation",
+    "repro.experiments.runner:run_with_telemetry",
+    "repro.experiments.io:save_results",
+    "repro.experiments.io:save_telemetry",
+    "repro.experiments.scenario:spec_from_dict",
+    "repro.experiments.report:staleness_response_table",
+    "repro.experiments.io:validate_telemetry_dir",
+)

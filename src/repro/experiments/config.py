@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import functools
-import importlib
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
+
+from repro import locate
 
 __all__ = ["SUBSYSTEMS", "SimulationConfig", "param_keys"]
 
@@ -26,12 +27,6 @@ _CLUSTER_PARAM_KEYS = frozenset(
         "record_server_queues",
     }
 )
-
-
-def locate(where: str) -> Any:
-    """The object a ``module:attr`` string names, imported on use."""
-    module, _, attr = where.partition(":")
-    return getattr(importlib.import_module(module), attr)
 
 
 class Subsystem(NamedTuple):

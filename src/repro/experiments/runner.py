@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.failures import resilience_counters
+from repro import locate
 from repro.cluster.system import ClusterMetrics, ServiceCluster
 from repro.core.registry import make_policy
-from repro.experiments.config import SUBSYSTEMS, SimulationConfig, locate
+from repro.experiments.config import SUBSYSTEMS, SimulationConfig
 from repro.prototype.calibration import calibrate_full_load
 from repro.prototype.overhead import PrototypeOverheadModel
 from repro.workload.workloads import make_workload, request_stream
@@ -303,7 +303,7 @@ def _summarize_run(
         ),
         p95_response_time=summary["p95_response_time"],
         chaos_counters=(
-            resilience_counters(cluster.chaos, metrics)
+            locate("repro.cluster.failures:resilience_counters")(cluster.chaos, metrics)
             if cluster.chaos is not None
             # Reliability/overload runs without a chaos injector still
             # surface their counters through the same channel; plain

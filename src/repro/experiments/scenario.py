@@ -50,7 +50,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.experiments.config import SUBSYSTEMS, SimulationConfig, locate, param_keys
+from repro import locate
+from repro.experiments.config import SUBSYSTEMS, SimulationConfig, param_keys
 from repro.experiments.io import save_results
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import SimulationResult, parallel_sweep

@@ -23,13 +23,13 @@ Nothing here is imported by the simulation paths: with no live runtime
 involved, simulation outputs are bit-identical to pre-live behavior.
 """
 
-from repro.live.clock import WallClock, WallHandle
-from repro.live.wire import WireError, decode_message, encode_message
+from repro import exports
 
-__all__ = [
-    "WallClock",
-    "WallHandle",
-    "WireError",
-    "decode_message",
-    "encode_message",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.live.clock:WallClock",
+    "repro.live.clock:WallHandle",
+    "repro.live.wire:WireError",
+    "repro.live.wire:decode_message",
+    "repro.live.wire:encode_message",
+)

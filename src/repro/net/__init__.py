@@ -16,28 +16,19 @@ load information travels in explicit messages. This subpackage provides:
   duplication, jitter, bidirectional partitions) for chaos campaigns.
 """
 
-from repro.net.latency import (
-    ConstantLatency,
-    LatencyModel,
-    PaperNetworkConstants,
-    PAPER_NET,
-    UniformLatency,
-)
-from repro.net.faults import NetworkFaults
-from repro.net.message import Message, MessageKind
-from repro.net.transport import BroadcastChannel, Network
-from repro.net.switch import SwitchedEthernet
+from repro import exports
 
-__all__ = [
-    "BroadcastChannel",
-    "ConstantLatency",
-    "LatencyModel",
-    "Message",
-    "MessageKind",
-    "Network",
-    "NetworkFaults",
-    "PAPER_NET",
-    "PaperNetworkConstants",
-    "SwitchedEthernet",
-    "UniformLatency",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.net.transport:BroadcastChannel",
+    "repro.net.latency:ConstantLatency",
+    "repro.net.latency:LatencyModel",
+    "repro.net.message:Message",
+    "repro.net.message:MessageKind",
+    "repro.net.transport:Network",
+    "repro.net.faults:NetworkFaults",
+    "repro.net.latency:PAPER_NET",
+    "repro.net.latency:PaperNetworkConstants",
+    "repro.net.switch:SwitchedEthernet",
+    "repro.net.latency:UniformLatency",
+)

@@ -18,20 +18,18 @@ those overheads as a model layered onto the same cluster simulator
   a run (regenerates the §3.2 profile).
 """
 
-from repro.prototype.overhead import PAPER_PROFILE, PollDelayModel, PrototypeOverheadModel
-from repro.prototype.calibration import FullLoadCalibration, calibrate_full_load
-from repro.prototype.profiling import PollProfile, profile_poll_delays
-from repro.prototype.microbench import SpinCalibration, calibrate_spin, spin_for
+from repro import exports
 
-__all__ = [
-    "FullLoadCalibration",
-    "PAPER_PROFILE",
-    "PollDelayModel",
-    "PollProfile",
-    "PrototypeOverheadModel",
-    "SpinCalibration",
-    "calibrate_full_load",
-    "calibrate_spin",
-    "profile_poll_delays",
-    "spin_for",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.prototype.calibration:FullLoadCalibration",
+    "repro.prototype.overhead:PAPER_PROFILE",
+    "repro.prototype.overhead:PollDelayModel",
+    "repro.prototype.profiling:PollProfile",
+    "repro.prototype.overhead:PrototypeOverheadModel",
+    "repro.prototype.microbench:SpinCalibration",
+    "repro.prototype.calibration:calibrate_full_load",
+    "repro.prototype.microbench:calibrate_spin",
+    "repro.prototype.profiling:profile_poll_delays",
+    "repro.prototype.microbench:spin_for",
+)

@@ -12,26 +12,23 @@ part of :mod:`repro`:
 - :mod:`~repro.sim.monitor` — NumPy-backed time-series recorders.
 """
 
-from repro.sim.engine import EventHandle, Simulator, SimulationError
-from repro.sim.calendar import CalendarSimulator, DEFAULT_ENGINE, ENGINES, make_simulator
-from repro.sim.clock import Clock, ClockHandle, ManualClock, ManualHandle
-from repro.sim.rng import RngHub, substream_seed
-from repro.sim.monitor import GrowableArray, StepRecorder
+from repro import exports
 
-__all__ = [
-    "CalendarSimulator",
-    "Clock",
-    "ClockHandle",
-    "ManualClock",
-    "ManualHandle",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "EventHandle",
-    "GrowableArray",
-    "RngHub",
-    "SimulationError",
-    "Simulator",
-    "StepRecorder",
-    "make_simulator",
-    "substream_seed",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.sim.calendar:CalendarSimulator",
+    "repro.sim.clock:Clock",
+    "repro.sim.clock:ClockHandle",
+    "repro.sim.clock:ManualClock",
+    "repro.sim.clock:ManualHandle",
+    "repro.sim.calendar:DEFAULT_ENGINE",
+    "repro.sim.calendar:ENGINES",
+    "repro.sim.engine:EventHandle",
+    "repro.sim.monitor:GrowableArray",
+    "repro.sim.rng:RngHub",
+    "repro.sim.engine:SimulationError",
+    "repro.sim.engine:Simulator",
+    "repro.sim.monitor:StepRecorder",
+    "repro.sim.calendar:make_simulator",
+    "repro.sim.rng:substream_seed",
+)

@@ -28,21 +28,15 @@ Enable via ``SimulationConfig(telemetry={...})`` or the ``repro trace``
 CLI command; export via :func:`repro.experiments.io.save_telemetry`.
 """
 
-from repro.telemetry.collector import TelemetryCollector, TelemetryReport
-from repro.telemetry.sampler import sample_series
-from repro.telemetry.spans import (
-    ATTEMPT_FIELDS,
-    SPAN_FIELDS,
-    AttemptRecord,
-    RequestSpan,
-)
+from repro import exports
 
-__all__ = [
-    "ATTEMPT_FIELDS",
-    "AttemptRecord",
-    "RequestSpan",
-    "SPAN_FIELDS",
-    "TelemetryCollector",
-    "TelemetryReport",
-    "sample_series",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.telemetry.spans:ATTEMPT_FIELDS",
+    "repro.telemetry.spans:AttemptRecord",
+    "repro.telemetry.spans:RequestSpan",
+    "repro.telemetry.spans:SPAN_FIELDS",
+    "repro.telemetry.collector:TelemetryCollector",
+    "repro.telemetry.collector:TelemetryReport",
+    "repro.telemetry.sampler:sample_series",
+)

@@ -12,6 +12,10 @@ engines, and shrinks any violation to a minimal self-contained JSON
 reproducer (see ``repro fuzz``).
 """
 
-from repro.verify.oracle import InvariantOracle, InvariantViolation
+from repro import exports
 
-__all__ = ["InvariantOracle", "InvariantViolation"]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.verify.oracle:InvariantOracle",
+    "repro.verify.oracle:InvariantViolation",
+)

@@ -20,87 +20,43 @@ turns a named workload into a run's arrays: draw from the seed's
 ``workload`` substream, rescale the gaps to the target per-server load.
 """
 
-from repro.workload.distributions import (
-    Deterministic,
-    Distribution,
-    Exponential,
-    Lognormal,
-    Pareto,
-    Uniform,
-    Weibull,
-    lognormal_from_moments,
-    pareto_from_moments,
-    weibull_from_moments,
-)
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    MarkovModulatedPoisson,
-    PoissonProcess,
-    RenewalProcess,
-)
-from repro.workload.replay import (
-    bursty_trace,
-    diurnal_trace,
-    file_trace,
-    live_trace,
-    load_arrivals,
-    replay_file_params,
-    save_arrivals,
-    trace_digest,
-)
-from repro.workload.traces import Trace, TraceStats
-from repro.workload.synthesis import (
-    FINE_GRAIN_SPEC,
-    MEDIUM_GRAIN_SPEC,
-    TraceSpec,
-    synthesize_trace,
-)
-from repro.workload.weekly import (
-    DiurnalProfile,
-    extract_peak_portion,
-    synthesize_weekly_trace,
-)
-from repro.workload.workloads import (
-    Workload,
-    available_workloads,
-    make_workload,
-    request_stream,
-)
+from repro import exports
 
-__all__ = [
-    "ArrivalProcess",
-    "Deterministic",
-    "Distribution",
-    "DiurnalProfile",
-    "Exponential",
-    "FINE_GRAIN_SPEC",
-    "Lognormal",
-    "MarkovModulatedPoisson",
-    "MEDIUM_GRAIN_SPEC",
-    "Pareto",
-    "PoissonProcess",
-    "RenewalProcess",
-    "Trace",
-    "TraceSpec",
-    "TraceStats",
-    "Uniform",
-    "Weibull",
-    "Workload",
-    "available_workloads",
-    "bursty_trace",
-    "diurnal_trace",
-    "extract_peak_portion",
-    "file_trace",
-    "live_trace",
-    "load_arrivals",
-    "replay_file_params",
-    "save_arrivals",
-    "synthesize_weekly_trace",
-    "trace_digest",
-    "lognormal_from_moments",
-    "make_workload",
-    "pareto_from_moments",
-    "request_stream",
-    "synthesize_trace",
-    "weibull_from_moments",
-]
+__all__, __getattr__, __dir__ = exports(
+    __name__,
+    "repro.workload.arrivals:ArrivalProcess",
+    "repro.workload.distributions:Deterministic",
+    "repro.workload.distributions:Distribution",
+    "repro.workload.weekly:DiurnalProfile",
+    "repro.workload.distributions:Exponential",
+    "repro.workload.synthesis:FINE_GRAIN_SPEC",
+    "repro.workload.distributions:Lognormal",
+    "repro.workload.arrivals:MarkovModulatedPoisson",
+    "repro.workload.synthesis:MEDIUM_GRAIN_SPEC",
+    "repro.workload.distributions:Pareto",
+    "repro.workload.arrivals:PoissonProcess",
+    "repro.workload.arrivals:RenewalProcess",
+    "repro.workload.traces:Trace",
+    "repro.workload.synthesis:TraceSpec",
+    "repro.workload.traces:TraceStats",
+    "repro.workload.distributions:Uniform",
+    "repro.workload.distributions:Weibull",
+    "repro.workload.workloads:Workload",
+    "repro.workload.workloads:available_workloads",
+    "repro.workload.replay:bursty_trace",
+    "repro.workload.replay:diurnal_trace",
+    "repro.workload.weekly:extract_peak_portion",
+    "repro.workload.replay:file_trace",
+    "repro.workload.replay:live_trace",
+    "repro.workload.replay:load_arrivals",
+    "repro.workload.replay:replay_file_params",
+    "repro.workload.replay:save_arrivals",
+    "repro.workload.weekly:synthesize_weekly_trace",
+    "repro.workload.replay:trace_digest",
+    "repro.workload.distributions:lognormal_from_moments",
+    "repro.workload.workloads:make_workload",
+    "repro.workload.distributions:pareto_from_moments",
+    "repro.workload.workloads:request_stream",
+    "repro.workload.synthesis:synthesize_trace",
+    "repro.workload.distributions:weibull_from_moments",
+)

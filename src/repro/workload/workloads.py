@@ -9,10 +9,12 @@ intervals.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from repro import locate
 from repro.sim.rng import RngHub
 from repro.workload.arrivals import ArrivalProcess, PoissonProcess, RenewalProcess
 from repro.workload.distributions import (
@@ -23,7 +25,6 @@ from repro.workload.distributions import (
     pareto_from_moments,
     weibull_from_moments,
 )
-from repro.workload.replay import bursty_trace, diurnal_trace, file_trace
 from repro.workload.synthesis import (
     FINE_GRAIN_SPEC,
     MEDIUM_GRAIN_SPEC,
@@ -103,6 +104,14 @@ def _poisson_exp(mean_service: float = POISSON_EXP_MEAN_SERVICE) -> Workload:
     )
 
 
+def _replay_file(path: str, digest: Optional[str] = None) -> Workload:
+    file_trace = locate("repro.workload.replay:file_trace")
+    return Workload(
+        f"Replay {path}",
+        trace_builder=lambda rng, n: file_trace(path, digest=digest).tiled(n),
+    )
+
+
 _REGISTRY: dict[str, Callable[..., Workload]] = {
     "poisson_exp": _poisson_exp,
     "fine_grain": lambda: _trace_workload(FINE_GRAIN_SPEC),
@@ -143,31 +152,29 @@ _REGISTRY: dict[str, Callable[..., Workload]] = {
         arrivals=_mmpp(mean_service, burst_ratio, sojourn),
         service=Exponential(mean_service),
     ),
-    # Trace replay (repro.workload.replay): timestamped arrival traces
-    # with diurnal/bursty structure, or loaded from CSV/JSONL files.
+    # Trace replay (repro.workload.replay, imported when a replay
+    # workload is built): timestamped arrival traces with diurnal/bursty
+    # structure, or loaded from CSV/JSONL files.
     "replay_diurnal": lambda mean_service=POISSON_EXP_MEAN_SERVICE, service_cv=1.0, period=240.0, peak_to_trough=6.0: Workload(
         f"Replay diurnal x{peak_to_trough:g}",
-        trace_builder=lambda rng, n: diurnal_trace(
-            rng, n, mean_service=mean_service, service_cv=service_cv,
+        trace_builder=partial(
+            locate("repro.workload.replay:diurnal_trace"),
+            mean_service=mean_service, service_cv=service_cv,
             period=period, peak_to_trough=peak_to_trough,
         ),
     ),
     "replay_bursty": lambda mean_service=POISSON_EXP_MEAN_SERVICE, service_cv=1.0, burst_ratio=20.0, burst_fraction=0.1, cycle=2.0: Workload(
         f"Replay bursty x{burst_ratio:g}",
-        trace_builder=lambda rng, n: bursty_trace(
-            rng, n, mean_service=mean_service, service_cv=service_cv,
+        trace_builder=partial(
+            locate("repro.workload.replay:bursty_trace"),
+            mean_service=mean_service, service_cv=service_cv,
             burst_ratio=burst_ratio, burst_fraction=burst_fraction, cycle=cycle,
         ),
     ),
     # The trace file is replayed as-is (tiled, unshuffled, when the run
     # needs more requests than the file holds); pass the digest from
     # replay_file_params so cached results are content-addressed.
-    "replay_file": lambda path, digest=None: Workload(
-        f"Replay {path}",
-        trace_builder=lambda rng, n, _path=path, _digest=digest: file_trace(
-            _path, digest=_digest
-        ).tiled(n),
-    ),
+    "replay_file": _replay_file,
 }
 
 

@@ -79,15 +79,18 @@ def _imports(path: Path) -> set[str]:
 
 def test_every_module_is_reached_or_allowlisted():
     modules = {_module_name(path): path for path in SRC.rglob("*.py")}
-    # package.name -> the submodule the package's __init__ re-exports it from
+    # package.name -> the submodule the package's __init__ re-exports it
+    # from: its ``exports`` table of ``module:attr`` (or bare module) strings
     reexports: dict[str, str] = {}
     for name, path in modules.items():
         if path.name != "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module in modules:
-                for alias in node.names:
-                    reexports[f"{name}.{alias.asname or alias.name}"] = node.module
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                located = re.fullmatch(r"(repro(?:\.\w+)+)(?::(\w+))?", node.value)
+                if located and located.group(1) in modules:
+                    module, attr = located.groups()
+                    reexports[f"{name}.{attr or module.rpartition('.')[2]}"] = module
     importers = [p for p in modules.values() if p.name != "__init__.py"]
     importers += sorted((ROOT / "benchmarks" / "suite").glob("*.py"))
     reached: set[str] = set()

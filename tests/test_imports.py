@@ -1,0 +1,143 @@
+"""Import what runs: a package ``__init__`` names its exports and never
+imports them (:func:`repro.exports` resolves each on first access), so a
+run loads the modules it uses and no others.
+
+Every probe that counts modules runs in a fresh interpreter: this test
+process has long since imported everything.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts) for path in SRC.rglob("__init__.py")
+)
+
+
+def _fresh(script: str) -> list[str]:
+    """The stdout lines of ``script`` run in a new interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *sys.path])},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=240,
+    ).stdout.splitlines()
+
+
+def _loaded_after(statements: str) -> set[str]:
+    out = _fresh(f"import sys\n{statements}\nprint(*sorted(sys.modules))")
+    return set(out[-1].split())
+
+
+def test_the_event_loop_imports_alone():
+    loaded = _loaded_after("import repro.sim.engine")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("repro")} == {
+        "repro", "repro.sim", "repro.sim.engine"
+    }
+
+
+#: modules only an optional path uses
+_NOT_ON_A_DEFAULT_RUN = {
+    *(f"repro.cluster.{name}" for name in
+      ("failures", "reliability", "overload", "dispatcher", "autoscaler")),
+    "repro.net.faults", "repro.telemetry", "repro.verify", "repro.live",
+    *(f"repro.experiments.{name}" for name in
+      ("scenario", "parity", "figures", "executor", "replication", "regression")),
+    "repro.workload.replay",
+    "concurrent.futures", "multiprocessing", "socket", "asyncio",
+}
+
+
+def test_a_default_run_loads_no_optional_path():
+    loaded = _loaded_after(
+        "from repro.experiments import SimulationConfig, run_simulation\n"
+        "run_simulation(SimulationConfig(n_requests=200))"
+    )
+    assert "repro.cluster.system" in loaded
+    assert loaded & _NOT_ON_A_DEFAULT_RUN == set()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fig3", "--budget", "5"]])
+def test_cli_help_and_usage_errors_load_no_cluster(argv):
+    loaded = _loaded_after(
+        "from repro import cli\n"
+        f"try:\n    cli.main({argv!r})\nexcept SystemExit:\n    pass"
+    )
+    assert "repro.cli" in loaded
+    assert {m for m in loaded if m.startswith("repro.cluster")} == set()
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_resolves_and_is_listed(package):
+    module = __import__(package, fromlist=["__all__"])
+    assert module.__all__
+    for name in module.__all__:
+        assert getattr(module, name) is not None
+        assert name in dir(module)
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        module.nosuch
+
+
+def test_figures_is_the_submodule():
+    from repro.experiments import figures
+
+    assert figures.__name__ == "repro.experiments.figures"
+
+
+def test_no_package_init_imports_a_submodule():
+    modules = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        for path in SRC.rglob("*.py")
+    }
+    offenders = []
+    for path in SRC.rglob("__init__.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                names = [base] if base != "repro" else [
+                    f"repro.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                for name in names
+                if name.startswith(".") or name in modules - {"repro"}
+            ]
+    assert offenders == []
+
+
+_POOL_PROBE = """
+import sys
+from repro.experiments import SweepExecutor, composed_spec
+
+def repro_modules():
+    return {m for m in sys.modules if m.startswith("repro")}
+
+configs = [cell.config for cell in composed_spec(n_requests=200, quick=True).expand()]
+with SweepExecutor(max_workers=1) as executor:
+    executor.sweep(configs)
+    worker = executor._pool.submit(repro_modules).result()
+print(len(configs), *sorted(worker - repro_modules()))
+"""
+
+
+def test_a_pool_worker_compiles_nothing_after_fork():
+    """Expanding a spec validates every cell, which imports each
+    subsystem's owner and builds each workload in the parent, so a
+    worker forked afterwards compiles no module of its own."""
+    n_cells, *new = _fresh(_POOL_PROBE)[-1].split()
+    assert int(n_cells) > 1
+    assert new == []
