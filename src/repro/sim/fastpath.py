@@ -28,6 +28,14 @@ Model (simulation model only, workers=1, homogeneous speeds):
   those ticks could change (the whole run for random, the ticks between
   two snapshot refreshes for stale_jsq, one tick for polling and
   broadcast). Windowing changes how often Python runs, never a result.
+- Broadcast announcements read no queue state, so they are worked out a
+  block of ticks ahead (:func:`_announce_block`; a block spans under
+  half the mean interval, so no server announces twice in it) and a
+  tick only copies its announcers' queue lengths into the table.
+- The per-server FIFO recursion of a batch (:func:`_lindley_assign`) is
+  one vectorized step when no server is chosen twice, adds a scalar
+  tail when a few jobs share a server, and runs occurrence-rank rounds
+  otherwise.
 - All randomness draws from the same named substreams as the exact
   engines (``policy.random``, ``policy.polling``,
   ``policy.broadcast.{ties,intervals}``, ``policy.stale.ties``), so each
@@ -78,6 +86,11 @@ FASTPATH_POLICIES = ("random", "polling", "broadcast", "stale_jsq")
 
 #: tick = (smallest relevant timescale) / _TICK_DIVISOR
 _TICK_DIVISOR = 16.0
+
+#: a batch whose shared jobs (those on a server chosen more than once)
+#: number at most this many runs them one at a time in Python instead of
+#: in occurrence-rank rounds (measured basis: DESIGN.md §13)
+_SCALAR_TAIL = 8
 
 
 class FastpathUnsupportedError(ValueError):
@@ -251,18 +264,56 @@ def _lindley_assign(
     the queue lengths anyway); ``free`` is updated in place and the
     results land in ``start`` / ``completion``.
 
-    A batch in which no server appears twice is one ``maximum``, one
-    add and one scatter. Otherwise jobs hitting the same server are
-    serialized via occurrence-rank rounds: round ``r`` processes each
-    server's ``r``-th job of the batch, so every round is a pure
-    vectorized ``max``/add over distinct servers.
+    Three cases, cheapest first:
+
+    - no server appears twice: one ``maximum``, one add, one scatter;
+    - at most ``_SCALAR_TAIL`` jobs share a server: every job takes the
+      one vectorized step, then the shared jobs are redone one at a
+      time in arrival order from their servers' prior ``free``;
+    - otherwise jobs hitting the same server are serialized via
+      occurrence-rank rounds: round ``r`` processes each server's
+      ``r``-th job of the batch, so every round is a pure vectorized
+      ``max``/add over distinct servers.
     """
-    rounds = int(counts.max())
-    if rounds == 1:
-        np.maximum(server_arrival, free[choice], out=start)
-        np.add(start, service, out=completion)
-        free[choice] = completion
+    # Jobs that follow another on their server. The shared jobs number
+    # from repeats + 1 to 2 * repeats, so one count over `counts` spares
+    # a batch with many repeats (stale_jsq, random) the three numpy
+    # calls of counting them.
+    repeats = choice.size - np.count_nonzero(counts)
+    if repeats:
+        shared = (counts[choice] > 1).nonzero()[0] if repeats < _SCALAR_TAIL else None
+        if shared is None or shared.size > _SCALAR_TAIL:
+            _rank_rounds(free, choice, counts, server_arrival, service, start, completion)
+            return
+        jobs = shared.tolist()
+        servers = choice[shared].tolist()
+        drained = {s: free[s] for s in servers}
+    np.maximum(server_arrival, free[choice], out=start)
+    np.add(start, service, out=completion)
+    free[choice] = completion
+    if not repeats:
         return
+    # The step above gave each shared job its server's pre-batch `free`;
+    # redo those jobs in arrival order from the values saved before it.
+    for j, s in zip(jobs, servers):
+        begin = max(server_arrival[j], drained[s])
+        drained[s] = finish = begin + service[j]
+        start[j] = begin
+        completion[j] = finish
+    for s, finish in drained.items():
+        free[s] = finish
+
+
+def _rank_rounds(
+    free: np.ndarray,
+    choice: np.ndarray,
+    counts: np.ndarray,
+    server_arrival: np.ndarray,
+    service: np.ndarray,
+    start: np.ndarray,
+    completion: np.ndarray,
+) -> None:
+    """:func:`_lindley_assign`'s general case."""
     # A stable sort by server makes each server's jobs contiguous and
     # keeps them in arrival order; `counts` gives the group layout, so
     # round r's jobs sit at group_start + r of the still-active groups
@@ -271,7 +322,7 @@ def _lindley_assign(
     servers = counts.nonzero()[0]
     sizes = counts[servers]
     group_start = sizes.cumsum() - sizes
-    for rank in range(rounds):
+    for rank in range(int(sizes.max())):
         if rank:
             active = sizes > rank
             servers = servers[active]
@@ -283,6 +334,64 @@ def _lindley_assign(
         free[servers] = finish
         start[idx] = begin
         completion[idx] = finish
+
+
+def _announce_block(
+    next_announce: np.ndarray,
+    rng: np.random.Generator,
+    mean_interval: float,
+    t: float,
+    tick: float,
+    n_ticks: int,
+    last_arrival: float,
+) -> tuple[np.ndarray, list[int]]:
+    """Broadcast announcements of the ``n_ticks`` ticks that follow ``t``,
+    or of fewer if an earlier one ends after ``last_arrival`` (the run's
+    last tick).
+
+    Tick ``k``'s announcing servers are ``announced[bounds[k]:bounds[k +
+    1]]``, in the order a tick-by-tick walk draws their next intervals;
+    ``next_announce`` advances in place. A one-tick block repeats the
+    walk's "due again inside the tick" rounds. A longer block must be
+    shorter than half ``mean_interval``: no server then announces twice
+    inside it, so one draw over its due servers, sorted by (tick,
+    server), is exactly the draws of the walk.
+    """
+    t_end = t + tick
+    if n_ticks == 1:
+        due = (next_announce < t_end).nonzero()[0]
+        rounds = [due]
+        while due.size:
+            next_announce[due] += rng.uniform(0.5, 1.5, size=due.size) * mean_interval
+            due = due[next_announce[due] < t_end]
+            rounds.append(due)
+        announced = np.concatenate(rounds)
+        return announced, [0, announced.size]
+    # the tick ends, by the same float additions the loop makes
+    ends = [t_end]
+    while len(ends) < n_ticks and t_end <= last_arrival:
+        t_end += tick
+        ends.append(t_end)
+    due = (next_announce < t_end).nonzero()[0]
+    when = next_announce[due]
+    # a tick index fits 8 or 16 bits, where numpy's stable sort is a radix sort
+    tick_of = np.array(ends).searchsorted(when, side="right")
+    tick_of = tick_of.astype(np.min_scalar_type(len(ends)))
+    order = tick_of.argsort(kind="stable")
+    announced = due[order]
+    next_announce[announced] = (
+        when[order] + rng.uniform(0.5, 1.5, size=announced.size) * mean_interval
+    )
+    return announced, [0, *np.bincount(tick_of, minlength=len(ends)).cumsum().tolist()]
+
+
+def _checked_tick(tick: float) -> float:
+    """``tick`` as a float, or a ``ValueError`` naming it unless it is
+    finite and positive (nan, ±inf and 0 would never advance the grid)."""
+    tick = float(tick)
+    if not 0.0 < tick < math.inf:
+        raise ValueError(f"tick must be finite and > 0, got {tick}")
+    return tick
 
 
 def run_fastpath(
@@ -298,6 +407,8 @@ def run_fastpath(
     result's ``occupancy`` is then ``None``.
     """
     require_fastpath_supported(config)
+    if tick is not None:
+        tick = _checked_tick(tick)
     # Instantiating the real policy object validates policy_params
     # exactly as the exact engines would (bad poll_size, missing
     # mean_interval, ...) and hands us its canonical attributes.
@@ -351,10 +462,7 @@ def run_fastpath(
             base = min(base, policy.mean_interval)
         elif kind == "stale_jsq":
             base = min(base, policy.update_interval)
-        tick = base / _TICK_DIVISOR
-    if tick <= 0:
-        raise ValueError(f"tick must be > 0, got {tick}")
-    tick = float(tick)
+        tick = _checked_tick(base / _TICK_DIVISOR)
 
     # Policy state + substreams (same names as the exact engines).
     if kind == "random":
@@ -364,11 +472,17 @@ def run_fastpath(
     elif kind == "broadcast":
         rng_ties = hub.stream("policy.broadcast.ties")
         rng_intervals = hub.stream("policy.broadcast.intervals")
-        table = np.zeros(n_servers)
+        table = np.zeros(n_servers, dtype=np.int64)
         next_announce = (
             rng_intervals.uniform(0.5, 1.5, size=n_servers) * policy.mean_interval
         )
         broadcasts_sent = 0
+        # Announcements are worked out a block of ticks ahead (they read
+        # no queue state). The first tick is a block on its own; after
+        # it a block spans less than half the mean interval, one tick
+        # short of it so float rounding in the tick ends cannot matter.
+        block_ticks = max(1, math.floor(0.5 * policy.mean_interval / tick) - 1)
+        announced, bounds, block_tick = None, [0], 0
     else:  # stale_jsq
         rng_ties = hub.stream("policy.stale.ties")
         # Selection only ever reads the snapshot's set of minima, so
@@ -432,16 +546,21 @@ def run_fastpath(
 
         # 2. Timed control state due inside the window's first tick.
         if kind == "broadcast":
-            due = (next_announce < t_end).nonzero()[0]
-            while due.size:
-                table[due] = qlen[due]
-                broadcasts_sent += due.size
-                next_announce[due] += (
-                    rng_intervals.uniform(0.5, 1.5, size=due.size)
-                    * policy.mean_interval
+            if block_tick + 1 == len(bounds):  # the block is used up
+                announced, bounds = _announce_block(
+                    next_announce,
+                    rng_intervals,
+                    policy.mean_interval,
+                    t,
+                    tick,
+                    1 if iterations == 1 else block_ticks,
+                    last_arrival,
                 )
-                # a coarse tick can hold one server's next announcement too
-                due = due[next_announce[due] < t_end]
+                broadcasts_sent += announced.size
+                block_tick = 0
+            due = announced[bounds[block_tick] : bounds[block_tick + 1]]
+            table[due] = qlen[due]
+            block_tick += 1
         elif kind == "stale_jsq":
             if next_refresh < t_end:
                 while next_refresh < t_end:

@@ -13,13 +13,16 @@ recursion, is held *exactly* to a per-job scalar loop.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import distribution_distance, ks_statistic
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parity import fast_distribution, heap_distribution
-from repro.sim.fastpath import _lindley_assign
+from repro.sim import fastpath
+from repro.sim.fastpath import _SCALAR_TAIL, _lindley_assign
+from tests.conftest import kernel_examples
 
 _POLICY_PARAMS = {
     "random": {},
@@ -80,17 +83,58 @@ def _lindley_reference(free, choice, arrival, service):
     return start, completion
 
 
-@settings(max_examples=40, deadline=None)
+#: shapes built from server groups: the sizes of the groups that share a
+#: server, every other job alone on its own
+_GROUPS = {
+    "pair": (2,),  # one repeated pair among singletons
+    "tail": (2,) * (_SCALAR_TAIL // 2),  # exactly _SCALAR_TAIL shared jobs
+    "tail+1": (2,) * (_SCALAR_TAIL // 2 - 1) + (3,),  # one too many: rank rounds
+    "busy": (_SCALAR_TAIL + 1,),  # one server with one job too many: rank rounds
+}
+
+
+def _grouped_choice(rng, groups, n_batch, n_servers):
+    """A shuffled batch of at least ``n_batch`` jobs in which one server
+    per entry of ``groups`` takes that many jobs and every other job is
+    alone on its server (ids below ``max(n_servers, batch size)``)."""
+    n_alone = max(0, n_batch - sum(groups))
+    servers = rng.permutation(max(n_servers, n_alone + sum(groups)))
+    servers = servers[: n_alone + len(groups)]
+    choice = np.concatenate((servers[:n_alone], np.repeat(servers[n_alone:], groups)))
+    rng.shuffle(choice)
+    return choice
+
+
+@pytest.mark.parametrize("shape, rank_rounds", [
+    ("pair", False), ("tail", False), ("tail+1", True), ("busy", True),
+])
+def test_scalar_tail_takes_at_most_its_size(monkeypatch, shape, rank_rounds):
+    rng = np.random.default_rng(0)
+    choice = _grouped_choice(rng, _GROUPS[shape], 40, 1000)
+    calls = []
+    monkeypatch.setattr(fastpath, "_rank_rounds", lambda *args: calls.append(args))
+    out = np.empty(choice.size)
+    _lindley_assign(np.zeros(1000), choice, np.bincount(choice, minlength=1000),
+                    np.arange(choice.size, dtype=float), np.ones(choice.size), out, out.copy())
+    assert bool(calls) == rank_rounds
+
+
+@settings(max_examples=kernel_examples(40), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_batch=st.sampled_from([1, 2, 11, 300, 50_000]),
     n_servers=st.integers(1, 64),
-    shape=st.sampled_from(["distinct", "one_server", "mixed"]),
+    shape=st.sampled_from(["distinct", "one_server", "mixed", *_GROUPS]),
 )
 @example(seed=0, n_batch=1, n_servers=1, shape="distinct")
 @example(seed=1, n_batch=50_000, n_servers=64, shape="distinct")
 @example(seed=2, n_batch=50_000, n_servers=64, shape="one_server")
 @example(seed=3, n_batch=50_000, n_servers=64, shape="mixed")
+@example(seed=4, n_batch=11, n_servers=1, shape="pair")
+@example(seed=5, n_batch=11, n_servers=1, shape="tail")
+@example(seed=6, n_batch=11, n_servers=1, shape="tail+1")
+@example(seed=7, n_batch=11, n_servers=1, shape="busy")
+@example(seed=8, n_batch=300, n_servers=64, shape="tail")
 def test_lindley_assign_equals_scalar_recursion(seed, n_batch, n_servers, shape):
     rng = np.random.default_rng(seed)
     if shape == "distinct":  # collision-free: the no-grouping path
@@ -98,8 +142,11 @@ def test_lindley_assign_equals_scalar_recursion(seed, n_batch, n_servers, shape)
         choice = rng.permutation(n_servers)[:n_batch]
     elif shape == "one_server":  # one server takes the whole batch
         choice = np.full(n_batch, rng.integers(0, n_servers))
-    else:
+    elif shape == "mixed":
         choice = rng.integers(0, n_servers, size=n_batch)
+    else:
+        choice = _grouped_choice(rng, _GROUPS[shape], n_batch, n_servers)
+        n_batch, n_servers = choice.size, max(n_servers, choice.size)
     arrival = np.cumsum(rng.exponential(0.01, size=n_batch))
     service = rng.exponential(0.05, size=n_batch)
     # some servers idle before the batch, some busy past its end

@@ -1,6 +1,8 @@
 """``benchmarks/pairs.py`` on stub trees: a side whose ``run.py`` dies
 before printing its result fails the pair by name, never with a bare
-``StopIteration`` that loses the side's traceback, and ends the run."""
+``StopIteration`` that loses the side's traceback, and ends the run; each
+metric gets a verdict against its ``BENCHMARK.json`` bound, and one over
+its bound fails the run."""
 
 import importlib.util
 import json
@@ -30,6 +32,21 @@ sys.exit(1)
 """
 
 
+#: a run.py whose k-th run reports ``setup_s = VALUES[k % len(VALUES)]``
+_SERIES = """
+import json
+from pathlib import Path
+runs = Path("runs")
+k = len(runs.read_text().splitlines()) if runs.exists() else 0
+runs.write_text("run\\n" * (k + 1))
+VALUES = {values!r}
+print("DETAIL " + json.dumps({{"fingerprint": "f0"}}))
+print(json.dumps({{"correct": True, "failed": 0,
+                  "metrics": {{"setup_s": {{"value": VALUES[k % len(VALUES)], "unit": "s"}},
+                              "wall_s": {{"value": 1.5, "unit": "s"}}}}}}))
+"""
+
+
 def _pairs():
     spec = importlib.util.spec_from_file_location("pairs", ROOT / "benchmarks" / "pairs.py")
     module = importlib.util.module_from_spec(spec)
@@ -41,7 +58,7 @@ def _tree(root: Path, run_py: str) -> str:
     (root / "benchmarks" / "suite").mkdir(parents=True)
     (root / "benchmarks" / "suite" / "run.py").write_text(textwrap.dedent(run_py))
     (root / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "setup_s", "better": "lower"}]})
+        json.dumps({"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]})
     )
     return str(root)
 
@@ -75,3 +92,26 @@ def test_two_sound_stub_pairs_pass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wins 0/2" in out and "sim_fingerprint equal: True" in out
     assert _runs(parent) == _runs(change) == 2
+
+
+@pytest.mark.parametrize("parent, change, verdict, code", [
+    # 4/4 wins, median 0.2 better against a parent IQR of 0.05
+    ([1.0, 1.05, 1.1, 1.0], [0.8, 0.85, 0.9, 0.8], "gain", 0),
+    # 30% worse against a 25% bound
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "over bound", 1),
+    # each side's IQR (0.5) is wider than 25% of the median
+    ([1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0], "unresolved", 0),
+    # 10% worse, inside the bound, tight spread
+    ([1.0, 1.0, 1.0, 1.0], [1.1, 1.1, 1.1, 1.1], "ok", 0),
+    # better on every pair, but by less than the parent's IQR
+    ([1.0, 1.2, 1.0, 1.2], [0.95, 1.15, 0.95, 1.15], "ok", 0),
+])
+def test_each_metric_gets_a_verdict_against_its_bound(tmp_path, capsys, parent, change,
+                                                      verdict, code):
+    trees = {side: _tree(tmp_path / side, _SERIES.format(values=values))
+             for side, values in (("parent", parent), ("change", change))}
+    assert _pairs().main("exact_core", trees["parent"], trees["change"], "4") == code
+    out = capsys.readouterr().out
+    assert f"bound 25%: {verdict}\n" in out
+    assert "sim_fingerprint equal: True" in out
+    assert ("over bound: setup_s" in out) == (verdict == "over bound")
