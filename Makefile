@@ -40,23 +40,22 @@ telemetry-smoke:
 # schedules), overload (static vs adaptive admission under identical
 # arrival schedules), autoscale (static vs autoscaled pool behind the
 # dispatcher tier, incl. a dispatcher crash-storm fault axis). Each
-# `repro <name>` is an alias of `repro scenario --spec <name>`; the
-# second invocation must be served entirely from the result cache with
-# bit-identical output.
+# `repro <name>` is an alias of `repro scenario --spec <name>`.
+# benchmarks/cache_rerun.py runs it twice and fails unless the second
+# invocation is served entirely from the result cache (0 misses) with
+# bit-identical output (less the cache and wall-time footers).
 chaos-smoke resilience-smoke overload-smoke autoscale-smoke: %-smoke:
-	$(PYTHON) -m repro $* --quick --seed 0
-	$(PYTHON) -m repro $* --quick --seed 0
+	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro $* --quick --seed 0
 
 # Quick composed scenario (<60s): validates every builtin spec, then
 # runs the trimmed composed grid — chaos + hardened reliability +
 # overload control + one trace-replay workload across two cluster
-# scales; the second invocation must be served entirely from the result
-# cache.
+# scales, twice: the second invocation must be served entirely from the
+# result cache with bit-identical output (benchmarks/cache_rerun.py).
 scenario-smoke:
 	for spec in composed chaos resilience overload autoscale; do \
 		$(PYTHON) -m repro scenario --spec $$spec --quick --validate || exit 1; done
-	$(PYTHON) -m repro scenario --quick --seed 0
-	$(PYTHON) -m repro scenario --quick --seed 0
+	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro scenario --quick --seed 0
 
 # Invariant-oracle smoke (<90s): validate the committed reproducer
 # corpus, replay it on both engines, then run 100 fuzzer-generated

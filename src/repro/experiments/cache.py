@@ -5,9 +5,14 @@ invocation, even when only one point changed. This module memoizes
 :class:`~repro.experiments.runner.SimulationResult`s on disk, keyed by
 a stable hash of the full :class:`SimulationConfig` (which includes the
 engine choice), the library version, and the archive schema version —
-so a cached sweep re-run costs file reads, and any change that could
-alter numbers (config field, code release, schema) is automatically a
-miss.
+so any change that could alter numbers (config field, code release,
+schema) is automatically a miss, and a cached sweep re-run costs, per
+config, one JSON encode for its key, one file read and one JSON decode.
+The key's JSON is the config's shallow
+:func:`~repro.experiments.config.field_values` walk, never a deep copy;
+its ``default`` hook, :func:`~repro.experiments.config.json_default`,
+makes a dataclass inside a params dict its own field walk and any other
+iterable a list, the bytes ``dataclasses.asdict`` produced before it.
 
 Layout: one JSON file per result under ``<root>/<hash[:2]>/<hash>.json``,
 written in the exact :mod:`repro.experiments.io` archive format (a
@@ -24,11 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import SimulationConfig, field_values, json_default
 from repro.experiments.runner import SimulationResult
 
 __all__ = ["ResultCache", "config_key", "default_cache_dir"]
@@ -59,11 +63,11 @@ def config_key(config: SimulationConfig) -> str:
     from repro.experiments.io import _SCHEMA_VERSION
 
     payload = {
-        "config": asdict(config),
+        "config": field_values(config),
         "library_version": __version__,
         "schema_version": _SCHEMA_VERSION,
     }
-    blob = json.dumps(payload, sort_keys=True, default=list)
+    blob = json.dumps(payload, sort_keys=True, default=json_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -92,7 +96,9 @@ class ResultCache:
         """The cached result for ``config``, or ``None`` on a miss.
 
         Unreadable or stale entries (hash collision, interrupted write
-        predating atomic replace, config drift) count as misses.
+        predating atomic replace, config drift, any file that is not a
+        one-record archive of this config) count as misses; the next
+        :meth:`put` overwrites them.
         """
         from repro.experiments.io import load_results
 
@@ -102,7 +108,7 @@ class ResultCache:
             return None
         try:
             results = load_results(path)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError):
+        except (ValueError, OSError):  # load_results names every bad shape
             self.misses += 1
             return None
         if len(results) != 1 or results[0].config != config:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import SimulationConfig, field_values, json_default
 from repro.experiments.runner import SimulationResult
 from repro.telemetry.spans import ATTEMPT_FIELDS, SPAN_FIELDS
 
@@ -56,30 +55,40 @@ TELEMETRY_SCHEMA_VERSION = 2
 _SPAN_FIELDS_ADDED_V2 = frozenset({"rejects"})
 
 
-def _result_to_dict(result: SimulationResult) -> dict:
-    out = asdict(result)
-    # tuples -> lists happen automatically via asdict+json; nothing else
-    # in the dataclasses is non-JSON (dicts, floats, ints, strings).
-    return out
-
-
 def save_results(results: Sequence[SimulationResult], path: str | Path) -> None:
-    """Write results (and their configs) to ``path`` as JSON."""
+    """Write results (and their configs) to ``path`` as JSON.
+
+    Each record is the result's :func:`field_values`; the encoder's
+    :func:`json_default` walks the nested config the same way.
+    """
     from repro import __version__
 
     document = {
         "schema_version": _SCHEMA_VERSION,
         "library_version": __version__,
-        "results": [_result_to_dict(result) for result in results],
+        "results": [field_values(result) for result in results],
     }
-    Path(path).write_text(json.dumps(document, indent=1, sort_keys=True))
+    Path(path).write_text(
+        json.dumps(document, indent=1, sort_keys=True, default=json_default)
+    )
 
 
 def load_results(path: str | Path) -> list[SimulationResult]:
-    """Reload results written by :func:`save_results`."""
+    """Reload results written by :func:`save_results`.
+
+    JSON that is not such an archive raises ``ValueError`` naming the
+    file and the offending part (a top level, ``results`` list, record
+    or config of the wrong shape, or a record that builds no result),
+    so :class:`~repro.experiments.cache.ResultCache` counts it a miss.
+    """
     document = json.loads(Path(path).read_text())
+    if not isinstance(document, dict):
+        raise ValueError(
+            f"{path}: top level must be an object, got {type(document).__name__} "
+            "(is this a repro results archive?)"
+        )
     version = document.get("schema_version")
-    if not isinstance(version, int):
+    if isinstance(version, bool) or not isinstance(version, int):
         raise ValueError(
             f"{path}: missing or malformed schema_version {version!r} "
             f"(expected an integer; is this a repro results archive?)"
@@ -94,15 +103,35 @@ def load_results(path: str | Path) -> list[SimulationResult]:
             f"{path}: results schema {version} predates the supported "
             f"schema {_SCHEMA_VERSION}; re-run the sweep to regenerate it"
         )
-    out = []
-    for record in document["results"]:
-        config_dict = record.pop("config")
+    records = document.get("results")
+    if not isinstance(records, list):
+        raise ValueError(
+            f"{path}: results must be a list of records, got {type(records).__name__}"
+        )
+    return [_load_record(f"{path}: results[{i}]", r) for i, r in enumerate(records)]
+
+
+def _load_record(where: str, record: object) -> SimulationResult:
+    """One archive record back into a result; ``ValueError`` naming
+    ``where`` if it does not build one."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object, got {type(record).__name__}")
+    config_dict = record.pop("config", None)
+    if not isinstance(config_dict, dict):
+        raise ValueError(
+            f"{where}.config must be an object, got {type(config_dict).__name__}"
+        )
+    try:
         if config_dict.get("server_speeds") is not None:
             config_dict["server_speeds"] = tuple(config_dict["server_speeds"])
-        record["server_counts"] = tuple(record.get("server_counts", ()))
         config = SimulationConfig(**config_dict)
-        out.append(SimulationResult(config=config, **record))
-    return out
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where}.config: {err}") from None
+    try:
+        record["server_counts"] = tuple(record.get("server_counts", ()))
+        return SimulationResult(config=config, **record)
+    except TypeError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 # ----------------------------------------------------------------------

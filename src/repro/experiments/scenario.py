@@ -46,11 +46,12 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro import locate
+from repro.experiments.cache import config_key
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig, param_keys
 from repro.experiments.io import save_results
 from repro.experiments.results import ResultTable
@@ -563,7 +564,7 @@ class ScenarioSpec:
         for cell in self._cells():
             cells.append(cell)
             config = cell.config
-            key = json.dumps(asdict(config), sort_keys=True, default=list)
+            key = config_key(config)
             if key in seen:
                 raise ScenarioError(
                     "label_format",

@@ -16,7 +16,7 @@ they cost nothing on the event-loop hot path.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,7 +99,7 @@ class RequestSpan:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in SPAN_FIELDS}
 
 
 #: ordered span field names — the JSONL export schema (io.py validates
@@ -136,7 +136,7 @@ class AttemptRecord:
     breaker_state: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in ATTEMPT_FIELDS}
 
 
 #: ordered attempt field names — the attempts.jsonl export schema

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import SimulationConfig, parallel_sweep, run_simulation
 from repro.experiments.cache import ResultCache, config_key
+from tests.experiments.test_io import MALFORMED_ARCHIVES
 
 
 def small(**kwargs):
@@ -79,6 +80,19 @@ def test_wrong_schema_entry_is_a_miss(cache):
     document["schema_version"] = 99
     path.write_text(json.dumps(document))
     assert cache.get(config) is None
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ARCHIVES))
+def test_an_entry_that_is_json_but_no_archive_is_a_miss_then_overwritten(name, cache):
+    config = small()
+    result = run_simulation(config)
+    path = cache._path(config_key(config))
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(MALFORMED_ARCHIVES[name][0]))
+    assert cache.get(config) is None
+    cache.put(result)
+    assert cache.get(config) == result
+    assert cache.stats() == {"hits": 1, "misses": 1, "writes": 1}
 
 
 def test_len_and_clear(cache):

@@ -239,3 +239,31 @@ def test_attempts_exported_and_validated_for_hardened_run(tmp_path):
     assert checked["attempts"] == len(report.attempts)
     loaded = load_attempts_jsonl(paths["attempts"])
     assert loaded[0] == report.attempts[0].to_dict()
+
+
+def test_exported_lines_match_the_asdict_records(tmp_path):
+    """``to_dict`` walks SPAN_FIELDS / ATTEMPT_FIELDS instead of calling
+    ``dataclasses.asdict``: same keys, same order, same JSONL bytes."""
+    from dataclasses import asdict
+
+    from repro.experiments import SimulationConfig
+    from repro.experiments.chaos import hardened_reliability_params
+    from repro.experiments.io import _nan_to_null
+    from repro.experiments.runner import run_with_telemetry
+
+    _, report = run_with_telemetry(
+        SimulationConfig(
+            n_requests=150, seed=3,
+            cluster_params={"request_timeout": 0.25, "max_retries": 4},
+            reliability_params=hardened_reliability_params(),
+        )
+    )
+    paths = save_telemetry(report, tmp_path / "out")
+    for name, records in (("spans", report.spans), ("attempts", report.attempts)):
+        assert records
+        for record in records:
+            assert list(record.to_dict().items()) == list(asdict(record).items())
+        lines = paths[name].read_text().splitlines()[1:]
+        assert lines == [
+            json.dumps(_nan_to_null(asdict(record)), sort_keys=True) for record in records
+        ]
