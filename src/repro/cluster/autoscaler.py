@@ -198,7 +198,10 @@ class Autoscaler:
     # ------------------------------------------------------------------
     # window signals (cluster lifecycle hooks)
     # ------------------------------------------------------------------
-    def on_complete(self, request: "Request") -> None:
+    def on_terminal(self, request: "Request", winner: Optional["Request"]) -> None:
+        if winner is None:
+            self._window_failures += 1
+            return
         self._window_completions += 1
         self._window_responses.append(request.response_time)
         elapsed = request.completion_time - request.start_time
@@ -207,9 +210,6 @@ class Autoscaler:
                 self.ewma_service = elapsed
             else:
                 self.ewma_service += EWMA_ALPHA * (elapsed - self.ewma_service)
-
-    def on_failure(self, request: "Request") -> None:
-        self._window_failures += 1
 
     # ------------------------------------------------------------------
     # control loop

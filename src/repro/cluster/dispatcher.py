@@ -11,8 +11,9 @@ overload layers exactly:
   carried by ``SimulationConfig.dispatcher_params`` (cache-key aware);
 - :class:`DispatcherTier` / :class:`Dispatcher` — the runtime, owned by
   the cluster as ``cluster.dispatchers`` (``None`` when the subsystem
-  is off — the same guard pattern as ``cluster.telemetry`` /
-  ``cluster.reliability``).
+  is off). The tier hears of lifecycle steps as a subscriber of the
+  cluster's ``terminal``, ``reject`` and ``timeout`` points; the
+  cluster asks it for routes, views and backhauls where it decides.
 
 Topology and lifecycle (DESIGN.md §16):
 
@@ -225,10 +226,10 @@ class DispatcherTier:
     """Runtime for one cluster's :class:`DispatcherPolicy`.
 
     Installed as ``cluster.dispatchers`` (``None`` when the tier is
-    off). The cluster calls in at well-defined lifecycle points
-    (:meth:`route`, :meth:`release`, :meth:`on_attempt_timeout`,
-    :meth:`on_server_reject`); message deliveries land on the
-    ``_deliver_*`` handlers.
+    off). The cluster routes through :meth:`route`; :meth:`on_terminal`,
+    :meth:`on_server_reject` and :meth:`on_attempt_timeout` subscribe to
+    its lifecycle points; message deliveries land on the ``_deliver_*``
+    handlers.
     """
 
     def __init__(self, cluster: "ServiceCluster", policy: DispatcherPolicy):
@@ -398,6 +399,10 @@ class DispatcherTier:
         index = self._inflight_index.pop(request.index, None)
         if index is not None:
             self.dispatchers[index].inflight -= 1
+
+    def on_terminal(self, request: "Request", winner: Optional["Request"]) -> None:
+        """The request is terminal: :meth:`release` its accounting."""
+        self.release(request)
 
     def inflight_total(self) -> int:
         """Live in-flight accounting across the tier (test hook)."""

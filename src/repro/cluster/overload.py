@@ -13,8 +13,8 @@ mirrors that module's shape exactly:
   by ``SimulationConfig.overload_params`` (cache-key aware);
 - :class:`OverloadController` — the runtime state machine, owned
   per-:class:`~repro.cluster.server.ServerNode` (``server.overload``,
-  ``None`` when the subsystem is off — the same guard pattern as
-  ``cluster.telemetry`` / ``cluster.reliability``).
+  ``None`` when the subsystem is off: ``ServerNode.enqueue`` asks it
+  only when it is there).
 
 Mechanisms (DESIGN.md §12):
 

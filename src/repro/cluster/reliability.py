@@ -225,11 +225,13 @@ class _RequestState:
 class ReliabilityEngine:
     """Runtime state machine for one cluster's :class:`ReliabilityPolicy`.
 
-    Installed as ``cluster.reliability`` (``None`` when the layer is off
-    — the same guard pattern as ``cluster.telemetry``). The cluster
-    calls in at well-defined lifecycle points; the engine never touches
-    the simulator except to arm/cancel hedge timers and it draws
-    randomness only from its two named substreams.
+    Installed as ``cluster.reliability`` (``None`` when the layer is
+    off). It subscribes to the cluster's ``dispatch``, ``terminal``,
+    ``reject``, ``timeout`` and ``server_loss`` lifecycle points, and the
+    cluster asks it for candidate filters, timeouts, backoffs and
+    collisions where it decides. The engine never touches the simulator
+    except to arm/cancel hedge timers and it draws randomness only from
+    its two named substreams.
     """
 
     def __init__(self, cluster: "ServiceCluster", policy: ReliabilityPolicy):
@@ -425,7 +427,7 @@ class ReliabilityEngine:
         already held by ``server_id``. Copies share the primary's index,
         and a server's bookkeeping is keyed by index — two copies must
         never coexist on one server."""
-        primary = self.primary_of(request)
+        primary = request if request.hedge is None else request.hedge
         state = self._states.get(primary.index)
         if state is None:
             return False
@@ -436,41 +438,30 @@ class ReliabilityEngine:
                 return True
         return False
 
-    def is_clone(self, request: Request) -> bool:
-        """Whether ``request`` is a hedge copy (its ``hedge`` slot backs
-        onto the primary)."""
-        return request.hedge is not None
-
-    def primary_of(self, request: Request) -> Request:
-        """The canonical request object for a delivered copy."""
-        return request.hedge if request.hedge is not None else request
-
     def on_clone_lost(self, clone: Request) -> None:
         """A hedge copy hit a dead/rejecting server: drop it silently —
         the primary's own timeout/deadline machinery recovers."""
         self.clones_lost += 1
         clone.done = True
 
-    def on_complete(self, primary: Request, winner: Request) -> None:
-        """First response won the race: settle hedges and breakers."""
-        state = self._states.get(primary.index)
-        if state is not None and state.clones:
-            if winner is not primary:
-                self.hedge_wins += 1
-            else:
-                self.hedge_losses += 1
-        if self.breakers and winner.server_id >= 0:
-            breaker = self.breakers.get(winner.server_id)
-            if breaker is not None:
-                breaker.record_success(self.cluster.sim.now)
-        if self.policy.hedge_quantile is not None:
-            self._observe(winner.response_time)
-        self.on_terminal(primary)
-
-    def on_terminal(self, primary: Request) -> None:
-        """The request reached a terminal outcome (success or failure):
-        disarm the hedge timer, cancel surviving copies, drop state."""
+    def on_terminal(self, primary: Request, winner: Optional[Request]) -> None:
+        """The request reached its terminal outcome. On success
+        (``winner`` is the copy whose response won the race) settle
+        hedges and breakers first; either way disarm the hedge timer,
+        cancel surviving copies and drop the request's state."""
         state = self._states.pop(primary.index, None)
+        if winner is not None:
+            if state is not None and state.clones:
+                if winner is not primary:
+                    self.hedge_wins += 1
+                else:
+                    self.hedge_losses += 1
+            if self.breakers and winner.server_id >= 0:
+                breaker = self.breakers.get(winner.server_id)
+                if breaker is not None:
+                    breaker.record_success(self.cluster.sim.now)
+            if self.policy.hedge_quantile is not None:
+                self._observe(winner.response_time)
         if state is None:
             return
         if state.hedge_handle is not None:

@@ -56,11 +56,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import LoadBalancer
     from repro.sim.clock import ClockHandle
 
-__all__ = ["ServiceCluster", "RequestLifecycle", "ClusterMetrics", "DEFAULT_SERVICE"]
+__all__ = ["ServiceCluster", "RequestLifecycle", "ClusterMetrics", "DEFAULT_SERVICE",
+           "LIFECYCLE_POINTS"]
 
 #: service name used when the availability subsystem is enabled with the
 #: default single fully-replicated service (simulated and live alike)
 DEFAULT_SERVICE = "service"
+
+#: lifecycle point -> its subscribers in call order: ``(slot, hook)``, the
+#: method ``hook`` of the subsystem in slot ``slot`` (an ``attr`` of
+#: ``experiments.config.SUBSYSTEMS``; ``"lifecycle"`` is the lifecycle
+#: itself). The points and their arguments: ``arrival(request)``,
+#: ``dispatch(client, request, server_id)`` once a primary attempt is sent,
+#: ``terminal(request, winner)`` with ``winner`` the copy whose response won
+#: or ``None`` on failure, ``reject(request, server_id)``,
+#: ``timeout(request)``, ``server_loss(request)`` and ``run_end()``.
+LIFECYCLE_POINTS: dict[str, tuple[tuple[str, str], ...]] = {
+    "arrival": (("oracle", "on_arrival"),),
+    "dispatch": (("oracle", "on_dispatch"), ("reliability", "on_dispatch")),
+    "terminal": (("telemetry", "on_terminal"), ("oracle", "on_terminal"),
+                 ("dispatchers", "on_terminal"), ("autoscaler", "on_terminal"),
+                 ("lifecycle", "_notify_policy"), ("reliability", "on_terminal")),
+    "reject": (("dispatchers", "on_server_reject"), ("reliability", "on_reject")),
+    "timeout": (("dispatchers", "on_attempt_timeout"), ("reliability", "on_attempt_failure")),
+    "server_loss": (("reliability", "on_attempt_failure"),),
+    "run_end": (("oracle", "on_run_end"),),
+}
 
 
 class _RunComplete(Exception):
@@ -139,12 +160,15 @@ class RequestLifecycle:
 
     Arrival → select → dispatch → response / reject / timeout → retry →
     terminal record, with every stale-delivery guard, written against
-    the :class:`~repro.sim.clock.Clock` protocol (``self.sim``). A
-    transport subclass builds the nodes (``servers``, ``clients``,
-    ``network``, ``mapping_tables``, the ``dispatchers`` /
-    ``autoscaler`` / ``overload`` slots), calls :meth:`_init_lifecycle`
-    last in its constructor, unpacks inbound messages before handing
-    them to :meth:`_on_response` / :meth:`_on_reject`, and supplies:
+    the :class:`~repro.sim.clock.Clock` protocol (``self.sim``). An
+    optional subsystem hears of a step through the step's lifecycle
+    point (:data:`LIFECYCLE_POINTS`): a tuple of bound hooks, ``_at_<point>``,
+    empty when nobody listens. A transport subclass builds the nodes
+    (``servers``, ``clients``, ``network``, ``mapping_tables``, the
+    ``dispatchers`` / ``autoscaler`` / ``overload`` slots), calls
+    :meth:`_init_lifecycle` last in its constructor, unpacks inbound
+    messages before handing them to :meth:`_on_response` /
+    :meth:`_on_reject`, and supplies:
 
     - :meth:`poll_server` — how a POLL leaves and its reply returns;
     - :meth:`_send_request` — how a REQUEST leaves;
@@ -163,9 +187,9 @@ class RequestLifecycle:
         max_retries: int,
         reliability: Optional["ReliabilityPolicy"],
     ) -> None:
-        """Lifecycle configuration, workload slots, resilience counters
-        and the None-when-off subsystem slots; binds ``policy`` last (it
-        reads the finished context)."""
+        """Lifecycle configuration, workload slots, resilience counters,
+        the None-when-off subsystem slots and the lifecycle points; binds
+        ``policy`` (it reads the finished context)."""
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         #: fallback for the derived re-select delay until load_workload
@@ -200,30 +224,39 @@ class RequestLifecycle:
         #: request currently inside policy.select (candidate-set
         #: filtering excludes the server that just rejected it)
         self._selecting_request: Optional[Request] = None
-        #: optional :class:`repro.cluster.failures.ChaosInjector`
-        #: installed by the experiment runner for chaos configs
-        self.chaos = None
-        #: optional :class:`repro.telemetry.TelemetryCollector` installed
-        #: by the experiment runner for telemetry-enabled configs; every
-        #: touch point guards with ``is not None`` (zero overhead off,
-        #: same pattern as ``Simulator.trace``)
-        self.telemetry = None
-        #: optional :class:`repro.verify.InvariantOracle` installed by the
-        #: experiment runner for verify-enabled configs; every touch
-        #: point guards with ``is not None`` (zero overhead off, same
-        #: pattern as telemetry)
-        self.oracle = None
-        #: optional :class:`repro.cluster.reliability.ReliabilityEngine`
-        #: — installed only when a policy with at least one mechanism
-        #: enabled is passed, so naive runs take identical code paths
-        self.reliability = None
+        # Chaos, telemetry and the oracle are built after the cluster and
+        # arrive through install(); the reliability engine is built only
+        # when a mechanism is enabled, so naive runs take identical paths.
+        self.chaos = self.telemetry = self.oracle = self.reliability = None
         if reliability is not None and reliability.enabled:
             from repro.cluster.reliability import ReliabilityEngine
 
             self.reliability = ReliabilityEngine(self, reliability)
+        self._wire_points()
 
         self.policy = policy
         policy.bind(self)
+
+    def install(self, slot: str, subsystem) -> None:
+        """Put ``subsystem`` (or ``None``) in the subsystem slot ``slot``
+        and rewire every lifecycle point: the one way a subsystem built
+        after the cluster gets in."""
+        from repro.experiments.config import SUBSYSTEMS
+
+        slots = [row.attr for row in SUBSYSTEMS.values()]
+        if slot not in slots:
+            raise ValueError(f"unknown subsystem slot {slot!r}; expected one of {slots}")
+        setattr(self, slot, subsystem)
+        self._wire_points()
+
+    def _wire_points(self) -> None:
+        """Bind each lifecycle point to the hooks of its installed
+        subscribers, in :data:`LIFECYCLE_POINTS` order."""
+        for point, subscribers in LIFECYCLE_POINTS.items():
+            owners = ((self if slot == "lifecycle" else getattr(self, slot), hook)
+                      for slot, hook in subscribers)
+            setattr(self, f"_at_{point}",
+                    tuple(getattr(owner, hook) for owner, hook in owners if owner is not None))
 
     def poll_server(
         self,
@@ -326,8 +359,6 @@ class RequestLifecycle:
             # A stale poll round decided after the request already
             # finished through another path (timeout retry + chaos).
             return
-        if self.oracle is not None:
-            self.oracle.on_dispatch(request, server_id)
         # The rejection exclusion only covers the selection that just
         # committed; later retries see the full candidate set again.
         request.last_rejected_by = -1
@@ -338,8 +369,8 @@ class RequestLifecycle:
         # measured from this dispatch, superseding any select-phase
         # timeout armed by _safe_select.
         self._arm_attempt_timeout(request)
-        if self.reliability is not None:
-            self.reliability.on_dispatch(client, request, server_id)
+        for hook in self._at_dispatch:
+            hook(client, request, server_id)
 
     def _arm_attempt_timeout(self, request: Request) -> None:
         """(Re-)arm the per-attempt timeout: the flat ``request_timeout``
@@ -352,12 +383,16 @@ class RequestLifecycle:
         )
         if timeout is None:
             return
-        old = self._timeout_handles.pop(request.index, None)
-        if old is not None:
-            self.sim.cancel(old)
+        self._cancel_attempt_timeout(request)
         self._timeout_handles[request.index] = self.sim.after(
             timeout, self._on_request_timeout, request
         )
+
+    def _cancel_attempt_timeout(self, request: Request) -> None:
+        """Disarm ``request``'s pending attempt timeout, if any."""
+        handle = self._timeout_handles.pop(request.index, None)
+        if handle is not None:
+            self.sim.cancel(handle)
 
     # ------------------------------------------------------------------
     # lifecycle internals
@@ -395,8 +430,8 @@ class RequestLifecycle:
             service_time=float(self._service_times[index]),
             arrival_time=self.sim.now,
         )
-        if self.oracle is not None:
-            self.oracle.on_arrival(request)
+        for hook in self._at_arrival:
+            hook(request)
         self._safe_select(client, request)
 
     def _safe_select(self, client: ClientNode, request: Request) -> None:
@@ -420,9 +455,7 @@ class RequestLifecycle:
         try:
             self.policy.select(client, request)
         except NoCandidatesError:
-            handle = self._timeout_handles.pop(request.index, None)
-            if handle is not None:
-                self.sim.cancel(handle)
+            self._cancel_attempt_timeout(request)
             self.sim.after(self.reselect_delay, self._retry, request)
         finally:
             self._selecting_request = None
@@ -433,7 +466,7 @@ class RequestLifecycle:
         # Hedge copies resolve to their primary: the outcome is recorded
         # exactly once against the canonical object, whichever copy's
         # response arrived first.
-        request = winner if self.reliability is None else self.reliability.primary_of(winner)
+        request = winner if winner.hedge is None else winner.hedge
         if winner.done or request.done:
             # Duplicated RESPONSE, or a late response for a request that
             # already completed/failed via a retry path (possibly via a
@@ -442,9 +475,7 @@ class RequestLifecycle:
             return
         winner.done = True
         request.done = True
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.sim.cancel(handle)
+        self._cancel_attempt_timeout(request)
         winner.response_time = self.sim.now - winner.arrival_time
         if winner is not request:
             # Fold the winning copy's outcome into the primary record.
@@ -453,30 +484,30 @@ class RequestLifecycle:
             request.start_time = winner.start_time
             request.completion_time = winner.completion_time
             request.server_id = winner.server_id
+        self._finish(request, winner)
+
+    def _finish(self, request: Request, winner: Optional[Request]) -> None:
+        """The one terminal path: record ``request``'s outcome, fire
+        ``terminal`` (``winner`` is the copy whose response won, ``None``
+        for a terminal failure), count it, end the run after the last."""
         assert self.metrics is not None
         self.metrics.record(request)
-        if self.telemetry is not None:
-            self.telemetry.on_request_complete(request)
-        if self.oracle is not None:
-            self.oracle.on_terminal(request, failed=False)
+        for hook in self._at_terminal:
+            hook(request, winner)
         self._completed += 1
-        if self.dispatchers is not None:
-            self.dispatchers.release(request)
-        if self.autoscaler is not None:
-            self.autoscaler.on_complete(request)
-        # Completion notifications go to the selector that dispatched —
-        # the dispatcher agent under the tier, the client otherwise —
-        # so per-selector policy state (least-connections counters, ...)
-        # is decremented where it was incremented.
-        self.policy.notify_complete(self.selector_for(request), request)
-        if self.reliability is not None:
-            self.reliability.on_complete(request, winner)
         if self._completed >= self.n_requests:
             self._all_resolved()
 
+    def _notify_policy(self, request: Request, winner: Optional[Request]) -> None:
+        """The policy's ``terminal`` subscriber: per-selector state (least-
+        connections charges, manager counts) is released at the selector
+        that took it, for a failed request too."""
+        self.policy.notify_complete(self.selector_for(request), request)
+
     def _on_reject(self, request: Request, attempt: int, server_id: int) -> None:
-        """A fast-reject NACK from ``server_id`` for attempt number
-        ``attempt`` reached the client: retry elsewhere.
+        """``server_id`` refused attempt number ``attempt`` — a fast-reject
+        NACK reached the client, or, without one, the server refused it
+        on delivery: retry elsewhere.
 
         Stale guards mirror ``_on_response``: the request may have
         moved on before the NACK landed — its attempt timeout fired and
@@ -487,13 +518,9 @@ class RequestLifecycle:
         if request.done or request.queued_at >= 0 or request.retries != attempt:
             self.stale_rejects_ignored += 1
             return
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.sim.cancel(handle)
-        if self.dispatchers is not None:
-            self.dispatchers.on_server_reject(request, server_id)
-        if self.reliability is not None:
-            self.reliability.on_reject(request, server_id)
+        self._cancel_attempt_timeout(request)
+        for hook in self._at_reject:
+            hook(request, server_id)
         self._retry(request)
 
     def _on_request_timeout(self, request: Request) -> None:
@@ -501,16 +528,14 @@ class RequestLifecycle:
         if request.done:
             return
         self.request_timeouts_fired += 1
-        if self.dispatchers is not None:
-            self.dispatchers.on_attempt_timeout(request)
-        if self.reliability is not None:
-            self.reliability.on_attempt_failure(request)
+        for hook in self._at_timeout:
+            hook(request)
         self._retry(request)
 
     def _retry(self, request: Request) -> None:
         if request.done:
             return
-        if self.reliability is not None and self.reliability.is_clone(request):
+        if request.hedge is not None:
             # Admission-control rejection of a hedge copy: drop the
             # copy, never spawn a parallel retry lifecycle for it.
             self.reliability.on_clone_lost(request)
@@ -524,25 +549,7 @@ class RequestLifecycle:
             request.done = True
             request.failed = True
             request.response_time = math.nan
-            assert self.metrics is not None
-            self.metrics.record(request)
-            if self.telemetry is not None:
-                self.telemetry.on_request_complete(request)
-            if self.dispatchers is not None:
-                self.dispatchers.release(request)
-            if self.autoscaler is not None:
-                self.autoscaler.on_failure(request)
-            # Terminal failures release per-selector policy state too
-            # (least-connections charges, manager counts) — a failed
-            # request is no longer outstanding anywhere.
-            self.policy.notify_complete(self.selector_for(request), request)
-            if self.reliability is not None:
-                self.reliability.on_terminal(request)
-            if self.oracle is not None:
-                self.oracle.on_terminal(request, failed=True)
-            self._completed += 1
-            if self._completed >= self.n_requests:
-                self._all_resolved()
+            self._finish(request, None)
             return
         if self.reliability is not None:
             self.reliability.on_retry(request)
@@ -799,8 +806,8 @@ class ServiceCluster(RequestLifecycle):
         # Overload-control subsystem (optional): one controller per
         # server, consulted by ServerNode.enqueue after the static
         # max_queue bound. Installed only when a mechanism is enabled so
-        # default runs take identical code paths (the None-guard pattern
-        # shared with telemetry/reliability).
+        # default runs take identical code paths (enqueue asks a server's
+        # controller only when it has one).
         #: the active :class:`~repro.cluster.overload.OverloadPolicy`
         #: (None when overload control is off)
         self.overload = None
@@ -961,8 +968,8 @@ class ServiceCluster(RequestLifecycle):
                     )
         finally:
             self._runner_active = False
-        if self.oracle is not None:
-            self.oracle.on_run_end()
+        for hook in self._at_run_end:
+            hook()
         return self.metrics
 
     def _all_resolved(self) -> None:
@@ -990,7 +997,7 @@ class ServiceCluster(RequestLifecycle):
             self.handle_server_loss(request)
             return
         if not server.enqueue(request):
-            if self.reliability is not None and self.reliability.is_clone(request):
+            if request.hedge is not None:
                 # A rejected hedge copy is simply dropped — it must not
                 # touch the primary's timeout handle (shared index) or
                 # spawn a parallel retry lifecycle.
@@ -1015,16 +1022,9 @@ class ServiceCluster(RequestLifecycle):
                     self._deliver_reject,
                 )
                 return
-            # Naive path (no overload controller): instant local retry
-            # (counts against max_retries).
-            if self.dispatchers is not None:
-                self.dispatchers.on_server_reject(request, server.node_id)
-            if self.reliability is not None:
-                self.reliability.on_reject(request, server.node_id)
-            handle = self._timeout_handles.pop(request.index, None)
-            if handle is not None:
-                self.sim.cancel(handle)
-            self._retry(request)
+            # No NACK (no fast-reject controller): handled at once, like
+            # a NACK that arrived (the retry counts against max_retries).
+            self._on_reject(request, request.retries, server.node_id)
 
     def _deliver_reject(self, message: Message) -> None:
         request, attempt = message.payload
@@ -1060,7 +1060,7 @@ class ServiceCluster(RequestLifecycle):
 
     def handle_server_loss(self, request: Request) -> None:
         """A server crashed with this request queued/in flight."""
-        if self.reliability is not None and self.reliability.is_clone(request):
+        if request.hedge is not None:
             # A hedge copy hit a dead server: drop the copy; the primary
             # request's own timeout/deadline machinery recovers. (Must
             # not fall through to _retry — a clone shares the primary's
@@ -1068,11 +1068,9 @@ class ServiceCluster(RequestLifecycle):
             self.reliability.on_clone_lost(request)
             return
         self.server_loss_retries += 1
-        handle = self._timeout_handles.pop(request.index, None)
-        if handle is not None:
-            self.sim.cancel(handle)
-        if self.reliability is not None:
-            self.reliability.on_attempt_failure(request)
+        self._cancel_attempt_timeout(request)
+        for hook in self._at_server_loss:
+            hook(request)
         self._retry(request)
 
     # ------------------------------------------------------------------
@@ -1090,19 +1088,11 @@ class ServiceCluster(RequestLifecycle):
                 sum(server.rejected_count for server in self.servers)
             ),
         }
-        if self.overload is not None:
-            totals = {
-                "requests_shed": 0,
-                "shed_jitter_admits": 0,
-                "overload_withdrawals": 0,
-                "overload_rejoins": 0,
-            }
-            for server in self.servers:
-                if server.overload is None:
-                    continue
-                for name, value in server.overload.counters().items():
-                    totals[name] += value
-            counters.update({name: float(value) for name, value in totals.items()})
+        tallies = [
+            server.overload.counters() for server in self.servers if server.overload is not None
+        ]
+        if tallies:
+            counters.update({name: float(sum(t[name] for t in tallies)) for name in tallies[0]})
             counters["rejects_sent"] = float(self.rejects_sent)
             counters["stale_rejects_ignored"] = float(self.stale_rejects_ignored)
         return counters

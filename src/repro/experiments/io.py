@@ -51,8 +51,8 @@ _SCHEMA_VERSION = 1
 #: to 0 on load.
 TELEMETRY_SCHEMA_VERSION = 2
 
-#: span fields introduced by schema v2 (optional when loading v1 files)
-_SPAN_FIELDS_ADDED_V2 = frozenset({"rejects"})
+#: span fields introduced by schema v2, with the value a v1 file loads them as
+_SPAN_FIELDS_ADDED_V2 = {"rejects": 0}
 
 
 def save_results(results: Sequence[SimulationResult], path: str | Path) -> None:
@@ -159,104 +159,101 @@ def _null_to_nan(record: dict) -> dict:
 def save_spans_jsonl(spans: Sequence, path: str | Path) -> None:
     """Write request spans as JSONL: a schema header line, then one
     span object per line (``nan`` timestamps serialize as ``null``)."""
-    header = {
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "kind": "repro.telemetry.spans",
-        "fields": list(SPAN_FIELDS),
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps(_nan_to_null(span.to_dict()), sort_keys=True) for span in spans
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save_jsonl(spans, path, "spans", SPAN_FIELDS)
 
 
 def load_spans_jsonl(path: str | Path) -> list[dict]:
     """Reload (and validate) a span export written by
     :func:`save_spans_jsonl`; returns one dict per span."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty spans file (expected a schema header line)")
-    header = json.loads(lines[0])
-    version = header.get("schema_version")
-    if header.get("kind") != "repro.telemetry.spans" or not isinstance(version, int):
-        raise ValueError(
-            f"{path}: malformed telemetry spans header {lines[0]!r} "
-            "(is this a repro spans export?)"
-        )
-    if version > TELEMETRY_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: spans schema {version} is newer than this library "
-            f"supports ({TELEMETRY_SCHEMA_VERSION}); upgrade repro to read it"
-        )
-    required = set(SPAN_FIELDS)
-    if version < 2:
-        # v1 exports predate the rejects field; default it on load so
-        # downstream consumers see the full v2 shape.
-        required = required - _SPAN_FIELDS_ADDED_V2
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        missing = required - set(record)
-        if missing:
-            raise ValueError(
-                f"{path}:{lineno}: span record missing field(s) {sorted(missing)}"
-            )
-        if version < 2:
-            record.setdefault("rejects", 0)
-        out.append(_null_to_nan(record))
-    return out
+    return _load_jsonl(path, "spans", SPAN_FIELDS, _SPAN_FIELDS_ADDED_V2)
 
 
 def save_attempts_jsonl(attempts: Sequence, path: str | Path) -> None:
     """Write per-attempt dispatch records as JSONL (same layout contract
     as :func:`save_spans_jsonl`: schema header, then one record/line)."""
-    header = {
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "kind": "repro.telemetry.attempts",
-        "fields": list(ATTEMPT_FIELDS),
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps(_nan_to_null(attempt.to_dict()), sort_keys=True)
-        for attempt in attempts
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save_jsonl(attempts, path, "attempts", ATTEMPT_FIELDS)
 
 
 def load_attempts_jsonl(path: str | Path) -> list[dict]:
     """Reload (and validate) an attempt export written by
     :func:`save_attempts_jsonl`; returns one dict per attempt."""
+    return _load_jsonl(path, "attempts", ATTEMPT_FIELDS, {})
+
+
+def _save_jsonl(records: Sequence, path: str | Path, kind: str, fields) -> None:
+    header = {
+        "schema_version": TELEMETRY_SCHEMA_VERSION,
+        "kind": f"repro.telemetry.{kind}",
+        "fields": list(fields),
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(
+        json.dumps(_nan_to_null(record.to_dict()), sort_keys=True) for record in records
+    )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _load_jsonl(path: str | Path, kind: str, fields, added_v2: dict) -> list[dict]:
+    """The records of a telemetry JSONL export of ``kind``; a record of
+    a v1 file gets the ``added_v2`` fields it lacks. A file that is no
+    such export raises ``ValueError`` naming ``path:line``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty attempts file (expected a schema header line)")
-    header = json.loads(lines[0])
-    version = header.get("schema_version")
-    if header.get("kind") != "repro.telemetry.attempts" or not isinstance(version, int):
-        raise ValueError(
-            f"{path}: malformed telemetry attempts header {lines[0]!r} "
-            "(is this a repro attempts export?)"
-        )
-    if version > TELEMETRY_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: attempts schema {version} is newer than this library "
-            f"supports ({TELEMETRY_SCHEMA_VERSION}); upgrade repro to read it"
-        )
-    required = set(ATTEMPT_FIELDS)
+        raise ValueError(f"{path}: empty {kind} file (expected a schema header line)")
+    version = _header_version(path, _json_line(path, 1, lines[0]), kind)
+    required = set(fields) - (set(added_v2) if version < 2 else set())
     out = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        record = json.loads(line)
+        record = _json_line(path, lineno, line)
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"{path}:{lineno}: record must be an object, got {type(record).__name__}"
+            )
         missing = required - set(record)
         if missing:
-            raise ValueError(
-                f"{path}:{lineno}: attempt record missing field(s) {sorted(missing)}"
-            )
+            raise ValueError(f"{path}:{lineno}: record missing field(s) {sorted(missing)}")
+        if version < 2:
+            record = {**added_v2, **record}
         out.append(_null_to_nan(record))
     return out
+
+
+def _json_line(path: str | Path, lineno: int, text: str) -> object:
+    """``text`` parsed as strict JSON (the writers turn non-finite
+    numbers into ``null``, so ``NaN``/``Infinity`` never round-trip);
+    ``ValueError`` naming ``path:lineno`` otherwise."""
+    try:
+        return json.loads(text, parse_constant=_no_constant)
+    except ValueError as err:
+        raise ValueError(f"{path}:{lineno}: not JSON ({err})") from None
+
+
+def _no_constant(name: str) -> None:
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _header_version(path: str | Path, header: object, kind: str) -> int:
+    """The schema version of a telemetry header object; ``ValueError``
+    naming ``path:1`` unless it heads a ``kind`` export this library reads."""
+    if not isinstance(header, dict) or header.get("kind") != f"repro.telemetry.{kind}":
+        raise ValueError(
+            f"{path}:1: malformed telemetry {kind} header {header!r} "
+            f"(is this a repro {kind} export?)"
+        )
+    return _schema_version(path, kind, header.get("schema_version"))
+
+
+def _schema_version(path: str | Path, kind: str, version: object) -> int:
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise ValueError(f"{path}:1: malformed {kind} schema version {version!r}")
+    if version > TELEMETRY_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}:1: {kind} schema {version} is newer than this library "
+            f"supports ({TELEMETRY_SCHEMA_VERSION}); upgrade repro to read it"
+        )
+    return version
 
 
 def save_series_csv(series: dict[str, np.ndarray], path: str | Path) -> None:
@@ -279,23 +276,35 @@ def save_series_csv(series: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def load_series_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Reload a series export written by :func:`save_series_csv`."""
+    """Reload a series export written by :func:`save_series_csv`. A
+    file that is no such export — no header comment or column row, no
+    ``time`` column, a repeated column, a row of the wrong width, a cell
+    that is no number — raises ``ValueError`` naming ``path:line``."""
+    prefix = "# repro.telemetry.series v"
     with open(path, newline="") as fh:
         first = fh.readline()
-        if not first.startswith("# repro.telemetry.series v"):
-            raise ValueError(f"{path}: missing telemetry series header comment")
-        version = int(first.rsplit("v", 1)[1])
-        if version > TELEMETRY_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: series schema {version} is newer than this library "
-                f"supports ({TELEMETRY_SCHEMA_VERSION}); upgrade repro to read it"
-            )
-        reader = csv.reader(fh)
-        names = next(reader)
-        columns: list[list[float]] = [[] for _ in names]
-        for row in reader:
-            for column, cell in zip(columns, row):
+        if not first.startswith(prefix):
+            raise ValueError(f"{path}:1: missing telemetry series header comment")
+        version = first[len(prefix):].strip()
+        _schema_version(path, "series", int(version) if version.isdecimal() else version)
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as err:
+            raise ValueError(f"{path}: malformed CSV ({err})") from None
+    if not rows:
+        raise ValueError(f"{path}:2: missing the column header row")
+    names = rows[0]
+    if "time" not in names or len(set(names)) != len(names):
+        raise ValueError(f"{path}:2: column header {names!r} needs one 'time' and no repeats")
+    columns: list[list[float]] = [[] for _ in names]
+    for lineno, row in enumerate(rows[1:], start=3):
+        if len(row) != len(names):
+            raise ValueError(f"{path}:{lineno}: {len(row)} cells for {len(names)} columns")
+        for column, cell in zip(columns, row):
+            try:
                 column.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cell {cell!r} is not a number") from None
     return {name: np.asarray(column) for name, column in zip(names, columns)}
 
 
@@ -348,13 +357,10 @@ def validate_telemetry_dir(directory: str | Path) -> dict[str, int]:
     root = Path(directory)
     spans = load_spans_jsonl(root / "spans.jsonl")
     series = load_series_csv(root / "series.csv")
-    accounting = json.loads((root / "accounting.json").read_text())
-    if accounting.get("kind") != "repro.telemetry.accounting":
-        raise ValueError(f"{root}/accounting.json: wrong or missing kind")
-    if not isinstance(accounting.get("schema_version"), int):
-        raise ValueError(f"{root}/accounting.json: missing schema_version")
-    if "time" not in series:
-        raise ValueError(f"{root}/series.csv: missing 'time' column")
+    accounting_path = root / "accounting.json"
+    _header_version(
+        accounting_path, _json_line(accounting_path, 1, accounting_path.read_text()), "accounting"
+    )
     out = {
         "spans": len(spans),
         "series": len(series["time"]),

@@ -183,7 +183,7 @@ def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
             installed = owner(cluster, **knobs)
         # the oracle constructs inert under {"enabled": False}
         if getattr(installed, "enabled", True):
-            setattr(cluster, row.attr, installed)
+            cluster.install(row.attr, installed)
     return cluster, nominal_rho
 
 

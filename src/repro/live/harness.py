@@ -230,8 +230,8 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
         if cfg.telemetry:
             from repro.telemetry import TelemetryCollector
 
-            cluster.telemetry = TelemetryCollector(
-                cluster, sample_interval=cfg.sample_interval
+            cluster.install(
+                "telemetry", TelemetryCollector(cluster, sample_interval=cfg.sample_interval)
             )
 
         epoch_at_run_start = _time.time()

@@ -132,7 +132,8 @@ class TelemetryCollector:
             network.drops_recorder = StepRecorder(initial=0.0)
 
     # ------------------------------------------------------------------
-    # hooks (called behind ``telemetry is not None`` guards)
+    # hooks: note_decision/on_attempt behind ``telemetry is not None``
+    # checks; on_terminal subscribes to the lifecycle's terminal point
     # ------------------------------------------------------------------
     def note_decision(
         self, request: "Request", perceived_load: float, observed_at: float
@@ -172,7 +173,7 @@ class TelemetryCollector:
             )
         )
 
-    def on_request_complete(self, request: "Request") -> None:
+    def on_terminal(self, request: "Request", winner: Optional["Request"]) -> None:
         """Capture the span for a finished or terminally failed request."""
         if not self.spans_enabled:
             return

@@ -3,11 +3,11 @@
 The oracle validates a catalogue of machine-checkable invariants (see
 DESIGN.md §17) while a simulation runs:
 
-* **lifecycle hooks** — the cluster calls ``on_arrival`` /
-  ``on_dispatch`` / ``on_terminal`` at the corresponding points in
-  ``system.py`` (each touch point guarded with ``is not None``, the
-  same zero-overhead pattern as telemetry).  These prove request
-  conservation and exactly-once terminal outcomes under hedging,
+* **lifecycle hooks** — ``on_arrival`` / ``on_dispatch`` /
+  ``on_terminal`` / ``on_run_end`` subscribe to the lifecycle points of
+  the same names in ``system.py`` once ``cluster.install("oracle", ...)``
+  puts the oracle in (a run without it calls none of them).  These prove
+  request conservation and exactly-once terminal outcomes under hedging,
   retries, and NACKs.
 * **event hook** — the oracle chains onto ``Simulator.trace`` and
   checks clock monotonicity per event; every ``check_interval`` events
@@ -62,8 +62,8 @@ class InvariantOracle:
         cluster state; it never mutates it.
     enabled:
         Mirrors the ``verify_params["enabled"]`` config knob.  When
-        false the constructor does nothing and the runner leaves
-        ``cluster.oracle`` as ``None``.
+        false the constructor does nothing and the runner does not
+        install it (``cluster.oracle`` stays ``None``).
     check_interval:
         Run the full state scan every N executed events (per-event work
         is just the clock-monotonicity check).
@@ -138,7 +138,7 @@ class InvariantOracle:
             self.full_scan()
 
     # ------------------------------------------------------------------
-    # lifecycle hooks (called from system.py under `is not None` guards)
+    # lifecycle hooks (subscribers of system.py's lifecycle points)
     # ------------------------------------------------------------------
 
     def on_arrival(self, request: "Request") -> None:
@@ -147,7 +147,7 @@ class InvariantOracle:
         self._arrived.add(request.index)
         self._arrived_per_client[request.client_id] += 1
 
-    def on_dispatch(self, request: "Request", server_id: int) -> None:
+    def on_dispatch(self, client, request: "Request", server_id: int) -> None:
         if not 0 <= server_id < self.cluster.n_servers:
             self._fail(
                 f"dispatch: request {request.index} sent to out-of-range "
@@ -162,7 +162,8 @@ class InvariantOracle:
                 f"terminal outcome ({outcome})"
             )
 
-    def on_terminal(self, request: "Request", failed: bool) -> None:
+    def on_terminal(self, request: "Request", winner: Optional["Request"]) -> None:
+        failed = winner is None
         previous = self._terminal.get(request.index)
         if previous is not None:
             self._fail(

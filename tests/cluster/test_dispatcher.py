@@ -263,13 +263,13 @@ def test_dispatcher_storm_crashes_and_recovers_dispatchers():
         dispatcher=tier_policy(count=3, assignment="failover"),
         n_requests=400, request_timeout=0.05, max_retries=8,
     )
-    cluster.chaos = ChaosInjector(
+    cluster.install("chaos", ChaosInjector(
         cluster,
         spec=ChaosSpec(
             dispatcher_storms=2, dispatcher_storm_size=1,
             dispatcher_storm_frac=0.2,
         ),
-    )
+    ))
     metrics = cluster.run()
     kinds = [kind for _, kind, _ in cluster.chaos.chaos_log]
     assert kinds.count("dispatcher_crash") == 2
@@ -285,11 +285,11 @@ def test_dispatcher_storm_always_leaves_a_survivor():
         dispatcher=tier_policy(count=2, assignment="failover"),
         n_requests=200, request_timeout=0.05, max_retries=8,
     )
-    cluster.chaos = ChaosInjector(
+    cluster.install("chaos", ChaosInjector(
         cluster,
         # ask for a storm bigger than the tier: it must clamp to K-1
         spec=ChaosSpec(dispatcher_storms=1, dispatcher_storm_size=5),
-    )
+    ))
     cluster.run()
     crashes = [d for _, kind, d in cluster.chaos.chaos_log
                if kind == "dispatcher_crash"]

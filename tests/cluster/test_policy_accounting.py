@@ -59,7 +59,7 @@ def test_least_connections_counts_survive_crash_and_retries():
     mid-run forces exactly that interleaving at volume."""
     cluster = build_cluster(make_policy("least_connections"))
     oracle = InvariantOracle(cluster, check_interval=4)
-    cluster.oracle = oracle
+    cluster.install("oracle", oracle)
     injector = FailureInjector(cluster)
     injector.schedule_crash(1, at=0.2)
     metrics = cluster.run()
@@ -78,7 +78,7 @@ def test_least_connections_counts_with_terminal_failures():
         request_timeout=0.03,
     )
     oracle = InvariantOracle(cluster, check_interval=4)
-    cluster.oracle = oracle
+    cluster.install("oracle", oracle)
     injector = FailureInjector(cluster)
     injector.schedule_crash(0, at=0.1)
     injector.schedule_crash(2, at=0.12)
@@ -106,7 +106,7 @@ def test_least_connections_with_hedging_and_nacks():
         overload=OverloadPolicy(sojourn_target=0.02, interval=0.05),
     )
     oracle = InvariantOracle(cluster, check_interval=2)
-    cluster.oracle = oracle
+    cluster.install("oracle", oracle)
     ChaosInjector(cluster, spec=ChaosSpec(loss=0.05))
     cluster.run()
     assert cluster.rejects_sent > 0  # NACK path exercised

@@ -42,7 +42,7 @@ def run_leg(reliability, seed):
         reliability=reliability,
     )
     cluster.load_workload(gaps, services)
-    cluster.chaos = ChaosInjector(cluster, spec=ChaosSpec(**CHAOS))
+    cluster.install("chaos", ChaosInjector(cluster, spec=ChaosSpec(**CHAOS)))
     metrics = cluster.run()
     summary = metrics.summary()
     return {

@@ -16,14 +16,19 @@ from repro.live.client import LiveCluster
 
 SHARED = [
     "_init_lifecycle",
+    "install",
+    "_wire_points",
     "_on_arrival",
     "_safe_select",
     "dispatch",
     "_arm_attempt_timeout",
+    "_cancel_attempt_timeout",
     "_on_request_timeout",
     "_retry",
     "_reselect",
     "_on_response",
+    "_finish",
+    "_notify_policy",
     "_on_reject",
     "available_servers",
     "client_for",

@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.io import (
     load_series_csv,
@@ -267,3 +270,201 @@ def test_exported_lines_match_the_asdict_records(tmp_path):
         assert lines == [
             json.dumps(_nan_to_null(asdict(record)), sort_keys=True) for record in records
         ]
+
+
+# ----------------------------------------------------------------------
+# malformed exports: a ValueError naming path:line, never a crash
+# ----------------------------------------------------------------------
+
+def _export(tmp_path):
+    """A valid spans + attempts + series + accounting export to break."""
+    from repro.experiments.io import save_attempts_jsonl
+
+    save_spans_jsonl([span(0), span(1, staleness=math.nan)], tmp_path / "spans.jsonl")
+    save_attempts_jsonl([attempt(0), attempt(1, kind="hedge")], tmp_path / "attempts.jsonl")
+    save_series_csv(
+        {"time": np.array([0.0, 0.05]), "net.inflight": np.array([0.0, 2.0])},
+        tmp_path / "series.csv",
+    )
+    (tmp_path / "accounting.json").write_text(json.dumps(
+        {"kind": "repro.telemetry.accounting", "schema_version": 2, "accounting": {}}
+    ))
+    return tmp_path
+
+
+def _replace_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _raises_at(load, path, lineno):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
+        load(path)
+
+
+def _loader(name):
+    from repro.experiments import io
+
+    return {
+        "spans": io.load_spans_jsonl,
+        "attempts": io.load_attempts_jsonl,
+        "series": io.load_series_csv,
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["spans", "attempts"])
+def test_a_header_that_is_a_list_names_the_line(tmp_path, name):
+    path = _export(tmp_path) / f"{name}.jsonl"
+    _replace_line(path, 1, json.dumps([f"repro.telemetry.{name}", 2]))
+    _raises_at(_loader(name), path, 1)
+
+
+@pytest.mark.parametrize("name", ["spans", "attempts"])
+def test_a_boolean_schema_version_names_the_line(tmp_path, name):
+    path = _export(tmp_path) / f"{name}.jsonl"
+    header = json.loads(path.read_text().splitlines()[0])
+    _replace_line(path, 1, json.dumps({**header, "schema_version": True}))
+    _raises_at(_loader(name), path, 1)
+
+
+@pytest.mark.parametrize("shape", ["list", "int"])
+@pytest.mark.parametrize("name", ["spans", "attempts"])
+def test_a_record_that_is_no_object_names_the_line(tmp_path, name, shape):
+    path = _export(tmp_path) / f"{name}.jsonl"
+    # a list of every field name passes a field-presence check
+    fields = json.loads(path.read_text().splitlines()[0])["fields"]
+    _replace_line(path, 3, json.dumps(fields if shape == "list" else 5))
+    _raises_at(_loader(name), path, 3)
+
+
+def test_a_series_with_only_the_header_comment_names_the_line(tmp_path):
+    path = _export(tmp_path) / "series.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    _raises_at(load_series_csv, path, 2)
+
+
+@pytest.mark.parametrize("row", ["0.1", "0.1,1.0,7.0"], ids=["short", "long"])
+def test_a_ragged_series_row_names_the_line(tmp_path, row):
+    path = _export(tmp_path) / "series.csv"
+    _replace_line(path, 4, row)
+    _raises_at(load_series_csv, path, 4)
+
+
+def test_a_bad_series_version_or_cell_names_the_line(tmp_path):
+    path = _export(tmp_path) / "series.csv"
+    good = path.read_text()
+    _replace_line(path, 1, "# repro.telemetry.series vX")
+    _raises_at(load_series_csv, path, 1)
+    path.write_text(good)
+    _replace_line(path, 3, "abc,0.0")
+    _raises_at(load_series_csv, path, 3)
+
+
+def test_accounting_that_is_a_list_names_the_file(tmp_path):
+    root = _export(tmp_path)
+    (root / "accounting.json").write_text("[]")
+    _raises_at(lambda _path: validate_telemetry_dir(root), root / "accounting.json", 1)
+
+
+class _Row(dict):
+    """A loaded record, fed back through the writers."""
+
+    def to_dict(self):
+        return dict(self)
+
+
+def _canonical(records):
+    from repro.experiments.io import _nan_to_null
+
+    return [json.dumps(_nan_to_null(r), sort_keys=True) for r in records]
+
+
+def _round_trips(name, path, loaded):
+    from repro.experiments import io
+
+    if name == "series":
+        io.save_series_csv(loaded, path)
+        again = io.load_series_csv(path)
+        assert set(again) == set(loaded)
+        for column in loaded:
+            np.testing.assert_array_equal(again[column], loaded[column])
+        return
+    save = io.save_spans_jsonl if name == "spans" else io.save_attempts_jsonl
+    save([_Row(record) for record in loaded], path)
+    assert _canonical(_loader(name)(path)) == _canonical(loaded)
+
+
+_JUNK_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 300), st.floats(allow_nan=True),
+        st.text(max_size=4),
+        st.sampled_from(["repro.telemetry.spans", "repro.telemetry.attempts", "kind"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["kind", "schema_version", "index", "staleness", "rejects",
+                             "breaker_state", "fields", "bogus"]),
+            inner, max_size=3,
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_line(draw, text):
+    """One line of a JSONL export, with one key replaced or deleted, or
+    the whole line replaced by JSON-shaped or raw junk."""
+    document = json.loads(text)
+    choice = draw(st.sampled_from(["key", "delete", "json", "raw"]))
+    if choice in ("key", "delete") and isinstance(document, dict) and document:
+        key = draw(st.sampled_from(sorted(document)))
+        if choice == "delete":
+            del document[key]
+        else:
+            document[key] = draw(_JUNK_JSON)
+        return json.dumps(document)
+    if choice == "raw":
+        return draw(st.text(max_size=12))
+    return json.dumps(draw(_JUNK_JSON))
+
+
+_SERIES_CELL = st.one_of(
+    st.text(max_size=6), st.sampled_from(["nan", "inf", "-1e400", "1_0", " 2", "time", ""]),
+)
+
+
+@given(data=st.data(), name=st.sampled_from(["spans", "attempts", "series"]))
+@settings(deadline=None)  # the example budget is the profile's (conftest.py)
+def test_junk_telemetry_loads_and_round_trips_or_raises_value_error(
+    data, name, tmp_path_factory
+):
+    """One line or cell of a valid export replaced by junk, or removed:
+    the loader returns records that its writer round-trips, or raises
+    ValueError — never an AttributeError / KeyError / TypeError /
+    IndexError / StopIteration from inside."""
+    root = tmp_path_factory.getbasetemp() / "junk_telemetry"
+    root.mkdir(exist_ok=True)
+    _export(root)
+    path = root / ("series.csv" if name == "series" else f"{name}.jsonl")
+    lines = path.read_text().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        del lines[index]
+    elif name == "series":
+        cells = lines[index].split(",")
+        if data.draw(st.booleans()):
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_SERIES_CELL)
+        else:
+            cells = data.draw(st.lists(_SERIES_CELL, max_size=4))
+        lines[index] = ",".join(cells)
+    else:
+        lines[index] = data.draw(_mutated_line(lines[index]))
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        loaded = _loader(name)(path)
+    except ValueError:
+        return
+    _round_trips(name, path, loaded)

@@ -151,9 +151,9 @@ def test_double_terminal_raises():
     oracle.on_arrival(request)
     request.done = True
     request.response_time = 0.01
-    oracle.on_terminal(request, failed=False)
+    oracle.on_terminal(request, winner=request)
     with pytest.raises(InvariantViolation, match="second\\s+terminal"):
-        oracle.on_terminal(request, failed=False)
+        oracle.on_terminal(request, winner=request)
 
 
 def test_dispatch_after_terminal_raises():
@@ -162,9 +162,9 @@ def test_dispatch_after_terminal_raises():
     oracle.on_arrival(request)
     request.done = True
     request.failed = True
-    oracle.on_terminal(request, failed=True)
+    oracle.on_terminal(request, winner=None)
     with pytest.raises(InvariantViolation, match="after\\s+terminal"):
-        oracle.on_dispatch(request, server_id=0)
+        oracle.on_dispatch(None, request, server_id=0)
 
 
 def test_dispatch_out_of_range_raises():
@@ -172,7 +172,7 @@ def test_dispatch_out_of_range_raises():
     request = _request(oracle.cluster)
     oracle.on_arrival(request)
     with pytest.raises(InvariantViolation, match="out-of-range"):
-        oracle.on_dispatch(request, server_id=oracle.cluster.n_servers)
+        oracle.on_dispatch(None, request, server_id=oracle.cluster.n_servers)
 
 
 def test_terminal_without_arrival_raises():
@@ -181,7 +181,7 @@ def test_terminal_without_arrival_raises():
     request.done = True
     request.response_time = 0.01
     with pytest.raises(InvariantViolation, match="without arriving"):
-        oracle.on_terminal(request, failed=False)
+        oracle.on_terminal(request, winner=request)
 
 
 def test_trace_hook_chains_not_clobbers():
