@@ -390,7 +390,7 @@ def _serve(args) -> str:
     """Run one standalone live UDP server node until the time limit."""
     import asyncio
 
-    from repro.live.clock import WallClock
+    from repro.live.clock import WallClock, run
     from repro.live.server import LiveServer
 
     async def _run() -> str:
@@ -420,7 +420,7 @@ def _serve(args) -> str:
         return f"serve: stopped after {args.time_limit:g}s ({counters})"
 
     try:
-        return asyncio.run(_run())
+        return run(_run())
     except KeyboardInterrupt:
         return "serve: interrupted"
 

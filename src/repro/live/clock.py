@@ -10,16 +10,44 @@ refresh loops — runs unmodified against real time.
 default) starting near ``0.0`` at construction so live timestamps look
 like sim timestamps in spans/series exports. Components must not rely
 on that convenience — the seam tests drive them with offset origins.
+Every live entry point runs its loop through :func:`run`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional
+import selectors
+from typing import Any, Callable, Coroutine, Optional, TypeVar
 
-__all__ = ["WallClock", "WallHandle"]
+__all__ = ["WallClock", "WallHandle", "run"]
 
 _SENTINEL = object()
+_T = TypeVar("_T")
+
+
+def run(coro: Coroutine[Any, Any, _T]) -> _T:
+    """``asyncio.run(coro)`` on a ``select(2)`` event loop.
+
+    epoll rounds every wait up to a whole millisecond (a 5 ms service
+    timer fires up to 1 ms late); ``select`` takes a microsecond
+    ``timeval``, but cannot watch a file descriptor >= 1024. As
+    ``asyncio.run``, it returns the result or raises, then cancels
+    leftover tasks, shuts down async generators and closes the loop;
+    it never touches the event-loop policy or the current loop.
+    """
+    loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        try:
+            leftover = asyncio.all_tasks(loop)
+            for task in leftover:
+                task.cancel()
+            if leftover:
+                loop.run_until_complete(asyncio.gather(*leftover, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+        finally:
+            loop.close()
 
 
 class WallHandle:
@@ -76,8 +104,8 @@ class WallClock:
     def at(self, time: float, fn: Callable[..., Any], arg: Any = _SENTINEL) -> WallHandle:
         """Schedule ``fn`` at absolute clock time ``time`` (clamped to now)."""
         handle = WallHandle(time)
-        delay = max(0.0, time - self.now)
-        handle._timer = self._loop.call_later(delay, self._fire, handle, fn, arg)
+        when = self._origin + max(time, self.now)
+        handle._timer = self._loop.call_at(when, self._fire, handle, fn, arg)
         return handle
 
     def after(self, delay: float, fn: Callable[..., Any], arg: Any = _SENTINEL) -> WallHandle:

@@ -38,7 +38,7 @@ from repro.core.registry import make_policy
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
 from repro.live.client import LiveCluster
-from repro.live.clock import WallClock
+from repro.live.clock import WallClock, run
 from repro.live.server import LiveServer
 from repro.sim.rng import RngHub
 from repro.workload.workloads import request_stream
@@ -261,7 +261,7 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
 
 def run_loopback(cfg: LiveRunConfig) -> LiveRunResult:
     """Synchronous entry point: own loop, hard-bounded by ``time_limit``."""
-    return asyncio.run(run_loopback_async(cfg))
+    return run(run_loopback_async(cfg))
 
 
 # ----------------------------------------------------------------------

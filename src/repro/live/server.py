@@ -2,9 +2,9 @@
 
 One ``LiveServer`` is the live counterpart of the sim's ``ServerNode``
 plus its slice of ``ServiceCluster._deliver_request``: a FIFO queue
-drained by ``workers`` asyncio worker tasks, service work performed
-either as a real CPU spin (``prototype.microbench``) or as an
-``asyncio.sleep`` (deterministic tests), admission control through the
+served ``workers`` at a time from clock callbacks, service work as a
+real CPU spin (``prototype.microbench``) in ``call_soon`` slices or as
+one timer (deterministic tests), admission control through the
 **same** :class:`~repro.cluster.overload.OverloadController` as the
 simulator, and soft-state availability announcements through the
 **same** :class:`~repro.cluster.availability.ServicePublisher` — both
@@ -23,14 +23,15 @@ on real hardware.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.availability import ServicePublisher
 from repro.cluster.overload import OverloadController, OverloadPolicy
 from repro.cluster.system import DEFAULT_SERVICE
-from repro.live.clock import WallClock
+from repro.live.clock import WallClock, WallHandle
 from repro.live.faults import LoopbackFaults
 from repro.live.wire import WireError, decode_message, encode_message
 from repro.prototype.microbench import SpinCalibration, calibrate_spin, spin_for
@@ -40,6 +41,8 @@ __all__ = ["LiveServer"]
 #: spin-mode service work yields to the event loop after every slice of
 #: this many seconds, so datagrams (polls) interleave with it
 SLICE_SECONDS = 0.001
+
+_Item = Tuple[Dict[str, Any], Tuple[str, int]]  # a decoded REQUEST and its sender
 
 
 class _ServiceStamp:
@@ -111,12 +114,12 @@ class LiveServer(asyncio.DatagramProtocol):
 
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.alive = True
-        self._queue: "asyncio.Queue[Tuple[Dict[str, Any], Tuple[str, int]]]" = asyncio.Queue()
+        self._waiting: Deque[_Item] = deque()
         self._queued_ids: Set[int] = set()
-        self._in_service = 0
+        # In service: request id -> the timer that moves it on next.
+        self._in_service: Dict[int, WallHandle] = {}
         # Reply cache: request id -> (attempt, encoded RESPONSE datagram).
         self._served: Dict[int, Tuple[int, bytes]] = {}
-        self._worker_tasks: list = []
 
         # Availability: shared ServicePublisher over a wire-backed channel.
         self.subscribers: Set[Tuple[str, int]] = set()
@@ -155,8 +158,6 @@ class LiveServer(asyncio.DatagramProtocol):
     # ------------------------------------------------------------------
     def connection_made(self, transport) -> None:  # type: ignore[override]
         self.transport = transport
-        for _ in range(self.workers):
-            self._worker_tasks.append(asyncio.ensure_future(self._worker()))
         if self.publisher is not None:
             self.publisher.start()
 
@@ -166,7 +167,7 @@ class LiveServer(asyncio.DatagramProtocol):
         return self.transport.get_extra_info("sockname")[:2]
 
     def close(self) -> None:
-        """Stop serving: cancel workers, stop publishing, close the socket.
+        """Stop serving: drop all work, stop publishing, close the socket.
 
         Used both for orderly shutdown and to simulate a crash in the
         race-parity tests (in-flight requests die with the node).
@@ -174,9 +175,10 @@ class LiveServer(asyncio.DatagramProtocol):
         self.alive = False
         if self.publisher is not None:
             self.publisher.stop()
-        for task in self._worker_tasks:
-            task.cancel()
-        self._worker_tasks.clear()
+        for timer in self._in_service.values():
+            timer.cancel()
+        self._in_service.clear()
+        self._waiting.clear()
         if self.transport is not None:
             self.transport.close()
             self.transport = None
@@ -209,7 +211,7 @@ class LiveServer(asyncio.DatagramProtocol):
     def queue_length(self) -> int:
         """Queued + in-service, the load metric POLL replies report
         (same semantics as ``ServerNode.queue_length``)."""
-        return self._queue.qsize() + self._in_service
+        return len(self._waiting) + len(self._in_service)
 
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:  # type: ignore[override]
         if not self.alive:
@@ -280,7 +282,8 @@ class LiveServer(asyncio.DatagramProtocol):
             return
         self._queued_ids.add(req_id)
         msg["_enq"] = self.clock.now
-        self._queue.put_nowait((msg, addr))
+        self._waiting.append((msg, addr))
+        self._pump()
 
     def _reject(self, msg: Dict[str, Any], addr: Tuple[str, int], shed: bool = False) -> None:
         self.rejected_count += 1
@@ -299,33 +302,36 @@ class LiveServer(asyncio.DatagramProtocol):
     # ------------------------------------------------------------------
     # service work
     # ------------------------------------------------------------------
-    async def _worker(self) -> None:
-        while True:
-            msg, addr = await self._queue.get()
-            self._in_service += 1
-            try:
-                await self._serve(msg, addr)
-            finally:
-                self._in_service -= 1
-                self._queued_ids.discard(msg["id"])
+    def _pump(self) -> None:
+        """Start waiting items while a worker is free."""
+        while self._waiting and len(self._in_service) < self.workers:
+            item = self._waiting.popleft()
+            msg = item[0]
+            msg["_start"] = self.clock.now
+            if self.mode == "sleep":
+                timer = self.clock.after(float(msg["service"]), self._respond, item)
+            else:
+                msg["_left"] = float(msg["service"])
+                timer = self.clock.call_soon(self._spin, item)
+            self._in_service[msg["id"]] = timer
 
-    async def _serve(self, msg: Dict[str, Any], addr: Tuple[str, int]) -> None:
-        start = self.clock.now
-        service = float(msg["service"])
-        if self.mode == "sleep":
-            await asyncio.sleep(service)
-        else:
-            # Real CPU spin, sliced so datagrams (polls!) are handled
-            # between slices — their replies contend with service work
-            # exactly as on the paper's hardware.
-            assert self._calibration is not None
-            remaining = service
-            while remaining > 0.0:
-                chunk = min(SLICE_SECONDS, remaining)
-                spin_for(chunk, self._calibration)
-                remaining -= chunk
-                await asyncio.sleep(0)
-        done = self.clock.now
+    def _spin(self, item: _Item) -> None:
+        """One slice of real CPU spin, then back to the loop — datagrams
+        (polls!) are handled between slices, so their replies contend
+        with service work exactly as on the paper's hardware."""
+        msg = item[0]
+        if msg["_left"] <= 0.0:
+            self._respond(item)
+            return
+        assert self._calibration is not None
+        chunk = min(SLICE_SECONDS, msg["_left"])
+        spin_for(chunk, self._calibration)
+        msg["_left"] -= chunk
+        self._in_service[msg["id"]] = self.clock.call_soon(self._spin, item)
+
+    def _respond(self, item: _Item) -> None:
+        msg, addr = item
+        start = msg["_start"]
         response = encode_message(
             "response",
             id=msg["id"],
@@ -333,7 +339,7 @@ class LiveServer(asyncio.DatagramProtocol):
             server=self.node_id,
             enq=msg["_enq"],
             start=start,
-            done=done,
+            done=self.clock.now,
         )
         self.completed_count += 1
         self._served[msg["id"]] = (msg["attempt"], response)
@@ -342,8 +348,12 @@ class LiveServer(asyncio.DatagramProtocol):
             for key in list(self._served)[:1024]:
                 del self._served[key]
         if self.overload is not None:
+            # Still counts the completing item (ServerNode has let it go).
             self.overload.observe_completion(_ServiceStamp(start), self.queue_length)
         self.send_datagram(response, addr)
+        del self._in_service[msg["id"]]
+        self._queued_ids.discard(msg["id"])
+        self._pump()
 
     def counters(self) -> Dict[str, float]:
         out: Dict[str, float] = {

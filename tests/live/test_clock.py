@@ -160,3 +160,20 @@ def test_wall_clock_explicit_origin_offsets_now():
         return clock.now
 
     assert _run(scenario()) >= 1.7e9
+
+
+def test_wall_clock_at_a_future_time_is_due_exactly_then():
+    """Regression: ``at`` turned the time into a delay from one clock
+    read and ``call_later`` read the clock again, so every timer landed
+    late by the gap between the two reads."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = WallClock(loop, origin=loop.time() - 5.0)
+        handle = clock.at(10.0, lambda: None)
+        when = handle._timer.when()
+        handle.cancel()
+        return clock.origin, when
+
+    origin, when = _run(scenario())
+    assert when == origin + 10.0
