@@ -445,8 +445,8 @@ def resilience_counters(
         recoveries.append(
             float((completions[straddling] - start).max()) if straddling.any() else 0.0
         )
-    # 0.0 (not NaN) when no events: these dicts are compared by value in
-    # the parity harness and regression tests, where NaN != NaN.
+    # 0.0 (not NaN) when no events: the golden archives and every
+    # result digest recorded so far hold 0.0 there.
     counters["recovery_mean_s"] = float(np.mean(recoveries)) if recoveries else 0.0
     counters["recovery_max_s"] = float(np.max(recoveries)) if recoveries else 0.0
     return counters

@@ -71,7 +71,6 @@ __all__, __getattr__, __dir__ = exports(
     "repro.experiments.overload:overload_scenario_spec",
     "repro.experiments.runner:parallel_sweep",
     "repro.experiments.parity:parity_suite",
-    "repro.experiments.regression",
     "repro.experiments.replication:replicate",
     "repro.experiments.chaos:resilience_scenario_spec",
     "repro.experiments.runner:run_simulation",

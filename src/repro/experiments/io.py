@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.experiments.config import SimulationConfig, field_values, json_default
 from repro.experiments.runner import SimulationResult
-from repro.telemetry.spans import ATTEMPT_FIELDS, SPAN_FIELDS
+from repro.telemetry.spans import AttemptRecord, RequestSpan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import TelemetryReport
@@ -138,7 +139,15 @@ def _load_record(where: str, record: object) -> SimulationResult:
 # telemetry exports (spans JSONL, series CSV, accounting JSON)
 # ----------------------------------------------------------------------
 
-_INT_SPAN_FIELDS = frozenset({"index", "client_id", "server_id", "retries", "rejects"})
+#: the JSON values a record field of each annotation loads from (a bool
+#: is no int here, though Python's ``isinstance`` says it is)
+_JSON_TYPES = {"int": int, "float": (int, float, type(None)), "str": str, "bool": bool}
+
+
+def _wrong_type(value: object, annotation: str) -> bool:
+    if isinstance(value, bool):
+        return annotation != "bool"
+    return not isinstance(value, _JSON_TYPES[annotation])
 
 
 def _nan_to_null(record: dict) -> dict:
@@ -150,41 +159,40 @@ def _nan_to_null(record: dict) -> dict:
 
 
 def _null_to_nan(record: dict) -> dict:
-    return {
-        key: (math.nan if value is None and key not in _INT_SPAN_FIELDS else value)
-        for key, value in record.items()
-    }
+    """``null`` back to ``nan`` (of the schema's fields, only a float
+    field may hold ``null``)."""
+    return {key: (math.nan if value is None else value) for key, value in record.items()}
 
 
 def save_spans_jsonl(spans: Sequence, path: str | Path) -> None:
     """Write request spans as JSONL: a schema header line, then one
     span object per line (``nan`` timestamps serialize as ``null``)."""
-    _save_jsonl(spans, path, "spans", SPAN_FIELDS)
+    _save_jsonl(spans, path, "spans", RequestSpan)
 
 
 def load_spans_jsonl(path: str | Path) -> list[dict]:
     """Reload (and validate) a span export written by
     :func:`save_spans_jsonl`; returns one dict per span."""
-    return _load_jsonl(path, "spans", SPAN_FIELDS, _SPAN_FIELDS_ADDED_V2)
+    return _load_jsonl(path, "spans", RequestSpan, _SPAN_FIELDS_ADDED_V2)
 
 
 def save_attempts_jsonl(attempts: Sequence, path: str | Path) -> None:
     """Write per-attempt dispatch records as JSONL (same layout contract
     as :func:`save_spans_jsonl`: schema header, then one record/line)."""
-    _save_jsonl(attempts, path, "attempts", ATTEMPT_FIELDS)
+    _save_jsonl(attempts, path, "attempts", AttemptRecord)
 
 
 def load_attempts_jsonl(path: str | Path) -> list[dict]:
     """Reload (and validate) an attempt export written by
     :func:`save_attempts_jsonl`; returns one dict per attempt."""
-    return _load_jsonl(path, "attempts", ATTEMPT_FIELDS, {})
+    return _load_jsonl(path, "attempts", AttemptRecord, {})
 
 
-def _save_jsonl(records: Sequence, path: str | Path, kind: str, fields) -> None:
+def _save_jsonl(records: Sequence, path: str | Path, kind: str, record_type) -> None:
     header = {
         "schema_version": TELEMETRY_SCHEMA_VERSION,
         "kind": f"repro.telemetry.{kind}",
-        "fields": list(fields),
+        "fields": [f.name for f in fields(record_type)],
     }
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(
@@ -193,15 +201,18 @@ def _save_jsonl(records: Sequence, path: str | Path, kind: str, fields) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _load_jsonl(path: str | Path, kind: str, fields, added_v2: dict) -> list[dict]:
-    """The records of a telemetry JSONL export of ``kind``; a record of
-    a v1 file gets the ``added_v2`` fields it lacks. A file that is no
-    such export raises ``ValueError`` naming ``path:line``."""
+def _load_jsonl(path: str | Path, kind: str, record_type, added_v2: dict) -> list[dict]:
+    """The records of a telemetry JSONL export of ``kind``, one
+    ``record_type`` each; a record of a v1 file gets the ``added_v2``
+    fields it lacks. A file that is no such export, or a field whose
+    value does not fit its ``record_type`` annotation, raises
+    ``ValueError`` naming ``path:line``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty {kind} file (expected a schema header line)")
     version = _header_version(path, _json_line(path, 1, lines[0]), kind)
-    required = set(fields) - (set(added_v2) if version < 2 else set())
+    annotations = {f.name: f.type for f in fields(record_type)}
+    required = set(annotations) - (set(added_v2) if version < 2 else set())
     out = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -216,6 +227,12 @@ def _load_jsonl(path: str | Path, kind: str, fields, added_v2: dict) -> list[dic
             raise ValueError(f"{path}:{lineno}: record missing field(s) {sorted(missing)}")
         if version < 2:
             record = {**added_v2, **record}
+        for name, annotation in annotations.items():
+            if _wrong_type(record[name], annotation):
+                raise ValueError(
+                    f"{path}:{lineno}: field {name!r} must be {annotation}, "
+                    f"got {record[name]!r}"
+                )
         out.append(_null_to_nan(record))
     return out
 

@@ -3,9 +3,11 @@
 The calendar queue (:mod:`repro.sim.calendar`) is only admissible as a
 performance knob if it is *invisible* in the numbers: every simulation
 must produce bit-identical metrics under either engine. This module
-runs a config suite under both engines and compares every result field
-(except the config itself, which legitimately differs in its ``engine``
-tag, and ``wall_seconds``, which is wall-clock noise).
+runs a config suite under both engines and compares each pair of
+results by :meth:`SimulationResult.digest` — every outcome field, so
+not the config (it differs in its ``engine`` tag) nor ``wall_seconds``
+(wall-clock noise). A mismatch is reported field by field from the same
+per-field encoding (:meth:`SimulationResult.outcome`).
 
 ``python -m repro parity`` runs the default suite — a miniature of the
 paper's Figure 3 / Figure 4 grids (broadcast-interval and poll-size
@@ -16,14 +18,13 @@ timeout path — and prints a pass/fail report; it is also asserted in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import SimulationResult, build_cluster, parallel_sweep
+from repro.experiments.runner import build_cluster, parallel_sweep
 
 __all__ = [
     "EngineParityReport",
@@ -36,14 +37,6 @@ __all__ = [
     "meanfield_check",
     "meanfield_suite",
 ]
-
-#: result fields that must match bit-for-bit across engines
-COMPARED_FIELDS = tuple(
-    f.name
-    for f in fields(SimulationResult)
-    if f.name not in ("config", "wall_seconds")
-)
-
 
 def parity_suite(
     n_requests: int = 1_200, seed: int = 0, n_servers: int = 8
@@ -250,7 +243,7 @@ class EngineParityReport:
         if self.ok:
             return (
                 f"engine parity: OK — {self.n_configs} configs bit-identical "
-                f"across heap and calendar ({len(COMPARED_FIELDS)} fields each)"
+                f"across heap and calendar (equal digests of every outcome field)"
             )
         lines = [
             f"engine parity: FAILED — {len(self.mismatches)} mismatching "
@@ -266,22 +259,13 @@ class EngineParityReport:
         return "\n".join(lines)
 
 
-def _values_equal(a: object, b: object) -> bool:
-    """Bit-identity with one carve-out: NaN matches NaN (a policy with
-    no polls reports ``mean_poll_time = nan`` under both engines)."""
-    if a == b:
-        return True
-    if isinstance(a, float) and isinstance(b, float):
-        return math.isnan(a) and math.isnan(b)
-    return False
-
-
 def engine_parity(
     configs: Optional[Sequence[SimulationConfig]] = None,
     parallel: bool = True,
     max_workers: Optional[int] = None,
 ) -> EngineParityReport:
-    """Run ``configs`` under both engines and compare field-for-field."""
+    """Run ``configs`` under both engines and compare their digests;
+    each mismatching outcome field is one entry of the report."""
     configs = list(configs) if configs is not None else parity_suite()
     heap_results = parallel_sweep(
         configs, parallel=parallel, max_workers=max_workers, engine="heap"
@@ -293,11 +277,14 @@ def engine_parity(
     for config, heap_result, calendar_result in zip(
         configs, heap_results, calendar_results
     ):
-        for name in COMPARED_FIELDS:
-            heap_value = getattr(heap_result, name)
-            calendar_value = getattr(calendar_result, name)
-            if not _values_equal(heap_value, calendar_value):
-                mismatches.append((config, name, heap_value, calendar_value))
+        if heap_result.digest() == calendar_result.digest():
+            continue
+        heap_fields, calendar_fields = heap_result.outcome(), calendar_result.outcome()
+        mismatches.extend(
+            (config, name, getattr(heap_result, name), getattr(calendar_result, name))
+            for name in heap_fields
+            if heap_fields[name] != calendar_fields[name]
+        )
     return EngineParityReport(n_configs=len(configs), mismatches=mismatches)
 
 

@@ -22,7 +22,12 @@ import numpy as np
 from repro import locate
 from repro.cluster.system import ClusterMetrics, ServiceCluster
 from repro.core.registry import make_policy
-from repro.experiments.config import SUBSYSTEMS, SimulationConfig
+from repro.experiments.config import (
+    SUBSYSTEMS,
+    SimulationConfig,
+    field_values,
+    json_default,
+)
 from repro.prototype.calibration import calibrate_full_load
 from repro.prototype.overhead import PrototypeOverheadModel
 from repro.workload.workloads import make_workload, request_stream
@@ -88,6 +93,34 @@ class SimulationResult:
     #: runs without telemetry; full spans/series live in the
     #: :class:`~repro.telemetry.TelemetryReport`, not here)
     telemetry_summary: dict[str, float] = field(default_factory=dict)
+
+    def outcome(self) -> dict[str, str]:
+        """Every field but ``config`` and ``wall_seconds`` as canonical
+        JSON, by name: what the run produced, not how it was asked for
+        or how long it took.
+
+        Stricter than ``==`` on purpose: ``-0.0`` and ``0.0``, or ``1``
+        and ``1.0``, encode differently, while NaN encodes as ``NaN``
+        and so matches NaN.
+        """
+        import json
+
+        return {
+            name: json.dumps(value, sort_keys=True, default=json_default)
+            for name, value in field_values(self).items()
+            if name not in ("config", "wall_seconds")
+        }
+
+    def digest(self) -> str:
+        """The one definition of "the same run": sha256 of
+        :meth:`outcome`. Two results with equal digests agree on every
+        outcome field, bit for bit."""
+        import hashlib
+        import json
+
+        return hashlib.sha256(
+            json.dumps(self.outcome(), sort_keys=True).encode()
+        ).hexdigest()
 
     @property
     def mean_response_time_ms(self) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -421,11 +422,12 @@ def _apply_schedule(cluster, injector, schedule, horizon: float) -> None:
             raise ValueError(f"unknown schedule event kind {kind!r}")
 
 
-def _fingerprint(cluster) -> tuple:
-    """Byte-exact run signature for the cross-engine divergence check."""
-    metrics = cluster.metrics
+def _fingerprint(result, metrics) -> tuple:
+    """Byte-exact run signature for the cross-engine divergence check:
+    the run's digest (every outcome field, counters included) and its
+    per-request outcome arrays."""
     return (
-        int(cluster.sim.events_executed),
+        result.digest(),
         metrics.response_time.tobytes(),
         metrics.server_id.tobytes(),
         metrics.retries.tobytes(),
@@ -436,11 +438,11 @@ def _fingerprint(cluster) -> tuple:
 def _execute(spec: dict[str, Any], engine: str):
     """Run the spec on one engine: ``(status, message, fingerprint)``."""
     from repro.cluster.failures import ChaosInjector
-    from repro.experiments.runner import build_cluster
+    from repro.experiments.runner import _summarize_run, build_cluster
 
     try:
         config = _config_from_spec(spec, engine)
-        cluster, _ = build_cluster(config)
+        cluster, nominal_rho = build_cluster(config)
     except Exception as exc:
         return ("error", f"build failed: {type(exc).__name__}: {exc}", None)
     injector = cluster.chaos if cluster.chaos is not None else ChaosInjector(cluster)
@@ -448,14 +450,14 @@ def _execute(spec: dict[str, Any], engine: str):
     horizon = float(cluster._arrival_times[-1])
     try:
         _apply_schedule(cluster, injector, spec.get("schedule", ()), horizon)
-        cluster.run()
+        result = _summarize_run(config, cluster, nominal_rho, time.perf_counter())
     except InvariantViolation as exc:
         return ("violation", str(exc), None)
     except SimulationError as exc:
         return ("deadlock", str(exc), None)
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}", None)
-    return ("ok", "", _fingerprint(cluster))
+    return ("ok", "", _fingerprint(result, cluster.metrics))
 
 
 def run_spec(
@@ -472,7 +474,7 @@ def run_spec(
         return CaseOutcome(
             status="divergence",
             message=(
-                "engines disagree on the per-request outcome arrays "
+                "engines disagree on the run digest or the per-request outcome arrays "
                 f"({' vs '.join(engines)})"
             ),
             engine="/".join(engines),

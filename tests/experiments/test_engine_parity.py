@@ -2,7 +2,7 @@
 
 This is the acceptance gate for the calendar queue: a miniature of the
 paper's fig3/fig4 config grids runs under both engines and every result
-field must be identical. Any divergence means the calendar queue
+digest (every outcome field) must be identical. Any divergence means the calendar queue
 reordered events — an automatic failure, however small the numeric
 difference.
 """
@@ -15,22 +15,6 @@ from repro.experiments import (
     parity_suite,
     run_simulation,
 )
-from repro.experiments.parity import COMPARED_FIELDS, _values_equal
-
-
-def test_compared_fields_cover_the_result():
-    assert "mean_response_time" in COMPARED_FIELDS
-    assert "events_executed" in COMPARED_FIELDS
-    assert "server_counts" in COMPARED_FIELDS
-    assert "config" not in COMPARED_FIELDS  # differs by engine tag
-    assert "wall_seconds" not in COMPARED_FIELDS  # wall-clock noise
-
-
-def test_values_equal_handles_nan():
-    assert _values_equal(float("nan"), float("nan"))
-    assert _values_equal(1.0, 1.0)
-    assert not _values_equal(1.0, float("nan"))
-    assert not _values_equal(1.0, 2.0)
 
 
 def test_parity_suite_shape():
@@ -55,8 +39,7 @@ def test_single_config_bit_identical():
     )
     heap = run_simulation(config.with_updates(engine="heap"))
     calendar = run_simulation(config.with_updates(engine="calendar"))
-    for name in COMPARED_FIELDS:
-        assert _values_equal(getattr(heap, name), getattr(calendar, name)), name
+    assert heap.digest() == calendar.digest()
 
 
 def test_hardened_reliability_config_bit_identical():
@@ -81,8 +64,7 @@ def test_hardened_reliability_config_bit_identical():
     # Exercised, not idle: hedge timers fired and breakers tripped.
     assert heap.chaos_counters["hedges_launched"] > 0
     assert heap.chaos_counters["breaker_opens"] > 0
-    for name in COMPARED_FIELDS:
-        assert _values_equal(getattr(heap, name), getattr(calendar, name)), name
+    assert heap.digest() == calendar.digest()
 
 
 @pytest.mark.parametrize("policy", ["jiq", "least_connections"])
@@ -96,8 +78,7 @@ def test_registry_extension_policies_bit_identical(policy):
     )
     heap = run_simulation(config.with_updates(engine="heap"))
     calendar = run_simulation(config.with_updates(engine="calendar"))
-    for name in COMPARED_FIELDS:
-        assert _values_equal(getattr(heap, name), getattr(calendar, name)), name
+    assert heap.digest() == calendar.digest()
 
 
 @pytest.mark.parametrize("policy", ["jiq", "least_connections"])
@@ -136,3 +117,26 @@ def test_report_renders_mismatches():
     assert not report.ok
     text = report.render()
     assert "FAILED" in text and "events_executed" in text
+
+
+def test_a_digest_mismatch_names_the_differing_fields(monkeypatch):
+    """``engine_parity`` compares digests; on a mismatch it names each
+    differing field from the same per-field encoding."""
+    import dataclasses
+
+    from repro.experiments import parity
+
+    sweep = parity.parallel_sweep
+
+    def skewed(configs, engine, **kwargs):
+        results = sweep(configs, engine=engine, **kwargs)
+        if engine == "heap":
+            return results
+        return [dataclasses.replace(r, stolen_cpu=-0.0, n_failed=r.n_failed + 1)
+                for r in results]
+
+    monkeypatch.setattr(parity, "parallel_sweep", skewed)
+    config = SimulationConfig(n_requests=200, n_servers=4, seed=2)
+    report = engine_parity([config], parallel=False)
+    assert [name for _, name, _, _ in report.mismatches] == ["n_failed", "stolen_cpu"]
+    assert "FAILED" in report.render() and "stolen_cpu" in report.render()

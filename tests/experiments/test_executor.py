@@ -1,7 +1,5 @@
 """Tests for the warm-pool SweepExecutor."""
 
-from dataclasses import fields
-
 import pytest
 
 from repro.experiments import (
@@ -10,7 +8,7 @@ from repro.experiments import (
     SweepExecutor,
     parallel_sweep,
 )
-from repro.experiments.runner import SimulationResult, auto_chunksize
+from repro.experiments.runner import auto_chunksize
 
 
 def small(**kwargs):
@@ -20,17 +18,6 @@ def small(**kwargs):
     )
     defaults.update(kwargs)
     return SimulationConfig(**defaults)
-
-
-#: every result field that must match bit-for-bit (wall_seconds is wall
-#: clock, config carries the engine tag)
-_VALUE_FIELDS = [f.name for f in fields(SimulationResult) if f.name != "wall_seconds"]
-
-
-def assert_same_values(a, b):
-    for name in _VALUE_FIELDS:
-        left, right = getattr(a, name), getattr(b, name)
-        assert left == right or (left != left and right != right), name
 
 
 # ----------------------------------------------------------------------
@@ -56,8 +43,9 @@ def test_executor_matches_parallel_sweep():
     expected = parallel_sweep(configs, parallel=False)
     with SweepExecutor(max_workers=2) as executor:
         got = executor.sweep(configs)
-    for a, b in zip(expected, got):
-        assert_same_values(a, b)
+    assert [(r.config, r.digest()) for r in got] == [
+        (r.config, r.digest()) for r in expected
+    ]
 
 
 def test_pool_stays_warm_across_sweeps():
@@ -69,8 +57,9 @@ def test_pool_stays_warm_across_sweeps():
         pool = executor._pool
         second = executor.sweep(configs)
         assert executor._pool is pool  # same processes, no respawn
-    for a, b in zip(first, second):
-        assert_same_values(a, b)
+    assert [(r.config, r.digest()) for r in second] == [
+        (r.config, r.digest()) for r in first
+    ]
     assert executor.stats.sweeps == 2
     assert executor.stats.configs_run == 6
 

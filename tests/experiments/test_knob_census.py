@@ -1,8 +1,8 @@
 """Every knob has a caller: the config surface is what the experiments vary.
 
 Builds every config the repository's own producers emit — the five
-builtin campaigns (quick and full), the parity suites, the fuzz sampler,
-the regression baseline and the benchmark suite's workloads — and reads
+builtin campaigns (quick and full), the parity suites, the fuzz sampler
+and the benchmark suite's workloads — and reads
 the config-dict literals of the examples, the benchmark harnesses and the
 docs' Python and spec examples. A ``param_keys`` knob that none of them
 ever sets runs at its default everywhere: it is a dimension no test or
@@ -25,7 +25,6 @@ import pytest
 
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig, param_keys
 from repro.experiments.parity import fastpath_suite, meanfield_suite, parity_suite
-from repro.experiments.regression import canonical_configs
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     ModeAxis,
@@ -103,7 +102,6 @@ def _built_configs():
     yield from parity_suite()
     yield from fastpath_suite()
     yield from meanfield_suite()
-    yield from canonical_configs()
     for case in range(100):  # the budget `make fuzz-smoke` runs
         yield SimulationConfig(**sample_case(0, case)["config"])
     yield from _suite_configs()

@@ -45,8 +45,6 @@ SRC = ROOT / "src"
 #: modules nothing under ``src/`` or ``benchmarks/suite/`` imports, and why
 #: each stays
 UNREACHED_ALLOWED = {
-    "repro.experiments.regression": "the only byte-level pin on paper-cell "
-    "numbers across six policy families x both models; tests compare against it",
     "repro.workload.weekly": "the paper's §2 peak-portion methodology",
     "repro.cluster.service": "Figure 1's partition/replica placement, run by "
     "examples/photo_album_cluster.py; ISSUE 18 decided it stays, as the seed "

@@ -11,7 +11,6 @@ import pytest
 
 from repro.experiments import SimulationConfig, run_simulation
 from repro.experiments.chaos import chaos_cluster_params
-from repro.experiments.parity import COMPARED_FIELDS, _values_equal
 
 CHAOS_PARAMS = {
     "loss": 0.08,
@@ -50,21 +49,14 @@ def chaos_config(policy, policy_params, engine="heap"):
 def test_chaos_run_is_bit_identical_across_engines(policy, policy_params):
     heap = run_simulation(chaos_config(policy, policy_params, engine="heap"))
     calendar = run_simulation(chaos_config(policy, policy_params, engine="calendar"))
-    for name in COMPARED_FIELDS:
-        assert _values_equal(getattr(heap, name), getattr(calendar, name)), (
-            f"{policy}: field {name!r} differs between engines: "
-            f"heap={getattr(heap, name)!r} calendar={getattr(calendar, name)!r}"
-        )
+    assert heap.digest() == calendar.digest(), policy
 
 
 @pytest.mark.parametrize("policy,policy_params", POLICIES)
 def test_chaos_run_is_repeatable(policy, policy_params):
     first = run_simulation(chaos_config(policy, policy_params))
     second = run_simulation(chaos_config(policy, policy_params))
-    for name in COMPARED_FIELDS:
-        assert _values_equal(getattr(first, name), getattr(second, name)), (
-            f"{policy}: field {name!r} differs between identical runs"
-        )
+    assert first.digest() == second.digest(), policy
 
 
 @pytest.mark.parametrize("policy,policy_params", POLICIES)

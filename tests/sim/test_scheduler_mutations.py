@@ -6,10 +6,11 @@ what that partner catches. Each mutation is seeded *here*, as a subclass
 of :class:`Simulator` / :class:`CalendarSimulator` swapped into
 ``ENGINES`` (``src/`` is untouched), and judged by:
 
-- **cross-engine**: ``result_fingerprint`` of four cluster cells on the
-  heap against the same cells on the calendar — ``repro parity`` and the
-  fuzzer's check; needs no stored fixture, so it works on any config;
-- **golden**: the heap's fingerprints of those cells against digests
+- **cross-engine**: ``SimulationResult.digest()`` of four cluster cells
+  on the heap against the same cells on the calendar — ``repro parity``
+  and the fuzzer's check; needs no stored fixture, so it works on any
+  config;
+- **golden**: the heap's digests of those cells against digests
   recorded from the clean heap — what a committed single-engine golden
   file holds;
 - **script**: a scheduler-level cross-engine firing order over bounded
@@ -19,7 +20,6 @@ of :class:`Simulator` / :class:`CalendarSimulator` swapped into
 detector's verdict on any mutation changes.
 """
 
-import hashlib
 import math
 import random
 from heapq import heappush
@@ -32,7 +32,6 @@ from repro.experiments.chaos import (
     hardened_reliability_params,
 )
 from repro.experiments.config import SimulationConfig
-from repro.experiments.parity import COMPARED_FIELDS
 from repro.experiments.runner import run_simulation
 from repro.sim import calendar
 from repro.sim.calendar import CalendarSimulator
@@ -172,17 +171,12 @@ EXPECTED = {
 # the detectors
 # ----------------------------------------------------------------------
 
-def result_fingerprint(result) -> str:
-    fields = [(name, getattr(result, name)) for name in COMPARED_FIELDS]
-    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
-
-
-def _fingerprints(engine: str) -> list[str]:
-    """One fingerprint per cell; a crashed run is its own fingerprint."""
+def _digests(engine: str) -> list[str]:
+    """One digest per cell; a crashed run is its own digest."""
     out = []
     for config in CELLS:
         try:
-            out.append(result_fingerprint(run_simulation(config.with_updates(engine=engine))))
+            out.append(run_simulation(config.with_updates(engine=engine)).digest())
         except Exception as err:  # a mutant may break the run outright
             out.append(f"raised {type(err).__name__}")
     return out
@@ -210,7 +204,7 @@ def _bounded_run_script(sim) -> list:
 
 @pytest.fixture(scope="module")
 def clean():
-    heap, cal = _fingerprints("heap"), _fingerprints("calendar")
+    heap, cal = _digests("heap"), _digests("calendar")
     assert heap == cal, "clean engines must agree before any mutant is judged"
     assert not any(f.startswith("raised") for f in heap)
     return heap
@@ -220,7 +214,7 @@ def clean():
 def test_detector_verdicts(name, clean, monkeypatch):
     for engine, mutant in MUTATIONS[name].items():
         monkeypatch.setitem(calendar.ENGINES, engine, mutant)
-    heap, cal = _fingerprints("heap"), _fingerprints("calendar")
+    heap, cal = _digests("heap"), _digests("calendar")
     script = _bounded_run_script(calendar.make_simulator("calendar"))
     verdict = (
         heap != cal,

@@ -338,6 +338,32 @@ def test_a_record_that_is_no_object_names_the_line(tmp_path, name, shape):
     _raises_at(_loader(name), path, 3)
 
 
+@pytest.mark.parametrize(
+    "name,field,value",
+    [
+        ("spans", "index", "x"),
+        ("spans", "server_id", [1]),
+        ("spans", "response_time", "slow"),
+        ("spans", "retries", True),
+        ("spans", "rejects", None),
+        ("spans", "staleness", False),
+        ("spans", "failed", 0),
+        ("attempts", "attempt", 1.0),
+        ("attempts", "kind", 5),
+        ("attempts", "t_dispatch", {}),
+    ],
+)
+def test_a_wrong_typed_field_names_the_line_and_the_field(tmp_path, name, field, value):
+    """Each field loads only from the JSON type of its annotation: an int
+    from an integer (not ``true``), a float from a number or ``null``, a
+    str from a string, a bool from ``true``/``false``."""
+    path = _export(tmp_path) / f"{name}.jsonl"
+    record = json.loads(path.read_text().splitlines()[2])
+    _replace_line(path, 3, json.dumps({**record, field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: field {field!r}"):
+        _loader(name)(path)
+
+
 def test_a_series_with_only_the_header_comment_names_the_line(tmp_path):
     path = _export(tmp_path) / "series.csv"
     path.write_text(path.read_text().splitlines()[0] + "\n")
@@ -413,18 +439,26 @@ _JUNK_JSON = st.recursive(
 )
 
 
+#: a value of each JSON type, for a field whose annotation wants another
+_ANY_TYPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.floats(allow_nan=False),
+    st.text(max_size=4), st.just([1]), st.just({}),
+)
+
+
 @st.composite
 def _mutated_line(draw, text):
-    """One line of a JSONL export, with one key replaced or deleted, or
-    the whole line replaced by JSON-shaped or raw junk."""
+    """One line of a JSONL export, with one key replaced (by junk or by a
+    value of some JSON type) or deleted, or the whole line replaced by
+    JSON-shaped or raw junk."""
     document = json.loads(text)
-    choice = draw(st.sampled_from(["key", "delete", "json", "raw"]))
-    if choice in ("key", "delete") and isinstance(document, dict) and document:
+    choice = draw(st.sampled_from(["key", "retype", "delete", "json", "raw"]))
+    if choice in ("key", "retype", "delete") and isinstance(document, dict) and document:
         key = draw(st.sampled_from(sorted(document)))
         if choice == "delete":
             del document[key]
         else:
-            document[key] = draw(_JUNK_JSON)
+            document[key] = draw(_JUNK_JSON if choice == "key" else _ANY_TYPED)
         return json.dumps(document)
     if choice == "raw":
         return draw(st.text(max_size=12))
@@ -467,4 +501,22 @@ def test_junk_telemetry_loads_and_round_trips_or_raises_value_error(
         loaded = _loader(name)(path)
     except ValueError:
         return
+    if name != "series":
+        _assert_well_typed(name, loaded)
     _round_trips(name, path, loaded)
+
+
+def _assert_well_typed(name, records):
+    """Every loaded field holds its annotation's type (``nan`` where a
+    float field was ``null``)."""
+    from dataclasses import fields
+
+    from repro.telemetry import AttemptRecord
+
+    accepted = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+    record_type = RequestSpan if name == "spans" else AttemptRecord
+    for record in records:
+        for f in fields(record_type):
+            value = record[f.name]
+            assert isinstance(value, accepted[f.type]), (f.name, value)
+            assert f.type == "bool" or not isinstance(value, bool), (f.name, value)

@@ -52,9 +52,10 @@ _NOT_ON_A_DEFAULT_RUN = {
       ("failures", "reliability", "overload", "dispatcher", "autoscaler")),
     "repro.net.faults", "repro.telemetry", "repro.verify", "repro.live",
     *(f"repro.experiments.{name}" for name in
-      ("scenario", "parity", "figures", "executor", "replication", "regression")),
+      ("scenario", "parity", "figures", "executor", "replication")),
     "repro.workload.replay",
     "concurrent.futures", "multiprocessing", "socket", "asyncio",
+    "json",  # SimulationResult.digest() imports it when called
 }
 
 

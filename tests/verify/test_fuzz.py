@@ -179,6 +179,40 @@ def test_run_spec_is_deterministic():
     assert first.status == "ok", first
 
 
+@pytest.mark.parametrize(
+    "field,key",
+    [
+        ("message_counts", "poll"),
+        ("policy_counters", "polls_sent"),
+        ("chaos_counters", "messages_lost"),
+    ],
+)
+def test_a_divergence_only_in_counters_is_caught(monkeypatch, field, key):
+    """The per-request arrays agree across engines; one counter of the
+    calendar run does not. The run digest is part of the fingerprint,
+    so the fuzzer reports a divergence."""
+    import dataclasses
+
+    from repro.experiments import runner
+
+    summarize = runner._summarize_run
+
+    def skewed(config, *args):
+        result = summarize(config, *args)
+        if config.engine != "calendar":
+            return result
+        counters = getattr(result, field)
+        counters = {**counters, key: counters.get(key, 0) + 1}
+        return dataclasses.replace(result, **{field: counters})
+
+    monkeypatch.setattr(runner, "_summarize_run", skewed)
+    spec = fuzz.sample_case(0, 1)
+    spec["config"]["n_requests"] = 80
+    outcome = fuzz.run_spec(spec)
+    assert outcome.status == "divergence", outcome
+    assert "run digest" in outcome.message
+
+
 def test_outcome_signature_extracts_category():
     outcome = fuzz.CaseOutcome(
         status="violation",
