@@ -47,13 +47,14 @@ telemetry-smoke:
 chaos-smoke resilience-smoke overload-smoke autoscale-smoke: %-smoke:
 	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro $* --quick --seed 0
 
-# Quick composed scenario (<60s): validates every builtin spec, then
+# Quick composed scenario (<60s): validates every builtin spec (the
+# extension campaigns and the paper's figures), then
 # runs the trimmed composed grid — chaos + hardened reliability +
 # overload control + one trace-replay workload across two cluster
 # scales, twice: the second invocation must be served entirely from the
 # result cache with bit-identical output (benchmarks/cache_rerun.py).
 scenario-smoke:
-	for spec in composed chaos resilience overload autoscale; do \
+	for spec in composed chaos resilience overload autoscale fig3 fig4 fig6 table2 messages; do \
 		$(PYTHON) -m repro scenario --spec $$spec --quick --validate || exit 1; done
 	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro scenario --quick --seed 0
 

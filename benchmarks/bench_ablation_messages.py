@@ -7,21 +7,21 @@ cost per request is constant.
 """
 
 from benchmarks.conftest import run_once, scaled
-from repro.experiments.figures import message_scaling_section24
+from repro.experiments.figures import message_scaling_spec
 
 
 def test_message_scaling(benchmark, report):
-    data = run_once(
+    figure = run_once(
         benchmark,
-        lambda: message_scaling_section24(
+        lambda: message_scaling_spec(
             client_counts=(2, 4, 6),
             n_requests=scaled(10_000),
             seed=0,
-        ),
+        ).run(),
     )
-    report("ablation_messages", data.render())
+    report("ablation_messages", figure.render())
 
-    rows = {(r["n_clients"], r["policy"]): r for r in data.table.rows}
+    rows = {(r["n_clients"], r["policy"]): r for r in figure.table.rows}
     broadcast_2 = rows[(2, "broadcast")]["control_messages_per_request"]
     broadcast_6 = rows[(6, "broadcast")]["control_messages_per_request"]
     polling_2 = rows[(2, "polling")]["control_messages_per_request"]

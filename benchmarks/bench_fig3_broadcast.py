@@ -8,27 +8,27 @@ IDEAL.
 """
 
 from benchmarks.conftest import run_once, scaled
-from repro.experiments.figures import figure3_broadcast
+from repro.experiments.figures import figure3_spec
 from repro.experiments.report import ascii_chart, format_series
 
 INTERVALS = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
 
 def test_fig3(benchmark, report):
-    data = run_once(
+    figure = run_once(
         benchmark,
-        lambda: figure3_broadcast(
+        lambda: figure3_spec(
             intervals=INTERVALS,
             n_requests=scaled(15_000),
             seed=0,
-        ),
+        ).run(),
     )
     sections = []
     for load in (0.9, 0.5):
         series = {}
-        for workload in dict.fromkeys(data.table.column("workload")):
+        for workload in dict.fromkeys(figure.table.column("workload")):
             rows = [
-                r for r in data.table.rows
+                r for r in figure.table.rows
                 if r["load"] == load and r["workload"] == workload
             ]
             series[workload] = [r["normalized_to_ideal"] for r in rows]
@@ -44,7 +44,7 @@ def test_fig3(benchmark, report):
     report("fig3_broadcast", "== Figure 3 ==\n" + "\n\n".join(sections))
 
     def norm(load, workload, interval):
-        for r in data.table.rows:
+        for r in figure.table.rows:
             if (
                 r["load"] == load
                 and r["workload"] == workload

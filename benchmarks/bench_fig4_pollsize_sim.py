@@ -7,28 +7,28 @@ simulation has no polling overhead).
 """
 
 from benchmarks.conftest import run_once, scaled
-from repro.experiments.figures import figure4_pollsize
+from repro.experiments.figures import figure4_spec
 from repro.experiments.report import ascii_chart, format_series
 
 LOADS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def test_fig4(benchmark, report):
-    data = run_once(
+    figure = run_once(
         benchmark,
-        lambda: figure4_pollsize(
+        lambda: figure4_spec(
             loads=LOADS,
             n_requests=scaled(20_000),
             seed=0,
             model="simulation",
-        ),
+        ).run(),
     )
     sections = []
-    for workload in dict.fromkeys(data.table.column("workload")):
+    for workload in dict.fromkeys(figure.table.column("workload")):
         series = {}
         for policy in ("random", "poll-2", "poll-3", "poll-4", "poll-8", "ideal"):
             rows = [
-                r for r in data.table.rows
+                r for r in figure.table.rows
                 if r["workload"] == workload and r["policy"] == policy
             ]
             series[policy] = [r["response_ms"] for r in rows]
@@ -42,7 +42,7 @@ def test_fig4(benchmark, report):
     report("fig4_pollsize_sim", "== Figure 4 (simulation) ==\n" + "\n\n".join(sections))
 
     def response(workload, load, policy):
-        for r in data.table.rows:
+        for r in figure.table.rows:
             if (r["workload"], r["load"], r["policy"]) == (workload, load, policy):
                 return r["response_ms"]
         raise KeyError((workload, load, policy))

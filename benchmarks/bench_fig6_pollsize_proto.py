@@ -9,27 +9,27 @@ full-load point leaves no CPU headroom.
 """
 
 from benchmarks.conftest import run_once, scaled
-from repro.experiments.figures import figure6_pollsize
+from repro.experiments.figures import figure6_spec
 from repro.experiments.report import ascii_chart, format_series
 
 LOADS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def test_fig6(benchmark, report):
-    data = run_once(
+    figure = run_once(
         benchmark,
-        lambda: figure6_pollsize(
+        lambda: figure6_spec(
             loads=LOADS,
             n_requests=scaled(15_000),
             seed=0,
-        ),
+        ).run(),
     )
     sections = []
-    for workload in dict.fromkeys(data.table.column("workload")):
+    for workload in dict.fromkeys(figure.table.column("workload")):
         series = {}
         for policy in ("random", "poll-2", "poll-3", "poll-4", "poll-8", "ideal"):
             rows = [
-                r for r in data.table.rows
+                r for r in figure.table.rows
                 if r["workload"] == workload and r["policy"] == policy
             ]
             series[policy] = [r["response_ms"] for r in rows]
@@ -45,7 +45,7 @@ def test_fig6(benchmark, report):
     )
 
     def response(workload, load, policy):
-        for r in data.table.rows:
+        for r in figure.table.rows:
             if (r["workload"], r["load"], r["policy"]) == (workload, load, policy):
                 return r["response_ms"]
         raise KeyError((workload, load, policy))

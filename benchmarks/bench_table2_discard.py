@@ -10,17 +10,17 @@ drops by more than half — is asserted below.
 """
 
 from benchmarks.conftest import run_once, scaled
-from repro.experiments.figures import table2_discard
+from repro.experiments.figures import table2_spec
 
 
 def test_table2(benchmark, report):
-    data = run_once(
+    figure = run_once(
         benchmark,
-        lambda: table2_discard(n_requests=scaled(25_000, minimum=12_000), seed=0),
+        lambda: table2_spec(n_requests=scaled(25_000, minimum=12_000), seed=0).run(),
     )
-    report("table2_discard", data.render())
+    report("table2_discard", figure.render())
 
-    rows = {row["workload"]: row for row in data.table.rows}
+    rows = {row["workload"]: row for row in figure.table.rows}
     fine = rows["fine_grain"]
     medium = rows["medium_grain"]
     poisson = rows["poisson_exp"]

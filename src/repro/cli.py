@@ -31,10 +31,12 @@ Figures print the same series the paper plots; ``--requests`` trades
 precision for speed (defaults are publication-sized), ``--quick`` picks
 the row's smoke-test size.
 
-Every campaign is one code path: ``chaos``, ``resilience``,
-``overload`` and ``autoscale`` are aliases of ``scenario --spec <name>``
-(builtin specs in :data:`repro.experiments.scenario.BUILTIN_SCENARIOS`)
-and take its flag group, :data:`_CAMPAIGN`, as spec files do.
+Every sweep is one code path: the paper's ``fig3``, ``fig4``, ``fig6``,
+``table2`` and ``messages``, and the ``chaos``, ``resilience``,
+``overload`` and ``autoscale`` campaigns, are aliases of ``scenario
+--spec <name>`` (builtin specs in
+:data:`repro.experiments.scenario.BUILTIN_SCENARIOS`) and take its flag
+group, :data:`_CAMPAIGN`, as spec files do.
 
 Sweep commands memoize results in a persistent on-disk cache (default
 ``.repro-cache/``, or ``$REPRO_CACHE_DIR``; see
@@ -49,7 +51,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.registry import available_policies
@@ -123,17 +124,6 @@ def _fig2(args) -> str:
     return data.render() + f"\nEq.1 upper bounds (Poisson/Exp): {bounds}"
 
 
-def _sweep_figure(driver: str, args) -> str:
-    """fig3, fig4, fig6, table2, messages: one sweep of the ``figures``
-    driver so named, one rendered table."""
-    from repro.experiments import figures
-
-    return getattr(figures, driver)(
-        n_requests=args.requests, seed=args.seed, parallel=not args.serial,
-        cache=args.result_cache, engine=args.engine,
-    ).render()
-
-
 def _profile(args) -> str:
     from repro.experiments import figures
 
@@ -182,9 +172,11 @@ def _compare(args) -> str:
 
 def _scenario(args) -> str:
     """Every campaign: resolve a spec (builtin name or file), expand
-    it, run it, print its report. The ``chaos|resilience|overload|
-    autoscale`` rows pin ``spec`` to their own name; bare ``repro
-    scenario`` runs the ``composed`` builtin."""
+    it, run it, print its report. The alias rows (the paper's sweeps
+    and the extension campaigns) pin ``spec`` to their own name; bare
+    ``repro scenario`` runs the ``composed`` builtin."""
+    from dataclasses import replace
+
     from repro.experiments.scenario import (
         BUILTIN_SCENARIOS,
         ScenarioError,
@@ -215,7 +207,10 @@ def _scenario(args) -> str:
                 )
                 raise SystemExit(2)
             spec = load_spec(ref)
-        # Expansion validates every axis; --validate stops here.
+        if args.engine:
+            spec = replace(spec, engine=args.engine)
+        # Expansion validates every axis, for the engine that will run
+        # them; --validate stops here.
         cells = spec.expand()
     except ScenarioError as error:
         raise SystemExit(f"scenario validation FAILED: {error}")
@@ -235,7 +230,6 @@ def _scenario(args) -> str:
         archive=args.export_dir,
         verify=args.oracle,
         cache=args.result_cache,
-        engine=args.engine,
     )
     return report.render()
 
@@ -531,8 +525,9 @@ _FLAGS: dict[str, dict[str, Any]] = {
                             "accounting.json) to this directory"),
     "spec": dict(metavar="NAME_OR_PATH",
                  help="a builtin name (composed, chaos, resilience, overload, "
-                      "autoscale; default: composed) or a .json/.yaml spec "
-                      "file, which carries its own seed and size"),
+                      "autoscale, fig3, fig4, fig6, table2, messages; default: "
+                      "composed) or a .json/.yaml spec file, which carries its "
+                      "own seed and size"),
     "validate": dict(action="store_true",
                      help="expand and validate the spec without running it "
                           "(exits nonzero naming the offending axis)"),
@@ -589,11 +584,12 @@ class _Command(NamedTuple):
     pinned: Mapping[str, Any] = {}
 
 
-#: the process-pool sweep through the result cache; ``main`` builds a
-#: ``ResultCache`` for the rows that take ``no_cache``, and no other
-_SWEEP = ("seed", "serial", "engine", "cache_dir", "no_cache")
-#: what ``scenario`` and its four aliases share, so they cannot drift
-_CAMPAIGN = (*_SWEEP, "validate", "oracle", "export_dir")
+#: what ``scenario`` and its aliases share, so they cannot drift: the
+#: process-pool sweep through the result cache (``main`` builds a
+#: ``ResultCache`` for the rows that take ``no_cache``, and no other)
+#: plus validation, the oracle and the archive
+_CAMPAIGN = ("seed", "serial", "engine", "cache_dir", "no_cache",
+             "validate", "oracle", "export_dir")
 _CAMPAIGN_OVERRIDES = {
     # None tells "given" from the default: a spec file has its own seed
     "seed": dict(default=None, help="seed of a builtin spec (default: 0)"),
@@ -601,43 +597,41 @@ _CAMPAIGN_OVERRIDES = {
 }
 
 
+def _aliases(*rows: tuple[str, str, int]) -> dict[str, _Command]:
+    """Rows aliasing ``scenario --spec <name>``, one per ``(name, help,
+    --quick size)``: the spec is pinned, not taken, and a builtin's own
+    default is its publication size."""
+    return {
+        name: _Command(_scenario, help, _CAMPAIGN, (quick_requests, None),
+                       _CAMPAIGN_OVERRIDES, pinned={"spec": name})
+        for name, help, quick_requests in rows
+    }
+
+
 _COMMANDS: dict[str, _Command] = {
     "table1": _Command(_table1, "Table 1: trace statistics", ("seed",)),
     "fig2": _Command(_fig2, "Figure 2: load-index inaccuracy vs delay",
                      ("seed",), (30_000, 300_000)),
-    "fig3": _Command(partial(_sweep_figure, "figure3_broadcast"),
-                     "Figure 3: broadcast frequency sweep",
-                     _SWEEP, (2_000, 20_000)),
-    "fig4": _Command(partial(_sweep_figure, "figure4_pollsize"),
-                     "Figure 4: poll size (simulation model)",
-                     _SWEEP, (2_000, 20_000)),
-    "fig6": _Command(partial(_sweep_figure, "figure6_pollsize"),
-                     "Figure 6: poll size (prototype model)",
-                     _SWEEP, (2_000, 15_000)),
-    "table2": _Command(partial(_sweep_figure, "table2_discard"),
-                       "Table 2: discarding slow-responding polls",
-                       _SWEEP, (3_000, 25_000)),
+    **_aliases(
+        ("fig3", "Figure 3: broadcast frequency sweep", 2_000),
+        ("fig4", "Figure 4: poll size (simulation model)", 2_000),
+        ("fig6", "Figure 6: poll size (prototype model)", 2_000),
+        ("table2", "Table 2: discarding slow-responding polls", 3_000),
+    ),
     "profile": _Command(_profile, "§3.2 slow-poll profile",
                         ("seed",), (3_000, 25_000)),
-    "messages": _Command(partial(_sweep_figure, "message_scaling_section24"),
-                         "§2.4 message scaling ablation",
-                         _SWEEP, (2_000, 10_000)),
+    **_aliases(("messages", "§2.4 message scaling ablation", 2_000)),
     "compare": _Command(_compare, "policy comparison with confidence intervals",
                         ("seed", "serial", "engine", "workload", "load",
                          "replications"), (600, 8_000)),
     "parity": _Command(_parity, "heap vs calendar engine determinism check",
                        ("seed", "serial"), (800, 1_200)),
-    # aliases of `scenario --spec <name>`: the flag is pinned, not taken
-    **{
-        name: _Command(_scenario, help, _CAMPAIGN, (quick_requests, None),
-                       _CAMPAIGN_OVERRIDES, pinned={"spec": name})
-        for name, help, quick_requests in (
-            ("chaos", "chaos campaign: resilience under injected faults", 600),
-            ("resilience", "naive vs hardened reliability layer under chaos", 600),
-            ("overload", "overload campaign: goodput past saturation", 600),
-            ("autoscale", "autoscale campaign: goodput vs provisioning cost", 500),
-        )
-    },
+    **_aliases(
+        ("chaos", "chaos campaign: resilience under injected faults", 600),
+        ("resilience", "naive vs hardened reliability layer under chaos", 600),
+        ("overload", "overload campaign: goodput past saturation", 600),
+        ("autoscale", "autoscale campaign: goodput vs provisioning cost", 500),
+    ),
     "scenario": _Command(_scenario,
                          "declarative scenario composition (spec file or builtin)",
                          ("spec", *_CAMPAIGN), (400, None), _CAMPAIGN_OVERRIDES),

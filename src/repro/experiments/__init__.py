@@ -1,27 +1,27 @@
-"""Experiment harness: configs, runners, result tables, figure drivers.
+"""Experiment harness: configs, runners, result tables, scenario specs.
 
-The benches under ``benchmarks/`` are thin wrappers over
-:mod:`~repro.experiments.figures`, which regenerates every table and
-figure of the paper's evaluation:
-
-- :func:`~repro.experiments.figures.table1_traces`
-- :func:`~repro.experiments.figures.figure2_inaccuracy`
-- :func:`~repro.experiments.figures.figure3_broadcast`
-- :func:`~repro.experiments.figures.figure4_pollsize` (simulation model)
-- :func:`~repro.experiments.figures.figure6_pollsize` (prototype model)
-- :func:`~repro.experiments.figures.table2_discard`
-- :func:`~repro.experiments.figures.poll_profile_section32`
-- :func:`~repro.experiments.figures.message_scaling_section24`
-
-Everything past the paper — chaos, resilience, overload, autoscale, the
-composed grid, spec files — is a :class:`ScenarioSpec`: a builder
-(:func:`chaos_scenario_spec`, :func:`resilience_scenario_spec`,
+Every sweep is a :class:`ScenarioSpec`: a builder returns the grid plus
+its :class:`ReportLayout`, and ``spec.run(...)`` is the one way to
+execute it and get the one :class:`ScenarioReport`. The builtins, named
+as ``repro scenario --spec`` accepts them and resolved by
+:func:`builtin_spec`, are the paper's sweeps —
+:func:`~repro.experiments.figures.figure3_spec` (``fig3``),
+:func:`~repro.experiments.figures.figure4_spec` (``fig4``, simulation
+model), :func:`~repro.experiments.figures.figure6_spec` (``fig6``,
+prototype model), :func:`~repro.experiments.figures.table2_spec`
+(``table2``), :func:`~repro.experiments.figures.message_scaling_spec`
+(``messages``) — and everything past the paper:
+:func:`chaos_scenario_spec`, :func:`resilience_scenario_spec`,
 :func:`overload_scenario_spec`,
-:func:`~repro.experiments.autoscale.autoscale_scenario_spec`,
-:func:`composed_spec`, or :func:`load_spec`) returns the grid plus its
-:class:`ReportLayout`, and ``spec.run(...)`` is the one way to execute
-it and get the one :class:`ScenarioReport`. :func:`builtin_spec`
-resolves the names ``repro scenario --spec`` accepts.
+:func:`~repro.experiments.autoscale.autoscale_scenario_spec` and
+:func:`composed_spec`; :func:`load_spec` reads a spec file.
+
+What is not a sweep stays a function in
+:mod:`~repro.experiments.figures`:
+:func:`~repro.experiments.figures.table1_traces`,
+:func:`~repro.experiments.figures.figure2_inaccuracy` and
+:func:`~repro.experiments.figures.poll_profile_section32`. The benches
+under ``benchmarks/`` are thin wrappers over all of them.
 """
 
 from repro import exports

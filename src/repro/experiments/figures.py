@@ -1,16 +1,26 @@
-"""Drivers regenerating every table and figure of the paper.
+"""Every table and figure of the paper.
 
-Each driver returns a :class:`FigureData` whose ``table`` holds the
-series the paper plots and whose ``render()`` prints them. The
-benchmarks call these with default (publication) sizes; tests call them
-with small ``n_requests`` for speed — the *shape* claims are asserted
-in ``tests/experiments/`` and ``benchmarks/``.
+The paper's four sweeps are builtin scenarios
+(:data:`~repro.experiments.scenario.BUILTIN_SCENARIOS`), each a spec
+builder plus a :class:`~repro.experiments.scenario.ReportLayout`:
+:func:`figure3_spec` (``fig3``), :func:`figure4_spec` (``fig4``),
+:func:`figure6_spec` (``fig6``), :func:`table2_spec` (``table2``) and
+:func:`message_scaling_spec` (``messages``). ``spec.run(...)`` runs one
+like any campaign — result cache, process pool, ``--oracle``, archive —
+and its report renders the paper's table.
+
+What is not a sweep stays a function returning a :class:`FigureData`:
+Table 1's trace statistics, Figure 2's inaccuracy curve, and the §3.2
+poll profile. The benchmarks call all of them with default
+(publication) sizes; tests with small ``n_requests`` for speed — the
+*shape* claims are asserted in ``tests/experiments/`` and
+``benchmarks/``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -22,11 +32,15 @@ from repro.analysis.inaccuracy import (
 )
 from repro.experiments.config import SimulationConfig
 from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    SimulationResult,
-    full_load_rho_for,
-    parallel_sweep,
-    run_simulation,
+from repro.experiments.runner import SimulationResult, prepare_configs
+from repro.experiments.scenario import (
+    PolicyAxis,
+    ReportLayout,
+    ScaleAxis,
+    ScenarioSpec,
+    WorkloadAxis,
+    axis,
+    mean_ms,
 )
 from repro.prototype.profiling import PollProfile, profile_poll_delays
 from repro.sim.rng import RngHub
@@ -38,16 +52,20 @@ from repro.workload.synthesis import (
 from repro.workload.workloads import make_workload
 
 __all__ = [
+    "FIGURE3_LAYOUT",
+    "FIGURE4_LAYOUT",
     "FigureData",
+    "MESSAGES_LAYOUT",
     "PAPER_WORKLOADS",
+    "TABLE2_LAYOUT",
     "figure2_inaccuracy",
-    "figure3_broadcast",
-    "figure4_pollsize",
-    "figure6_pollsize",
-    "message_scaling_section24",
+    "figure3_spec",
+    "figure4_spec",
+    "figure6_spec",
+    "message_scaling_spec",
     "poll_profile_section32",
     "table1_traces",
-    "table2_discard",
+    "table2_spec",
 ]
 
 #: the paper's three evaluation workloads, in its panel order (A, B, C)
@@ -150,80 +168,91 @@ def figure2_inaccuracy(
 
 
 # ----------------------------------------------------------------------
-# Figure 3
+# the paper's sweeps: builtin scenarios (Fig. 3, Figs. 4/6, Table 2, §2.4)
 # ----------------------------------------------------------------------
+# Each is a layout (columns, base cells, row order) and a builder that
+# titles it for the run.
 
-def figure3_broadcast(
+def _workloads(names: Sequence[str]) -> tuple[WorkloadAxis, ...]:
+    return tuple(WorkloadAxis(name, name) for name in names)
+
+
+def _figure_spec(name: str, layout: ReportLayout, title: str, **axes: Any) -> ScenarioSpec:
+    """A paper figure's grid under ``layout`` with this run's ``title``.
+    Figure cells carry no label: the label is part of a cell's cache key,
+    and unlabelled keys are the ones existing result caches hold."""
+    layout = replace(layout, title=title)
+    return ScenarioSpec(name=name, label_format="", layout=layout, **axes)
+
+
+def _interval_ms(cell, result, base) -> float:
+    return result.config.policy_params["mean_interval"] * 1e3
+
+
+def _normalized(cell, result, base) -> float:
+    return result.mean_response_time / base.mean_response_time
+
+
+#: Fig. 3's table: every broadcast cell over the ``ideal`` cell (the
+#: first policy) of its workload and load
+FIGURE3_LAYOUT = ReportLayout(
+    columns=(
+        ("load", axis("load")),
+        ("workload", axis("workload")),
+        ("interval_ms", _interval_ms),
+        ("response_ms", mean_ms),
+        ("normalized_to_ideal", _normalized),
+    ),
+    base_axis="policy",
+    show_base_rows=False,
+    row_order=("load", "workload", "policy"),
+)
+
+
+def figure3_spec(
     intervals: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
     loads: Sequence[float] = (0.9, 0.5),
     workloads: Sequence[str] = PAPER_WORKLOADS,
     n_requests: int = 20_000,
     n_servers: int = 16,
     seed: int = 0,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-) -> FigureData:
+) -> ScenarioSpec:
     """Figure 3: broadcast policy, response time normalized to IDEAL.
 
     16 servers; Poisson/Exp uses the paper's 50 ms mean service time.
-    ``cache``/``engine`` pass through to :func:`parallel_sweep`.
     """
-    configs: list[SimulationConfig] = []
-    keys: list[tuple] = []
-    for load in loads:
-        for name in workloads:
-            base = SimulationConfig(
-                workload=name,
-                load=load,
-                n_servers=n_servers,
-                n_requests=n_requests,
-                seed=seed,
-                model="simulation",
-            )
-            configs.append(base.with_updates(policy="ideal"))
-            keys.append((load, name, "ideal"))
-            for interval in intervals:
-                configs.append(
-                    base.with_updates(
-                        policy="broadcast",
-                        policy_params={"mean_interval": float(interval)},
-                    )
-                )
-                keys.append((load, name, interval))
-    results = parallel_sweep(
-        configs, max_workers=max_workers, parallel=parallel, cache=cache, engine=engine
+    policies = (PolicyAxis("ideal", "ideal"),) + tuple(
+        PolicyAxis(f"broadcast-{interval * 1e3:g}ms", "broadcast",
+                   {"mean_interval": float(interval)})
+        for interval in intervals
     )
-    by_key = dict(zip(keys, results))
-    table = ResultTable(
-        ["load", "workload", "interval_ms", "response_ms", "normalized_to_ideal"]
-    )
-    for load in loads:
-        for name in workloads:
-            ideal = by_key[(load, name, "ideal")]
-            for interval in intervals:
-                result = by_key[(load, name, interval)]
-                table.add(
-                    load=load,
-                    workload=name,
-                    interval_ms=float(interval) * 1e3,
-                    response_ms=result.mean_response_time_ms,
-                    normalized_to_ideal=result.mean_response_time
-                    / ideal.mean_response_time,
-                )
-    return FigureData(
-        "Figure 3: impact of broadcast frequency (16 servers)",
-        table,
-        extras={"ideal": {(l, w): by_key[(l, w, "ideal")] for l in loads for w in workloads}},
+    return _figure_spec(
+        "fig3", FIGURE3_LAYOUT,
+        f"Figure 3: impact of broadcast frequency ({n_servers} servers)",
+        policies=policies, workloads=_workloads(workloads), loads=loads,
+        n_servers=n_servers, n_requests=n_requests, seed=seed,
+        config_overrides={"model": "simulation"},
     )
 
 
-# ----------------------------------------------------------------------
-# Figures 4 and 6
-# ----------------------------------------------------------------------
+def _poll_ms(cell, result, base) -> float:
+    return result.mean_poll_time_ms
 
-def figure4_pollsize(
+
+#: Figs. 4 and 6: one row per (workload, load, policy) cell
+FIGURE4_LAYOUT = ReportLayout(
+    columns=(
+        ("workload", axis("workload")),
+        ("load", axis("load")),
+        ("policy", axis("policy")),
+        ("response_ms", mean_ms),
+        ("poll_ms", _poll_ms),
+    ),
+    row_order=("workload", "load", "policy"),
+)
+
+
+def figure4_spec(
     loads: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 0.9),
     workloads: Sequence[str] = PAPER_WORKLOADS,
     poll_sizes: Sequence[int] = (2, 3, 4, 8),
@@ -231,85 +260,68 @@ def figure4_pollsize(
     n_servers: int = 16,
     seed: int = 0,
     model: str = "simulation",
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-) -> FigureData:
+) -> ScenarioSpec:
     """Figure 4 (simulation) / Figure 6 (prototype): impact of poll size.
 
     Policies: random, polling with each poll size, and the ideal
     baseline — the free oracle in the simulation model, the centralized
     load-index manager in the prototype model (exactly as in the paper).
+    A prototype cell's ``full_load_rho`` is calibrated per workload by
+    the sweep (:func:`~repro.experiments.runner.prepare_configs`).
     """
-    ideal_policy = "ideal" if model == "simulation" else "manager"
-    policy_specs: list[tuple[str, str, dict]] = [("random", "random", {})]
-    policy_specs += [
-        (f"poll-{d}", "polling", {"poll_size": int(d)}) for d in poll_sizes
-    ]
-    policy_specs.append(("ideal", ideal_policy, {}))
-
-    configs: list[SimulationConfig] = []
-    keys: list[tuple] = []
-    for name in workloads:
-        base = SimulationConfig(
-            workload=name,
-            n_servers=n_servers,
-            n_requests=n_requests,
-            seed=seed,
-            model=model,
-        )
-        if model == "prototype":
-            base = base.with_updates(full_load_rho=full_load_rho_for(base))
-        for load in loads:
-            for label, policy, params in policy_specs:
-                configs.append(
-                    base.with_updates(load=load, policy=policy, policy_params=params)
-                )
-                keys.append((name, load, label))
-    results = parallel_sweep(
-        configs, max_workers=max_workers, parallel=parallel, cache=cache, engine=engine
+    policies = (
+        PolicyAxis("random", "random"),
+        *(PolicyAxis(f"poll-{d}", "polling", {"poll_size": int(d)}) for d in poll_sizes),
+        PolicyAxis("ideal", "ideal" if model == "simulation" else "manager"),
     )
-    table = ResultTable(["workload", "load", "policy", "response_ms", "poll_ms"])
-    for key, result in zip(keys, results):
-        name, load, label = key
-        table.add(
-            workload=name,
-            load=load,
-            policy=label,
-            response_ms=result.mean_response_time_ms,
-            poll_ms=result.mean_poll_time_ms,
-        )
-    figure = "Figure 4 (simulation)" if model == "simulation" else "Figure 6 (prototype)"
-    return FigureData(
-        f"{figure}: impact of poll size ({n_servers} servers)",
-        table,
-        extras={"results": dict(zip(keys, results)), "model": model},
+    name, figure = (
+        ("fig4", "Figure 4 (simulation)") if model == "simulation"
+        else ("fig6", "Figure 6 (prototype)")
+    )
+    return _figure_spec(
+        name, FIGURE4_LAYOUT, f"{figure}: impact of poll size ({n_servers} servers)",
+        policies=policies, workloads=_workloads(workloads), loads=loads,
+        n_servers=n_servers, n_requests=n_requests, seed=seed,
+        config_overrides={"model": model},
     )
 
 
-def figure6_pollsize(**kwargs) -> FigureData:
+def figure6_spec(n_requests: int = 15_000, **kwargs: Any) -> ScenarioSpec:
     """Figure 6: the poll-size sweep on the prototype-fidelity model."""
     kwargs.setdefault("model", "prototype")
-    return figure4_pollsize(**kwargs)
+    return figure4_spec(n_requests=n_requests, **kwargs)
 
 
-# ----------------------------------------------------------------------
-# Table 2
-# ----------------------------------------------------------------------
+def _excl_polling(result) -> float:
+    return result.mean_response_time - result.mean_poll_time
 
-def table2_discard(
+
+#: Table 2: one row per workload, the ``optimized`` cell against the
+#: ``original`` one (the first policy)
+TABLE2_LAYOUT = ReportLayout(
+    columns=(
+        ("workload", axis("workload")),
+        ("original_ms", lambda cell, result, base: base.mean_response_time_ms),
+        ("optimized_ms", mean_ms),
+        ("improvement", lambda cell, result, base: 1.0 - _normalized(cell, result, base)),
+        ("orig_poll_ms", lambda cell, result, base: base.mean_poll_time_ms),
+        ("opt_poll_ms", _poll_ms),
+        ("improvement_excl_polling",
+         lambda cell, result, base: 1.0 - _excl_polling(result) / _excl_polling(base)),
+    ),
+    base_axis="policy",
+    show_base_rows=False,
+)
+
+
+def table2_spec(
     workloads: Sequence[str] = PAPER_WORKLOADS,
     load: float = 0.9,
     poll_size: int = 3,
-    n_requests: int = 20_000,
+    n_requests: int = 25_000,
     n_servers: int = 16,
     seed: int = 0,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-) -> FigureData:
+) -> ScenarioSpec:
     """Table 2: improvement of discarding slow-responding polls.
 
     Prototype model, poll size 3, servers 90% busy. Reports, per
@@ -318,68 +330,69 @@ def table2_discard(
     time (the paper's second column — isolating the stale-information
     effect from the raw polling-time saving).
     """
-    configs: list[SimulationConfig] = []
-    keys: list[tuple] = []
-    for name in workloads:
-        base = SimulationConfig(
-            workload=name,
-            load=load,
-            n_servers=n_servers,
-            n_requests=n_requests,
-            seed=seed,
-            model="prototype",
-        )
-        base = base.with_updates(full_load_rho=full_load_rho_for(base))
-        configs.append(
-            base.with_updates(policy="polling", policy_params={"poll_size": poll_size})
-        )
-        keys.append((name, "original"))
-        configs.append(
-            base.with_updates(
-                policy="polling",
-                policy_params={"poll_size": poll_size, "discard_slow": True},
-            )
-        )
-        keys.append((name, "optimized"))
-    results = parallel_sweep(
-        configs, max_workers=max_workers, parallel=parallel, cache=cache, engine=engine
-    )
-    by_key = dict(zip(keys, results))
-    table = ResultTable(
-        [
-            "workload",
-            "original_ms",
-            "optimized_ms",
-            "improvement",
-            "orig_poll_ms",
-            "opt_poll_ms",
-            "improvement_excl_polling",
-        ]
-    )
-    for name in workloads:
-        original = by_key[(name, "original")]
-        optimized = by_key[(name, "optimized")]
-        improvement = 1.0 - optimized.mean_response_time / original.mean_response_time
-        excl_orig = original.mean_response_time - original.mean_poll_time
-        excl_opt = optimized.mean_response_time - optimized.mean_poll_time
-        table.add(
-            workload=name,
-            original_ms=original.mean_response_time_ms,
-            optimized_ms=optimized.mean_response_time_ms,
-            improvement=improvement,
-            orig_poll_ms=original.mean_poll_time_ms,
-            opt_poll_ms=optimized.mean_poll_time_ms,
-            improvement_excl_polling=1.0 - excl_opt / excl_orig,
-        )
-    return FigureData(
+    return _figure_spec(
+        "table2", TABLE2_LAYOUT,
         f"Table 2: discarding slow-responding polls (d={poll_size}, {load:.0%} busy)",
-        table,
-        extras={"results": by_key},
+        policies=(
+            PolicyAxis("original", "polling", {"poll_size": poll_size}),
+            PolicyAxis("optimized", "polling",
+                       {"poll_size": poll_size, "discard_slow": True}),
+        ),
+        workloads=_workloads(workloads), loads=(load,),
+        n_servers=n_servers, n_requests=n_requests, seed=seed,
+        config_overrides={"model": "prototype"},
+    )
+
+
+def _control_per_request(cell, result, base) -> float:
+    """Load-information messages (§2.4's count) per offered request."""
+    counts = result.message_counts
+    control = sum(
+        counts.get(kind, 0) for kind in ("broadcast", "poll", "poll_reply", "publish")
+    )
+    return control / result.config.n_requests
+
+
+#: §2.4: one row per (client count, policy) cell
+MESSAGES_LAYOUT = ReportLayout(
+    columns=(
+        ("n_clients", lambda cell, result, base: result.config.n_clients),
+        ("policy", axis("policy")),
+        ("control_messages_per_request", _control_per_request),
+        ("response_ms", mean_ms),
+    ),
+    row_order=("scale", "policy"),
+)
+
+
+def message_scaling_spec(
+    workload: str = "poisson_exp",
+    load: float = 0.9,
+    client_counts: Sequence[int] = (2, 4, 6),
+    broadcast_interval: float = 0.05,
+    poll_size: int = 2,
+    n_requests: int = 10_000,
+    n_servers: int = 16,
+    seed: int = 0,
+) -> ScenarioSpec:
+    """§2.4: messages per request — broadcast scales with the number of
+    clients (fan-out), polling does not. The client counts are the
+    scale axis."""
+    return _figure_spec(
+        "messages", MESSAGES_LAYOUT,
+        "§2.4: control-message scaling (broadcast vs polling)",
+        policies=(
+            PolicyAxis("broadcast", "broadcast", {"mean_interval": broadcast_interval}),
+            PolicyAxis("polling", "polling", {"poll_size": poll_size}),
+        ),
+        workloads=_workloads((workload,)), loads=(load,),
+        scales=tuple(ScaleAxis(f"{n}c", n_clients=int(n)) for n in client_counts),
+        n_servers=n_servers, n_requests=n_requests, seed=seed,
     )
 
 
 # ----------------------------------------------------------------------
-# §3.2 poll profile and §2.4 message scaling
+# §3.2 poll profile
 # ----------------------------------------------------------------------
 
 def poll_profile_section32(
@@ -403,69 +416,9 @@ def poll_profile_section32(
         seed=seed,
         model="prototype",
     )
-    config = config.with_updates(full_load_rho=full_load_rho_for(config))
+    [config] = prepare_configs([config])
     started = time.perf_counter()
     cluster, nominal_rho = build_cluster(config)
     tap = profile_poll_delays(cluster)
     result = _summarize_run(config, cluster, nominal_rho, started)
     return tap.profile(), result
-
-
-def message_scaling_section24(
-    workload: str = "poisson_exp",
-    load: float = 0.9,
-    client_counts: Sequence[int] = (2, 4, 6),
-    broadcast_interval: float = 0.05,
-    poll_size: int = 2,
-    n_requests: int = 10_000,
-    n_servers: int = 16,
-    seed: int = 0,
-    parallel: bool = True,
-    cache=None,
-    engine: Optional[str] = None,
-) -> FigureData:
-    """§2.4: messages per request — broadcast scales with the number of
-    clients (fan-out), polling does not."""
-    configs: list[SimulationConfig] = []
-    keys: list[tuple] = []
-    for n_clients in client_counts:
-        base = SimulationConfig(
-            workload=workload,
-            load=load,
-            n_servers=n_servers,
-            n_clients=int(n_clients),
-            n_requests=n_requests,
-            seed=seed,
-        )
-        configs.append(
-            base.with_updates(
-                policy="broadcast", policy_params={"mean_interval": broadcast_interval}
-            )
-        )
-        keys.append((n_clients, "broadcast"))
-        configs.append(
-            base.with_updates(policy="polling", policy_params={"poll_size": poll_size})
-        )
-        keys.append((n_clients, "polling"))
-    results = parallel_sweep(configs, parallel=parallel, cache=cache, engine=engine)
-    table = ResultTable(
-        ["n_clients", "policy", "control_messages_per_request", "response_ms"]
-    )
-    for key, result in zip(keys, results):
-        n_clients, policy = key
-        counts = result.message_counts
-        control = sum(
-            counts.get(kind, 0)
-            for kind in ("broadcast", "poll", "poll_reply", "publish")
-        )
-        table.add(
-            n_clients=n_clients,
-            policy=policy,
-            control_messages_per_request=control / result.config.n_requests,
-            response_ms=result.mean_response_time_ms,
-        )
-    return FigureData(
-        "§2.4: control-message scaling (broadcast vs polling)",
-        table,
-        extras={"broadcast_interval": broadcast_interval, "poll_size": poll_size},
-    )

@@ -22,11 +22,13 @@ report. This module factors that shape out once:
 
 The named campaigns (:mod:`repro.experiments.chaos`,
 :mod:`repro.experiments.overload`, :mod:`repro.experiments.autoscale`)
-are spec builders plus a layout, registered in
+and the paper's own sweeps (:mod:`repro.experiments.figures`: Fig. 3,
+Figs. 4/6, Table 2, §2.4) are spec builders plus a layout, registered in
 :data:`BUILTIN_SCENARIOS` beside :func:`composed_spec`; there is no
-other way to run a campaign. The golden-equivalence suite
-(``tests/experiments/test_scenario_golden.py``) pins their results and
-rendered reports bit-for-bit at fixed seeds on both exact engines.
+other way to run a campaign. The golden suites
+(``tests/experiments/test_scenario_golden.py``,
+``tests/experiments/test_figure_golden.py``) pin their results and
+rendered reports bit-for-bit at fixed seeds.
 
 Validation is eager and *names the offending axis*: unknown policy or
 workload names, bad subsystem knobs, colliding cell labels, and knob
@@ -78,7 +80,6 @@ __all__ = [
     "load_spec",
     "mean_ms",
     "p95_ms",
-    "run_cells",
     "spec_from_dict",
 ]
 
@@ -167,11 +168,13 @@ class FaultAxis:
 
 @dataclass(frozen=True)
 class ScaleAxis:
-    """One cluster scale; ``None`` fields inherit the spec defaults."""
+    """One cluster scale; ``None`` fields inherit the spec defaults
+    (``n_clients``: ``config_overrides``, else the config's own)."""
 
     label: str
     n_servers: Optional[int] = None
     n_requests: Optional[int] = None
+    n_clients: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ _SPEC_TYPES: dict[str, tuple[type, ...]] = {
 _ENTRY_TYPES: dict[str, tuple[type, ...]] = {
     **dict.fromkeys(("label", "policy", "workload"), (str,)),
     **dict.fromkeys(("params", "chaos", *_MODE_FIELDS), (dict,)),
-    **dict.fromkeys(("n_servers", "n_requests"), (int, _NONE)),
+    **dict.fromkeys(("n_servers", "n_requests", "n_clients"), (int, _NONE)),
     "value": (int, float, _NONE),
 }
 
@@ -278,12 +281,14 @@ def _unique_labels(axis: str, labels: Sequence[str]) -> None:
 # ----------------------------------------------------------------------
 
 #: axis-label attributes of a cell, in expansion (and display) order
-_AXIS_COLUMNS = ("mode", "workload", "policy", "load", "fault", "scale")
+#: -> the spec field holding that axis's entries
+_AXIS_COLUMNS = {"mode": "modes", "workload": "workloads", "policy": "policies",
+                 "load": "loads", "fault": "faults", "scale": "scales"}
 
 #: a column extractor: ``(cell, result, base) -> value``, where ``base``
-#: is the result of the same cell at the spec's *first* fault entry (the
-#: fault-free row of a chaos grid; the cell's own result on a
-#: single-fault grid)
+#: is the result of the same cell at the first entry of the layout's
+#: ``base_axis`` (by default the first fault: the fault-free row of a
+#: chaos grid; the cell's own result on a single-fault grid)
 Extractor = Callable[["ScenarioCell", SimulationResult, SimulationResult], Any]
 
 
@@ -362,12 +367,31 @@ class ReportLayout:
     of a non-baseline mode against the same cell of the spec's first
     mode (``baseline`` is its label; both rows are table rows), or
     returns ``None`` to skip the cell.
+
+    ``base_axis`` names the axis whose first entry is every row's
+    ``base`` (the extractors' third argument), and ``show_base_rows``
+    whether those base cells get rows of their own: a figure normalised
+    to its first policy sets ``base_axis="policy"`` and hides them.
+    ``row_order`` lists axes, outermost first, that the rows are sorted
+    by (each axis in its spec order; ties keep expansion order): the
+    spec expands mode, workload, policy, load, fault, scale, and a
+    table grouped another way names its own nesting.
     """
 
     title: str = "Scenario '{name}': {cells} cells"
     columns: Optional[tuple[tuple[str, Extractor], ...]] = None
     comparison_heading: str = "Modes vs '{baseline}'"
     comparison_line: Callable[..., Optional[str]] = _generic_comparison
+    base_axis: str = "fault"
+    show_base_rows: bool = True
+    row_order: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in (self.base_axis, *self.row_order):
+            if name not in _AXIS_COLUMNS:
+                raise ValueError(
+                    f"layout names axis {name!r}; axes are {tuple(_AXIS_COLUMNS)}"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -498,11 +522,15 @@ class ScenarioSpec:
                 raise ScenarioError(
                     "scales", f"n_requests must be >= 10, got {n_requests}", entry=s.label
                 )
+            if s.n_clients is not None and s.n_clients < 1:
+                raise ScenarioError(
+                    "scales", f"n_clients must be >= 1, got {s.n_clients}", entry=s.label
+                )
             try:
                 # the config's own checks (model, overhead_params, one
                 # server speed per server, ...) on the overrides alone, so
                 # a bad one is not blamed on the first cell
-                SimulationConfig(n_servers=n_servers, **self.config_overrides)
+                SimulationConfig(n_servers=n_servers, **self._overrides(s))
             except (TypeError, ValueError) as err:
                 raise ScenarioError("config_overrides", str(err)) from None
 
@@ -547,6 +575,12 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # expansion
     # ------------------------------------------------------------------
+    def _overrides(self, scale: ScaleAxis) -> dict[str, Any]:
+        """``config_overrides``, with the scale's client count over it."""
+        if scale.n_clients is None:
+            return self.config_overrides
+        return {**self.config_overrides, "n_clients": scale.n_clients}
+
     def _label(self, **fields: Any) -> str:
         try:
             raw = self.label_format.format(scenario=self.name, **fields)
@@ -643,7 +677,7 @@ class ScenarioSpec:
                     config_field: dict(getattr(mode, kind))
                     for kind, config_field in _MODE_FIELDS.items()
                 },
-                **self.config_overrides,
+                **self._overrides(scale),
             )
         except (TypeError, ValueError) as err:
             raise ScenarioError("spec", f"cell {label!r}: {err}") from None
@@ -666,15 +700,15 @@ class ScenarioSpec:
         parallel: bool = True,
         max_workers: Optional[int] = None,
         cache=None,
-        engine: Optional[str] = None,
         archive: Optional[str] = None,
         verify: bool = False,
     ) -> "ScenarioReport":
         """Expand and execute the grid; return the unified report.
 
-        ``engine`` overrides the spec's engine for this run (the CLI's
-        ``--engine`` knob); ``archive`` saves every result in the
-        standard archive format. ``verify`` (the CLI's ``--oracle``)
+        The cells run on the spec's ``engine``: another engine is
+        ``replace(spec, engine=...)``, so :meth:`expand` validates the
+        grid for the engine that runs it. ``archive`` saves every result
+        in the standard archive format. ``verify`` (the CLI's ``--oracle``)
         re-executes every cell under :class:`repro.verify.
         InvariantOracle`: a violation propagates out of the sweep as
         :class:`repro.verify.InvariantViolation`, and oracle-enabled
@@ -690,31 +724,15 @@ class ScenarioSpec:
                 )
                 for cell in cells
             ]
-        results = run_cells(
-            cells, parallel=parallel, max_workers=max_workers, cache=cache, engine=engine
+        # the one sweep loop: cache consulted, results in cell order,
+        # bit-identical in-process (parallel=False) or in the pool
+        results = parallel_sweep(
+            [cell.config for cell in cells],
+            max_workers=max_workers, parallel=parallel, cache=cache,
         )
         if archive is not None:
             save_results(results, archive)
         return ScenarioReport(spec=self, cells=cells, results=results)
-
-
-def run_cells(
-    cells: Sequence[ScenarioCell],
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    cache=None,
-    engine: Optional[str] = None,
-) -> list[SimulationResult]:
-    """Execute expanded cells through the standard sweep machinery
-    (cache consulted, results in cell order; ``parallel=False`` runs
-    in-process, bit-identical either way)."""
-    return parallel_sweep(
-        [cell.config for cell in cells],
-        max_workers=max_workers,
-        parallel=parallel,
-        cache=cache,
-        engine=engine,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -723,8 +741,9 @@ def run_cells(
 
 @dataclass
 class ScenarioReport:
-    """The campaign output: one table row per cell, laid out by the
-    spec's :class:`ReportLayout`."""
+    """The campaign output: one table row per cell (base cells may be
+    hidden), laid out by the spec's :class:`ReportLayout`; ``row_cells``
+    holds the cell of each row of ``table``."""
 
     spec: ScenarioSpec
     cells: list[ScenarioCell]
@@ -735,7 +754,7 @@ class ScenarioReport:
             raise ValueError(
                 f"{len(self.cells)} cells but {len(self.results)} results"
             )
-        self.table = self._build_table()
+        self.row_cells, self.table = self._build_table()
 
     def _axis_columns(self) -> list[tuple[str, Extractor]]:
         """Axis-label columns, degenerate unlabeled axes dropped."""
@@ -750,21 +769,40 @@ class ScenarioReport:
                 columns.append((name, axis(name)))
         return columns
 
-    def _build_table(self) -> ResultTable:
-        columns = self.spec.layout.columns
+    def _axis_entries(self, name: str) -> list:
+        """One axis's cell labels (the load axis: its values), in spec order."""
+        entries = getattr(self.spec, _AXIS_COLUMNS[name])
+        return list(entries) if name == "load" else [entry.label for entry in entries]
+
+    def _build_table(self) -> tuple[list[ScenarioCell], ResultTable]:
+        layout = self.spec.layout
+        columns = layout.columns
         if columns is None:
             columns = (*self._axis_columns(), *_GENERIC_METRICS)
-        first_fault = self.spec.faults[0].label
+        first = self._axis_entries(layout.base_axis)[0]
+        pairs = list(zip(self.cells, self.results))
         bases = {
-            _peers(cell, "fault"): result
-            for cell, result in zip(self.cells, self.results)
-            if cell.fault == first_fault
+            _peers(cell, layout.base_axis): result
+            for cell, result in pairs
+            if getattr(cell, layout.base_axis) == first
         }
+        if not layout.show_base_rows:
+            pairs = [pair for pair in pairs if getattr(pair[0], layout.base_axis) != first]
+        if layout.row_order:
+            position = {
+                name: {entry: i for i, entry in enumerate(self._axis_entries(name))}
+                for name in layout.row_order
+            }
+            pairs.sort(
+                key=lambda pair: tuple(
+                    position[name][getattr(pair[0], name)] for name in layout.row_order
+                )
+            )
         table = ResultTable([name for name, _ in columns])
-        for cell, result in zip(self.cells, self.results):
-            base = bases.get(_peers(cell, "fault"), result)
+        for cell, result in pairs:
+            base = bases.get(_peers(cell, layout.base_axis), result)
             table.add(**{name: extract(cell, result, base) for name, extract in columns})
-        return table
+        return [cell for cell, _ in pairs], table
 
     def mode_comparison(self) -> list[str]:
         """Per-cell deltas of every mode against the spec's first mode.
@@ -776,11 +814,11 @@ class ScenarioReport:
         baseline = self.spec.modes[0].label
         base_rows = {
             _peers(cell, "mode"): row
-            for cell, row in zip(self.cells, self.table.rows)
+            for cell, row in zip(self.row_cells, self.table.rows)
             if cell.mode == baseline
         }
         lines = []
-        for cell, row in zip(self.cells, self.table.rows):
+        for cell, row in zip(self.row_cells, self.table.rows):
             base = base_rows.get(_peers(cell, "mode"))
             if cell.mode == baseline or base is None:
                 continue
@@ -1088,6 +1126,11 @@ BUILTIN_SCENARIOS: dict[str, str] = {
     "resilience": "repro.experiments.chaos:resilience_scenario_spec",
     "overload": "repro.experiments.overload:overload_scenario_spec",
     "autoscale": "repro.experiments.autoscale:autoscale_scenario_spec",
+    "fig3": "repro.experiments.figures:figure3_spec",
+    "fig4": "repro.experiments.figures:figure4_spec",
+    "fig6": "repro.experiments.figures:figure6_spec",
+    "table2": "repro.experiments.figures:table2_spec",
+    "messages": "repro.experiments.figures:message_scaling_spec",
 }
 
 

@@ -7,7 +7,8 @@ subsystem slot. These tests hold that shape:
 - each point's subscribers, for every builtin campaign cell at its
   ``--quick`` size, for all seven subsystems at once, and for a live
   loopback client, match the table written out below, filtered by the
-  slots that are installed;
+  slots that are installed; every extension campaign installs some
+  subsystem, and no cell of the paper's figures installs any;
 - ``system.py`` tests a subsystem slot for ``None`` only at the twelve
   places where the lifecycle acts on what the subsystem returns;
 - no code outside ``install`` and the constructors assigns a subsystem
@@ -36,6 +37,8 @@ from repro.telemetry import TelemetryCollector
 
 REPO = Path(__file__).resolve().parents[2]
 SLOTS = [row.attr for row in SUBSYSTEMS.values()]
+#: the builtins that are the paper's own sweeps
+PAPER_FIGURES = ("fig3", "fig4", "fig6", "table2", "messages")
 SYSTEM_PY = REPO / "src" / "repro" / "cluster" / "system.py"
 
 #: point -> (slot, hook) in call order; "lifecycle" is the lifecycle itself
@@ -114,7 +117,11 @@ def test_builtin_quick_cells_bind_the_table(name):
         installed = {slot for slot in SLOTS if getattr(cluster, slot) is not None}
         assert installed <= configured, config.label
         seen_slots |= installed
-    assert seen_slots, f"no {name} cell installs a subsystem"
+    if name in PAPER_FIGURES:
+        # the paper's own cells run no optional subsystem
+        assert not seen_slots, f"a {name} cell installs {sorted(seen_slots)}"
+    else:
+        assert seen_slots, f"no {name} cell installs a subsystem"
 
 
 def test_all_seven_subsystems_bind_every_subscriber():

@@ -1,7 +1,7 @@
-"""Tests for the figure/table drivers (small sizes; shape checks live in
-tests/integration and the benches)."""
+"""Tests for the figure/table drivers and the figure builtin specs
+(small sizes; shape checks live in tests/integration and the benches,
+byte pins in test_figure_golden.py)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import figures, run_simulation
@@ -34,48 +34,53 @@ def test_figure2_small():
 
 
 def test_figure3_small():
-    data = figures.figure3_broadcast(
+    report = figures.figure3_spec(
         intervals=(0.005, 0.5), loads=(0.9,), workloads=("poisson_exp",),
-        n_requests=4000, seed=3, parallel=False,
-    )
-    rows = {row["interval_ms"]: row for row in data.table.rows}
+        n_requests=4000, seed=3,
+    ).run(parallel=False)
+    # the ideal base row is hidden; one row per broadcast interval
+    rows = {row["interval_ms"]: row for row in report.table.rows}
+    assert sorted(rows) == [5.0, 500.0]
     # Slow broadcast must be much worse than fast broadcast (Fig 3 shape).
     assert rows[500.0]["normalized_to_ideal"] > 2 * rows[5.0]["normalized_to_ideal"]
     assert rows[5.0]["normalized_to_ideal"] >= 0.9
 
 
 def test_figure4_small():
-    data = figures.figure4_pollsize(
+    report = figures.figure4_spec(
         loads=(0.9,), workloads=("poisson_exp",), poll_sizes=(2, 8),
-        n_requests=4000, seed=4, parallel=False,
-    )
-    rows = {row["policy"]: row["response_ms"] for row in data.table.rows}
+        n_requests=4000, seed=4,
+    ).run(parallel=False)
+    rows = {row["policy"]: row["response_ms"] for row in report.table.rows}
     assert rows["ideal"] < rows["poll-2"] < rows["random"]
     # Simulation model: d=8 does NOT degrade.
     assert rows["poll-8"] <= rows["poll-2"] * 1.1
-    assert "Figure 4" in data.name
+    assert "Figure 4" in report.render()
 
 
 def test_figure6_small():
-    data = figures.figure6_pollsize(
+    report = figures.figure6_spec(
         loads=(0.9,), workloads=("fine_grain",), poll_sizes=(2, 8),
-        n_requests=4000, seed=5, parallel=False,
-    )
-    assert data.extras["model"] == "prototype"
-    rows = {row["policy"]: row["response_ms"] for row in data.table.rows}
+        n_requests=4000, seed=5,
+    ).run(parallel=False)
+    # the prototype model, calibrated by the sweep; ideal is the manager
+    assert {r.config.model for r in report.results} == {"prototype"}
+    assert all(r.config.full_load_rho is not None for r in report.results)
+    assert report.results[-1].config.policy == "manager"
+    rows = {row["policy"]: row["response_ms"] for row in report.table.rows}
     # Prototype model: d=8 degrades well below d=2 for fine-grain.
     assert rows["poll-8"] > 1.5 * rows["poll-2"]
-    assert "Figure 6" in data.name
+    assert "Figure 6" in report.render()
 
 
 def test_table2_small():
-    data = figures.table2_discard(
-        workloads=("fine_grain",), n_requests=4000, seed=6, parallel=False,
-    )
-    row = data.table.rows[0]
+    report = figures.table2_spec(
+        workloads=("fine_grain",), n_requests=4000, seed=6,
+    ).run(parallel=False)
+    [row] = report.table.rows
     assert row["opt_poll_ms"] < row["orig_poll_ms"]
     assert row["improvement"] > 0.0
-    assert "Table 2" in data.render()
+    assert "Table 2" in report.render()
 
 
 def test_poll_profile_driver():
@@ -89,10 +94,12 @@ def test_poll_profile_driver():
 
 
 def test_message_scaling_driver():
-    data = figures.message_scaling_section24(
-        client_counts=(2, 6), n_requests=2500, seed=8, parallel=False,
-    )
-    rows = {(r["n_clients"], r["policy"]): r for r in data.table.rows}
+    report = figures.message_scaling_spec(
+        client_counts=(2, 6), n_requests=2500, seed=8,
+    ).run(parallel=False)
+    rows = {(r["n_clients"], r["policy"]): r for r in report.table.rows}
+    # rows go by client count, then policy
+    assert list(rows) == [(2, "broadcast"), (2, "polling"), (6, "broadcast"), (6, "polling")]
     # Broadcast control traffic grows with client count; polling doesn't.
     assert (
         rows[(6, "broadcast")]["control_messages_per_request"]

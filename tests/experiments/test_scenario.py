@@ -14,6 +14,7 @@ from repro.experiments.scenario import (
     FaultAxis,
     ModeAxis,
     PolicyAxis,
+    ReportLayout,
     ScaleAxis,
     ScenarioError,
     ScenarioReport,
@@ -235,6 +236,10 @@ def test_spec_from_dict_rejects_unknown_keys():
         ({"scales": [{"label": "s", "n_servers": "4"}]}, "scales",
          "n_servers must be int, got '4'"),
         ({"faults": [{"intensity": "x"}]}, "spec", "could not convert"),
+        ({"scales": [{"label": "s", "n_clients": 2.0}]}, "scales",
+         "n_clients must be int, got 2.0"),
+        ({"scales": [{"label": "s", "n_clients": 0}]}, "scales",
+         "n_clients must be >= 1, got 0"),
     ],
 )
 def test_spec_from_dict_type_errors_name_the_field(data, axis, fragment):
@@ -426,6 +431,15 @@ def test_server_speeds_override_reaches_every_cell():
     )
 
 
+def test_scale_client_count_reaches_every_cell_over_the_overrides():
+    spec = spec_from_dict({
+        "n_requests": 100,
+        "config_overrides": {"n_clients": 3},
+        "scales": [{"label": "c2", "n_clients": 2}, {"label": "default"}],
+    })
+    assert [c.config.n_clients for c in spec.expand()] == [2, 3]
+
+
 def test_mode_axis_dispatcher_and_autoscaler_reach_config():
     spec = ScenarioSpec(
         modes=(
@@ -497,3 +511,43 @@ def test_report_rejects_mismatched_lengths():
     cells = spec.expand()
     with pytest.raises(ValueError, match="cells but"):
         ScenarioReport(spec=spec, cells=cells, results=[])
+
+
+def test_layout_base_axis_hidden_base_rows_and_row_order():
+    """A figure's table: every cell over the first policy's cell, base
+    rows hidden, rows by load then policy (the spec expands policy
+    before load)."""
+    layout = ReportLayout(
+        columns=(
+            ("load", lambda cell, result, base: cell.load),
+            ("policy", lambda cell, result, base: cell.policy),
+            ("ratio", lambda cell, result, base:
+                result.mean_response_time / base.mean_response_time),
+        ),
+        base_axis="policy",
+        show_base_rows=False,
+        row_order=("load", "policy"),
+    )
+    spec = ScenarioSpec(
+        policies=(PolicyAxis("base", "random"), PolicyAxis("a", "jiq"),
+                  PolicyAxis("b", "round_robin")),
+        loads=(0.9, 0.5),
+        n_requests=100,
+        layout=layout,
+    )
+    cells = spec.expand()
+    means = {"base": 0.1, "a": 0.2, "b": 0.4}
+    results = [_fake_result(c.config, mean=means[c.policy] * c.load) for c in cells]
+    report = ScenarioReport(spec=spec, cells=cells, results=results)
+    assert [(r["load"], r["policy"]) for r in report.table.rows] == [
+        (0.9, "a"), (0.9, "b"), (0.5, "a"), (0.5, "b"),
+    ]
+    assert [r["ratio"] for r in report.table.rows] == pytest.approx([2, 4, 2, 4])
+    assert [c.policy for c in report.row_cells] == ["a", "b", "a", "b"]
+
+
+def test_layout_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="layout names axis 'workloads'"):
+        ReportLayout(row_order=("workloads",))
+    with pytest.raises(ValueError, match="layout names axis 'x'"):
+        ReportLayout(base_axis="x")

@@ -113,10 +113,12 @@ def test_section5_analysis():
 
 
 def test_section6_figures():
-    from repro.experiments import figures
+    from repro.experiments import builtin_spec
 
-    data = figures.figure4_pollsize(
+    spec = builtin_spec(
+        "fig4", n_requests=1000,
         loads=(0.9,), workloads=("poisson_exp",), poll_sizes=(2,),
-        n_requests=1000, parallel=False,
     )
-    assert "Figure 4" in data.render()
+    report = spec.run(parallel=False)
+    assert "Figure 4" in report.render()
+    assert len(report.table) == 3  # random, poll-2, ideal

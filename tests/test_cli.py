@@ -231,6 +231,23 @@ def test_scenario_validate_names_the_offending_axis(tmp_path, capsys):
     assert "axis 'policies'" in message and "no_such_policy" in message
 
 
+@pytest.mark.parametrize("validate", [True, False], ids=["validate", "run"])
+@pytest.mark.parametrize("argv,axis", [
+    (["scenario", "--spec", "chaos"], "cluster_params"),
+    (["fig6"], "config_overrides"),
+], ids=["chaos", "fig6"])
+def test_engine_is_applied_before_validation(argv, axis, validate):
+    """``--engine`` reaches the spec before it is expanded, so a grid the
+    fast engine cannot run fails validation naming the axis, with or
+    without ``--validate`` — never a worker's FastpathUnsupportedError."""
+    argv = [*argv, "--quick", "--serial", "--no-cache", "--engine", "fast"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + (["--validate"] if validate else []))
+    message = str(err.value)
+    assert message.startswith("scenario validation FAILED")
+    assert f"axis {axis!r}: engine 'fast'" in message
+
+
 def test_scenario_runs_a_spec_file(tmp_path, capsys):
     import json
 
