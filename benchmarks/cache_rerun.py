@@ -1,4 +1,4 @@
-"""cache_rerun.py COMMAND [ARG ...]  (the Makefile's campaign smokes, CI's fig3 smoke)
+"""cache_rerun.py COMMAND [ARG ...]  (the Makefile's campaign smokes, CI's fig3 and fig6 smokes)
 
 Runs COMMAND twice and echoes both runs' stdout. The second run must be
 served from the result cache with the first run's output:

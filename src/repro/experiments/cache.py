@@ -8,6 +8,11 @@ engine choice), the library version, and the archive schema version —
 so any change that could alter numbers (config field, code release,
 schema) is automatically a miss, and a cached sweep re-run costs, per
 config, one JSON encode for its key, one file read and one JSON decode.
+A caller that already holds a config's key passes it to
+:meth:`ResultCache.get` and :meth:`ResultCache.put`: a scenario computes
+each cell's key once, in ``expand``'s duplicate check, and the sweep
+reads and writes under that key, so a warm or a cold run encodes each
+config once.
 The key's JSON is the config's shallow
 :func:`~repro.experiments.config.field_values` walk, never a deep copy;
 its ``default`` hook, :func:`~repro.experiments.config.json_default`,
@@ -92,23 +97,24 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, config: SimulationConfig) -> Optional[SimulationResult]:
+    def get(
+        self, config: SimulationConfig, key: Optional[str] = None
+    ) -> Optional[SimulationResult]:
         """The cached result for ``config``, or ``None`` on a miss.
 
-        Unreadable or stale entries (hash collision, interrupted write
-        predating atomic replace, config drift, any file that is not a
-        one-record archive of this config) count as misses; the next
-        :meth:`put` overwrites them.
+        ``key`` is ``config_key(config)`` when the caller already has it.
+        Missing, unreadable or stale entries (hash collision, interrupted
+        write predating atomic replace, config drift, any file that is
+        not a one-record archive of this config) count as misses; the
+        next :meth:`put` overwrites them.
         """
         from repro.experiments.io import load_results
 
-        path = self._path(config_key(config))
-        if not path.exists():
-            self.misses += 1
-            return None
+        path = self._path(key if key is not None else config_key(config))
         try:
             results = load_results(path)
-        except (ValueError, OSError):  # load_results names every bad shape
+        # a missing file is an OSError; load_results names every bad shape
+        except (ValueError, OSError):
             self.misses += 1
             return None
         if len(results) != 1 or results[0].config != config:
@@ -117,11 +123,12 @@ class ResultCache:
         self.hits += 1
         return results[0]
 
-    def put(self, result: SimulationResult) -> None:
-        """Store ``result`` under its config's key (atomic overwrite)."""
+    def put(self, result: SimulationResult, key: Optional[str] = None) -> None:
+        """Store ``result`` under its config's key (atomic overwrite);
+        ``key`` is ``config_key(result.config)`` when the caller has it."""
         from repro.experiments.io import save_results
 
-        path = self._path(config_key(result.config))
+        path = self._path(key if key is not None else config_key(result.config))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         save_results([result], tmp)

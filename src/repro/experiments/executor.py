@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+# config_key through its module: the cache and the sweep share one binding
+from repro.experiments import cache as result_cache
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import (
@@ -144,6 +147,7 @@ class SweepExecutor:
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressFn] = None,
         parallel: bool = True,
+        keys: Optional[Sequence[str]] = None,
     ) -> list[SimulationResult]:
         """Run ``configs`` on the warm pool; results in input order.
 
@@ -152,10 +156,21 @@ class SweepExecutor:
         ``parallel=False`` (or a single config left to simulate) runs
         in this process and never spawns the pool — bit-identical
         either way.
+
+        ``keys``, when given, holds each config's ``config_key`` (a
+        scenario passes the keys its ``expand`` computed): the cache
+        lookup and the write of a fresh result use it. The sweep computes
+        a key only for a config it replaced itself (the ``engine``
+        override, or ``prepare_configs`` filling a prototype config's
+        ``full_load_rho``), and for every config when ``keys`` is None.
+
+        A pool worker that dies raises ``BrokenProcessPool`` naming the
+        first config whose result never arrived; the broken pool is
+        discarded, so the next sweep spawns a fresh one.
         """
         started = time.perf_counter()
         cache = cache if cache is not None else self.cache
-        configs = list(configs)
+        configs = given = list(configs)
         if self.engine is not None:
             configs = [
                 c if c.engine == self.engine else c.with_updates(engine=self.engine)
@@ -172,9 +187,17 @@ class SweepExecutor:
         slots: list[Optional[SimulationResult]] = [None] * total
         todo_indices = list(range(total))
         if cache is not None:
+            # a config replaced above is not the one its key was made for
+            keys = [
+                key if key is not None and config is original
+                else result_cache.config_key(config)
+                for key, config, original in zip(
+                    keys or [None] * total, configs, given, strict=True
+                )
+            ]
             todo_indices = []
             for i, config in enumerate(configs):
-                hit = cache.get(config)
+                hit = cache.get(config, keys[i])
                 if hit is not None:
                     slots[i] = hit
                     self.stats.cache_hits += 1
@@ -197,15 +220,27 @@ class SweepExecutor:
                 )
             # pool.map yields in order as chunks complete — stream each
             # result into its slot instead of waiting for the sweep.
-            for i, result in zip(todo_indices, fresh):
-                slots[i] = result
-                if cache is not None:
-                    cache.put(result)
-                self.stats.configs_run += 1
-                self.stats.sim_seconds += result.wall_seconds
-                done += 1
-                if progress is not None:
-                    progress(done, total, result)
+            arrived = 0
+            try:
+                for i, result in zip(todo_indices, fresh):
+                    slots[i] = result
+                    if cache is not None:
+                        cache.put(result, keys[i])
+                    self.stats.configs_run += 1
+                    self.stats.sim_seconds += result.wall_seconds
+                    arrived += 1
+                    done += 1
+                    if progress is not None:
+                        progress(done, total, result)
+            except BrokenProcessPool as err:
+                self.close()
+                i = todo_indices[arrived]
+                lost = configs[i]
+                raise BrokenProcessPool(
+                    f"a pool worker died: {len(todo) - arrived} of {len(todo)} "
+                    f"configs got no result, the first config {i} "
+                    f"({lost.label!r}, seed {lost.seed})"
+                ) from err
 
         self.stats.sweeps += 1
         self.stats.wall_seconds += time.perf_counter() - started

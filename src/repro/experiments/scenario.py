@@ -57,7 +57,7 @@ from repro.experiments.cache import config_key
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig, param_keys
 from repro.experiments.io import save_results
 from repro.experiments.results import ResultTable
-from repro.experiments.runner import SimulationResult, parallel_sweep
+from repro.experiments.runner import SimulationResult
 
 __all__ = [
     "BUILTIN_SCENARIOS",
@@ -592,13 +592,26 @@ class ScenarioSpec:
 
     def expand(self) -> list[ScenarioCell]:
         """Validate, then produce every cell in deterministic order."""
+        return self._expand()[0]
+
+    def _expand(self, verify: bool = False) -> tuple[list[ScenarioCell], list[str]]:
+        """:meth:`expand` (every config oracle-enabled if ``verify``),
+        plus the ``config_key`` of each cell its duplicate check computed
+        — the key the sweep then reads and writes the cache under."""
         self.validate()
         cells: list[ScenarioCell] = []
+        keys: list[str] = []
         seen: dict[str, str] = {}
         for cell in self._cells():
+            if verify:
+                cell = replace(
+                    cell,
+                    config=cell.config.with_updates(verify_params={"enabled": True}),
+                )
             cells.append(cell)
             config = cell.config
             key = config_key(config)
+            keys.append(key)
             if key in seen:
                 raise ScenarioError(
                     "label_format",
@@ -607,7 +620,7 @@ class ScenarioSpec:
                     "placeholder in label_format or drop the duplicate axis entry",
                 )
             seen[key] = config.label
-        return cells
+        return cells, keys
 
     def _cells(self) -> Iterator[ScenarioCell]:
         """Every grid point, in nesting order, unvalidated."""
@@ -715,21 +728,17 @@ class ScenarioSpec:
         configs cache under their own key (``verify_params``
         participates), so verified results never shadow the plain ones.
         """
-        cells = self.expand()
-        if verify:
-            cells = [
-                replace(
-                    cell,
-                    config=cell.config.with_updates(verify_params={"enabled": True}),
-                )
-                for cell in cells
-            ]
-        # the one sweep loop: cache consulted, results in cell order,
-        # bit-identical in-process (parallel=False) or in the pool
-        results = parallel_sweep(
-            [cell.config for cell in cells],
-            max_workers=max_workers, parallel=parallel, cache=cache,
-        )
+        # a spec that is only expanded (``--validate``, the fuzzer) loads no pool
+        from repro.experiments.executor import SweepExecutor
+
+        cells, keys = self._expand(verify)
+        # the one sweep loop: cache consulted under the keys expand
+        # computed, results in cell order, bit-identical in-process
+        # (parallel=False) or in the pool
+        with SweepExecutor(max_workers=max_workers, cache=cache) as executor:
+            results = executor.sweep(
+                [cell.config for cell in cells], parallel=parallel, keys=keys
+            )
         if archive is not None:
             save_results(results, archive)
         return ScenarioReport(spec=self, cells=cells, results=results)

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.experiments import SimulationConfig, parallel_sweep, run_simulation
+from repro.experiments import (
+    ScenarioSpec,
+    SimulationConfig,
+    builtin_spec,
+    cache as cache_module,
+    parallel_sweep,
+    run_simulation,
+    scenario,
+)
 from repro.experiments.cache import ResultCache, config_key
 from tests.experiments.test_io import MALFORMED_ARCHIVES
 
@@ -166,3 +174,56 @@ def test_prototype_config_hits_despite_calibration(cache):
     parallel_sweep([config], parallel=False, cache=cache)
     parallel_sweep([config], parallel=False, cache=cache)
     assert cache.hits == 1 and cache.writes == 1
+
+
+# ----------------------------------------------------------------------
+# one key per cell per run
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def keyed(monkeypatch):
+    """Every config ``config_key`` is called on, wherever it is bound."""
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return config_key(config)
+
+    monkeypatch.setattr(cache_module, "config_key", counting)
+    monkeypatch.setattr(scenario, "config_key", counting)
+    return calls
+
+
+def test_a_scenario_keys_each_cell_once_per_run(tmp_path, keyed):
+    """``expand``'s duplicate check computes the key the sweep reads and
+    writes under: 32 keys for the 32 cells, cold or warm (three per cell
+    cold and two warm when each step keyed the config itself)."""
+    spec = builtin_spec("composed", quick=True, n_requests=200)
+    cache = ResultCache(tmp_path / "plain")
+    cold = spec.run(parallel=False, cache=cache)
+    assert len(cold.cells) == len(keyed) == 32
+    keyed.clear()
+    warm = spec.run(parallel=False, cache=ResultCache(cache.root))
+    assert len(keyed) == 32
+    assert warm.render() == cold.render()
+    keyed.clear()
+    spec.run(parallel=False, cache=ResultCache(tmp_path / "verified"), verify=True)
+    assert len(keyed) == 32
+    assert all(config.verify_params == {"enabled": True} for config in keyed)
+
+
+def test_a_cell_the_sweep_replaces_is_keyed_again(cache, keyed):
+    """``prepare_configs`` fills a prototype cell's ``full_load_rho``, so
+    the key ``expand`` computed is not that config's: the sweep keys it
+    once more, and once only for both the lookup and the write."""
+    spec = ScenarioSpec(
+        n_servers=2, n_requests=300, config_overrides={"model": "prototype"}
+    )
+    [result] = spec.run(parallel=False, cache=cache).results
+    assert len(keyed) <= 2 and cache.writes == 1
+    assert result.config.full_load_rho is not None
+    [entry] = cache.root.glob("*/*.json")
+    assert entry.name == f"{config_key(result.config)}.json"
+    keyed.clear()
+    spec.run(parallel=False, cache=cache)
+    assert len(keyed) <= 2 and cache.hits == 1
