@@ -48,15 +48,19 @@ chaos-smoke resilience-smoke overload-smoke autoscale-smoke: %-smoke:
 	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro $* --quick --seed 0
 
 # Quick composed scenario (<60s): validates every builtin spec (the
-# extension campaigns and the paper's figures), then
-# runs the trimmed composed grid — chaos + hardened reliability +
-# overload control + one trace-replay workload across two cluster
-# scales, twice: the second invocation must be served entirely from the
-# result cache with bit-identical output (benchmarks/cache_rerun.py).
+# extension campaigns and the paper's figures) and the example spec
+# file, then runs the trimmed composed grid — chaos + hardened
+# reliability + overload control + one trace-replay workload across two
+# cluster scales — and examples/grid.json (a replay_file cell over the
+# committed examples/grid-trace.csv), each twice: the second invocation
+# must be served entirely from the result cache with bit-identical
+# output (benchmarks/cache_rerun.py).
 scenario-smoke:
 	for spec in composed chaos resilience overload autoscale fig3 fig4 fig6 table2 messages; do \
 		$(PYTHON) -m repro scenario --spec $$spec --quick --validate || exit 1; done
+	$(PYTHON) -m repro scenario --spec examples/grid.json --validate
 	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro scenario --quick --seed 0
+	$(PYTHON) benchmarks/cache_rerun.py $(PYTHON) -m repro scenario --spec examples/grid.json
 
 # Invariant-oracle smoke (<90s): validate the committed reproducer
 # corpus, replay it on both engines, then run 100 fuzzer-generated

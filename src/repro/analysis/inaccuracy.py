@@ -7,10 +7,10 @@ two samples become independent at large delay:
 
     sum_{i,j} (1-rho)^2 rho^{i+j} |i - j|  =  2 rho / (1 - rho^2)   (Eq. 1)
 
-This module provides the closed form, a brute-force series evaluation
-(used in tests to verify the algebra), a vectorized single-FIFO-server
-queue-length computation (no DES required), and the empirical
-inaccuracy measurement used by the Figure 2 driver.
+This module provides the closed form (the tests check the algebra
+against the series), a vectorized single-FIFO-server queue-length
+computation (no DES required), and the empirical inaccuracy
+measurement used by the Figure 2 driver.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "eq1_upperbound",
-    "eq1_upperbound_series",
     "fifo_queue_length_steps",
     "measure_inaccuracy",
 ]
@@ -34,20 +33,6 @@ def eq1_upperbound(rho: float) -> float:
     if not 0 <= rho < 1:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
     return 2.0 * rho / (1.0 - rho * rho)
-
-
-def eq1_upperbound_series(rho: float, terms: int = 4000) -> float:
-    """Direct evaluation of the Eq. 1 double sum (verification).
-
-    ``sum_{i,j=0}^{terms} (1-rho)^2 rho^{i+j} |i-j|``; converges to
-    :func:`eq1_upperbound` as ``terms`` grows.
-    """
-    if not 0 <= rho < 1:
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    k = np.arange(terms)
-    weights = (1.0 - rho) * rho**k  # P(Q = k)
-    diff = np.abs(k[:, None] - k[None, :])
-    return float(weights @ diff @ weights)
 
 
 def fifo_queue_length_steps(

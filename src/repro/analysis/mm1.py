@@ -1,28 +1,15 @@
-"""Classic queueing formulas (validation baselines).
+"""The M/M/1 mean response time, the ``random`` policy's baseline.
 
-All functions take utilization ``rho`` in [0, 1) and, where relevant, a
-``mean_service`` time in seconds. These are the analytic ground truths
-the simulators are tested against: a single server fed Poisson/Exp must
-reproduce M/M/1; a cluster under the oracle policy must fall between
-M/M/k and k×M/M/1.
+A server fed Poisson arrivals with exponential service at utilization
+``rho`` keeps a request ``mean_service / (1 - rho)`` on average: what
+``random`` dispatch over N such servers must reproduce (the benchmark
+suite's ``analysis.mm1_rel_error.random``). The other queueing formulas
+the tests validate against live beside them, in ``tests/analysis/``.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-__all__ = [
-    "mm1_queue_length_pmf",
-    "mm1_mean_queue_length",
-    "mm1_mean_waiting_time",
-    "mm1_mean_response_time",
-    "mg1_mean_response_time",
-    "erlang_c",
-    "mmk_mean_response_time",
-    "mmk_mean_queue_length",
-]
+__all__ = ["mm1_mean_response_time"]
 
 
 def _check_rho(rho: float) -> None:
@@ -30,85 +17,7 @@ def _check_rho(rho: float) -> None:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
 
 
-def mm1_queue_length_pmf(rho: float, k_max: int) -> np.ndarray:
-    """P(Q = k) for k = 0..k_max in a stationary M/M/1 queue.
-
-    The paper (§2.1) uses the limiting distribution
-    ``P(Q = k) = (1 - rho) rho^k`` (Kleinrock vol. I).
-    """
-    _check_rho(rho)
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    k = np.arange(k_max + 1)
-    return (1.0 - rho) * rho**k
-
-
-def mm1_mean_queue_length(rho: float) -> float:
-    """E[Q] = rho / (1 - rho) (number in system)."""
-    _check_rho(rho)
-    return rho / (1.0 - rho)
-
-
-def mm1_mean_waiting_time(rho: float, mean_service: float) -> float:
-    """Expected time in queue (excluding service)."""
-    _check_rho(rho)
-    return rho * mean_service / (1.0 - rho)
-
-
 def mm1_mean_response_time(rho: float, mean_service: float) -> float:
     """Expected time in system (queue + service)."""
     _check_rho(rho)
     return mean_service / (1.0 - rho)
-
-
-def mg1_mean_response_time(
-    rho: float, mean_service: float, service_scv: float
-) -> float:
-    """Pollaczek–Khinchine: M/G/1 expected response time.
-
-    ``service_scv`` is the squared coefficient of variation
-    Var[S]/E[S]^2 — 1 for exponential, 0 for deterministic, ≈4.7 for the
-    Medium-Grain trace. The heavy Medium-Grain tail is why its Table 2
-    response times are an order of magnitude above its service time.
-    """
-    _check_rho(rho)
-    if service_scv < 0:
-        raise ValueError(f"service_scv must be >= 0, got {service_scv}")
-    waiting = rho * mean_service * (1.0 + service_scv) / (2.0 * (1.0 - rho))
-    return mean_service + waiting
-
-
-def erlang_c(k: int, offered: float) -> float:
-    """Erlang-C: probability an arrival waits in an M/M/k queue.
-
-    ``offered`` is the offered load a = lambda * E[S] (in Erlangs);
-    requires a < k for stability.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= offered < k:
-        raise ValueError(f"need 0 <= offered < k, got {offered} (k={k})")
-    if offered == 0:
-        return 0.0
-    # Stable iterative computation of the Erlang-B recursion, then C.
-    b = 1.0
-    for i in range(1, k + 1):
-        b = offered * b / (i + offered * b)
-    rho = offered / k
-    return b / (1.0 - rho + rho * b)
-
-
-def mmk_mean_response_time(k: int, rho: float, mean_service: float) -> float:
-    """Expected response time of an M/M/k queue at per-server load rho."""
-    _check_rho(rho)
-    offered = rho * k
-    wait_prob = erlang_c(k, offered)
-    expected_wait = wait_prob * mean_service / (k * (1.0 - rho))
-    return mean_service + expected_wait
-
-
-def mmk_mean_queue_length(k: int, rho: float) -> float:
-    """Expected number in system for M/M/k (Little on response time)."""
-    _check_rho(rho)
-    # lambda = rho * k / E[S]; E[N] = lambda * E[T]
-    return rho * k * mmk_mean_response_time(k, rho, 1.0)

@@ -1,11 +1,11 @@
-"""Sample summaries and distribution distances, numpy only.
+"""Distribution distances and the Student-t quantile, numpy and stdlib only.
 
-- :func:`summarize` — mean, std and percentiles of a sample in one pass
-  over a numpy array.
 - :func:`ks_statistic` — two-sample Kolmogorov–Smirnov statistic, the
   fast-vs-exact engine parity measure (DESIGN.md §13).
 - :func:`distribution_distance` — the same sup-distance over two
   occupancy histograms.
+- :func:`t_quantile` — Student's t quantile for an integer number of
+  degrees of freedom, the replication confidence intervals' critical value.
 """
 
 from __future__ import annotations
@@ -15,28 +15,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "summarize",
     "ks_statistic",
     "distribution_distance",
+    "t_quantile",
 ]
-
-
-def summarize(values: np.ndarray) -> dict[str, float]:
-    """Vectorized summary of a sample (times in the caller's units)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        keys = ("n", "mean", "std", "min", "p50", "p90", "p99", "max")
-        return {key: math.nan for key in keys} | {"n": 0}
-    return {
-        "n": int(values.size),
-        "mean": float(values.mean()),
-        "std": float(values.std(ddof=1)) if values.size > 1 else 0.0,
-        "min": float(values.min()),
-        "p50": float(np.percentile(values, 50)),
-        "p90": float(np.percentile(values, 90)),
-        "p99": float(np.percentile(values, 99)),
-        "max": float(values.max()),
-    }
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,3 +53,36 @@ def distribution_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.pad(p, (0, size - p.size))
     q = np.pad(q, (0, size - q.size))
     return float(np.abs(np.cumsum(p) - np.cumsum(q)).max())
+
+
+def _t_central_mass(theta: float, df: int) -> float:
+    """``P(|T| <= sqrt(df) tan theta)`` for Student's t with integer ``df``:
+    the finite series of Abramowitz & Stegun 26.7.3 (odd) / 26.7.4 (even)."""
+    c2 = math.cos(theta) ** 2
+    term = total = 1.0
+    for k in range(3 if df % 2 else 2, df - 1, 2):
+        term *= (k - 1) / k * c2
+        total += term
+    if df % 2 == 0:
+        return math.sin(theta) * total
+    if df == 1:
+        return 2.0 / math.pi * theta
+    return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+
+
+def t_quantile(p: float, df: int) -> float:
+    """Upper quantile ``t`` with ``P(T <= t) = p`` for ``0.5 <= p < 1``.
+
+    Bisects ``theta = atan(t / sqrt(df))`` over ``[0, pi/2)``, on which the
+    central mass is monotone, until the bracket is one bit wide.
+    """
+    if not 0.5 <= p < 1 or df < 1:
+        raise ValueError(f"need 0.5 <= p < 1 and df >= 1, got p={p}, df={df}")
+    target = 2.0 * p - 1.0
+    lo, hi = 0.0, math.pi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _t_central_mass(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(df) * math.tan(mid)

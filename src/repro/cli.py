@@ -14,7 +14,7 @@ Usage::
     python -m repro chaos --quick         # resilience, overload, autoscale
     python -m repro scenario --quick
     python -m repro scenario --spec overload --oracle --export-dir runs.json
-    python -m repro scenario --spec grid.yaml --validate
+    python -m repro scenario --spec examples/grid.json --validate
     python -m repro trace --policy broadcast --policy-param mean_interval=0.1
     python -m repro drive --quick
     python -m repro serve --port 9000 --time-limit 30
@@ -526,7 +526,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "spec": dict(metavar="NAME_OR_PATH",
                  help="a builtin name (composed, chaos, resilience, overload, "
                       "autoscale, fig3, fig4, fig6, table2, messages; default: "
-                      "composed) or a .json/.yaml spec file, which carries its "
+                      "composed) or a .json spec file, which carries its "
                       "own seed and size"),
     "validate": dict(action="store_true",
                      help="expand and validate the spec without running it "

@@ -135,10 +135,3 @@ class ServiceMappingTable:
         deadline = self.sim.now - self.ttl
         return sorted(node for node, seen in entry.items() if seen >= deadline)
 
-    def known_services(self) -> list[str]:
-        return sorted({service for service, _ in self._last_seen})
-
-    def forget(self, node_id: int) -> None:
-        """Drop a node from every entry (explicit eviction)."""
-        for entry in self._last_seen.values():
-            entry.pop(node_id, None)

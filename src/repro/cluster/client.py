@@ -48,11 +48,5 @@ class ClientNode:
         self.cpu_work_total += cost
         return self.cpu_busy_until - now
 
-    def cpu_utilization(self, horizon: float) -> float:
-        """Fraction of ``horizon`` spent on charged CPU work."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        return self.cpu_work_total / horizon
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClientNode {self.node_id}>"

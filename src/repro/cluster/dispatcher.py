@@ -404,10 +404,6 @@ class DispatcherTier:
         """The request is terminal: :meth:`release` its accounting."""
         self.release(request)
 
-    def inflight_total(self) -> int:
-        """Live in-flight accounting across the tier (test hook)."""
-        return sum(d.inflight for d in self.dispatchers)
-
     # ------------------------------------------------------------------
     # response backhaul
     # ------------------------------------------------------------------
@@ -508,20 +504,6 @@ class DispatcherTier:
             "dispatcher_responses_dropped": float(self.responses_dropped),
             "dispatcher_breaker_opens": float(breaker_opens),
         }
-
-    def per_dispatcher(self) -> list[dict[str, float]]:
-        """Per-dispatcher accounting rows (telemetry export)."""
-        return [
-            {
-                "index": float(d.index),
-                "node_id": float(d.node_id),
-                "forwards": float(d.forwards),
-                "sheds": float(d.sheds),
-                "inflight": float(d.inflight),
-                "alive": float(d.alive),
-            }
-            for d in self.dispatchers
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -73,18 +73,3 @@ class PartitionMap:
             return list(self._placement[(service, partition)])
         except KeyError:
             raise KeyError(f"no placement for {service!r} partition {partition}") from None
-
-    def services(self) -> list[str]:
-        return sorted({service for service, _ in self._placement})
-
-    def partitions(self, service: str) -> list[int]:
-        partitions = sorted(p for s, p in self._placement if s == service)
-        if not partitions:
-            raise KeyError(f"unknown service {service!r}")
-        return partitions
-
-    def nodes_hosting(self, node_id: int) -> list[tuple[str, int]]:
-        """All (service, partition) pairs hosted on ``node_id``."""
-        return sorted(
-            key for key, group in self._placement.items() if node_id in group
-        )

@@ -137,17 +137,19 @@ class ClusterMetrics:
         mask = self.measurement_slice(warmup_fraction)
         responses = self.response_time[mask]
         polls = self.poll_time[mask]
-        out = {
+        p50, p90, p95, p99 = (
+            np.percentile(responses, [50, 90, 95, 99]).tolist() if responses.size else [math.nan] * 4
+        )
+        return {
             "n_measured": int(mask.sum()),
             "n_failed": int(self.failed.sum()),
             "mean_response_time": float(responses.mean()) if responses.size else math.nan,
-            "p50_response_time": float(np.percentile(responses, 50)) if responses.size else math.nan,
-            "p90_response_time": float(np.percentile(responses, 90)) if responses.size else math.nan,
-            "p95_response_time": float(np.percentile(responses, 95)) if responses.size else math.nan,
-            "p99_response_time": float(np.percentile(responses, 99)) if responses.size else math.nan,
+            "p50_response_time": p50,
+            "p90_response_time": p90,
+            "p95_response_time": p95,
+            "p99_response_time": p99,
             "mean_poll_time": float(polls.mean()) if polls.size else math.nan,
         }
-        return out
 
     def server_counts(self, n_servers: int, warmup_fraction: float = 0.1) -> np.ndarray:
         """Requests completed per server over the measurement window."""

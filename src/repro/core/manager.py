@@ -88,7 +88,3 @@ class CentralizedManagerPolicy(LoadBalancer):
 
     def _on_notify(self, message: Message) -> None:
         self._counts[message.payload] -= 1
-
-    def outstanding(self) -> int:
-        """Total assignments the manager believes are in flight."""
-        return int(self._counts.sum())

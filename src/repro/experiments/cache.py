@@ -83,8 +83,8 @@ class ResultCache:
     :class:`~repro.experiments.executor.SweepExecutor`; both consult
     the cache before simulating and write back every fresh result.
 
-    Hit/miss/write counters accumulate over the cache object's lifetime
-    (``stats()``) so drivers can report how much work a sweep skipped.
+    ``hits``, ``misses`` and ``writes`` count over the cache object's
+    lifetime, so drivers can report how much work a sweep skipped.
     """
 
     def __init__(self, root: Optional[str | Path] = None):
@@ -134,35 +134,6 @@ class ResultCache:
         save_results([result], tmp)
         os.replace(tmp, path)
         self.writes += 1
-
-    def __contains__(self, config: SimulationConfig) -> bool:
-        return self._path(config_key(config)).exists()
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns the number removed.
-
-        Also sweeps ``*.tmp.*`` orphans left by a writer that died
-        between writing its temp file and the atomic rename (these are
-        invisible to ``__len__``/``get`` and would otherwise accumulate
-        forever); orphans are not counted in the return value.
-        """
-        removed = 0
-        if self.root.exists():
-            for path in self.root.glob("*/*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-            for path in self.root.glob("*/*.tmp.*"):
-                path.unlink(missing_ok=True)
-        return removed
-
-    def stats(self) -> dict[str, int]:
-        """Lifetime counters: ``{"hits": .., "misses": .., "writes": ..}``."""
-        return {"hits": self.hits, "misses": self.misses, "writes": self.writes}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -66,11 +66,6 @@ class SweepStats:
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
 
-    @property
-    def speedup(self) -> float:
-        """Aggregate simulated-seconds / wall-seconds (pool parallelism)."""
-        return self.sim_seconds / self.wall_seconds if self.wall_seconds else 0.0
-
 
 class SweepExecutor:
     """A persistent process pool that runs config sweeps.
@@ -120,11 +115,6 @@ class SweepExecutor:
                 initargs=(dict(_CALIBRATION_CACHE),),
             )
         return self._pool
-
-    @property
-    def warm(self) -> bool:
-        """True once the pool exists (first sweep already paid spawn)."""
-        return self._pool is not None
 
     def close(self) -> None:
         """Shut the pool down; the executor can be reused (re-spawns)."""
@@ -247,7 +237,7 @@ class SweepExecutor:
         return slots  # type: ignore[return-value]  # every slot is filled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "warm" if self.warm else "cold"
+        state = "warm" if self._pool is not None else "cold"
         return (
             f"<SweepExecutor {state} workers={self.max_workers} "
             f"sweeps={self.stats.sweeps} run={self.stats.configs_run} "

@@ -16,10 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.stats import t_quantile
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import SimulationResult, parallel_sweep
 
 __all__ = ["ReplicatedResult", "replicate", "compare_policies"]
+
+#: the two-sided confidence level of every interval
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,6 @@ class ReplicatedResult:
 
     config: SimulationConfig
     per_seed_means: tuple[float, ...]
-    confidence: float
 
     @property
     def n_replications(self) -> int:
@@ -43,36 +46,20 @@ class ReplicatedResult:
         n = self.n_replications
         if n < 2:
             return math.inf
-        from scipy import stats as sp_stats
-
         sem = float(np.std(self.per_seed_means, ddof=1)) / math.sqrt(n)
-        t_crit = float(sp_stats.t.ppf(0.5 + self.confidence / 2.0, df=n - 1))
-        return t_crit * sem
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width
-
-    def overlaps(self, other: "ReplicatedResult") -> bool:
-        """True when the two intervals overlap (difference not resolved)."""
-        return self.low <= other.high and other.low <= self.high
+        return t_quantile(0.5 + CONFIDENCE / 2.0, n - 1) * sem
 
     def row(self) -> str:
         return (
             f"{self.config.describe():<50s} "
             f"{self.mean * 1e3:8.2f} ms ± {self.half_width * 1e3:6.2f} "
-            f"({self.confidence:.0%}, n={self.n_replications})"
+            f"({CONFIDENCE:.0%}, n={self.n_replications})"
         )
 
 
 def replicate(
     config: SimulationConfig,
     n_replications: int = 5,
-    confidence: float = 0.95,
     parallel: bool = True,
     max_workers: Optional[int] = None,
 ) -> ReplicatedResult:
@@ -83,8 +70,6 @@ def replicate(
     """
     if n_replications < 1:
         raise ValueError(f"n_replications must be >= 1, got {n_replications}")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0,1), got {confidence}")
     configs = [
         config.with_updates(seed=config.seed * 1000 + i) for i in range(n_replications)
     ]
@@ -92,7 +77,6 @@ def replicate(
     return ReplicatedResult(
         config=config,
         per_seed_means=tuple(r.mean_response_time for r in results),
-        confidence=confidence,
     )
 
 
@@ -100,7 +84,6 @@ def compare_policies(
     base: SimulationConfig,
     policies: Sequence[tuple[str, str, dict]],
     n_replications: int = 5,
-    confidence: float = 0.95,
     parallel: bool = True,
 ) -> list[tuple[str, ReplicatedResult]]:
     """Replicate several policies on a common base config.
@@ -113,7 +96,7 @@ def compare_policies(
     for label, name, params in policies:
         config = base.with_updates(policy=name, policy_params=params, label=label)
         out.append(
-            (label, replicate(config, n_replications, confidence, parallel=parallel))
+            (label, replicate(config, n_replications, parallel=parallel))
         )
     out.sort(key=lambda item: item[1].mean)
     return out

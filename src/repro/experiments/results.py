@@ -24,9 +24,6 @@ class ResultTable:
             raise ValueError(f"missing columns: {sorted(missing)}")
         self.rows.append({column: values[column] for column in self.columns})
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def column(self, name: str) -> list[Any]:
         if name not in self.columns:
             raise KeyError(name)
@@ -38,9 +35,6 @@ class ResultTable:
             for row in self.rows
         ]
         return format_table(self.columns, body)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _fmt(value: Any, floatfmt: str) -> str:

@@ -35,12 +35,11 @@ workload names, bad subsystem knobs, colliding cell labels, and knob
 combinations the chosen engine cannot execute (e.g. ``engine="fast"``
 with chaos or telemetry) all raise :class:`ScenarioError` before any
 simulation starts. Specs are declarative data: :func:`spec_from_dict`
-builds one from a plain dict, :func:`load_spec` reads JSON or an
-indentation-based YAML-lite subset (``repro scenario --spec``), and
-:func:`composed_spec` is the built-in "paper + chaos + overload +
-hardened, at three scales, one command" grid — including a
-trace-replay workload (:mod:`repro.workload.replay`), the first axis
-the bespoke campaigns could not express.
+builds one from a plain dict, :func:`load_spec` reads a JSON spec file
+(``repro scenario --spec``), and :func:`composed_spec` is the built-in
+"paper + chaos + overload + hardened, at three scales, one command"
+grid — including a trace-replay workload (:mod:`repro.workload.replay`),
+the first axis the bespoke campaigns could not express.
 """
 
 from __future__ import annotations
@@ -909,156 +908,21 @@ def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
-    """Read a spec file: ``.json``, or ``.yaml``/``.yml`` (YAML-lite).
-
-    The YAML-lite subset is indentation-based mappings and ``- `` item
-    lists with JSON-style inline values — see :func:`parse_yaml_lite`.
-    """
+    """Read a ``.json`` spec file (``examples/grid.json`` is one)."""
     path = Path(path)
+    if path.suffix != ".json":
+        raise ScenarioError(
+            "spec", f"{path}: unsupported spec suffix {path.suffix!r} (expected .json)"
+        )
     try:
         text = path.read_text()
     except OSError as err:
         raise ScenarioError("spec", f"cannot read {path}: {err}") from None
-    if path.suffix == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ScenarioError("spec", f"{path}: invalid JSON: {err}") from None
-    elif path.suffix in (".yaml", ".yml"):
-        try:
-            data = parse_yaml_lite(text)
-        except ValueError as err:
-            raise ScenarioError("spec", f"{path}: {err}") from None
-    else:
-        raise ScenarioError(
-            "spec",
-            f"{path}: unsupported spec suffix {path.suffix!r} "
-            "(expected .json, .yaml, or .yml)",
-        )
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ScenarioError("spec", f"{path}: invalid JSON: {err}") from None
     return spec_from_dict(data)
-
-
-# ----------------------------------------------------------------------
-# YAML-lite: the tiny declarative subset spec files actually need
-# ----------------------------------------------------------------------
-
-def _yaml_scalar(token: str, line_no: int) -> Any:
-    token = token.strip()
-    if token.startswith(("{", "[", '"')):
-        try:
-            return json.loads(token)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"line {line_no}: invalid inline JSON {token!r}: {err}")
-    lowered = token.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("null", "~", ""):
-        return None
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return token
-
-
-def parse_yaml_lite(text: str) -> Any:
-    """Parse the YAML subset scenario files use (no dependency on a
-    YAML library, which the container does not ship).
-
-    Supported: nested mappings by indentation, ``- `` list items
-    (scalars or mappings), scalars (int/float/bool/null/bare strings),
-    and JSON inline values (``{...}``, ``[...]``, ``"..."``). Full-line
-    ``#`` comments are skipped. Tabs, anchors, multi-line strings, and
-    flow collections beyond inline JSON are not.
-    """
-    lines: list[tuple[int, int, str]] = []  # (line_no, indent, content)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "\t" in raw[: len(raw) - len(raw.lstrip())]:
-            raise ValueError(f"line {line_no}: tabs are not allowed in indentation")
-        lines.append((line_no, len(raw) - len(raw.lstrip()), stripped))
-    if not lines:
-        return {}
-    value, next_index = _parse_yaml_block(lines, 0, lines[0][1])
-    if next_index != len(lines):
-        line_no, _, content = lines[next_index]
-        raise ValueError(f"line {line_no}: unexpected dedent before {content!r}")
-    return value
-
-
-def _parse_yaml_block(lines, index, indent):
-    line_no, first_indent, content = lines[index]
-    if first_indent != indent:
-        raise ValueError(f"line {line_no}: inconsistent indentation")
-    if content.startswith("- "):
-        return _parse_yaml_list(lines, index, indent)
-    return _parse_yaml_mapping(lines, index, indent)
-
-
-def _parse_yaml_list(lines, index, indent):
-    items = []
-    while index < len(lines):
-        line_no, line_indent, content = lines[index]
-        if line_indent < indent:
-            break
-        if line_indent > indent or not content.startswith("- "):
-            raise ValueError(f"line {line_no}: expected a '- ' list item")
-        rest = content[2:].strip()
-        # "- key: value" opens an inline mapping item whose further keys
-        # sit on the following lines, indented past the dash.
-        key, sep, _ = rest.partition(": ")
-        if (sep or rest.endswith(":")) and not rest.startswith(("{", "[", '"')):
-            virtual = [(line_no, indent + 2, rest)]
-            index += 1
-            while index < len(lines) and lines[index][1] >= indent + 2:
-                virtual.append(lines[index])
-                index += 1
-            item, consumed = _parse_yaml_mapping(virtual, 0, indent + 2)
-            if consumed != len(virtual):
-                bad = virtual[consumed]
-                raise ValueError(
-                    f"line {bad[0]}: unexpected indentation in list item"
-                )
-            items.append(item)
-        else:
-            items.append(_yaml_scalar(rest, line_no))
-            index += 1
-    return items, index
-
-
-def _parse_yaml_mapping(lines, index, indent):
-    mapping: dict[str, Any] = {}
-    while index < len(lines):
-        line_no, line_indent, content = lines[index]
-        if line_indent < indent:
-            break
-        if line_indent > indent:
-            raise ValueError(f"line {line_no}: unexpected indentation")
-        if content.startswith("- "):
-            raise ValueError(f"line {line_no}: list item inside a mapping")
-        key, sep, value = content.partition(":")
-        if not sep or not key.strip():
-            raise ValueError(f"line {line_no}: expected 'key: value', got {content!r}")
-        key = key.strip()
-        if key in mapping:
-            raise ValueError(f"line {line_no}: duplicate key {key!r}")
-        value = value.strip()
-        if value:
-            mapping[key] = _yaml_scalar(value, line_no)
-            index += 1
-        else:
-            index += 1
-            if index < len(lines) and lines[index][1] > indent:
-                mapping[key], index = _parse_yaml_block(lines, index, lines[index][1])
-            else:
-                mapping[key] = None
-    return mapping, index
 
 
 # ----------------------------------------------------------------------

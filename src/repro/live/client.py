@@ -207,11 +207,6 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
             for proxy in self.servers:
                 transport.sendto(sub, proxy.addr)
 
-    def close(self) -> None:
-        if self.transport is not None:
-            self.transport.close()
-            self.transport = None
-
     def _send(self, wire_kind: str, data: bytes, addr: Tuple[str, int]) -> None:
         if self.transport is None:
             return

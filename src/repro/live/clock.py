@@ -90,14 +90,6 @@ class WallClock:
         self._origin = self._loop.time() if origin is None else float(origin)
 
     @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return self._loop
-
-    @property
-    def origin(self) -> float:
-        return self._origin
-
-    @property
     def now(self) -> float:
         return self._loop.time() - self._origin
 

@@ -81,7 +81,3 @@ class SwitchedEthernet:
         port.busy_until = done
         self.sim.at(done, on_delivery, message)
         return done
-
-    def port_backlog(self, dst: int) -> float:
-        """Seconds of queued serialization work on ``dst``'s egress port."""
-        return max(0.0, self._ports[dst % self.n_ports].busy_until - self.sim.now)

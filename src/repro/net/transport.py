@@ -319,16 +319,6 @@ class Network:
             self.deliver_trace(message)
         on_delivery(message)
 
-    def total_messages(self) -> int:
-        """Total messages sent (all kinds, including dropped)."""
-        return sum(self.message_counts.values())
-
-    def reset_counters(self) -> None:
-        """Zero the accounting tallies (e.g. after warmup)."""
-        self.message_counts.clear()
-        self.byte_counts.clear()
-        self.dropped_counts.clear()
-
 
 class BroadcastChannel:
     """A one-to-many channel (IP multicast / well-known pub-sub channel).
@@ -352,10 +342,6 @@ class BroadcastChannel:
         self.network = network
         self.kind = kind
         self._subscribers: list[tuple[int, DeliveryCallback]] = []
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
 
     def subscribe(self, node_id: int, on_delivery: DeliveryCallback) -> None:
         """Register ``on_delivery`` for messages published on the channel."""

@@ -38,8 +38,8 @@ class FullLoadCalibration:
 
     ``nominal_rho_at_full_load`` is the single-server nominal
     utilization (mean service / mean interarrival) the rule declares to
-    be "100% load". Experiment load levels multiply into it:
-    ``nominal(load) = load * nominal_rho_at_full_load``.
+    be "100% load". Experiment load levels multiply into it: a run at
+    ``load`` has nominal utilization ``load * nominal_rho_at_full_load``.
     """
 
     workload_name: str
@@ -47,12 +47,6 @@ class FullLoadCalibration:
     achieved_completion_fraction: float
     threshold: float
     target_fraction: float
-
-    def nominal(self, load: float) -> float:
-        """Nominal per-server utilization for a requested load level."""
-        if load <= 0:
-            raise ValueError(f"load must be > 0, got {load}")
-        return load * self.nominal_rho_at_full_load
 
 
 def _single_server_responses(

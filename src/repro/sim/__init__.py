@@ -19,8 +19,6 @@ __all__, __getattr__, __dir__ = exports(
     "repro.sim.calendar:CalendarSimulator",
     "repro.sim.clock:Clock",
     "repro.sim.clock:ClockHandle",
-    "repro.sim.clock:ManualClock",
-    "repro.sim.clock:ManualHandle",
     "repro.sim.calendar:DEFAULT_ENGINE",
     "repro.sim.calendar:ENGINES",
     "repro.sim.engine:EventHandle",

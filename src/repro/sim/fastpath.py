@@ -169,13 +169,6 @@ class FastpathRun:
     policy_counters: dict[str, int] = field(default_factory=dict)
     iterations: int = 0
 
-    @property
-    def occupancy_tail(self) -> np.ndarray:
-        """``s_k = P[queue length >= k]`` (mean-field's coordinates)."""
-        if self.occupancy is None:
-            raise ValueError("run_fastpath(record_occupancy=True) required")
-        return np.concatenate(([1.0], 1.0 - np.cumsum(self.occupancy)[:-1]))
-
 
 def _distinct_candidates(
     rng: np.random.Generator, n_batch: int, d: int, n_servers: int

@@ -32,14 +32,6 @@ class GrowableArray:
         self._data[self._size] = value
         self._size += 1
 
-    def extend(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        needed = self._size + values.shape[0]
-        if needed > self._data.shape[0]:
-            self._grow(max(needed, self._data.shape[0] * 2))
-        self._data[self._size : needed] = values
-        self._size = needed
-
     def _grow(self, capacity: int) -> None:
         data = np.empty(capacity, dtype=np.float64)
         data[: self._size] = self._data[: self._size]
@@ -50,10 +42,6 @@ class GrowableArray:
         out = self._data[: self._size]
         out.flags.writeable = False
         return out
-
-    def array(self) -> np.ndarray:
-        """An owning copy of the recorded values."""
-        return self._data[: self._size].copy()
 
 
 class StepRecorder:
@@ -69,9 +57,6 @@ class StepRecorder:
         self._times = GrowableArray()
         self._values = GrowableArray()
         self.initial = initial
-
-    def __len__(self) -> int:
-        return len(self._times)
 
     def record(self, time: float, value: float) -> None:
         if len(self._times) and time < self._times.view()[-1]:
@@ -98,23 +83,6 @@ class StepRecorder:
         idx = np.searchsorted(bp_t, times, side="right") - 1
         out = np.where(idx >= 0, bp_v[np.clip(idx, 0, None)], self.initial)
         return out
-
-    def time_average(self, t0: float, t1: float) -> float:
-        """Time-weighted average of the step function on ``[t0, t1]``."""
-        if t1 <= t0:
-            raise ValueError(f"empty interval [{t0}, {t1}]")
-        bp_t = self._times.view()
-        bp_v = self._values.view()
-        if bp_t.size == 0:
-            return self.initial
-        # Clip breakpoints into the window, adding the value in force at t0.
-        start_idx = np.searchsorted(bp_t, t0, side="right") - 1
-        initial = bp_v[start_idx] if start_idx >= 0 else self.initial
-        inside = (bp_t > t0) & (bp_t < t1)
-        times = np.concatenate(([t0], bp_t[inside], [t1]))
-        values = np.concatenate(([initial], bp_v[inside]))
-        durations = np.diff(times)
-        return float(np.dot(values, durations) / (t1 - t0))
 
 
 def step_occupancy(

@@ -36,10 +36,6 @@ class ArrivalProcess(ABC):
     def mean_interval(self) -> float:
         """Long-run mean interarrival gap."""
 
-    def arrival_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Arrival instants: cumulative sum of gaps, starting after t=0."""
-        return np.cumsum(self.interarrivals(rng, n))
-
 
 class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate`` per second."""

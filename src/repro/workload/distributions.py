@@ -148,14 +148,6 @@ class Lognormal(Distribution):
         return f"Lognormal(mu={self.mu!r}, sigma={self.sigma!r})"
 
 
-def _gamma(x: float) -> float:
-    # scipy is imported where it is called: Weibull is the one family
-    # here that needs it, and a run that asks for none loads numpy only
-    from scipy import special
-
-    return special.gamma(x)
-
-
 class Weibull(Distribution):
     """Weibull with ``shape`` k and ``scale`` lambda."""
 
@@ -172,11 +164,11 @@ class Weibull(Distribution):
         return float(out) if size is None else out
 
     def mean(self) -> float:
-        return self.scale * _gamma(1.0 + 1.0 / self.shape)
+        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
     def std(self) -> float:
-        g1 = _gamma(1.0 + 1.0 / self.shape)
-        g2 = _gamma(1.0 + 2.0 / self.shape)
+        g1 = math.gamma(1.0 + 1.0 / self.shape)
+        g2 = math.gamma(1.0 + 2.0 / self.shape)
         return self.scale * math.sqrt(max(g2 - g1 * g1, 0.0))
 
     def __repr__(self):
@@ -237,22 +229,27 @@ def lognormal_from_moments(mean: float, std: float) -> Lognormal:
     return Lognormal(mu, math.sqrt(sigma2))
 
 
+def _weibull_cv2(shape: float) -> float:
+    """Squared coefficient of variation of a Weibull; falls as ``shape`` grows."""
+    g1 = math.gamma(1.0 + 1.0 / shape)
+    return math.gamma(1.0 + 2.0 / shape) / (g1 * g1) - 1.0
+
+
 def weibull_from_moments(mean: float, std: float) -> Weibull:
-    """Weibull matching (mean, std); solves the shape equation numerically."""
+    """Weibull matching (mean, std): bisects the shape in [0.05, 100] on the
+    monotone CV^2 equation, to the last bit of the bracket."""
     if mean <= 0 or std <= 0:
         raise ValueError(f"need mean > 0 and std > 0, got ({mean}, {std})")
-    from scipy import optimize
-
     cv2 = (std / mean) ** 2
-
-    def cv2_of_shape(k: float) -> float:
-        g1 = _gamma(1.0 + 1.0 / k)
-        g2 = _gamma(1.0 + 2.0 / k)
-        return g2 / (g1 * g1) - 1.0
-
-    shape = optimize.brentq(lambda k: cv2_of_shape(k) - cv2, 0.05, 100.0)
-    scale = mean / _gamma(1.0 + 1.0 / shape)
-    return Weibull(shape, scale)
+    if not _weibull_cv2(100.0) <= cv2 <= _weibull_cv2(0.05):
+        raise ValueError(f"no Weibull shape in [0.05, 100] has CV^2 = {cv2}")
+    lo, hi = 0.05, 100.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _weibull_cv2(mid) > cv2:
+            lo = mid
+        else:
+            hi = mid
+    return Weibull(mid, mean / math.gamma(1.0 + 1.0 / mid))
 
 
 def pareto_from_moments(mean: float, std: float) -> Pareto:

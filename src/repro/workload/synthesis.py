@@ -86,7 +86,6 @@ def synthesize_trace(
     spec: TraceSpec,
     n: int | None = None,
     rng: np.random.Generator | None = None,
-    exact_moments: bool = False,
 ) -> Trace:
     """Generate a synthetic trace matching ``spec``.
 
@@ -98,11 +97,8 @@ def synthesize_trace(
         Number of accesses; defaults to the spec's peak-portion size.
     rng:
         Source of randomness (defaults to a fresh seeded generator).
-    exact_moments:
-        When True, affinely standardize the sampled arrays so the
-        *sample* moments equal the targets (up to a tiny positivity
-        clamp on the extreme left tail; useful for Table 1
-        regeneration); otherwise moments match in expectation only.
+
+    Moments match the spec in expectation, not sample by sample.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -111,9 +107,6 @@ def synthesize_trace(
         raise ValueError(f"need at least 2 accesses, got {count}")
     gaps = np.asarray(spec.arrival_distribution().sample(rng, count))
     service = np.asarray(spec.service_distribution().sample(rng, count))
-    if exact_moments:
-        gaps = _standardize(gaps, spec.arrival_interval_mean, spec.arrival_interval_std)
-        service = _standardize(service, spec.service_time_mean, spec.service_time_std)
     return Trace(
         name=spec.name,
         interarrival=gaps,
@@ -121,23 +114,5 @@ def synthesize_trace(
         metadata={
             "spec": spec,
             "synthesized": True,
-            "exact_moments": exact_moments,
         },
     )
-
-
-def _standardize(values: np.ndarray, mean: float, std: float) -> np.ndarray:
-    """Affinely map sample moments onto (mean, std), keeping positivity.
-
-    The affine map can push the extreme left tail below zero for
-    heavy-tailed samples; negatives/zeros are clamped to a tiny positive
-    floor (a negligible mass given the fitted distributions).
-    """
-    sample_std = values.std(ddof=1)
-    if sample_std == 0:
-        out = np.full_like(values, mean)
-    else:
-        out = (values - values.mean()) * (std / sample_std) + mean
-    floor = mean * 1e-6
-    np.clip(out, floor, None, out=out)
-    return out

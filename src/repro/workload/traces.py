@@ -26,14 +26,6 @@ class TraceStats:
     service_time_mean: float
     service_time_std: float
 
-    def row(self, name: str) -> str:
-        """Render one Table-1-style row (times in ms)."""
-        return (
-            f"{name:<20s} {self.n_accesses:>10,d} "
-            f"{self.arrival_interval_mean * 1e3:>9.1f}ms {self.arrival_interval_std * 1e3:>9.1f}ms "
-            f"{self.service_time_mean * 1e3:>8.1f}ms {self.service_time_std * 1e3:>8.1f}ms"
-        )
-
 
 @dataclass(frozen=True)
 class Trace:

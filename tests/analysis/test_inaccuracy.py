@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    eq1_upperbound,
-    eq1_upperbound_series,
-    fifo_queue_length_steps,
-    measure_inaccuracy,
-)
+from repro.analysis import eq1_upperbound, fifo_queue_length_steps, measure_inaccuracy
+from tests.analysis.queueing import eq1_upperbound_series
 
 
 def test_eq1_values_from_paper():

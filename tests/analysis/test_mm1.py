@@ -1,15 +1,16 @@
-"""Unit tests for queueing formulas."""
+"""The reference queueing formulas agree with each other and with M/M/1."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.analysis import mm1_mean_response_time
+from tests.analysis.queueing import (
     erlang_c,
     mg1_mean_response_time,
     mm1_mean_queue_length,
-    mm1_mean_response_time,
     mm1_mean_waiting_time,
     mm1_queue_length_pmf,
+    mmk_mean_queue_length,
     mmk_mean_response_time,
 )
 
@@ -118,8 +119,6 @@ def test_mmk_reduces_to_mm1():
 
 
 def test_mmk_queue_length_little_law():
-    from repro.analysis.mm1 import mmk_mean_queue_length
-
     k, rho, s = 4, 0.8, 0.05
     lam = rho * k / s
     assert mmk_mean_queue_length(k, rho) == pytest.approx(

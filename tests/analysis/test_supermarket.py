@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.analysis import mm1_mean_response_time, supermarket_mean_response_time
+from tests.analysis.queueing import (
     mm1_mean_queue_length,
-    mm1_mean_response_time,
     supermarket_fixed_point,
     supermarket_mean_queue_length,
-    supermarket_mean_response_time,
 )
 
 

@@ -98,16 +98,6 @@ def test_multiple_publishers_merge():
     assert table.available("svc", 0) == [1, 2, 3]
 
 
-def test_forget_evicts_node():
-    sim, channel = make_channel()
-    table = ServiceMappingTable(sim, ttl=10.0)
-    table.subscribe(channel, 100)
-    make_publisher(sim, channel, node_id=7).start()
-    sim.run(until=0.5)
-    table.forget(7)
-    assert table.available("svc", 0) == []
-
-
 def test_unknown_service_empty():
     sim = Simulator()
     table = ServiceMappingTable(sim, ttl=1.0)
@@ -123,15 +113,6 @@ def test_start_is_idempotent():
     publisher.start()
     sim.run(until=1.0)
     assert len(deliveries) == 1  # not doubled
-
-
-def test_known_services():
-    sim, channel = make_channel()
-    table = ServiceMappingTable(sim, ttl=1.0)
-    table.subscribe(channel, 100)
-    make_publisher(sim, channel, node_id=0).start()
-    sim.run(until=0.1)
-    assert table.known_services() == ["svc"]
 
 
 # ----------------------------------------------------------------------

@@ -45,16 +45,6 @@ def test_negative_cost_rejected():
         client.occupy(-0.1)
 
 
-def test_cpu_utilization():
-    sim = Simulator()
-    client = ClientNode(sim, 100)
-    client.occupy(0.2)
-    client.occupy(0.3)
-    assert client.cpu_utilization(10.0) == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        client.cpu_utilization(0.0)
-
-
 def test_state_dict_isolated_per_client():
     sim = Simulator()
     a, b = ClientNode(sim, 1), ClientNode(sim, 2)

@@ -104,11 +104,11 @@ def test_tier_completes_all_requests_and_counts_forwards():
     # every request crossed the tier at least once
     assert counters["dispatcher_forwards"] >= 200
     assert counters["dispatcher_sheds"] == 0
-    rows = cluster.dispatchers.per_dispatcher()
-    assert len(rows) == 2
-    assert sum(row["forwards"] for row in rows) == counters["dispatcher_forwards"]
+    tier = cluster.dispatchers.dispatchers
+    assert len(tier) == 2
+    assert sum(d.forwards for d in tier) == counters["dispatcher_forwards"]
     # tier drained: nothing left in flight at the end of the run
-    assert cluster.dispatchers.inflight_total() == 0
+    assert sum(d.inflight for d in tier) == 0
 
 
 def test_tier_selection_uses_per_dispatcher_agents():
@@ -126,8 +126,7 @@ def test_static_assignment_pins_clients_to_one_dispatcher():
     )
     cluster.run()
     # with several clients hashed across 2 dispatchers, both see work
-    rows = cluster.dispatchers.per_dispatcher()
-    assert all(row["forwards"] > 0 for row in rows)
+    assert all(d.forwards > 0 for d in cluster.dispatchers.dispatchers)
 
 
 # ----------------------------------------------------------------------

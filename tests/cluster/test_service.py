@@ -47,24 +47,6 @@ def test_unknown_lookup_raises():
     pm = PartitionMap()
     with pytest.raises(KeyError):
         pm.replicas("ghost", 0)
-    with pytest.raises(KeyError):
-        pm.partitions("ghost")
-
-
-def test_services_and_partitions():
-    pm = PartitionMap()
-    pm.place(ServiceSpec("a", n_partitions=2, replication=1), [0, 1])
-    pm.place(ServiceSpec("b", n_partitions=1, replication=2), [0, 1])
-    assert pm.services() == ["a", "b"]
-    assert pm.partitions("a") == [0, 1]
-
-
-def test_nodes_hosting():
-    pm = PartitionMap()
-    pm.place(ServiceSpec("a", n_partitions=2, replication=1), [0, 1])
-    assert pm.nodes_hosting(0) == [("a", 0)]
-    assert pm.nodes_hosting(1) == [("a", 1)]
-    assert pm.nodes_hosting(9) == []
 
 
 def test_replicas_returns_copy():

@@ -20,7 +20,7 @@ def test_manager_counts_drain_to_zero():
     cluster.run()
     # Let the last completion notifications arrive.
     cluster.sim.run()
-    assert policy.outstanding() == 0
+    assert policy._counts.sum() == 0  # no assignment believed in flight
     assert policy.queries_served == 500
 
 

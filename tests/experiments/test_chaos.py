@@ -80,7 +80,7 @@ def small_campaign(cache=None, archive=None, **kwargs):
 
 def test_campaign_shape_and_baseline_normalization():
     report = small_campaign()
-    assert len(report.table) == 4  # 2 policies x 2 intensities
+    assert len(report.table.rows) == 4  # 2 policies x 2 intensities
     for row in report.table.rows:
         if row["intensity"] == 0.0:
             assert row["vs_baseline"] == pytest.approx(1.0)
@@ -146,7 +146,7 @@ def test_naive_vs_hardened_campaign_shape():
         policies=DEFAULT_POLICIES[:1], reliability_modes=NAIVE_VS_HARDENED
     )
     # 1 policy x 2 intensities x 2 modes.
-    assert len(report.table) == 4
+    assert len(report.table.rows) == 4
     assert [row["mode"] for row in report.table.rows] == [
         "naive", "naive", "hardened", "hardened",
     ]

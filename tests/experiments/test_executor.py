@@ -58,9 +58,9 @@ def test_executor_matches_parallel_sweep():
 def test_pool_stays_warm_across_sweeps():
     configs = [small(seed=s) for s in range(3)]
     with SweepExecutor(max_workers=2) as executor:
-        assert not executor.warm  # lazy: no pool until the first sweep
+        assert executor._pool is None  # lazy: no pool until the first sweep
         first = executor.sweep(configs)
-        assert executor.warm
+        assert executor._pool is not None
         pool = executor._pool
         second = executor.sweep(configs)
         assert executor._pool is pool  # same processes, no respawn
@@ -74,7 +74,7 @@ def test_pool_stays_warm_across_sweeps():
 def test_single_config_runs_inline():
     with SweepExecutor() as executor:
         [result] = executor.sweep([small()])
-        assert not executor.warm  # one config never pays pool spawn
+        assert executor._pool is None  # one config never pays pool spawn
     assert result.config.seed == 9
 
 
@@ -110,7 +110,7 @@ def test_executor_reusable_after_close():
     configs = [small(seed=s) for s in range(2)]
     executor.sweep(configs)
     executor.close()
-    assert not executor.warm
+    assert executor._pool is None
     results = executor.sweep(configs)  # re-spawns transparently
     executor.close()
     assert len(results) == 2
@@ -177,11 +177,11 @@ def test_a_dead_worker_names_its_config_and_the_next_sweep_respawns(
         lost = _first_lost(info.value)
         assert lost <= 5
         assert f"config {lost} ('cell{lost}', seed {lost})" in str(info.value)
-        assert len(cache) == lost  # every result that arrived was kept
-        assert not executor.warm  # the broken pool is gone
+        assert len(_entries(cache)) == lost  # every result that arrived was kept
+        assert executor._pool is None  # the broken pool is gone
         monkeypatch.undo()
         results = executor.sweep(configs)
-        assert executor.warm
+        assert executor._pool is not None
     assert cache.hits == lost
     assert [(r.config, r.digest()) for r in results] == [
         (r.config, r.digest()) for r in expected
@@ -208,7 +208,7 @@ def clean_composed(tmp_path_factory):
 
 def _assert_resumes(root, clean_composed) -> None:
     clean, clean_entries = clean_composed
-    filled = len(ResultCache(root))
+    filled = len(_entries(ResultCache(root)))
     cache = ResultCache(root)
     report = _composed().run(max_workers=2, cache=cache)
     assert report.render() == clean.render()
@@ -222,7 +222,7 @@ def _assert_resumes(root, clean_composed) -> None:
 def test_a_campaign_resumes_against_a_half_filled_cache(tmp_path, clean_composed):
     configs = [cell.config for cell in _composed().expand()]
     parallel_sweep(configs[::2], parallel=False, cache=ResultCache(tmp_path))
-    assert len(ResultCache(tmp_path)) == len(configs) // 2
+    assert len(_entries(ResultCache(tmp_path))) == len(configs) // 2
     _assert_resumes(tmp_path, clean_composed)
 
 
@@ -233,6 +233,6 @@ def test_a_campaign_resumes_after_a_dead_worker(
     worker_dies_on(label=configs[20].label)
     with pytest.raises(BrokenProcessPool) as info:
         _composed().run(max_workers=2, cache=ResultCache(tmp_path))
-    assert len(ResultCache(tmp_path)) == _first_lost(info.value) <= 20
+    assert len(_entries(ResultCache(tmp_path))) == _first_lost(info.value) <= 20
     monkeypatch.undo()
     _assert_resumes(tmp_path, clean_composed)

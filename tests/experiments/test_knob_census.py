@@ -16,6 +16,7 @@ would move that campaign's cache keys and goldens).
 """
 
 import ast
+import json
 import re
 import sys
 import textwrap
@@ -31,7 +32,6 @@ from repro.experiments.scenario import (
     ScenarioError,
     ScenarioSpec,
     builtin_spec,
-    parse_yaml_lite,
     spec_from_dict,
 )
 from repro.verify.fuzz import sample_case
@@ -135,10 +135,12 @@ def _literal_knobs():
 
 
 def _spec_example_configs():
-    """The docs' spec-file examples, expanded without reading their
-    trace files (the examples pin a digest)."""
-    for _, block in _doc_blocks("yaml"):
-        yield from (cell.config for cell in spec_from_dict(parse_yaml_lite(block))._cells())
+    """The example spec files and the docs' spec examples, expanded
+    without reading their trace files (the examples pin a digest)."""
+    blocks = [path.read_text() for path in sorted((ROOT / "examples").glob("*.json"))]
+    blocks += [block for _, block in _doc_blocks("json")]
+    for block in blocks:
+        yield from (cell.config for cell in spec_from_dict(json.loads(block))._cells())
 
 
 @pytest.fixture(scope="module")

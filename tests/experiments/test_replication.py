@@ -17,16 +17,13 @@ def base(**kwargs):
 def test_replicate_validation():
     with pytest.raises(ValueError):
         replicate(base(), n_replications=0)
-    with pytest.raises(ValueError):
-        replicate(base(), confidence=1.0)
 
 
 def test_replicate_runs_distinct_seeds():
     result = replicate(base(policy="random"), n_replications=4, parallel=False)
     assert result.n_replications == 4
     assert len(set(result.per_seed_means)) == 4  # independent samples
-    assert result.low < result.mean < result.high
-    assert result.half_width > 0
+    assert 0 < result.half_width < math.inf
 
 
 def test_single_replication_infinite_interval():
@@ -40,15 +37,10 @@ def test_replicate_deterministic():
     assert a.per_seed_means == b.per_seed_means
 
 
-def test_overlaps():
-    a = replicate(base(policy="random"), n_replications=3, parallel=False)
-    assert a.overlaps(a)
-
-
 def test_row_renders():
     result = replicate(base(policy="random"), n_replications=2, parallel=False)
     text = result.row()
-    assert "ms" in text and "n=2" in text
+    assert "ms" in text and "(95%, n=2)" in text
 
 
 def test_compare_policies_sorted_and_separated():
@@ -71,4 +63,4 @@ def test_compare_policies_sorted_and_separated():
     assert all(
         i < r for i, r in zip(ideal_result.per_seed_means, random_result.per_seed_means)
     )
-    assert ideal_result.high < random_result.mean
+    assert ideal_result.mean + ideal_result.half_width < random_result.mean

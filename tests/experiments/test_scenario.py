@@ -1,6 +1,7 @@
 """Scenario spec semantics: expansion, validation, files, reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,10 @@ from repro.experiments.scenario import (
     WorkloadAxis,
     composed_spec,
     load_spec,
-    parse_yaml_lite,
     spec_from_dict,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +281,7 @@ def test_spec_from_dict_axis_entries_as_dicts():
     assert len(spec.expand()) == 4
 
 
-def test_load_spec_json_and_yaml_agree(tmp_path):
+def test_load_spec_reads_json_only(tmp_path):
     data = {
         "name": "file",
         "n_requests": 120,
@@ -288,24 +290,19 @@ def test_load_spec_json_and_yaml_agree(tmp_path):
     }
     json_path = tmp_path / "s.json"
     json_path.write_text(json.dumps(data))
+    assert load_spec(json_path) == spec_from_dict(data)
     yaml_path = tmp_path / "s.yaml"
-    yaml_path.write_text(
-        "# scenario spec\n"
-        "name: file\n"
-        "n_requests: 120\n"
-        "loads:\n"
-        "  - 0.5\n"
-        "  - 0.8\n"
-        "policies:\n"
-        "  - label: rnd\n"
-        "    policy: random\n"
-    )
-    from_json = load_spec(json_path)
-    from_yaml = load_spec(yaml_path)
-    assert from_json == from_yaml
-    assert [c.config for c in from_json.expand()] == [
-        c.config for c in from_yaml.expand()
-    ]
+    yaml_path.write_text("name: file\n")
+    with pytest.raises(ScenarioError, match="expected .json"):
+        load_spec(yaml_path)
+
+
+def test_the_example_spec_file_expands_with_its_replay_file_cells():
+    spec = load_spec(ROOT / "examples" / "grid.json")
+    cells = spec.expand()
+    replayed = [c for c in cells if c.config.workload == "replay_file"]
+    assert len(cells) == 16 and len(replayed) == 8
+    assert replayed[0].config.workload_params["path"] == "examples/grid-trace.csv"
 
 
 def test_load_spec_bad_suffix_and_missing_file(tmp_path):
@@ -313,66 +310,6 @@ def test_load_spec_bad_suffix_and_missing_file(tmp_path):
         load_spec(tmp_path / "spec.toml")
     with pytest.raises(ScenarioError, match="cannot read"):
         load_spec(tmp_path / "missing.json")
-
-
-# ----------------------------------------------------------------------
-# YAML-lite
-# ----------------------------------------------------------------------
-
-def test_yaml_lite_scalars_lists_nesting_and_inline_json():
-    data = parse_yaml_lite(
-        "name: demo\n"
-        "count: 3\n"
-        "ratio: 0.5\n"
-        "flag: true\n"
-        "nothing: null\n"
-        "inline: {\"a\": 1, \"b\": [2, 3]}\n"
-        "nested:\n"
-        "  inner: x\n"
-        "items:\n"
-        "  - 1\n"
-        "  - two\n"
-    )
-    assert data == {
-        "name": "demo",
-        "count": 3,
-        "ratio": 0.5,
-        "flag": True,
-        "nothing": None,
-        "inline": {"a": 1, "b": [2, 3]},
-        "nested": {"inner": "x"},
-        "items": [1, "two"],
-    }
-
-
-def test_yaml_lite_list_of_mappings():
-    data = parse_yaml_lite(
-        "policies:\n"
-        "  - label: a\n"
-        "    policy: random\n"
-        "  - label: b\n"
-        "    policy: polling\n"
-        "    params: {\"poll_size\": 2}\n"
-    )
-    assert data["policies"] == [
-        {"label": "a", "policy": "random"},
-        {"label": "b", "policy": "polling", "params": {"poll_size": 2}},
-    ]
-
-
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("a:\n\tb: 1\n", "tabs"),
-        ("a: 1\na: 2\n", "duplicate key"),
-        ("a:\n  - 1\n   - 2\n", "list item"),
-        ("just a bare line\n", "key: value"),
-        ("a: {\"broken\": \n", "invalid inline JSON"),
-    ],
-)
-def test_yaml_lite_errors(text, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        parse_yaml_lite(text)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,9 @@ fails here — in the style of ``test_campaign_single_path.py``:
   from the parent commit), and the scenario's fast-engine check agrees
   with the fast engine's own.
 
-ISSUE 18 took scipy off the path of ``import repro``: a run loads numpy
-only, and the functions that need scipy import it where they call it
-(three call sites since the mean-field prediction became a closed form).
-A module-level scipy import anywhere under ``src/repro`` fails here.
+numpy is the only runtime dependency: the Weibull fit, its moments and
+the replication intervals' t quantile are stdlib code, so no run loads
+scipy, and a scipy import anywhere under ``src/repro`` fails here.
 """
 
 import ast
@@ -122,9 +121,9 @@ def test_every_cli_command_has_a_caller():
 
 
 #: run in a fresh interpreter: everything a CLI command, a pool worker or a
-#: suite workload imports, one default run and one mean-field prediction,
-#: then the cold functions behind the three call sites that do need scipy:
-#: ``weibull_from_moments`` reaches two, ``half_width`` one
+#: suite workload imports, one default run, one mean-field prediction and
+#: the three functions that once imported scipy where they were called
+#: (``weibull_from_moments`` reached two, ``half_width`` one)
 _IMPORT_PROBE = """
 import sys
 import repro, repro.cli, repro.live, repro.verify
@@ -135,9 +134,11 @@ from repro.workload import weibull_from_moments
 run_simulation(SimulationConfig(n_requests=200))
 polling2 = SimulationConfig(policy="polling", policy_params={"poll_size": 2}, engine="fast")
 meanfield_prediction(polling2)
+shape = weibull_from_moments(0.05, 0.075).shape
+half_width = ReplicatedResult(SimulationConfig(), (0.10, 0.11, 0.125)).half_width
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
-print(weibull_from_moments(0.05, 0.075).shape)
-print(ReplicatedResult(SimulationConfig(), (0.10, 0.11, 0.125), 0.95).half_width)
+print(shape)
+print(half_width)
 """
 
 
@@ -151,19 +152,10 @@ def test_a_run_imports_numpy_only_and_the_three_lazy_sites_work():
         timeout=240,
     ).stdout.splitlines()
     assert out[0] == "[]"
-    # the values the module-level imports produced at the parent (d5f833b)
+    # the values scipy's gamma, brentq and t.ppf produced (d5f833b)
     assert [float(line) for line in out[1:]] == pytest.approx(
         [0.6847725532334181, 0.031258047396878874], rel=1e-12
     )
-
-
-def _import_time_nodes(node: ast.AST):
-    """Every node that executes when the module is imported."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield child
-        yield from _import_time_nodes(child)
 
 
 def _imported_packages(node: ast.AST) -> set[str]:
@@ -175,10 +167,11 @@ def _imported_packages(node: ast.AST) -> set[str]:
 
 
 def test_no_module_imports_scipy_at_import_time():
+    """Nor at call time: no function body imports it either."""
     offenders = {
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in SRC.rglob("*.py")
-        for node in _import_time_nodes(ast.parse(path.read_text()))
+        for node in ast.walk(ast.parse(path.read_text()))
         if "scipy" in _imported_packages(node)
     }
     assert offenders == set()

@@ -121,4 +121,4 @@ def test_section6_figures():
     )
     report = spec.run(parallel=False)
     assert "Figure 4" in report.render()
-    assert len(report.table) == 3  # random, poll-2, ideal
+    assert len(report.table.rows) == 3  # random, poll-2, ideal

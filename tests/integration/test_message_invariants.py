@@ -65,12 +65,6 @@ def test_broadcast_fanout_identity():
     assert counts[MessageKind.BROADCAST] == policy.broadcasts_sent * 4
 
 
-def test_total_messages_equals_sum_of_kinds():
-    cluster = run(make_policy("polling", poll_size=2))
-    counts = cluster.network.message_counts
-    assert cluster.network.total_messages() == sum(counts.values())
-
-
 def test_availability_publish_fanout():
     policy = make_policy("random")
     cluster = ServiceCluster(

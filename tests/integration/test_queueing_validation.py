@@ -9,14 +9,11 @@ Network latency constants are subtracted where theory excludes them.
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    mg1_mean_response_time,
-    mm1_mean_response_time,
-    supermarket_mean_response_time,
-)
+from repro.analysis import mm1_mean_response_time, supermarket_mean_response_time
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
 from repro.net import PAPER_NET
+from tests.analysis.queueing import mg1_mean_response_time
 
 
 def run_cluster(policy, n_servers, load, n_requests, seed, service_cv=1.0,

@@ -5,8 +5,9 @@ import asyncio
 import pytest
 
 from repro.live.clock import WallClock
-from repro.sim.clock import Clock, ClockHandle, ManualClock
+from repro.sim.clock import Clock, ClockHandle
 from repro.sim.engine import Simulator
+from tests.live.manual_clock import ManualClock
 
 
 # ----------------------------------------------------------------------
@@ -169,11 +170,12 @@ def test_wall_clock_at_a_future_time_is_due_exactly_then():
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        clock = WallClock(loop, origin=loop.time() - 5.0)
+        origin = loop.time() - 5.0
+        clock = WallClock(loop, origin=origin)
         handle = clock.at(10.0, lambda: None)
         when = handle._timer.when()
         handle.cancel()
-        return clock.origin, when
+        return origin, when
 
     origin, when = _run(scenario())
     assert when == origin + 10.0

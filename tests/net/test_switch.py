@@ -57,9 +57,9 @@ def test_different_ports_do_not_contend():
 def test_port_backlog():
     sim = Simulator()
     switch = SwitchedEthernet(sim, n_ports=2, bandwidth_bps=100e6, propagation=0.0)
-    assert switch.port_backlog(1) == 0.0
-    switch.transit(make_message(1, size=12500), lambda m: None)  # 1 ms
-    assert switch.port_backlog(1) == pytest.approx(1e-3)
+    assert switch.transit(make_message(1, size=12500), lambda m: None) == pytest.approx(1e-3)
+    # the port stays booked for that millisecond: an empty message waits it out
+    assert switch.transit(make_message(1, size=0), lambda m: None) == pytest.approx(1e-3)
 
 
 def test_idle_period_resets_port():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net import ConstantLatency, MessageKind, Network, SwitchedEthernet
+from repro.net import ConstantLatency, Message, MessageKind, Network, SwitchedEthernet
 from repro.sim import Simulator
 
 
@@ -55,4 +55,6 @@ def test_drop_filter_applies_before_switch():
     net.send(MessageKind.REQUEST, 0, 1, None, delivered.append)
     sim.run()
     assert delivered == []
-    assert net.switch.port_backlog(1) == 0.0
+    # the port was never booked: an empty message crosses without waiting
+    empty = Message(MessageKind.REQUEST, 0, 1, None, 0, sim.now)
+    assert net.switch.transit(empty, lambda m: None) == sim.now

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import StepRecorder
+from tests.sim.test_monitor import time_average
 
 # Breakpoint times on a coarse lattice keep the arithmetic exact enough
 # for approx comparison while still exploring coincident times, windows
@@ -44,7 +45,7 @@ def test_time_average_equals_midpoint_dot_product(times, values, initial, window
     mids = (cuts[:-1] + cuts[1:]) / 2
     expected = float(np.dot(rec.value_at(mids), np.diff(cuts)) / (t1 - t0))
 
-    assert np.isclose(rec.time_average(t0, t1), expected, rtol=1e-9, atol=1e-9)
+    assert np.isclose(time_average(rec, t0, t1), expected, rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)

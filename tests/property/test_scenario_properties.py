@@ -7,7 +7,6 @@ would silently serve one cell's cached result for another.
 """
 
 import copy
-import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from repro.experiments.scenario import (
     ScenarioError,
     ScenarioSpec,
     WorkloadAxis,
-    parse_yaml_lite,
     spec_from_dict,
 )
 
@@ -206,17 +204,3 @@ def test_json_shaped_junk_expands_or_raises_scenario_error(mutations, scratch):
         except ScenarioError:
             continue
         assert cells and all(cell.config.n_requests >= 10 for cell in cells)
-
-
-@given(
-    text=st.text(
-        alphabet=st.sampled_from(list("ab:-# \n\t{}[]\"',01.~")), max_size=60
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_yaml_lite_noise_parses_or_raises_value_error_with_a_line(text):
-    """200 000 random documents found no other exception; pin that."""
-    try:
-        parse_yaml_lite(text)
-    except ValueError as error:
-        assert re.search(r"line \d+", str(error))

@@ -3,30 +3,14 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.analysis import eq1_upperbound, summarize
-from repro.analysis.mm1 import mm1_queue_length_pmf
-from repro.analysis.supermarket import supermarket_fixed_point
+from repro.analysis import eq1_upperbound
+from tests.analysis.queueing import mm1_queue_length_pmf, supermarket_fixed_point
 from repro.workload.distributions import (
     lognormal_from_moments,
     pareto_from_moments,
     weibull_from_moments,
 )
-
-finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
-samples = hnp.arrays(np.float64, st.integers(1, 300), elements=finite_floats)
-
-
-@given(samples)
-def test_summarize_bounds(values):
-    out = summarize(values)
-    assert out["min"] <= out["p50"] <= out["p99"] <= out["max"]
-    # 1-ulp slack: the arithmetic mean of identical values can exceed
-    # them by one rounding step.
-    span = max(abs(out["min"]), abs(out["max"]), 1.0)
-    assert out["min"] - 1e-9 * span <= out["mean"] <= out["max"] + 1e-9 * span
-
 
 moments = st.tuples(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),

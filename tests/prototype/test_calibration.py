@@ -5,6 +5,8 @@ import pytest
 
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
+from repro.experiments import SimulationConfig
+from repro.experiments.runner import _resolve_nominal_rho
 from repro.net.latency import PAPER_NET
 from repro.prototype import PrototypeOverheadModel, calibrate_full_load
 from repro.prototype.calibration import _single_server_responses
@@ -46,12 +48,11 @@ def test_achieved_fraction_near_target(calibrations):
 
 
 def test_nominal_scaling(calibrations):
-    calibration = calibrations["poisson_exp"]
-    assert calibration.nominal(0.5) == pytest.approx(
-        0.5 * calibration.nominal_rho_at_full_load
-    )
-    with pytest.raises(ValueError):
-        calibration.nominal(0.0)
+    """A prototype run's nominal utilization is its load times the
+    calibrated full-load utilization."""
+    rho = calibrations["poisson_exp"].nominal_rho_at_full_load
+    config = SimulationConfig(model="prototype", load=0.5, full_load_rho=rho)
+    assert _resolve_nominal_rho(config, None) == pytest.approx(0.5 * rho)
 
 
 def test_calibration_deterministic():

@@ -504,16 +504,11 @@ def test_occupancy_is_a_distribution():
     assert run.occupancy is not None
     assert run.occupancy.min() >= 0
     assert run.occupancy.sum() == pytest.approx(1.0)
-    tail = run.occupancy_tail
-    assert tail[0] == pytest.approx(1.0)
-    assert np.all(np.diff(tail) <= 1e-12)  # s_k is non-increasing
 
 
 def test_record_occupancy_false_skips_reconstruction():
     run = run_fastpath(_config(), record_occupancy=False)
     assert run.occupancy is None
-    with pytest.raises(ValueError, match="record_occupancy"):
-        run.occupancy_tail
 
 
 def test_run_simulation_routes_fast_engine():

@@ -203,9 +203,9 @@ def test_trace_command_policy_params(capsys):
 
 def test_scenario_parser_flags():
     parser = build_parser()
-    args = parser.parse_args(["scenario", "--spec", "grid.yaml", "--validate"])
+    args = parser.parse_args(["scenario", "--spec", "examples/grid.json", "--validate"])
     assert args.command == "scenario"
-    assert args.spec == "grid.yaml"
+    assert args.spec == "examples/grid.json"
     assert args.validate
 
 
@@ -217,12 +217,9 @@ def test_scenario_validate_builtin(capsys):
 
 
 def test_scenario_validate_names_the_offending_axis(tmp_path, capsys):
-    spec = tmp_path / "bad.yaml"
+    spec = tmp_path / "bad.json"
     spec.write_text(
-        "name: bad\n"
-        "policies:\n"
-        "  - label: x\n"
-        "    policy: no_such_policy\n"
+        '{"name": "bad", "policies": [{"label": "x", "policy": "no_such_policy"}]}'
     )
     with pytest.raises(SystemExit) as err:
         main(["scenario", "--spec", str(spec), "--validate", "--no-cache"])

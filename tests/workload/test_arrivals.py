@@ -32,12 +32,6 @@ def test_poisson_interarrival_cv_is_one():
     assert gaps.std() / gaps.mean() == pytest.approx(1.0, rel=0.03)
 
 
-def test_arrival_times_monotone_nondecreasing():
-    times = PoissonProcess(100.0).arrival_times(rng(), 10_000)
-    assert (np.diff(times) >= 0).all()
-    assert times.shape == (10_000,)
-
-
 def test_renewal_process_uses_distribution():
     process = RenewalProcess(Exponential(0.2))
     assert process.mean_interval() == pytest.approx(0.2)

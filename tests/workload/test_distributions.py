@@ -80,6 +80,22 @@ def test_weibull_from_moments_exact(mean, std):
     assert dist.std() == pytest.approx(std, rel=1e-6)
 
 
+def test_weibull_fit_recovers_the_target_cv2_over_its_whole_bracket():
+    """The shape bisection hits the CV^2 of every shape in [0.05, 100] to
+    1e-12; near shape 100 the CV^2 itself is ~1.6e-4 and its formula
+    cancels four digits, so the bound there is absolute."""
+    for shape in np.geomspace(0.05, 100.0, 200):
+        target = Weibull(shape, 1.0).std() ** 2 / Weibull(shape, 1.0).mean() ** 2
+        fit = weibull_from_moments(1.0, math.sqrt(target))
+        assert fit.std() ** 2 / fit.mean() ** 2 == pytest.approx(target, rel=1e-12, abs=1e-12)
+        assert fit.mean() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_weibull_fit_outside_the_bracket_is_rejected():
+    with pytest.raises(ValueError, match="no Weibull shape"):
+        weibull_from_moments(1.0, 1e-4)
+
+
 @pytest.mark.parametrize("mean,std", [(1.0, 0.5), (0.05, 0.1), (2.0, 4.0)])
 def test_pareto_from_moments_exact(mean, std):
     dist = pareto_from_moments(mean, std)

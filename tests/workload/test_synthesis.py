@@ -38,18 +38,6 @@ def test_synthesized_moments_close(spec):
     assert stats.arrival_interval_std == pytest.approx(spec.arrival_interval_std, rel=0.1)
 
 
-@pytest.mark.parametrize("spec", [FINE_GRAIN_SPEC, MEDIUM_GRAIN_SPEC], ids=lambda s: s.name)
-def test_exact_moments_mode(spec):
-    trace = synthesize_trace(spec, n=50_000, rng=np.random.default_rng(4), exact_moments=True)
-    stats = trace.stats()
-    # "Exact" up to the positivity clamp on the extreme left tail, which
-    # perturbs heavy-tailed fits (Medium-Grain) by ~1e-4 relative.
-    assert stats.service_time_mean == pytest.approx(spec.service_time_mean, rel=1e-3)
-    assert stats.service_time_std == pytest.approx(spec.service_time_std, rel=5e-3)
-    assert (trace.service > 0).all()
-    assert (trace.interarrival >= 0).all()
-
-
 def test_synthesis_reproducible():
     a = synthesize_trace(FINE_GRAIN_SPEC, n=1000, rng=np.random.default_rng(5))
     b = synthesize_trace(FINE_GRAIN_SPEC, n=1000, rng=np.random.default_rng(5))

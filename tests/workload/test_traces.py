@@ -55,11 +55,6 @@ def test_stats_moments():
     assert stats.service_time_mean == pytest.approx(0.05, rel=0.05)
 
 
-def test_stats_row_renders():
-    row = make_trace(100, name="Fine").stats().row("Fine")
-    assert "Fine" in row and "ms" in row
-
-
 def test_head():
     trace = make_trace(100)
     head = trace.head(10)
