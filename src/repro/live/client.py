@@ -355,7 +355,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
     def _recv_publish(self, msg: Dict[str, Any]) -> None:
         if self._shared_table is None:
             return
-        # the decoder checked the types: only the JSON lists become tuples
+        # the decoder checked the types: only its lists become tuples
         entries = tuple(tuple(entry) for entry in msg["entries"])
         payload = (msg["server"], entries, float(msg["at"]))
         self._shared_table._on_publish(_PublishShim(payload))  # noqa: SLF001
