@@ -268,6 +268,33 @@ class SimulationConfig:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
             )
+        params = self.policy_params
+        if (
+            self.model == "simulation"
+            and self.policy == "polling"
+            and isinstance(params, dict)
+            and params.get("discard_slow")
+        ):
+            # Every reply lands one round trip after the polls go out, so a
+            # deadline inside it lets the first poll sent decide. When every
+            # server is polled the polls go out in server-id order and that
+            # is server 0, for every request.
+            from repro.net.latency import PAPER_NET
+
+            timeout = params.get("discard_timeout")
+            if isinstance(timeout, (int, float)) and timeout < PAPER_NET.udp_rtt:
+                poll_size = params.get("poll_size")
+                if poll_size is None:
+                    owner = locate("repro.core.polling:RandomPollingPolicy")
+                    poll_size = inspect.signature(owner).parameters["poll_size"].default
+                if isinstance(poll_size, int) and poll_size >= self.n_servers:
+                    raise ValueError(
+                        f"polling with poll_size={poll_size} >= n_servers={self.n_servers} "
+                        f"and discard_timeout={timeout} < udp_rtt={PAPER_NET.udp_rtt} "
+                        "sends every request to server 0 under model='simulation' "
+                        "(the first reply decides); lower poll_size or raise "
+                        "discard_timeout"
+                    )
         if self.server_speeds is not None:
             if len(self.server_speeds) != self.n_servers:
                 raise ValueError(

@@ -35,7 +35,11 @@ Model (simulation model only, workers=1, homogeneous speeds):
 - The per-server FIFO recursion of a batch (:func:`_lindley_assign`) is
   one vectorized step when no server is chosen twice, adds a scalar
   tail when a few jobs share a server, and runs occurrence-rank rounds
-  otherwise.
+  otherwise (:func:`_rank_rounds`: the servers ordered by job count,
+  largest first, so each round's servers are a prefix of the last's).
+- Polling's candidate rows (:func:`_distinct_candidates`) redraw every
+  row with a repeated server until none is left; at poll size 2 one
+  column compare finds those rows, larger rows are sorted first.
 - All randomness draws from the same named substreams as the exact
   engines (``policy.random``, ``policy.polling``,
   ``policy.broadcast.{ties,intervals}``, ``policy.stale.ties``), so each
@@ -174,11 +178,24 @@ def _distinct_candidates(
     rng: np.random.Generator, n_batch: int, d: int, n_servers: int
 ) -> np.ndarray:
     """``(n_batch, d)`` rows of distinct server ids, uniform like the
-    exact engine's rejection sampler."""
+    exact engine's rejection sampler.
+
+    A row holding a repeated id is redrawn whole, all such rows at once
+    in row order, until none is left. At ``d == 2`` a row repeats exactly
+    when its two columns are equal, so one compare finds them; larger
+    rows are sorted first. Both paths redraw the same rows with the same
+    draws."""
     if d >= n_servers:
         return np.broadcast_to(np.arange(n_servers), (n_batch, n_servers)).copy()
     cand = rng.integers(0, n_servers, size=(n_batch, d))
-    if d > 1:
+    if d == 2:
+        dup = cand[:, 0] == cand[:, 1]
+        redraw = np.count_nonzero(dup)
+        while redraw:
+            cand[dup] = rng.integers(0, n_servers, size=(redraw, 2))
+            dup = cand[:, 0] == cand[:, 1]
+            redraw = np.count_nonzero(dup)
+    elif d > 2:
         while True:
             ordered = np.sort(cand, axis=1)
             dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
@@ -309,22 +326,26 @@ def _rank_rounds(
     """:func:`_lindley_assign`'s general case."""
     # A stable sort by server makes each server's jobs contiguous and
     # keeps them in arrival order; `counts` gives the group layout, so
-    # round r's jobs sit at group_start + r of the still-active groups
-    # — each round is O(active groups), O(n) total.
+    # round r's jobs sit at group_start + r of the groups holding more
+    # than r jobs. With the groups ordered largest first those are a
+    # prefix, so each round slices: O(active groups), O(n) total. The
+    # servers of one round are distinct, so the group order cannot
+    # change a value.
     order = choice.argsort(kind="stable")
     servers = counts.nonzero()[0]
     sizes = counts[servers]
     group_start = sizes.cumsum() - sizes
-    for rank in range(int(sizes.max())):
-        if rank:
-            active = sizes > rank
-            servers = servers[active]
-            sizes = sizes[active]
-            group_start = group_start[active]
-        idx = order[group_start + rank]
-        begin = np.maximum(server_arrival[idx], free[servers])
+    largest_first = (-sizes).argsort()
+    servers = servers[largest_first]
+    group_start = group_start[largest_first]
+    # groups holding more than r jobs, for each round r
+    active = (servers.size - np.bincount(sizes).cumsum()[:-1]).tolist()
+    for rank, m in enumerate(active):
+        round_servers = servers[:m]
+        idx = order[group_start[:m] + rank]
+        begin = np.maximum(server_arrival[idx], free[round_servers])
         finish = begin + service[idx]
-        free[servers] = finish
+        free[round_servers] = finish
         start[idx] = begin
         completion[idx] = finish
 
@@ -439,7 +460,9 @@ def run_fastpath(
         # With constant latencies every reply lands at +udp_rtt, so the
         # §3.2 discard machinery only bites when the deadline beats the
         # round trip — then zero replies are in and the *first* reply
-        # (the first poll sent) decides, i.e. a uniform random pick.
+        # (the first poll sent) decides. With poll_size < n_servers that
+        # is a uniform draw; with every server polled it would be server
+        # 0 every time, which SimulationConfig refuses.
         degenerate_discard = policy.discard_slow and discard_timeout < constants.udp_rtt
     else:
         dispatch_offset = 0.0

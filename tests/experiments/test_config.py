@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import SimulationConfig
+from repro.experiments import SimulationConfig, run_simulation
 
 
 def test_defaults_match_paper_setup():
@@ -54,3 +54,49 @@ def test_describe():
 def test_label_overrides_describe():
     config = SimulationConfig(label="my run")
     assert config.describe() == "my run"
+
+
+_SUB_RTT_DISCARD = {"discard_slow": True, "discard_timeout": 100e-6}  # udp_rtt is 290 µs
+
+
+@pytest.mark.parametrize("engine", ["heap", "calendar", "fast"])
+@pytest.mark.parametrize("n_servers, policy_params", [
+    (4, {"poll_size": 4}),
+    (4, {"poll_size": 8}),
+    (16, {"poll_size": 16}),
+    (2, {}),  # the policy's default poll size, 2
+])
+def test_every_server_polled_under_a_sub_rtt_deadline_is_refused(
+    engine, n_servers, policy_params
+):
+    """Every reply lands one round trip after the polls, so a deadline
+    inside it lets the first poll sent decide; with every server polled
+    they go out in id order and server 0 took every request, on every
+    engine."""
+    with pytest.raises(
+        ValueError,
+        match=r"poll_size=\d+ >= n_servers=\d+ and discard_timeout=0.0001 < udp_rtt=0.00029",
+    ):
+        SimulationConfig(
+            policy="polling", policy_params={**policy_params, **_SUB_RTT_DISCARD},
+            n_servers=n_servers, engine=engine,
+        )
+
+
+@pytest.mark.parametrize("engine", ["heap", "calendar", "fast"])
+def test_a_sub_rtt_deadline_with_fewer_polls_than_servers_still_spreads(engine):
+    config = SimulationConfig(
+        policy="polling", policy_params={"poll_size": 3, **_SUB_RTT_DISCARD},
+        n_servers=4, load=0.5, n_requests=400, engine=engine,
+    )
+    assert min(run_simulation(config).server_counts) > 0
+
+
+def test_every_server_polled_is_accepted_outside_that_combination():
+    every = {"poll_size": 4, **_SUB_RTT_DISCARD}
+    SimulationConfig(policy="polling", policy_params=every, n_servers=4,
+                     model="prototype")  # latencies vary with load
+    SimulationConfig(policy="polling", policy_params={"poll_size": 4, "discard_slow": True},
+                     n_servers=4)  # the default 10 ms deadline
+    SimulationConfig(policy="polling", policy_params={**every, "discard_slow": False},
+                     n_servers=4)

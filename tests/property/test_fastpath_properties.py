@@ -8,20 +8,23 @@ measured exactly as in :func:`repro.experiments.parity.
 distribution_parity` but with thresholds widened for the short runs
 (KS noise floor at n≈900 post-warmup samples is ~0.065 alone).
 
-The kernel's one piece of non-obvious arithmetic, the batch Lindley
-recursion, is held *exactly* to a per-job scalar loop.
+The kernels' non-obvious pieces are held *exactly* to plain references:
+the batch Lindley recursion to a per-job scalar loop, and polling's
+candidate rows to the sort-and-redraw sampler they replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import distribution_distance, ks_statistic
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parity import fast_distribution, heap_distribution
 from repro.sim import fastpath
-from repro.sim.fastpath import _SCALAR_TAIL, _lindley_assign
+from repro.sim.fastpath import _SCALAR_TAIL, _distinct_candidates, _lindley_assign
 from tests.conftest import kernel_examples
 
 _POLICY_PARAMS = {
@@ -166,3 +169,52 @@ def test_lindley_assign_equals_scalar_recursion(seed, n_batch, n_servers, shape)
     assert start.tolist() == expected_start
     assert completion.tolist() == expected_completion
     assert free.tolist() == expected_free
+
+
+# ----------------------------------------------------------------------
+# polling's candidate rows against the sort-and-redraw sampler
+# ----------------------------------------------------------------------
+def _row_sampler(rng, n_batch, d, n_servers):
+    """The candidate sampler as it was before its poll-size-2 path: sort
+    each row, find the rows holding a repeated id by a shifted compare,
+    redraw them all, until no row repeats."""
+    if d >= n_servers:
+        return np.broadcast_to(np.arange(n_servers), (n_batch, n_servers)).copy()
+    cand = rng.integers(0, n_servers, size=(n_batch, d))
+    if d > 1:
+        while True:
+            ordered = np.sort(cand, axis=1)
+            dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            if not dup.any():
+                break
+            cand[dup] = rng.integers(0, n_servers, size=(int(dup.sum()), d))
+    return cand
+
+
+@settings(max_examples=kernel_examples(60), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 9),
+    n_servers=st.one_of(st.integers(1, 64), st.just(1000)),
+    n_batch=st.sampled_from([1, 2, 56, 50_000]),
+)
+@example(seed=0, d=2, n_servers=3, n_batch=50_000)  # a third of the rows redrawn, ~10 rounds
+@example(seed=1, d=2, n_servers=1000, n_batch=56)  # fast_scale's polling window
+@example(seed=2, d=3, n_servers=3, n_batch=56)  # d == n_servers: every server, no draw
+@example(seed=3, d=9, n_servers=1000, n_batch=50_000)
+@example(seed=4, d=1, n_servers=64, n_batch=2)
+@example(seed=5, d=3, n_servers=4, n_batch=56)  # the sorted path, ~60% of rows redrawn
+def test_distinct_candidates_equal_the_row_sampler(seed, d, n_servers, n_batch):
+    # The reference draws n_batch / P(a row is distinct) rows in all; past
+    # a million (d near n_servers in a 50 000-row batch) an example takes
+    # seconds and walks the same loop.
+    p_distinct = math.prod(1 - k / n_servers for k in range(min(d, n_servers)))
+    assume(d >= n_servers or n_batch / p_distinct <= 1e6)
+    expected_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    expected = _row_sampler(expected_rng, n_batch, d, n_servers)
+    cand = _distinct_candidates(rng, n_batch, d, n_servers)
+    assert cand.dtype == expected.dtype
+    assert np.array_equal(cand, expected)
+    # the policy.polling stream is left where the reference leaves it
+    assert rng.bit_generator.state == expected_rng.bit_generator.state

@@ -34,6 +34,7 @@ from repro.sim.rng import RngHub
 from repro.workload.workloads import make_workload, request_stream
 from tests.conftest import kernel_examples
 from tests.sim.golden_fastpath import COARSE_TICK
+from tests.sim.golden_fastpath import POLICIES as GOLDEN_POLICIES
 
 _POLICY_PARAMS = [
     ("random", {}),
@@ -246,6 +247,87 @@ def test_stale_jsq_windows_equal_the_tick_by_tick_model(tick):
         # one iteration per refresh-bearing tick, plus the first
         assert run.iterations <= refreshes + 1
         assert run.iterations * 3 <= run.ticks
+
+
+def _polling_tick_by_tick(config, tick):
+    """The polling model replayed one tick and one job at a time in plain
+    Python — the reference the vectorized loop must equal. Each tick's
+    jobs take their candidate rows and tie noise from ``policy.polling``
+    as the engine draws them (all rows, then every row holding a
+    repeated server redrawn whole until none is left, then one noise
+    value per candidate), see the queue lengths of the tick start, and
+    join the chosen server's FIFO queue. Ticks holding no arrival are
+    skipped the way the engine skips them; nothing changes in them."""
+    n, n_servers = config.n_requests, config.n_servers
+    d = min(config.policy_params["poll_size"], n_servers)
+    gaps, services = request_stream(
+        config.workload, config.workload_params, config.seed, n, n_servers, config.load
+    )
+    arrivals, services = np.cumsum(gaps).tolist(), services.tolist()
+    rng = RngHub(config.seed).stream("policy.polling")
+    one_way = PAPER_NET.request_one_way
+    offset = PAPER_NET.udp_rtt + one_way
+
+    free = [0.0] * n_servers
+    qlen = [0] * n_servers
+    in_system = []  # (completion, server)
+    ticks = 0
+    response, servers = [], []
+    t = tick * math.floor(arrivals[0] / tick)
+    i = 0
+    while i < n:
+        ticks += 1
+        t_end = t + tick
+        for completion, s in in_system:
+            if completion <= t:
+                qlen[s] -= 1
+        in_system = [(c, s) for c, s in in_system if c > t]
+        j = i
+        while j < n and arrivals[j] < t_end:
+            j += 1
+        if j > i:
+            if d == n_servers:
+                rows = [list(range(n_servers)) for _ in range(i, j)]
+            else:
+                rows = rng.integers(0, n_servers, size=(j - i, d)).tolist()
+                repeated = [r for r, row in enumerate(rows) if len(set(row)) < d]
+                while repeated:
+                    redrawn = rng.integers(0, n_servers, size=(len(repeated), d)).tolist()
+                    for r, row in zip(repeated, redrawn):
+                        rows[r] = row
+                    repeated = [r for r in repeated if len(set(rows[r])) < d]
+            noise = rng.random((j - i, d)).tolist()
+            picked = []
+            for k, row, row_noise in zip(range(i, j), rows, noise):
+                keys = [qlen[c] + u for c, u in zip(row, row_noise)]
+                s = row[keys.index(min(keys))]
+                begin = max(arrivals[k] + offset, free[s])
+                free[s] = begin + services[k]
+                in_system.append((free[s], s))
+                response.append(free[s] + one_way - arrivals[k])
+                servers.append(s)
+                picked.append(s)
+            for s in picked:  # a tick's selections all read its start
+                qlen[s] += 1
+            i = j
+        t = t_end
+        if i < n:
+            t = max(t, tick * math.floor(arrivals[i] / tick))
+    return ticks, response, servers
+
+
+@pytest.mark.parametrize("poll_size", [2, 3, 8])
+@pytest.mark.parametrize("n_servers, n_requests", [(16, 2_000), (1000, 6_000)])
+def test_polling_equals_the_tick_by_tick_model(poll_size, n_servers, n_requests):
+    """Polling is the fast engine's one state-reading policy with no other
+    reference: the goldens pin its output, this says it is the model."""
+    config = _config(policy="polling", policy_params={"poll_size": poll_size},
+                     n_servers=n_servers, n_requests=n_requests, load=0.9)
+    run = run_fastpath(config)
+    ticks, response, servers = _polling_tick_by_tick(config, run.tick_length)
+    assert run.ticks == ticks
+    assert run.metrics.server_id.tolist() == servers
+    assert run.metrics.response_time.tolist() == response
 
 
 def _sweep(next_announce, rng_intervals, mean_interval, t_end):
@@ -504,6 +586,50 @@ def test_occupancy_is_a_distribution():
     assert run.occupancy is not None
     assert run.occupancy.min() >= 0
     assert run.occupancy.sum() == pytest.approx(1.0)
+
+
+#: N -> requests: ~200 per server up to N=2 (broadcast walks every tick
+#: of a run that long), then enough for a busy window
+_OCCUPANCY_SIZES = {1: 200, 2: 400, 16: 2_000, 200: 4_000}
+
+
+def _occupancy_cells():
+    for label, policy, params in GOLDEN_POLICIES:
+        for n_servers in _OCCUPANCY_SIZES:
+            if label == "polling-discard" and params["poll_size"] >= n_servers:
+                continue  # refused: the first reply would always be server 0's
+            for load in (0.3, 0.9, 1.2):
+                for seed in (0, 1):
+                    yield pytest.param(policy, params, n_servers, load, seed,
+                                       id=f"{label}-N{n_servers}-load{load}-seed{seed}")
+
+
+@pytest.mark.parametrize("policy, params, n_servers, load, seed", _occupancy_cells())
+def test_occupancy_integrates_to_the_total_work_in_the_window(
+    policy, params, n_servers, load, seed
+):
+    """``occupancy`` is a distribution, and its mean times N times the
+    window is the time the window's requests spent at their servers,
+    queued or in service: Σ over requests of [server arrival,
+    completion] clipped to the window."""
+    config = _config(policy=policy, policy_params=params, n_servers=n_servers,
+                     n_requests=_OCCUPANCY_SIZES[n_servers], load=load, seed=seed)
+    run = run_fastpath(config)
+    occupancy = run.occupancy
+    assert occupancy.min() >= 0
+    assert occupancy.sum() == pytest.approx(1.0, rel=1e-12)
+
+    arrivals = run.metrics.arrival_time
+    one_way = PAPER_NET.request_one_way
+    offset = PAPER_NET.udp_rtt if policy == "polling" else 0.0
+    server_arrival = arrivals + (offset + one_way)
+    completion = run.metrics.response_time + arrivals - one_way
+    n = config.n_requests
+    t0 = float(arrivals[int(n * config.warmup_fraction)])
+    t1 = float(arrivals[-1])
+    work = float((np.clip(completion, t0, t1) - np.clip(server_arrival, t0, t1)).sum())
+    mean_level = float(np.arange(occupancy.size) @ occupancy)
+    assert mean_level * n_servers * (t1 - t0) == pytest.approx(work, rel=1e-9)
 
 
 def test_record_occupancy_false_skips_reconstruction():
