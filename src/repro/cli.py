@@ -108,6 +108,12 @@ def _udp_port(text: str) -> int:
     return value
 
 
+def _csv_file(text: str) -> str:
+    if not text.endswith(".csv"):
+        raise argparse.ArgumentTypeError(f"must be a .csv path, got {text}")
+    return text
+
+
 def _table1(args) -> str:
     from repro.experiments import figures
 
@@ -557,9 +563,9 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "time_limit": dict(type=_positive_float, default=60.0,
                        help="hard wall-clock bound per live run in seconds "
                             "(default: 60)"),
-    "record_trace": dict(metavar="PATH",
+    "record_trace": dict(type=_csv_file, metavar="PATH",
                          help="record live arrivals to a replay trace "
-                              "(.csv/.jsonl); wall-clock epochs are normalized "
+                              "(.csv); wall-clock epochs are normalized "
                               "to t=0 on save"),
     "port": dict(type=_udp_port, default=0, help="UDP port (default: 0 = ephemeral)"),
     "workers": dict(type=_int_at_least(1), default=1,

@@ -124,6 +124,28 @@ class AutoscalerPolicy:
         """True when the control loop should be installed at all."""
         return self.interval is not None
 
+    def pool(self, n: int) -> tuple[int, int]:
+        """``(max_servers, initial_servers)`` resolved against a
+        provisioned pool of ``n`` servers; ``ValueError`` when they do
+        not fit it."""
+        resolved_max = self.max_servers or n
+        if resolved_max > n:
+            raise ValueError(
+                f"max_servers ({resolved_max}) exceeds the provisioned pool ({n})"
+            )
+        if self.min_servers > resolved_max:
+            raise ValueError(
+                f"min_servers ({self.min_servers}) exceeds max_servers "
+                f"({resolved_max})"
+            )
+        initial = self.initial_servers or self.min_servers
+        if not self.min_servers <= initial <= resolved_max:
+            raise ValueError(
+                f"initial_servers ({initial}) outside "
+                f"[{self.min_servers}, {resolved_max}]"
+            )
+        return resolved_max, initial
+
     @classmethod
     def field_names(cls) -> frozenset:
         """The set of knob names (used to validate config dicts)."""
@@ -142,23 +164,7 @@ class Autoscaler:
     def __init__(self, cluster: "ServiceCluster", policy: AutoscalerPolicy):
         if not policy.enabled:
             raise ValueError("Autoscaler requires an enabled policy")
-        n = cluster.n_servers
-        resolved_max = policy.max_servers or n
-        if resolved_max > n:
-            raise ValueError(
-                f"max_servers ({resolved_max}) exceeds the provisioned pool ({n})"
-            )
-        if policy.min_servers > resolved_max:
-            raise ValueError(
-                f"min_servers ({policy.min_servers}) exceeds max_servers "
-                f"({resolved_max})"
-            )
-        initial = policy.initial_servers or policy.min_servers
-        if not policy.min_servers <= initial <= resolved_max:
-            raise ValueError(
-                f"initial_servers ({initial}) outside "
-                f"[{policy.min_servers}, {resolved_max}]"
-            )
+        resolved_max, initial = policy.pool(cluster.n_servers)
         self.cluster = cluster
         self.policy = policy
         self.min_servers = policy.min_servers

@@ -347,13 +347,19 @@ class DispatcherTier:
         try:
             cluster.policy.select(dispatcher.agent, request)
         except NoCandidatesError:
-            # The dispatcher's whole view expired (mass failure / fresh
-            # lagged view): re-select at this dispatcher after a delay.
-            cluster.sim.after(
-                cluster.reselect_delay, self._reselect_at, (dispatcher.index, request)
-            )
+            self.reselect_later(dispatcher.agent, request)
         finally:
             cluster._selecting_request = None  # noqa: SLF001
+
+    def reselect_later(self, agent: ClientNode, request: "Request") -> None:
+        """The dispatcher's whole view expired (mass failure / fresh
+        lagged view): re-select at this dispatcher after a delay."""
+        cluster = self.cluster
+        cluster.sim.after(
+            cluster.reselect_delay,
+            self._reselect_at,
+            (self._by_node[agent.node_id].index, request),
+        )
 
     def _reselect_at(self, arg: tuple[int, "Request"]) -> None:
         index, request = arg

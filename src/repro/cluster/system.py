@@ -457,10 +457,21 @@ class RequestLifecycle:
         try:
             self.policy.select(client, request)
         except NoCandidatesError:
-            self._cancel_attempt_timeout(request)
-            self.sim.after(self.reselect_delay, self._retry, request)
+            self.reselect_later(client, request)
         finally:
             self._selecting_request = None
+
+    def reselect_later(self, selector: ClientNode, request: Request) -> None:
+        """Answer an empty candidate set at ``selector``: select again
+        after :attr:`reselect_delay`, at the dispatcher when the tier is
+        on. A policy that decides after a network hop (``manager``) calls
+        this where a synchronous ``select`` raises ``NoCandidatesError``,
+        so both take the same path."""
+        if self.dispatchers is not None:
+            self.dispatchers.reselect_later(selector, request)
+            return
+        self._cancel_attempt_timeout(request)
+        self.sim.after(self.reselect_delay, self._retry, request)
 
     def _on_response(self, winner: Request) -> None:
         """A RESPONSE for ``winner`` reached the client (the transport

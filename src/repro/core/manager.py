@@ -46,13 +46,20 @@ class CentralizedManagerPolicy(LoadBalancer):
             MessageKind.MANAGER_QUERY,
             client.node_id,
             self.manager_node_id,
-            (client, request),
+            (client, request, request.retries),
             self._on_query,
         )
 
     def _on_query(self, message: Message) -> None:
-        client, request = message.payload
+        client, request, attempt = message.payload
         candidates = self.ctx.available_servers(client)
+        if not candidates:
+            # The manager decides a hop after select() returned, so an
+            # empty set takes the reselect path here, not as a raise.
+            # A query that outlived its attempt has a retry on the way.
+            if not request.done and request.retries == attempt:
+                self.ctx.reselect_later(client, request)
+            return
         server_id = choose_min_in_table(self._counts, candidates, self._rng)
         self.queries_served += 1
         self._counts[server_id] += 1

@@ -657,7 +657,7 @@ class ScenarioSpec:
             # content-addressed: a replay_file cell keyed by path alone
             # would keep returning stale cached results after the trace
             # file is edited or regenerated on disk.
-            from repro.workload.replay import trace_digest
+            from repro.workload.replay import replay_file_params
 
             path = wl_params.get("path")
             if path is None:
@@ -666,7 +666,7 @@ class ScenarioSpec:
                     f"cell {label!r}: replay_file requires a 'path' param",
                 )
             try:
-                wl_params["digest"] = trace_digest(path)
+                wl_params.update(replay_file_params(path))
             except OSError as err:
                 raise ScenarioError(
                     "workloads", f"cell {label!r}: replay_file {path!r}: {err}"

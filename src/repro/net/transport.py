@@ -333,7 +333,7 @@ class BroadcastChannel:
     publication: ``dst`` names the recipient for the duration of its
     callback only, and a subscriber that keeps the message copies it. A
     subscriber added while a publication is in flight does not receive
-    it; one removed still does.
+    it.
     """
 
     __slots__ = ("network", "kind", "_subscribers")
@@ -345,12 +345,8 @@ class BroadcastChannel:
 
     def subscribe(self, node_id: int, on_delivery: DeliveryCallback) -> None:
         """Register ``on_delivery`` for messages published on the channel."""
-        # Copy-on-write, as unsubscribe: an in-flight event holds the old list.
+        # Copy-on-write: an in-flight event holds the old list.
         self._subscribers = [*self._subscribers, (node_id, on_delivery)]
-
-    def unsubscribe(self, node_id: int) -> None:
-        """Remove all subscriptions for ``node_id``."""
-        self._subscribers = [(n, cb) for (n, cb) in self._subscribers if n != node_id]
 
     def publish(self, src: int, payload: Any, size_bytes: Optional[int] = None) -> int:
         """Publish to all subscribers; returns the fan-out count."""

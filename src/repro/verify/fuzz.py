@@ -232,7 +232,9 @@ def _is_number(value: Any) -> bool:
 def _config_problems(config: dict[str, Any]) -> list[str]:
     """What stops ``config`` from building: the config's own checks, then
     its policy and its workload, constructed the way a run constructs
-    them (:meth:`ScenarioSpec.validate` does the same)."""
+    them (:meth:`ScenarioSpec.validate` does the same), and the
+    autoscaler's pool against ``n_servers``."""
+    from repro.cluster.autoscaler import AutoscalerPolicy
     from repro.core.registry import make_policy
     from repro.workload.workloads import make_workload
 
@@ -257,6 +259,13 @@ def _config_problems(config: dict[str, Any]) -> list[str]:
             problems.append(
                 f"config.{what} {name!r} cannot be built: {type(exc).__name__}: {exc}"
             )
+    if checked.autoscaler_params:
+        try:
+            autoscaler = AutoscalerPolicy(**checked.autoscaler_params)
+            if autoscaler.enabled:
+                autoscaler.pool(checked.n_servers)
+        except Exception as exc:  # the cluster build would raise the same
+            problems.append(f"the autoscaler pool does not fit n_servers: {exc}")
     return problems
 
 
@@ -496,10 +505,16 @@ _CATEGORY_RE = re.compile(r"\]\s*([\w-]+):")
 
 
 def outcome_signature(outcome: CaseOutcome) -> tuple:
-    """What must be preserved while shrinking: the failure *class*."""
+    """What must be preserved while shrinking: the failure *class*. An
+    error keeps its exception type and whether the build or the run
+    raised it, so a candidate that no longer builds never matches."""
     if outcome.status == "violation":
         match = _CATEGORY_RE.search(outcome.message)
         return ("violation", match.group(1) if match else outcome.message[:60])
+    if outcome.status == "error":
+        message = outcome.message.removeprefix("build failed: ")
+        phase = "run" if message == outcome.message else "build"
+        return ("error", phase, message.partition(":")[0])
     return (outcome.status,)
 
 
@@ -594,11 +609,11 @@ def shrink_spec(
         if fails(candidate):
             current = candidate
 
-    # 4. reduce the server pool
+    # 4. reduce the server pool, while the spec stays valid
     while current["config"]["n_servers"] >= 4:
         candidate = json.loads(json.dumps(current))
         candidate["config"]["n_servers"] = current["config"]["n_servers"] // 2
-        if not fails(candidate):
+        if validate_spec(candidate) or not fails(candidate):
             break
         current = candidate
 

@@ -13,7 +13,7 @@ The real traces are proprietary; :mod:`~repro.workload.synthesis`
 generates synthetic traces fitted to the published Table 1 moments (see
 DESIGN.md §5 for the OCR-disambiguation of those numbers). A user's own
 timestamped trace enters through :mod:`~repro.workload.replay`
-(``replay_file``: CSV/JSONL, content-addressed in the result cache).
+(``replay_file``: CSV, content-addressed in the result cache).
 
 :func:`~repro.workload.workloads.request_stream` is the one recipe that
 turns a named workload into a run's arrays: draw from the seed's
@@ -27,36 +27,27 @@ __all__, __getattr__, __dir__ = exports(
     "repro.workload.arrivals:ArrivalProcess",
     "repro.workload.distributions:Deterministic",
     "repro.workload.distributions:Distribution",
-    "repro.workload.weekly:DiurnalProfile",
     "repro.workload.distributions:Exponential",
     "repro.workload.synthesis:FINE_GRAIN_SPEC",
     "repro.workload.distributions:Lognormal",
     "repro.workload.arrivals:MarkovModulatedPoisson",
     "repro.workload.synthesis:MEDIUM_GRAIN_SPEC",
-    "repro.workload.distributions:Pareto",
     "repro.workload.arrivals:PoissonProcess",
-    "repro.workload.arrivals:RenewalProcess",
     "repro.workload.traces:Trace",
     "repro.workload.synthesis:TraceSpec",
     "repro.workload.traces:TraceStats",
     "repro.workload.distributions:Uniform",
-    "repro.workload.distributions:Weibull",
     "repro.workload.workloads:Workload",
     "repro.workload.workloads:available_workloads",
     "repro.workload.replay:bursty_trace",
-    "repro.workload.replay:diurnal_trace",
-    "repro.workload.weekly:extract_peak_portion",
     "repro.workload.replay:file_trace",
     "repro.workload.replay:live_trace",
     "repro.workload.replay:load_arrivals",
     "repro.workload.replay:replay_file_params",
     "repro.workload.replay:save_arrivals",
-    "repro.workload.weekly:synthesize_weekly_trace",
     "repro.workload.replay:trace_digest",
     "repro.workload.distributions:lognormal_from_moments",
     "repro.workload.workloads:make_workload",
-    "repro.workload.distributions:pareto_from_moments",
     "repro.workload.workloads:request_stream",
     "repro.workload.synthesis:synthesize_trace",
-    "repro.workload.distributions:weibull_from_moments",
 )

@@ -2,8 +2,8 @@
 
 Each process generates a vector of interarrival gaps in one vectorized
 call; arrival instants are the cumulative sum. The paper's Poisson/Exp
-workload uses :class:`PoissonProcess`; the synthesized traces use
-:class:`RenewalProcess` over a moment-fitted distribution; the
+workload uses :class:`PoissonProcess` (the synthesized traces draw their
+gaps from a moment-fitted lognormal directly); the
 :class:`MarkovModulatedPoisson` process is provided for burstiness
 ablations (the paper's §1.1 notes internet arrivals are burstier than
 Poisson over long horizons).
@@ -15,12 +15,9 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.workload.distributions import Distribution
-
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
-    "RenewalProcess",
     "MarkovModulatedPoisson",
 ]
 
@@ -55,24 +52,6 @@ class PoissonProcess(ArrivalProcess):
 
     def __repr__(self):
         return f"PoissonProcess(rate={self.rate!r})"
-
-
-class RenewalProcess(ArrivalProcess):
-    """IID interarrival gaps from an arbitrary distribution."""
-
-    __slots__ = ("distribution",)
-
-    def __init__(self, distribution: Distribution):
-        self.distribution = distribution
-
-    def interarrivals(self, rng, n):
-        return np.asarray(self.distribution.sample(rng, n), dtype=np.float64)
-
-    def mean_interval(self) -> float:
-        return self.distribution.mean()
-
-    def __repr__(self):
-        return f"RenewalProcess({self.distribution!r})"
 
 
 class MarkovModulatedPoisson(ArrivalProcess):

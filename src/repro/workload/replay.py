@@ -1,23 +1,22 @@
 """Trace replay: timestamped arrival traces as first-class workloads.
 
 The campaign grids so far drive clusters with synthetic stationary
-processes (Poisson, renewal, MMPP). "Dispatching Odyssey" (PAPERS.md)
-shows that exactly this family misses the structure of real cluster
-workloads: diurnal rate swings and short intense bursts change which
-policies degrade first. This module closes that gap three ways:
+processes (Poisson, MMPP). "Dispatching Odyssey" (PAPERS.md) shows
+that exactly this family misses the structure of real cluster
+workloads: short intense bursts change which policies degrade first.
+This module closes that gap three ways:
 
-- **generators** — :func:`diurnal_trace` (non-homogeneous Poisson with
-  a sinusoidal rate profile, sampled exactly by thinning) and
-  :func:`bursty_trace` (periodic on/off bursts: a short high-rate phase
-  each cycle over a low-rate background), both seeded from the named
-  RNG substream the runner hands every workload, so traces are
-  deterministic per (seed, params) cell;
+- **a generator** — :func:`bursty_trace` (periodic on/off bursts: a
+  short high-rate phase each cycle over a low-rate background), seeded
+  from the named RNG substream the runner hands every workload, so
+  traces are deterministic per (seed, params) cell;
 - **a loader/exporter pair** — timestamped arrival records as CSV
-  (``timestamp,service`` columns) or JSONL (one object per line), with
-  byte-exact round-trips: the absolute timestamps parsed from a file
-  are kept in ``Trace.metadata["timestamps"]`` so re-export reproduces
-  the input exactly instead of re-deriving instants from float gap
-  sums;
+  (``timestamp,service`` columns), with byte-exact round-trips: the
+  absolute timestamps parsed from a file are kept in
+  ``Trace.metadata["timestamps"]`` so re-export reproduces the input
+  exactly instead of re-deriving instants from float gap sums. The
+  loader refuses a row it cannot replay as a ``ValueError`` naming
+  ``path:line``;
 - **cache-key awareness** — :func:`replay_file_params` stamps a content
   digest into the ``workload_params`` of a ``replay_file`` cell, so the
   persistent result cache misses (instead of serving stale results)
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from pathlib import Path
 from typing import Optional
@@ -49,20 +47,15 @@ from repro.workload.traces import Trace
 __all__ = [
     "EPOCH_CUTOFF",
     "bursty_trace",
-    "diurnal_trace",
     "live_trace",
     "load_arrivals",
-    "load_arrivals_csv",
-    "load_arrivals_jsonl",
     "replay_file_params",
     "save_arrivals",
-    "save_arrivals_csv",
-    "save_arrivals_jsonl",
     "file_trace",
     "trace_digest",
 ]
 
-#: CSV header / JSONL field names for arrival records
+#: CSV header of arrival records
 _FIELDS = ("timestamp", "service")
 
 #: Timestamps at/above this (in seconds) are treated as absolute
@@ -70,7 +63,7 @@ _FIELDS = ("timestamp", "service")
 #: Trace-relative traces run minutes-to-hours; ~11.6 days of relative
 #: time is far beyond any replayable trace, while Unix epochs are ~1.7e9.
 #: Live ``repro drive`` recordings carry epoch timestamps — they are
-#: normalized to t=0 at save time, and loaders refuse them raw (the
+#: normalized to t=0 at save time, and the loader refuses them raw (the
 #: first gap would otherwise be the epoch itself, and the runner's
 #: mean-based load rescale would silently destroy the trace's shape).
 EPOCH_CUTOFF = 1e6
@@ -110,69 +103,6 @@ def _gaps_from_times(times: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # generators
 # ----------------------------------------------------------------------
-
-def diurnal_trace(
-    rng: np.random.Generator,
-    n: int,
-    mean_service: float = 50e-3,
-    service_cv: float = 1.0,
-    period: float = 240.0,
-    peak_to_trough: float = 6.0,
-    mean_interval: Optional[float] = None,
-) -> Trace:
-    """A diurnal arrival trace: Poisson with a sinusoidal rate profile.
-
-    The rate is ``r0 * (1 + a*sin(2*pi*t/period))`` with the modulation
-    depth ``a`` chosen so that peak/trough rates differ by
-    ``peak_to_trough``; arrivals are sampled *exactly* (thinning against
-    the peak rate), not from a piecewise-constant approximation.
-    ``period`` is a compressed "day" (the runner rescales the absolute
-    rate anyway, so only the ratio of period to service time matters).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
-    if peak_to_trough <= 1.0:
-        raise ValueError(f"peak_to_trough must be > 1, got {peak_to_trough}")
-    base_interval = mean_interval if mean_interval is not None else mean_service
-    if base_interval <= 0:
-        raise ValueError(f"mean_interval must be > 0, got {base_interval}")
-    r0 = 1.0 / base_interval
-    depth = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
-    rate_max = r0 * (1.0 + depth)
-    omega = 2.0 * math.pi / period
-
-    times = np.empty(n, dtype=np.float64)
-    filled = 0
-    t = 0.0
-    while filled < n:
-        block = max(64, 2 * (n - filled))
-        candidates = t + np.cumsum(rng.exponential(1.0 / rate_max, block))
-        accept = rng.random(block) * rate_max <= r0 * (
-            1.0 + depth * np.sin(omega * candidates)
-        )
-        accepted = candidates[accept]
-        take = min(accepted.size, n - filled)
-        times[filled : filled + take] = accepted[:take]
-        filled += take
-        t = float(candidates[-1])
-
-    service = np.asarray(
-        _service_distribution(mean_service, service_cv).sample(rng, n),
-        dtype=np.float64,
-    )
-    return Trace(
-        name=f"Replay diurnal x{peak_to_trough:g}",
-        interarrival=_gaps_from_times(times),
-        service=service,
-        metadata={
-            "replay": "diurnal",
-            "period": float(period),
-            "peak_to_trough": float(peak_to_trough),
-        },
-    )
-
 
 def bursty_trace(
     rng: np.random.Generator,
@@ -253,89 +183,79 @@ def bursty_trace(
 # file I/O: timestamped arrival records
 # ----------------------------------------------------------------------
 
-def _trace_from_records(
-    timestamps: list[float], services: list[float], source: str
-) -> Trace:
-    if not timestamps:
-        raise ValueError(f"{source}: no arrival records")
-    times = np.asarray(timestamps, dtype=np.float64)
-    if (np.diff(times) < 0).any():
-        raise ValueError(f"{source}: timestamps must be non-decreasing")
-    if times[0] < 0:
-        raise ValueError(f"{source}: negative first timestamp")
-    if _classify_epochs(times, source):
+def _csv_path(path: str | Path) -> Path:
+    path = Path(path)
+    if path.suffix != ".csv":
         raise ValueError(
-            f"{source}: non-normalized epoch timestamps (first arrival "
-            f"{times[0]!r} >= {EPOCH_CUTOFF:g}s) — re-export the trace "
-            "with save_arrivals(), which normalizes wall-clock epochs "
-            "to t=0 (or use repro.workload.replay.live_trace for "
-            "in-memory live recordings)"
+            f"{path}: unsupported arrival-trace suffix {path.suffix!r} (expected .csv)"
         )
-    return Trace(
-        name=f"Replay {Path(source).name}",
-        interarrival=_gaps_from_times(times),
-        service=np.asarray(services, dtype=np.float64),
-        metadata={"source": str(source), "timestamps": times},
-    )
+    return path
 
 
-def load_arrivals_csv(path: str | Path) -> Trace:
+def load_arrivals(path: str | Path) -> Trace:
     """Load a ``timestamp,service`` CSV into a :class:`Trace`.
 
     The header row is required (it documents the unit contract: both
-    columns are seconds). Parsed absolute timestamps are retained in
-    ``metadata["timestamps"]`` so :func:`save_arrivals_csv` re-exports
-    the file byte-identically.
+    columns are seconds). Every value must be a finite number, every
+    service time positive, and the timestamps non-decreasing from at
+    least 0 and below :data:`EPOCH_CUTOFF`; anything else is a
+    ``ValueError`` naming ``path:line``. Parsed absolute timestamps are
+    retained in ``metadata["timestamps"]`` so :func:`save_arrivals`
+    re-exports the file byte-identically.
     """
-    path = Path(path)
+    path = _csv_path(path)
     timestamps: list[float] = []
     services: list[float] = []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _FIELDS:
-            raise ValueError(
-                f"{path}: expected header {','.join(_FIELDS)!r}, got {header!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 2 columns, got {len(row)}")
-            timestamps.append(float(row[0]))
-            services.append(float(row[1]))
-    return _trace_from_records(timestamps, services, str(path))
-
-
-def load_arrivals_jsonl(path: str | Path) -> Trace:
-    """Load JSONL arrival records (``{"timestamp": .., "service": ..}``)."""
-    path = Path(path)
-    timestamps: list[float] = []
-    services: list[float] = []
-    with path.open() as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            missing = set(_FIELDS) - set(record)
-            if missing:
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != _FIELDS:
                 raise ValueError(
-                    f"{path}:{line_no}: missing field(s) {sorted(missing)}"
+                    f"{path}:1: expected header {','.join(_FIELDS)!r}, got {header!r}"
                 )
-            timestamps.append(float(record["timestamp"]))
-            services.append(float(record["service"]))
-    return _trace_from_records(timestamps, services, str(path))
-
-
-def load_arrivals(path: str | Path) -> Trace:
-    """Load a timestamped arrival trace, dispatching on file suffix."""
-    path = Path(path)
-    if path.suffix == ".csv":
-        return load_arrivals_csv(path)
-    if path.suffix in (".jsonl", ".ndjson"):
-        return load_arrivals_jsonl(path)
-    raise ValueError(
-        f"{path}: unsupported arrival-trace suffix {path.suffix!r} "
-        "(expected .csv, .jsonl, or .ndjson)"
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 2:
+                    raise ValueError(f"{where}: expected 2 columns, got {len(row)}")
+                try:
+                    timestamp, service = float(row[0]), float(row[1])
+                except ValueError:
+                    raise ValueError(f"{where}: not a number in {row!r}") from None
+                if not (math.isfinite(timestamp) and math.isfinite(service)):
+                    raise ValueError(f"{where}: non-finite value in {row!r}")
+                if service <= 0:
+                    raise ValueError(f"{where}: non-positive service time {service!r}")
+                previous = timestamps[-1] if timestamps else 0.0
+                if timestamp < previous:
+                    raise ValueError(
+                        f"{where}: timestamps must be non-negative and non-decreasing "
+                        f"({timestamp!r} after {previous!r})"
+                    )
+                if timestamp >= EPOCH_CUTOFF:
+                    raise ValueError(
+                        f"{where}: mixed-epoch timestamps ({timestamp!r} crosses the "
+                        f"epoch cutoff {EPOCH_CUTOFF:g}s after trace-relative records) "
+                        "— the trace cannot be replayed"
+                        if timestamps else
+                        f"{where}: non-normalized epoch timestamps (first arrival "
+                        f"{timestamp!r} >= {EPOCH_CUTOFF:g}s) — re-export the trace "
+                        "with save_arrivals(), which normalizes wall-clock epochs "
+                        "to t=0 (or use repro.workload.replay.live_trace for "
+                        "in-memory live recordings)"
+                    )
+                timestamps.append(timestamp)
+                services.append(service)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}:{reader.line_num + 1}: unreadable row ({exc})") from None
+    if not timestamps:
+        raise ValueError(f"{path}:2: no arrival records")
+    times = np.asarray(timestamps, dtype=np.float64)
+    return Trace(
+        name=f"Replay {path.name}",
+        interarrival=_gaps_from_times(times),
+        service=np.asarray(services, dtype=np.float64),
+        metadata={"source": str(path), "timestamps": times},
     )
 
 
@@ -345,7 +265,7 @@ def _export_timestamps(trace: Trace) -> np.ndarray:
         stored = np.asarray(stored, dtype=np.float64)
         if stored.shape[0] != len(trace):
             stored = None
-    times = stored if stored is not None else trace.arrival_times
+    times = stored if stored is not None else np.cumsum(trace.interarrival)
     if times.size and _classify_epochs(times, trace.name):
         # Live recordings carry wall-clock epochs: normalize to t=0 at
         # save time. Loaded traces always start below the cutoff (the
@@ -355,45 +275,19 @@ def _export_timestamps(trace: Trace) -> np.ndarray:
     return times
 
 
-def save_arrivals_csv(trace: Trace, path: str | Path) -> None:
+def save_arrivals(trace: Trace, path: str | Path) -> None:
     """Export a trace as a ``timestamp,service`` CSV.
 
     Floats are written in ``repr`` (shortest round-trip) form, so
-    ``load_arrivals_csv(save_arrivals_csv(t))`` reproduces every value
-    bit-for-bit.
+    ``load_arrivals`` of the file reproduces every value bit-for-bit.
     """
-    path = Path(path)
+    path = _csv_path(path)
     times = _export_timestamps(trace)
     lines = [",".join(_FIELDS)]
     lines.extend(
         f"{t!r},{s!r}" for t, s in zip(times.tolist(), trace.service.tolist())
     )
     path.write_text("\n".join(lines) + "\n")
-
-
-def save_arrivals_jsonl(trace: Trace, path: str | Path) -> None:
-    """Export a trace as JSONL arrival records (repr-exact floats)."""
-    path = Path(path)
-    times = _export_timestamps(trace)
-    lines = [
-        json.dumps({"timestamp": t, "service": s})
-        for t, s in zip(times.tolist(), trace.service.tolist())
-    ]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def save_arrivals(trace: Trace, path: str | Path) -> None:
-    """Export a timestamped arrival trace, dispatching on file suffix."""
-    path = Path(path)
-    if path.suffix == ".csv":
-        save_arrivals_csv(trace, path)
-    elif path.suffix in (".jsonl", ".ndjson"):
-        save_arrivals_jsonl(trace, path)
-    else:
-        raise ValueError(
-            f"{path}: unsupported arrival-trace suffix {path.suffix!r} "
-            "(expected .csv, .jsonl, or .ndjson)"
-        )
 
 
 def live_trace(
@@ -407,7 +301,7 @@ def live_trace(
     replayable, while the raw instants are kept in
     ``metadata["timestamps"]`` — :func:`save_arrivals` normalizes them
     to t=0 on export, after which the file round-trips byte-exactly
-    through the loaders.
+    through :func:`load_arrivals`.
     """
     times = np.asarray(timestamps, dtype=np.float64)
     svc = np.asarray(services, dtype=np.float64)

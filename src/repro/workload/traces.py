@@ -71,16 +71,6 @@ class Trace:
     def __len__(self) -> int:
         return int(self.interarrival.shape[0])
 
-    @property
-    def arrival_times(self) -> np.ndarray:
-        """Arrival instants (cumulative gaps)."""
-        return np.cumsum(self.interarrival)
-
-    @property
-    def duration(self) -> float:
-        """Span from t=0 to the last arrival."""
-        return float(self.interarrival.sum())
-
     def stats(self) -> TraceStats:
         """Table-1-style moments."""
         return TraceStats(

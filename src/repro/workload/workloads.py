@@ -16,14 +16,12 @@ import numpy as np
 
 from repro import locate
 from repro.sim.rng import RngHub
-from repro.workload.arrivals import ArrivalProcess, PoissonProcess, RenewalProcess
+from repro.workload.arrivals import ArrivalProcess, PoissonProcess
 from repro.workload.distributions import (
     Deterministic,
     Distribution,
     Exponential,
     lognormal_from_moments,
-    pareto_from_moments,
-    weibull_from_moments,
 )
 from repro.workload.synthesis import (
     FINE_GRAIN_SPEC,
@@ -127,23 +125,6 @@ _REGISTRY: dict[str, Callable[..., Workload]] = {
         arrivals=PoissonProcess(rate=1.0 / mean_service),
         service=lognormal_from_moments(mean_service, cv * mean_service),
     ),
-    "poisson_weibull": lambda mean_service=POISSON_EXP_MEAN_SERVICE, cv=1.5: Workload(
-        f"Poisson/Weibull cv={cv}",
-        arrivals=PoissonProcess(rate=1.0 / mean_service),
-        service=weibull_from_moments(mean_service, cv * mean_service),
-    ),
-    "poisson_pareto": lambda mean_service=POISSON_EXP_MEAN_SERVICE, cv=2.0: Workload(
-        f"Poisson/Pareto cv={cv}",
-        arrivals=PoissonProcess(rate=1.0 / mean_service),
-        service=pareto_from_moments(mean_service, cv * mean_service),
-    ),
-    "lognormal_renewal": lambda mean_service=POISSON_EXP_MEAN_SERVICE, arrival_cv=1.5: Workload(
-        f"Lognormal-renewal/Exp arrival_cv={arrival_cv}",
-        arrivals=RenewalProcess(
-            lognormal_from_moments(mean_service, arrival_cv * mean_service)
-        ),
-        service=Exponential(mean_service),
-    ),
     "mmpp_exp": lambda mean_service=POISSON_EXP_MEAN_SERVICE, burst_ratio=5.0, sojourn=1.0: Workload(
         f"MMPP/Exp burst_ratio={burst_ratio}",
         # Two phases with equal sojourns; rates chosen so the long-run
@@ -153,16 +134,7 @@ _REGISTRY: dict[str, Callable[..., Workload]] = {
         service=Exponential(mean_service),
     ),
     # Trace replay (repro.workload.replay, imported when a replay
-    # workload is built): timestamped arrival traces with diurnal/bursty
-    # structure, or loaded from CSV/JSONL files.
-    "replay_diurnal": lambda mean_service=POISSON_EXP_MEAN_SERVICE, service_cv=1.0, period=240.0, peak_to_trough=6.0: Workload(
-        f"Replay diurnal x{peak_to_trough:g}",
-        trace_builder=partial(
-            locate("repro.workload.replay:diurnal_trace"),
-            mean_service=mean_service, service_cv=service_cv,
-            period=period, peak_to_trough=peak_to_trough,
-        ),
-    ),
+    # workload is built): a synthetic bursty trace, or a CSV file.
     "replay_bursty": lambda mean_service=POISSON_EXP_MEAN_SERVICE, service_cv=1.0, burst_ratio=20.0, burst_fraction=0.1, cycle=2.0: Workload(
         f"Replay bursty x{burst_ratio:g}",
         trace_builder=partial(

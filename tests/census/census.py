@@ -1,6 +1,6 @@
 """Call census: which functions under ``src/repro`` the repository's own producers call.
 
-    python tests/census/census.py            # rewrites tests/census/called.txt
+    python tests/census/census.py    # rewrites tests/census/called.txt and reached.txt
 
 Runs every producer below with this directory on ``PYTHONPATH``, so
 ``sitecustomize.py`` records the first call of each ``repro`` function in
@@ -13,12 +13,17 @@ that a ``--quick`` line does not already cover, and the paper benches
 (``make bench-quick``). Every producer starts on an empty result cache,
 so a cold path is never hidden behind a hit.
 
-The result, ``called.txt``, is a sorted ``module:qualname`` list keyed by
-name, not line number. ``tests/census/test_census.py`` holds every
-function under ``src/repro`` to it or to ``allowlist.txt``; CI re-runs
-this script and fails when the list it writes differs from the
-committed one. A producer that exits non-zero fails the run. The
-tables under ``benchmarks/output/`` the benches rewrite are put back.
+The results are ``called.txt``, a sorted ``module:qualname`` list keyed
+by name, not line number, and ``reached.txt``, the sorted names the
+producers built or passed: ``workload:<name>`` for every
+``make_workload``, ``policy:<name>`` for every ``make_policy`` and
+``flag:<command>:--<flag>`` for every option a ``repro`` command line
+passes. ``tests/census/test_census.py`` holds every function under
+``src/repro``, every registered workload and policy and every flag a
+command takes to them or to ``allowlist.txt``; CI re-runs this script
+and fails when a list it writes differs from the committed one. A
+producer that exits non-zero fails the run. The tables under
+``benchmarks/output/`` the benches rewrite are put back.
 """
 
 import ast
@@ -37,6 +42,7 @@ OUT = HERE / "out"
 #: committed tables ``make bench-quick`` rewrites at its own scale
 BENCH_OUTPUT = ROOT / "benchmarks" / "output"
 CALLED = HERE / "called.txt"
+REACHED = HERE / "reached.txt"
 ALLOWLIST = HERE / "allowlist.txt"
 
 sys.path.insert(0, str(SRC))
@@ -62,6 +68,8 @@ PRODUCERS = [
         "fig2", "fig4", "fig6", "table2", "profile", "messages", "compare", "scenario",
         "fuzz", "trace")],
     ("repro table1", (*REPRO, "table1")),
+    ("README", (*REPRO, "compare", "--quick", "--workload", "poisson_lognormal",
+                "--load", "0.7")),
     ("README", (*REPRO, "fig6", "--quick", "--oracle")),
     ("README", (*REPRO, "messages", "--quick", "--engine", "fast")),
     ("README", (*REPRO, "scenario", "--spec", "overload", "--quick", "--oracle",
@@ -104,14 +112,18 @@ def defined_functions(src: Path = SRC) -> dict[tuple[str, int, str], str]:
     return found
 
 
-def recorded() -> set[tuple[str, int, str]]:
-    """Every ``(path, firstlineno, name)`` the hook wrote, over all processes."""
-    seen = set()
+def recorded() -> tuple[set[tuple[str, int, str]], set[str]]:
+    """Every ``(path, firstlineno, name)`` the hook wrote, and every
+    ``kind:name`` it recorded by argument, over all processes."""
+    seen, reached = set(), set()
     for path in OUT.glob("*.txt"):
         for line in path.read_text().splitlines():
+            if line.startswith("@"):
+                reached.add(line[1:])
+                continue
             rel, lineno, name = line.rsplit(":", 2)
             seen.add((rel, int(lineno), name))
-    return seen
+    return seen, reached
 
 
 def main() -> int:
@@ -137,7 +149,7 @@ def main() -> int:
                 if done.returncode != 0:
                     failed.append(f"{' '.join(argv)} exited {done.returncode}:\n"
                                   f"{done.stderr[-2000:]}")
-        seen = recorded()
+        seen, reached = recorded()
     finally:
         shutil.rmtree(OUT, ignore_errors=True)
         for path, data in committed.items():
@@ -145,9 +157,11 @@ def main() -> int:
     defined = defined_functions()
     called = sorted({name for key, name in defined.items() if key in seen})
     CALLED.write_text("".join(f"{name}\n" for name in called))
+    REACHED.write_text("".join(f"{name}\n" for name in sorted(reached)))
     print(f"census: {len(called)} of {len(defined)} functions called, "
-          f"{len(defined) - len(called)} not, in {time.perf_counter() - began:.0f}s "
-          f"-> {CALLED.relative_to(ROOT)}", file=sys.stderr)
+          f"{len(defined) - len(called)} not, {len(reached)} names reached, "
+          f"in {time.perf_counter() - began:.0f}s -> {CALLED.relative_to(ROOT)}, "
+          f"{REACHED.relative_to(ROOT)}", file=sys.stderr)
     for failure in failed:
         print(f"census: producer failed: {failure}", file=sys.stderr)
     return 1 if failed else 0

@@ -61,7 +61,8 @@ EXPECTED = {
 
 #: (enclosing function, slot) of every subsystem-slot ``None`` test left
 #: in system.py: each acts on a value the subsystem returns (a candidate
-#: filter, a route, a timeout, a backoff, a collision, a backhaul)
+#: filter, a route, a reselect, a timeout, a backoff, a collision, a
+#: backhaul)
 DECISION_SITES = Counter({
     ("available_servers", "dispatchers"): 1,
     ("available_servers", "reliability"): 1,
@@ -69,6 +70,7 @@ DECISION_SITES = Counter({
     ("selector_for", "dispatchers"): 1,
     ("_arm_attempt_timeout", "reliability"): 1,
     ("_safe_select", "dispatchers"): 1,
+    ("reselect_later", "dispatchers"): 1,
     ("_retry", "reliability"): 2,
     ("__init__", "dispatchers"): 1,
     ("should_publish", "autoscaler"): 1,

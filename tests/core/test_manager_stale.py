@@ -57,6 +57,30 @@ def test_manager_balances_exactly_under_light_load():
     assert counts.max() - counts.min() < 800 * 0.15
 
 
+def test_manager_empty_candidate_set_reselects_instead_of_raising():
+    """The manager decides a network hop after ``select`` returned: with
+    every server crashed its empty candidate set must take the reselect
+    path, not escape from the delivery. (The dispatcher-tier case is the
+    corpus spec ``manager-async-no-candidates``.)"""
+    from repro.verify import fuzz
+
+    crashes = [{"kind": "crash", "node": node, "at_frac": 0.3} for node in (0, 1)]
+    recoveries = [{"kind": "recover", "node": node, "at_frac": 0.6} for node in (0, 1)]
+    spec = {
+        "schema": fuzz.SPEC_SCHEMA,
+        "config": {
+            "policy": "manager", "n_servers": 2, "n_clients": 3, "n_requests": 400,
+            "load": 0.776, "seed": 467860621,
+            "cluster_params": {
+                "availability": True, "availability_refresh": 0.2219,
+                "availability_ttl": 0.8149, "request_timeout": 0.1184, "max_retries": 38,
+            },
+        },
+        "schedule": crashes + recoveries,
+    }
+    assert fuzz.run_spec(spec).ok
+
+
 def test_stale_jsq_refreshes_counted():
     policy = make_policy("stale_jsq", update_interval=0.01)
     cluster = build_cluster(policy, n_requests=800, load=0.7)

@@ -14,9 +14,9 @@ fails here — in the style of ``test_campaign_single_path.py``:
   from the parent commit), and the scenario's fast-engine check agrees
   with the fast engine's own.
 
-numpy is the only runtime dependency: the Weibull fit, its moments and
-the replication intervals' t quantile are stdlib code, so no run loads
-scipy, and a scipy import anywhere under ``src/repro`` fails here.
+numpy is the only runtime dependency: the replication intervals' t
+quantile is stdlib code, so no run loads scipy, and a scipy import
+anywhere under ``src/repro`` fails here.
 """
 
 import ast
@@ -44,7 +44,6 @@ SRC = ROOT / "src"
 #: modules nothing under ``src/`` or ``benchmarks/suite/`` imports, and why
 #: each stays
 UNREACHED_ALLOWED = {
-    "repro.workload.weekly": "the paper's §2 peak-portion methodology",
     "repro.cluster.service": "Figure 1's partition/replica placement, run by "
     "examples/photo_album_cluster.py; ISSUE 18 decided it stays, as the seed "
     "of the parked multi-service item",
@@ -122,22 +121,19 @@ def test_every_cli_command_has_a_caller():
 
 #: run in a fresh interpreter: everything a CLI command, a pool worker or a
 #: suite workload imports, one default run, one mean-field prediction and
-#: the three functions that once imported scipy where they were called
-#: (``weibull_from_moments`` reached two, ``half_width`` one)
+#: the one function left of the three that once imported scipy where they
+#: were called (``half_width``; the other two went with the Weibull fit)
 _IMPORT_PROBE = """
 import sys
 import repro, repro.cli, repro.live, repro.verify
 from repro.analysis.meanfield import meanfield_prediction
 from repro.experiments import ReplicatedResult, SimulationConfig, run_simulation
-from repro.workload import weibull_from_moments
 
 run_simulation(SimulationConfig(n_requests=200))
 polling2 = SimulationConfig(policy="polling", policy_params={"poll_size": 2}, engine="fast")
 meanfield_prediction(polling2)
-shape = weibull_from_moments(0.05, 0.075).shape
 half_width = ReplicatedResult(SimulationConfig(), (0.10, 0.11, 0.125)).half_width
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
-print(shape)
 print(half_width)
 """
 
@@ -152,9 +148,9 @@ def test_a_run_imports_numpy_only_and_the_three_lazy_sites_work():
         timeout=240,
     ).stdout.splitlines()
     assert out[0] == "[]"
-    # the values scipy's gamma, brentq and t.ppf produced (d5f833b)
+    # the value scipy's t.ppf produced (d5f833b)
     assert [float(line) for line in out[1:]] == pytest.approx(
-        [0.6847725532334181, 0.031258047396878874], rel=1e-12
+        [0.031258047396878874], rel=1e-12
     )
 
 

@@ -29,14 +29,7 @@ def test_section1_kernel():
 
 def test_section2_workloads():
     from repro.sim import RngHub
-    from repro.workload import (
-        FINE_GRAIN_SPEC,
-        extract_peak_portion,
-        make_workload,
-        request_stream,
-        synthesize_trace,
-        synthesize_weekly_trace,
-    )
+    from repro.workload import FINE_GRAIN_SPEC, make_workload, request_stream, synthesize_trace
 
     hub = RngHub(7)
     workload = make_workload("fine_grain")
@@ -50,10 +43,6 @@ def test_section2_workloads():
         "fine_grain", {}, seed=7, n_requests=10_000, n_servers=16, rho=0.9
     )
     assert services.mean() / (16 * gaps.mean()) == pytest.approx(0.9)
-
-    week = synthesize_weekly_trace(FINE_GRAIN_SPEC, hub.stream("wk"), scale=0.02)
-    peak = extract_peak_portion(week)
-    assert len(peak) < len(week)
 
 
 def test_section3_experiment():
@@ -117,7 +106,7 @@ def test_section6_figures():
 
     spec = builtin_spec(
         "fig4", n_requests=1000,
-        loads=(0.9,), workloads=("poisson_exp",), poll_sizes=(2,),
+        loads=(0.9,), workloads=("poisson_lognormal",), poll_sizes=(2,),
     )
     report = spec.run(parallel=False)
     assert "Figure 4" in report.render()

@@ -37,7 +37,7 @@ _WORKLOAD_POOL = [
     WorkloadAxis("pexp", "poisson_exp"),
     WorkloadAxis("pdet", "poisson_deterministic"),
     WorkloadAxis("burst", "replay_bursty", {"burst_ratio": 5.0}),
-    WorkloadAxis("diurnal", "replay_diurnal", {"peak_to_trough": 3.0}),
+    WorkloadAxis("mmpp", "mmpp_exp", {"burst_ratio": 3.0}),
 ]
 
 _MODE_POOL = [

@@ -223,6 +223,18 @@ def test_outcome_signature_extracts_category():
     assert fuzz.outcome_signature(fuzz.CaseOutcome(status="ok")) == ("ok",)
 
 
+def test_outcome_signature_keeps_the_error_type_and_its_phase():
+    def signature(message):
+        return fuzz.outcome_signature(fuzz.CaseOutcome("error", message, "heap"))
+
+    run = signature("NoCandidatesError: empty candidate set")
+    assert run == ("error", "run", "NoCandidatesError")
+    assert signature("KeyError: 3") != run
+    assert signature("build failed: ValueError: initial_servers (4) outside [2, 2]") == (
+        "error", "build", "ValueError")
+    assert signature("build failed: NoCandidatesError: x") != run
+
+
 # ----------------------------------------------------------------------
 # shrinker
 # ----------------------------------------------------------------------
@@ -300,6 +312,37 @@ def test_shrinker_preserves_failure_signature_not_any_failure():
     result = fuzz.shrink_spec(spec, run_fn=run_fn, target=("violation", "target"))
     assert result.final_events == 2
     assert fuzz.outcome_signature  # signature helper stays importable
+
+
+def test_shrinker_keeps_the_failure_it_was_given():
+    """Halving the pool below the autoscaler's ``initial_servers`` turns a
+    run error into a build failure: that candidate is neither the failure
+    nor a valid spec, so the pool stops at 4."""
+    spec = _synthetic_spec(n_events=0)
+    spec["config"]["cluster_params"] = {"availability": True}
+    spec["config"]["autoscaler_params"] = {"interval": 0.2, "initial_servers": 4}
+
+    def run_fn(candidate):
+        config = candidate["config"]
+        if "autoscaler_params" not in config:
+            return ("ok",)
+        message = (
+            "build failed: ValueError: initial_servers (4) outside [1, 2]"
+            if config["n_servers"] < 4
+            else "NoCandidatesError: empty candidate set"
+        )
+        return fuzz.outcome_signature(fuzz.CaseOutcome("error", message, "heap"))
+
+    result = fuzz.shrink_spec(spec, run_fn=run_fn)
+    assert result.spec["config"]["n_servers"] == 4
+    assert fuzz.validate_spec(result.spec) == []
+
+    # a run_fn blind to the build still never yields an invalid spec
+    result = fuzz.shrink_spec(
+        spec, run_fn=lambda c: ("error",) if "autoscaler_params" in c["config"] else ("ok",)
+    )
+    assert result.spec["config"]["n_servers"] == 4
+    assert fuzz.validate_spec(result.spec) == []
 
 
 def test_fuzz_campaign_smoke(tmp_path):

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload import (
-    Exponential,
-    MarkovModulatedPoisson,
-    PoissonProcess,
-    RenewalProcess,
-)
+from repro.workload import MarkovModulatedPoisson, PoissonProcess
 
 
 def rng():
@@ -30,13 +25,6 @@ def test_poisson_mean_interval():
 def test_poisson_interarrival_cv_is_one():
     gaps = PoissonProcess(10.0).interarrivals(rng(), 200_000)
     assert gaps.std() / gaps.mean() == pytest.approx(1.0, rel=0.03)
-
-
-def test_renewal_process_uses_distribution():
-    process = RenewalProcess(Exponential(0.2))
-    assert process.mean_interval() == pytest.approx(0.2)
-    gaps = process.interarrivals(rng(), 50_000)
-    assert gaps.mean() == pytest.approx(0.2, rel=0.05)
 
 
 def test_mmpp_validation():

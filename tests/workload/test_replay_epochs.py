@@ -8,8 +8,6 @@ normalizes it to t=0 exactly once, and already-normalized files keep
 round-tripping byte-for-byte.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -31,18 +29,10 @@ def _write_csv(path, times):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_jsonl(path, times):
-    lines = [
-        json.dumps({"timestamp": float(t), "service": float(s)})
-        for t, s in zip(times, _SERVICES)
-    ]
-    path.write_text("\n".join(lines) + "\n")
-
-
 # ----------------------------------------------------------------------
 # loaders refuse raw epoch / mixed-epoch input
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("writer,suffix", [(_write_csv, "csv"), (_write_jsonl, "jsonl")])
+@pytest.mark.parametrize("writer,suffix", [(_write_csv, "csv")])
 def test_loaders_refuse_raw_epoch_timestamps(tmp_path, writer, suffix):
     path = tmp_path / f"raw.{suffix}"
     writer(path, [EPOCH + t for t in _REL_TIMES])
@@ -50,7 +40,7 @@ def test_loaders_refuse_raw_epoch_timestamps(tmp_path, writer, suffix):
         load_arrivals(path)
 
 
-@pytest.mark.parametrize("writer,suffix", [(_write_csv, "csv"), (_write_jsonl, "jsonl")])
+@pytest.mark.parametrize("writer,suffix", [(_write_csv, "csv")])
 def test_loaders_refuse_mixed_epoch_timestamps(tmp_path, writer, suffix):
     path = tmp_path / f"mixed.{suffix}"
     writer(path, [0.0, 0.01, EPOCH + 0.025, EPOCH + 0.05])
@@ -95,26 +85,26 @@ def test_live_trace_validation():
 # ----------------------------------------------------------------------
 # save path: normalize exactly once, then byte-exact round trips
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+@pytest.mark.parametrize("suffix", ["csv"])
 def test_epoch_trace_saves_normalized_then_roundtrips_byte_exact(tmp_path, suffix):
     times = np.asarray(_REL_TIMES) + EPOCH
     trace = live_trace(times, _SERVICES, source="drive-run")
     first = tmp_path / f"first.{suffix}"
     save_arrivals(trace, first)
     loaded = load_arrivals(first)
-    np.testing.assert_allclose(loaded.arrival_times, _REL_TIMES, atol=1e-6)
+    np.testing.assert_allclose(np.cumsum(loaded.interarrival), _REL_TIMES, atol=1e-6)
     # Loaded (already-normalized) trace re-saves byte-identically.
     second = tmp_path / f"second.{suffix}"
     save_arrivals(loaded, second)
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+@pytest.mark.parametrize("suffix", ["csv"])
 def test_relative_trace_roundtrip_unchanged_by_the_epoch_guard(tmp_path, suffix):
     # Pre-existing (trace-relative) files are untouched by the new
     # normalization: load -> save reproduces repr-exact values.
     path = tmp_path / f"rel.{suffix}"
-    (_write_csv if suffix == "csv" else _write_jsonl)(path, _REL_TIMES)
+    _write_csv(path, _REL_TIMES)
     loaded = load_arrivals(path)
     out = tmp_path / f"out.{suffix}"
     save_arrivals(loaded, out)

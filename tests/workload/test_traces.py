@@ -40,11 +40,9 @@ def test_validation_requires_1d():
         Trace("x", np.ones((2, 2)), np.ones((2, 2)))
 
 
-def test_len_and_duration():
+def test_len():
     trace = Trace("x", np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1, 0.1]))
     assert len(trace) == 3
-    assert trace.duration == 6.0
-    assert trace.arrival_times.tolist() == [1.0, 3.0, 6.0]
 
 
 def test_stats_moments():

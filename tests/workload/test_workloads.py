@@ -58,8 +58,7 @@ def test_workload_requires_components():
 
 
 def test_extension_workloads_generate():
-    for name in ("poisson_deterministic", "poisson_lognormal", "poisson_weibull",
-                 "poisson_pareto", "lognormal_renewal"):
+    for name in ("poisson_deterministic", "poisson_lognormal", "mmpp_exp"):
         gaps, service = make_workload(name).generate(rng(), 1000)
         assert gaps.shape == (1000,)
         assert (service > 0).all()
