@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = exports(
     "repro.cluster.client:ClientNode",
     "repro.cluster.failures:ChaosInjector",
     "repro.cluster.failures:ChaosSpec",
-    "repro.cluster.system:ClusterMetrics",
+    "repro.cluster.metrics:ClusterMetrics",
     "repro.cluster.failures:FailureInjector",
     "repro.cluster.failures:resilience_counters",
     "repro.cluster.reliability:CircuitBreaker",

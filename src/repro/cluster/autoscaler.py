@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from repro.cluster.metrics import quantiles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
@@ -230,11 +230,7 @@ class Autoscaler:
         failures = self._window_failures
         offered = completions + failures + sheds
         bad_fraction = (failures + sheds) / offered if offered else 0.0
-        p95 = (
-            float(np.percentile(np.asarray(self._window_responses), 95))
-            if self._window_responses
-            else 0.0
-        )
+        p95 = quantiles(self._window_responses, (0.95,))[0] if self._window_responses else 0.0
         overloaded = offered > 0 and bad_fraction > policy.shed_high
         if policy.p95_high is not None and p95 > policy.p95_high:
             overloaded = True

@@ -33,7 +33,8 @@ from repro.net.faults import NetworkFaults, PartitionPair
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.system import ClusterMetrics, ServiceCluster
+    from repro.cluster.metrics import ClusterMetrics
+    from repro.cluster.system import ServiceCluster
 
 __all__ = ["FailureInjector", "ChaosSpec", "ChaosInjector", "resilience_counters"]
 

@@ -38,6 +38,7 @@ from repro.cluster.availability import (
     ServicePublisher,
 )
 from repro.cluster.client import ClientNode
+from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.request import Request
 from repro.cluster.server import ServerNode
 from repro.core.base import NoCandidatesError
@@ -56,8 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import LoadBalancer
     from repro.sim.clock import ClockHandle
 
-__all__ = ["ServiceCluster", "RequestLifecycle", "ClusterMetrics", "DEFAULT_SERVICE",
-           "LIFECYCLE_POINTS"]
+__all__ = ["ServiceCluster", "RequestLifecycle", "DEFAULT_SERVICE", "LIFECYCLE_POINTS"]
 
 #: service name used when the availability subsystem is enabled with the
 #: default single fully-replicated service (simulated and live alike)
@@ -88,73 +88,6 @@ class _RunComplete(Exception):
     """Internal: unwinds the event loop the moment the last request
     finishes, so self-perpetuating control loops (broadcast
     announcements, availability refreshes) don't keep executing."""
-
-
-class ClusterMetrics:
-    """Per-request measurement arrays (NumPy, preallocated)."""
-
-    __slots__ = (
-        "n",
-        "arrival_time",
-        "response_time",
-        "poll_time",
-        "queue_wait",
-        "server_id",
-        "retries",
-        "failed",
-    )
-
-    def __init__(self, n: int):
-        self.n = n
-        self.arrival_time = np.full(n, np.nan)
-        self.response_time = np.full(n, np.nan)
-        self.poll_time = np.full(n, np.nan)
-        self.queue_wait = np.full(n, np.nan)
-        self.server_id = np.full(n, -1, dtype=np.int32)
-        self.retries = np.zeros(n, dtype=np.int32)
-        self.failed = np.zeros(n, dtype=bool)
-
-    def record(self, request: Request) -> None:
-        i = request.index
-        self.arrival_time[i] = request.arrival_time
-        self.response_time[i] = request.response_time
-        self.poll_time[i] = request.poll_time
-        self.queue_wait[i] = request.queue_wait
-        self.server_id[i] = request.server_id
-        self.retries[i] = request.retries
-        self.failed[i] = request.failed
-
-    def measurement_slice(self, warmup_fraction: float = 0.1) -> np.ndarray:
-        """Boolean mask of completed, post-warmup requests."""
-        if not 0 <= warmup_fraction < 1:
-            raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
-        mask = np.isfinite(self.response_time) & ~self.failed
-        mask[: int(self.n * warmup_fraction)] = False
-        return mask
-
-    def summary(self, warmup_fraction: float = 0.1) -> dict[str, float]:
-        """Headline statistics over the measurement window (seconds)."""
-        mask = self.measurement_slice(warmup_fraction)
-        responses = self.response_time[mask]
-        polls = self.poll_time[mask]
-        p50, p90, p95, p99 = (
-            np.percentile(responses, [50, 90, 95, 99]).tolist() if responses.size else [math.nan] * 4
-        )
-        return {
-            "n_measured": int(mask.sum()),
-            "n_failed": int(self.failed.sum()),
-            "mean_response_time": float(responses.mean()) if responses.size else math.nan,
-            "p50_response_time": p50,
-            "p90_response_time": p90,
-            "p95_response_time": p95,
-            "p99_response_time": p99,
-            "mean_poll_time": float(polls.mean()) if polls.size else math.nan,
-        }
-
-    def server_counts(self, n_servers: int, warmup_fraction: float = 0.1) -> np.ndarray:
-        """Requests completed per server over the measurement window."""
-        mask = self.measurement_slice(warmup_fraction)
-        return np.bincount(self.server_id[mask], minlength=n_servers)
 
 
 class RequestLifecycle:

@@ -1,33 +1,32 @@
-"""Policy registry: build policies by name (used by experiment configs)."""
+"""Policy registry: build policies by name (used by experiment configs).
+
+Each name maps to a :func:`repro.locate` string, so building one policy
+imports that policy's module and no other.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.core.base import LoadBalancer
-from repro.core.broadcast import BroadcastPolicy
-from repro.core.ideal import IdealOracle
-from repro.core.jiq import JoinIdleQueuePolicy
-from repro.core.least_connections import LeastConnectionsPolicy
-from repro.core.manager import CentralizedManagerPolicy
-from repro.core.polling import RandomPollingPolicy
-from repro.core.random_policy import RandomPolicy
-from repro.core.round_robin import RoundRobinPolicy
-from repro.core.stale import GlobalSnapshotPolicy
+from repro import locate
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.base import LoadBalancer
 
 __all__ = ["make_policy", "available_policies"]
 
-_REGISTRY: dict[str, Callable[..., LoadBalancer]] = {
-    "random": RandomPolicy,
-    "round_robin": RoundRobinPolicy,
-    "ideal": IdealOracle,
-    "jsq": IdealOracle,  # alias: IDEAL *is* join-shortest-queue with a free oracle
-    "broadcast": BroadcastPolicy,
-    "polling": RandomPollingPolicy,
-    "manager": CentralizedManagerPolicy,
-    "stale_jsq": GlobalSnapshotPolicy,
-    "least_connections": LeastConnectionsPolicy,
-    "jiq": JoinIdleQueuePolicy,
+_REGISTRY: dict[str, str] = {
+    "random": "repro.core.random_policy:RandomPolicy",
+    "round_robin": "repro.core.round_robin:RoundRobinPolicy",
+    "ideal": "repro.core.ideal:IdealOracle",
+    # alias: IDEAL *is* join-shortest-queue with a free oracle
+    "jsq": "repro.core.ideal:IdealOracle",
+    "broadcast": "repro.core.broadcast:BroadcastPolicy",
+    "polling": "repro.core.polling:RandomPollingPolicy",
+    "manager": "repro.core.manager:CentralizedManagerPolicy",
+    "stale_jsq": "repro.core.stale:GlobalSnapshotPolicy",
+    "least_connections": "repro.core.least_connections:LeastConnectionsPolicy",
+    "jiq": "repro.core.jiq:JoinIdleQueuePolicy",
 }
 
 
@@ -43,9 +42,9 @@ def make_policy(name: str, **params) -> LoadBalancer:
     ``make_policy("broadcast", mean_interval=0.1)``.
     """
     try:
-        factory = _REGISTRY[name]
+        where = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown policy {name!r}; available: {available_policies()}"
         ) from None
-    return factory(**params)
+    return locate(where)(**params)

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro import locate
 from repro.experiments.config import SimulationConfig, field_values, json_default
 from repro.experiments.runner import SimulationResult
-from repro.telemetry.spans import AttemptRecord, RequestSpan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import TelemetryReport
@@ -167,25 +167,26 @@ def _null_to_nan(record: dict) -> dict:
 def save_spans_jsonl(spans: Sequence, path: str | Path) -> None:
     """Write request spans as JSONL: a schema header line, then one
     span object per line (``nan`` timestamps serialize as ``null``)."""
-    _save_jsonl(spans, path, "spans", RequestSpan)
+    _save_jsonl(spans, path, "spans", locate("repro.telemetry.spans:RequestSpan"))
 
 
 def load_spans_jsonl(path: str | Path) -> list[dict]:
     """Reload (and validate) a span export written by
     :func:`save_spans_jsonl`; returns one dict per span."""
-    return _load_jsonl(path, "spans", RequestSpan, _SPAN_FIELDS_ADDED_V2)
+    span = locate("repro.telemetry.spans:RequestSpan")
+    return _load_jsonl(path, "spans", span, _SPAN_FIELDS_ADDED_V2)
 
 
 def save_attempts_jsonl(attempts: Sequence, path: str | Path) -> None:
     """Write per-attempt dispatch records as JSONL (same layout contract
     as :func:`save_spans_jsonl`: schema header, then one record/line)."""
-    _save_jsonl(attempts, path, "attempts", AttemptRecord)
+    _save_jsonl(attempts, path, "attempts", locate("repro.telemetry.spans:AttemptRecord"))
 
 
 def load_attempts_jsonl(path: str | Path) -> list[dict]:
     """Reload (and validate) an attempt export written by
     :func:`save_attempts_jsonl`; returns one dict per attempt."""
-    return _load_jsonl(path, "attempts", AttemptRecord, {})
+    return _load_jsonl(path, "attempts", locate("repro.telemetry.spans:AttemptRecord"), {})
 
 
 def _save_jsonl(records: Sequence, path: str | Path, kind: str, record_type) -> None:

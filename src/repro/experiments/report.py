@@ -7,6 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.metrics import quantiles
+
 __all__ = [
     "ascii_chart",
     "format_table",
@@ -83,14 +85,14 @@ def staleness_response_table(
             str(resp.size),
             f"{stale.mean() * 1e3:.3f}" if stale.size and np.isfinite(stale).all() else "-",
             f"{resp.mean() * 1e3:.3f}",
-            f"{np.percentile(resp, 95) * 1e3:.3f}",
+            f"{quantiles(resp, (0.95,))[0] * 1e3:.3f}",
         ]
 
     rows = []
     if known.any():
         stale = staleness[known]
         resp = response_times[known]
-        edges = np.unique(np.quantile(stale, np.linspace(0.0, 1.0, n_bins + 1)))
+        edges = np.unique(quantiles(stale, np.linspace(0.0, 1.0, n_bins + 1)))
         if edges.size == 1:  # constant staleness -> a single bucket
             rows.append(row(f"{edges[0] * 1e3:.3f}ms", stale, resp))
         else:

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 import numpy as np
 
 from repro import locate
-from repro.cluster.system import ClusterMetrics, ServiceCluster
 from repro.core.registry import make_policy
 from repro.experiments.config import (
     SUBSYSTEMS,
@@ -28,12 +27,13 @@ from repro.experiments.config import (
     field_values,
     json_default,
 )
-from repro.prototype.calibration import calibrate_full_load
-from repro.prototype.overhead import PrototypeOverheadModel
 from repro.workload.workloads import make_workload, request_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.metrics import ClusterMetrics
+    from repro.cluster.system import ServiceCluster
     from repro.experiments.cache import ResultCache
+    from repro.prototype.overhead import PrototypeOverheadModel
     from repro.telemetry import TelemetryReport
 
 __all__ = [
@@ -154,6 +154,7 @@ def full_load_rho_for(config: SimulationConfig, overhead=None) -> float:
     cached = _CALIBRATION_CACHE.get(key)
     if cached is None:
         workload = make_workload(config.workload, **config.workload_params)
+        calibrate_full_load = locate("repro.prototype.calibration:calibrate_full_load")
         calibration = calibrate_full_load(workload, overhead, seed=_CALIBRATION_SEED)
         cached = calibration.nominal_rho_at_full_load
         _CALIBRATION_CACHE[key] = cached
@@ -163,7 +164,7 @@ def full_load_rho_for(config: SimulationConfig, overhead=None) -> float:
 def _overhead_for(config: SimulationConfig) -> Optional[PrototypeOverheadModel]:
     if config.model != "prototype":
         return None
-    return PrototypeOverheadModel(**config.overhead_params)
+    return locate("repro.prototype.overhead:PrototypeOverheadModel")(**config.overhead_params)
 
 
 def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
@@ -177,6 +178,8 @@ def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
             "(which routes to repro.sim.fastpath) or pick an exact "
             "engine ('heap'/'calendar') for cluster-level access"
         )
+    from repro.cluster.system import ServiceCluster
+
     overhead = _overhead_for(config)
     nominal_rho = _resolve_nominal_rho(config, overhead)
     gaps, services = request_stream(

@@ -533,8 +533,12 @@ class ScenarioSpec:
             except (TypeError, ValueError) as err:
                 raise ScenarioError("config_overrides", str(err)) from None
 
+        # the cells' engine, imported before a sweep forks its workers
+        # so that no worker compiles it
         if self.engine == "fast":
             self._validate_fast()
+        else:
+            locate("repro.cluster.system")
 
     def _validate_fast(self) -> None:
         """The fast engine rejects most knobs — name the axis that set

@@ -8,7 +8,7 @@ dispatch → response / reject / timeout → retry → terminal record,
 every stale-delivery guard included), so registry policies, the
 :class:`~repro.cluster.reliability.ReliabilityEngine`, the
 :class:`~repro.cluster.availability.ServiceMappingTable`,
-:class:`~repro.cluster.system.ClusterMetrics`, and the
+:class:`~repro.cluster.metrics.ClusterMetrics`, and the
 :class:`~repro.telemetry.collector.TelemetryCollector` all run
 **unmodified**. What lives here is only what differs: construction,
 time from a :class:`~repro.live.clock.WallClock`, REQUEST/POLL leaving
@@ -37,7 +37,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.cluster.availability import ServiceMappingTable
 from repro.cluster.client import ClientNode
 from repro.cluster.request import Request
-from repro.cluster.system import ClusterMetrics, RequestLifecycle
+from repro.cluster.metrics import ClusterMetrics
+from repro.cluster.system import RequestLifecycle
 from repro.core.base import LoadBalancer
 from repro.live.clock import WallClock
 from repro.live.faults import LoopbackFaults

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro.cluster.system import ClusterMetrics
+from repro.cluster.metrics import ClusterMetrics
 from repro.core.registry import make_policy
 from repro.net.latency import PAPER_NET, PaperNetworkConstants
 from repro.sim.rng import RngHub

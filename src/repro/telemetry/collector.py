@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.cluster.metrics import quantiles
 from repro.sim.monitor import StepRecorder
 from repro.telemetry.sampler import sample_series
 from repro.telemetry.spans import AttemptRecord, RequestSpan
@@ -238,7 +239,7 @@ class TelemetryCollector:
             )
         if finite.size:
             out["mean_staleness"] = float(finite.mean())
-            out["p95_staleness"] = float(np.percentile(finite, 95))
+            out["p95_staleness"] = quantiles(finite, (0.95,))[0]
         else:
             out["mean_staleness"] = math.nan
             out["p95_staleness"] = math.nan

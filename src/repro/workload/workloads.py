@@ -10,7 +10,7 @@ intervals.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -23,13 +23,9 @@ from repro.workload.distributions import (
     Exponential,
     lognormal_from_moments,
 )
-from repro.workload.synthesis import (
-    FINE_GRAIN_SPEC,
-    MEDIUM_GRAIN_SPEC,
-    TraceSpec,
-    synthesize_trace,
-)
-from repro.workload.traces import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.traces import Trace
 
 __all__ = ["Workload", "make_workload", "available_workloads", "request_stream"]
 
@@ -85,7 +81,10 @@ class Workload:
         return f"Workload({self.name!r})"
 
 
-def _trace_workload(spec: TraceSpec) -> Workload:
+def _trace_workload(spec_name: str) -> Workload:
+    spec = locate(f"repro.workload.synthesis:{spec_name}")
+    synthesize_trace = locate("repro.workload.synthesis:synthesize_trace")
+
     def build(rng: np.random.Generator, n: int) -> Trace:
         return synthesize_trace(spec, n=n, rng=rng)
 
@@ -112,8 +111,9 @@ def _replay_file(path: str, digest: Optional[str] = None) -> Workload:
 
 _REGISTRY: dict[str, Callable[..., Workload]] = {
     "poisson_exp": _poisson_exp,
-    "fine_grain": lambda: _trace_workload(FINE_GRAIN_SPEC),
-    "medium_grain": lambda: _trace_workload(MEDIUM_GRAIN_SPEC),
+    # the Table-1 traces (repro.workload.synthesis, imported when one is built)
+    "fine_grain": lambda: _trace_workload("FINE_GRAIN_SPEC"),
+    "medium_grain": lambda: _trace_workload("MEDIUM_GRAIN_SPEC"),
     # Extensions beyond the paper, for sensitivity studies:
     "poisson_deterministic": lambda mean_service=POISSON_EXP_MEAN_SERVICE: Workload(
         f"Poisson/Det {mean_service * 1e3:.0f}ms",

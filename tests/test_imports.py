@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.registry import available_policies, make_policy
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGES = sorted(
@@ -66,6 +68,53 @@ def test_a_default_run_loads_no_optional_path():
     )
     assert "repro.cluster.system" in loaded
     assert loaded & _NOT_ON_A_DEFAULT_RUN == set()
+
+
+#: the exact engines' modules, and what only they or an optional path use
+_NOT_ON_A_FAST_RUN = {
+    *(f"repro.cluster.{name}" for name in
+      ("system", "server", "client", "request", "availability")),
+    "repro.net.transport", "repro.net.message",
+    "repro.sim.engine", "repro.sim.calendar", "repro.sim.monitor",
+    "numpy.ma",
+}
+
+
+def test_a_fast_engine_run_loads_no_exact_engine():
+    loaded = _loaded_after(
+        "from repro.experiments import SimulationConfig, run_simulation\n"
+        "run_simulation(SimulationConfig(policy='polling', policy_params={'poll_size': 2},"
+        " engine='fast', n_servers=50, n_requests=2000))"
+    )
+    assert "repro.sim.fastpath" in loaded
+    assert loaded & _NOT_ON_A_FAST_RUN == set()
+    assert {m for m in loaded if m.startswith(("repro.prototype", "repro.telemetry"))} == set()
+
+
+_POLICY_PARAMS = {"broadcast": {"mean_interval": 0.1}, "stale_jsq": {"update_interval": 0.1}}
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_make_policy_loads_that_policy_module_alone(name):
+    params = _POLICY_PARAMS.get(name, {})
+    loaded = _loaded_after(
+        f"from repro.core.registry import make_policy\nmake_policy({name!r}, **{params!r})"
+    )
+    policy_modules = {m for m in loaded if m.startswith("repro.core.")}
+    assert policy_modules - {"repro.core.base", "repro.core.registry"} == {
+        type(make_policy(name, **params)).__module__
+    }
+
+
+def test_a_run_summary_loads_no_numpy_ma():
+    loaded = _loaded_after(
+        "from repro.cluster import ClusterMetrics\n"
+        "metrics = ClusterMetrics(3)\n"
+        "metrics.response_time[:] = [0.3, 0.1, 0.2]\n"
+        "assert metrics.summary(0.0)['p50_response_time'] == 0.2"
+    )
+    assert "numpy" in loaded
+    assert "numpy.ma" not in loaded
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["fig3", "--budget", "5"]])
