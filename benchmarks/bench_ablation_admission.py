@@ -12,7 +12,7 @@ accepted requests see bounded, predictable latency — and goodput
 
 import numpy as np
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
 from repro.experiments.results import ResultTable
@@ -47,17 +47,14 @@ def _run(n_requests: int, max_queue, poll_size=2, seed=0):
     }
 
 
-def test_admission_overload(benchmark, report):
+def test_admission_overload(report):
     n = scaled(25_000)
 
-    def run_all():
-        return {
-            "unbounded": _run(n, max_queue=None),
-            "max_queue=20": _run(n, max_queue=20),
-            "max_queue=50": _run(n, max_queue=50),
-        }
-
-    results = run_once(benchmark, run_all)
+    results = {
+        "unbounded": _run(n, max_queue=None),
+        "max_queue=20": _run(n, max_queue=20),
+        "max_queue=50": _run(n, max_queue=50),
+    }
 
     table = ResultTable(
         ["policy", "goodput_fraction", "shed_fraction", "accepted_mean_ms",

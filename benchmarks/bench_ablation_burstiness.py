@@ -7,7 +7,7 @@ and checks that the *ranking* — ideal < poll-2 < random — survives,
 even though absolute response times inflate for every policy.
 """
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.experiments import SimulationConfig, parallel_sweep
 from repro.experiments.results import ResultTable
 
@@ -18,7 +18,7 @@ POLICIES = [
 ]
 
 
-def test_burstiness(benchmark, report):
+def test_burstiness(report):
     configs = []
     keys = []
     for wl_label, workload, params in [
@@ -34,7 +34,7 @@ def test_burstiness(benchmark, report):
                 )
             )
             keys.append((wl_label, p_label))
-    results = run_once(benchmark, lambda: parallel_sweep(configs))
+    results = parallel_sweep(configs)
     by_key = dict(zip(keys, results))
 
     table = ResultTable(["arrivals", "policy", "response_ms"])

@@ -7,7 +7,7 @@ thresholds converge to the no-discard baseline; the paper's 10 ms —
 one Linux scheduler quantum — sits in the flat optimum between.
 """
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.experiments import SimulationConfig, parallel_sweep
 from repro.experiments.runner import full_load_rho_for
 from repro.experiments.results import ResultTable
@@ -15,7 +15,7 @@ from repro.experiments.results import ResultTable
 THRESHOLDS = (0.5e-3, 2e-3, 5e-3, 10e-3, 30e-3, 100e-3)
 
 
-def test_discard_threshold(benchmark, report):
+def test_discard_threshold(report):
     base = SimulationConfig(
         workload="fine_grain", load=0.9, n_requests=scaled(25_000, minimum=12_000),
         seed=0, model="prototype",
@@ -29,7 +29,7 @@ def test_discard_threshold(benchmark, report):
         )
         for t in THRESHOLDS
     ] + [base.with_updates(policy="polling", policy_params={"poll_size": 3})]
-    results = run_once(benchmark, lambda: parallel_sweep(configs))
+    results = parallel_sweep(configs)
 
     table = ResultTable(["threshold_ms", "response_ms", "poll_ms"])
     for threshold, result in zip(THRESHOLDS, results):

@@ -10,14 +10,14 @@ polling (queue+1)/speed should adapt at least as well, and plain random
 
 import numpy as np
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.experiments import SimulationConfig, parallel_sweep
 from repro.experiments.results import ResultTable
 
 SPEEDS = tuple([2.0] * 8 + [1.0] * 8)  # mean speed 1.5
 
 
-def test_heterogeneous(benchmark, report):
+def test_heterogeneous(report):
     base = SimulationConfig(
         workload="poisson_exp", load=0.85, n_servers=16,
         n_requests=scaled(25_000), seed=0, server_speeds=SPEEDS,
@@ -35,7 +35,7 @@ def test_heterogeneous(benchmark, report):
         base.with_updates(policy=p, policy_params=pp, load=1.25)
         for _, p, pp in specs
     ]
-    results = run_once(benchmark, lambda: parallel_sweep(configs))
+    results = parallel_sweep(configs)
 
     table = ResultTable(["policy", "response_ms", "fast_server_share"])
     shares = {}

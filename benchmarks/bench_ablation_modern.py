@@ -12,7 +12,7 @@ services are finest; least-connections trails because each client only
 sees 1/n_clients of the traffic.
 """
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.experiments import SimulationConfig, parallel_sweep
 from repro.experiments.results import ResultTable
 
@@ -30,7 +30,7 @@ POLICIES = [
 ]
 
 
-def test_modern_policies(benchmark, report):
+def test_modern_policies(report):
     configs = []
     keys = []
     for wl_label, workload, wl_params in WORKLOADS:
@@ -43,7 +43,7 @@ def test_modern_policies(benchmark, report):
                 )
             )
             keys.append((wl_label, p_label))
-    results = run_once(benchmark, lambda: parallel_sweep(configs))
+    results = parallel_sweep(configs)
     by_key = dict(zip(keys, results))
 
     table = ResultTable(["workload", "policy", "response_ms", "vs_ideal"])

@@ -11,7 +11,7 @@ overhead a faster fabric removes).
 
 from dataclasses import replace
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.cluster.system import ServiceCluster
 from repro.core.registry import make_policy
 from repro.experiments import SimulationConfig
@@ -58,7 +58,7 @@ def _run(config: SimulationConfig, constants) -> float:
     return metrics.summary(config.warmup_fraction)["mean_response_time"]
 
 
-def test_network_speed(benchmark, report):
+def test_network_speed(report):
     # A fine-grain setting where message latency actually matters:
     # 2 ms services make the 516 µs / 290 µs constants a visible cost.
     base = SimulationConfig(
@@ -66,15 +66,11 @@ def test_network_speed(benchmark, report):
         load=0.9, n_servers=16, n_requests=scaled(20_000), seed=0,
     )
 
-    def run_all():
-        out = {}
-        for label, policy, params in CASES:
-            config = base.with_updates(policy=policy, policy_params=params)
-            out[(label, "paper")] = _run(config, PAPER_NET)
-            out[(label, "10x")] = _run(config, FAST_NET)
-        return out
-
-    results = run_once(benchmark, run_all)
+    results = {}
+    for label, policy, params in CASES:
+        config = base.with_updates(policy=policy, policy_params=params)
+        results[(label, "paper")] = _run(config, PAPER_NET)
+        results[(label, "10x")] = _run(config, FAST_NET)
 
     table = ResultTable(["policy", "paper_net_ms", "fast_net_ms", "speedup"])
     for label, _, _ in CASES:

@@ -8,14 +8,14 @@ never crosses that line — the mechanism behind the paper's conclusion
 that client-initiated pulling suits fine-grain services.
 """
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.experiments import SimulationConfig, parallel_sweep
 from repro.experiments.results import ResultTable
 
 AGES = (0.001, 0.01, 0.05, 0.2, 1.0)  # snapshot refresh periods, seconds
 
 
-def test_stale_info(benchmark, report):
+def test_stale_info(report):
     base = SimulationConfig(
         workload="poisson_exp", load=0.9, n_requests=scaled(25_000), seed=0,
     )
@@ -32,7 +32,7 @@ def test_stale_info(benchmark, report):
     ]
     configs.append(base.with_updates(policy="random"))
     configs.append(base.with_updates(policy="polling", policy_params={"poll_size": 2}))
-    results = run_once(benchmark, lambda: parallel_sweep(configs))
+    results = parallel_sweep(configs)
 
     plain = results[: len(AGES)]
     corrected = results[len(AGES) : 2 * len(AGES)]

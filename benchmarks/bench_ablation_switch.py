@@ -8,7 +8,7 @@ paper's message rates the switch adds only serialization-scale delay,
 leaving mean response times essentially unchanged.
 """
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.cluster.system import ServiceCluster
 from repro.core.registry import make_policy
 from repro.experiments.results import ResultTable
@@ -43,17 +43,14 @@ def _run(n_requests: int, with_switch: bool, poll_size: int) -> float:
     return metrics.summary(0.1)["mean_response_time"]
 
 
-def test_switch_abstraction(benchmark, report):
+def test_switch_abstraction(report):
     n = scaled(15_000)
 
-    def run_all():
-        return {
-            (with_switch, d): _run(n, with_switch, d)
-            for with_switch in (False, True)
-            for d in (2, 8)
-        }
-
-    results = run_once(benchmark, run_all)
+    results = {
+        (with_switch, d): _run(n, with_switch, d)
+        for with_switch in (False, True)
+        for d in (2, 8)
+    }
 
     table = ResultTable(["poll_size", "constant_ms", "switched_ms", "delta"])
     for d in (2, 8):

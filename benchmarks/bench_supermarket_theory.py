@@ -9,7 +9,7 @@ with the same steep d=1 -> d=2 drop.
 
 import numpy as np
 
-from benchmarks.conftest import run_once, scaled
+from benchmarks.conftest import scaled
 from repro.analysis import supermarket_mean_response_time
 from repro.experiments import SimulationConfig, parallel_sweep
 from repro.experiments.results import ResultTable
@@ -20,7 +20,7 @@ LOADS = (0.7, 0.9)
 DS = (1, 2, 3, 8)
 
 
-def run(benchmark):
+def run():
     configs = []
     for load in LOADS:
         for d in DS:
@@ -32,11 +32,11 @@ def run(benchmark):
                     n_requests=scaled(30_000), seed=0,
                 )
             )
-    return run_once(benchmark, lambda: parallel_sweep(configs))
+    return parallel_sweep(configs)
 
 
-def test_supermarket_theory(benchmark, report):
-    results = run(benchmark)
+def test_supermarket_theory(report):
+    results = run()
     table = ResultTable(["load", "d", "simulated_ms", "theory_ms", "ratio"])
     by_key = {}
     index = 0

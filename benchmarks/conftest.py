@@ -1,13 +1,13 @@
-"""Shared benchmark plumbing.
+"""Shared plumbing of the ablation benches (``pytest benchmarks/bench_*.py``).
 
-Every bench regenerates one table/figure of the paper and both prints it
-(visible with ``pytest -s``) and writes it to
-``benchmarks/output/<name>.txt`` so the reproduction artifacts survive
-output capturing.
+Every bench regenerates one ablation table and both prints it (visible
+with ``pytest -s``) and writes it to ``benchmarks/output/<name>.txt`` so
+the artifact survives output capturing. The paper's own tables and
+figures are rows of ``benchmarks/claims.py``, not benches.
 
 Scale control: set ``REPRO_BENCH_SCALE`` (float, default 1.0) to shrink
 or grow the request counts, e.g. ``REPRO_BENCH_SCALE=0.25 pytest
-benchmarks/`` for a quick pass.
+benchmarks/bench_*.py`` for a quick pass.
 """
 
 import os
@@ -37,8 +37,3 @@ def report():
         print(f"\n{text}\n[written to {path}]")
 
     return _report
-
-
-def run_once(benchmark, fn):
-    """Run a whole-figure driver exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -49,6 +49,7 @@ differential partner: slower, bit-identical (``parity`` proves it).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
@@ -96,8 +97,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 

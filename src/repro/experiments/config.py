@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, NamedTuple, Optional
 
@@ -260,8 +261,8 @@ class SimulationConfig:
                     f"unknown {name} key(s): {sorted(unknown)} "
                     f"(allowed: {sorted(param_keys(name))})"
                 )
-        if not 0 < self.load:
-            raise ValueError(f"load must be > 0, got {self.load}")
+        if not 0 < self.load < math.inf:
+            raise ValueError(f"load must be finite and > 0, got {self.load}")
         if self.n_requests < 10:
             raise ValueError(f"n_requests must be >= 10, got {self.n_requests}")
         if not 0 <= self.warmup_fraction < 1:

@@ -11,10 +11,9 @@ and its report renders the paper's table.
 
 What is not a sweep stays a function returning a :class:`FigureData`:
 Table 1's trace statistics, Figure 2's inaccuracy curve, and the §3.2
-poll profile. The benchmarks call all of them with default
-(publication) sizes; tests with small ``n_requests`` for speed — the
-*shape* claims are asserted in ``tests/experiments/`` and
-``benchmarks/``.
+poll profile. The paper's *shape* claims are asserted once, as the
+rows of ``benchmarks/claims.py``, over these drivers at their default
+(publication) sizes.
 """
 
 from __future__ import annotations

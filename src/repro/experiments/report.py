@@ -1,16 +1,14 @@
-"""Plain-text rendering of tables, series, and line charts (bench output)."""
+"""Plain-text rendering of tables and series."""
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.metrics import quantiles
 
 __all__ = [
-    "ascii_chart",
     "format_table",
     "format_series",
     "staleness_response_table",
@@ -111,88 +109,3 @@ def staleness_response_table(
     if not rows:
         return "no measured requests with telemetry spans"
     return format_table(headers, rows)
-
-
-_MARKERS = "ox+*#@%&"
-
-
-def ascii_chart(
-    x_values: Sequence[float],
-    series: dict[str, Sequence[float]],
-    width: int = 64,
-    height: int = 16,
-    logy: bool = False,
-    y_label: str = "",
-) -> str:
-    """A monospace line chart: one marker per series, legend below.
-
-    ``x_values`` are mapped to columns by *rank* (even spacing), which
-    suits the paper's sweeps (load levels, log-spaced intervals).
-    ``logy=True`` plots log10 of the values — right for the
-    order-of-magnitude spreads in Figures 3/4/6.
-    """
-    if not series:
-        raise ValueError("at least one series required")
-    if width < 8 or height < 4:
-        raise ValueError("chart too small")
-    n_points = len(x_values)
-    if n_points < 2:
-        raise ValueError("need at least 2 x values")
-    for name, values in series.items():
-        if len(values) != n_points:
-            raise ValueError(f"series {name!r} length != len(x_values)")
-
-    def transform(v: float) -> float:
-        if logy:
-            if v <= 0:
-                raise ValueError("logy requires positive values")
-            return math.log10(v)
-        return v
-
-    flat = [
-        transform(v)
-        for values in series.values()
-        for v in values
-        if v is not None
-    ]
-    lo, hi = min(flat), max(flat)
-    if hi == lo:
-        hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-
-    def cell(rank: int, value: Optional[float]) -> Optional[tuple[int, int]]:
-        if value is None:
-            return None
-        col = round(rank * (width - 1) / (n_points - 1))
-        frac = (transform(value) - lo) / (hi - lo)
-        row = height - 1 - round(frac * (height - 1))
-        return row, col
-
-    for index, (name, values) in enumerate(series.items()):
-        marker = _MARKERS[index % len(_MARKERS)]
-        for rank, value in enumerate(values):
-            pos = cell(rank, value)
-            if pos is not None:
-                row, col = pos
-                grid[row][col] = marker
-
-    def y_tick(row: int) -> str:
-        frac = (height - 1 - row) / (height - 1)
-        value = lo + frac * (hi - lo)
-        if logy:
-            value = 10**value
-        return f"{value:10.3g} |"
-
-    lines = []
-    for row in range(height):
-        prefix = y_tick(row) if row in (0, height // 2, height - 1) else " " * 10 + " |"
-        lines.append(prefix + "".join(grid[row]))
-    lines.append(" " * 11 + "+" + "-" * width)
-    x_axis = f"{x_values[0]!s:<{width // 2}}{x_values[-1]!s:>{width // 2}}"
-    lines.append(" " * 12 + x_axis)
-    legend = "   ".join(
-        f"{_MARKERS[i % len(_MARKERS)]}={name}" for i, name in enumerate(series)
-    )
-    suffix = f"   [log y]" if logy else ""
-    lines.append(f"  {y_label}  {legend}{suffix}".rstrip())
-    return "\n".join(lines)

@@ -24,11 +24,6 @@ class ResultTable:
             raise ValueError(f"missing columns: {sorted(missing)}")
         self.rows.append({column: values[column] for column in self.columns})
 
-    def column(self, name: str) -> list[Any]:
-        if name not in self.columns:
-            raise KeyError(name)
-        return [row[name] for row in self.rows]
-
     def render(self, floatfmt: str = "{:.3f}") -> str:
         body = [
             [_fmt(row[column], floatfmt) for column in self.columns]

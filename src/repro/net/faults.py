@@ -32,6 +32,7 @@ first and consume no randomness), so both mechanisms stack.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -51,6 +52,8 @@ def _validate_params(loss: float, duplicate: float, jitter_mean: float, where: s
             raise ValueError(f"{where}{name} must be in [0, 1], got {value}")
     if jitter_mean < 0:
         raise ValueError(f"{where}jitter_mean must be >= 0, got {jitter_mean}")
+    if not math.isfinite(jitter_mean):
+        raise ValueError(f"{where}jitter_mean must be finite, got {jitter_mean}")
     return float(loss), float(duplicate), float(jitter_mean)
 
 

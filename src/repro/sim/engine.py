@@ -14,7 +14,7 @@ import math
 
 # Bound once at import: LOAD_GLOBAL on these beats the LOAD_GLOBAL +
 # LOAD_ATTR pair on ``heapq.heappush``/``heapq.heappop``, which run once
-# per event (profile-guided, bench_poll_profile.py).
+# per event (profile-guided, on the §3.2 poll-profile run).
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Optional
 

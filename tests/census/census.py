@@ -9,8 +9,9 @@ are the non-test commands the repository ships or documents: every
 ``make *-smoke`` target (``bench-smoke`` and ``suite-smoke`` less their
 pytest lines), ``make examples``, every CLI command at ``--quick`` and
 its ``-h``, the command lines README, EXPERIMENTS.md and ``docs/`` show
-that a ``--quick`` line does not already cover, and the paper benches
-(``make bench-quick``). Every producer starts on an empty result cache,
+that a ``--quick`` line does not already cover, and ``make bench-quick``
+(the paper's claims table, ``benchmarks/claims.py --quick``, then the
+ablation benches). Every producer starts on an empty result cache,
 so a cold path is never hidden behind a hit.
 
 The results are ``called.txt``, a sorted ``module:qualname`` list keyed

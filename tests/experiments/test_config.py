@@ -17,6 +17,9 @@ def test_validation():
         SimulationConfig(model="hardware")
     with pytest.raises(ValueError):
         SimulationConfig(load=0.0)
+    # an infinite load used to run, every arrival at t=0
+    with pytest.raises(ValueError, match="load must be finite and > 0, got inf"):
+        SimulationConfig(policy="random", load=float("inf"), n_requests=200, seed=0)
     with pytest.raises(ValueError):
         SimulationConfig(n_requests=5)
     with pytest.raises(ValueError):

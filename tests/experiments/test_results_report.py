@@ -11,14 +11,11 @@ def test_table_requires_columns():
         ResultTable([])
 
 
-def test_add_and_column():
+def test_add_keeps_rows_in_order():
     table = ResultTable(["a", "b"])
     table.add(a=1, b=2.5)
     table.add(a=3, b=4.5)
-    assert len(table.rows) == 2
-    assert table.column("a") == [1, 3]
-    with pytest.raises(KeyError):
-        table.column("c")
+    assert table.rows == [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5}]
 
 
 def test_add_missing_column_rejected():

@@ -43,6 +43,16 @@ def test_probability_validation():
         NetworkFaults(rng, per_kind={MessageKind.POLL: {"latency": 1.0}})
 
 
+@pytest.mark.parametrize("jitter_mean", [float("nan"), float("inf")])
+def test_a_non_finite_jitter_mean_is_refused(jitter_mean):
+    """A NaN ``jitter_mean`` used to construct and mean "no jitter"."""
+    with pytest.raises(ValueError, match=f"jitter_mean must be finite, got {jitter_mean}"):
+        NetworkFaults(np.random.default_rng(0), jitter_mean=jitter_mean)
+    with pytest.raises(ValueError, match=r"per_kind\[poll\] jitter_mean must be finite"):
+        NetworkFaults(np.random.default_rng(0),
+                      per_kind={MessageKind.POLL: {"jitter_mean": jitter_mean}})
+
+
 @pytest.mark.parametrize(
     "override, message",
     [

@@ -7,6 +7,10 @@ would silently serve one cell's cached result for another.
 """
 
 import copy
+import json
+import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from repro.experiments.scenario import (
     ScenarioError,
     ScenarioSpec,
     WorkloadAxis,
+    load_spec,
     spec_from_dict,
 )
 
@@ -135,6 +140,7 @@ _JUNK_SCALARS = st.one_of(
     st.booleans(),
     st.integers(-3, 300),
     st.floats(allow_nan=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.text(max_size=4),
     st.sampled_from(["200", "random", "poisson_exp", "prototype", "fast",
                      "{", "{0}", "{load:d}", "{nosuch}", "{load.x}"]),
@@ -188,7 +194,8 @@ def _paths(node, prefix=()):
 def test_json_shaped_junk_expands_or_raises_scenario_error(mutations, scratch):
     """Wrong-typed scalars, scalars where lists belong, nested junk in
     axis entries: cells or ScenarioError, never a TypeError /
-    AttributeError / KeyError / IndexError from inside validation."""
+    AttributeError / KeyError / IndexError from inside validation. A
+    spec file holding a NaN or Infinity literal is refused as it is read."""
     broken = copy.deepcopy(_VALID_SPEC)
     for path, junk in mutations:
         node = broken
@@ -204,3 +211,23 @@ def test_json_shaped_junk_expands_or_raises_scenario_error(mutations, scratch):
         except ScenarioError:
             continue
         assert cells and all(cell.config.n_requests >= 10 for cell in cells)
+    for data in (broken, scratch):
+        if _finite(data):
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "junk.json"
+            path.write_text(json.dumps(data))
+            try:
+                load_spec(path)
+            except ScenarioError as err:
+                assert "is not strict JSON" in str(err)
+            else:
+                raise AssertionError(f"{path.read_text()} loaded")
+
+
+def _finite(node) -> bool:
+    if isinstance(node, float):
+        return math.isfinite(node)
+    if isinstance(node, dict):
+        node = node.values()
+    return not isinstance(node, (list, type({}.values()))) or all(map(_finite, node))

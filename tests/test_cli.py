@@ -50,6 +50,19 @@ def test_bad_argument_exits_2_naming_the_flag(flag, capsys):
     assert f"error: argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [["compare", "--quick", "--load"],
+                                  ["trace", "--quick", "--sample-interval"]])
+def test_a_non_finite_float_exits_2_naming_the_flag(argv, value, capsys):
+    """``--load inf`` and ``--sample-interval inf`` used to parse."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, value])
+    assert exit_info.value.code == 2
+    assert f"error: argument {argv[-1]}: must be finite and > 0, got {value}" in (
+        capsys.readouterr().err.splitlines()[-1]
+    )
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
