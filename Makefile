@@ -13,18 +13,15 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
-# The paper's claims as one verdict table (benchmarks/claims.py: one row
-# per claim, full size on seeds 0, 1 and 2, ~9 min on 2 vCPUs; exits 1
-# when a row measures below its committed verdict), then the ablation
-# benches (benchmarks/bench_*.py; REPRO_BENCH_SCALE scales them). The
-# quick pass runs the table at tier-1 size, which writes no output file.
+# The paper's claims and the ablations beyond it as one verdict table
+# (benchmarks/claims.py: one row per claim, full size on seeds 0, 1 and
+# 2; exits 1 when a row measures below its committed verdict). The quick
+# pass runs the table at tier-1 size, which writes no output file.
 bench:
 	$(PYTHON) benchmarks/claims.py
-	$(PYTHON) -m pytest benchmarks/bench_*.py
 
 bench-quick:
 	$(PYTHON) benchmarks/claims.py --quick
-	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest benchmarks/bench_*.py
 
 # CI smoke: tier-1 tests, a quick figure bench (exercising the sweep
 # engine + result cache), then the two engine validations: heap vs

@@ -24,6 +24,7 @@ flat ``{name: float}`` dict the experiment layer archives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -192,10 +193,12 @@ class ChaosSpec:
             raise ValueError(f"loss must be in [0, 1], got {self.loss}")
         if not 0.0 <= self.duplicate <= 1.0:
             raise ValueError(f"duplicate must be in [0, 1], got {self.duplicate}")
-        if self.jitter_mean < 0:
-            raise ValueError(f"jitter_mean must be >= 0, got {self.jitter_mean}")
-        if self.straggle_factor <= 0:
-            raise ValueError(f"straggle_factor must be > 0, got {self.straggle_factor}")
+        if not 0 <= self.jitter_mean < math.inf:
+            raise ValueError(f"jitter_mean must be finite and >= 0, got {self.jitter_mean}")
+        if not 0 < self.straggle_factor < math.inf:
+            raise ValueError(
+                f"straggle_factor must be finite and > 0, got {self.straggle_factor}"
+            )
         for name in (
             "stragglers",
             "partitions",
@@ -205,8 +208,9 @@ class ChaosSpec:
             "dispatcher_storms",
             "dispatcher_storm_size",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
         if not 0.0 < self.dispatcher_storm_frac <= 1.0:
             raise ValueError(
                 f"dispatcher_storm_frac must be in (0, 1], got {self.dispatcher_storm_frac}"

@@ -11,8 +11,8 @@ Relative to the paper's taxonomy this is server-initiated like
 broadcast, but the information is *edge-triggered* and cheap (one
 message per service completion that empties a queue, not a periodic
 fan-out), so it scales like polling while avoiding poll latency. The
-``bench_ablation_modern`` bench compares it against polling d=2 and
-least-connections across service granularities.
+claims table's MOD row (``benchmarks/claims.py``) compares it against
+polling d=2 and least-connections across service granularities.
 """
 
 from __future__ import annotations

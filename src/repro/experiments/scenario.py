@@ -506,6 +506,12 @@ class ScenarioSpec:
                 _check_keys("modes", m.label, kind, getattr(m, kind), config_field)
         for f in self.faults:
             _check_keys("faults", f.label, "chaos", f.chaos, "chaos_params")
+            if f.chaos:
+                # the knob values, checked by the class a run builds from them
+                try:
+                    locate(SUBSYSTEMS["chaos_params"].owner)(**f.chaos)
+                except (TypeError, ValueError) as err:
+                    raise ScenarioError("faults", str(err), entry=f.label) from None
         _check_keys("cluster_params", "", "cluster", self.cluster_params, "cluster_params")
         _check_keys(
             "config_overrides", "", "override", self.config_overrides, _OVERRIDE_FIELDS

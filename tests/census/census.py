@@ -10,8 +10,8 @@ are the non-test commands the repository ships or documents: every
 pytest lines), ``make examples``, every CLI command at ``--quick`` and
 its ``-h``, the command lines README, EXPERIMENTS.md and ``docs/`` show
 that a ``--quick`` line does not already cover, and ``make bench-quick``
-(the paper's claims table, ``benchmarks/claims.py --quick``, then the
-ablation benches). Every producer starts on an empty result cache,
+(the claims table, ``benchmarks/claims.py --quick``, which writes no
+file). Every producer starts on an empty result cache,
 so a cold path is never hidden behind a hit.
 
 The results are ``called.txt``, a sorted ``module:qualname`` list keyed
@@ -23,8 +23,7 @@ passes. ``tests/census/test_census.py`` holds every function under
 ``src/repro``, every registered workload and policy and every flag a
 command takes to them or to ``allowlist.txt``; CI re-runs this script
 and fails when a list it writes differs from the committed one. A
-producer that exits non-zero fails the run. The tables under
-``benchmarks/output/`` the benches rewrite are put back.
+producer that exits non-zero fails the run.
 """
 
 import ast
@@ -40,8 +39,6 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 SRC = ROOT / "src"
 OUT = HERE / "out"
-#: committed tables ``make bench-quick`` rewrites at its own scale
-BENCH_OUTPUT = ROOT / "benchmarks" / "output"
 CALLED = HERE / "called.txt"
 REACHED = HERE / "reached.txt"
 ALLOWLIST = HERE / "allowlist.txt"
@@ -131,7 +128,6 @@ def main() -> int:
     shutil.rmtree(OUT, ignore_errors=True)
     OUT.mkdir()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(HERE), str(SRC)]))
-    committed = {path: path.read_bytes() for path in BENCH_OUTPUT.glob("*.txt")}
     began = time.perf_counter()
     failed = []
     try:
@@ -153,8 +149,6 @@ def main() -> int:
         seen, reached = recorded()
     finally:
         shutil.rmtree(OUT, ignore_errors=True)
-        for path, data in committed.items():
-            path.write_bytes(data)
     defined = defined_functions()
     called = sorted({name for key, name in defined.items() if key in seen})
     CALLED.write_text("".join(f"{name}\n" for name in called))

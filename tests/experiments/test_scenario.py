@@ -335,6 +335,23 @@ def test_a_non_finite_or_oversized_intensity_is_refused(intensity):
     assert err.value.axis == "spec"
 
 
+@pytest.mark.parametrize(
+    "chaos, refusal",
+    [
+        ({"loss": 1.5}, "loss must be in"),
+        ({"stragglers": math.inf}, "stragglers must be an int"),
+        ({"jitter_mean": -1.0}, "jitter_mean must be finite"),
+        ({"straggle_factor": math.inf}, "straggle_factor must be finite"),
+    ],
+)
+def test_an_explicit_chaos_knob_no_run_can_use_is_refused(chaos, refusal):
+    """Each used to expand to a cell that failed only when it ran."""
+    spec = spec_from_dict({"name": "f", "faults": [{"label": "a", "chaos": chaos}]})
+    with pytest.raises(ScenarioError, match=refusal) as err:
+        spec.expand()
+    assert (err.value.axis, err.value.entry) == ("faults", "a")
+
+
 def test_load_spec_bad_suffix_and_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="suffix"):
         load_spec(tmp_path / "spec.toml")

@@ -1,7 +1,7 @@
-"""The paper's claims table (``benchmarks/claims.py``) at ``--quick``.
+"""The claims table (``benchmarks/claims.py``) at ``--quick``.
 
 Every row holds its committed verdict on seed 0, and the table can fail:
-two mutants, monkeypatched into the policy the rows measure, each flip
+four mutants, monkeypatched into the code the rows measure, each flip
 their row to FAILS. CI runs the same table at full size on three seeds.
 """
 
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import polling
-from repro.core.base import choose_min_with_ties
+from repro.cluster.server import ServerNode
+from repro.core import polling, stale
+from repro.core.base import choose_min_in_table, choose_min_with_ties
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -77,3 +78,24 @@ def test_dispatching_to_the_longest_reply_fails_c1(claims, monkeypatch):
 
     monkeypatch.setattr(polling, "choose_min_with_ties", longest)
     assert measured(claims, "C1") == {"C1": "FAILS"}
+
+
+def test_admitting_past_max_queue_fails_adm(claims, monkeypatch):
+    enqueue = ServerNode.enqueue
+
+    def unbounded(self, request):
+        self.max_queue = None
+        return enqueue(self, request)
+
+    monkeypatch.setattr(ServerNode, "enqueue", unbounded)
+    assert measured(claims, "ADM") == {"ADM": "FAILS"}
+
+
+def test_skipping_the_local_increment_fails_stale(claims, monkeypatch):
+    def select(self, client, request):
+        table = client.state[stale._LOCAL_KEY] if self.local_increment else self._snapshot
+        candidates = self.ctx.available_servers(client)
+        self.ctx.dispatch(client, request, choose_min_in_table(table, candidates, self._rng))
+
+    monkeypatch.setattr(stale.GlobalSnapshotPolicy, "select", select)
+    assert measured(claims, "STALE") == {"STALE": "FAILS"}

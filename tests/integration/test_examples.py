@@ -1,6 +1,5 @@
 """Smoke-run every example script end-to-end (reduced sizes via env)."""
 
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,15 +51,9 @@ def test_failure_resilience():
 
 def test_every_bench_output_has_a_bench_that_writes_it():
     """A committed ``benchmarks/output/*.txt`` whose writer was deleted
-    reads as a current result. The writers are the ablation benches and
-    ``claims.py`` (its table and one report per driver)."""
-    benchmarks = EXAMPLES.parent / "benchmarks"
-    written = {
-        name
-        for bench in benchmarks.glob("bench_*.py")
-        for name in re.findall(r'\breport\(\s*"(\w+)"', bench.read_text())
-    }
-    claims = (benchmarks / "claims.py").read_text()
-    written |= {"claims", *re.findall(r'\b(?:Driver|_spec_driver)\(\s*"(\w+)"', claims)}
-    outputs = {path.stem for path in (benchmarks / "output").glob("*.txt")}
-    assert outputs - written == set()
+    reads as a current result. The one writer is ``claims.py``: its
+    table and one report per driver."""
+    from tests.integration.test_claims import CLAIMS as claims
+
+    outputs = {path.stem for path in (EXAMPLES.parent / "benchmarks" / "output").glob("*.txt")}
+    assert outputs == {"claims", *claims.DRIVERS}
