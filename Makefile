@@ -79,7 +79,7 @@ fuzz-smoke:
 
 # Live loopback smoke (<60s): boots a standalone server node for a
 # couple of seconds, then runs the quick sim-vs-real poll-size ladder —
-# real asyncio UDP servers + client agents over loopback, spin-mode
+# real UDP servers + client agents over loopback, spin-mode
 # service work, 240 requests per poll size. Wall-clock latencies are
 # machine-dependent so there is no latency assertion here: completing
 # every request is the gate, and the hard timeouts catch a hung event

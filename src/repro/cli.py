@@ -389,22 +389,12 @@ def _fastparity(args) -> str:
 
 def _serve(args) -> str:
     """Run one standalone live UDP server node until the time limit."""
-    import asyncio
-
-    from repro.live.clock import WallClock, run
+    from repro.live.clock import WallClock
     from repro.live.server import LiveServer
 
-    async def _run() -> str:
-        loop = asyncio.get_running_loop()
-        server = LiveServer(
-            0,
-            WallClock(loop),
-            workers=args.workers,
-            mode=args.live_mode,
-        )
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: server, local_addr=("127.0.0.1", args.port)
-        )
+    try:
+        server = LiveServer(0, WallClock(), port=args.port, workers=args.workers,
+                            mode=args.live_mode)
         try:
             host, port = server.address
             print(
@@ -413,17 +403,15 @@ def _serve(args) -> str:
                 f"stopping after --time-limit {args.time_limit:g}s or Ctrl-C)",
                 flush=True,
             )
-            await asyncio.sleep(args.time_limit)
+            server.clock.run_until(lambda: False, args.time_limit)
         finally:
             server.close()
-            transport.close()
-        counters = ", ".join(f"{k}={v}" for k, v in server.counters().items())
-        return f"serve: stopped after {args.time_limit:g}s ({counters})"
-
-    try:
-        return run(_run())
+    except TimeoutError:  # the time limit: the normal way out
+        pass
     except KeyboardInterrupt:
         return "serve: interrupted"
+    counters = ", ".join(f"{k}={v}" for k, v in server.counters().items())
+    return f"serve: stopped after {args.time_limit:g}s ({counters})"
 
 
 def _drive(args) -> str:

@@ -1,14 +1,14 @@
-"""Live (wall-clock, asyncio UDP) runtime for the Neptune prototype.
+"""Live (wall-clock, loopback UDP) runtime for the Neptune prototype.
 
 This package runs the *same* policy, reliability, and overload code as
 the simulator, over real loopback UDP sockets with real time:
 
 - :mod:`~repro.live.clock` — ``WallClock``: the :class:`repro.sim.clock.Clock`
-  implementation backed by an asyncio event loop's monotonic time, and
-  ``run``, the ``select`` loop every live entry point runs on.
+  implementation on monotonic time, and the one ``select`` loop, over
+  its own UDP sockets, that every live entry point runs on.
 - :mod:`~repro.live.wire` — versioned datagram codec for the message
   kinds the sim models (REQUEST/RESPONSE/REJECT/POLL/POLL_REPLY/PUBLISH).
-- :mod:`~repro.live.server` — ``LiveServer``: an asyncio UDP server node
+- :mod:`~repro.live.server` — ``LiveServer``: a UDP server node
   with a FIFO queue served by timers, CPU-spin or sleep service work,
   soft-state PUBLISH announcements, and the shared ``OverloadController``.
 - :mod:`~repro.live.client` — ``LiveCluster``: the client/drive agent
@@ -30,7 +30,6 @@ __all__, __getattr__, __dir__ = exports(
     __name__,
     "repro.live.clock:WallClock",
     "repro.live.clock:WallHandle",
-    "repro.live.clock:run",
     "repro.live.wire:WireError",
     "repro.live.wire:decode_message",
     "repro.live.wire:encode_message",

@@ -13,9 +13,10 @@ every stale-delivery guard included), so registry policies, the
 **unmodified**. What lives here is only what differs: construction,
 time from a :class:`~repro.live.clock.WallClock`, REQUEST/POLL leaving
 and RESPONSE/REJECT/PUBLISH/POLL_REPLY arriving as real UDP datagrams
-(unpacked before the shared handlers run), and an ``asyncio.Event``
-ending the run. The race-parity tests assert the sim's exactly-once
-invariants under injected loss/delay/duplication.
+(unpacked before the shared handlers run), and :meth:`LiveCluster.run`
+driving the clock's loop until every request is terminal. The
+race-parity tests assert the sim's exactly-once invariants under
+injected loss/delay/duplication.
 
 Deliberate divergences from the sim (documented in DESIGN.md §15):
 
@@ -31,7 +32,6 @@ Deliberate divergences from the sim (documented in DESIGN.md §15):
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.availability import ServiceMappingTable
@@ -40,7 +40,7 @@ from repro.cluster.request import Request
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.system import RequestLifecycle
 from repro.core.base import LoadBalancer
-from repro.live.clock import WallClock
+from repro.live.clock import WallClock, sendto
 from repro.live.faults import LoopbackFaults
 from repro.live.wire import WireError, decode_message, encode_message
 from repro.net.latency import PAPER_NET
@@ -111,7 +111,7 @@ class _PublishShim:
         self.payload = payload
 
 
-class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
+class LiveCluster(RequestLifecycle):
     """Drives a workload against live UDP servers: the shared
     :class:`~repro.cluster.system.RequestLifecycle` over real datagrams."""
 
@@ -167,7 +167,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
         self.clients = [ClientNode(clock, base + j) for j in range(n_clients)]
 
         self.network = _LiveNetwork()
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.sock = None  # opened by run()
 
         # Availability: one shared soft-state table (all clients share
         # the drive socket, hence one subscription).
@@ -188,45 +188,33 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
         self.autoscaler = None
 
         # Transport state: dispatched requests by wire id, outstanding
-        # polls by poll id, the run-complete signal, wire-level counters.
+        # polls by poll id, the run-complete flag, wire-level counters.
         self._requests: Dict[int, Request] = {}
         self._polls: Dict[int, Tuple[int, Callable[[int, int, float], None], float]] = {}
         self._next_poll_id = 0
-        self._done_event = asyncio.Event()
+        self._done = False
         self.stale_poll_replies_ignored = 0
         self.wire_errors = 0
+        self.recv_errors = 0
 
         self._init_lifecycle(policy, request_timeout, max_retries, reliability)
 
     # ------------------------------------------------------------------
-    # asyncio protocol plumbing
+    # socket plumbing
     # ------------------------------------------------------------------
-    def connection_made(self, transport) -> None:  # type: ignore[override]
-        self.transport = transport
-        if self.availability_enabled:
-            sub = encode_message("subscribe", client=self.clients[0].node_id)
-            for proxy in self.servers:
-                transport.sendto(sub, proxy.addr)
-
     def _send(self, wire_kind: str, data: bytes, addr: Tuple[str, int]) -> None:
-        if self.transport is None:
-            return
         self.network.count(wire_kind, len(data))
         if self.faults is None:
-            self.transport.sendto(data, addr)
-            return
-        plan = self.faults.plan()
-        if plan is None:
-            return
-        for delay in plan:
-            if delay <= 0.0:
-                self.transport.sendto(data, addr)
-            else:
-                self.clock.after(delay, self._late_send, (data, addr))
+            self._sendto((wire_kind, data, addr))
+        else:
+            self.faults.deliver(self.clock, self._sendto, (wire_kind, data, addr))
 
-    def _late_send(self, item: Tuple[bytes, Tuple[str, int]]) -> None:
-        if self.transport is not None:
-            self.transport.sendto(*item)
+    def _sendto(self, item: Tuple[str, bytes, Tuple[str, int]]) -> None:
+        wire_kind, data, addr = item
+        if not sendto(self.sock, data, addr):
+            kind = _WIRE_KIND_TO_SIM.get(wire_kind, MessageKind.OTHER)
+            drops = self.network.dropped_counts
+            drops[kind] = drops.get(kind, 0) + 1
 
     # ------------------------------------------------------------------
     # transport hooks: outbound
@@ -258,27 +246,34 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
     # ------------------------------------------------------------------
     # run control
     # ------------------------------------------------------------------
-    async def run(self) -> ClusterMetrics:
-        """Drive the loaded workload to completion; returns the metrics.
+    def run(self, time_limit: float) -> ClusterMetrics:
+        """Open the client socket and drive the loaded workload to
+        completion on the clock's loop; returns the metrics.
 
-        Callers own the hard timeout (``asyncio.wait_for``) — a live
-        run must never hang the suite.
+        Past ``time_limit`` seconds the loop raises ``TimeoutError`` — a
+        live run must never hang the suite. The socket stays open for
+        late datagrams until the clock is closed.
         """
         if self._arrival_times is None or self.metrics is None:
             raise RuntimeError("load_workload() must be called before run()")
-        self._done_event.clear()
+        self.sock = self.clock.open_udp(self)
+        if self.availability_enabled:
+            sub = encode_message("subscribe", client=self.clients[0].node_id)
+            for proxy in self.servers:
+                self._sendto(("subscribe", sub, proxy.addr))
+        self._done = False
         self._t0 = self.clock.now
         self.clock.at(self._t0 + float(self._arrival_times[0]), self._on_arrival, 0)
-        await self._done_event.wait()
+        self.clock.run_until(lambda: self._done, time_limit)
         return self.metrics
 
     def _all_resolved(self) -> None:
-        self._done_event.set()
+        self._done = True
 
     # ------------------------------------------------------------------
     # transport hooks: inbound (unpack, then the shared handler)
     # ------------------------------------------------------------------
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:  # type: ignore[override]
+    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
         try:
             msg = decode_message(data)
         except WireError:
@@ -368,6 +363,7 @@ class LiveCluster(RequestLifecycle, asyncio.DatagramProtocol):
             "stale_rejects_ignored": float(self.stale_rejects_ignored),
             "stale_poll_replies_ignored": float(self.stale_poll_replies_ignored),
             "wire_errors": float(self.wire_errors),
+            "recv_errors": float(self.recv_errors),
         }
         if self.reliability is not None:
             out.update(

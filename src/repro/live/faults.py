@@ -10,7 +10,7 @@ distribution (wall-clock interleavings still vary, which is the point).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -70,3 +70,15 @@ class LoopbackFaults:
             self.duplicated += 1
             delays.append(self._delay())
         return delays
+
+    def deliver(self, clock: Any, send: Callable[[Any], None], item: Any) -> None:
+        """Hand ``item`` to ``send`` as :meth:`plan` says: never, now,
+        after a delay on ``clock``, or twice."""
+        plan = self.plan()
+        if plan is None:
+            return
+        for delay in plan:
+            if delay <= 0.0:
+                send(item)
+            else:
+                clock.after(delay, send, item)

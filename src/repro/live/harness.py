@@ -1,9 +1,9 @@
 """Loopback orchestration + the sim-vs-real comparison for ``repro drive``.
 
 ``run_loopback`` spins up N :class:`~repro.live.server.LiveServer`
-nodes and one :class:`~repro.live.client.LiveCluster` drive agent in a
-single asyncio event loop over ``127.0.0.1`` UDP sockets, sharing one
-:class:`~repro.live.clock.WallClock`, and drives the **same workload
+nodes and one :class:`~repro.live.client.LiveCluster` drive agent on
+one :class:`~repro.live.clock.WallClock` — one ``select`` loop over
+``127.0.0.1`` UDP sockets — and drives the **same workload
 arrays** the simulator would generate for the same config (same
 ``RngHub`` ``"workload"`` substream, same mean-based rescale) — so a
 calibrated :func:`~repro.experiments.runner.run_simulation` of the
@@ -20,13 +20,12 @@ depend on that headroom: with poll size ``d`` the client waits for all
 contended round trips — the paper's §4.1 fine-grain overhead, which a
 pure DES model shows none of.
 
-Every entry point takes a hard ``time_limit`` enforced with
-``asyncio.wait_for`` — a live run must never hang a test suite or CI.
+Every entry point takes a hard ``time_limit``, past which the loop
+raises ``TimeoutError`` — a live run must never hang a test suite or CI.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -38,7 +37,7 @@ from repro.core.registry import make_policy
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
 from repro.live.client import LiveCluster
-from repro.live.clock import WallClock, run
+from repro.live.clock import WallClock
 from repro.live.server import LiveServer
 from repro.sim.rng import RngHub
 from repro.workload.workloads import request_stream
@@ -155,8 +154,8 @@ def _policy_counters(policy) -> Dict[str, int]:
     }
 
 
-async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
-    """Run one loopback drive inside an existing event loop."""
+def run_loopback(cfg: LiveRunConfig) -> LiveRunResult:
+    """Run one loopback drive on its own clock, hard-bounded by ``time_limit``."""
     if not cfg.policy.startswith(SUPPORTED_POLICY_PREFIXES):
         raise ValueError(
             f"policy {cfg.policy!r} is not supported by the live runtime "
@@ -168,8 +167,7 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
             f"{cfg.n_servers * cfg.load:.2f} must stay <= 0.85 "
             "(one event loop is one CPU; lower load or use mode='sleep')"
         )
-    loop = asyncio.get_running_loop()
-    clock = WallClock(loop)
+    clock = WallClock()
     hub = RngHub(cfg.seed)
 
     overload_policy = None
@@ -184,45 +182,23 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
         reliability_policy = ReliabilityPolicy(**cfg.reliability_params)
 
     started = _time.perf_counter()
-    servers: List[LiveServer] = []
-    transports = []
-    client_transport = None
     try:
-        for i in range(cfg.n_servers):
-            server = LiveServer(
-                i,
-                clock,
-                workers=cfg.workers,
-                mode=cfg.mode,
-                poll_spin=cfg.poll_spin,
-                max_queue=cfg.server_max_queue,
-                overload=overload_policy,
+        servers = [
+            LiveServer(
+                i, clock, workers=cfg.workers, mode=cfg.mode, poll_spin=cfg.poll_spin,
+                max_queue=cfg.server_max_queue, overload=overload_policy,
                 publish_interval=(cfg.availability_refresh if cfg.availability else None),
                 rng=hub.stream(f"live.server.{i}"),
             )
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda s=server: s, local_addr=("127.0.0.1", 0)
-            )
-            transports.append(transport)
-            servers.append(server)
-        addrs = {s.node_id: s.address for s in servers}
-
+            for i in range(cfg.n_servers)
+        ]
         policy = make_policy(cfg.policy, **cfg.policy_params)
         cluster = LiveCluster(
-            addrs,
-            policy,
-            clock,
-            seed=cfg.seed,
-            n_clients=cfg.n_clients,
-            request_timeout=cfg.request_timeout,
-            max_retries=cfg.max_retries,
-            reliability=reliability_policy,
-            availability=cfg.availability,
-            availability_ttl=cfg.availability_ttl,
+            {s.node_id: s.address for s in servers}, policy, clock, seed=cfg.seed,
+            n_clients=cfg.n_clients, request_timeout=cfg.request_timeout,
+            max_retries=cfg.max_retries, reliability=reliability_policy,
+            availability=cfg.availability, availability_ttl=cfg.availability_ttl,
             workers_per_server=cfg.workers,
-        )
-        client_transport, _ = await loop.create_datagram_endpoint(
-            lambda: cluster, local_addr=("127.0.0.1", 0)
         )
 
         gaps, services = generate_workload(cfg)
@@ -235,7 +211,7 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
             )
 
         epoch_at_run_start = _time.time()
-        metrics = await asyncio.wait_for(cluster.run(), timeout=cfg.time_limit)
+        metrics = cluster.run(cfg.time_limit)
 
         report = None
         if cluster.telemetry is not None:
@@ -253,15 +229,7 @@ async def run_loopback_async(cfg: LiveRunConfig) -> LiveRunResult:
             telemetry_report=report,
         )
     finally:
-        for server in servers:
-            server.close()
-        if client_transport is not None:
-            client_transport.close()
-
-
-def run_loopback(cfg: LiveRunConfig) -> LiveRunResult:
-    """Synchronous entry point: own loop, hard-bounded by ``time_limit``."""
-    return run(run_loopback_async(cfg))
+        clock.close()
 
 
 # ----------------------------------------------------------------------

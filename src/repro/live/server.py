@@ -1,4 +1,4 @@
-"""``LiveServer`` — a real asyncio UDP server node.
+"""``LiveServer`` — a real UDP server node on a :class:`~repro.live.clock.WallClock`.
 
 One ``LiveServer`` is the live counterpart of the sim's ``ServerNode``
 plus its slice of ``ServiceCluster._deliver_request``: a FIFO queue
@@ -22,7 +22,6 @@ on real hardware.
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, Optional, Set, Tuple
 
@@ -31,7 +30,7 @@ import numpy as np
 from repro.cluster.availability import ServicePublisher
 from repro.cluster.overload import OverloadController, OverloadPolicy
 from repro.cluster.system import DEFAULT_SERVICE
-from repro.live.clock import WallClock, WallHandle
+from repro.live.clock import WallClock, WallHandle, sendto
 from repro.live.faults import LoopbackFaults
 from repro.live.wire import WireError, decode_message, encode_message
 from repro.prototype.microbench import SpinCalibration, calibrate_spin, spin_for
@@ -74,14 +73,16 @@ class _WirePublishChannel:
         return len(self.server.subscribers)
 
 
-class LiveServer(asyncio.DatagramProtocol):
-    """An asyncio UDP service node (the Neptune prototype's server side)."""
+class LiveServer:
+    """A UDP service node (the Neptune prototype's server side): its socket
+    is open on ``127.0.0.1:port`` from construction to :meth:`close`."""
 
     def __init__(
         self,
         node_id: int,
         clock: WallClock,
         *,
+        port: int = 0,
         workers: int = 1,
         mode: str = "sleep",
         calibration: Optional[SpinCalibration] = None,
@@ -112,7 +113,6 @@ class LiveServer(asyncio.DatagramProtocol):
             if self._calibration is None:
                 self._calibration = calibrate_spin(0.02)
 
-        self.transport: Optional[asyncio.DatagramTransport] = None
         self.alive = True
         self._waiting: Deque[_Item] = deque()
         self._queued_ids: Set[int] = set()
@@ -151,21 +151,19 @@ class LiveServer(asyncio.DatagramProtocol):
         self.duplicates_ignored = 0
         self.polls_served = 0
         self.wire_errors = 0
+        self.recv_errors = 0
+        self.send_drops = 0
         self.poll_spin_total = 0.0
 
-    # ------------------------------------------------------------------
-    # asyncio protocol plumbing
-    # ------------------------------------------------------------------
-    def connection_made(self, transport) -> None:  # type: ignore[override]
-        self.transport = transport
+        # Last, so nothing above can fail with the socket open.
+        self.sock = clock.open_udp(self, port)
+        self.address: Tuple[str, int] = self.sock.getsockname()
         if self.publisher is not None:
             self.publisher.start()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        assert self.transport is not None, "server not started"
-        return self.transport.get_extra_info("sockname")[:2]
-
+    # ------------------------------------------------------------------
+    # socket plumbing
+    # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop serving: drop all work, stop publishing, close the socket.
 
@@ -179,30 +177,19 @@ class LiveServer(asyncio.DatagramProtocol):
             timer.cancel()
         self._in_service.clear()
         self._waiting.clear()
-        if self.transport is not None:
-            self.transport.close()
-            self.transport = None
+        self.clock.close_socket(self.sock)
 
     def send_datagram(self, data: bytes, addr: Tuple[str, int]) -> None:
         """Send through the (optional) fault plan — the live counterpart
         of the sim chaos layer's send-time gate."""
-        if self.transport is None or not self.alive:
-            return
         if self.faults is None:
-            self.transport.sendto(data, addr)
-            return
-        plan = self.faults.plan()
-        if plan is None:
-            return
-        for delay in plan:
-            if delay <= 0.0:
-                self.transport.sendto(data, addr)
-            else:
-                self.clock.after(delay, self._late_send, (data, addr))
+            self._sendto((data, addr))
+        else:
+            self.faults.deliver(self.clock, self._sendto, (data, addr))
 
-    def _late_send(self, item: Tuple[bytes, Tuple[str, int]]) -> None:
-        if self.transport is not None and self.alive:
-            self.transport.sendto(*item)
+    def _sendto(self, item: Tuple[bytes, Tuple[str, int]]) -> None:
+        if self.alive and not sendto(self.sock, *item):
+            self.send_drops += 1
 
     # ------------------------------------------------------------------
     # datagram handling
@@ -213,7 +200,7 @@ class LiveServer(asyncio.DatagramProtocol):
         (same semantics as ``ServerNode.queue_length``)."""
         return len(self._waiting) + len(self._in_service)
 
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:  # type: ignore[override]
+    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
         if not self.alive:
             return
         try:
@@ -363,6 +350,8 @@ class LiveServer(asyncio.DatagramProtocol):
             "duplicates_ignored": float(self.duplicates_ignored),
             "polls_served": float(self.polls_served),
             "wire_errors": float(self.wire_errors),
+            "recv_errors": float(self.recv_errors),
+            "send_drops": float(self.send_drops),
             "poll_spin_total": self.poll_spin_total,
         }
         if self.overload is not None:

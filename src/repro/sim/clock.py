@@ -9,11 +9,11 @@ those components actually require, and :class:`Simulator` satisfies it
 with simulated time.
 
 ``repro.live.clock.WallClock`` satisfies it with monotonic wall-clock
-time backed by an asyncio event loop (``repro serve`` / ``repro
-drive``), and the seam tests' hand-cranked ``ManualClock``
+time on the live runtime's own ``select`` loop (``repro serve`` /
+``repro drive``), and the seam tests' hand-cranked ``ManualClock``
 (``tests/live/manual_clock.py``) with a **non-zero origin**, so they can
 prove a component works when time does not start at ``0.0`` (the
-wall-clock regime: ``loop.time()`` origins are arbitrary).
+wall-clock regime: monotonic-clock origins are arbitrary).
 
 The protocol is intentionally the *narrow* surface shared by all
 three; anything wider (``run()``, ``peek()``, event counters) is
@@ -46,7 +46,7 @@ class Clock(Protocol):
     """The time/timer surface cluster and net components depend on.
 
     Implementations: ``repro.sim.engine.Simulator`` (simulated time),
-    ``repro.live.clock.WallClock`` (asyncio monotonic wall time), and the
+    ``repro.live.clock.WallClock`` (monotonic wall time), and the
     tests' ``ManualClock`` (hand-cranked test time).
 
     Contract notes, shared by all implementations:

@@ -33,7 +33,7 @@ import csv
 import hashlib
 import math
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -70,9 +70,14 @@ EPOCH_CUTOFF = 1e6
 
 
 def _classify_epochs(times: np.ndarray, source: str) -> bool:
-    """True if ``times`` are epoch-based; raises on mixed-epoch input."""
+    """True if ``times`` are epoch-based; raises on empty, non-finite or
+    mixed-epoch input."""
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"{source}: no timestamps to classify (shape {times.shape})")
     first = float(times[0])
     last = float(times[-1])
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise ValueError(f"{source}: non-finite first or last timestamp ({first!r}, {last!r})")
     if first < EPOCH_CUTOFF <= last:
         raise ValueError(
             f"{source}: mixed-epoch timestamps (first={first!r} is "
@@ -290,6 +295,26 @@ def save_arrivals(trace: Trace, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite_column(values: Any, name: str, source: str) -> np.ndarray:
+    """``values`` as a 1-D float64 array of finite numbers; anything else
+    is a ``ValueError`` naming ``source`` and the first bad index."""
+    try:
+        column = np.asarray(values, dtype=object)
+    except ValueError:
+        raise ValueError(f"{source}: {name} is not a 1-D sequence of numbers") from None
+    if column.ndim != 1:
+        raise ValueError(f"{source}: {name} must be a 1-D sequence, got shape {column.shape}")
+    out = np.empty(column.size)
+    for index, value in enumerate(column.tolist()):
+        try:
+            out[index] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{source}: {name}[{index}] is not a number: {value!r}") from None
+        if not math.isfinite(out[index]):
+            raise ValueError(f"{source}: {name}[{index}] is not finite: {value!r}")
+    return out
+
+
 def live_trace(
     timestamps, services, source: str = "live-recording"
 ) -> Trace:
@@ -301,19 +326,30 @@ def live_trace(
     replayable, while the raw instants are kept in
     ``metadata["timestamps"]`` — :func:`save_arrivals` normalizes them
     to t=0 on export, after which the file round-trips byte-exactly
-    through :func:`load_arrivals`.
+    through :func:`load_arrivals`. As that loader, it refuses anything
+    it cannot replay — a value that is not a finite number, a service
+    time <= 0, a timestamp going backwards — as a ``ValueError`` that
+    starts ``source:`` and names the index.
     """
-    times = np.asarray(timestamps, dtype=np.float64)
-    svc = np.asarray(services, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0 or times.shape != svc.shape:
+    times = _finite_column(timestamps, "timestamps", source)
+    svc = _finite_column(services, "services", source)
+    if times.size == 0 or times.shape != svc.shape:
         raise ValueError(
             f"{source}: timestamps and services must be equal-length "
             "non-empty 1-D arrays"
         )
-    if (np.diff(times) < 0).any():
-        raise ValueError(f"{source}: timestamps must be non-decreasing")
+    backwards = np.flatnonzero(np.diff(times) < 0)
+    if backwards.size:
+        raise ValueError(
+            f"{source}: timestamps must be non-decreasing "
+            f"(timestamps[{backwards[0] + 1}] goes back)"
+        )
     if times[0] < 0:
         raise ValueError(f"{source}: negative first timestamp")
+    non_positive = np.flatnonzero(svc <= 0)
+    if non_positive.size:
+        index = non_positive[0]
+        raise ValueError(f"{source}: services[{index}] must be > 0, got {float(svc[index])!r}")
     normalized = times - times[0] if _classify_epochs(times, source) else times
     return Trace(
         name=f"Replay {source}",

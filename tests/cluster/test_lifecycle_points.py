@@ -18,7 +18,6 @@ subsystem slot. These tests hold that shape:
 from __future__ import annotations
 
 import ast
-import asyncio
 from collections import Counter
 from pathlib import Path
 
@@ -150,20 +149,16 @@ def test_a_plain_run_subscribes_the_policy_only():
 
 
 def test_a_loopback_live_cluster_binds_the_table():
-    loop = asyncio.new_event_loop()
-    try:
-        cluster = LiveCluster(
-            {0: ("127.0.0.1", 9), 1: ("127.0.0.1", 10)},
-            make_policy("random"),
-            WallClock(loop),
-            request_timeout=0.1,
-            reliability=ReliabilityPolicy(breaker_threshold=3),
-        )
-        assert _subscribers(cluster) == _expected_for(cluster)
-        cluster.install("telemetry", TelemetryCollector(cluster))
-        subscribers = _subscribers(cluster)
-    finally:
-        loop.close()
+    cluster = LiveCluster(
+        {0: ("127.0.0.1", 9), 1: ("127.0.0.1", 10)},
+        make_policy("random"),
+        WallClock(),
+        request_timeout=0.1,
+        reliability=ReliabilityPolicy(breaker_threshold=3),
+    )
+    assert _subscribers(cluster) == _expected_for(cluster)
+    cluster.install("telemetry", TelemetryCollector(cluster))
+    subscribers = _subscribers(cluster)
     assert subscribers == _expected_for(cluster)
     assert subscribers["terminal"][0] == ("telemetry", "on_terminal")
     assert subscribers["dispatch"] == [("reliability", "on_dispatch")]

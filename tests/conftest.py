@@ -5,7 +5,7 @@ from hypothesis import settings
 
 #: ``--hypothesis-profile=hostile`` runs the junk-input properties (spec
 #: files, datagrams, fuzz reproducers, result archives, telemetry exports,
-#: replay CSV traces) and the fast-engine kernel-equality properties at a budget CI can afford
+#: replay CSV traces, in-memory live recordings) and the fast-engine kernel-equality properties at a budget CI can afford
 #: once; tier-1 runs them at the default profile's, or at the kernels' own
 #: (``kernel_examples``)
 settings.register_profile("hostile", max_examples=2000)

@@ -1,6 +1,6 @@
 """Clock seam contract: ManualClock, WallClock, and protocol conformance."""
 
-import asyncio
+import time
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.live.clock import WallClock
 from repro.sim.clock import Clock, ClockHandle
 from repro.sim.engine import Simulator
 from tests.live.manual_clock import ManualClock
+from tests.live.probe import run_for
 
 
 # ----------------------------------------------------------------------
@@ -24,11 +25,7 @@ def test_manual_clock_satisfies_clock_protocol():
 
 
 def test_wall_clock_satisfies_clock_protocol():
-    loop = asyncio.new_event_loop()
-    try:
-        assert isinstance(WallClock(loop), Clock)
-    finally:
-        loop.close()
+    assert isinstance(WallClock(), Clock)
 
 
 # ----------------------------------------------------------------------
@@ -102,80 +99,38 @@ def test_manual_clock_sentinel_arg_convention():
 
 
 # ----------------------------------------------------------------------
-# WallClock
+# WallClock (its loop's contract is in test_event_loop.py)
 # ----------------------------------------------------------------------
-def _run(coro):
-    return asyncio.run(coro)
+def test_wall_clock_now_starts_near_zero_and_advances(clock):
+    first = clock.now
+    assert first < 1.0  # origin defaults to construction time
+    run_for(clock, 0.02)
+    assert clock.now > first
 
 
-def test_wall_clock_now_starts_near_zero_and_advances():
-    async def scenario():
-        clock = WallClock()
-        first = clock.now
-        assert first < 1.0  # origin defaults to construction time
-        await asyncio.sleep(0.02)
-        assert clock.now > first
-        return True
-
-    assert _run(scenario())
+def test_wall_clock_after_fires_and_cancel_suppresses(clock):
+    fired = []
+    clock.after(0.01, fired.append, "kept")
+    doomed = clock.after(0.01, fired.append, "cancelled")
+    clock.cancel(doomed)
+    clock.cancel(doomed)  # idempotent
+    run_for(clock, 0.05)
+    assert fired == ["kept"]
 
 
-def test_wall_clock_after_fires_and_cancel_suppresses():
-    async def scenario():
-        clock = WallClock()
-        fired = []
-        clock.after(0.01, fired.append, "kept")
-        doomed = clock.after(0.01, fired.append, "cancelled")
-        clock.cancel(doomed)
-        clock.cancel(doomed)  # idempotent
-        await asyncio.sleep(0.05)
-        return fired
-
-    assert _run(scenario()) == ["kept"]
-
-
-def test_wall_clock_rejects_negative_delay():
-    async def scenario():
-        clock = WallClock()
-        with pytest.raises(ValueError):
-            clock.after(-0.5, lambda: None)
-
-    _run(scenario())
-
-
-def test_wall_clock_at_in_the_past_clamps_to_now():
-    async def scenario():
-        clock = WallClock()
-        fired = []
-        clock.at(clock.now - 10.0, fired.append, "late")
-        await asyncio.sleep(0.02)
-        return fired
-
-    assert _run(scenario()) == ["late"]
+def test_wall_clock_rejects_negative_delay(clock):
+    with pytest.raises(ValueError):
+        clock.after(-0.5, lambda: None)
 
 
 def test_wall_clock_explicit_origin_offsets_now():
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        clock = WallClock(loop, origin=loop.time() - 1.7e9)
-        return clock.now
-
-    assert _run(scenario()) >= 1.7e9
+    assert WallClock(origin=time.monotonic() - 1.7e9).now >= 1.7e9
 
 
 def test_wall_clock_at_a_future_time_is_due_exactly_then():
     """Regression: ``at`` turned the time into a delay from one clock
-    read and ``call_later`` read the clock again, so every timer landed
-    late by the gap between the two reads."""
-
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        origin = loop.time() - 5.0
-        clock = WallClock(loop, origin=origin)
-        handle = clock.at(10.0, lambda: None)
-        when = handle._timer.when()
-        handle.cancel()
-        return origin, when
-
-    origin, when = _run(scenario())
-    assert when == origin + 10.0
+    read and the loop read the clock again, so every timer landed late
+    by the gap between the two reads."""
+    clock = WallClock(origin=time.monotonic() - 5.0)
+    clock.at(10.0, lambda: None)
+    assert [when for when, _, _ in clock._timers] == [10.0]

@@ -1,16 +1,16 @@
 """Loopback harness smoke tests (sleep mode: fast and deterministic)."""
 
-import asyncio
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.cluster.overload import OverloadPolicy
 from repro.experiments.runner import build_cluster
-from repro.live.clock import WallClock
 from repro.live.harness import LiveRunConfig, generate_workload, run_loopback
 from repro.live.server import LiveServer
 from repro.net.message import MessageKind
+from tests.live.probe import run_for
 
 #: small sleep-mode base config every test derives from
 BASE = LiveRunConfig(
@@ -145,59 +145,24 @@ def test_static_bound_rejections_nack_and_fail():
     assert rejected == cfg.n_requests * (cfg.max_retries + 1)
 
 
-def test_overload_shed_sends_nack():
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        clock = WallClock(loop)
-        from repro.cluster.overload import OverloadPolicy
+def test_overload_shed_sends_nack(clock, probe):
+    server = LiveServer(
+        0, clock, mode="sleep",
+        overload=OverloadPolicy(sojourn_target=0.001, interval=0.001),
+    )
 
-        server = LiveServer(
-            0, clock, mode="sleep",
-            overload=OverloadPolicy(sojourn_target=0.001, interval=0.001),
-        )
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: server, local_addr=("127.0.0.1", 0)
-        )
-        received = []
+    def send(req_id):
+        probe.send(server.address, "request", id=req_id, attempt=0, client=9, service=0.5)
 
-        class Sink(asyncio.DatagramProtocol):
-            def connection_made(self, t):
-                self.transport = t
-
-            def datagram_received(self, data, addr):
-                from repro.live.wire import decode_message
-
-                received.append(decode_message(data))
-
-        sink_transport, sink = await loop.create_datagram_endpoint(
-            Sink, local_addr=("127.0.0.1", 0)
-        )
-        try:
-            from repro.live.wire import encode_message
-
-            addr = server.address
-
-            def send(req_id):
-                sink.transport.sendto(
-                    encode_message("request", id=req_id, attempt=0, client=9,
-                                   service=0.5),
-                    addr,
-                )
-
-            send(1)  # occupies the worker for 0.5s
-            await asyncio.sleep(0.01)
-            server.overload.ewma_service = 1.0  # learned slow services
-            send(2)  # delay estimate 1.0 > target: starts the window
-            await asyncio.sleep(0.01)  # longer than the grace interval
-            send(3)  # now shedding -> REJECT NACK
-            await asyncio.sleep(0.05)
-            kinds = [m["k"] for m in received]
-            assert kinds == ["reject"]
-            assert received[0]["id"] == 3
-            assert server.rejects_sent == 1
-            assert server.overload.shed_count == 1
-        finally:
-            server.close()
-            sink_transport.close()
-
-    asyncio.run(asyncio.wait_for(scenario(), timeout=20))
+    send(1)  # occupies the worker for 0.5s
+    run_for(clock, 0.01)
+    server.overload.ewma_service = 1.0  # learned slow services
+    send(2)  # delay estimate 1.0 > target: starts the window
+    run_for(clock, 0.01)  # longer than the grace interval
+    send(3)  # now shedding -> REJECT NACK
+    run_for(clock, 0.05)
+    rejects = probe.received("reject")
+    assert [m["k"] for m in probe.seen] == ["reject"]
+    assert rejects[0]["id"] == 3
+    assert server.rejects_sent == 1
+    assert server.overload.shed_count == 1

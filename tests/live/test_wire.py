@@ -1,6 +1,5 @@
 """Datagram codec: round-trips, validation, versioning, hostile input."""
 
-import asyncio
 import json
 import math
 import struct
@@ -235,7 +234,7 @@ def test_every_accepted_encode_decodes_to_equal_fields(case):
 # endpoints count what they cannot decode and keep serving
 # ----------------------------------------------------------------------
 
-def test_malformed_datagrams_are_counted_and_the_server_keeps_serving():
+def test_malformed_datagrams_are_counted_and_the_server_keeps_serving(clock, probe):
     """Regression: ``"service": "x"`` killed the server's worker task (every
     later request went unanswered, ``wire_errors`` stayed 0), and
     ``"k": [1]`` escaped both ``datagram_received`` handlers as a TypeError.
@@ -243,7 +242,6 @@ def test_malformed_datagrams_are_counted_and_the_server_keeps_serving():
     version, are each one ``wire_errors`` on both endpoints."""
     from repro.core.registry import make_policy
     from repro.live.client import LiveCluster
-    from repro.live.clock import WallClock
     from repro.live.server import LiveServer
 
     junk = [
@@ -253,42 +251,18 @@ def test_malformed_datagrams_are_counted_and_the_server_keeps_serving():
         json.dumps({"v": 1, "k": "request", "id": 1, "attempt": 0, "client": 9,
                     "service": 0.001}).encode(),
     ]
+    server = LiveServer(0, clock, mode="sleep")
+    for data in junk:
+        probe.sock.sendto(data, server.address)
+    probe.send(server.address, "request", id=2, attempt=0, client=9, service=0.001)
+    reply = probe.wait(clock, "response")[0]
+    assert (reply["k"], reply["id"]) == ("response", 2)
+    assert server.wire_errors == len(junk)
 
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        clock = WallClock(loop)
-        server = LiveServer(0, clock, mode="sleep")
-        replies = asyncio.Queue()
-
-        class Probe(asyncio.DatagramProtocol):
-            def datagram_received(self, data, addr):
-                replies.put_nowait(data)
-
-        server_transport, _ = await loop.create_datagram_endpoint(
-            lambda: server, local_addr=("127.0.0.1", 0)
-        )
-        probe, _ = await loop.create_datagram_endpoint(Probe, local_addr=("127.0.0.1", 0))
-        try:
-            for data in junk:
-                probe.sendto(data, server.address)
-            probe.sendto(
-                encode_message("request", id=2, attempt=0, client=9, service=0.001),
-                server.address,
-            )
-            reply = decode_message(await asyncio.wait_for(replies.get(), timeout=5))
-            assert (reply["k"], reply["id"]) == ("response", 2)
-            assert server.wire_errors == len(junk)
-
-            cluster = LiveCluster({0: server.address}, make_policy("random"), clock)
-            for data in junk:
-                cluster.datagram_received(data, server.address)
-            assert cluster.wire_errors == len(junk)
-        finally:
-            server.close()
-            probe.close()
-            server_transport.close()
-
-    asyncio.run(asyncio.wait_for(scenario(), timeout=20))
+    cluster = LiveCluster({0: server.address}, make_policy("random"), clock)
+    for data in junk:
+        cluster.datagram_received(data, server.address)
+    assert cluster.wire_errors == len(junk)
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,24 @@ def test_a_fast_engine_run_loads_no_exact_engine():
     assert {m for m in loaded if m.startswith(("repro.prototype", "repro.telemetry"))} == set()
 
 
+#: what the live runtime's old asyncio loop brought in
+_NOT_ON_A_LIVE_RUN = {"asyncio", "concurrent.futures", "ssl"}
+
+
+def test_the_live_runtime_loads_no_asyncio():
+    assert _loaded_after("import repro.live.harness") & _NOT_ON_A_LIVE_RUN == set()
+    # the live_loopback suite workload's config, at its smallest size
+    loaded = _loaded_after(
+        "from repro.live.harness import LiveRunConfig, run_loopback\n"
+        "result = run_loopback(LiveRunConfig(policy='polling', policy_params={'poll_size': 2},"
+        " workload='poisson_deterministic', workload_params={'mean_service': 0.005},"
+        " load=0.125, n_servers=4, n_requests=30, mode='sleep', poll_spin=0.0))\n"
+        "assert result.summary['n_failed'] == 0"
+    )
+    assert "repro.live.clock" in loaded
+    assert loaded & _NOT_ON_A_LIVE_RUN == set()
+
+
 _POLICY_PARAMS = {"broadcast": {"mean_interval": 0.1}, "stale_jsq": {"update_interval": 0.1}}
 
 
