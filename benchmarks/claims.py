@@ -47,7 +47,7 @@ from repro.core import make_policy  # noqa: E402
 from repro.experiments import (  # noqa: E402
     SimulationConfig, figures, parallel_sweep, run_simulation)
 from repro.experiments.results import ResultTable  # noqa: E402
-from repro.experiments.runner import full_load_rho_for  # noqa: E402
+from repro.experiments.runner import assemble, full_load_rho_for  # noqa: E402
 from repro.experiments.scenario import builtin_spec  # noqa: E402
 from repro.net import PAPER_NET, SwitchedEthernet  # noqa: E402
 from repro.workload import request_stream  # noqa: E402
@@ -164,8 +164,8 @@ def _hand_built(policy, seed: int, n_requests: int, *, workload: str = "poisson_
         cluster.network.switch = SwitchedEthernet(
             cluster.sim, n_ports=n_servers + cluster.n_clients, bandwidth_bps=100e6,
             propagation=0.0)
-    cluster.load_workload(*request_stream(workload, params or {}, seed, n_requests,
-                                          n_servers, load))
+    assemble(cluster, *request_stream(workload, params or {}, seed, n_requests,
+                                      n_servers, load))
     return cluster, cluster.run()
 
 

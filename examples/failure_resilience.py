@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.cluster import FailureInjector, ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 
 N_REQUESTS = 12_000
 N_SERVERS = 4
@@ -28,16 +29,14 @@ def main() -> None:
         policy=make_policy("polling", poll_size=2, discard_slow=True),
         seed=99,
         n_clients=3,
-        availability=True,
-        availability_refresh=0.2,
-        availability_ttl=0.5,
         request_timeout=1.0,
         max_retries=8,
     )
     rng = np.random.default_rng(99)
     gaps = rng.exponential(MEAN_SERVICE / (N_SERVERS * LOAD), N_REQUESTS)
     services = rng.exponential(MEAN_SERVICE, N_REQUESTS)
-    cluster.load_workload(gaps, services)
+    # Soft state: servers republish every 0.2 s, entries expire after 0.5 s.
+    assemble(cluster, gaps, services, availability={"refresh": 0.2, "ttl": 0.5})
 
     injector = FailureInjector(cluster)
     injector.schedule_crash(1, at=CRASH_AT)

@@ -7,9 +7,10 @@ clients discover servers through the service availability subsystem
 (publish/subscribe channel with soft state) and choose one through a
 load balancing policy (:mod:`repro.core`).
 
-:class:`~repro.cluster.system.ServiceCluster` wires everything together
-and runs the request lifecycle; it is also the *policy context* object
-handed to load balancers.
+:class:`~repro.cluster.system.ServiceCluster` wires the paper's cluster
+together and runs the request lifecycle; it is also the *policy context*
+object handed to load balancers. Each optional subsystem module's
+``install`` adds that subsystem to a built cluster.
 """
 
 from repro import exports

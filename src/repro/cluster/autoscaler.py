@@ -19,8 +19,9 @@ Shape mirrors the other opt-in subsystems exactly:
 
 - :class:`AutoscalerPolicy` — frozen, JSON-native value object carried
   by ``SimulationConfig.autoscaler_params`` (cache-key aware);
-- :class:`Autoscaler` — the runtime control loop, owned by the cluster
-  as ``cluster.autoscaler`` (``None`` when off — the usual guard).
+- :class:`Autoscaler` — the runtime control loop, installed as
+  ``cluster.autoscaler`` by :func:`install` (``None`` when off — the
+  usual guard).
 
 The control law (DESIGN.md §16) is deliberately simple and **draws no
 randomness** (the tick schedule is deterministic, so enabled runs stay
@@ -56,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
     from repro.cluster.system import ServiceCluster
 
-__all__ = ["AutoscalerPolicy", "Autoscaler"]
+__all__ = ["AutoscalerPolicy", "Autoscaler", "install"]
 
 #: smoothing of the observed-service-time EWMA behind the demand estimate
 EWMA_ALPHA = 0.2
@@ -155,10 +156,10 @@ class AutoscalerPolicy:
 class Autoscaler:
     """Runtime control loop for one cluster's :class:`AutoscalerPolicy`.
 
-    Constructed before the availability subsystem wires publishers, so
-    the cluster can gate its initial table priming and publisher starts
-    on :meth:`is_active`; :meth:`install` (called once the publishers
-    exist) schedules the first tick.
+    Installed before the availability subsystem wires publishers, so
+    availability can gate its initial table priming and publisher starts
+    on :meth:`is_active`; :meth:`start` (called by availability's
+    install once the publishers exist) schedules the first tick.
     """
 
     def __init__(self, cluster: "ServiceCluster", policy: AutoscalerPolicy):
@@ -196,7 +197,7 @@ class Autoscaler:
     def n_active(self) -> int:
         return len(self._active)
 
-    def install(self) -> None:
+    def start(self) -> None:
         """Start the control loop (publishers must exist by now)."""
         assert self.policy.interval is not None
         self.cluster.sim.after(self.policy.interval, self._tick)
@@ -325,3 +326,11 @@ class Autoscaler:
             f"[{self.min_servers},{self.max_servers}] "
             f"ups={self.scale_ups} downs={self.scale_downs}>"
         )
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Install an :class:`Autoscaler` of ``knobs`` as ``cluster.autoscaler``
+    (a disabled policy installs nothing); availability's install starts it."""
+    policy = AutoscalerPolicy(**knobs)
+    if policy.enabled:
+        cluster.install("autoscaler", Autoscaler(cluster, policy))

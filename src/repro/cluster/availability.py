@@ -15,11 +15,16 @@ service/partition mapping table."
 - :class:`ServiceMappingTable` — client-side soft-state table; entries
   expire ``ttl`` seconds after their last refresh, so crashed servers
   disappear from candidate sets without any explicit failure signal.
+
+:func:`install` adds it to a built cluster: a table per selector view
+and a publisher per server. Neptune's own (§1), it is not one of the
+seven optional slots: it fills the cluster's ``mapping_tables`` and
+``publishers`` and sets ``availability_enabled``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -27,7 +32,16 @@ from repro.net.message import Message, MessageKind
 from repro.net.transport import BroadcastChannel, Network
 from repro.sim.engine import EventHandle, Simulator
 
-__all__ = ["AvailabilityChannel", "ServicePublisher", "ServiceMappingTable"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.system import ServiceCluster
+
+__all__ = [
+    "DEFAULT_SERVICE", "AvailabilityChannel", "ServicePublisher", "ServiceMappingTable", "install",
+]
+
+#: service name used when the availability subsystem is enabled with the
+#: default single fully-replicated service (simulated and live alike)
+DEFAULT_SERVICE = "service"
 
 
 class AvailabilityChannel(BroadcastChannel):
@@ -135,3 +149,60 @@ class ServiceMappingTable:
         deadline = self.sim.now - self.ttl
         return sorted(node for node, seen in entry.items() if seen >= deadline)
 
+
+
+def install(cluster: "ServiceCluster", refresh: float = 1.0, ttl: float = 3.0) -> None:
+    """Run soft-state availability on ``cluster``: servers publish every
+    ``refresh`` seconds on average, entries expire ``ttl`` seconds after
+    their last refresh. The dispatcher views subscribe beside the
+    clients', only servers the autoscaler leaves active publish, and the
+    autoscaler's control loop starts once they do."""
+    channel = AvailabilityChannel(cluster.network)
+    tier = cluster.dispatchers
+    agents = [] if tier is None else [d.agent for d in tier.dispatchers]
+    view_lag = 0.0 if tier is None else tier.policy.view_lag
+    for node in [*cluster.clients, *agents]:
+        table = ServiceMappingTable(cluster.sim, ttl=ttl)
+        if view_lag > 0.0 and node in agents:
+            # Stale-view fault model: the dispatcher's view sees every
+            # PUBLISH a constant ``view_lag`` late.
+            channel.subscribe(
+                node.node_id,
+                lambda message, _table=table: cluster.sim.after(
+                    view_lag, _table._on_publish, message  # noqa: SLF001
+                ),
+            )
+        else:
+            table.subscribe(channel, node.node_id)
+        # Prime the table so the first arrivals (before the first publish
+        # round lands) see the initially-active membership.
+        for server in cluster.servers:
+            if cluster.should_publish(server.node_id):
+                table._on_publish(  # noqa: SLF001 - controlled priming
+                    Message(
+                        MessageKind.PUBLISH,
+                        server.node_id,
+                        node.node_id,
+                        (server.node_id, ((DEFAULT_SERVICE, 0),), 0.0),
+                        0,
+                        0.0,
+                    )
+                )
+        cluster.mapping_tables[node.node_id] = table
+    for server in cluster.servers:
+        publisher = ServicePublisher(
+            cluster.sim,
+            channel,
+            server.node_id,
+            entries=[(DEFAULT_SERVICE, 0)],
+            mean_interval=refresh,
+            rng=cluster.rng_hub.stream(f"availability.publish.{server.node_id}"),
+        )
+        cluster.publishers[server.node_id] = publisher
+        # Parked (not-yet-provisioned) servers stay silent until the
+        # autoscaler activates them.
+        if cluster.should_publish(server.node_id):
+            publisher.start()
+    cluster.availability_enabled = True
+    if cluster.autoscaler is not None:
+        cluster.autoscaler.start()

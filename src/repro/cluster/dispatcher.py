@@ -9,9 +9,9 @@ overload layers exactly:
 
 - :class:`DispatcherPolicy` — a frozen, JSON-native value object
   carried by ``SimulationConfig.dispatcher_params`` (cache-key aware);
-- :class:`DispatcherTier` / :class:`Dispatcher` — the runtime, owned by
-  the cluster as ``cluster.dispatchers`` (``None`` when the subsystem
-  is off). The tier hears of lifecycle steps as a subscriber of the
+- :class:`DispatcherTier` / :class:`Dispatcher` — the runtime, installed
+  as ``cluster.dispatchers`` by :func:`install` (``None`` when the
+  subsystem is off). The tier hears of lifecycle steps as a subscriber of the
   cluster's ``terminal``, ``reject`` and ``timeout`` points; the
   cluster asks it for routes, views and backhauls where it decides.
 
@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
     from repro.cluster.system import ServiceCluster
 
-__all__ = ["DispatcherPolicy", "Dispatcher", "DispatcherTier"]
+__all__ = ["DispatcherPolicy", "Dispatcher", "DispatcherTier", "install"]
 
 _ASSIGNMENTS = ("static", "failover")
 
@@ -225,8 +225,8 @@ class Dispatcher:
 class DispatcherTier:
     """Runtime for one cluster's :class:`DispatcherPolicy`.
 
-    Installed as ``cluster.dispatchers`` (``None`` when the tier is
-    off). The cluster routes through :meth:`route`; :meth:`on_terminal`,
+    Installed as ``cluster.dispatchers`` by :func:`install` (``None`` when
+    the tier is off). The cluster routes through :meth:`route`; :meth:`on_terminal`,
     :meth:`on_server_reject` and :meth:`on_attempt_timeout` subscribe to
     its lifecycle points; message deliveries land on the ``_deliver_*``
     handlers.
@@ -517,3 +517,11 @@ class DispatcherTier:
             f"assignment={self.policy.assignment} "
             f"inflight={self.inflight_total()}>"
         )
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Install a :class:`DispatcherTier` of ``knobs`` as ``cluster.dispatchers``
+    (a disabled policy installs nothing)."""
+    policy = DispatcherPolicy(**knobs)
+    if policy.enabled:
+        cluster.install("dispatchers", DispatcherTier(cluster, policy))

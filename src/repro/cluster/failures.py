@@ -18,8 +18,10 @@ makes that claim testable, at two levels:
   cluster substreams (``chaos.net``, ``chaos.schedule``) so a chaos
   run is bit-identical at a fixed seed under both event engines.
 
-:func:`resilience_counters` condenses a finished chaos run into the
-flat ``{name: float}`` dict the experiment layer archives.
+:func:`install` puts a :class:`ChaosInjector` in ``cluster.chaos`` once
+the workload is loaded; :func:`resilience_counters` condenses a finished
+chaos run into the flat ``{name: float}`` dict the experiment layer
+archives.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.metrics import ClusterMetrics
     from repro.cluster.system import ServiceCluster
 
-__all__ = ["FailureInjector", "ChaosSpec", "ChaosInjector", "resilience_counters"]
+__all__ = ["FailureInjector", "ChaosSpec", "ChaosInjector", "install", "resilience_counters"]
 
 #: share of the workload horizon a straggle, a partition and a crash
 #: storm last
@@ -405,6 +407,12 @@ class ChaosInjector(FailureInjector):
         self.chaos_log.append(
             (self.cluster.sim.now, "dispatcher_recover", f"dispatcher {index}")
         )
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Install a :class:`ChaosInjector` of :class:`ChaosSpec` ``knobs`` as
+    ``cluster.chaos``, once the workload is loaded."""
+    cluster.install("chaos", ChaosInjector(cluster, spec=ChaosSpec(**knobs)))
 
 
 def resilience_counters(

@@ -14,7 +14,8 @@ mirrors that module's shape exactly:
 - :class:`OverloadController` — the runtime state machine, owned
   per-:class:`~repro.cluster.server.ServerNode` (``server.overload``,
   ``None`` when the subsystem is off: ``ServerNode.enqueue`` asks it
-  only when it is there).
+  only when it is there). :func:`install` gives every server one and
+  installs the policy as ``cluster.overload``.
 
 Mechanisms (DESIGN.md §12):
 
@@ -51,9 +52,10 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
+    from repro.cluster.system import ServiceCluster
     from repro.sim.engine import Simulator
 
-__all__ = ["OverloadPolicy", "OverloadController"]
+__all__ = ["OverloadPolicy", "OverloadController", "install"]
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ class OverloadController:
         self.sim = sim
         self.workers = workers
         self.rng = rng
-        #: wired by the cluster to the server's availability publisher
+        #: wired by :func:`install` to the server's availability publisher
         #: (``None`` when the availability subsystem is off)
         self.on_withdraw: Optional[Callable[[], None]] = None
         self.on_rejoin: Optional[Callable[[], None]] = None
@@ -268,3 +270,32 @@ class OverloadController:
             f"withdrawn={self.withdrawn} shed={self.shed_count} "
             f"ewma={self.ewma_service:.6f}>"
         )
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Give every server an :class:`OverloadController` of ``knobs`` and
+    install the policy as ``cluster.overload`` (a disabled policy installs
+    nothing). With availability on, a withdrawal stops the server's
+    publisher and the rejoin restarts it unless ``should_publish`` says no
+    (it crashed while withdrawn, or the autoscaler parked it)."""
+    policy = OverloadPolicy(**knobs)
+    if not policy.enabled:
+        return
+    for server in cluster.servers:
+        rng = (
+            cluster.rng_hub.stream(f"overload.shed.{server.node_id}")
+            if policy.shed_jitter > 0.0
+            else None
+        )
+        controller = OverloadController(policy, cluster.sim, workers=server.workers, rng=rng)
+        server.overload = controller
+        if cluster.availability_enabled and policy.withdraw_after is not None:
+            publisher = cluster.publishers[server.node_id]
+            controller.on_withdraw = publisher.stop
+
+            def rejoin(node_id: int = server.node_id, publisher=publisher) -> None:
+                if cluster.should_publish(node_id):
+                    publisher.start()
+
+            controller.on_rejoin = rejoin
+    cluster.install("overload", policy)

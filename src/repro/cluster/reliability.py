@@ -52,7 +52,7 @@ from repro.sim.engine import EventHandle
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.system import ServiceCluster
 
-__all__ = ["ReliabilityPolicy", "CircuitBreaker", "ReliabilityEngine"]
+__all__ = ["ReliabilityPolicy", "CircuitBreaker", "ReliabilityEngine", "install"]
 
 #: floor for a computed attempt timeout: a request whose deadline budget
 #: is (numerically) exhausted still gets a well-formed timer; the retry
@@ -225,8 +225,8 @@ class _RequestState:
 class ReliabilityEngine:
     """Runtime state machine for one cluster's :class:`ReliabilityPolicy`.
 
-    Installed as ``cluster.reliability`` (``None`` when the layer is
-    off). It subscribes to the cluster's ``dispatch``, ``terminal``,
+    Installed as ``cluster.reliability`` by :func:`install` (``None``
+    when the layer is off). It subscribes to the cluster's ``dispatch``, ``terminal``,
     ``reject``, ``timeout`` and ``server_loss`` lifecycle points, and the
     cluster asks it for candidate filters, timeouts, backoffs and
     collisions where it decides. The engine never touches the simulator
@@ -576,3 +576,21 @@ class ReliabilityEngine:
             f"<ReliabilityEngine hedges={self.hedges_launched} "
             f"breakers={len(self.breakers)} states={len(self._states)}>"
         )
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Install a :class:`ReliabilityEngine` of ``knobs`` as
+    ``cluster.reliability`` (a policy with no mechanism on installs nothing);
+    hedging needs the simulated transport."""
+    from repro.cluster.system import ServiceCluster
+
+    policy = ReliabilityPolicy(**knobs)
+    if not policy.enabled:
+        return
+    if policy.hedge_quantile is not None and not isinstance(cluster, ServiceCluster):
+        raise ValueError(
+            "hedged requests are not supported by the live runtime: a hedge "
+            "copy is delivered through the simulated network (set "
+            "hedge_quantile=None for repro drive)"
+        )
+    cluster.install("reliability", ReliabilityEngine(cluster, policy))

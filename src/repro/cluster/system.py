@@ -1,9 +1,12 @@
 """The service cluster: request lifecycle + policy context.
 
 :class:`ServiceCluster` wires the simulator, the network, server and
-client nodes, an optional availability subsystem, an optional
-prototype-overhead model, and one load-balancing policy. It drives the
-paper's request lifecycle:
+client nodes, an optional prototype-overhead model, and one
+load-balancing policy: the paper's cluster. Each optional subsystem,
+the soft-state availability of Neptune (the prototype's infrastructure)
+among them, is one module whose ``install`` adds it to a built cluster
+(``experiments.config.INSTALL_ORDER``). It drives the paper's request
+lifecycle:
 
 1. a request *arrives* at a client (trace- or process-generated);
 2. the policy *selects* a server — instantly (random/broadcast/ideal)
@@ -32,11 +35,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from repro.cluster.availability import (
-    AvailabilityChannel,
-    ServiceMappingTable,
-    ServicePublisher,
-)
+from repro.cluster.availability import DEFAULT_SERVICE, ServiceMappingTable, ServicePublisher
 from repro.cluster.client import ClientNode
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.request import Request
@@ -50,18 +49,10 @@ from repro.sim.engine import SimulationError
 from repro.sim.rng import IndexStream, RngHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.autoscaler import AutoscalerPolicy
-    from repro.cluster.dispatcher import DispatcherPolicy
-    from repro.cluster.overload import OverloadPolicy
-    from repro.cluster.reliability import ReliabilityPolicy
     from repro.core.base import LoadBalancer
     from repro.sim.clock import ClockHandle
 
-__all__ = ["ServiceCluster", "RequestLifecycle", "DEFAULT_SERVICE", "LIFECYCLE_POINTS"]
-
-#: service name used when the availability subsystem is enabled with the
-#: default single fully-replicated service (simulated and live alike)
-DEFAULT_SERVICE = "service"
+__all__ = ["ServiceCluster", "RequestLifecycle", "LIFECYCLE_POINTS"]
 
 #: lifecycle point -> its subscribers in call order: ``(slot, hook)``, the
 #: method ``hook`` of the subsystem in slot ``slot`` (an ``attr`` of
@@ -98,9 +89,9 @@ class RequestLifecycle:
     the :class:`~repro.sim.clock.Clock` protocol (``self.sim``). An
     optional subsystem hears of a step through the step's lifecycle
     point (:data:`LIFECYCLE_POINTS`): a tuple of bound hooks, ``_at_<point>``,
-    empty when nobody listens. A transport subclass builds the nodes
-    (``servers``, ``clients``, ``network``, ``mapping_tables``, the
-    ``dispatchers`` / ``autoscaler`` / ``overload`` slots), calls
+    empty when nobody listens; a subsystem's module fills its slot
+    through :meth:`install`. A transport subclass builds the nodes
+    (``servers``, ``clients``, ``network``, ``mapping_tables``), calls
     :meth:`_init_lifecycle` last in its constructor, unpacks inbound
     messages before handing them to :meth:`_on_response` /
     :meth:`_on_reject`, and supplies:
@@ -120,11 +111,11 @@ class RequestLifecycle:
         policy: "LoadBalancer",
         request_timeout: Optional[float],
         max_retries: int,
-        reliability: Optional["ReliabilityPolicy"],
     ) -> None:
         """Lifecycle configuration, workload slots, resilience counters,
-        the None-when-off subsystem slots and the lifecycle points; binds
-        ``policy`` (it reads the finished context)."""
+        the empty subsystem slots and the lifecycle points. ``policy``
+        binds in :meth:`load_workload`, once every subsystem it reads
+        is installed."""
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         #: fallback for the derived re-select delay until load_workload
@@ -159,23 +150,17 @@ class RequestLifecycle:
         #: request currently inside policy.select (candidate-set
         #: filtering excludes the server that just rejected it)
         self._selecting_request: Optional[Request] = None
-        # Chaos, telemetry and the oracle are built after the cluster and
-        # arrive through install(); the reliability engine is built only
-        # when a mechanism is enabled, so naive runs take identical paths.
-        self.chaos = self.telemetry = self.oracle = self.reliability = None
-        if reliability is not None and reliability.enabled:
-            from repro.cluster.reliability import ReliabilityEngine
-
-            self.reliability = ReliabilityEngine(self, reliability)
+        # Every subsystem slot stays None until its module's install()
+        # fills it, so a run without one takes the paper's paths.
+        self.dispatchers = self.autoscaler = self.overload = self.reliability = None
+        self.chaos = self.telemetry = self.oracle = None
         self._wire_points()
-
         self.policy = policy
-        policy.bind(self)
 
     def install(self, slot: str, subsystem) -> None:
         """Put ``subsystem`` (or ``None``) in the subsystem slot ``slot``
-        and rewire every lifecycle point: the one way a subsystem built
-        after the cluster gets in."""
+        and rewire every lifecycle point: the one way a subsystem gets
+        in, called at the end of its module's ``install``."""
         from repro.experiments.config import SUBSYSTEMS
 
         slots = [row.attr for row in SUBSYSTEMS.values()]
@@ -333,11 +318,19 @@ class RequestLifecycle:
     # lifecycle internals
     # ------------------------------------------------------------------
     def load_workload(self, interarrival: np.ndarray, service: np.ndarray) -> None:
-        """Install the request stream (aligned gap/service arrays)."""
+        """Bind the policy, once, to the finished cluster, and install the
+        request stream (aligned gap/service arrays)."""
         gaps = np.ascontiguousarray(interarrival, dtype=np.float64)
         service_times = np.ascontiguousarray(service, dtype=np.float64)
         if gaps.shape != service_times.shape or gaps.ndim != 1 or gaps.size == 0:
             raise ValueError("interarrival and service must be equal-length non-empty 1-D")
+        if self.policy.ctx is not self:
+            if self.autoscaler is not None and not self.availability_enabled:
+                raise ValueError(
+                    "autoscaler requires availability=True (scale-up/-down "
+                    "actuates through soft-state publish/withdrawal)"
+                )
+            self.policy.bind(self)
         self.n_requests = int(gaps.shape[0])
         self._arrival_times = np.cumsum(gaps)
         extra = 0.0 if self.overhead is None else self.overhead.request_cpu_overhead
@@ -522,13 +515,22 @@ class ServiceCluster(RequestLifecycle):
     """A simulated cluster running one policy over one workload: the
     :class:`RequestLifecycle` over the discrete-event ``net/`` transport.
 
+    It builds the paper's cluster only: servers, clients, the network and
+    the policy. Each optional subsystem is added afterwards by its
+    module's ``install(cluster, **knobs)``, in
+    ``experiments.config.INSTALL_ORDER``;
+    :func:`repro.experiments.runner.assemble` runs that order, loading
+    the workload (where the policy binds) between the topology and what
+    watches the run.
+
     Parameters
     ----------
     n_servers, n_clients:
         Pool sizes; the paper's experiments use 16 servers and up to 6
         client nodes.
     policy:
-        A :class:`repro.core.base.LoadBalancer`; bound to this cluster.
+        A :class:`repro.core.base.LoadBalancer`; bound to this cluster
+        by :meth:`load_workload`.
     seed:
         Experiment seed; all randomness derives from it via named
         substreams.
@@ -544,41 +546,13 @@ class ServiceCluster(RequestLifecycle):
         Optional per-server speed factors (heterogeneity ablation).
     record_server_queues:
         Keep every server's queue-length trajectory (for occupancy).
-    availability / availability_refresh / availability_ttl:
-        When True, run the publish/subscribe availability subsystem and
-        derive candidate sets from soft state (required for failure
-        experiments); servers publish every ``availability_refresh``
-        seconds on average and entries expire after ``availability_ttl``.
-        When False (default), membership is static.
-    server_max_queue:
-        Static admission bound per server (``None``: unbounded).
     request_timeout / max_retries:
         Client-side loss recovery (used with failures). After a
         ``NoCandidatesError`` (every server's soft state expired) the
         client waits ``request_timeout`` before re-selecting, or 5× the
         workload's mean service time when no timeout is set.
-    reliability:
-        Optional :class:`repro.cluster.reliability.ReliabilityPolicy`
-        — deadline budgets, backoff, retry budgets, hedging, breakers.
-        ``None`` (or an all-default policy) keeps the naive lifecycle
-        bit-identical to a cluster built without the parameter.
-    overload:
-        Optional :class:`repro.cluster.overload.OverloadPolicy` —
-        CoDel-style adaptive admission, fast-reject NACKs, and
-        load-aware availability withdrawal, per server. ``None`` (or a
-        disabled policy) keeps every path bit-identical to a cluster
-        built without the parameter (DESIGN.md §12).
-    dispatcher:
-        Optional :class:`repro.cluster.dispatcher.DispatcherPolicy` —
-        routes selections through K dispatcher nodes, each with its own
-        soft-state view, admission, and breakers (DESIGN.md §16).
-        ``None`` (or a disabled policy) keeps every path bit-identical
-        to a cluster built without the parameter.
-    autoscaler:
-        Optional :class:`repro.cluster.autoscaler.AutoscalerPolicy` —
-        closed-loop scaling of the publishing server pool from
-        goodput/shed/p95 window signals; requires ``availability=True``.
-        ``None`` (or a disabled policy) changes nothing.
+    server_max_queue:
+        Static admission bound per server (``None``: unbounded).
     engine:
         Event-queue implementation ("heap" or "calendar"); both give
         bit-identical results (see :mod:`repro.sim.calendar`).
@@ -595,16 +569,9 @@ class ServiceCluster(RequestLifecycle):
         workers: int = 1,
         server_speeds: Optional[list[float]] = None,
         record_server_queues: bool = False,
-        availability: bool = False,
-        availability_refresh: float = 1.0,
-        availability_ttl: float = 3.0,
         request_timeout: Optional[float] = None,
         max_retries: int = 5,
         server_max_queue: Optional[int] = None,
-        reliability: Optional["ReliabilityPolicy"] = None,
-        overload: Optional["OverloadPolicy"] = None,
-        dispatcher: Optional["DispatcherPolicy"] = None,
-        autoscaler: Optional["AutoscalerPolicy"] = None,
         engine: str = "heap",
     ):
         if n_servers < 1:
@@ -655,140 +622,25 @@ class ServiceCluster(RequestLifecycle):
         # Client node ids continue after server ids.
         self.clients = [ClientNode(self.sim, n_servers + j) for j in range(n_clients)]
         self._static_members = list(range(n_servers))
-
-        # Dispatcher tier (optional): K dispatcher agents whose node ids
-        # continue after the client ids; clients forward selections to
-        # them instead of running the policy locally (DESIGN.md §16).
-        # Built before the availability block so dispatcher views can
-        # subscribe alongside client tables.
-        #: the active :class:`~repro.cluster.dispatcher.DispatcherTier`
-        #: (None when the tier is off)
-        self.dispatchers = None
-        if dispatcher is not None and dispatcher.enabled:
-            from repro.cluster.dispatcher import DispatcherTier
-
-            self.dispatchers = DispatcherTier(self, dispatcher)
-
-        # Closed-loop autoscaler (optional): scales the *publishing*
-        # server pool through the soft-state machinery, so it requires
-        # the availability subsystem. Built before the availability
-        # block so initial table priming and publisher starts can be
-        # gated on the initial active set.
-        #: the active :class:`~repro.cluster.autoscaler.Autoscaler`
-        #: (None when autoscaling is off)
-        self.autoscaler = None
-        if autoscaler is not None and autoscaler.enabled:
-            from repro.cluster.autoscaler import Autoscaler
-
-            if not availability:
-                raise ValueError(
-                    "autoscaler requires availability=True (scale-up/-down "
-                    "actuates through soft-state publish/withdrawal)"
-                )
-            self.autoscaler = Autoscaler(self, autoscaler)
-
-        # Availability subsystem (optional).
-        self.availability_enabled = availability
+        # Membership is static until availability's install() derives
+        # candidate sets from soft state (failure experiments need it).
+        self.availability_enabled = False
         self.publishers: dict[int, ServicePublisher] = {}
         self.mapping_tables: dict[int, ServiceMappingTable] = {}
-        if availability:
-            channel = AvailabilityChannel(self.network)
-            self.availability_channel = channel
-            scaler = self.autoscaler
-            # Subscribe selector views (clients, plus dispatcher agents
-            # when the tier is on) before the first publish round so no
-            # announcement is lost to construction ordering.
-            selector_nodes = list(self.clients)
-            if self.dispatchers is not None:
-                selector_nodes += [d.agent for d in self.dispatchers.dispatchers]
-            view_lag = 0.0 if dispatcher is None else dispatcher.view_lag
-            for node in selector_nodes:
-                table = ServiceMappingTable(self.sim, ttl=availability_ttl)
-                is_dispatcher_view = node.node_id >= n_servers + n_clients
-                if is_dispatcher_view and view_lag > 0.0:
-                    # Stale-view fault model: the dispatcher's view sees
-                    # every PUBLISH a constant ``view_lag`` late.
-                    channel.subscribe(
-                        node.node_id,
-                        lambda message, _table=table: self.sim.after(
-                            view_lag, _table._on_publish, message  # noqa: SLF001
-                        ),
-                    )
-                else:
-                    table.subscribe(channel, node.node_id)
-                # Prime the table so the first arrivals (before the first
-                # publish round lands) see the initially-active membership.
-                for server in self.servers:
-                    if scaler is not None and not scaler.is_active(server.node_id):
-                        continue
-                    table._on_publish(  # noqa: SLF001 - controlled priming
-                        Message(
-                            MessageKind.PUBLISH,
-                            server.node_id,
-                            node.node_id,
-                            (server.node_id, ((DEFAULT_SERVICE, 0),), 0.0),
-                            0,
-                            0.0,
-                        )
-                    )
-                self.mapping_tables[node.node_id] = table
-            for server in self.servers:
-                publisher = ServicePublisher(
-                    self.sim,
-                    channel,
-                    server.node_id,
-                    entries=[(DEFAULT_SERVICE, 0)],
-                    mean_interval=availability_refresh,
-                    rng=self.rng_hub.stream(f"availability.publish.{server.node_id}"),
-                )
-                self.publishers[server.node_id] = publisher
-                # Parked (not-yet-provisioned) servers stay silent until
-                # the autoscaler activates them.
-                if scaler is None or scaler.is_active(server.node_id):
-                    publisher.start()
-            if scaler is not None:
-                scaler.install()
-
-        # Overload-control subsystem (optional): one controller per
-        # server, consulted by ServerNode.enqueue after the static
-        # max_queue bound. Installed only when a mechanism is enabled so
-        # default runs take identical code paths (enqueue asks a server's
-        # controller only when it has one).
-        #: the active :class:`~repro.cluster.overload.OverloadPolicy`
-        #: (None when overload control is off)
-        self.overload = None
-        if overload is not None and overload.enabled:
-            from repro.cluster.overload import OverloadController
-
-            self.overload = overload
-            for server in self.servers:
-                rng = (
-                    self.rng_hub.stream(f"overload.shed.{server.node_id}")
-                    if overload.shed_jitter > 0.0
-                    else None
-                )
-                controller = OverloadController(
-                    overload, self.sim, workers=workers, rng=rng
-                )
-                server.overload = controller
-                if self.availability_enabled and overload.withdraw_after is not None:
-                    publisher = self.publishers[server.node_id]
-                    controller.on_withdraw = publisher.stop
-                    controller.on_rejoin = self._make_rejoin(server, publisher)
 
         self._runner_active = False
-        self._init_lifecycle(policy, request_timeout, max_retries, reliability)
+        self._init_lifecycle(policy, request_timeout, max_retries)
 
     def should_publish(self, node_id: int) -> bool:
         """Whether server ``node_id`` may (re)start its availability
         publisher right now.
 
-        Single source of truth for every publisher-restart site (crash
-        recovery, overload rejoin, autoscale activation): a dead server
-        must stay silent, an overload-withdrawn server re-advertises
-        only through its controller's own rejoin, and a server the
-        autoscaler has parked stays out of the pool even across a
-        crash/recover cycle.
+        Single source of truth for every publisher-start site (the first
+        publish round, crash recovery, overload rejoin, autoscale
+        activation): a dead server must stay silent, an overload-withdrawn
+        server re-advertises only through its controller's own rejoin,
+        and a server the autoscaler has parked stays out of the pool even
+        across a crash/recover cycle.
         """
         server = self.servers[node_id]
         if not server.alive:
@@ -798,18 +650,6 @@ class ServiceCluster(RequestLifecycle):
         if self.autoscaler is not None and not self.autoscaler.is_active(node_id):
             return False
         return True
-
-    def _make_rejoin(self, server: ServerNode, publisher: ServicePublisher):
-        """Recovery callback for an overload-withdrawn server: resume
-        publishing — unless the server crashed while withdrawn (the
-        chaos injector owns the publisher of a dead node) or the
-        autoscaler has parked it meanwhile."""
-
-        def rejoin() -> None:
-            if self.should_publish(server.node_id):
-                publisher.start()
-
-        return rejoin
 
     # ------------------------------------------------------------------
     # transport: the simulated network

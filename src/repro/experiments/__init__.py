@@ -49,6 +49,7 @@ __all__, __getattr__, __dir__ = exports(
     "repro.experiments.executor:SweepExecutor",
     "repro.experiments.executor:SweepStats",
     "repro.experiments.scenario:WorkloadAxis",
+    "repro.experiments.runner:assemble",
     "repro.experiments.runner:build_cluster",
     "repro.experiments.scenario:builtin_spec",
     "repro.experiments.chaos:chaos_cluster_params",

@@ -10,13 +10,14 @@ from typing import Any, NamedTuple, Optional
 
 from repro import locate
 
-__all__ = ["SUBSYSTEMS", "SimulationConfig", "field_values", "json_default", "param_keys"]
+__all__ = ["INSTALL_ORDER", "SUBSYSTEMS", "SimulationConfig", "field_values", "json_default", "param_keys"]
 
 _MODELS = ("simulation", "prototype")
 _ENGINES = ("heap", "calendar", "fast")
 
-#: ServiceCluster keyword arguments a config may forward (kept JSON-native
-#: so cache keys survive an archive round trip)
+#: ``cluster_params`` keys (kept JSON-native so cache keys survive an archive
+#: round trip): the :class:`ServiceCluster` keywords, and the availability
+#: switch with the ``availability_*`` knobs its ``install`` takes
 _CLUSTER_PARAM_KEYS = frozenset(
     {
         "availability",
@@ -37,18 +38,13 @@ class Subsystem(NamedTuple):
     #: ``field_names()``, a plain class through its constructor signature
     #: (minus the ``cluster`` it is attached to)
     owner: str
-    #: the :class:`ServiceCluster` attribute the live object sits on
+    #: the cluster slot the live object sits on; its module's
+    #: ``install(cluster, **knobs)`` (:data:`INSTALL_ORDER`) fills it
     attr: str
     #: ``SimulationConfig.describe()`` suffix
     tag: str
     #: why ``engine="fast"`` refuses it
     fast_refusal: str
-    #: the :class:`ServiceCluster` keyword taking ``Owner(**knobs)``; without
-    #: one, ``attr`` is set once the workload is loaded, to
-    #: ``Owner(cluster, **knobs)`` or, given a ``module:Class`` injector,
-    #: ``Injector(cluster, spec=Owner(**knobs))``
-    keyword: str = ""
-    injector: str = ""
     #: cluster accessor whose dict joins ``chaos_counters`` on chaos-free runs
     counters: str = ""
     #: the :class:`ModeAxis` knob set that fills the field
@@ -61,7 +57,6 @@ SUBSYSTEMS = {
     "chaos_params": Subsystem(
         "repro.cluster.failures:ChaosSpec", "chaos",
         " +chaos", "fault injection",
-        injector="repro.cluster.failures:ChaosInjector",
     ),
     "telemetry": Subsystem(
         "repro.telemetry.collector:TelemetryCollector", "telemetry",
@@ -70,27 +65,44 @@ SUBSYSTEMS = {
     "reliability_params": Subsystem(
         "repro.cluster.reliability:ReliabilityPolicy", "reliability",
         " +reliability", "timeouts/backoff/hedging",
-        keyword="reliability", counters="reliability.counters", mode="reliability",
+        counters="reliability.counters", mode="reliability",
     ),
     "overload_params": Subsystem(
         "repro.cluster.overload:OverloadPolicy", "overload",
         " +overload", "admission control",
-        keyword="overload", counters="overload_counters", mode="overload",
+        counters="overload_counters", mode="overload",
     ),
     "dispatcher_params": Subsystem(
         "repro.cluster.dispatcher:DispatcherPolicy", "dispatchers",
         " +dispatchers", "dispatcher-tier routing",
-        keyword="dispatcher", counters="dispatchers.counters", mode="dispatcher",
+        counters="dispatchers.counters", mode="dispatcher",
     ),
     "autoscaler_params": Subsystem(
         "repro.cluster.autoscaler:AutoscalerPolicy", "autoscaler",
         " +autoscale", "closed-loop scaling",
-        keyword="autoscaler", counters="autoscaler.counters", mode="autoscaler",
+        counters="autoscaler.counters", mode="autoscaler",
     ),
     "verify_params": Subsystem(
         "repro.verify.oracle:InvariantOracle", "oracle",
         " +verify", "inline invariant oracle",
     ),
+}
+
+#: slot -> the ``install(cluster, **knobs)`` that fills it, in the one order
+#: a cluster takes them; at ``workload`` the policy binds (to the dispatcher
+#: agents) and the request stream loads. Availability publishes only for
+#: servers the autoscaler leaves active, overload's withdrawal stops a
+#: publisher, and chaos reads the workload's horizon.
+INSTALL_ORDER = {
+    "dispatchers": "repro.cluster.dispatcher:install",
+    "autoscaler": "repro.cluster.autoscaler:install",
+    "availability": "repro.cluster.availability:install",
+    "overload": "repro.cluster.overload:install",
+    "reliability": "repro.cluster.reliability:install",
+    "workload": "",
+    "chaos": "repro.cluster.failures:install",
+    "telemetry": "repro.telemetry.collector:install",
+    "oracle": "repro.verify.oracle:install",
 }
 
 
@@ -165,54 +177,24 @@ class SimulationConfig:
     result-cache key so engine comparisons never alias each other's
     cache entries.
 
-    ``cluster_params`` forwards extra :class:`ServiceCluster` keyword
-    arguments (availability subsystem, request timeouts, admission
-    control); ``chaos_params`` — :class:`ChaosSpec` knobs — installs a
-    chaos injector for the run. Both must contain only JSON-native
-    scalars so cache keys survive an archive round trip.
+    ``cluster_params`` forwards the lifecycle's :class:`ServiceCluster`
+    keywords (request timeouts, retries, the static admission bound,
+    queue recording) and switches on the soft-state availability
+    subsystem (``availability``, with ``availability_refresh`` and
+    ``availability_ttl`` for its install).
 
-    ``telemetry`` — :class:`repro.telemetry.TelemetryCollector` knobs
-    (``spans``, ``sample_interval``, ``max_spans``) — opts the run into
-    request-lifecycle telemetry; an empty dict (the default) means off
-    and keeps every hot path exactly as before. Telemetry never changes
-    simulation results (no events, no RNG draws — DESIGN.md §10), only
-    what is *recorded* about them.
-
-    ``reliability_params`` — :class:`repro.cluster.reliability.
-    ReliabilityPolicy` knobs (deadline budgets, backoff, retry budgets,
-    hedging, circuit breakers) — installs the request reliability layer
-    for the run; an empty dict (the default) keeps the naive lifecycle
-    bit-identical to pre-reliability builds (DESIGN.md §11). The field
-    participates in the result-cache key, so hardened and naive runs
-    never alias each other's cache entries.
-
-    ``overload_params`` — :class:`repro.cluster.overload.OverloadPolicy`
-    knobs (CoDel-style adaptive admission, fast-reject NACKs,
-    load-aware availability withdrawal) — installs per-server overload
-    controllers for the run; an empty dict (the default) keeps every
-    path bit-identical to pre-overload builds (DESIGN.md §12). Like the
-    other param dicts, it participates in the result-cache key.
-
-    ``dispatcher_params`` — :class:`repro.cluster.dispatcher.
-    DispatcherPolicy` knobs (tier size, client→dispatcher assignment,
-    failover suspicion, tier admission, per-dispatcher breakers, stale
-    view lag) — routes every request through a fault-tolerant
-    dispatcher tier instead of direct client→server selection; an empty
-    dict (the default) keeps every path bit-identical to pre-tier
-    builds (DESIGN.md §16). ``autoscaler_params`` — :class:`repro.
-    cluster.autoscaler.AutoscalerPolicy` knobs (control interval,
-    size bounds, shed/p95/utilization thresholds) — installs the
-    closed-loop autoscaler, which requires the availability subsystem
-    (scale actions actuate via publish/withdrawal). Both participate in
-    the result-cache key.
-
-    ``verify_params`` — :class:`repro.verify.InvariantOracle` knobs
-    (``enabled``, ``check_interval``) — installs the inline invariant
-    oracle (DESIGN.md §17). The oracle draws no randomness and
-    schedules no events, so verify-enabled runs stay bit-identical
-    across both exact engines; an empty dict (the default) keeps
-    ``cluster.oracle`` as ``None`` and every code path bit-identical
-    to pre-oracle builds.
+    Each :data:`SUBSYSTEMS` field — ``chaos_params`` (:class:`ChaosSpec`),
+    ``telemetry``, ``reliability_params``, ``overload_params``,
+    ``dispatcher_params``, ``autoscaler_params`` and ``verify_params``,
+    DESIGN.md §9–§12, §16, §17 — holds the knobs its module's ``install``
+    takes (:data:`INSTALL_ORDER`, run by
+    :func:`repro.experiments.runner.assemble`). An empty dict (the
+    default) installs nothing and keeps every path bit-identical to the
+    paper's cluster; telemetry and the oracle draw no randomness and
+    schedule no events, so they never change a result. The autoscaler
+    requires availability, and so does a dispatcher ``view_lag``. Every
+    params dict holds JSON-native scalars only and joins the result-cache
+    key, so differently configured runs never alias each other's entries.
     """
 
     policy: str = "polling"
@@ -296,6 +278,19 @@ class SimulationConfig:
                         "(the first reply decides); lower poll_size or raise "
                         "discard_timeout"
                     )
+        tier, cluster = self.dispatcher_params, self.cluster_params
+        view_lag = tier.get("view_lag") if isinstance(tier, dict) else None
+        if (
+            isinstance(view_lag, (int, float))
+            and view_lag > 0
+            and not (isinstance(cluster, dict) and cluster.get("availability"))
+        ):
+            raise ValueError(
+                f"dispatcher_params.view_lag={view_lag} needs "
+                "cluster_params.availability=True (it delays soft-state "
+                "updates into dispatcher views, and without availability "
+                "there are none)"
+            )
         if self.server_speeds is not None:
             if len(self.server_speeds) != self.n_servers:
                 raise ValueError(

@@ -22,6 +22,7 @@ import numpy as np
 from repro import locate
 from repro.core.registry import make_policy
 from repro.experiments.config import (
+    INSTALL_ORDER,
     SUBSYSTEMS,
     SimulationConfig,
     field_values,
@@ -38,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SimulationResult",
+    "assemble",
     "auto_chunksize",
     "build_cluster",
     "run_simulation",
@@ -167,6 +169,24 @@ def _overhead_for(config: SimulationConfig) -> Optional[PrototypeOverheadModel]:
     return locate("repro.prototype.overhead:PrototypeOverheadModel")(**config.overhead_params)
 
 
+def assemble(cluster, gaps: np.ndarray, services: np.ndarray, **knobs: dict):
+    """Install into ``cluster`` each subsystem ``knobs`` names (slot -> the
+    keyword arguments of its module's ``install``) in
+    :data:`~repro.experiments.config.INSTALL_ORDER`, loading the request
+    stream at its ``workload`` step; returns the cluster. The one way a
+    subsystem gets in, so the order is written once."""
+    slots = [slot for slot in INSTALL_ORDER if slot != "workload"]
+    unknown = set(knobs) - set(slots)
+    if unknown:
+        raise ValueError(f"unknown subsystem(s) {sorted(unknown)}; expected some of {slots}")
+    for slot, install in INSTALL_ORDER.items():
+        if slot == "workload":
+            cluster.load_workload(gaps, services)
+        elif slot in knobs:
+            locate(install)(cluster, **knobs[slot])
+    return cluster
+
+
 def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
     """Construct the cluster + workload for a config.
 
@@ -190,36 +210,26 @@ def build_cluster(config: SimulationConfig) -> tuple[ServiceCluster, float]:
         config.n_servers,
         nominal_rho,
     )
-
-    policy = make_policy(config.policy, **config.policy_params)
-    enabled = [
-        (row, locate(row.owner), knobs)
-        for name, row in SUBSYSTEMS.items()
-        if (knobs := getattr(config, name))
-    ]
+    params = config.cluster_params
+    knobs = {row.attr: k for name, row in SUBSYSTEMS.items() if (k := getattr(config, name))}
+    if params.get("availability"):
+        knobs["availability"] = {
+            key.removeprefix("availability_"): value
+            for key, value in params.items()
+            if key.startswith("availability_")
+        }
     cluster = ServiceCluster(
         n_servers=config.n_servers,
-        policy=policy,
+        policy=make_policy(config.policy, **config.policy_params),
         seed=config.seed,
         n_clients=config.n_clients,
         overhead=overhead,
         workers=config.workers,
         server_speeds=list(config.server_speeds) if config.server_speeds else None,
         engine=config.engine,
-        **{row.keyword: owner(**knobs) for row, owner, knobs in enabled if row.keyword},
-        **config.cluster_params,
+        **{key: value for key, value in params.items() if not key.startswith("availability")},
     )
-    cluster.load_workload(gaps, services)
-    for row, owner, knobs in enabled:
-        if row.keyword:
-            continue
-        if row.injector:
-            installed = locate(row.injector)(cluster, spec=owner(**knobs))
-        else:
-            installed = owner(cluster, **knobs)
-        # the oracle constructs inert under {"enabled": False}
-        if getattr(installed, "enabled", True):
-            cluster.install(row.attr, installed)
+    assemble(cluster, gaps, services, **knobs)
     return cluster, nominal_rho
 
 

@@ -21,8 +21,8 @@ injected loss/delay/duplication.
 Deliberate divergences from the sim (documented in DESIGN.md §15):
 
 - hedged requests are not supported live (the hedge path reaches into
-  simulated delivery internals); constructing with a hedge-enabled
-  reliability policy raises; there is no dispatcher tier or autoscaler;
+  simulated delivery internals); reliability's ``install`` refuses a
+  hedge-enabled policy here; there is no dispatcher tier or autoscaler;
 - overload/admission state lives in the *server* process; the client
   sees only REJECT NACKs (so ``overload`` stays ``None`` here and
   rejection counters are per-server);
@@ -125,7 +125,6 @@ class LiveCluster(RequestLifecycle):
         n_clients: int = 6,
         request_timeout: Optional[float] = None,
         max_retries: int = 5,
-        reliability=None,
         availability: bool = False,
         availability_ttl: float = 3.0,
         workers_per_server: int = 1,
@@ -135,15 +134,6 @@ class LiveCluster(RequestLifecycle):
             raise ValueError("server_addrs must not be empty")
         if n_clients < 1:
             raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-        if (
-            reliability is not None
-            and reliability.enabled
-            and reliability.hedge_quantile is not None
-        ):
-            raise ValueError(
-                "hedged requests are not supported by the live runtime "
-                "(set hedge_quantile=None for repro drive)"
-            )
         # The Clock seam: ``sim`` IS the wall clock. The lifecycle,
         # policy, reliability, and soft-state code consult
         # ``ctx.sim.now``/``after`` exactly as they do in simulation.
@@ -180,13 +170,6 @@ class LiveCluster(RequestLifecycle):
             for client in self.clients:
                 self.mapping_tables[client.node_id] = table
 
-        # Overload/admission state lives in the server processes; the
-        # live runtime has no dispatcher tier or autoscaler, so the
-        # clients themselves are the selector agents.
-        self.overload = None
-        self.dispatchers = None
-        self.autoscaler = None
-
         # Transport state: dispatched requests by wire id, outstanding
         # polls by poll id, the run-complete flag, wire-level counters.
         self._requests: Dict[int, Request] = {}
@@ -197,7 +180,7 @@ class LiveCluster(RequestLifecycle):
         self.wire_errors = 0
         self.recv_errors = 0
 
-        self._init_lifecycle(policy, request_timeout, max_retries, reliability)
+        self._init_lifecycle(policy, request_timeout, max_retries)
 
     # ------------------------------------------------------------------
     # socket plumbing

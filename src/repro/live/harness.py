@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.registry import make_policy
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import assemble, run_simulation
 from repro.live.client import LiveCluster
 from repro.live.clock import WallClock
 from repro.live.server import LiveServer
@@ -175,12 +175,6 @@ def run_loopback(cfg: LiveRunConfig) -> LiveRunResult:
         from repro.cluster.overload import OverloadPolicy
 
         overload_policy = OverloadPolicy(**cfg.overload_params)
-    reliability_policy = None
-    if cfg.reliability_params:
-        from repro.cluster.reliability import ReliabilityPolicy
-
-        reliability_policy = ReliabilityPolicy(**cfg.reliability_params)
-
     started = _time.perf_counter()
     try:
         servers = [
@@ -196,19 +190,15 @@ def run_loopback(cfg: LiveRunConfig) -> LiveRunResult:
         cluster = LiveCluster(
             {s.node_id: s.address for s in servers}, policy, clock, seed=cfg.seed,
             n_clients=cfg.n_clients, request_timeout=cfg.request_timeout,
-            max_retries=cfg.max_retries, reliability=reliability_policy,
+            max_retries=cfg.max_retries,
             availability=cfg.availability, availability_ttl=cfg.availability_ttl,
             workers_per_server=cfg.workers,
         )
-
         gaps, services = generate_workload(cfg)
-        cluster.load_workload(gaps, services)
+        knobs = {"reliability": cfg.reliability_params} if cfg.reliability_params else {}
         if cfg.telemetry:
-            from repro.telemetry import TelemetryCollector
-
-            cluster.install(
-                "telemetry", TelemetryCollector(cluster, sample_interval=cfg.sample_interval)
-            )
+            knobs["telemetry"] = {"sample_interval": cfg.sample_interval}
+        assemble(cluster, gaps, services, **knobs)
 
         epoch_at_run_start = _time.time()
         metrics = cluster.run(cfg.time_limit)

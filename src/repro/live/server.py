@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.cluster.availability import ServicePublisher
 from repro.cluster.overload import OverloadController, OverloadPolicy
-from repro.cluster.system import DEFAULT_SERVICE
+from repro.cluster.availability import DEFAULT_SERVICE
 from repro.live.clock import WallClock, WallHandle, sendto
 from repro.live.faults import LoopbackFaults
 from repro.live.wire import WireError, decode_message, encode_message

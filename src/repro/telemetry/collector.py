@@ -1,8 +1,9 @@
 """Run-time telemetry collection for a service cluster.
 
 A :class:`TelemetryCollector` is carried by the cluster as
-``cluster.telemetry`` (``None`` when telemetry is off — the same
-pattern as ``Simulator.trace``). Every hot-path touch point guards with
+``cluster.telemetry``, put there by :func:`install` (``None`` when
+telemetry is off — the same pattern as ``Simulator.trace``). Every
+hot-path touch point guards with
 a single ``is not None`` check, and the collector itself never draws
 random numbers or schedules simulator events, so enabling telemetry
 cannot perturb a run: fixed-seed results are bit-identical with
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
     from repro.cluster.system import ServiceCluster
 
-__all__ = ["TelemetryCollector", "TelemetryReport"]
+__all__ = ["TelemetryCollector", "TelemetryReport", "install"]
 
 #: policy counter attributes exported into the accounting snapshot
 #: (superset-tolerant: only attributes the policy actually has appear)
@@ -244,3 +245,8 @@ class TelemetryCollector:
             out["mean_staleness"] = math.nan
             out["p95_staleness"] = math.nan
         return out
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Install a :class:`TelemetryCollector` of ``knobs`` as ``cluster.telemetry``."""
+    cluster.install("telemetry", TelemetryCollector(cluster, **knobs))

@@ -5,8 +5,8 @@ DESIGN.md §17) while a simulation runs:
 
 * **lifecycle hooks** — ``on_arrival`` / ``on_dispatch`` /
   ``on_terminal`` / ``on_run_end`` subscribe to the lifecycle points of
-  the same names in ``system.py`` once ``cluster.install("oracle", ...)``
-  puts the oracle in (a run without it calls none of them).  These prove
+  the same names in ``system.py`` once :func:`install` puts the oracle
+  in ``cluster.oracle`` (a run without it calls none of them).  These prove
   request conservation and exactly-once terminal outcomes under hedging,
   retries, and NACKs.
 * **event hook** — the oracle chains onto ``Simulator.trace`` and
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.system import ServiceCluster
     from repro.sim.engine import EventHandle
 
-__all__ = ["InvariantOracle", "InvariantViolation"]
+__all__ = ["InvariantOracle", "InvariantViolation", "install"]
 
 
 class InvariantViolation(AssertionError):
@@ -62,7 +62,7 @@ class InvariantOracle:
         cluster state; it never mutates it.
     enabled:
         Mirrors the ``verify_params["enabled"]`` config knob.  When
-        false the constructor does nothing and the runner does not
+        false the constructor does nothing and :func:`install` does not
         install it (``cluster.oracle`` stays ``None``).
     check_interval:
         Run the full state scan every N executed events (per-event work
@@ -459,3 +459,11 @@ class InvariantOracle:
             f"<InvariantOracle enabled={self.enabled} "
             f"events={self.events_seen} scans={self.scans_run}>"
         )
+
+
+def install(cluster: "ServiceCluster", **knobs) -> None:
+    """Install an :class:`InvariantOracle` of ``knobs`` as ``cluster.oracle``
+    (``enabled=False`` installs nothing)."""
+    oracle = InvariantOracle(cluster, **knobs)
+    if oracle.enabled:
+        cluster.install("oracle", oracle)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Request, ServerNode, ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.sim import Simulator
 
 
@@ -60,7 +61,7 @@ def make_overloaded_cluster(max_queue, n_requests=2000, seed=61, max_retries=3):
     mean_service = 0.01
     gaps = rng.exponential(mean_service / (4 * 1.3), n_requests)  # overload
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
+    assemble(cluster, gaps, services)
     return cluster
 
 

@@ -10,6 +10,8 @@ soft-state churn regression: a crash/recover cycle must never
 resurrect the publisher of a server the autoscaler has parked.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -18,26 +20,30 @@ from repro.cluster import (
     FailureInjector,
     ServiceCluster,
 )
-from repro.cluster.system import DEFAULT_SERVICE
+from repro.cluster.availability import DEFAULT_SERVICE
 from repro.core import RandomPolicy
+from repro.experiments.runner import assemble
 
 
 def build(autoscaler=None, n_servers=4, n_requests=200, load=0.5, seed=3,
-          mean_service=0.01, **kwargs):
+          mean_service=0.01, availability=None, **kwargs):
+    """A small cluster with the ``autoscaler`` policy and the
+    ``availability`` knobs (``None``: not installed) installed."""
     cluster = ServiceCluster(
-        n_servers=n_servers, policy=RandomPolicy(), seed=seed,
-        autoscaler=autoscaler, **kwargs
+        n_servers=n_servers, policy=RandomPolicy(), seed=seed, **kwargs
     )
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    installs = {"autoscaler": asdict(autoscaler)} if autoscaler is not None else {}
+    if availability is not None:
+        installs["availability"] = availability
+    return assemble(cluster, gaps, services, **installs)
 
 
 def availability_params(**overrides):
     values = dict(
-        availability=True, availability_refresh=0.02, availability_ttl=0.06,
+        availability={"refresh": 0.02, "ttl": 0.06},
         request_timeout=0.5, max_retries=3,
     )
     values.update(overrides)

@@ -165,27 +165,21 @@ def test_silenced_publisher_vanishes_from_all_clients_within_ttl():
     under message-level faults, not just clean crashes)."""
     from repro.cluster import ServiceCluster
     from repro.core import make_policy
+    from repro.experiments.runner import assemble
     from repro.net.message import MessageKind
 
     ttl = 0.3
-    cluster = ServiceCluster(
-        n_servers=4,
-        n_clients=3,
-        policy=make_policy("random"),
-        seed=11,
-        availability=True,
-        availability_refresh=0.05,
-        availability_ttl=ttl,
-    )
-    # Silence server 0's announcements only; everything else flows.
-    cluster.network.drop_filter = (
-        lambda m: m.kind is MessageKind.PUBLISH and m.src == 0
-    )
+    cluster = ServiceCluster(n_servers=4, n_clients=3, policy=make_policy("random"), seed=11)
     rng = np.random.default_rng(11)
     n = 2000
     gaps = rng.exponential(0.005 / (4 * 0.5), n)
     services = rng.exponential(0.005, n)
-    cluster.load_workload(gaps, services)
+    assemble(cluster, gaps, services, availability={"refresh": 0.05, "ttl": ttl})
+    # Silence server 0's announcements after the first round; everything
+    # else flows.
+    cluster.network.drop_filter = (
+        lambda m: m.kind is MessageKind.PUBLISH and m.src == 0
+    )
     observed = {}
 
     def snapshot(label):

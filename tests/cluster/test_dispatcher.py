@@ -9,6 +9,8 @@ per-dispatcher circuit breakers, and the dispatcher fault axis of the
 chaos injector.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -20,19 +22,23 @@ from repro.cluster import (
     ServiceCluster,
 )
 from repro.core import RandomPolicy
+from repro.experiments.runner import assemble
 
 
 def build(dispatcher=None, n_servers=4, n_requests=200, load=0.5, seed=3,
-          mean_service=0.01, **kwargs):
+          mean_service=0.01, availability=None, **kwargs):
+    """A small cluster with the ``dispatcher`` policy and the
+    ``availability`` knobs (``None``: not installed) installed."""
     cluster = ServiceCluster(
-        n_servers=n_servers, policy=RandomPolicy(), seed=seed,
-        dispatcher=dispatcher, **kwargs
+        n_servers=n_servers, policy=RandomPolicy(), seed=seed, **kwargs
     )
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    installs = {"dispatchers": asdict(dispatcher)} if dispatcher is not None else {}
+    if availability is not None:
+        installs["availability"] = availability
+    return assemble(cluster, gaps, services, **installs)
 
 
 def tier_policy(**overrides):
@@ -205,7 +211,7 @@ def test_view_lag_delays_dispatcher_availability_views():
         cluster = build(
             dispatcher=tier_policy(view_lag=view_lag),
             n_servers=4, n_requests=300, seed=seed,
-            availability=True, availability_refresh=0.02, availability_ttl=0.06,
+            availability={"refresh": 0.02, "ttl": 0.06},
             request_timeout=0.05, max_retries=8,
         )
         FailureInjector(cluster).schedule_crash(1, at=0.05)

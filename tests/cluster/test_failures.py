@@ -5,27 +5,19 @@ import pytest
 
 from repro.cluster import ChaosInjector, ChaosSpec, FailureInjector, ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.net.message import Message, MessageKind
 
 
 def build_cluster(policy, n_requests=2000, seed=7, **kwargs):
-    defaults = dict(
-        n_servers=4,
-        n_clients=2,
-        availability=True,
-        availability_refresh=0.05,
-        availability_ttl=0.15,
-        request_timeout=0.5,
-        max_retries=10,
-    )
+    defaults = dict(n_servers=4, n_clients=2, request_timeout=0.5, max_retries=10)
     defaults.update(kwargs)
     cluster = ServiceCluster(policy=policy, seed=seed, **defaults)
     rng = np.random.default_rng(seed)
     mean_service = 0.005
     gaps = rng.exponential(mean_service / (4 * 0.5), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(cluster, gaps, services, availability={"refresh": 0.05, "ttl": 0.15})
 
 
 def test_crash_marks_server_dead_and_drops_messages():

@@ -10,9 +10,12 @@ subsystem slot. These tests hold that shape:
   slots that are installed; every extension campaign installs some
   subsystem, and no cell of the paper's figures installs any;
 - ``system.py`` tests a subsystem slot for ``None`` only at the twelve
-  places where the lifecycle acts on what the subsystem returns;
-- no code outside ``install`` and the constructors assigns a subsystem
-  slot or a lifecycle point, so no hook is ever left unbound.
+  places where the lifecycle acts on what the subsystem returns, and
+  once where ``load_workload`` refuses an autoscaler without the
+  availability it actuates through;
+- no code outside the ``install`` functions and the constructors
+  assigns a subsystem slot or a lifecycle point, so no hook is ever left
+  unbound.
 """
 
 from __future__ import annotations
@@ -21,18 +24,19 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import cli
-from repro.cluster.reliability import ReliabilityPolicy
 from repro.cluster.system import LIFECYCLE_POINTS
 from repro.core import make_policy
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig
-from repro.experiments.runner import build_cluster
+from repro.experiments.runner import assemble, build_cluster
 from repro.experiments.scenario import BUILTIN_SCENARIOS, builtin_spec
 from repro.live.client import LiveCluster
 from repro.live.clock import WallClock
 from repro.telemetry import TelemetryCollector
+from repro.telemetry.collector import install as install_telemetry
 
 REPO = Path(__file__).resolve().parents[2]
 SLOTS = [row.attr for row in SUBSYSTEMS.values()]
@@ -61,7 +65,7 @@ EXPECTED = {
 #: (enclosing function, slot) of every subsystem-slot ``None`` test left
 #: in system.py: each acts on a value the subsystem returns (a candidate
 #: filter, a route, a reselect, a timeout, a backoff, a collision, a
-#: backhaul)
+#: backhaul), except the construction-time refusal in ``load_workload``
 DECISION_SITES = Counter({
     ("available_servers", "dispatchers"): 1,
     ("available_servers", "reliability"): 1,
@@ -71,7 +75,7 @@ DECISION_SITES = Counter({
     ("_safe_select", "dispatchers"): 1,
     ("reselect_later", "dispatchers"): 1,
     ("_retry", "reliability"): 2,
-    ("__init__", "dispatchers"): 1,
+    ("load_workload", "autoscaler"): 1,
     ("should_publish", "autoscaler"): 1,
     ("_deliver_request", "reliability"): 1,
     ("_on_server_complete", "dispatchers"): 1,
@@ -154,10 +158,12 @@ def test_a_loopback_live_cluster_binds_the_table():
         make_policy("random"),
         WallClock(),
         request_timeout=0.1,
-        reliability=ReliabilityPolicy(breaker_threshold=3),
     )
+    assert all(getattr(cluster, slot) is None for slot in SLOTS)
+    gaps = services = np.full(4, 0.01)
+    assemble(cluster, gaps, services, reliability={"breaker_threshold": 3})
     assert _subscribers(cluster) == _expected_for(cluster)
-    cluster.install("telemetry", TelemetryCollector(cluster))
+    install_telemetry(cluster)
     subscribers = _subscribers(cluster)
     assert subscribers == _expected_for(cluster)
     assert subscribers["terminal"][0] == ("telemetry", "on_terminal")
@@ -204,7 +210,9 @@ def test_system_py_tests_slots_only_at_decision_sites():
     assert _slot_guards(ast.parse(SYSTEM_PY.read_text())) == DECISION_SITES
 
 
-#: functions allowed to assign a subsystem slot or a lifecycle point
+#: functions allowed to assign a subsystem slot or a lifecycle point: the
+#: constructors, the lifecycle's own wiring, and ``install`` — the
+#: lifecycle's, and each subsystem module's that INSTALL_ORDER names
 _ASSIGNERS = {"__init__", "_init_lifecycle", "install", "_wire_points"}
 
 

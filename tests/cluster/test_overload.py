@@ -11,6 +11,7 @@ policy) is bit-identical to the pre-overload code paths.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,20 +24,28 @@ from repro.cluster import (
     ServiceCluster,
 )
 from repro.core import RandomPolicy
+from repro.experiments.runner import assemble
 from repro.net.message import MessageKind
 from repro.sim.calendar import make_simulator
 
 
 def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3,
-          mean_service=0.01, **kwargs):
+          mean_service=0.01, overload=None, reliability=None, **kwargs):
+    """A small cluster with the ``overload`` / ``reliability`` policies
+    (``None``: not installed) installed."""
     cluster = ServiceCluster(
         n_servers=n_servers, policy=policy or RandomPolicy(), seed=seed, **kwargs
     )
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(cluster, gaps, services, **installs(overload, reliability))
+
+
+def installs(overload, reliability):
+    """The install knobs of the policies given (``None``: left out)."""
+    given = {"overload": overload, "reliability": reliability}
+    return {slot: asdict(policy) for slot, policy in given.items() if policy is not None}
 
 
 def enabled_policy(**overrides):
@@ -427,15 +436,14 @@ def test_fully_saturated_cluster_fails_fast(engine, reliability):
     n_requests = 40
     cluster = ServiceCluster(
         n_servers=2, policy=RandomPolicy(), seed=7,
-        max_retries=3, server_max_queue=1,
-        overload=enabled_policy(sojourn_target=100.0),
-        reliability=reliability, engine=engine,
+        max_retries=3, server_max_queue=1, engine=engine,
     )
     # Two long jobs occupy both servers; the rest arrive into full
     # queues and must fail fast via NACKed retries.
     gaps = np.full(n_requests, 1e-5)
     services = np.full(n_requests, 5.0)
-    cluster.load_workload(gaps, services)
+    assemble(cluster, gaps, services,
+             **installs(enabled_policy(sojourn_target=100.0), reliability))
     metrics = cluster.run()
     assert int(metrics.failed.sum()) == n_requests - 2
     assert cluster.request_timeouts_fired == 0

@@ -14,27 +14,22 @@ import pytest
 from repro.cluster import ChaosInjector, FailureInjector, ServiceCluster
 from repro.core import make_policy
 from repro.core.least_connections import _COUNTS_KEY
+from repro.experiments.runner import assemble
 from repro.verify import InvariantOracle
 
 
-def build_cluster(policy, n_requests=1500, seed=11, load=0.9, **kwargs):
-    defaults = dict(
-        n_servers=4,
-        n_clients=2,
-        availability=True,
-        availability_refresh=0.05,
-        availability_ttl=0.15,
-        request_timeout=0.1,
-        max_retries=4,
-    )
+def build_cluster(policy, n_requests=1500, seed=11, load=0.9, installs=None, **kwargs):
+    """A soft-state cluster; ``installs`` maps further subsystem slots to
+    their knobs."""
+    defaults = dict(n_servers=4, n_clients=2, request_timeout=0.1, max_retries=4)
     defaults.update(kwargs)
     cluster = ServiceCluster(policy=policy, seed=seed, **defaults)
     rng = np.random.default_rng(seed)
     mean_service = 0.005
     gaps = rng.exponential(mean_service / (4 * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(cluster, gaps, services,
+                    availability={"refresh": 0.05, "ttl": 0.15}, **(installs or {}))
 
 
 def _assert_ledger_drained(cluster):
@@ -92,18 +87,16 @@ def test_least_connections_with_hedging_and_nacks():
     tiny server queues + hedging + loss, no interleaving may double
     release a charge (oracle scans every 2 events would catch it)."""
     from repro.cluster import ChaosSpec
-    from repro.cluster.overload import OverloadPolicy
-    from repro.cluster.reliability import ReliabilityPolicy
 
     cluster = build_cluster(
         make_policy("least_connections"),
         n_requests=1200,
         load=1.5,
         server_max_queue=2,
-        reliability=ReliabilityPolicy(
-            hedge_quantile=0.9, breaker_threshold=3
-        ),
-        overload=OverloadPolicy(sojourn_target=0.02, interval=0.05),
+        installs={
+            "reliability": {"hedge_quantile": 0.9, "breaker_threshold": 3},
+            "overload": {"sojourn_target": 0.02, "interval": 0.05},
+        },
     )
     oracle = InvariantOracle(cluster, check_interval=2)
     cluster.install("oracle", oracle)

@@ -26,10 +26,13 @@ from repro.cluster.reliability import BACKOFF_CAP, BACKOFF_JITTER
 from repro.core import RandomPolicy, make_policy
 from repro.experiments.chaos import hardened_reliability_params
 from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import assemble
 from repro.sim.rng import RngHub
 
 
-def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
+def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, reliability=None,
+          **kwargs):
+    """A small cluster; ``reliability`` is the knobs for its install."""
     cluster = ServiceCluster(
         n_servers=n_servers, policy=policy or RandomPolicy(), seed=seed, **kwargs
     )
@@ -37,8 +40,8 @@ def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
     mean_service = 0.01
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    installs = {} if reliability is None else {"reliability": reliability}
+    return assemble(cluster, gaps, services, **installs)
 
 
 # ----------------------------------------------------------------------
@@ -92,14 +95,14 @@ def test_each_mechanism_enables_the_policy(kwargs):
 
 
 def test_disabled_policy_installs_no_engine():
-    cluster = build(reliability=ReliabilityPolicy())
+    cluster = build(reliability={})
     assert cluster.reliability is None
-    cluster = build(reliability=None)
+    cluster = build(reliability={"hedge_quantile": None})
     assert cluster.reliability is None
 
 
 def test_enabled_policy_installs_engine():
-    cluster = build(reliability=ReliabilityPolicy(breaker_threshold=3))
+    cluster = build(reliability=dict(breaker_threshold=3))
     assert cluster.reliability is not None
     assert set(cluster.reliability.breakers) == set(range(cluster.n_servers))
 
@@ -109,7 +112,7 @@ def test_disabled_policy_is_bit_identical_to_no_policy():
     baseline = build(seed=17, n_requests=400, request_timeout=0.5, max_retries=3)
     disabled = build(
         seed=17, n_requests=400, request_timeout=0.5, max_retries=3,
-        reliability=ReliabilityPolicy(),
+        reliability={},
     )
     a = baseline.run()
     b = disabled.run()
@@ -173,7 +176,7 @@ def test_breaker_failures_while_open_do_not_extend_cooldown():
 
 
 def test_filter_candidates_ejects_open_breakers():
-    cluster = build(reliability=ReliabilityPolicy(breaker_threshold=1))
+    cluster = build(reliability=dict(breaker_threshold=1))
     engine = cluster.reliability
     engine.breakers[2].record_failure(0.0)
     assert list(engine.filter_candidates([0, 1, 2, 3])) == [0, 1, 3]
@@ -182,7 +185,7 @@ def test_filter_candidates_ejects_open_breakers():
 
 
 def test_filter_candidates_fails_open_when_all_open():
-    cluster = build(reliability=ReliabilityPolicy(breaker_threshold=1))
+    cluster = build(reliability=dict(breaker_threshold=1))
     engine = cluster.reliability
     for breaker in engine.breakers.values():
         breaker.record_failure(0.0)
@@ -209,7 +212,7 @@ def _request(cluster, index=0, arrival_time=0.0, retries=0):
 def test_attempt_timeout_splits_deadline_across_attempts():
     cluster = build(
         request_timeout=0.3, max_retries=4,
-        reliability=ReliabilityPolicy(deadline=1.0),
+        reliability=dict(deadline=1.0),
     )
     engine = cluster.reliability
     # First attempt at t=0: 1.0s budget over 5 attempts, capped by the
@@ -223,7 +226,7 @@ def test_attempt_timeout_splits_deadline_across_attempts():
 def test_attempt_timeout_without_flat_timeout():
     cluster = build(
         request_timeout=None, max_retries=4,
-        reliability=ReliabilityPolicy(deadline=1.0),
+        reliability=dict(deadline=1.0),
     )
     assert cluster.reliability.attempt_timeout(
         _request(cluster, retries=3)
@@ -231,7 +234,7 @@ def test_attempt_timeout_without_flat_timeout():
 
 
 def test_attempt_timeout_floor_when_budget_exhausted():
-    cluster = build(reliability=ReliabilityPolicy(deadline=0.5))
+    cluster = build(reliability=dict(deadline=0.5))
     # A request whose budget already ran out still gets a well-formed
     # (tiny) timer; the retry path then fails it fast.
     request = _request(cluster, arrival_time=-10.0)
@@ -239,7 +242,7 @@ def test_attempt_timeout_floor_when_budget_exhausted():
 
 
 def test_should_fail_fast_on_deadline():
-    cluster = build(reliability=ReliabilityPolicy(deadline=0.5))
+    cluster = build(reliability=dict(deadline=0.5))
     engine = cluster.reliability
     assert not engine.should_fail_fast(_request(cluster, arrival_time=0.0))
     assert engine.should_fail_fast(_request(cluster, arrival_time=-1.0))
@@ -248,7 +251,7 @@ def test_should_fail_fast_on_deadline():
 
 def test_retry_token_bucket_exhausts_and_refills():
     cluster = build(
-        reliability=ReliabilityPolicy(retry_budget=2)
+        reliability=dict(retry_budget=2)
     )
     engine = cluster.reliability
     client_id = cluster.clients[0].node_id
@@ -263,7 +266,7 @@ def test_retry_token_bucket_exhausts_and_refills():
 def test_retry_budget_is_per_client():
     cluster = build(
         n_clients=2,
-        reliability=ReliabilityPolicy(retry_budget=1),
+        reliability=dict(retry_budget=1),
     )
     engine = cluster.reliability
     a, b = (client.node_id for client in cluster.clients)
@@ -273,12 +276,12 @@ def test_retry_budget_is_per_client():
 
 
 def test_backoff_disabled_by_default():
-    cluster = build(reliability=ReliabilityPolicy(breaker_threshold=3))
+    cluster = build(reliability=dict(breaker_threshold=3))
     assert cluster.reliability.backoff_delay(_request(cluster, retries=5)) == 0.0
 
 
 def test_backoff_exponential_without_jitter():
-    cluster = build(seed=5, reliability=ReliabilityPolicy(backoff_base=0.01))
+    cluster = build(seed=5, reliability=dict(backoff_base=0.01))
     engine = cluster.reliability
     # the engine's jitter draws, replayed from the same named substream
     draws = RngHub(5).stream("reliability.backoff")
@@ -289,7 +292,7 @@ def test_backoff_exponential_without_jitter():
 
 
 def test_backoff_jitter_stays_in_equal_jitter_band():
-    cluster = build(reliability=ReliabilityPolicy(backoff_base=0.01))
+    cluster = build(reliability=dict(backoff_base=0.01))
     engine = cluster.reliability
     for _ in range(50):
         delay = engine.backoff_delay(_request(cluster, retries=1))
@@ -347,23 +350,21 @@ def _crash_cluster(reliability, seed=7, n_requests=1500, load=0.5):
         n_clients=2,
         policy=make_policy("random"),
         seed=seed,
-        availability=True,
-        availability_refresh=0.05,
-        availability_ttl=0.15,
         request_timeout=0.05,
         max_retries=20,
-        reliability=reliability,
     )
     rng = np.random.default_rng(seed)
     mean_service = 0.005
     gaps = rng.exponential(mean_service / (4 * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(
+        cluster, gaps, services, availability={"refresh": 0.05, "ttl": 0.15},
+        reliability=reliability,
+    )
 
 
 def test_breaker_trips_on_crashed_server():
-    cluster = _crash_cluster(ReliabilityPolicy(breaker_threshold=2))
+    cluster = _crash_cluster({"breaker_threshold": 2})
     FailureInjector(cluster).schedule_crash(1, at=0.2)
     metrics = cluster.run()
     engine = cluster.reliability
@@ -375,7 +376,7 @@ def test_breaker_trips_on_crashed_server():
 
 
 def test_server_loss_retries_counter():
-    cluster = _crash_cluster(None, load=0.9)
+    cluster = _crash_cluster({}, load=0.9)
     injector = ChaosInjector(cluster, spec=ChaosSpec())
     injector.schedule_crash(1, at=0.2)
     assert cluster.server_loss_retries == 0
@@ -386,8 +387,7 @@ def test_server_loss_retries_counter():
 
 
 def test_hedging_end_to_end_exactly_once():
-    policy = ReliabilityPolicy(hedge_quantile=0.5)
-    cluster = _crash_cluster(policy, n_requests=1200)
+    cluster = _crash_cluster({"hedge_quantile": 0.5}, n_requests=1200)
     ChaosInjector(cluster, spec=ChaosSpec(loss=0.08))
     metrics = cluster.run()
     engine = cluster.reliability
@@ -407,7 +407,7 @@ def test_hedged_run_is_deterministic():
     params = hardened_reliability_params()
     runs = []
     for _ in range(2):
-        cluster = _crash_cluster(ReliabilityPolicy(**params), n_requests=1000)
+        cluster = _crash_cluster(params, n_requests=1000)
         ChaosInjector(cluster, spec=ChaosSpec(loss=0.05, storms=1, storm_size=2))
         runs.append(cluster.run())
     assert np.array_equal(runs[0].response_time, runs[1].response_time)
@@ -415,8 +415,7 @@ def test_hedged_run_is_deterministic():
 
 
 def test_reliability_counters_surface_in_resilience_counters():
-    policy = ReliabilityPolicy(hedge_quantile=0.5)
-    cluster = _crash_cluster(policy, n_requests=800)
+    cluster = _crash_cluster({"hedge_quantile": 0.5}, n_requests=800)
     injector = ChaosInjector(cluster, spec=ChaosSpec(loss=0.05))
     metrics = cluster.run()
     counters = resilience_counters(injector, metrics)

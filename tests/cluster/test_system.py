@@ -10,11 +10,14 @@ from repro.cluster import (
     ServiceCluster,
 )
 from repro.core import IdealOracle, RandomPolicy, make_policy
+from repro.experiments.runner import assemble
 from repro.net import MessageKind, PAPER_NET
 from repro.sim.engine import SimulationError
 
 
-def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
+def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, installs=None,
+          **kwargs):
+    """A small cluster; ``installs`` maps subsystem slots to their knobs."""
     cluster = ServiceCluster(
         n_servers=n_servers, policy=policy or RandomPolicy(), seed=seed, **kwargs
     )
@@ -22,8 +25,7 @@ def build(policy=None, n_servers=4, n_requests=200, load=0.5, seed=3, **kwargs):
     mean_service = 0.01
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(cluster, gaps, services, **(installs or {}))
 
 
 def test_constructor_validation():
@@ -135,7 +137,7 @@ def test_ideal_beats_random_under_load():
 
 
 def test_availability_mode_provides_candidates():
-    cluster = build(availability=True, n_requests=200)
+    cluster = build(installs={"availability": {}}, n_requests=200)
     metrics = cluster.run()
     assert metrics.failed.sum() == 0
     client = cluster.clients[0]
@@ -184,7 +186,7 @@ def test_late_response_after_terminal_failure_is_ignored():
     )
     # Service times far beyond the timeout: every request times out,
     # fails terminally, and its response arrives long after.
-    cluster.load_workload(np.full(n, 0.001), np.full(n, 0.5))
+    assemble(cluster, np.full(n, 0.001), np.full(n, 0.5))
     counting = _install_counting_metrics(cluster)
     metrics = cluster.run()
     assert metrics.failed.all()
@@ -214,14 +216,13 @@ def test_crash_retry_race_records_single_outcome():
     request still produces exactly one terminal outcome."""
     cluster = ServiceCluster(
         n_servers=4, n_clients=2, policy=RandomPolicy(), seed=7,
-        availability=True, availability_refresh=0.05, availability_ttl=0.15,
         request_timeout=0.05, max_retries=20,
     )
     rng = np.random.default_rng(7)
     mean_service = 0.005
     gaps = rng.exponential(mean_service / (4 * 0.9), 1500)
     services = rng.exponential(mean_service, 1500)
-    cluster.load_workload(gaps, services)
+    assemble(cluster, gaps, services, availability={"refresh": 0.05, "ttl": 0.15})
     counting = _install_counting_metrics(cluster)
     injector = ChaosInjector(cluster, spec=ChaosSpec(duplicate=0.3))
     injector.schedule_crash(1, at=0.2)

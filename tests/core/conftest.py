@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ServiceCluster
+from repro.experiments.runner import assemble
 
 
 def build_cluster(policy, n_servers=8, n_clients=3, n_requests=2000, load=0.8,
@@ -15,8 +16,7 @@ def build_cluster(policy, n_servers=8, n_clients=3, n_requests=2000, load=0.8,
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(cluster, gaps, services)
 
 
 @pytest.fixture

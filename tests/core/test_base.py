@@ -62,10 +62,16 @@ def test_no_policy_copies_a_table_per_candidate():
 
 
 def test_double_bind_rejected():
+    """A policy binds to the first cluster that loads a workload with it."""
     policy = RandomPolicy()
-    ServiceCluster(n_servers=2, policy=policy)
+    gaps = services = np.full(10, 0.01)
+    first = ServiceCluster(n_servers=2, policy=policy)
+    first.load_workload(gaps, services)
+    first.load_workload(gaps, services)  # the same cluster: bound once
+    assert policy.ctx is first
+    second = ServiceCluster(n_servers=2, policy=policy)
     with pytest.raises(RuntimeError):
-        ServiceCluster(n_servers=2, policy=policy)
+        second.load_workload(gaps, services)
 
 
 def test_describe_default():

@@ -103,3 +103,25 @@ def test_every_server_polled_is_accepted_outside_that_combination():
                      n_servers=4)  # the default 10 ms deadline
     SimulationConfig(policy="polling", policy_params={**every, "discard_slow": False},
                      n_servers=4)
+
+
+@pytest.mark.parametrize("cluster_params", [{}, {"availability": False}])
+def test_a_view_lag_without_availability_is_refused(cluster_params):
+    """The lag delays soft-state updates into the dispatcher views; with
+    availability off there are none, so the run would equal the run
+    without it."""
+    with pytest.raises(
+        ValueError, match=r"dispatcher_params.view_lag=0.15 needs cluster_params.availability"
+    ):
+        SimulationConfig(
+            policy="random", cluster_params=cluster_params,
+            dispatcher_params={"count": 2, "view_lag": 0.15},
+        )
+
+
+def test_a_view_lag_with_availability_or_none_is_accepted():
+    SimulationConfig(
+        policy="random", cluster_params={"availability": True},
+        dispatcher_params={"count": 2, "view_lag": 0.15},
+    )
+    SimulationConfig(policy="random", dispatcher_params={"count": 2, "view_lag": 0.0})

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
-from repro.experiments import SimulationConfig, run_simulation
+from repro.experiments import SimulationConfig, assemble, run_simulation
 from repro.net import MessageKind, UniformLatency
 
 N_REQUESTS = 1500
@@ -29,8 +29,9 @@ def run_broadcast_cell(engine, per_recipient):
         value = cluster.network.latency_for(MessageKind.BROADCAST).value
         cluster.network.set_latency(MessageKind.BROADCAST, UniformLatency(value, value))
     rng = np.random.default_rng(5)
-    cluster.load_workload(
-        rng.exponential(0.01 / (12 * 0.9), N_REQUESTS), rng.exponential(0.01, N_REQUESTS)
+    assemble(
+        cluster,
+        rng.exponential(0.01 / (12 * 0.9), N_REQUESTS), rng.exponential(0.01, N_REQUESTS),
     )
     return cluster, policy, cluster.run()
 

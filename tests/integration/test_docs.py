@@ -70,6 +70,7 @@ def test_section3_experiment():
 def test_section4_cluster_control():
     from repro.cluster import FailureInjector, ServiceCluster
     from repro.core import make_policy
+    from repro.experiments import assemble
     from repro.sim import RngHub
 
     hub = RngHub(7)
@@ -78,9 +79,10 @@ def test_section4_cluster_control():
     cluster = ServiceCluster(
         n_servers=4,
         policy=make_policy("polling", poll_size=2, discard_slow=True),
-        seed=3, availability=True, request_timeout=1.0,
+        seed=3, request_timeout=1.0,
     )
-    cluster.load_workload(workload_gaps, services)
+    assemble(cluster, workload_gaps, services, availability={"ttl": 3.0})
+    assert cluster.availability_enabled
     injector = FailureInjector(cluster)
     injector.schedule_crash(1, at=2.0)
     injector.schedule_recovery(1, at=6.0)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.net import MessageKind
 
 
@@ -21,8 +22,7 @@ def run(policy, n_requests=1200, seed=71, n_servers=6, n_clients=3, load=0.8):
     mean_service = 0.01
     gaps = rng.exponential(mean_service / (n_servers * load), n_requests)
     services = rng.exponential(mean_service, n_requests)
-    cluster.load_workload(gaps, services)
-    cluster.run()
+    assemble(cluster, gaps, services).run()
     return cluster
 
 
@@ -67,14 +67,11 @@ def test_broadcast_fanout_identity():
 
 def test_availability_publish_fanout():
     policy = make_policy("random")
-    cluster = ServiceCluster(
-        n_servers=4, policy=policy, seed=3, n_clients=2,
-        availability=True, availability_refresh=0.05,
-    )
+    cluster = ServiceCluster(n_servers=4, policy=policy, seed=3, n_clients=2)
     rng = np.random.default_rng(3)
     gaps = rng.exponential(0.002, 800)
     services = rng.exponential(0.004, 800)
-    cluster.load_workload(gaps, services)
+    assemble(cluster, gaps, services, availability={"refresh": 0.05})
     cluster.run()
     counts = cluster.network.message_counts
     publishes = counts[MessageKind.PUBLISH]

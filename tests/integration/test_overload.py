@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster import OverloadPolicy, ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.experiments.overload import (
     overload_cluster_params,
     overload_control_params,
@@ -31,6 +32,7 @@ MEAN_SERVICE = 0.05  # the mmpp_exp default (POISSON_EXP_MEAN_SERVICE)
 
 
 def run_leg(overload, seed):
+    """One leg; ``overload`` is the overload knobs (``None``: static bound only)."""
     hub = RngHub(seed)
     workload = make_workload("mmpp_exp")
     gaps, services = workload.generate(hub.stream("workload"), N_REQUESTS)
@@ -38,17 +40,20 @@ def run_leg(overload, seed):
     # servers — identically for both legs (same substream, same scale).
     gaps = gaps * ((MEAN_SERVICE / (N_SERVERS * OFFERED_LOAD)) / float(gaps.mean()))
     params = overload_cluster_params()
+    assert params["availability"]
     cluster = ServiceCluster(
         N_SERVERS, make_policy("random"), seed=seed,
-        availability=params["availability"],
-        availability_refresh=params["availability_refresh"],
-        availability_ttl=params["availability_ttl"],
         request_timeout=params["request_timeout"],
         max_retries=params["max_retries"],
         server_max_queue=params["server_max_queue"],
-        overload=overload,
     )
-    cluster.load_workload(gaps, services)
+    installs = {"overload": overload} if overload is not None else {}
+    assemble(
+        cluster, gaps, services,
+        availability={"refresh": params["availability_refresh"],
+                      "ttl": params["availability_ttl"]},
+        **installs,
+    )
     metrics = cluster.run()
     responses = metrics.response_time[np.isfinite(metrics.response_time)]
     return {
@@ -65,7 +70,7 @@ def run_leg(overload, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_adaptive_beats_static_at_twice_capacity(seed):
     static = run_leg(None, seed)
-    adaptive = run_leg(OverloadPolicy(**overload_control_params()), seed)
+    adaptive = run_leg(overload_control_params(), seed)
     counters = adaptive["cluster"].overload_counters()
     # The mechanisms actually engaged.
     assert counters["requests_shed"] > 0
@@ -88,7 +93,7 @@ def test_identical_arrival_schedules_across_modes():
     """Both legs must see the same offered work — otherwise the
     comparison above proves nothing."""
     static = run_leg(None, seed=0)
-    adaptive = run_leg(OverloadPolicy(**overload_control_params()), seed=0)
+    adaptive = run_leg(overload_control_params(), seed=0)
     np.testing.assert_array_equal(static["arrivals"], adaptive["arrivals"])
     # The static leg never sheds, NACKs, or withdraws.
     assert static["cluster"].overload_counters() == {

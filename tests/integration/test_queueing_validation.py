@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import mm1_mean_response_time, supermarket_mean_response_time
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.net import PAPER_NET
 from tests.analysis.queueing import mg1_mean_response_time
 
@@ -31,8 +32,7 @@ def run_cluster(policy, n_servers, load, n_requests, seed, service_cv=1.0,
         services = lognormal_from_moments(mean_service, service_cv * mean_service).sample(
             rng, n_requests
         )
-    cluster.load_workload(gaps, services)
-    metrics = cluster.run()
+    metrics = assemble(cluster, gaps, services).run()
     mask = metrics.measurement_slice(0.2)
     mean_response = float(metrics.response_time[mask].mean())
     return mean_response - PAPER_NET.request_response_total  # strip network

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    ChaosInjector,
-    ChaosSpec,
     ReliabilityPolicy,
     ServiceCluster,
 )
 from repro.core import make_policy
 from repro.experiments.chaos import hardened_reliability_params
+from repro.experiments.runner import assemble
 from repro.sim.rng import RngHub
 from repro.workload import make_workload
 
@@ -30,19 +29,20 @@ CHAOS = dict(
 
 
 def run_leg(reliability, seed):
+    """One leg; ``reliability`` is the reliability knobs (``None``: naive)."""
     hub = RngHub(seed)
     workload = make_workload("poisson_exp", mean_service=0.005)
     gaps, services = workload.generate(hub.stream("workload"), 4_000)
     # Rescale arrivals to 80% offered load on 8 unit-speed servers.
     gaps = gaps * ((0.005 / (8 * 0.8)) / float(gaps.mean()))
     cluster = ServiceCluster(
-        8, make_policy("random"), seed=seed,
-        request_timeout=0.25, max_retries=4,
-        availability=True, availability_refresh=0.2, availability_ttl=0.6,
-        reliability=reliability,
+        8, make_policy("random"), seed=seed, request_timeout=0.25, max_retries=4,
     )
-    cluster.load_workload(gaps, services)
-    cluster.install("chaos", ChaosInjector(cluster, spec=ChaosSpec(**CHAOS)))
+    installs = {"reliability": reliability} if reliability is not None else {}
+    assemble(
+        cluster, gaps, services, availability={"refresh": 0.2, "ttl": 0.6},
+        chaos=CHAOS, **installs,
+    )
     metrics = cluster.run()
     summary = metrics.summary()
     return {
@@ -56,7 +56,7 @@ def run_leg(reliability, seed):
 @pytest.mark.parametrize("seed", [3, 23])
 def test_hardened_beats_naive_under_identical_faults(seed):
     naive = run_leg(None, seed)
-    hardened = run_leg(ReliabilityPolicy(**hardened_reliability_params()), seed)
+    hardened = run_leg(hardened_reliability_params(), seed)
     engine = hardened["cluster"].reliability
     # The mechanisms actually engaged.
     assert engine.hedges_launched > 0
@@ -78,7 +78,7 @@ def test_identical_fault_schedules_across_modes():
     """Both legs must see the same injected fault events — otherwise the
     comparison above proves nothing."""
     naive = run_leg(None, seed=3)
-    hardened = run_leg(ReliabilityPolicy(**hardened_reliability_params()), seed=3)
+    hardened = run_leg(hardened_reliability_params(), seed=3)
     assert naive["cluster"].chaos.events == hardened["cluster"].chaos.events
     assert naive["cluster"].chaos.crash_log == hardened["cluster"].chaos.crash_log
 

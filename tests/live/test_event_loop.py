@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_policy
+from repro.experiments.runner import assemble
 from repro.live import clock as clock_module
 from repro.live.client import LiveCluster
 from repro.live.server import LiveServer
@@ -189,7 +190,7 @@ def test_a_dropped_client_send_is_counted_by_kind(clock, monkeypatch, error):
     cluster = LiveCluster(
         {0: server.address}, make_policy("random"), clock, request_timeout=0.05, max_retries=2
     )
-    cluster.load_workload(np.full(1, 0.001), np.full(1, 0.001))
+    assemble(cluster, np.full(1, 0.001), np.full(1, 0.001))
     _fail_once(monkeypatch, "sendto", error)  # the first REQUEST
     metrics = cluster.run(5.0)
     assert cluster.network.dropped_counts == {MessageKind.REQUEST: 1}

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.cluster.system import ClusterMetrics
 from repro.core.registry import make_policy
+from repro.experiments.runner import assemble
 from repro.live.client import LiveCluster
 from repro.live.faults import LoopbackFaults
 from repro.live.server import LiveServer
@@ -45,7 +46,7 @@ def _loopback(clock, n_servers, server_kwargs=None, cluster_kwargs=None,
         n_clients=2,
         **(cluster_kwargs or {}),
     )
-    cluster.load_workload(np.full(n_requests, gap), np.full(n_requests, service))
+    assemble(cluster, np.full(n_requests, gap), np.full(n_requests, service))
     cluster.metrics = CountingMetrics(n_requests)
     return servers, cluster
 

@@ -10,12 +10,15 @@ dispatcher tier — two things must hold:
 2. the active pool never leaves the policy's [min, max] bounds.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import AutoscalerPolicy, DispatcherPolicy, ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 
 scaling_strategy = st.builds(
     AutoscalerPolicy,
@@ -58,19 +61,18 @@ def test_scaling_conserves_requests_and_respects_bounds(
         n_clients=2,
         policy=make_policy("random"),
         seed=seed,
-        availability=True,
-        availability_refresh=0.05,
-        availability_ttl=0.15,
         request_timeout=0.2,
         max_retries=10,
-        autoscaler=scaling,
-        dispatcher=dispatcher,
     )
     rng = np.random.default_rng(seed)
     mean_service = 0.005
     gaps = rng.exponential(mean_service / (4 * load), n)
     services = rng.exponential(mean_service, n) + 1e-9
-    cluster.load_workload(gaps, services)
+    installs = {"dispatchers": asdict(dispatcher)} if dispatcher is not None else {}
+    assemble(
+        cluster, gaps, services, autoscaler=asdict(scaling),
+        availability={"refresh": 0.05, "ttl": 0.15}, **installs,
+    )
 
     lo = scaling.min_servers
     hi = scaling.max_servers or 4

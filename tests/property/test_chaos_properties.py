@@ -18,10 +18,10 @@ from repro.cluster import (
     ChaosInjector,
     ChaosSpec,
     ClusterMetrics,
-    ReliabilityPolicy,
     ServiceCluster,
 )
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 
 policy_strategy = st.sampled_from(
     [
@@ -51,18 +51,15 @@ def run_chaos_cluster(policy, spec, seed, n=120, reliability=None):
         n_clients=2,
         policy=make_policy(name, **params),
         seed=seed,
-        availability=True,
-        availability_refresh=0.05,
-        availability_ttl=0.15,
         request_timeout=0.2,
         max_retries=60,
-        reliability=reliability,
     )
     rng = np.random.default_rng(seed)
     mean_service = 0.005
     gaps = rng.exponential(mean_service / (4 * 0.6), n)
     services = rng.exponential(mean_service, n) + 1e-9
-    cluster.load_workload(gaps, services)
+    installs = {} if reliability is None else {"reliability": reliability}
+    assemble(cluster, gaps, services, availability={"refresh": 0.05, "ttl": 0.15}, **installs)
     injector = ChaosInjector(cluster, spec=spec)
     return cluster, injector
 
@@ -127,13 +124,11 @@ def test_duplicated_deliveries_never_duplicate_completions(policy, seed):
 reliability_strategy = st.sampled_from(
     [
         # hedging + breakers (the canonical hardened combination)
-        ReliabilityPolicy(
-            hedge_quantile=0.9, breaker_threshold=4, breaker_cooldown=0.3,
-        ),
+        dict(hedge_quantile=0.9, breaker_threshold=4, breaker_cooldown=0.3),
         # deadline budget + jittered backoff + retry budget
-        ReliabilityPolicy(deadline=1.5, backoff_base=0.002, retry_budget=100),
+        dict(deadline=1.5, backoff_base=0.002, retry_budget=100),
         # everything at once
-        ReliabilityPolicy(
+        dict(
             deadline=2.0, backoff_base=0.001, retry_budget=200,
             hedge_quantile=0.8, breaker_threshold=3, breaker_cooldown=0.2,
         ),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.net import PAPER_NET
 
 policy_strategy = st.sampled_from(
@@ -43,8 +44,7 @@ def test_every_policy_completes_all_requests(policy, n_servers, n_clients, load,
     mean_service = 0.01
     gaps = rng.exponential(mean_service / (n_servers * load), n)
     services = rng.exponential(mean_service, n) + 1e-9
-    cluster.load_workload(gaps, services)
-    metrics = cluster.run()
+    metrics = assemble(cluster, gaps, services).run()
 
     # Invariant 1: conservation — every request completes exactly once.
     assert np.isfinite(metrics.response_time).all()

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
 from repro.experiments import SimulationConfig
-from repro.experiments.runner import _resolve_nominal_rho
+from repro.experiments.runner import _resolve_nominal_rho, assemble
 from repro.net.latency import PAPER_NET
 from repro.prototype import PrototypeOverheadModel, calibrate_full_load
 from repro.prototype.calibration import _single_server_responses
@@ -81,8 +81,7 @@ def test_recursion_is_byte_equal_to_a_one_server_prototype_cluster(name, engine)
             n_servers=1, policy=make_policy("random"), seed=3, n_clients=1,
             constants=PAPER_NET, overhead=overhead, engine=engine,
         )
-        cluster.load_workload(scaled, services)
-        simulated = cluster.run().response_time
+        simulated = assemble(cluster, scaled, services).run().response_time
         recursion = _single_server_responses(
             scaled, services + overhead.request_cpu_overhead, PAPER_NET.request_one_way
         )

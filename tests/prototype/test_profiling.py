@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import ServiceCluster
 from repro.core import make_policy
+from repro.experiments.runner import assemble
 from repro.prototype import PrototypeOverheadModel, profile_poll_delays
 
 
@@ -19,8 +20,7 @@ def build(load=0.9, n_requests=2500, seed=3, poll_size=3):
     mean_service = 0.0222
     gaps = rng.exponential(mean_service / (8 * load), n_requests)
     services = np.full(n_requests, mean_service)
-    cluster.load_workload(gaps, services)
-    return cluster
+    return assemble(cluster, gaps, services)
 
 
 def test_profile_counts_every_poll():
