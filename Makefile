@@ -97,15 +97,20 @@ suite-smoke:
 	$(PYTHON) -m pytest benchmarks/suite/test_suite.py -q
 
 # The ritual every perf claim rests on (ROADMAP, choosing-metrics §8):
-# N alternating parent/change runs of one suite workload from two
+# N alternating parent/change runs of a suite workload from two
 # sibling scratch trees, each pair checked for correct / failed /
-# sim_fingerprint, then per-metric medians, quartiles and wins.
-#   make bench-pairs W=broadcast_fanout PARENT=../parent CHANGE=../change [N=10 SEED=0 SECONDS=10]
+# sim_fingerprint, then per-metric medians, quartiles and wins. W may
+# name several workloads: benchmarks/pairs.py runs once per workload,
+# and the target exits non-zero if any run fails or is over bound.
+#   make bench-pairs W="exact_core hardened_stack" PARENT=../parent CHANGE=../change [N=10 SEED=0 SECONDS=10]
 N ?= 10
 SEED ?= 0
 SECONDS ?= 10
 bench-pairs:
-	$(PYTHON) benchmarks/pairs.py $(W) $(PARENT) $(CHANGE) $(N) $(SEED) $(SECONDS)
+	@test -n "$(W)" || { echo "bench-pairs: set W to one or more workloads"; exit 2; }
+	@status=0; for w in $(W); do \
+		$(PYTHON) benchmarks/pairs.py $$w $(PARENT) $(CHANGE) $(N) $(SEED) $(SECONDS) || status=1; \
+	done; exit $$status
 
 examples:
 	$(PYTHON) examples/quickstart.py

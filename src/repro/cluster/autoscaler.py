@@ -20,8 +20,8 @@ Shape mirrors the other opt-in subsystems exactly:
 - :class:`AutoscalerPolicy` — frozen, JSON-native value object carried
   by ``SimulationConfig.autoscaler_params`` (cache-key aware);
 - :class:`Autoscaler` — the runtime control loop, installed as
-  ``cluster.autoscaler`` by :func:`install` (``None`` when off — the
-  usual guard).
+  ``cluster.autoscaler`` by :func:`install` (``None`` when off); its
+  :meth:`~Autoscaler.is_active` subscribes to the ``publish`` point.
 
 The control law (DESIGN.md §16) is deliberately simple and **draws no
 randomness** (the tick schedule is deterministic, so enabled runs stay

@@ -19,12 +19,13 @@ service/partition mapping table."
 :func:`install` adds it to a built cluster: a table per selector view
 and a publisher per server. Neptune's own (§1), it is not one of the
 seven optional slots: it fills the cluster's ``mapping_tables`` and
-``publishers`` and sets ``availability_enabled``.
+``publishers``, sets ``availability_enabled`` and rebinds the
+lifecycle's membership to :func:`soft_state_members`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -36,7 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.system import ServiceCluster
 
 __all__ = [
-    "DEFAULT_SERVICE", "AvailabilityChannel", "ServicePublisher", "ServiceMappingTable", "install",
+    "DEFAULT_SERVICE", "AvailabilityChannel", "ServicePublisher", "ServiceMappingTable",
+    "soft_state_members", "install",
 ]
 
 #: service name used when the availability subsystem is enabled with the
@@ -150,6 +152,16 @@ class ServiceMappingTable:
         return sorted(node for node, seen in entry.items() if seen >= deadline)
 
 
+def soft_state_members(tables: dict[int, ServiceMappingTable]) -> Callable:
+    """The lifecycle's membership (its ``_members``) over soft state:
+    the live replicas of the default service in the selector's table
+    (``tables``: selector node id -> table), whatever the static pool."""
+
+    def members(selector, _static: list[int]) -> list[int]:
+        return tables[selector.node_id].available(DEFAULT_SERVICE, 0)
+
+    return members
+
 
 def install(cluster: "ServiceCluster", refresh: float = 1.0, ttl: float = 3.0) -> None:
     """Run soft-state availability on ``cluster``: servers publish every
@@ -204,5 +216,6 @@ def install(cluster: "ServiceCluster", refresh: float = 1.0, ttl: float = 3.0) -
         if cluster.should_publish(server.node_id):
             publisher.start()
     cluster.availability_enabled = True
+    cluster.rebind(_members=soft_state_members(cluster.mapping_tables))
     if cluster.autoscaler is not None:
         cluster.autoscaler.start()

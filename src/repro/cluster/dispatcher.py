@@ -12,8 +12,10 @@ overload layers exactly:
 - :class:`DispatcherTier` / :class:`Dispatcher` — the runtime, installed
   as ``cluster.dispatchers`` by :func:`install` (``None`` when the
   subsystem is off). The tier hears of lifecycle steps as a subscriber of the
-  cluster's ``terminal``, ``reject`` and ``timeout`` points; the
-  cluster asks it for routes, views and backhauls where it decides.
+  cluster's ``candidates``, ``terminal``, ``reject`` and ``timeout``
+  points; :func:`install` rebinds the lifecycle's select step, reselect,
+  selector agents and ``selector_for`` to the tier and every server's
+  ``on_complete`` to its backhaul.
 
 Topology and lifecycle (DESIGN.md §16):
 
@@ -54,11 +56,7 @@ node ids enter the injector's shared ``dead`` set so in-flight messages
 are swallowed by the same ``NetworkFaults`` gate that handles server
 crashes.
 
-Everything is **off by default**: a cluster built without a
-:class:`DispatcherPolicy` (or with the all-default policy) takes
-exactly the pre-existing code paths — no extra nodes, no extra
-messages, no RNG draws — so paper-reproduction runs stay
-bit-identical.
+A disabled policy installs nothing: no extra node, message or RNG draw.
 """
 
 from __future__ import annotations
@@ -226,7 +224,8 @@ class DispatcherTier:
     """Runtime for one cluster's :class:`DispatcherPolicy`.
 
     Installed as ``cluster.dispatchers`` by :func:`install` (``None`` when
-    the tier is off). The cluster routes through :meth:`route`; :meth:`on_terminal`,
+    the tier is off), which rebinds the cluster's select step to
+    :meth:`route`; :meth:`filter_view`, :meth:`on_terminal`,
     :meth:`on_server_reject` and :meth:`on_attempt_timeout` subscribe to
     its lifecycle points; message deliveries land on the ``_deliver_*``
     handlers.
@@ -286,7 +285,7 @@ class DispatcherTier:
     def route(self, client: ClientNode, request: "Request") -> None:
         """Forward a (re-)selection to the client's assigned dispatcher.
 
-        Called by the cluster in place of running the policy at the
+        The cluster's select step in place of running the policy at the
         client. The attempt timeout armed by ``_safe_select`` covers the
         forward hop, the dispatcher-side selection, and the dispatch —
         a forward swallowed by a dead/partitioned dispatcher recovers
@@ -297,13 +296,8 @@ class DispatcherTier:
         index = self._pick(client.node_id)
         dispatcher = self.dispatchers[index]
         request.dispatcher_id = index
-        self.cluster.network.send(
-            MessageKind.FORWARD,
-            client.node_id,
-            dispatcher.node_id,
-            (request, request.retries),
-            self._deliver_forward,
-        )
+        self.cluster.network.send(MessageKind.FORWARD, client.node_id, dispatcher.node_id,
+                                  (request, request.retries), self._deliver_forward)
 
     def _deliver_forward(self, message: Message) -> None:
         request, attempt = message.payload
@@ -326,30 +320,13 @@ class DispatcherTier:
             dispatcher.sheds += 1
             self.rejects_sent += 1
             self._mark_suspect(request.client_id, dispatcher.index)
-            self.cluster.network.send(
-                MessageKind.REJECT,
-                dispatcher.node_id,
-                request.client_id,
-                (request, attempt, dispatcher.index),
-                self._deliver_tier_reject,
-            )
+            self.cluster.network.send(MessageKind.REJECT, dispatcher.node_id, request.client_id,
+                                      (request, attempt, dispatcher.index),
+                                      self._deliver_tier_reject)
             return
         dispatcher.forwards += 1
         self._acquire(dispatcher, request)
-        self._select_at(dispatcher, request)
-
-    def _select_at(self, dispatcher: Dispatcher, request: "Request") -> None:
-        """Run the cluster's policy at the dispatcher's agent/view."""
-        from repro.core.base import NoCandidatesError
-
-        cluster = self.cluster
-        cluster._selecting_request = request  # noqa: SLF001 - lifecycle hook
-        try:
-            cluster.policy.select(dispatcher.agent, request)
-        except NoCandidatesError:
-            self.reselect_later(dispatcher.agent, request)
-        finally:
-            cluster._selecting_request = None  # noqa: SLF001
+        self.cluster.run_policy(dispatcher.agent, request)
 
     def reselect_later(self, agent: ClientNode, request: "Request") -> None:
         """The dispatcher's whole view expired (mass failure / fresh
@@ -371,7 +348,7 @@ class DispatcherTier:
         dispatcher = self.dispatchers[index]
         if not dispatcher.alive:
             return
-        self._select_at(dispatcher, request)
+        self.cluster.run_policy(dispatcher.agent, request)
 
     def _deliver_tier_reject(self, message: Message) -> None:
         request, attempt, index = message.payload
@@ -379,11 +356,8 @@ class DispatcherTier:
             self.stale_rejects += 1
             return
         self._mark_suspect(request.client_id, index)
-        cluster = self.cluster
-        handle = cluster._timeout_handles.pop(request.index, None)  # noqa: SLF001
-        if handle is not None:
-            cluster.sim.cancel(handle)
-        cluster._retry(request)  # noqa: SLF001 - lifecycle hook
+        self.cluster._cancel_attempt_timeout(request)  # noqa: SLF001 - lifecycle hook
+        self.cluster._retry(request)  # noqa: SLF001
 
     # ------------------------------------------------------------------
     # in-flight accounting (exactly-once acquire/release)
@@ -413,14 +387,19 @@ class DispatcherTier:
     # ------------------------------------------------------------------
     # response backhaul
     # ------------------------------------------------------------------
-    def backhaul_target(self, request: "Request") -> Optional[Dispatcher]:
-        """The dispatcher a server response should return through
-        (``None`` for requests that never routed through the tier,
-        e.g. hedge clones dispatched directly by the client)."""
+    def backhaul(self, server, request: "Request") -> None:
+        """Every server's ``on_complete`` under the tier: a tier-routed
+        response returns through its dispatcher so it observes the
+        completion (admission/breaker signals); a dead dispatcher loses
+        the response and the client's attempt timeout recovers. Hedge
+        clones (``dispatcher_id == -1``) keep the direct server→client
+        path."""
         index = request.dispatcher_id
         if index < 0:
-            return None
-        return self.dispatchers[index]
+            self.cluster._on_server_complete(server, request)  # noqa: SLF001
+            return
+        self.cluster.network.send(MessageKind.RESPONSE, server.node_id,
+                                  self.dispatchers[index].node_id, request, self._deliver_backhaul)
 
     def _deliver_backhaul(self, message: Message) -> None:
         request: "Request" = message.payload
@@ -437,13 +416,8 @@ class DispatcherTier:
             )
         if dispatcher.breakers and request.server_id >= 0:
             dispatcher.breakers[request.server_id].record_success(self.cluster.sim.now)
-        self.cluster.network.send(
-            MessageKind.RESPONSE,
-            dispatcher.node_id,
-            request.client_id,
-            request,
-            self.cluster._deliver_response,  # noqa: SLF001 - lifecycle hook
-        )
+        self.cluster.network.send(MessageKind.RESPONSE, dispatcher.node_id, request.client_id,
+                                  request, self.cluster._deliver_response)  # noqa: SLF001
 
     # ------------------------------------------------------------------
     # failure signals
@@ -470,23 +444,27 @@ class DispatcherTier:
         if dispatcher.breakers:
             dispatcher.breakers[server_id].record_failure(self.cluster.sim.now)
 
-    def filter_view(self, node_id: int, members: Sequence[int]) -> Sequence[int]:
-        """Apply the owning dispatcher's per-server breakers to a
+    def filter_view(self, selector: ClientNode, members: Sequence[int]) -> Sequence[int]:
+        """Apply the selecting dispatcher's per-server breakers to a
         candidate set (identity for non-dispatcher selectors). Fails
         open like :meth:`ReliabilityEngine.filter_candidates`."""
-        dispatcher = self._by_node.get(node_id)
+        dispatcher = self._by_node.get(selector.node_id)
         if dispatcher is None or not dispatcher.breakers:
             return members
         now = self.cluster.sim.now
         allowed = [s for s in members if dispatcher.breakers[s].allows(now)]
         return allowed if allowed else members
 
-    def selector_agent(self, request: "Request") -> Optional[ClientNode]:
-        """The dispatcher agent that handled ``request`` (``None`` when
-        it never routed through the tier)."""
+    def agents(self) -> list[ClientNode]:
+        """The selector agents: one per dispatcher."""
+        return [d.agent for d in self.dispatchers]
+
+    def selector_for(self, request: "Request") -> ClientNode:
+        """The dispatcher agent that handled ``request``, or its client
+        when it never routed through the tier."""
         index = request.dispatcher_id
         if index < 0:
-            return None
+            return self.cluster.client_for(request)
         return self.dispatchers[index].agent
 
     # ------------------------------------------------------------------
@@ -515,13 +493,20 @@ class DispatcherTier:
         return (
             f"<DispatcherTier k={len(self.dispatchers)} "
             f"assignment={self.policy.assignment} "
-            f"inflight={self.inflight_total()}>"
+            f"inflight={sum(d.inflight for d in self.dispatchers)}>"
         )
 
 
 def install(cluster: "ServiceCluster", **knobs) -> None:
     """Install a :class:`DispatcherTier` of ``knobs`` as ``cluster.dispatchers``
-    (a disabled policy installs nothing)."""
+    (a disabled policy installs nothing): selection, reselection and
+    responses go through the tier from then on."""
     policy = DispatcherPolicy(**knobs)
-    if policy.enabled:
-        cluster.install("dispatchers", DispatcherTier(cluster, policy))
+    if not policy.enabled:
+        return
+    tier = DispatcherTier(cluster, policy)
+    cluster.rebind(_select=tier.route, reselect_later=tier.reselect_later,
+                   selector_for=tier.selector_for, _selector_agents=tier.agents)
+    for server in cluster.servers:
+        server.on_complete = tier.backhaul
+    cluster.install("dispatchers", tier)

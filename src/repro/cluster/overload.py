@@ -15,7 +15,7 @@ mirrors that module's shape exactly:
   per-:class:`~repro.cluster.server.ServerNode` (``server.overload``,
   ``None`` when the subsystem is off: ``ServerNode.enqueue`` asks it
   only when it is there). :func:`install` gives every server one and
-  installs the policy as ``cluster.overload``.
+  installs an :class:`OverloadControl` as ``cluster.overload``.
 
 Mechanisms (DESIGN.md §12):
 
@@ -36,10 +36,7 @@ Mechanisms (DESIGN.md §12):
   soft-state availability channel (broadcast/polling clients route
   around it as the TTL ages out its entry) and republishes on recovery.
 
-Everything is **off by default**: a cluster built without an
-:class:`OverloadPolicy` (or with the all-default policy) takes exactly
-the pre-existing code paths — no controller, no extra messages, no RNG
-draws — so paper-reproduction runs stay bit-identical.
+A disabled policy installs nothing: no controller, message or RNG draw.
 """
 
 from __future__ import annotations
@@ -50,12 +47,15 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from repro.net.message import MessageKind
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.request import Request
+    from repro.cluster.server import ServerNode
     from repro.cluster.system import ServiceCluster
     from repro.sim.engine import Simulator
 
-__all__ = ["OverloadPolicy", "OverloadController", "install"]
+__all__ = ["OverloadPolicy", "OverloadController", "OverloadControl", "install"]
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,46 @@ class OverloadController:
         )
 
 
+class OverloadControl:
+    """One cluster's overload subsystem, installed as ``cluster.overload``:
+    the ``publish`` subscriber over every server's controller, and what
+    :func:`install` rebinds the lifecycle's refusal and counters to."""
+
+    def __init__(self, cluster: "ServiceCluster"):
+        self.cluster = cluster
+
+    def publishes(self, node_id: int) -> bool:
+        """An overload-withdrawn server re-advertises only through its
+        controller's own rejoin."""
+        return not self.cluster.servers[node_id].overload.withdrawn
+
+    def nack(self, server: "ServerNode", request: "Request") -> None:
+        """Fast-reject NACK: tell the client now, over the wire, instead
+        of letting it burn its timeout budget. The attempt timeout stays
+        armed — it is the loss-recovery path for a NACK the network eats."""
+        cluster = self.cluster
+        cluster.rejects_sent += 1
+        cluster.network.send(MessageKind.REJECT, server.node_id, request.client_id,
+                             (request, request.retries), cluster._deliver_reject)  # noqa: SLF001
+
+    def counters(self) -> dict[str, float]:
+        """``requests_rejected`` plus the controllers' summed tallies and
+        the NACK counters (``cluster.overload_counters`` once installed)."""
+        cluster = self.cluster
+        tallies = [server.overload.counters() for server in cluster.servers]
+        return {
+            "requests_rejected": float(sum(server.rejected_count for server in cluster.servers)),
+            **{name: float(sum(t[name] for t in tallies)) for name in tallies[0]},
+            "rejects_sent": float(cluster.rejects_sent),
+            "stale_rejects_ignored": float(cluster.stale_rejects_ignored),
+        }
+
+
 def install(cluster: "ServiceCluster", **knobs) -> None:
     """Give every server an :class:`OverloadController` of ``knobs`` and
-    install the policy as ``cluster.overload`` (a disabled policy installs
-    nothing). With availability on, a withdrawal stops the server's
+    install an :class:`OverloadControl` as ``cluster.overload`` (a
+    disabled policy installs nothing); with ``fast_reject`` a refusal is
+    NACKed. With availability on, a withdrawal stops the server's
     publisher and the rejoin restarts it unless ``should_publish`` says no
     (it crashed while withdrawn, or the autoscaler parked it)."""
     policy = OverloadPolicy(**knobs)
@@ -298,4 +334,7 @@ def install(cluster: "ServiceCluster", **knobs) -> None:
                     publisher.start()
 
             controller.on_rejoin = rejoin
-    cluster.install("overload", policy)
+    control = OverloadControl(cluster)
+    nack = {"_refuse": control.nack} if policy.fast_reject else {}
+    cluster.rebind(overload_counters=control.counters, **nack)
+    cluster.install("overload", control)

@@ -28,10 +28,7 @@ deterministic state machine the cluster consults on every attempt:
   breakers via :meth:`ReliabilityEngine.on_reject`, and hedges never
   target a server that already rejected the request.
 
-Every mechanism is **off by default**: a cluster built without a
-:class:`ReliabilityPolicy` (or with the all-default policy) takes
-exactly the pre-existing code paths — no extra events, no RNG draws —
-so paper-reproduction runs stay bit-identical. All randomness flows
+A policy with no mechanism on installs nothing. All randomness flows
 through the named substreams ``reliability.backoff`` and
 ``reliability.hedge``, so hardened runs are bit-identical at a fixed
 seed under both event engines (the parity suite covers one).
@@ -226,10 +223,11 @@ class ReliabilityEngine:
     """Runtime state machine for one cluster's :class:`ReliabilityPolicy`.
 
     Installed as ``cluster.reliability`` by :func:`install` (``None``
-    when the layer is off). It subscribes to the cluster's ``dispatch``, ``terminal``,
-    ``reject``, ``timeout`` and ``server_loss`` lifecycle points, and the
-    cluster asks it for candidate filters, timeouts, backoffs and
-    collisions where it decides. The engine never touches the simulator
+    when the layer is off). It subscribes to the cluster's ``candidates``,
+    ``dispatch``, ``terminal``, ``reject``, ``timeout`` and ``server_loss``
+    lifecycle points, and :func:`install` rebinds the lifecycle's attempt
+    timeout, fail-fast check, retry delay, clone loss and copy collision
+    to its methods. The engine never touches the simulator
     except to arm/cancel hedge timers and it draws randomness only from
     its two named substreams.
     """
@@ -318,6 +316,15 @@ class ReliabilityEngine:
             return True
         return False
 
+    def retry_delay(self, request: Request) -> float:
+        """A retry superseded the current attempt: disarm its hedge, then
+        :meth:`backoff_delay`."""
+        state = self._states.get(request.index)
+        if state is not None and state.hedge_handle is not None:
+            self.cluster.sim.cancel(state.hedge_handle)
+            state.hedge_handle = None
+        return self.backoff_delay(request)
+
     def backoff_delay(self, request: Request) -> float:
         """Jittered exponential backoff before retry ``request.retries``."""
         base = self.policy.backoff_base
@@ -330,18 +337,19 @@ class ReliabilityEngine:
     # ------------------------------------------------------------------
     # circuit breakers
     # ------------------------------------------------------------------
-    def filter_candidates(self, candidates: Sequence[int]) -> Sequence[int]:
-        """Remove open-breaker servers from a candidate set.
+    def filter_candidates(self, selector, candidates: Sequence[int]) -> list[int]:
+        """Remove open-breaker servers from ``selector``'s candidate set
+        (a new list: the ``candidates`` point's last subscriber).
 
         Fails open: if every candidate's breaker is open, the unfiltered
         set is returned — a degraded server is better than none, and the
         NoCandidatesError re-select loop would otherwise spin.
         """
         if not self.breakers:
-            return candidates
+            return list(candidates)
         now = self.cluster.sim.now
         allowed = [s for s in candidates if self.breakers[s].allows(now)]
-        return allowed if allowed else candidates
+        return allowed if allowed else list(candidates)
 
     def breaker_state(self, server_id: int) -> str:
         """Breaker state label for telemetry (``"closed"`` when off)."""
@@ -414,13 +422,6 @@ class ReliabilityEngine:
                 state.hedge_handle = self.cluster.sim.after(
                     delay, self._fire_hedge, request
                 )
-
-    def on_retry(self, request: Request) -> None:
-        """A retry superseded the current attempt: disarm its hedge."""
-        state = self._states.get(request.index)
-        if state is not None and state.hedge_handle is not None:
-            self.cluster.sim.cancel(state.hedge_handle)
-            state.hedge_handle = None
 
     def copy_collides(self, request: Request, server_id: int) -> bool:
         """Whether a *sibling* copy of ``request`` (primary or hedge) is
@@ -517,7 +518,7 @@ class ReliabilityEngine:
         state.hedge_handle = None
         if state.attempt != request.retries:
             # A retry superseded the attempt this timer was armed for
-            # (defensive: on_retry normally cancels the handle first).
+            # (defensive: retry_delay normally cancels the handle first).
             return
         if any(not clone.done for clone in state.clones):
             # At most one live hedge copy per request.
@@ -549,13 +550,8 @@ class ReliabilityEngine:
         # The hedge is policy-invisible: it goes straight to the wire
         # (no notify_dispatch, no new attempt timeout — the primary's
         # deadline still governs the logical request).
-        cluster.network.send(
-            MessageKind.REQUEST,
-            client.node_id,
-            server_id,
-            clone,
-            cluster._deliver_request,
-        )
+        cluster.network.send(MessageKind.REQUEST, client.node_id, server_id, clone,
+                             cluster._deliver_request)
 
     # ------------------------------------------------------------------
     def counters(self) -> dict[str, float]:
@@ -593,4 +589,8 @@ def install(cluster: "ServiceCluster", **knobs) -> None:
             "copy is delivered through the simulated network (set "
             "hedge_quantile=None for repro drive)"
         )
-    cluster.install("reliability", ReliabilityEngine(cluster, policy))
+    engine = ReliabilityEngine(cluster, policy)
+    cluster.rebind(_attempt_timeout=engine.attempt_timeout, _fail_fast=engine.should_fail_fast,
+                   _retry_delay=engine.retry_delay, _clone_lost=engine.on_clone_lost,
+                   _copy_collides=engine.copy_collides)
+    cluster.install("reliability", engine)

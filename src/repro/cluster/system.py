@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from repro.cluster.availability import DEFAULT_SERVICE, ServiceMappingTable, ServicePublisher
 from repro.cluster.client import ClientNode
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.request import Request
@@ -52,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import LoadBalancer
     from repro.sim.clock import ClockHandle
 
-__all__ = ["ServiceCluster", "RequestLifecycle", "LIFECYCLE_POINTS"]
+__all__ = ["ServiceCluster", "RequestLifecycle", "LIFECYCLE_POINTS", "REBINDABLE"]
 
 #: lifecycle point -> its subscribers in call order: ``(slot, hook)``, the
 #: method ``hook`` of the subsystem in slot ``slot`` (an ``attr`` of
@@ -61,8 +60,15 @@ __all__ = ["ServiceCluster", "RequestLifecycle", "LIFECYCLE_POINTS"]
 #: ``dispatch(client, request, server_id)`` once a primary attempt is sent,
 #: ``terminal(request, winner)`` with ``winner`` the copy whose response won
 #: or ``None`` on failure, ``reject(request, server_id)``,
-#: ``timeout(request)``, ``server_loss(request)`` and ``run_end()``.
+#: ``timeout(request)``, ``server_loss(request)`` and ``run_end()``. Two
+#: points answer a question: ``candidates(selector, members)`` passes each
+#: subscriber the previous one's candidate set and returns its own, and
+#: ``publish(node_id)`` lets a server publish only when every subscriber
+#: returns true.
 LIFECYCLE_POINTS: dict[str, tuple[tuple[str, str], ...]] = {
+    "candidates": (("lifecycle", "_members"), ("lifecycle", "_skip_rejecter"),
+                   ("dispatchers", "filter_view"), ("reliability", "filter_candidates")),
+    "publish": (("overload", "publishes"), ("autoscaler", "is_active")),
     "arrival": (("oracle", "on_arrival"),),
     "dispatch": (("oracle", "on_dispatch"), ("reliability", "on_dispatch")),
     "terminal": (("telemetry", "on_terminal"), ("oracle", "on_terminal"),
@@ -72,6 +78,24 @@ LIFECYCLE_POINTS: dict[str, tuple[tuple[str, str], ...]] = {
     "timeout": (("dispatchers", "on_attempt_timeout"), ("reliability", "on_attempt_failure")),
     "server_loss": (("reliability", "on_attempt_failure"),),
     "run_end": (("oracle", "on_run_end"),),
+}
+
+#: lifecycle method -> the subsystem whose ``install`` rebinds it through
+#: :meth:`RequestLifecycle.rebind`. The body on the class is the paper's
+#: answer; the rebound one replaces it on that cluster only.
+REBINDABLE: dict[str, str] = {
+    "_members": "availability",
+    "_refuse": "overload",
+    "overload_counters": "overload",
+    "_attempt_timeout": "reliability",
+    "_fail_fast": "reliability",
+    "_retry_delay": "reliability",
+    "_clone_lost": "reliability",
+    "_copy_collides": "reliability",
+    "_select": "dispatchers",
+    "reselect_later": "dispatchers",
+    "selector_for": "dispatchers",
+    "_selector_agents": "dispatchers",
 }
 
 
@@ -90,15 +114,20 @@ class RequestLifecycle:
     optional subsystem hears of a step through the step's lifecycle
     point (:data:`LIFECYCLE_POINTS`): a tuple of bound hooks, ``_at_<point>``,
     empty when nobody listens; a subsystem's module fills its slot
-    through :meth:`install`. A transport subclass builds the nodes
+    through :meth:`install`. Where one subsystem replaces the paper's
+    answer outright (a timeout, a route, a NACK) its ``install`` rebinds
+    the lifecycle method that gives it (:data:`REBINDABLE`), so no step
+    tests a slot. A transport subclass builds the nodes
     (``servers``, ``clients``, ``network``, ``mapping_tables``), calls
     :meth:`_init_lifecycle` last in its constructor, unpacks inbound
     messages before handing them to :meth:`_on_response` /
     :meth:`_on_reject`, and supplies:
 
-    - :meth:`poll_server` — how a POLL leaves and its reply returns;
-    - :meth:`_send_request` — how a REQUEST leaves;
-    - :meth:`_all_resolved` — how "every request is terminal" ends the run;
+    - ``poll_server(client, server_id, on_reply)`` — how a POLL leaves
+      and its reply returns as ``on_reply(server_id, queue_length,
+      observed_at)``;
+    - ``_send_request(client, request, server_id)`` — how a REQUEST leaves;
+    - ``_all_resolved()`` — how "every request is terminal" ends the run;
     - ``_t0`` — the clock reading arrival offsets are measured from.
     """
 
@@ -169,6 +198,17 @@ class RequestLifecycle:
         setattr(self, slot, subsystem)
         self._wire_points()
 
+    def rebind(self, **methods: Callable) -> None:
+        """Replace each named lifecycle method (:data:`REBINDABLE`) on
+        this cluster with the given callable and rewire every lifecycle
+        point: the one way an ``install`` takes over a decision."""
+        unknown = sorted(set(methods) - set(REBINDABLE))
+        if unknown:
+            raise ValueError(f"not a rebindable lifecycle method: {unknown}")
+        for name, method in methods.items():
+            setattr(self, name, method)
+        self._wire_points()
+
     def _wire_points(self) -> None:
         """Bind each lifecycle point to the hooks of its installed
         subscribers, in :data:`LIFECYCLE_POINTS` order."""
@@ -177,24 +217,6 @@ class RequestLifecycle:
                       for slot, hook in subscribers)
             setattr(self, f"_at_{point}",
                     tuple(getattr(owner, hook) for owner, hook in owners if owner is not None))
-
-    def poll_server(
-        self,
-        client: ClientNode,
-        server_id: int,
-        on_reply: Callable[[int, int, float], None],
-    ) -> None:
-        """Transport hook: send a load inquiry; the transport calls
-        ``on_reply(server_id, queue_length, observed_at)``."""
-        raise NotImplementedError
-
-    def _send_request(self, client: ClientNode, request: Request, server_id: int) -> None:
-        """Transport hook: put one REQUEST on the wire."""
-        raise NotImplementedError
-
-    def _all_resolved(self) -> None:
-        """Transport hook: the last request just became terminal."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # policy context API
@@ -208,32 +230,31 @@ class RequestLifecycle:
         return self.rng_hub.index_stream(name)
 
     def available_servers(self, client: ClientNode) -> list[int]:
-        """Candidate server ids for this client's next access.
+        """Candidate server ids for this selector's next access: the
+        static pool through each ``candidates`` subscriber in turn —
+        membership, rejection exclusion, then the dispatcher's and the
+        reliability layer's breakers (a breaker reacts to consecutive
+        failures within milliseconds; soft-state expiry needs a TTL)."""
+        members = self._static_members
+        for hook in self._at_candidates:
+            members = hook(client, members)
+        return members
 
-        Soft-state membership first (when the availability subsystem is
-        on), then rejection exclusion, then circuit-breaker filtering
-        (when the reliability layer has breakers): a breaker reacts to
-        consecutive failures within milliseconds while soft-state
-        expiry needs a full TTL.
+    def _members(self, selector: ClientNode, members: list[int]) -> list[int]:
+        """The membership ``selector`` sees: every server (the paper's
+        static pool); availability's install rebinds it to soft state."""
+        return members
 
-        Rejection exclusion: while re-selecting a request that was just
-        rejected, the rejecting server is dropped from the candidate
-        set (when alternatives exist) — a saturated server must not be
-        re-picked for the immediate retry it just bounced.
-        """
-        if not self.availability_enabled:
-            members = self._static_members
-        else:
-            members = self.mapping_tables[client.node_id].available(DEFAULT_SERVICE, 0)
+    def _skip_rejecter(self, selector: ClientNode, members: list[int]) -> list[int]:
+        """Rejection exclusion: while re-selecting a request that was just
+        rejected, the rejecting server is dropped from the candidate set
+        (when alternatives exist) — a saturated server must not be
+        re-picked for the immediate retry it just bounced."""
         selecting = self._selecting_request
         if selecting is not None and selecting.last_rejected_by >= 0:
             filtered = [s for s in members if s != selecting.last_rejected_by]
             if filtered:
-                members = filtered
-        if self.dispatchers is not None:
-            members = self.dispatchers.filter_view(client.node_id, members)
-        if self.reliability is not None:
-            return list(self.reliability.filter_candidates(members))
+                return filtered
         return members
 
     def client_for(self, request: Request) -> ClientNode:
@@ -244,24 +265,21 @@ class RequestLifecycle:
     @property
     def selector_agents(self) -> list[ClientNode]:
         """The nodes that run ``policy.select`` and hold per-selector
-        policy state: the dispatcher agents when the tier is on, the
-        clients themselves otherwise. Policies that keep local state
-        (broadcast tables, JIQ idle queues, least-connections counters)
-        set up and address state through this list, never
+        policy state (:meth:`_selector_agents`). Policies that keep local
+        state (broadcast tables, JIQ idle queues, least-connections
+        counters) set up and address state through this list, never
         ``self.clients`` directly."""
-        if self.dispatchers is not None:
-            return [d.agent for d in self.dispatchers.dispatchers]
+        return self._selector_agents()
+
+    def _selector_agents(self) -> list[ClientNode]:
+        """The clients themselves; the dispatcher tier's install rebinds
+        it to its agents."""
         return self.clients
 
-    def selector_for(self, request: Request) -> ClientNode:
-        """The selector node whose policy state should absorb a
-        lifecycle notification for ``request``: the handling dispatcher
-        agent when the tier routed it, else the originating client."""
-        if self.dispatchers is not None:
-            agent = self.dispatchers.selector_agent(request)
-            if agent is not None:
-                return agent
-        return self.client_for(request)
+    #: the selector whose policy state absorbs a lifecycle notification
+    #: for a request: its originating client (the dispatcher tier's
+    #: install rebinds it to the agent that handled the request)
+    selector_for = client_for
 
     @property
     def reselect_delay(self) -> float:
@@ -293,20 +311,20 @@ class RequestLifecycle:
             hook(client, request, server_id)
 
     def _arm_attempt_timeout(self, request: Request) -> None:
-        """(Re-)arm the per-attempt timeout: the flat ``request_timeout``
-        when the reliability layer is off, the deadline-budget share
-        otherwise. No-op when neither is configured."""
-        timeout = (
-            self.request_timeout
-            if self.reliability is None
-            else self.reliability.attempt_timeout(request)
-        )
+        """(Re-)arm the per-attempt timeout (:meth:`_attempt_timeout`);
+        no-op when none is configured."""
+        timeout = self._attempt_timeout(request)
         if timeout is None:
             return
         self._cancel_attempt_timeout(request)
         self._timeout_handles[request.index] = self.sim.after(
             timeout, self._on_request_timeout, request
         )
+
+    def _attempt_timeout(self, request: Request) -> Optional[float]:
+        """The flat ``request_timeout``; reliability's install rebinds it
+        to the deadline-budget share."""
+        return self.request_timeout
 
     def _cancel_attempt_timeout(self, request: Request) -> None:
         """Disarm ``request``'s pending attempt timeout, if any."""
@@ -363,39 +381,38 @@ class RequestLifecycle:
         self._safe_select(client, request)
 
     def _safe_select(self, client: ClientNode, request: Request) -> None:
-        """Run the policy; an empty candidate set becomes a delayed retry
-        (e.g. every server's soft state expired after a mass failure).
+        """Arm the attempt timeout, then take the select step (``_select``).
 
-        When ``request_timeout`` is set it covers the *whole* attempt,
-        select phase included: a poll round whose replies are all lost
-        to faults would otherwise stall the request forever. The handle
-        armed here is superseded by :meth:`dispatch` (same deadline
-        semantics as before for requests that do get dispatched).
+        The timeout covers the *whole* attempt, select phase included: a
+        poll round whose replies are all lost to faults would otherwise
+        stall the request forever. :meth:`dispatch` re-arms it.
         """
         self._arm_attempt_timeout(request)
-        if self.dispatchers is not None:
-            # Dispatcher tier: the selection happens at the assigned
-            # dispatcher, one FORWARD hop away; the timeout armed above
-            # covers the hop + remote selection + dispatch.
-            self.dispatchers.route(client, request)
-            return
+        self._select(client, request)
+
+    def run_policy(self, selector: ClientNode, request: Request) -> None:
+        """Run the policy at ``selector``; an empty candidate set becomes
+        :meth:`reselect_later`."""
         self._selecting_request = request
         try:
-            self.policy.select(client, request)
+            self.policy.select(selector, request)
         except NoCandidatesError:
-            self.reselect_later(client, request)
+            self.reselect_later(selector, request)
         finally:
             self._selecting_request = None
 
+    #: the select step: the policy runs at the client; the dispatcher
+    #: tier's install rebinds it to a FORWARD hop to the dispatcher, which
+    #: runs the policy there
+    _select = run_policy
+
     def reselect_later(self, selector: ClientNode, request: Request) -> None:
         """Answer an empty candidate set at ``selector``: select again
-        after :attr:`reselect_delay`, at the dispatcher when the tier is
-        on. A policy that decides after a network hop (``manager``) calls
-        this where a synchronous ``select`` raises ``NoCandidatesError``,
-        so both take the same path."""
-        if self.dispatchers is not None:
-            self.dispatchers.reselect_later(selector, request)
-            return
+        after :attr:`reselect_delay` (the dispatcher tier's install
+        rebinds it to select again at the dispatcher). A policy that
+        decides after a network hop (``manager``) calls this where a
+        synchronous ``select`` raises ``NoCandidatesError``, so both take
+        the same path."""
         self._cancel_attempt_timeout(request)
         self.sim.after(self.reselect_delay, self._retry, request)
 
@@ -477,26 +494,36 @@ class RequestLifecycle:
         if request.hedge is not None:
             # Admission-control rejection of a hedge copy: drop the
             # copy, never spawn a parallel retry lifecycle for it.
-            self.reliability.on_clone_lost(request)
+            self._clone_lost(request)
             return
         request.retries += 1
         client = self.client_for(request)
-        if request.retries > self.max_retries or (
-            self.reliability is not None
-            and self.reliability.should_fail_fast(request)
-        ):
+        if request.retries > self.max_retries or self._fail_fast(request):
             request.done = True
             request.failed = True
             request.response_time = math.nan
             self._finish(request, None)
             return
-        if self.reliability is not None:
-            self.reliability.on_retry(request)
-            delay = self.reliability.backoff_delay(request)
-            if delay > 0.0:
-                self.sim.after(delay, self._reselect, request)
-                return
+        delay = self._retry_delay(request)
+        if delay > 0.0:
+            self.sim.after(delay, self._reselect, request)
+            return
         self._safe_select(client, request)
+
+    def _fail_fast(self, request: Request) -> bool:
+        """Whether a retry within ``max_retries`` fails at once: never
+        (reliability's install rebinds it to its deadline/budget check)."""
+        return False
+
+    def _retry_delay(self, request: Request) -> float:
+        """Seconds a retry waits before re-selecting: none; reliability's
+        install rebinds it to disarm the hedge and back off."""
+        return 0.0
+
+    def _clone_lost(self, clone: Request) -> None:
+        """A hedge copy hit a dead or refusing server: drop it (only
+        reliability hedges; its install rebinds this to count the loss)."""
+        clone.done = True
 
     def _reselect(self, request: Request) -> None:
         """Run the deferred (post-backoff) re-selection for a retry."""
@@ -591,20 +618,14 @@ class ServiceCluster(RequestLifecycle):
             self.sim, self.rng_hub.stream("net.latency"),
             ConstantLatency(constants.poll_one_way),
         )
-        one_way = ConstantLatency(constants.request_one_way)
-        poll_way = ConstantLatency(constants.poll_one_way)
-        manager_way = ConstantLatency(constants.manager_one_way)
-        self.network.set_latency(MessageKind.REQUEST, one_way)
-        self.network.set_latency(MessageKind.RESPONSE, one_way)
-        self.network.set_latency(MessageKind.REJECT, one_way)
-        self.network.set_latency(MessageKind.FORWARD, one_way)
-        self.network.set_latency(MessageKind.POLL, poll_way)
-        self.network.set_latency(MessageKind.POLL_REPLY, poll_way)
-        self.network.set_latency(MessageKind.BROADCAST, poll_way)
-        self.network.set_latency(MessageKind.PUBLISH, poll_way)
-        self.network.set_latency(MessageKind.MANAGER_QUERY, manager_way)
-        self.network.set_latency(MessageKind.MANAGER_REPLY, manager_way)
-        self.network.set_latency(MessageKind.MANAGER_NOTIFY, manager_way)
+        for one_way, kinds in (
+            (constants.request_one_way, ("REQUEST", "RESPONSE", "REJECT", "FORWARD")),
+            (constants.poll_one_way, ("POLL", "POLL_REPLY", "BROADCAST", "PUBLISH")),
+            (constants.manager_one_way, ("MANAGER_QUERY", "MANAGER_REPLY", "MANAGER_NOTIFY")),
+        ):
+            latency = ConstantLatency(one_way)
+            for kind in kinds:
+                self.network.set_latency(MessageKind[kind], latency)
 
         self.servers = [
             ServerNode(
@@ -622,18 +643,18 @@ class ServiceCluster(RequestLifecycle):
         # Client node ids continue after server ids.
         self.clients = [ClientNode(self.sim, n_servers + j) for j in range(n_clients)]
         self._static_members = list(range(n_servers))
-        # Membership is static until availability's install() derives
-        # candidate sets from soft state (failure experiments need it).
+        # Membership is static until availability's install() fills
+        # node id -> ServicePublisher / ServiceMappingTable.
         self.availability_enabled = False
-        self.publishers: dict[int, ServicePublisher] = {}
-        self.mapping_tables: dict[int, ServiceMappingTable] = {}
+        self.publishers: dict = {}
+        self.mapping_tables: dict = {}
 
         self._runner_active = False
         self._init_lifecycle(policy, request_timeout, max_retries)
 
     def should_publish(self, node_id: int) -> bool:
         """Whether server ``node_id`` may (re)start its availability
-        publisher right now.
+        publisher now: it is alive and every ``publish`` subscriber agrees.
 
         Single source of truth for every publisher-start site (the first
         publish round, crash recovery, overload rejoin, autoscale
@@ -642,14 +663,9 @@ class ServiceCluster(RequestLifecycle):
         and a server the autoscaler has parked stays out of the pool even
         across a crash/recover cycle.
         """
-        server = self.servers[node_id]
-        if not server.alive:
+        if not self.servers[node_id].alive:
             return False
-        if server.overload is not None and server.overload.withdrawn:
-            return False
-        if self.autoscaler is not None and not self.autoscaler.is_active(node_id):
-            return False
-        return True
+        return all(gate(node_id) for gate in self._at_publish)
 
     # ------------------------------------------------------------------
     # transport: the simulated network
@@ -703,35 +719,18 @@ class ServiceCluster(RequestLifecycle):
                         return
                 on_reply(server_id, queue_length, observed_at)
 
-            self.network.send(
-                MessageKind.POLL_REPLY,
-                server_id,
-                client.node_id,
-                None,
-                deliver_reply,
-                extra_delay=extra,
-            )
+            self.network.send(MessageKind.POLL_REPLY, server_id, client.node_id, None,
+                              deliver_reply, extra_delay=extra)
 
-        self.network.send(
-            MessageKind.POLL,
-            client.node_id,
-            server_id,
-            None,
-            deliver_poll,
-            extra_delay=send_delay,
-        )
+        self.network.send(MessageKind.POLL, client.node_id, server_id, None, deliver_poll,
+                          extra_delay=send_delay)
 
     # The benchmark's tracer patches ``ServiceCluster.__dict__["dispatch"]``.
     dispatch = RequestLifecycle.dispatch
 
     def _send_request(self, client: ClientNode, request: Request, server_id: int) -> None:
         self.network.send(
-            MessageKind.REQUEST,
-            client.node_id,
-            server_id,
-            request,
-            self._deliver_request,
-        )
+            MessageKind.REQUEST, client.node_id, server_id, request, self._deliver_request)
 
     def run(self, max_events_per_chunk: int = 200_000) -> ClusterMetrics:
         """Run until every request has completed (or failed terminally)."""
@@ -765,18 +764,13 @@ class ServiceCluster(RequestLifecycle):
     def _deliver_request(self, message: Message) -> None:
         server = self.servers[message.dst]
         request: Request = message.payload
-        if request.done or request.queued_at >= 0:
-            # Duplicated delivery, or a timeout retry raced an earlier
-            # copy: at most one live copy may occupy a server queue, and
-            # a finished request never re-enters service.
-            self.duplicate_deliveries_ignored += 1
-            return
-        if self.reliability is not None and self.reliability.copy_collides(
+        if request.done or request.queued_at >= 0 or self._copy_collides(
             request, server.node_id
         ):
-            # A sibling copy (primary or hedge) of the same request is
-            # already held by this server; two copies sharing an index
-            # must never coexist in one server's bookkeeping.
+            # Duplicated delivery, a timeout retry raced an earlier copy,
+            # or a sibling hedge copy is on this server: at most one live
+            # copy may occupy a server queue (and a server's bookkeeping),
+            # and a finished request never re-enters service.
             self.duplicate_deliveries_ignored += 1
             return
         if not server.alive:
@@ -787,59 +781,34 @@ class ServiceCluster(RequestLifecycle):
                 # A rejected hedge copy is simply dropped — it must not
                 # touch the primary's timeout handle (shared index) or
                 # spawn a parallel retry lifecycle.
-                self.reliability.on_clone_lost(request)
+                self._clone_lost(request)
                 return
             # Admission control rejected (static bound or adaptive
             # shedding): the retry, whenever it runs, must not re-pick
             # this server, and its breaker absorbs the signal.
             request.rejects += 1
             request.last_rejected_by = server.node_id
-            if server.overload is not None and server.overload.policy.fast_reject:
-                # Fast-reject NACK: tell the client now, over the wire,
-                # instead of letting it burn its timeout budget. The
-                # attempt timeout stays armed — it is the loss-recovery
-                # path for a NACK the network eats.
-                self.rejects_sent += 1
-                self.network.send(
-                    MessageKind.REJECT,
-                    server.node_id,
-                    request.client_id,
-                    (request, request.retries),
-                    self._deliver_reject,
-                )
-                return
-            # No NACK (no fast-reject controller): handled at once, like
-            # a NACK that arrived (the retry counts against max_retries).
-            self._on_reject(request, request.retries, server.node_id)
+            self._refuse(server, request)
+
+    def _copy_collides(self, request: Request, server_id: int) -> bool:
+        """Whether a sibling copy of ``request`` is on ``server_id``:
+        never (only reliability hedges; its install rebinds this)."""
+        return False
+
+    def _refuse(self, server: ServerNode, request: Request) -> None:
+        """``server`` refused ``request``: handled at once, like a NACK that
+        arrived (overload's install rebinds it to send a fast-reject NACK)."""
+        self._on_reject(request, request.retries, server.node_id)
 
     def _deliver_reject(self, message: Message) -> None:
         request, attempt = message.payload
         self._on_reject(request, attempt, message.src)
 
     def _on_server_complete(self, server: ServerNode, request: Request) -> None:
-        if self.dispatchers is not None:
-            # Tier-routed requests return through their dispatcher so it
-            # observes the completion (admission/breaker signals); a
-            # dead dispatcher loses the response and the client's
-            # attempt timeout recovers. Hedge clones (dispatcher_id
-            # == -1) keep the direct server→client path.
-            dispatcher = self.dispatchers.backhaul_target(request)
-            if dispatcher is not None:
-                self.network.send(
-                    MessageKind.RESPONSE,
-                    server.node_id,
-                    dispatcher.node_id,
-                    request,
-                    self.dispatchers._deliver_backhaul,  # noqa: SLF001
-                )
-                return
-        self.network.send(
-            MessageKind.RESPONSE,
-            server.node_id,
-            request.client_id,
-            request,
-            self._deliver_response,
-        )
+        """Every server's ``on_complete``: the response goes straight to
+        the client (the dispatcher tier's install reroutes it)."""
+        self.network.send(MessageKind.RESPONSE, server.node_id, request.client_id, request,
+                          self._deliver_response)
 
     def _deliver_response(self, message: Message) -> None:
         self._on_response(message.payload)
@@ -851,7 +820,7 @@ class ServiceCluster(RequestLifecycle):
             # request's own timeout/deadline machinery recovers. (Must
             # not fall through to _retry — a clone shares the primary's
             # index, so it would cancel the primary's timeout handle.)
-            self.reliability.on_clone_lost(request)
+            self._clone_lost(request)
             return
         self.server_loss_retries += 1
         self._cancel_attempt_timeout(request)
@@ -861,27 +830,12 @@ class ServiceCluster(RequestLifecycle):
 
     # ------------------------------------------------------------------
     def overload_counters(self) -> dict[str, float]:
-        """Archive-ready admission/overload tallies.
-
-        ``requests_rejected`` (the per-server ``rejected_count`` sum) is
-        always present — rejections from the static ``max_queue`` bound
-        must be visible even on runs without the overload subsystem.
-        The shedding/withdrawal/NACK counters appear only when overload
-        control is enabled.
-        """
-        counters: dict[str, float] = {
-            "requests_rejected": float(
-                sum(server.rejected_count for server in self.servers)
-            ),
+        """Archive-ready admission tallies: the static ``max_queue``
+        bound's rejections show on every run (overload's install rebinds
+        it to add its shedding, withdrawal and NACK counters)."""
+        return {
+            "requests_rejected": float(sum(server.rejected_count for server in self.servers)),
         }
-        tallies = [
-            server.overload.counters() for server in self.servers if server.overload is not None
-        ]
-        if tallies:
-            counters.update({name: float(sum(t[name] for t in tallies)) for name in tallies[0]})
-            counters["rejects_sent"] = float(self.rejects_sent)
-            counters["stale_rejects_ignored"] = float(self.stale_rejects_ignored)
-        return counters
 
     def total_stolen_cpu(self) -> float:
         """CPU seconds stolen from services by poll handling (all servers)."""

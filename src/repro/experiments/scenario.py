@@ -540,12 +540,15 @@ class ScenarioSpec:
             except (TypeError, ValueError) as err:
                 raise ScenarioError("config_overrides", str(err)) from None
 
-        # the cells' engine, imported before a sweep forks its workers
+        # the cells' engine (and soft-state availability, which no
+        # subsystem row owns), imported before a sweep forks its workers
         # so that no worker compiles it
         if self.engine == "fast":
             self._validate_fast()
         else:
             locate("repro.cluster.system")
+            if any(cell.config.cluster_params.get("availability") for cell in self._cells()):
+                locate("repro.cluster.availability")
 
     def _validate_fast(self) -> None:
         """The fast engine rejects most knobs — name the axis that set

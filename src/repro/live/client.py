@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.cluster.availability import ServiceMappingTable
+from repro.cluster.availability import ServiceMappingTable, soft_state_members
 from repro.cluster.client import ClientNode
 from repro.cluster.request import Request
 from repro.cluster.metrics import ClusterMetrics
@@ -169,6 +169,7 @@ class LiveCluster(RequestLifecycle):
             self._shared_table = table
             for client in self.clients:
                 self.mapping_tables[client.node_id] = table
+            self._members = soft_state_members(self.mapping_tables)
 
         # Transport state: dispatched requests by wire id, outstanding
         # polls by poll id, the run-complete flag, wire-level counters.

@@ -9,13 +9,15 @@ subsystem slot. These tests hold that shape:
   loopback client, match the table written out below, filtered by the
   slots that are installed; every extension campaign installs some
   subsystem, and no cell of the paper's figures installs any;
-- ``system.py`` tests a subsystem slot for ``None`` only at the twelve
-  places where the lifecycle acts on what the subsystem returns, and
-  once where ``load_workload`` refuses an autoscaler without the
-  availability it actuates through;
+- each rebindable lifecycle method is rebound by its owner's
+  ``install`` alone, and a plain run rebinds none;
+- ``system.py`` reads a subsystem slot only where the lifecycle wires
+  itself (``_init_lifecycle``, ``install``, ``_wire_points``) and once
+  where ``load_workload`` refuses an autoscaler without the availability
+  it actuates through, and imports no subsystem module;
 - no code outside the ``install`` functions and the constructors
-  assigns a subsystem slot or a lifecycle point, so no hook is ever left
-  unbound.
+  assigns a subsystem slot, a lifecycle point or a rebindable method, so
+  no hook is ever left unbound.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.cluster.system import LIFECYCLE_POINTS
+from repro.cluster.system import LIFECYCLE_POINTS, REBINDABLE
 from repro.core import make_policy
 from repro.experiments.config import SUBSYSTEMS, SimulationConfig
 from repro.experiments.runner import assemble, build_cluster
@@ -46,6 +48,13 @@ SYSTEM_PY = REPO / "src" / "repro" / "cluster" / "system.py"
 
 #: point -> (slot, hook) in call order; "lifecycle" is the lifecycle itself
 EXPECTED = {
+    "candidates": [
+        ("lifecycle", "_members"),
+        ("lifecycle", "_skip_rejecter"),
+        ("dispatchers", "filter_view"),
+        ("reliability", "filter_candidates"),
+    ],
+    "publish": [("overload", "publishes"), ("autoscaler", "is_active")],
     "arrival": [("oracle", "on_arrival")],
     "dispatch": [("oracle", "on_dispatch"), ("reliability", "on_dispatch")],
     "terminal": [
@@ -62,37 +71,60 @@ EXPECTED = {
     "run_end": [("oracle", "on_run_end")],
 }
 
-#: (enclosing function, slot) of every subsystem-slot ``None`` test left
-#: in system.py: each acts on a value the subsystem returns (a candidate
-#: filter, a route, a reselect, a timeout, a backoff, a collision, a
-#: backhaul), except the construction-time refusal in ``load_workload``
-DECISION_SITES = Counter({
-    ("available_servers", "dispatchers"): 1,
-    ("available_servers", "reliability"): 1,
-    ("selector_agents", "dispatchers"): 1,
-    ("selector_for", "dispatchers"): 1,
-    ("_arm_attempt_timeout", "reliability"): 1,
-    ("_safe_select", "dispatchers"): 1,
-    ("reselect_later", "dispatchers"): 1,
-    ("_retry", "reliability"): 2,
-    ("load_workload", "autoscaler"): 1,
-    ("should_publish", "autoscaler"): 1,
-    ("_deliver_request", "reliability"): 1,
-    ("_on_server_complete", "dispatchers"): 1,
-})
+#: (enclosing function, slot) of every subsystem-slot read left in system.py
+#: outside the lifecycle's own wiring: the construction-time refusal in
+#: ``load_workload``
+DECISION_SITES = Counter({("load_workload", "autoscaler"): 1})
+#: the functions that wire the lifecycle, so read every slot
+_WIRING = {"_init_lifecycle", "install", "_wire_points"}
+#: the optional subsystems' modules
+_SUBSYSTEM_MODULES = {
+    "repro.cluster.availability", "repro.cluster.autoscaler", "repro.cluster.dispatcher",
+    "repro.cluster.failures", "repro.cluster.overload", "repro.cluster.reliability",
+    "repro.telemetry", "repro.verify",
+}
+
+#: one subsystem on, for each owner of a rebindable method
+OWNER_CONFIGS = {
+    "availability": {"cluster_params": {"availability": True}},
+    "overload": {"overload_params": {"sojourn_target": 0.02, "fast_reject": True}},
+    "reliability": {"reliability_params": {"breaker_threshold": 4}},
+    "dispatchers": {"dispatcher_params": {"count": 2}},
+}
+ALL_SEVEN = dict(
+    cluster_params={"availability": True, "request_timeout": 0.25},
+    chaos_params={"loss": 0.01},
+    telemetry={"spans": True},
+    reliability_params={"hedge_quantile": 0.9, "breaker_threshold": 4},
+    overload_params={"sojourn_target": 0.02, "fast_reject": True},
+    dispatcher_params={"count": 2},
+    autoscaler_params={"min_servers": 4, "interval": 0.2},
+    verify_params={"enabled": True},
+)
 
 
 def _subscribers(cluster) -> dict[str, list[tuple[str, str]]]:
-    """Each point's bound hooks as (slot, hook) names."""
+    """Each point's bound hooks as (slot, hook) names; a rebound
+    lifecycle method is the lifecycle's under its own name."""
     slot_of = {id(getattr(cluster, slot)): slot for slot in SLOTS}
     slot_of[id(cluster)] = "lifecycle"
+    rebound = {id(method): name for name, method in _rebound(cluster).items()}
+
+    def name(hook) -> tuple[str, str]:
+        if id(hook) in rebound:
+            return ("lifecycle", rebound[id(hook)])
+        return (slot_of[id(hook.__self__)], hook.__func__.__name__)
+
     return {
-        point: [
-            (slot_of[id(hook.__self__)], hook.__func__.__name__)
-            for hook in getattr(cluster, f"_at_{point}")
-        ]
+        point: [name(hook) for hook in getattr(cluster, f"_at_{point}")]
         for point in LIFECYCLE_POINTS
     }
+
+
+def _rebound(cluster) -> dict:
+    """The rebindable lifecycle methods ``cluster`` holds in its own
+    namespace: the ones an install replaced."""
+    return {name: method for name, method in vars(cluster).items() if name in REBINDABLE}
 
 
 def _expected_for(cluster) -> dict[str, list[tuple[str, str]]]:
@@ -129,27 +161,27 @@ def test_builtin_quick_cells_bind_the_table(name):
         assert seen_slots, f"no {name} cell installs a subsystem"
 
 
-def test_all_seven_subsystems_bind_every_subscriber():
-    config = SimulationConfig(
-        n_servers=8, n_requests=50,
-        cluster_params={"availability": True, "request_timeout": 0.25},
-        chaos_params={"loss": 0.01},
-        telemetry={"spans": True},
-        reliability_params={"hedge_quantile": 0.9, "breaker_threshold": 4},
-        overload_params={"sojourn_target": 0.02, "fast_reject": True},
-        dispatcher_params={"count": 2},
-        autoscaler_params={"min_servers": 4, "interval": 0.2},
-        verify_params={"enabled": True},
-    )
-    cluster, _ = build_cluster(config)
+def test_all_seven_subsystems_bind_every_subscriber_and_method():
+    cluster, _ = build_cluster(SimulationConfig(n_servers=8, n_requests=50, **ALL_SEVEN))
     assert _subscribers(cluster) == EXPECTED
+    assert set(_rebound(cluster)) == set(REBINDABLE)
 
 
-def test_a_plain_run_subscribes_the_policy_only():
+def test_a_plain_run_subscribes_the_lifecycle_and_the_policy_only():
     cluster, _ = build_cluster(SimulationConfig(n_requests=20))
     subscribers = _subscribers(cluster)
+    assert subscribers.pop("candidates") == [
+        ("lifecycle", "_members"), ("lifecycle", "_skip_rejecter")]
     assert subscribers.pop("terminal") == [("lifecycle", "_notify_policy")]
     assert all(not hooks for hooks in subscribers.values())
+    assert _rebound(cluster) == {}
+
+
+@pytest.mark.parametrize("owner", sorted(OWNER_CONFIGS))
+def test_each_install_rebinds_the_methods_it_owns(owner):
+    assert set(OWNER_CONFIGS) == set(REBINDABLE.values())
+    cluster, _ = build_cluster(SimulationConfig(n_requests=20, **OWNER_CONFIGS[owner]))
+    assert set(_rebound(cluster)) == {name for name, by in REBINDABLE.items() if by == owner}
 
 
 def test_a_loopback_live_cluster_binds_the_table():
@@ -179,26 +211,32 @@ def test_install_rewires_and_refuses_unknown_slots():
     assert cluster._at_terminal == (cluster._notify_policy,)
     with pytest.raises(ValueError, match="unknown subsystem slot"):
         cluster.install("policy", None)
+    with pytest.raises(ValueError, match="not a rebindable lifecycle method"):
+        cluster.rebind(dispatch=print)
 
 
-def _slot_guards(tree: ast.AST) -> Counter:
-    """(enclosing function, slot) of each ``self.<slot> is [not] None``."""
+def _slot_reads(tree: ast.AST) -> Counter:
+    """(enclosing function, slot) of each read of a subsystem slot on
+    any object — ``<x>.<slot>`` or ``getattr(<x>, "<slot>")`` — outside
+    the lifecycle's wiring."""
     found: Counter = Counter()
 
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (
-            isinstance(node, ast.Compare)
-            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
-            and isinstance(node.comparators[0], ast.Constant)
-            and node.comparators[0].value is None
-            and isinstance(node.left, ast.Attribute)
-            and isinstance(node.left.value, ast.Name)
-            and node.left.value.id == "self"
-            and node.left.attr in SLOTS
+        slot = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            slot = node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
         ):
-            found[function, node.left.attr] += 1
+            slot = node.args[1].value
+        if slot in SLOTS and function not in _WIRING:
+            found[function, slot] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -206,22 +244,48 @@ def _slot_guards(tree: ast.AST) -> Counter:
     return found
 
 
-def test_system_py_tests_slots_only_at_decision_sites():
-    assert _slot_guards(ast.parse(SYSTEM_PY.read_text())) == DECISION_SITES
+def test_system_py_reads_slots_only_where_it_wires_itself():
+    assert _slot_reads(ast.parse(SYSTEM_PY.read_text())) == DECISION_SITES
 
 
-#: functions allowed to assign a subsystem slot or a lifecycle point: the
-#: constructors, the lifecycle's own wiring, and ``install`` — the
-#: lifecycle's, and each subsystem module's that INSTALL_ORDER names
+def test_the_census_sees_a_slot_read():
+    tree = ast.parse(
+        "def f(self, server):\n"
+        "    return self.reliability, server.overload, getattr(self, 'dispatchers')\n"
+        "def install(self):\n"
+        "    return self.oracle\n"
+    )
+    assert _slot_reads(tree) == Counter(
+        {("f", "reliability"): 1, ("f", "overload"): 1, ("f", "dispatchers"): 1})
+
+
+def test_system_py_imports_no_subsystem_module():
+    imported = set()
+    for node in ast.walk(ast.parse(SYSTEM_PY.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {
+        module for module in imported
+        if any(module == m or module.startswith(f"{m}.") for m in _SUBSYSTEM_MODULES)
+    } == set()
+
+
+#: functions allowed to assign a subsystem slot, a rebindable method or a
+#: lifecycle point: the constructors, the lifecycle's own wiring, and
+#: ``install`` — the lifecycle's, and each subsystem module's that
+#: INSTALL_ORDER names
 _ASSIGNERS = {"__init__", "_init_lifecycle", "install", "_wire_points"}
 
 
 def _slot_assignments(path: Path) -> list[str]:
-    """``file:line function`` of each assignment to a subsystem slot or a
-    lifecycle point (``_at_<point>``) outside the allowed functions:
+    """``file:line function`` of each assignment to a subsystem slot, a
+    rebindable lifecycle method or a lifecycle point (``_at_<point>``)
+    outside the allowed functions:
     ``<x>.<slot> = ...``, ``setattr(<x>, "<slot>", ...)``, and any
     ``setattr(cluster, <name>, ...)``, whose name could be a slot."""
-    names = set(SLOTS) | {f"_at_{point}" for point in LIFECYCLE_POINTS}
+    names = set(SLOTS) | set(REBINDABLE) | {f"_at_{point}" for point in LIFECYCLE_POINTS}
     out = []
 
     def visit(node: ast.AST, function: str) -> None:

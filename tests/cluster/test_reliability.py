@@ -179,7 +179,7 @@ def test_filter_candidates_ejects_open_breakers():
     cluster = build(reliability=dict(breaker_threshold=1))
     engine = cluster.reliability
     engine.breakers[2].record_failure(0.0)
-    assert list(engine.filter_candidates([0, 1, 2, 3])) == [0, 1, 3]
+    assert list(engine.filter_candidates(cluster.clients[0], [0, 1, 2, 3])) == [0, 1, 3]
     assert engine.breaker_state(2) == "open"
     assert engine.breaker_state(0) == "closed"
 
@@ -191,7 +191,7 @@ def test_filter_candidates_fails_open_when_all_open():
         breaker.record_failure(0.0)
     # Every breaker open: the unfiltered set comes back (a degraded
     # server beats an empty candidate set).
-    assert list(engine.filter_candidates([0, 1, 2, 3])) == [0, 1, 2, 3]
+    assert list(engine.filter_candidates(cluster.clients[0], [0, 1, 2, 3])) == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------

@@ -17,22 +17,32 @@ from repro.live.client import LiveCluster
 SHARED = [
     "_init_lifecycle",
     "install",
+    "rebind",
     "_wire_points",
     "_on_arrival",
     "_safe_select",
+    "run_policy",
+    "_select",
     "dispatch",
     "_arm_attempt_timeout",
+    "_attempt_timeout",
     "_cancel_attempt_timeout",
     "_on_request_timeout",
     "_retry",
+    "_fail_fast",
+    "_retry_delay",
+    "_clone_lost",
     "_reselect",
     "_on_response",
     "_finish",
     "_notify_policy",
     "_on_reject",
     "available_servers",
+    "_members",
+    "_skip_rejecter",
     "client_for",
     "selector_agents",
+    "_selector_agents",
     "selector_for",
     "reselect_delay",
     "load_workload",

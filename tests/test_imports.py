@@ -51,7 +51,7 @@ def test_the_event_loop_imports_alone():
 #: modules only an optional path uses
 _NOT_ON_A_DEFAULT_RUN = {
     *(f"repro.cluster.{name}" for name in
-      ("failures", "reliability", "overload", "dispatcher", "autoscaler")),
+      ("availability", "failures", "reliability", "overload", "dispatcher", "autoscaler")),
     "repro.net.faults", "repro.telemetry", "repro.verify", "repro.live",
     *(f"repro.experiments.{name}" for name in
       ("scenario", "parity", "figures", "executor", "replication")),
